@@ -37,16 +37,17 @@ COVER_PKGS ?= ./internal/obs ./internal/qos
 COVER_FLOOR ?= 75
 COVER_PROFILE ?= coverprofile.out
 
-.PHONY: all check vet build test race bench bench-smoke loadgen loadgen-smoke loadgen-pipeline loadgen-traced slo-smoke chaos cover clean
+.PHONY: all check vet build test race alloc-gates bench bench-smoke loadgen loadgen-smoke loadgen-pipeline loadgen-traced slo-smoke chaos cover clean
 
 all: check
 
 # check is the full gate: vet, build everything, race-enabled tests, the
-# chaos suite (fault injection + resilience) on its own for a readable
-# verdict, the SLO-engine smoke, the coverage floors, a one-iteration
+# allocation gates (race-free, see alloc-gates), the chaos suite (fault
+# injection + resilience) on its own for a readable verdict, the
+# SLO-engine smoke, the coverage floors, a one-iteration
 # bench smoke so benchmark code can't rot, and the loadgen smoke run so
 # the open-loop harness keeps driving a real server end to end.
-check: vet build race chaos slo-smoke cover bench-smoke loadgen-smoke
+check: vet build race alloc-gates chaos slo-smoke cover bench-smoke loadgen-smoke
 
 vet:
 	$(GO) vet ./...
@@ -59,6 +60,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# alloc-gates runs the end-to-end allocation-regression gates without the
+# race detector: they sit at the measured count plus one, and the detector
+# makes sync.Pool drop items at random, so under `race` they skip
+# themselves (alloc_test.go, race_on_test.go).
+alloc-gates:
+	$(GO) test -count=1 -run 'Allocs' .
 
 # bench runs every benchmark family with allocation accounting and records
 # the parsed results as a JSON trajectory point (see docs/PERFORMANCE.md

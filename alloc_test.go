@@ -1,80 +1,40 @@
 package maqs_test
 
 import (
+	"bytes"
 	"context"
+	"runtime"
 	"testing"
 
 	"maqs"
+	"maqs/internal/characteristics/compression"
+	"maqs/internal/characteristics/encryption"
 )
 
-// TestEchoCallAllocs is the end-to-end alloc-regression gate for the
-// invocation hot path: one echo round trip over the in-memory network —
-// stub, mediator, ORB, GIOP framing, server dispatch and back — must stay
-// within a fixed allocation budget. The pooled hot path measures ~18
-// allocations per call (42 before pooling, ~24 before the server-side
-// decode pools and FrameReader body reuse, see docs/PERFORMANCE.md); the
-// budget leaves headroom for scheduler noise without letting the older
-// numbers back in.
-func TestEchoCallAllocs(t *testing.T) {
-	n := maqs.NewNetwork()
-	server, err := maqs.NewSystem(maqs.Options{Transport: n.Host("server")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Shutdown()
-	if err := server.Listen("server:1"); err != nil {
-		t.Fatal(err)
-	}
-	client, err := maqs.NewSystem(maqs.Options{Transport: n.Host("client")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Shutdown()
+// The alloc-regression gates of the invocation hot path: one echo round
+// trip over the in-memory network — stub, mediator, ORB, GIOP framing,
+// server dispatch and back — must stay within the allocation count
+// measured on this tree plus one (scheduler noise), so that a single new
+// per-call allocation fails CI. History of the plain round trip: 42 before
+// pooling, 24 before the server-side decode pools and FrameReader body
+// reuse, 18 since (docs/PERFORMANCE.md).
 
-	ref, err := server.Activate("echo", "IDL:test/Echo:1.0", benchEcho{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stub := client.Stub(ref)
-	args := encodeOctets(client.ORB.Order(), []byte("alloc gate payload"))
-	ctx := context.Background()
-
-	// Warm the path so connection setup and pool population are excluded.
-	for i := 0; i < 10; i++ {
-		if _, err := stub.Call(ctx, "echo", args); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	avg := testing.AllocsPerRun(200, func() {
-		if _, err := stub.Call(ctx, "echo", args); err != nil {
-			t.Fatal(err)
-		}
-	})
-	const maxAllocs = 28
-	if avg > maxAllocs {
-		t.Fatalf("echo round trip allocates %.1f objects/op, budget is %d (pre-pooling baseline was 42)", avg, maxAllocs)
-	}
-	t.Logf("echo round trip: %.1f allocs/op (budget %d)", avg, maxAllocs)
+// allocWorld is one client/server pair over the in-memory network with an
+// echo object activated; impl and module, when set, make it QoS-capable.
+type allocWorld struct {
+	client *maqs.System
+	stub   *maqs.Stub
 }
 
-// TestServerDispatchAllocs is the same end-to-end gate with the server's
-// bounded dispatch pools enabled: the worker-pool path adds queue
-// handoff, pooled args scratch and a pooled ServerRequest, and must not
-// reintroduce per-request garbage. Measured ~17 allocs/op — no more than
-// the goroutine-per-request number, because the job, its args copy and
-// the ServerRequest all come from pools.
-func TestServerDispatchAllocs(t *testing.T) {
+func newAllocWorld(t *testing.T, serverOpts maqs.Options, module string, impl maqs.Impl) *allocWorld {
+	t.Helper()
 	n := maqs.NewNetwork()
-	server, err := maqs.NewSystem(maqs.Options{
-		Transport:          n.Host("server"),
-		DispatchWorkers:    4,
-		DispatchQueueDepth: 64,
-	})
+	serverOpts.Transport = n.Host("server")
+	server, err := maqs.NewSystem(serverOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer server.Shutdown()
+	t.Cleanup(server.Shutdown)
 	if err := server.Listen("server:1"); err != nil {
 		t.Fatal(err)
 	}
@@ -82,32 +42,79 @@ func TestServerDispatchAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Shutdown()
+	t.Cleanup(client.Shutdown)
 
-	ref, err := server.Activate("echo", "IDL:test/Echo:1.0", benchEcho{})
+	if impl == nil {
+		ref, err := server.Activate("echo", "IDL:test/Echo:1.0", benchEcho{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &allocWorld{client: client, stub: client.Stub(ref)}
+	}
+	for _, sys := range []*maqs.System{server, client} {
+		if err := sys.LoadModule(module, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	skel := maqs.NewServerSkeleton(benchEcho{})
+	if err := skel.AddQoS(impl); err != nil {
+		t.Fatal(err)
+	}
+	name := impl.Characteristic().Name
+	ref, err := server.ActivateQoS("echo", "IDL:test/Echo:1.0", skel,
+		maqs.QoSInfo{Characteristics: []string{name}, Modules: []string{module}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stub := client.Stub(ref)
-	args := encodeOctets(client.ORB.Order(), []byte("alloc gate payload"))
-	ctx := context.Background()
+	if _, err := stub.Negotiate(context.Background(), &maqs.Proposal{Characteristic: name}); err != nil {
+		t.Fatal(err)
+	}
+	return &allocWorld{client: client, stub: stub}
+}
 
+// gateAllocs warms the path (connection setup, pool population, session
+// handshake), then fails when call allocates more than budget objects.
+func gateAllocs(t *testing.T, what string, budget float64, call func()) {
+	t.Helper()
+	if raceDetector {
+		t.Skip("allocation counts are not comparable under the race detector (see race_on_test.go)")
+	}
 	for i := 0; i < 10; i++ {
-		if _, err := stub.Call(ctx, "echo", args); err != nil {
-			t.Fatal(err)
-		}
+		call()
 	}
+	avg := testing.AllocsPerRun(200, call)
+	if avg > budget {
+		t.Fatalf("%s allocates %.1f objects/op, budget is %.0f (measured + 1)", what, avg, budget)
+	}
+	t.Logf("%s: %.1f allocs/op (budget %.0f)", what, avg, budget)
+}
 
-	avg := testing.AllocsPerRun(200, func() {
-		if _, err := stub.Call(ctx, "echo", args); err != nil {
+func (w *allocWorld) echo(t *testing.T, args []byte) func() {
+	ctx := context.Background()
+	return func() {
+		if _, err := w.stub.Call(ctx, "echo", args); err != nil {
 			t.Fatal(err)
 		}
-	})
-	const maxAllocs = 28
-	if avg > maxAllocs {
-		t.Fatalf("bounded-dispatch round trip allocates %.1f objects/op, budget is %d", avg, maxAllocs)
 	}
-	t.Logf("bounded-dispatch round trip: %.1f allocs/op (budget %d)", avg, maxAllocs)
+}
+
+// TestEchoCallAllocs gates the plain synchronous round trip: measured 18.
+func TestEchoCallAllocs(t *testing.T) {
+	w := newAllocWorld(t, maqs.Options{}, "", nil)
+	args := encodeOctets(w.client.ORB.Order(), []byte("alloc gate payload"))
+	gateAllocs(t, "echo round trip", 19, w.echo(t, args))
+}
+
+// TestServerDispatchAllocs is the same gate with the server's bounded
+// dispatch pools enabled: the worker-pool path adds queue handoff, pooled
+// args scratch and a pooled ServerRequest, and must not reintroduce
+// per-request garbage. Measured 17 — no more than goroutine-per-request,
+// because the job, its args copy and the ServerRequest come from pools.
+func TestServerDispatchAllocs(t *testing.T) {
+	w := newAllocWorld(t, maqs.Options{DispatchWorkers: 4, DispatchQueueDepth: 64}, "", nil)
+	args := encodeOctets(w.client.ORB.Order(), []byte("alloc gate payload"))
+	gateAllocs(t, "bounded-dispatch round trip", 18, w.echo(t, args))
 }
 
 // TestEchoAsyncAllocs gates the asynchronous fast path: CallAsync + Wait
@@ -115,50 +122,54 @@ func TestServerDispatchAllocs(t *testing.T) {
 // Future and its pendingReply rendezvous are pooled, the dispatch runs on
 // the calling goroutine and the completion on the connection's read loop,
 // so the only per-call additions are the future's done channel and the
-// invocation struct the async path cannot stack-allocate. Measured ~17
-// allocs/op — one below the synchronous path, which pays for a result
-// wrapper the future replaces.
+// invocation struct the async path cannot stack-allocate. Measured 17 —
+// one below the synchronous path, which pays for a result wrapper the
+// future replaces.
 func TestEchoAsyncAllocs(t *testing.T) {
-	n := maqs.NewNetwork()
-	server, err := maqs.NewSystem(maqs.Options{Transport: n.Host("server")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Shutdown()
-	if err := server.Listen("server:1"); err != nil {
-		t.Fatal(err)
-	}
-	client, err := maqs.NewSystem(maqs.Options{Transport: n.Host("client")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Shutdown()
-
-	ref, err := server.Activate("echo", "IDL:test/Echo:1.0", benchEcho{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stub := client.Stub(ref)
-	args := encodeOctets(client.ORB.Order(), []byte("alloc gate payload"))
+	w := newAllocWorld(t, maqs.Options{}, "", nil)
+	args := encodeOctets(w.client.ORB.Order(), []byte("alloc gate payload"))
 	ctx := context.Background()
-
-	call := func() {
-		fut, err := stub.CallAsync(ctx, "echo", args)
+	gateAllocs(t, "async echo round trip", 18, func() {
+		fut, err := w.stub.CallAsync(ctx, "echo", args)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := fut.Wait(ctx); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 0; i < 10; i++ {
+	})
+}
+
+// TestCompressedCallAllocs gates a 4 KiB echo bound to Compression: the
+// flate writer and reader are reused per module, so the round trip costs
+// a few frame buffers, not a new 650 KB writer per direction. Measured 33
+// allocations and ~21 KiB per call (the commit before codec reuse: 109 and
+// 1.7 MB); the byte ceiling is 64 KiB.
+func TestCompressedCallAllocs(t *testing.T) {
+	w := newAllocWorld(t, maqs.Options{}, compression.ModuleName, compression.NewImpl(0))
+	doc := bytes.Repeat([]byte("quality of service for everyone "), 128)
+	call := w.echo(t, encodeOctets(w.client.ORB.Order(), doc))
+	gateAllocs(t, "compressed 4 KiB round trip", 34, call)
+
+	const rounds, ceiling = 200, 64 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
 		call()
 	}
-
-	avg := testing.AllocsPerRun(200, call)
-	const maxAllocs = 28
-	if avg > maxAllocs {
-		t.Fatalf("async echo round trip allocates %.1f objects/op, budget is %d", avg, maxAllocs)
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / rounds
+	if perOp > ceiling {
+		t.Fatalf("compressed 4 KiB round trip allocates %d B/op, ceiling is %d", perOp, ceiling)
 	}
-	t.Logf("async echo round trip: %.1f allocs/op (budget %d)", avg, maxAllocs)
+	t.Logf("compressed 4 KiB round trip: %d B/op (ceiling %d)", perOp, ceiling)
+}
+
+// TestEncryptedCallAllocs gates a 1 KiB echo bound to Encryption: cipher
+// and HMAC state live with the session, so a call pays for its frames and
+// CTR streams only. Measured 35 (the commit before state reuse: 105).
+func TestEncryptedCallAllocs(t *testing.T) {
+	w := newAllocWorld(t, maqs.Options{}, encryption.ModuleName, encryption.NewImpl(0))
+	args := encodeOctets(w.client.ORB.Order(), bytes.Repeat([]byte{0x5A}, 1<<10))
+	gateAllocs(t, "encrypted 1 KiB round trip", 36, w.echo(t, args))
 }

@@ -7,6 +7,8 @@ package maqs_test
 import (
 	"bytes"
 	"context"
+	"crypto/ecdh"
+	"crypto/rand"
 	"fmt"
 	"testing"
 	"time"
@@ -18,6 +20,7 @@ import (
 	"maqs/internal/characteristics/encryption"
 	"maqs/internal/characteristics/loadbalance"
 	"maqs/internal/characteristics/replication"
+	"maqs/internal/giop"
 	"maqs/internal/idl"
 	"maqs/internal/idl/gen"
 	"maqs/internal/orb"
@@ -401,6 +404,70 @@ func BenchmarkE6Encryption(b *testing.B) {
 			})
 		}
 	}
+}
+
+// --- module codecs in isolation -----------------------------------------------
+
+// serverFilterRoundTrip drives one module's server filter with no ORB and
+// no network around it: Outbound transforms body into a frame (wrap /
+// seal), Inbound turns that frame back (unwrap / open). What remains is
+// the codec cost alone — the rung E5/E6 add on top of the plain echo.
+func serverFilterRoundTrip(b *testing.B, f orb.IncomingFilter, tag qos.QoSTag, body []byte) {
+	b.Helper()
+	req := &orb.ServerRequest{
+		Operation: "echo",
+		Contexts:  giop.ServiceContextList{}.With(giop.SCQoS, tag.Encode()),
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame, err := f.Outbound(req, giop.ReplyNoException, body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		req.Args = frame
+		if err := f.Inbound(req); err != nil {
+			b.Fatal(err)
+		}
+		if len(req.Args) != len(body) {
+			b.Fatalf("round trip returned %d bytes, want %d", len(req.Args), len(body))
+		}
+	}
+}
+
+// BenchmarkModuleWrap is the flate module's wrap + unwrap of a 4 KiB text
+// payload.
+func BenchmarkModuleWrap(b *testing.B) {
+	mod, err := compression.NewModule(nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	doc := bytes.Repeat([]byte("quality of service for everyone "), 128)
+	serverFilterRoundTrip(b, mod.ServerFilter(),
+		qos.QoSTag{Characteristic: maqs.Compression, BindingID: "b", Module: compression.ModuleName}, doc)
+}
+
+// BenchmarkModuleSeal is the secure module's seal + open of a 1 KiB
+// payload under one established session.
+func BenchmarkModuleSeal(b *testing.B) {
+	mod, err := encryption.NewModule(nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The handshake endpoint is the module's own dynamic interface; any
+	// X25519 public key establishes a session for the binding.
+	peer, err := ecdh.X25519().GenerateKey(rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := mod.Dynamic().Ops["handshake"].Handler(
+		[]cdr.Any{cdr.Str("b"), cdr.Octets(peer.PublicKey().Bytes())}); err != nil {
+		b.Fatal(err)
+	}
+	serverFilterRoundTrip(b, mod.ServerFilter(),
+		qos.QoSTag{Characteristic: maqs.Encryption, BindingID: "b", Module: encryption.ModuleName},
+		bytes.Repeat([]byte{0x5A}, 1<<10))
 }
 
 // --- E7: actuality -------------------------------------------------------------

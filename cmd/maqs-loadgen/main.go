@@ -37,8 +37,8 @@ import (
 	"net/http"
 	httppprof "net/http/pprof"
 	"os"
-	"path/filepath"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -398,9 +398,11 @@ func startSelfServer(workers, queueDepth int, shedDeadline time.Duration, transp
 	}
 	skel := maqs.NewServerSkeleton(&selfServant{doc: []byte("loadgen self target")})
 	skel.SetAdmission(admission)
+	secure := encryption.NewImpl(0)
+	secure.Transport = sys.Transport // released bindings drop their session keys
 	for _, impl := range []qos.Impl{
 		compression.NewImpl(0),
-		encryption.NewImpl(0),
+		secure,
 		actuality.NewImpl(0, time.Minute),
 	} {
 		if err := skel.AddQoS(impl); err != nil {

@@ -125,7 +125,9 @@ func run() error {
 	if err := skel.AddQoS(compression.NewImpl(0)); err != nil {
 		return err
 	}
-	if err := skel.AddQoS(encryption.NewImpl(0)); err != nil {
+	secure := encryption.NewImpl(0)
+	secure.Transport = sys.Transport // released bindings drop their session keys
+	if err := skel.AddQoS(secure); err != nil {
 		return err
 	}
 	if err := skel.AddQoS(actuality.NewImpl(0, time.Minute)); err != nil {

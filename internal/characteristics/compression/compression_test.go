@@ -145,6 +145,13 @@ func (s *blobServant) Invoke(req *orb.ServerRequest) error {
 		s.doc = append([]byte(nil), b...)
 		req.Out.WriteULong(uint32(len(b)))
 		return nil
+	case "echo":
+		b, err := req.In().ReadOctets()
+		if err != nil {
+			return err
+		}
+		req.Out.WriteOctets(b)
+		return nil
 	default:
 		return orb.NewSystemException(orb.ExcBadOperation, 1, "no op %q", req.Operation)
 	}

@@ -51,6 +51,11 @@ func Register(r *qos.Registry) error {
 // Impl is the server-side QoS implementation.
 type Impl struct {
 	qos.BaseImpl
+	// Transport is the server's QoS transport. When set (before the
+	// skeleton serves requests), releasing a binding drops and wipes its
+	// session keys in the secure module; when nil the keys stay until the
+	// module closes or a drop_session command names them.
+	Transport *transport.Transport
 }
 
 // NewImpl constructs the server-side implementation.
@@ -72,6 +77,13 @@ func NewImpl(capacity int) *Impl {
 func (i *Impl) BindingUp(b *qos.Binding) error {
 	b.Module = ModuleName
 	return nil
+}
+
+// BindingDown ends the binding's session in the secure module.
+func (i *Impl) BindingDown(b *qos.Binding) {
+	if i.Transport != nil {
+		i.Transport.ReleaseBinding(b.Module, b.ID)
+	}
 }
 
 // RegisterModule registers the secure module factory with a transport.

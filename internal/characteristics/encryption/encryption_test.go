@@ -17,23 +17,23 @@ import (
 	"maqs/internal/qos/transport"
 )
 
-func testKeys() sessionKeys {
+func testKeys() *sessionKeys {
 	return deriveKeys([]byte("shared secret bytes"), "binding-1")
 }
 
 func testModule() *Module {
-	return &Module{keys: make(map[string]sessionKeys)}
+	return &Module{keys: make(map[string]*sessionKeys)}
 }
 
 func TestSealOpenRoundTripProperty(t *testing.T) {
 	m := testModule()
 	k := testKeys()
 	f := func(p []byte) bool {
-		sealed, err := m.seal(k, "binding-1", p)
+		sealed, err := m.seal(k, p)
 		if err != nil {
 			return false
 		}
-		opened, err := m.open(k, "binding-1", sealed)
+		opened, err := m.open(k, sealed)
 		if err != nil {
 			return false
 		}
@@ -48,7 +48,7 @@ func TestCiphertextDiffersFromPlaintext(t *testing.T) {
 	m := testModule()
 	k := testKeys()
 	p := []byte("the secret plan of attack, repeated: the secret plan of attack")
-	sealed, err := m.seal(k, "b", p)
+	sealed, err := m.seal(k, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestCiphertextDiffersFromPlaintext(t *testing.T) {
 		t.Fatal("plaintext visible in sealed frame")
 	}
 	// Two seals of the same plaintext differ (random IV).
-	sealed2, err := m.seal(k, "b", p)
+	sealed2, err := m.seal(k, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,26 +68,29 @@ func TestCiphertextDiffersFromPlaintext(t *testing.T) {
 func TestTamperingDetected(t *testing.T) {
 	m := testModule()
 	k := testKeys()
-	sealed, err := m.seal(k, "b", []byte("payload"))
+	sealed, err := m.seal(k, []byte("payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, idx := range []int{0, 20, len(sealed) - 1} {
 		tampered := append([]byte(nil), sealed...)
 		tampered[idx] ^= 0x01
-		if _, err := m.open(k, "b", tampered); err == nil {
+		if _, err := m.open(k, tampered); err == nil {
 			t.Errorf("tampering at %d not detected", idx)
 		}
 	}
 	if m.Stats().AuthFailures != 3 {
 		t.Fatalf("auth failures = %d", m.Stats().AuthFailures)
 	}
-	// Binding mismatch is also an integrity failure.
-	if _, err := m.open(k, "other-binding", sealed); err == nil {
+	// Binding mismatch is also an integrity failure: the binding ID is
+	// authenticated into the frame, whatever the keys.
+	other := testKeys()
+	other.id = []byte("other-binding")
+	if _, err := m.open(other, sealed); err == nil {
 		t.Fatal("binding mix-up not detected")
 	}
 	// Truncated frames are rejected.
-	if _, err := m.open(k, "b", sealed[:10]); err == nil {
+	if _, err := m.open(k, sealed[:10]); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 }
@@ -96,11 +99,11 @@ func TestWrongKeyFails(t *testing.T) {
 	m := testModule()
 	k1 := deriveKeys([]byte("secret one"), "b")
 	k2 := deriveKeys([]byte("secret two"), "b")
-	sealed, err := m.seal(k1, "b", []byte("data"))
+	sealed, err := m.seal(k1, []byte("data"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.open(k2, "b", sealed); err == nil {
+	if _, err := m.open(k2, sealed); err == nil {
 		t.Fatal("wrong key accepted")
 	}
 }
@@ -180,7 +183,9 @@ func newWorld(t *testing.T) *world {
 		t.Fatal(err)
 	}
 	skel := qos.NewServerSkeleton(secretServant{})
-	if err := skel.AddQoS(NewImpl(0)); err != nil {
+	impl := NewImpl(0)
+	impl.Transport = st
+	if err := skel.AddQoS(impl); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := server.Adapter().ActivateQoS("secret", "IDL:test/Secret:1.0", skel,
@@ -306,9 +311,9 @@ func TestRekeyViaDropSession(t *testing.T) {
 		t.Fatal("server session not dropped")
 	}
 	cm, _ := w.clientT.Module(ModuleName)
-	cm.(*Module).mu.Lock()
-	delete(cm.(*Module).keys, binding.ID)
-	cm.(*Module).mu.Unlock()
+	if !cm.(*Module).drop(binding.ID) {
+		t.Fatal("client session missing")
+	}
 
 	if _, err := w.stub.Call(context.Background(), "reveal", nil); err != nil {
 		t.Fatal(err)

@@ -10,28 +10,89 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"fmt"
+	"hash"
 	"sync"
+	"sync/atomic"
 
 	"maqs/internal/cdr"
 	"maqs/internal/giop"
 	"maqs/internal/orb"
-	"maqs/internal/qos"
 	"maqs/internal/qos/transport"
 )
 
-// sessionKeys holds the derived key material of one binding.
+// sessionKeys is one binding's session: the derived key material and the
+// cipher and MAC state prepared from it once, at handshake, instead of
+// once per payload. Sessions are shared by pointer; only wipe mutates one.
 type sessionKeys struct {
-	enc [32]byte // AES-256 key
-	mac [32]byte // HMAC-SHA256 key
+	id    []byte       // binding ID, authenticated into every frame
+	block cipher.Block // AES-256 under enc; safe for concurrent use
+
+	// macs holds keyed HMAC-SHA256 states. A hash is not safe for
+	// concurrent use, so every seal and open takes one for itself and
+	// puts it back; a miss keys a fresh one under mu.
+	macs sync.Pool // *macState
+
+	mu  sync.Mutex // guards enc and mac
+	enc [32]byte   // AES-256 key
+	mac [32]byte   // HMAC-SHA256 key
 }
 
-// deriveKeys computes the session keys from the X25519 shared secret and
-// the binding ID (domain-separated SHA-256; both sides compute the same).
-func deriveKeys(shared []byte, bindingID string) sessionKeys {
-	var k sessionKeys
+// macState is one reusable keyed HMAC and the scratch its sum lands in.
+type macState struct {
+	h   hash.Hash
+	sum [sha256.Size]byte
+}
+
+// deriveKeys computes the session from the X25519 shared secret and the
+// binding ID (domain-separated SHA-256; both sides compute the same).
+func deriveKeys(shared []byte, bindingID string) *sessionKeys {
+	k := &sessionKeys{id: []byte(bindingID)}
 	k.enc = sha256.Sum256(append(append([]byte("maqs-enc|"), shared...), bindingID...))
 	k.mac = sha256.Sum256(append(append([]byte("maqs-mac|"), shared...), bindingID...))
+	block, err := aes.NewCipher(k.enc[:])
+	if err != nil {
+		panic(fmt.Sprintf("encryption: AES rejects a %d-byte key: %v", len(k.enc), err))
+	}
+	k.block = block
+	k.macs.Put(&macState{h: hmac.New(sha256.New, k.mac[:])})
 	return k
+}
+
+// acquireMAC hands out a keyed HMAC that has absorbed the binding ID,
+// ready for the frame body. The caller owns it until it puts it back.
+func (k *sessionKeys) acquireMAC() *macState {
+	s, _ := k.macs.Get().(*macState)
+	if s == nil {
+		k.mu.Lock()
+		s = &macState{h: hmac.New(sha256.New, k.mac[:])}
+		k.mu.Unlock()
+	} else {
+		s.h.Reset()
+	}
+	s.h.Write(k.id)
+	return s
+}
+
+// wipe zeroes the key material. The prepared cipher and MAC states keep
+// serving calls already in flight and become garbage with the session;
+// the standard library offers no way to scrub them.
+func (k *sessionKeys) wipe() {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.enc = [32]byte{}
+	k.mac = [32]byte{}
+}
+
+// protect completes a frame whose IV is already in out[:aes.BlockSize]:
+// ciphertext of p behind it, then the HMAC over bindingID || iv ||
+// ciphertext. len(out) is aes.BlockSize + len(p) + sha256.Size.
+func (k *sessionKeys) protect(out, p []byte) {
+	n := aes.BlockSize + len(p)
+	cipher.NewCTR(k.block, out[:aes.BlockSize]).XORKeyStream(out[aes.BlockSize:n], p)
+	s := k.acquireMAC()
+	s.h.Write(out[:n])
+	s.h.Sum(out[:n]) // appends in place: the tail of out is the tag
+	k.macs.Put(s)
 }
 
 // Stats counts the module's activity.
@@ -46,20 +107,30 @@ type Stats struct {
 
 // Module is the "secure" transport module.
 type Module struct {
-	mu    sync.Mutex
-	keys  map[string]sessionKeys // by binding ID
-	stats Stats
+	mu   sync.RWMutex
+	keys map[string]*sessionKeys // by binding ID
+
+	// handshaking serialises client handshakes, so that concurrent first
+	// calls on one binding agree on one session instead of each
+	// replacing the server's.
+	handshaking sync.Mutex
+
+	handshakes, sealed, opened, authFailures atomic.Uint64
+
 	// transport gives the client side access to the ORB for the
 	// handshake command.
 	transport *transport.Transport
 }
 
-var _ transport.Module = (*Module)(nil)
+var (
+	_ transport.Module          = (*Module)(nil)
+	_ transport.BindingReleaser = (*Module)(nil)
+)
 
 // NewModule constructs the module; it takes no configuration. It is the
 // transport factory for ModuleName.
 func NewModule(t *transport.Transport, _ map[string]string) (transport.Module, error) {
-	return &Module{keys: make(map[string]sessionKeys), transport: t}, nil
+	return &Module{keys: make(map[string]*sessionKeys), transport: t}, nil
 }
 
 // Name implements transport.Module.
@@ -70,93 +141,106 @@ func (m *Module) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for id, k := range m.keys {
-		for i := range k.enc {
-			k.enc[i] = 0
-			k.mac[i] = 0
-		}
+		k.wipe()
 		delete(m.keys, id)
 	}
 	return nil
 }
 
-// Stats snapshots the module counters.
-func (m *Module) Stats() Stats {
+// ReleaseBinding implements transport.BindingReleaser: the session of a
+// released binding is wiped and forgotten.
+func (m *Module) ReleaseBinding(bindingID string) { m.drop(bindingID) }
+
+// drop wipes and forgets one session, reporting whether it existed.
+func (m *Module) drop(bindingID string) bool {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
+	k, ok := m.keys[bindingID]
+	delete(m.keys, bindingID)
+	m.mu.Unlock()
+	if ok {
+		k.wipe()
+	}
+	return ok
 }
 
-func (m *Module) lookup(bindingID string) (sessionKeys, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// Stats snapshots the module counters.
+func (m *Module) Stats() Stats {
+	return Stats{
+		Handshakes:   m.handshakes.Load(),
+		Sealed:       m.sealed.Load(),
+		Opened:       m.opened.Load(),
+		AuthFailures: m.authFailures.Load(),
+	}
+}
+
+func (m *Module) lookup(bindingID string) (*sessionKeys, bool) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	k, ok := m.keys[bindingID]
 	return k, ok
 }
 
-func (m *Module) store(bindingID string, k sessionKeys) {
+// store installs a freshly derived session, wiping the one it replaces
+// (a re-handshake after drop_session raced with traffic).
+func (m *Module) store(bindingID string, k *sessionKeys) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	old := m.keys[bindingID]
 	m.keys[bindingID] = k
-	m.stats.Handshakes++
+	m.mu.Unlock()
+	if old != nil {
+		old.wipe()
+	}
+	m.handshakes.Add(1)
 }
 
 // seal protects a payload: 16-byte CTR IV || ciphertext || 32-byte HMAC
 // over bindingID || iv || ciphertext.
-func (m *Module) seal(k sessionKeys, bindingID string, p []byte) ([]byte, error) {
-	block, err := aes.NewCipher(k.enc[:])
-	if err != nil {
-		return nil, fmt.Errorf("encryption: cipher setup: %w", err)
-	}
+func (m *Module) seal(k *sessionKeys, p []byte) ([]byte, error) {
 	out := make([]byte, aes.BlockSize+len(p)+sha256.Size)
-	iv := out[:aes.BlockSize]
-	if _, err := rand.Read(iv); err != nil {
+	if _, err := rand.Read(out[:aes.BlockSize]); err != nil {
 		return nil, fmt.Errorf("encryption: reading IV: %w", err)
 	}
-	cipher.NewCTR(block, iv).XORKeyStream(out[aes.BlockSize:aes.BlockSize+len(p)], p)
-	mac := hmac.New(sha256.New, k.mac[:])
-	mac.Write([]byte(bindingID))
-	mac.Write(out[:aes.BlockSize+len(p)])
-	copy(out[aes.BlockSize+len(p):], mac.Sum(nil))
-	m.mu.Lock()
-	m.stats.Sealed++
-	m.mu.Unlock()
+	k.protect(out, p)
+	m.sealed.Add(1)
 	return out, nil
 }
 
 // open reverses seal, verifying the HMAC first.
-func (m *Module) open(k sessionKeys, bindingID string, p []byte) ([]byte, error) {
+func (m *Module) open(k *sessionKeys, p []byte) ([]byte, error) {
 	if len(p) < aes.BlockSize+sha256.Size {
 		return nil, fmt.Errorf("encryption: frame too short (%d bytes)", len(p))
 	}
 	body := p[:len(p)-sha256.Size]
 	tag := p[len(p)-sha256.Size:]
-	mac := hmac.New(sha256.New, k.mac[:])
-	mac.Write([]byte(bindingID))
-	mac.Write(body)
-	if subtle.ConstantTimeCompare(tag, mac.Sum(nil)) != 1 {
-		m.mu.Lock()
-		m.stats.AuthFailures++
-		m.mu.Unlock()
+	s := k.acquireMAC()
+	s.h.Write(body)
+	authentic := subtle.ConstantTimeCompare(tag, s.h.Sum(s.sum[:0])) == 1
+	k.macs.Put(s)
+	if !authentic {
+		m.authFailures.Add(1)
 		return nil, fmt.Errorf("encryption: integrity check failed")
 	}
-	block, err := aes.NewCipher(k.enc[:])
-	if err != nil {
-		return nil, fmt.Errorf("encryption: cipher setup: %w", err)
-	}
 	out := make([]byte, len(body)-aes.BlockSize)
-	cipher.NewCTR(block, body[:aes.BlockSize]).XORKeyStream(out, body[aes.BlockSize:])
-	m.mu.Lock()
-	m.stats.Opened++
-	m.mu.Unlock()
+	cipher.NewCTR(k.block, body[:aes.BlockSize]).XORKeyStream(out, body[aes.BlockSize:])
+	m.opened.Add(1)
 	return out, nil
 }
 
-// handshake performs the client side of the X25519 exchange through the
-// server module's dynamic interface.
-func (m *Module) handshake(ctx context.Context, inv *orb.Invocation, bindingID string) (sessionKeys, error) {
+// session returns the binding's client-side session, performing the
+// X25519 exchange through the server module's dynamic interface on the
+// binding's first request.
+func (m *Module) session(ctx context.Context, inv *orb.Invocation, bindingID string) (*sessionKeys, error) {
+	if k, ok := m.lookup(bindingID); ok {
+		return k, nil
+	}
+	m.handshaking.Lock()
+	defer m.handshaking.Unlock()
+	if k, ok := m.lookup(bindingID); ok {
+		return k, nil
+	}
 	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
-		return sessionKeys{}, fmt.Errorf("encryption: generating key: %w", err)
+		return nil, fmt.Errorf("encryption: generating key: %w", err)
 	}
 	ctl := transport.NewController(m.transport.ORB(), inv.Target)
 	e := cdr.NewEncoder(m.transport.ORB().Order())
@@ -164,19 +248,19 @@ func (m *Module) handshake(ctx context.Context, inv *orb.Invocation, bindingID s
 	e.WriteOctets(priv.PublicKey().Bytes())
 	d, err := ctl.ModuleCommand(ctx, ModuleName, "handshake", e.Bytes())
 	if err != nil {
-		return sessionKeys{}, fmt.Errorf("encryption: handshake: %w", err)
+		return nil, fmt.Errorf("encryption: handshake: %w", err)
 	}
 	peerPubBytes, err := d.ReadOctets()
 	if err != nil {
-		return sessionKeys{}, fmt.Errorf("encryption: reading peer key: %w", err)
+		return nil, fmt.Errorf("encryption: reading peer key: %w", err)
 	}
 	peerPub, err := ecdh.X25519().NewPublicKey(peerPubBytes)
 	if err != nil {
-		return sessionKeys{}, fmt.Errorf("encryption: bad peer key: %w", err)
+		return nil, fmt.Errorf("encryption: bad peer key: %w", err)
 	}
 	shared, err := priv.ECDH(peerPub)
 	if err != nil {
-		return sessionKeys{}, fmt.Errorf("encryption: deriving shared secret: %w", err)
+		return nil, fmt.Errorf("encryption: deriving shared secret: %w", err)
 	}
 	keys := deriveKeys(shared, bindingID)
 	m.store(bindingID, keys)
@@ -186,28 +270,26 @@ func (m *Module) handshake(ctx context.Context, inv *orb.Invocation, bindingID s
 // Send implements transport.Module: establish keys if needed, seal the
 // request, open the reply.
 func (m *Module) Send(ctx context.Context, inv *orb.Invocation, next transport.Next) (*orb.Outcome, error) {
-	tag, tagged, err := qos.TagFromContexts(inv.Contexts)
+	tag, tagged, err := inv.QoSTag()
 	if err != nil || !tagged {
 		return nil, fmt.Errorf("encryption: request without QoS tag: %v", err)
 	}
-	keys, ok := m.lookup(tag.BindingID)
-	if !ok {
-		if keys, err = m.handshake(ctx, inv, tag.BindingID); err != nil {
-			return nil, err
-		}
-	}
-	wrapped := inv.Clone()
-	if wrapped.Args, err = m.seal(keys, tag.BindingID, inv.Args); err != nil {
+	keys, err := m.session(ctx, inv, tag.BindingID)
+	if err != nil {
 		return nil, err
 	}
-	out, err := next(ctx, wrapped)
+	wrapped := *inv // only Args change; the context list is shared
+	if wrapped.Args, err = m.seal(keys, inv.Args); err != nil {
+		return nil, err
+	}
+	out, err := next(ctx, &wrapped)
 	if err != nil {
 		return nil, err
 	}
 	if out.Status != giop.ReplyNoException {
 		return out, nil
 	}
-	if out.Data, err = m.open(keys, tag.BindingID, out.Data); err != nil {
+	if out.Data, err = m.open(keys, out.Data); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -220,7 +302,7 @@ type serverFilter Module
 
 func (f *serverFilter) Inbound(req *orb.ServerRequest) error {
 	m := (*Module)(f)
-	tag, tagged, err := qos.TagFromContexts(req.Contexts)
+	tag, tagged, err := req.QoSTag()
 	if err != nil || !tagged {
 		return fmt.Errorf("encryption: request without QoS tag: %v", err)
 	}
@@ -229,7 +311,7 @@ func (f *serverFilter) Inbound(req *orb.ServerRequest) error {
 		return orb.NewSystemException(orb.ExcBadQoS, 70,
 			"no session keys for binding %q (handshake missing)", tag.BindingID)
 	}
-	args, err := m.open(keys, tag.BindingID, req.Args)
+	args, err := m.open(keys, req.Args)
 	if err != nil {
 		return err
 	}
@@ -242,7 +324,7 @@ func (f *serverFilter) Outbound(req *orb.ServerRequest, status giop.ReplyStatus,
 		return body, nil
 	}
 	m := (*Module)(f)
-	tag, tagged, err := qos.TagFromContexts(req.Contexts)
+	tag, tagged, err := req.QoSTag()
 	if err != nil || !tagged {
 		return nil, fmt.Errorf("encryption: reply without QoS tag: %v", err)
 	}
@@ -250,7 +332,7 @@ func (f *serverFilter) Outbound(req *orb.ServerRequest, status giop.ReplyStatus,
 	if !ok {
 		return nil, fmt.Errorf("encryption: no session keys for binding %q", tag.BindingID)
 	}
-	return m.seal(keys, tag.BindingID, body)
+	return m.seal(keys, body)
 }
 
 // Dynamic implements transport.Module: the handshake endpoint and a
@@ -284,12 +366,7 @@ func (m *Module) Dynamic() *orb.DynamicServant {
 			Params: []*cdr.TypeCode{cdr.TCString},
 			Result: cdr.TCBoolean,
 			Handler: func(args []cdr.Any) (cdr.Any, error) {
-				bindingID := args[0].Value.(string)
-				m.mu.Lock()
-				_, existed := m.keys[bindingID]
-				delete(m.keys, bindingID)
-				m.mu.Unlock()
-				return cdr.Bool(existed), nil
+				return cdr.Bool(m.drop(args[0].Value.(string))), nil
 			},
 		},
 	}}

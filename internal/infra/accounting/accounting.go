@@ -8,7 +8,6 @@ import (
 
 	"maqs/internal/giop"
 	"maqs/internal/orb"
-	"maqs/internal/qos"
 )
 
 // Usage accumulates the consumption of one binding.
@@ -72,7 +71,7 @@ func (m *Meter) SetTariff(characteristic string, t Tariff) {
 
 // Inbound implements orb.IncomingFilter.
 func (m *Meter) Inbound(req *orb.ServerRequest) error {
-	tag, tagged, err := qos.TagFromContexts(req.Contexts)
+	tag, tagged, err := req.QoSTag()
 	if err != nil || !tagged {
 		return nil // untagged traffic is not accounted
 	}
@@ -100,7 +99,7 @@ func (m *Meter) Outbound(req *orb.ServerRequest, status giop.ReplyStatus, body [
 		return body, nil
 	}
 	delete(m.started, req)
-	tag, tagged, err := qos.TagFromContexts(req.Contexts)
+	tag, tagged, err := req.QoSTag()
 	if err != nil || !tagged {
 		return body, nil
 	}

@@ -3,8 +3,6 @@ package orb
 import (
 	"fmt"
 
-	"maqs/internal/cdr"
-	"maqs/internal/giop"
 	"maqs/internal/obs"
 )
 
@@ -100,24 +98,4 @@ func (ob *orbObs) phase(class string) *phaseDims {
 	}
 	v, _ := ob.phaseCells.LoadOrStore(class, p)
 	return v.(*phaseDims)
-}
-
-// qosClass names the request's QoS class for telemetry: the negotiated
-// characteristic carried in the SCQoS service context, or "none" for
-// plain traffic. The payload is decoded locally (characteristic is the
-// encapsulation's first string) because orb cannot import qos.
-func qosClass(ctxs giop.ServiceContextList) string {
-	data, ok := ctxs.Get(giop.SCQoS)
-	if !ok {
-		return "none"
-	}
-	d, err := cdr.NewDecoder(data, cdr.BigEndian).BeginEncapsulation()
-	if err != nil {
-		return "invalid"
-	}
-	characteristic, err := d.ReadString()
-	if err != nil || characteristic == "" {
-		return "invalid"
-	}
-	return characteristic
 }

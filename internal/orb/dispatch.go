@@ -87,6 +87,7 @@ type dispatchJob struct {
 	args    []byte
 	argsBuf *[]byte
 	class   string
+	tag     EncodedQoSTag // the decode class came from, handed on to the request
 	enq     time.Time
 }
 
@@ -179,7 +180,7 @@ func (d *dispatcher) queueFor(class string) *classQueue {
 // submit never blocks: a full queue sheds instead of back-pressuring the
 // connection read loop.
 func (d *dispatcher) submit(conn net.Conn, writeMu *sync.Mutex, handlers *sync.WaitGroup,
-	order cdr.ByteOrder, h *giop.RequestHeader, args []byte, argsBuf *[]byte, class string) bool {
+	order cdr.ByteOrder, h *giop.RequestHeader, args []byte, argsBuf *[]byte, class string, tag *EncodedQoSTag) bool {
 	q := d.queueFor(class)
 	if q.policy.Workers <= 0 {
 		return false
@@ -188,7 +189,7 @@ func (d *dispatcher) submit(conn net.Conn, writeMu *sync.Mutex, handlers *sync.W
 	*job = dispatchJob{
 		conn: conn, writeMu: writeMu, wg: handlers,
 		order: order, h: h, args: args, argsBuf: argsBuf,
-		class: class, enq: time.Now(),
+		class: class, tag: *tag, enq: time.Now(),
 	}
 	handlers.Add(1)
 	select {
@@ -213,7 +214,7 @@ func (d *dispatcher) worker(q *classQueue) {
 				ob.admission(job.class).admitted.Inc()
 				ob.phase(job.class).queueWait.Observe(wait)
 			}
-			d.orb.handleRequest(job.conn, job.writeMu, job.order, job.h, job.args, job.class)
+			d.orb.handleRequest(job.conn, job.writeMu, job.order, job.h, job.args, &job.tag)
 		}
 		d.finish(job)
 	}

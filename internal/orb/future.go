@@ -341,10 +341,7 @@ func (o *ORB) invokeAsync(ctx context.Context, inv *Invocation, onDone func(*Out
 	if inv.Target == nil {
 		return nil, NewSystemException(ExcBadParam, 1, "invocation without target")
 	}
-	o.mu.Lock()
-	router := o.router
-	o.mu.Unlock()
-	mod, err := router.Route(inv)
+	mod, err := o.Router().Route(inv)
 	if err != nil {
 		return nil, NewSystemException(ExcTransient, 32, "routing %s: %v", inv.Operation, err)
 	}

@@ -49,14 +49,48 @@ type Invocation struct {
 	// layer when observability is installed. The resilience layer copies
 	// it into the flight record's phase decomposition.
 	encodeNs int64
+
+	// tag memoises the decoded SCQoS context (see QoSTag). It may be
+	// shared with other invocations of the binding, so it is replaced,
+	// never written through.
+	tag *EncodedQoSTag
 }
 
 // Clone returns a shallow copy with its own context list (the common need
-// of fan-out mediators; Args are treated as immutable).
+// of fan-out mediators; Args are treated as immutable). A stage that only
+// replaces Args — a transport module wrapping the payload — copies the
+// struct instead (cp := *inv) and shares the list.
 func (inv *Invocation) Clone() *Invocation {
 	cp := *inv
 	cp.Contexts = append(giop.ServiceContextList(nil), inv.Contexts...)
 	return &cp
+}
+
+// QoSTag returns the invocation's SCQoS tag; tagged is false for plain
+// traffic. The payload is decoded at most once per invocation — never,
+// when the stub tagged it with SetQoSTag; copies and clones inherit the
+// result — and a stage that replaces the SCQoS context gets the new
+// payload decoded on the next call.
+func (inv *Invocation) QoSTag() (tag QoSTag, tagged bool, err error) {
+	data, ok := inv.Contexts.Get(giop.SCQoS)
+	if !ok {
+		return QoSTag{}, false, nil
+	}
+	if inv.tag == nil || !inv.tag.holds(data) {
+		m := new(EncodedQoSTag)
+		m.decode(data)
+		inv.tag = m
+	}
+	return inv.tag.get()
+}
+
+// SetQoSTag attaches the SCQoS context to the invocation. A caller that
+// tags many requests alike (the stub, once per binding) passes the same
+// EncodedQoSTag each time, so tagging encodes nothing and no later stage
+// decodes.
+func (inv *Invocation) SetQoSTag(t *EncodedQoSTag) {
+	inv.Contexts = inv.Contexts.With(giop.SCQoS, t.data)
+	inv.tag = t
 }
 
 // Outcome is the client-visible result of an invocation.
@@ -191,6 +225,18 @@ type ServerRequest struct {
 	// servantNs is the measured servant execution time (the "servant"
 	// phase), stamped by invokeServant when observability is installed.
 	servantNs int64
+
+	// tag memoises the decoded SCQoS context (see QoSTag). Requests are
+	// pooled: releaseServerRequest clears it with the rest of the struct.
+	tag EncodedQoSTag
+}
+
+// QoSTag returns the request's SCQoS tag; tagged is false for plain
+// traffic. The payload is decoded at most once per request: the transport
+// filters, the skeleton, module filters and dispatch telemetry all read
+// the same result.
+func (r *ServerRequest) QoSTag() (tag QoSTag, tagged bool, err error) {
+	return r.tag.lookup(r.Contexts)
 }
 
 // In returns a fresh decoder over the request arguments.

@@ -61,9 +61,7 @@ func (o *ORB) InvokeBatch(ctx context.Context, invs []*Invocation) []MulticallRe
 	res := make([]MulticallResult, len(invs))
 	futs := make([]*Future, len(invs))
 
-	o.mu.Lock()
-	router := o.router
-	o.mu.Unlock()
+	router := o.Router()
 
 	var groups map[string][]batchElem
 	for i, inv := range invs {

@@ -331,6 +331,13 @@ func (o *ORB) SetRouter(r Router) {
 	o.router = r
 }
 
+// Router returns the client-side routing policy.
+func (o *ORB) Router() Router {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.router
+}
+
 // SetCommandHandler installs the interpreter for command-tagged requests.
 func (o *ORB) SetCommandHandler(h CommandHandler) {
 	o.mu.Lock()
@@ -363,10 +370,7 @@ func (o *ORB) Invoke(ctx context.Context, inv *Invocation) (*Outcome, error) {
 	if inv.Target == nil {
 		return nil, NewSystemException(ExcBadParam, 1, "invocation without target")
 	}
-	o.mu.Lock()
-	router := o.router
-	o.mu.Unlock()
-	mod, err := router.Route(inv)
+	mod, err := o.Router().Route(inv)
 	if err != nil {
 		return nil, fmt.Errorf("orb: routing %s: %w", inv.Operation, err)
 	}

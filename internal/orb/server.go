@@ -186,15 +186,20 @@ func (o *ORB) serveConn(conn net.Conn) {
 				return
 			}
 			argsCopy, argsBuf := acquireArgs(args)
-			// The class is needed for both admission and telemetry;
-			// skip the tag decode entirely when neither is on.
-			class := ""
-			if o.dispatcher != nil || o.obsState.Load() != nil {
-				class = qosClass(h.Contexts)
-			}
-			if o.dispatcher != nil &&
-				o.dispatcher.submit(conn, &writeMu, &handlers, msg.Order, h, argsCopy, argsBuf, class) {
-				break // queued or shed; accounted for either way
+			// Admission needs the class before a worker (and with it a
+			// ServerRequest) exists: decode the tag here and hand the memo
+			// on, so dispatch never decodes it a second time. Without a
+			// dispatcher nothing is decoded here; the first reader
+			// downstream does it.
+			var memo *EncodedQoSTag
+			if o.dispatcher != nil {
+				var tag EncodedQoSTag
+				class := tag.class(h.Contexts)
+				if o.dispatcher.submit(conn, &writeMu, &handlers, msg.Order, h, argsCopy, argsBuf, class, &tag) {
+					break // queued or shed; accounted for either way
+				}
+				kept := tag // unbounded class: the goroutine below keeps the decode
+				memo = &kept
 			}
 			// msg is the reader's reused message — copy what outlives
 			// this loop iteration before handing off.
@@ -202,7 +207,7 @@ func (o *ORB) serveConn(conn net.Conn) {
 			handlers.Add(1)
 			go func() {
 				defer handlers.Done()
-				o.handleRequest(conn, &writeMu, order, h, argsCopy, class)
+				o.handleRequest(conn, &writeMu, order, h, argsCopy, memo)
 				releaseArgs(argsBuf)
 			}()
 		case giop.MsgLocateRequest:
@@ -250,10 +255,10 @@ func (o *ORB) writeMessageError(conn net.Conn, writeMu *sync.Mutex) {
 var serverReqPool = sync.Pool{New: func() any { return new(ServerRequest) }}
 
 // handleRequest runs one request through filters, command handling or
-// servant dispatch, and writes the reply. class is the request's QoS
-// class when the caller already resolved it ("" lets telemetry resolve
-// it on demand).
-func (o *ORB) handleRequest(conn net.Conn, writeMu *sync.Mutex, order cdr.ByteOrder, h *giop.RequestHeader, args []byte, class string) {
+// servant dispatch, and writes the reply. tag is the request's SCQoS memo
+// when admission already resolved the class, nil otherwise (the first
+// reader decodes).
+func (o *ORB) handleRequest(conn net.Conn, writeMu *sync.Mutex, order cdr.ByteOrder, h *giop.RequestHeader, args []byte, tag *EncodedQoSTag) {
 	req := serverReqPool.Get().(*ServerRequest)
 	*req = ServerRequest{
 		ObjectKey: h.ObjectKey,
@@ -265,15 +270,17 @@ func (o *ORB) handleRequest(conn net.Conn, writeMu *sync.Mutex, order cdr.ByteOr
 		Peer:      conn.RemoteAddr().String(),
 		OneWay:    !h.ResponseExpected,
 	}
+	if tag != nil {
+		req.tag = *tag
+	}
 
 	ob := o.obsState.Load()
 	var start time.Time
 	var dd *dispatchDims
+	var class string
 	if ob != nil {
 		start = time.Now()
-		if class == "" {
-			class = qosClass(h.Contexts)
-		}
+		class = req.tag.class(h.Contexts)
 		// The per-(operation, QoS class) cell widens every dispatch
 		// instrument: requests, errors, latency and in-flight depth all
 		// exist labeled alongside the unlabeled aggregates.

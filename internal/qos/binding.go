@@ -5,8 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 
-	"maqs/internal/cdr"
-	"maqs/internal/giop"
+	"maqs/internal/orb"
 )
 
 // Binding is one live QoS agreement between a client and a server object:
@@ -22,6 +21,11 @@ type Binding struct {
 	// Module optionally names the transport-layer QoS module assigned to
 	// this binding (paper §4); empty means the plain GIOP/IIOP module.
 	Module string
+
+	// tag is the binding's SCQoS tag with its encoding, built once when a
+	// client stub installs the binding and attached to every request of
+	// the binding.
+	tag *orb.EncodedQoSTag
 }
 
 // newBindingID mints a random binding identifier.
@@ -36,56 +40,7 @@ func newBindingID() string {
 }
 
 // QoSTag is the payload of the SCQoS service context: it marks a request
-// as QoS-aware and names its binding.
-type QoSTag struct {
-	// Characteristic of the binding.
-	Characteristic string
-	// BindingID identifies the agreement.
-	BindingID string
-	// Module names the transport module the request should travel
-	// through (empty: unassigned, use IIOP).
-	Module string
-}
-
-// Encode renders the tag as a service context payload.
-func (t QoSTag) Encode() []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	end := e.BeginEncapsulation()
-	e.WriteString(t.Characteristic)
-	e.WriteString(t.BindingID)
-	e.WriteString(t.Module)
-	end()
-	return e.Bytes()
-}
-
-// DecodeQoSTag parses an SCQoS payload.
-func DecodeQoSTag(data []byte) (QoSTag, error) {
-	d, err := cdr.NewDecoder(data, cdr.BigEndian).BeginEncapsulation()
-	if err != nil {
-		return QoSTag{}, fmt.Errorf("qos: decoding QoS tag: %w", err)
-	}
-	var t QoSTag
-	if t.Characteristic, err = d.ReadString(); err != nil {
-		return QoSTag{}, fmt.Errorf("qos: decoding QoS tag characteristic: %w", err)
-	}
-	if t.BindingID, err = d.ReadString(); err != nil {
-		return QoSTag{}, fmt.Errorf("qos: decoding QoS tag binding: %w", err)
-	}
-	if t.Module, err = d.ReadString(); err != nil {
-		return QoSTag{}, fmt.Errorf("qos: decoding QoS tag module: %w", err)
-	}
-	return t, nil
-}
-
-// TagFromContexts extracts the QoS tag from a service context list.
-func TagFromContexts(contexts giop.ServiceContextList) (QoSTag, bool, error) {
-	data, ok := contexts.Get(giop.SCQoS)
-	if !ok {
-		return QoSTag{}, false, nil
-	}
-	tag, err := DecodeQoSTag(data)
-	if err != nil {
-		return QoSTag{}, false, err
-	}
-	return tag, true, nil
-}
+// as QoS-aware and names its binding. The type belongs to orb, whose
+// router and dispatcher read it; requests and invocations hand out the
+// decoded tag through their QoSTag methods (one decode per request).
+type QoSTag = orb.QoSTag

@@ -318,20 +318,6 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-func TestQoSTagRoundTrip(t *testing.T) {
-	tag := QoSTag{Characteristic: "Availability", BindingID: "abc123", Module: "group"}
-	got, err := DecodeQoSTag(tag.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != tag {
-		t.Fatalf("tag = %+v", got)
-	}
-	if _, err := DecodeQoSTag([]byte{1, 2}); err == nil {
-		t.Fatal("garbage tag accepted")
-	}
-}
-
 func TestResolveUnconstrainedString(t *testing.T) {
 	offer := &Offer{
 		Characteristic: "X",

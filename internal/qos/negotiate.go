@@ -212,6 +212,11 @@ func (s *Stub) Release(ctx context.Context) error {
 	if binding == nil {
 		return nil
 	}
+	// A transport module may hold state for the binding (session keys):
+	// it ends with the binding, whatever the server answers below.
+	if r, ok := s.orb.Router().(bindingReleaser); ok {
+		r.ReleaseBinding(binding.Module, binding.ID)
+	}
 	ctx, span := s.orb.Tracer().StartSpan(ctx, "qos.release")
 	span.SetAttr("characteristic", binding.Characteristic)
 	span.SetAttr("binding", binding.ID)
@@ -221,6 +226,12 @@ func (s *Stub) Release(ctx context.Context) error {
 	err := s.releaseID(ctx, binding.ID)
 	span.RecordError(err)
 	return err
+}
+
+// bindingReleaser is the part of the QoS transport (installed as the ORB's
+// router) that Release talks to; qos cannot import the transport package.
+type bindingReleaser interface {
+	ReleaseBinding(module, bindingID string)
 }
 
 func (s *Stub) releaseID(ctx context.Context, id string) error {

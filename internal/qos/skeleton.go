@@ -153,7 +153,7 @@ func (s *ServerSkeleton) Invoke(req *orb.ServerRequest) error {
 		return s.offers(req)
 	}
 
-	tag, tagged, err := TagFromContexts(req.Contexts)
+	tag, tagged, err := req.QoSTag()
 	if err != nil {
 		return orb.NewSystemException(orb.ExcMarshal, 41, "malformed QoS tag: %v", err)
 	}

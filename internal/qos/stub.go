@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"maqs/internal/cdr"
-	"maqs/internal/giop"
 	"maqs/internal/ior"
 	"maqs/internal/obs"
 	"maqs/internal/orb"
@@ -149,8 +148,10 @@ func (s *Stub) DeclareIdempotent(ops ...string) {
 	}
 }
 
-// install records a fresh binding and its mediator.
+// install records a fresh binding and its mediator. What every request
+// of the binding repeats — the encoded tag — is built here, not per call.
 func (s *Stub) install(b *Binding, m Mediator) {
+	b.tag = QoSTag{Characteristic: b.Characteristic, BindingID: b.ID, Module: b.Module}.Encoded()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.binding = b
@@ -186,22 +187,7 @@ func (s *Stub) Invoke(ctx context.Context, op string, args []byte, oneway bool) 
 		}
 	}
 
-	inv := &orb.Invocation{
-		Target:           target,
-		Operation:        op,
-		Args:             args,
-		ResponseExpected: !oneway,
-		Idempotent:       idempotent,
-		Order:            s.orb.Order(),
-	}
-	if binding != nil {
-		inv.Binding = binding.Characteristic
-		inv.Contexts = inv.Contexts.With(giop.SCQoS, QoSTag{
-			Characteristic: binding.Characteristic,
-			BindingID:      binding.ID,
-			Module:         binding.Module,
-		}.Encode())
-	}
+	inv := s.invocation(target, binding, op, args, !oneway, idempotent)
 
 	start := time.Now()
 	out, err := s.deliver(ctx, inv, mediator)
@@ -213,33 +199,26 @@ func (s *Stub) Invoke(ctx context.Context, op string, args []byte, oneway bool) 
 		}
 		span.End()
 	}
-	if len(observers) > 0 {
-		o := Observation{
-			Operation: op,
-			RTT:       time.Since(start),
-			ReqBytes:  len(args),
-			At:        time.Now(),
-		}
-		if binding != nil {
-			o.Characteristic = binding.Characteristic
-		}
-		if span != nil {
-			if sc := span.Context(); sc.Valid() {
-				o.TraceID = sc.TraceID.String()
-				o.SpanID = sc.SpanID.String()
-			}
-		}
-		if err != nil {
-			o.Err = err
-		} else {
-			o.Err = out.Err()
-			o.RepBytes = len(out.Data)
-		}
-		for _, observer := range observers {
-			observer(o)
-		}
-	}
+	s.observe(op, binding, span, observers, start, len(args), out, err)
 	return out, err
+}
+
+// invocation builds one request of the stub, tagged with the binding's
+// cached SCQoS payload when bound.
+func (s *Stub) invocation(target *ior.IOR, binding *Binding, op string, args []byte, responseExpected, idempotent bool) *orb.Invocation {
+	inv := &orb.Invocation{
+		Target:           target,
+		Operation:        op,
+		Args:             args,
+		ResponseExpected: responseExpected,
+		Idempotent:       idempotent,
+		Order:            s.orb.Order(),
+	}
+	if binding != nil {
+		inv.Binding = binding.Characteristic
+		inv.SetQoSTag(binding.tag)
+	}
+	return inv
 }
 
 func (s *Stub) deliver(ctx context.Context, inv *orb.Invocation, mediator Mediator) (*orb.Outcome, error) {
@@ -338,22 +317,7 @@ func (s *Stub) InvokeAsync(ctx context.Context, op string, args []byte) (*orb.Fu
 		}
 	}
 
-	inv := &orb.Invocation{
-		Target:           target,
-		Operation:        op,
-		Args:             args,
-		ResponseExpected: true,
-		Idempotent:       idempotent,
-		Order:            s.orb.Order(),
-	}
-	if binding != nil {
-		inv.Binding = binding.Characteristic
-		inv.Contexts = inv.Contexts.With(giop.SCQoS, QoSTag{
-			Characteristic: binding.Characteristic,
-			BindingID:      binding.ID,
-			Module:         binding.Module,
-		}.Encode())
-	}
+	inv := s.invocation(target, binding, op, args, true, idempotent)
 
 	start := time.Now()
 	onDone := func(out *orb.Outcome, err error) {
@@ -434,23 +398,7 @@ func (s *Stub) Multicall(ctx context.Context, op string, argsList [][]byte) []or
 
 	invs := make([]*orb.Invocation, len(argsList))
 	for i, args := range argsList {
-		inv := &orb.Invocation{
-			Target:           target,
-			Operation:        op,
-			Args:             args,
-			ResponseExpected: true,
-			Idempotent:       idempotent,
-			Order:            s.orb.Order(),
-		}
-		if binding != nil {
-			inv.Binding = binding.Characteristic
-			inv.Contexts = inv.Contexts.With(giop.SCQoS, QoSTag{
-				Characteristic: binding.Characteristic,
-				BindingID:      binding.ID,
-				Module:         binding.Module,
-			}.Encode())
-		}
-		invs[i] = inv
+		invs[i] = s.invocation(target, binding, op, args, true, idempotent)
 	}
 
 	start := time.Now()

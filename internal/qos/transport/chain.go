@@ -22,9 +22,14 @@ import (
 type Chain struct {
 	name    string
 	members []Module
+	spans   []string // "module.<member>" per member, for the send spans
+	filter  orb.IncomingFilter
 }
 
-var _ Module = (*Chain)(nil)
+var (
+	_ Module          = (*Chain)(nil)
+	_ BindingReleaser = (*Chain)(nil)
+)
 
 // NewChain composes the given member modules under a name. Members are
 // used, not owned: closing the chain does not close them.
@@ -35,7 +40,16 @@ func NewChain(name string, members ...Module) (*Chain, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("transport: chain %q needs members", name)
 	}
-	return &Chain{name: name, members: members}, nil
+	c := &Chain{name: name, members: members, spans: make([]string, len(members))}
+	filters := make([]orb.IncomingFilter, 0, len(members))
+	for i, m := range members {
+		c.spans[i] = "module." + m.Name()
+		if f := m.ServerFilter(); f != nil {
+			filters = append(filters, f)
+		}
+	}
+	c.filter = &chainFilter{filters: filters}
+	return c, nil
 }
 
 // RegisterChain registers a factory that, when the chain is loaded,
@@ -88,7 +102,7 @@ func (c *Chain) send(ctx context.Context, inv *orb.Invocation, next Next, depth 
 		return next(ctx, inv)
 	}
 	member := c.members[depth]
-	ctx, span := obs.StartChild(ctx, "module."+member.Name())
+	ctx, span := obs.StartChild(ctx, c.spans[depth])
 	if span != nil {
 		span.SetOperation(inv.Operation)
 	}
@@ -103,15 +117,18 @@ func (c *Chain) send(ctx context.Context, inv *orb.Invocation, next Next, depth 
 }
 
 // ServerFilter implements Module: requests are unwrapped innermost-first
-// (reverse member order), replies wrapped in member order.
-func (c *Chain) ServerFilter() orb.IncomingFilter {
-	filters := make([]orb.IncomingFilter, 0, len(c.members))
+// (reverse member order), replies wrapped in member order. The composite
+// is built once with the chain.
+func (c *Chain) ServerFilter() orb.IncomingFilter { return c.filter }
+
+// ReleaseBinding implements BindingReleaser by telling every member that
+// keeps per-binding state.
+func (c *Chain) ReleaseBinding(bindingID string) {
 	for _, m := range c.members {
-		if f := m.ServerFilter(); f != nil {
-			filters = append(filters, f)
+		if r, ok := m.(BindingReleaser); ok {
+			r.ReleaseBinding(bindingID)
 		}
 	}
-	return &chainFilter{filters: filters}
 }
 
 type chainFilter struct {

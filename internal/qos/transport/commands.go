@@ -33,9 +33,7 @@ func (t *Transport) HandleCommand(target string, req *orb.ServerRequest) error {
 		return t.transportCommand(req)
 	}
 	t.bump(func(c *DispatchCounts) { c.ModuleCommands++ })
-	t.mu.Lock()
-	mod, ok := t.modules[target]
-	t.mu.Unlock()
+	mod, ok := t.Module(target)
 	if !ok {
 		return orb.NewSystemException(orb.ExcBadQoS, 60, "command for unloaded module %q", target)
 	}

@@ -28,7 +28,6 @@ import (
 	"maqs/internal/giop"
 	"maqs/internal/obs"
 	"maqs/internal/orb"
-	"maqs/internal/qos"
 )
 
 // Next continues delivery down to the plain GIOP/IIOP path.
@@ -54,8 +53,26 @@ type Module interface {
 	Close() error
 }
 
+// BindingReleaser is an optional Module extension for modules that keep
+// per-binding state (the secure module's session keys): the transport
+// tells them when a binding ended, so that state lives exactly as long as
+// the binding.
+type BindingReleaser interface {
+	// ReleaseBinding drops whatever the module holds for the binding.
+	ReleaseBinding(bindingID string)
+}
+
 // Factory instantiates a module from a configuration.
 type Factory func(t *Transport, config map[string]string) (Module, error)
+
+// loadedModule is one active module together with what the request path needs
+// from it, derived once at load time instead of once per request: the
+// orb.TransportModule view the router hands out and the server filter.
+type loadedModule struct {
+	module  Module
+	adapter *moduleAdapter
+	filter  orb.IncomingFilter // nil when the module has none
+}
 
 // DispatchCounts mirrors the branches of the paper's Fig. 3 decision
 // tree; the benchmarks regenerate the figure from these.
@@ -80,7 +97,7 @@ type Transport struct {
 
 	mu        sync.Mutex
 	factories map[string]Factory
-	modules   map[string]Module
+	modules   map[string]*loadedModule
 	counts    DispatchCounts
 }
 
@@ -97,7 +114,7 @@ func Install(o *orb.ORB) *Transport {
 	t := &Transport{
 		orb:       o,
 		factories: make(map[string]Factory),
-		modules:   make(map[string]Module),
+		modules:   make(map[string]*loadedModule),
 	}
 	o.SetRouter(t)
 	o.SetCommandHandler(t)
@@ -142,13 +159,19 @@ func (t *Transport) Load(name string, config map[string]string) error {
 		return fmt.Errorf("transport: constructing module %q: %w", name, err)
 	}
 
+	l := &loadedModule{
+		module:  mod,
+		adapter: &moduleAdapter{module: mod, next: t.orb.IIOPModule().Send, span: "module." + mod.Name()},
+		filter:  mod.ServerFilter(),
+	}
+
 	t.mu.Lock()
 	if _, loaded := t.modules[name]; loaded {
 		t.mu.Unlock()
 		_ = mod.Close() // lost a load race; drop ours
 		return fmt.Errorf("transport: module %q already loaded", name)
 	}
-	t.modules[name] = mod
+	t.modules[name] = l
 	t.mu.Unlock()
 	return nil
 }
@@ -156,13 +179,13 @@ func (t *Transport) Load(name string, config map[string]string) error {
 // Unload deactivates the named module.
 func (t *Transport) Unload(name string) error {
 	t.mu.Lock()
-	mod, ok := t.modules[name]
+	l, ok := t.modules[name]
 	delete(t.modules, name)
 	t.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("transport: module %q not loaded", name)
 	}
-	if err := mod.Close(); err != nil {
+	if err := l.module.Close(); err != nil {
 		return fmt.Errorf("transport: closing module %q: %w", name, err)
 	}
 	return nil
@@ -170,10 +193,32 @@ func (t *Transport) Unload(name string) error {
 
 // Module returns a loaded module.
 func (t *Transport) Module(name string) (Module, bool) {
+	l, ok := t.lookup(name)
+	if !ok {
+		return nil, false
+	}
+	return l.module, true
+}
+
+func (t *Transport) lookup(name string) (*loadedModule, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	m, ok := t.modules[name]
-	return m, ok
+	l, ok := t.modules[name]
+	return l, ok
+}
+
+// ReleaseBinding tells the named module — when it is loaded and keeps
+// per-binding state — that the binding ended. The client stub calls it on
+// release; server-side QoS implementations call it from BindingDown.
+func (t *Transport) ReleaseBinding(module, bindingID string) {
+	if module == "" {
+		return
+	}
+	if l, ok := t.lookup(module); ok {
+		if r, ok := l.module.(BindingReleaser); ok {
+			r.ReleaseBinding(bindingID)
+		}
+	}
 }
 
 // Loaded lists loaded module names, sorted.
@@ -212,7 +257,7 @@ func (t *Transport) Route(inv *orb.Invocation) (orb.TransportModule, error) {
 		return iiop, nil
 	}
 
-	tag, tagged, err := qos.TagFromContexts(inv.Contexts)
+	tag, tagged, err := inv.QoSTag()
 	if err != nil {
 		return nil, fmt.Errorf("transport: malformed QoS tag: %w", err)
 	}
@@ -224,17 +269,15 @@ func (t *Transport) Route(inv *orb.Invocation) (orb.TransportModule, error) {
 		t.bump(func(c *DispatchCounts) { c.QoSFallback++ })
 		return iiop, nil
 	}
-	t.mu.Lock()
-	mod, loaded := t.modules[tag.Module]
-	t.mu.Unlock()
-	if !loaded {
+	l, ok := t.lookup(tag.Module)
+	if !ok {
 		// Unassigned or unavailable module: GIOP/IIOP fallback keeps the
 		// relationship alive (and lets QoS mechanisms bootstrap).
 		t.bump(func(c *DispatchCounts) { c.QoSFallback++ })
 		return iiop, nil
 	}
 	t.bump(func(c *DispatchCounts) { c.QoSModule++ })
-	return &moduleAdapter{transport: t, module: mod}, nil
+	return l.adapter, nil
 }
 
 func (t *Transport) bump(f func(*DispatchCounts)) {
@@ -243,10 +286,12 @@ func (t *Transport) bump(f func(*DispatchCounts)) {
 	t.mu.Unlock()
 }
 
-// moduleAdapter exposes a Module as an orb.TransportModule.
+// moduleAdapter exposes a Module as an orb.TransportModule. One adapter
+// serves every request routed to the module; it is stateless.
 type moduleAdapter struct {
-	transport *Transport
-	module    Module
+	module Module
+	next   Next   // the plain GIOP/IIOP delivery underneath
+	span   string // "module.<name>"
 }
 
 var _ orb.TransportModule = (*moduleAdapter)(nil)
@@ -254,13 +299,12 @@ var _ orb.TransportModule = (*moduleAdapter)(nil)
 func (a *moduleAdapter) Name() string { return a.module.Name() }
 
 func (a *moduleAdapter) Send(ctx context.Context, inv *orb.Invocation) (*orb.Outcome, error) {
-	iiop := a.transport.orb.IIOPModule()
-	ctx, span := obs.StartChild(ctx, "module."+a.module.Name())
+	ctx, span := obs.StartChild(ctx, a.span)
 	if span == nil {
-		return a.module.Send(ctx, inv, iiop.Send)
+		return a.module.Send(ctx, inv, a.next)
 	}
 	span.SetOperation(inv.Operation)
-	out, err := a.module.Send(ctx, inv, iiop.Send)
+	out, err := a.module.Send(ctx, inv, a.next)
 	span.RecordError(err)
 	span.End()
 	return out, err
@@ -286,18 +330,16 @@ func (t *Transport) Outbound(req *orb.ServerRequest, status giop.ReplyStatus, bo
 }
 
 func (t *Transport) filterFor(req *orb.ServerRequest) (orb.IncomingFilter, error) {
-	tag, tagged, err := qos.TagFromContexts(req.Contexts)
+	tag, tagged, err := req.QoSTag()
 	if err != nil {
 		return nil, fmt.Errorf("transport: malformed QoS tag: %w", err)
 	}
 	if !tagged || tag.Module == "" {
 		return nil, nil
 	}
-	t.mu.Lock()
-	mod, loaded := t.modules[tag.Module]
-	t.mu.Unlock()
-	if !loaded {
+	l, ok := t.lookup(tag.Module)
+	if !ok {
 		return nil, fmt.Errorf("transport: request assigned to unloaded module %q", tag.Module)
 	}
-	return mod.ServerFilter(), nil
+	return l.filter, nil
 }

@@ -424,3 +424,36 @@ func TestResetCounts(t *testing.T) {
 		t.Fatal("counts not reset")
 	}
 }
+
+// releasingModule is xorModule plus per-binding state it is told to drop.
+type releasingModule struct {
+	xorModule
+	released []string
+}
+
+func (m *releasingModule) ReleaseBinding(id string) { m.released = append(m.released, id) }
+
+func TestReleaseBindingReachesStatefulModules(t *testing.T) {
+	w := newWorld(t)
+	tr := w.clientTransport
+	stateful := &releasingModule{}
+	if err := tr.RegisterFactory("stateful", func(*Transport, map[string]string) (Module, error) {
+		return stateful, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.RegisterChain("stack", "xor", "stateful"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Load("stack", nil); err != nil { // loads both members too
+		t.Fatal(err)
+	}
+	tr.ReleaseBinding("stateful", "b-1") // addressed directly
+	tr.ReleaseBinding("stack", "b-2")    // through the chain it is a member of
+	tr.ReleaseBinding("xor", "b-3")      // stateless module: nothing to tell
+	tr.ReleaseBinding("", "b-4")         // binding without a module
+	tr.ReleaseBinding("unloaded", "b-5")
+	if got := strings.Join(stateful.released, ","); got != "b-1,b-2" {
+		t.Fatalf("released = %q", got)
+	}
+}
