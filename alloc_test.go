@@ -17,7 +17,11 @@ import (
 // measured on this tree plus one (scheduler noise), so that a single new
 // per-call allocation fails CI. History of the plain round trip: 42 before
 // pooling, 24 before the server-side decode pools and FrameReader body
-// reuse, 18 since (docs/PERFORMANCE.md).
+// reuse, 18 until the default deadline became a value and the header
+// decode stopped copying, 5 since (docs/PERFORMANCE.md). Two of the 5 are
+// the in-memory network's own (it copies every Write into a segment): over
+// a real socket the call makes 3, which TestEchoCallAllocsTCP gates —
+// and only a real net.Conn shows what address formatting costs.
 
 // allocWorld is one client/server pair over the in-memory network with an
 // echo object activated; impl and module, when set, make it QoS-capable.
@@ -30,15 +34,22 @@ func newAllocWorld(t *testing.T, serverOpts maqs.Options, module string, impl ma
 	t.Helper()
 	n := maqs.NewNetwork()
 	serverOpts.Transport = n.Host("server")
+	return newAllocWorldOn(t, serverOpts, maqs.Options{Transport: n.Host("client")}, "server:1", module, impl)
+}
+
+// newAllocWorldOn builds the pair on whatever transport the options name
+// (none: loopback TCP), the server listening on addr.
+func newAllocWorldOn(t *testing.T, serverOpts, clientOpts maqs.Options, addr, module string, impl maqs.Impl) *allocWorld {
+	t.Helper()
 	server, err := maqs.NewSystem(serverOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(server.Shutdown)
-	if err := server.Listen("server:1"); err != nil {
+	if err := server.Listen(addr); err != nil {
 		t.Fatal(err)
 	}
-	client, err := maqs.NewSystem(maqs.Options{Transport: n.Host("client")})
+	client, err := maqs.NewSystem(clientOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,37 +110,48 @@ func (w *allocWorld) echo(t *testing.T, args []byte) func() {
 	}
 }
 
-// TestEchoCallAllocs gates the plain synchronous round trip: measured 18.
+// TestEchoCallAllocs gates the plain synchronous round trip: measured 5 —
+// the stub's Invocation, the Outcome and its data, and the in-memory
+// network's two segment copies. The server allocates nothing.
 func TestEchoCallAllocs(t *testing.T) {
 	w := newAllocWorld(t, maqs.Options{}, "", nil)
 	args := encodeOctets(w.client.ORB.Order(), []byte("alloc gate payload"))
-	gateAllocs(t, "echo round trip", 19, w.echo(t, args))
+	gateAllocs(t, "echo round trip", 6, w.echo(t, args))
+}
+
+// TestEchoCallAllocsTCP is the same gate over loopback TCP: measured 3.
+// The in-memory gates cannot see what only a real net.Conn pays — four
+// address-string allocations per call (Profile.Addr on the way out,
+// RemoteAddr().String() on the way in) sat under a "measured + 1" gate
+// until the repository benchmark, which runs on sockets, counted them.
+func TestEchoCallAllocsTCP(t *testing.T) {
+	w := newAllocWorldOn(t, maqs.Options{}, maqs.Options{}, "127.0.0.1:0", "", nil)
+	args := encodeOctets(w.client.ORB.Order(), []byte("alloc gate payload"))
+	gateAllocs(t, "echo round trip over TCP", 4, w.echo(t, args))
 }
 
 // TestServerDispatchAllocs is the same gate with the server's bounded
 // dispatch pools enabled: the worker-pool path adds queue handoff, pooled
 // args scratch and a pooled ServerRequest, and must not reintroduce
-// per-request garbage. Measured 17 — no more than goroutine-per-request,
-// because the job, its args copy and the ServerRequest come from pools.
+// per-request garbage. Measured 5 — the same as goroutine-per-request,
+// because both paths run the one pooled job.
 func TestServerDispatchAllocs(t *testing.T) {
 	w := newAllocWorld(t, maqs.Options{DispatchWorkers: 4, DispatchQueueDepth: 64}, "", nil)
 	args := encodeOctets(w.client.ORB.Order(), []byte("alloc gate payload"))
-	gateAllocs(t, "bounded-dispatch round trip", 18, w.echo(t, args))
+	gateAllocs(t, "bounded-dispatch round trip", 6, w.echo(t, args))
 }
 
 // TestEchoAsyncAllocs gates the asynchronous fast path: CallAsync + Wait
 // for one echo must not allocate more than the synchronous call — the
 // Future and its pendingReply rendezvous are pooled, the dispatch runs on
 // the calling goroutine and the completion on the connection's read loop,
-// so the only per-call additions are the future's done channel and the
-// invocation struct the async path cannot stack-allocate. Measured 17 —
-// one below the synchronous path, which pays for a result wrapper the
-// future replaces.
+// so the only per-call additions to the synchronous 5 are the future's
+// done channel and the stub's completion hook. Measured 7.
 func TestEchoAsyncAllocs(t *testing.T) {
 	w := newAllocWorld(t, maqs.Options{}, "", nil)
 	args := encodeOctets(w.client.ORB.Order(), []byte("alloc gate payload"))
 	ctx := context.Background()
-	gateAllocs(t, "async echo round trip", 18, func() {
+	gateAllocs(t, "async echo round trip", 8, func() {
 		fut, err := w.stub.CallAsync(ctx, "echo", args)
 		if err != nil {
 			t.Fatal(err)
@@ -142,14 +164,14 @@ func TestEchoAsyncAllocs(t *testing.T) {
 
 // TestCompressedCallAllocs gates a 4 KiB echo bound to Compression: the
 // flate writer and reader are reused per module, so the round trip costs
-// a few frame buffers, not a new 650 KB writer per direction. Measured 33
+// a few frame buffers, not a new 650 KB writer per direction. Measured 19
 // allocations and ~21 KiB per call (the commit before codec reuse: 109 and
 // 1.7 MB); the byte ceiling is 64 KiB.
 func TestCompressedCallAllocs(t *testing.T) {
 	w := newAllocWorld(t, maqs.Options{}, compression.ModuleName, compression.NewImpl(0))
 	doc := bytes.Repeat([]byte("quality of service for everyone "), 128)
 	call := w.echo(t, encodeOctets(w.client.ORB.Order(), doc))
-	gateAllocs(t, "compressed 4 KiB round trip", 34, call)
+	gateAllocs(t, "compressed 4 KiB round trip", 20, call)
 
 	const rounds, ceiling = 200, 64 << 10
 	var before, after runtime.MemStats
@@ -167,9 +189,9 @@ func TestCompressedCallAllocs(t *testing.T) {
 
 // TestEncryptedCallAllocs gates a 1 KiB echo bound to Encryption: cipher
 // and HMAC state live with the session, so a call pays for its frames and
-// CTR streams only. Measured 35 (the commit before state reuse: 105).
+// CTR streams only. Measured 21 (the commit before state reuse: 105).
 func TestEncryptedCallAllocs(t *testing.T) {
 	w := newAllocWorld(t, maqs.Options{}, encryption.ModuleName, encryption.NewImpl(0))
 	args := encodeOctets(w.client.ORB.Order(), bytes.Repeat([]byte{0x5A}, 1<<10))
-	gateAllocs(t, "encrypted 1 KiB round trip", 36, w.echo(t, args))
+	gateAllocs(t, "encrypted 1 KiB round trip", 22, w.echo(t, args))
 }

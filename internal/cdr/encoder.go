@@ -173,6 +173,12 @@ func NewDecoder(buf []byte, order ByteOrder) *Decoder {
 	return &Decoder{buf: buf, order: order}
 }
 
+// Reset points d at the start of buf, for a Decoder embedded in the value
+// that owns buf instead of allocated beside it.
+func (d *Decoder) Reset(buf []byte, order ByteOrder) {
+	*d = Decoder{buf: buf, order: order}
+}
+
 // Order reports the byte order of the decoder.
 func (d *Decoder) Order() ByteOrder { return d.order }
 
@@ -288,21 +294,39 @@ func (d *Decoder) ReadDouble() (float64, error) {
 
 // ReadString consumes a CDR string.
 func (d *Decoder) ReadString() (string, error) {
+	b, err := d.readStringBytes()
+	return string(b), err
+}
+
+// ReadStringReuse consumes a CDR string like ReadString, but returns prev
+// itself when that is what the buffer holds: a decoder that sees the same
+// name request after request (an operation name, say) allocates it once.
+func (d *Decoder) ReadStringReuse(prev string) (string, error) {
+	b, err := d.readStringBytes()
+	if err == nil && string(b) == prev {
+		return prev, nil
+	}
+	return string(b), err
+}
+
+// readStringBytes consumes a CDR string and returns its characters, which
+// alias the decoder's buffer.
+func (d *Decoder) readStringBytes() ([]byte, error) {
 	n, err := d.ReadULong()
 	if err != nil {
-		return "", fmt.Errorf("cdr: reading string length: %w", err)
+		return nil, fmt.Errorf("cdr: reading string length: %w", err)
 	}
 	if n == 0 {
 		// Tolerate a zero length (no NUL) from lenient encoders.
-		return "", nil
+		return nil, nil
 	}
 	if n > maxStringLen {
-		return "", fmt.Errorf("cdr: string length %d exceeds limit", n)
+		return nil, fmt.Errorf("cdr: string length %d exceeds limit", n)
 	}
 	if err := d.need(int(n), "string body"); err != nil {
-		return "", err
+		return nil, err
 	}
-	v := string(d.buf[d.pos : d.pos+int(n)-1])
+	v := d.buf[d.pos : d.pos+int(n)-1]
 	d.pos += int(n)
 	return v, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAlignmentPadding(t *testing.T) {
@@ -236,5 +237,34 @@ func TestDecoderReadRaw(t *testing.T) {
 	}
 	if _, err := d.ReadRaw(1); err == nil {
 		t.Fatal("read past end succeeded")
+	}
+}
+
+// TestReadStringReuse: the same characters on the wire hand back the
+// caller's string without allocating; anything else decodes as ReadString.
+func TestReadStringReuse(t *testing.T) {
+	e := NewEncoder(BigEndian)
+	e.WriteString("echo")
+	e.WriteString("other")
+	e.WriteString("")
+	buf := e.Bytes()
+
+	prev := "echo"
+	d := NewDecoder(buf, BigEndian)
+	got, err := d.ReadStringReuse(prev)
+	if err != nil || got != "echo" || unsafe.StringData(got) != unsafe.StringData(prev) {
+		t.Fatalf("matching name: %q, %v (reused: %v)", got, err, unsafe.StringData(got) == unsafe.StringData(prev))
+	}
+	if got, err = d.ReadStringReuse(prev); err != nil || got != "other" {
+		t.Fatalf("different name: %q, %v", got, err)
+	}
+	if got, err = d.ReadStringReuse(prev); err != nil || got != "" {
+		t.Fatalf("empty name: %q, %v", got, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = NewDecoder(buf, BigEndian).ReadStringReuse(prev) }); n != 0 {
+		t.Fatalf("reusing read allocates %.0f objects", n)
+	}
+	if _, err := NewDecoder(buf[:6], BigEndian).ReadStringReuse(prev); err == nil {
+		t.Fatal("truncated string decoded")
 	}
 }

@@ -137,9 +137,11 @@ func (i *Impl) QoSOperation(req *orb.ServerRequest, b *qos.Binding) error {
 	}
 }
 
-// cacheEntry is one cached reply.
+// cacheEntry is one cached reply. The outcome is kept by value and every
+// hit gets its own copy: an Outcome's decoder lives in the Outcome, so
+// handing one to several readers would have them share a read position.
 type cacheEntry struct {
-	outcome *orb.Outcome
+	outcome orb.Outcome
 	at      time.Time
 	version uint64
 }
@@ -243,7 +245,8 @@ func (m *Mediator) Deliver(ctx context.Context, inv *orb.Invocation, next qos.Ne
 	if fresh {
 		m.stats.Hits++
 		m.mu.Unlock()
-		return entry.outcome, nil
+		hit := entry.outcome
+		return &hit, nil
 	}
 	m.stats.Misses++
 	m.mu.Unlock()
@@ -267,7 +270,7 @@ func (m *Mediator) Deliver(ctx context.Context, inv *orb.Invocation, next qos.Ne
 			}
 		}
 	}
-	m.cache[key] = cacheEntry{outcome: out, at: m.now(), version: version}
+	m.cache[key] = cacheEntry{outcome: *out, at: m.now(), version: version}
 	m.mu.Unlock()
 	return out, nil
 }

@@ -330,3 +330,39 @@ func TestNegotiationRespectsCeiling(t *testing.T) {
 		t.Fatalf("max age = %g", got)
 	}
 }
+
+// TestConcurrentCacheHitsReadIndependently: an Outcome carries its own
+// reply decoder, so the cache must hand every hit its own Outcome —
+// readers sharing one would share a read position (run under -race).
+func TestConcurrentCacheHitsReadIndependently(t *testing.T) {
+	w := newWorld(t)
+	if _, err := w.stub.Negotiate(context.Background(), &qos.Proposal{
+		Characteristic: Name,
+		Params:         []qos.ParamProposal{{Name: ParamMaxAgeMS, Desired: qos.Number(60_000)}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	w.get(t) // fill the cache
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				d, err := w.stub.Call(context.Background(), "get_value", nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if v, err := d.ReadLong(); err != nil || v != 1 {
+					t.Errorf("cached read = %d, %v", v, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if gets := w.servant.serverGets(); gets != 1 {
+		t.Fatalf("server saw %d gets, want 1", gets)
+	}
+}

@@ -10,6 +10,7 @@
 package giop
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sync"
@@ -185,12 +186,17 @@ func ReadMessage(r io.Reader) (*Message, error) {
 	return msg, nil
 }
 
-// FrameReader reads framed messages from one stream, reusing a fixed header
-// scratch buffer across reads. It is the allocation-conscious counterpart
-// of ReadMessageReassembled for long-lived connections; it must only be
-// used from one goroutine at a time (the per-connection read loop).
+// FrameReader reads framed messages from one stream through a fixed read
+// buffer, so a frame — or a burst of pipelined frames — costs one Read of
+// the underlying stream instead of one for the header and one for the
+// body; a body larger than the buffer is still read straight into place.
+// The reader owns the stream from construction on: bytes it read ahead are
+// lost to anyone else reading r. It is the allocation-conscious
+// counterpart of ReadMessageReassembled for long-lived connections; it
+// must only be used from one goroutine at a time (the per-connection read
+// loop).
 type FrameReader struct {
-	r     io.Reader
+	r     *bufio.Reader
 	hdr   [HeaderSize]byte
 	reuse bool
 	body  []byte
@@ -202,9 +208,13 @@ type FrameReader struct {
 // the connection's lifetime.
 const maxRetainedBody = 64 << 10
 
+// readBufferSize is the FrameReader's read-ahead: it holds a 32-deep burst
+// of small requests, and larger frames bypass it for all but their head.
+const readBufferSize = 4096
+
 // NewFrameReader returns a FrameReader over r.
 func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{r: r}
+	return &FrameReader{r: bufio.NewReaderSize(r, readBufferSize)}
 }
 
 // ReuseBody switches the reader into body-reuse mode: ReadMessage returns

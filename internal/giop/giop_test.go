@@ -219,3 +219,97 @@ func TestMsgTypeString(t *testing.T) {
 		t.Fatal("unknown reply status name")
 	}
 }
+
+// countingReader counts the Read calls that reach the underlying stream.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestFrameReaderOneReadPerBurst: header and body of a frame — and every
+// frame of a pipelined burst that arrived together — come out of one Read
+// of the stream; a body larger than the read buffer still arrives intact.
+func TestFrameReaderOneReadPerBurst(t *testing.T) {
+	frame := func(body []byte) []byte {
+		var buf bytes.Buffer
+		if err := WriteMessage(&buf, MsgRequest, cdr.BigEndian, body); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, reuse := range []bool{false, true} {
+		var burst []byte
+		for i := 0; i < 32; i++ {
+			burst = append(burst, frame(bytes.Repeat([]byte{byte(i)}, 64))...)
+		}
+		src := &countingReader{r: bytes.NewReader(burst)}
+		fr := NewFrameReader(src)
+		fr.ReuseBody(reuse)
+		for i := 0; i < 32; i++ {
+			msg, err := fr.ReadMessage()
+			if err != nil {
+				t.Fatalf("reuse=%v frame %d: %v", reuse, i, err)
+			}
+			if !bytes.Equal(msg.Body, bytes.Repeat([]byte{byte(i)}, 64)) {
+				t.Fatalf("reuse=%v frame %d: wrong body", reuse, i)
+			}
+		}
+		if src.reads != 1 {
+			t.Fatalf("reuse=%v: a 32-frame burst cost %d reads of the stream, want 1", reuse, src.reads)
+		}
+		if _, err := fr.ReadMessage(); err != io.EOF {
+			t.Fatalf("reuse=%v: after the burst: %v, want io.EOF", reuse, err)
+		}
+
+		big := bytes.Repeat([]byte("0123456789abcdef"), 3*readBufferSize/16)
+		stream := append(frame(big), frame([]byte("tail"))...)
+		src = &countingReader{r: bytes.NewReader(stream)}
+		fr = NewFrameReader(src)
+		fr.ReuseBody(reuse)
+		msg, err := fr.ReadMessage()
+		if err != nil || !bytes.Equal(msg.Body, big) {
+			t.Fatalf("reuse=%v: oversized body: err %v, %d of %d bytes", reuse, err, len(msg.Body), len(big))
+		}
+		if msg, err = fr.ReadMessage(); err != nil || string(msg.Body) != "tail" {
+			t.Fatalf("reuse=%v: frame after an oversized body: %v", reuse, err)
+		}
+	}
+}
+
+// TestRequestHeaderUnmarshalAliases pins the two decode contracts: the
+// Unmarshal method leaves ObjectKey and Principal in the decoder's buffer,
+// UnmarshalRequestHeader shares nothing with it.
+func TestRequestHeaderUnmarshalAliases(t *testing.T) {
+	e := cdr.NewEncoder(cdr.BigEndian)
+	(&RequestHeader{
+		Contexts:  ServiceContextList{{ID: SCQoS, Data: []byte("ctx")}},
+		RequestID: 9, ObjectKey: []byte("key"), Operation: "op", Principal: []byte("who"),
+	}).Marshal(e)
+	wire := append([]byte(nil), e.Bytes()...)
+
+	var h RequestHeader
+	if err := h.Unmarshal(cdr.NewDecoder(wire, cdr.BigEndian)); err != nil {
+		t.Fatal(err)
+	}
+	copied, err := UnmarshalRequestHeader(cdr.NewDecoder(wire, cdr.BigEndian))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range wire {
+		wire[i] = 0xFF // the read loop's next frame
+	}
+	if string(h.ObjectKey) == "key" || string(h.Principal) == "who" {
+		t.Fatal("Unmarshal copied ObjectKey/Principal; the read loop pays for that copy twice")
+	}
+	if string(h.Contexts[0].Data) != "ctx" || h.Operation != "op" || h.RequestID != 9 {
+		t.Fatalf("Unmarshal must copy contexts and operation: %+v", h)
+	}
+	if string(copied.ObjectKey) != "key" || string(copied.Principal) != "who" || string(copied.Contexts[0].Data) != "ctx" {
+		t.Fatalf("UnmarshalRequestHeader result shares the decoder's buffer: %+v", copied)
+	}
+}

@@ -129,32 +129,43 @@ func (h *RequestHeader) Marshal(e *cdr.Encoder) {
 	e.WriteOctets(h.Principal)
 }
 
-// UnmarshalRequestHeader reads a RequestHeader from d.
-func UnmarshalRequestHeader(d *cdr.Decoder) (*RequestHeader, error) {
-	var h RequestHeader
+// Unmarshal reads the header from d into h, overwriting every field.
+// ObjectKey and Principal alias d's buffer — the per-connection read loop
+// decodes into a reused struct and moves the key into the scratch buffer
+// that already receives the arguments; Contexts and Operation are copies,
+// except that an h which already names the operation keeps its string.
+func (h *RequestHeader) Unmarshal(d *cdr.Decoder) error {
 	var err error
 	if h.Contexts, err = unmarshalServiceContexts(d); err != nil {
-		return nil, err
+		return err
 	}
 	if h.RequestID, err = d.ReadULong(); err != nil {
-		return nil, fmt.Errorf("giop: reading request id: %w", err)
+		return fmt.Errorf("giop: reading request id: %w", err)
 	}
 	if h.ResponseExpected, err = d.ReadBool(); err != nil {
-		return nil, fmt.Errorf("giop: reading response flag: %w", err)
+		return fmt.Errorf("giop: reading response flag: %w", err)
 	}
-	key, err := d.ReadOctets()
-	if err != nil {
-		return nil, fmt.Errorf("giop: reading object key: %w", err)
+	if h.ObjectKey, err = d.ReadOctets(); err != nil {
+		return fmt.Errorf("giop: reading object key: %w", err)
 	}
-	h.ObjectKey = append([]byte(nil), key...)
-	if h.Operation, err = d.ReadString(); err != nil {
-		return nil, fmt.Errorf("giop: reading operation: %w", err)
+	if h.Operation, err = d.ReadStringReuse(h.Operation); err != nil {
+		return fmt.Errorf("giop: reading operation: %w", err)
 	}
-	principal, err := d.ReadOctets()
-	if err != nil {
-		return nil, fmt.Errorf("giop: reading principal: %w", err)
+	if h.Principal, err = d.ReadOctets(); err != nil {
+		return fmt.Errorf("giop: reading principal: %w", err)
 	}
-	h.Principal = append([]byte(nil), principal...)
+	return nil
+}
+
+// UnmarshalRequestHeader reads a RequestHeader from d. The result shares
+// nothing with d's buffer.
+func UnmarshalRequestHeader(d *cdr.Decoder) (*RequestHeader, error) {
+	var h RequestHeader
+	if err := h.Unmarshal(d); err != nil {
+		return nil, err
+	}
+	h.ObjectKey = append([]byte(nil), h.ObjectKey...)
+	h.Principal = append([]byte(nil), h.Principal...)
 	return &h, nil
 }
 
@@ -172,21 +183,30 @@ func (h *ReplyHeader) Marshal(e *cdr.Encoder) {
 	e.WriteULong(uint32(h.Status))
 }
 
-// UnmarshalReplyHeader reads a ReplyHeader from d.
-func UnmarshalReplyHeader(d *cdr.Decoder) (*ReplyHeader, error) {
-	var h ReplyHeader
+// Unmarshal reads the header from d into h, overwriting every field; the
+// read loop decodes into a stack value this way.
+func (h *ReplyHeader) Unmarshal(d *cdr.Decoder) error {
 	var err error
 	if h.Contexts, err = unmarshalServiceContexts(d); err != nil {
-		return nil, err
+		return err
 	}
 	if h.RequestID, err = d.ReadULong(); err != nil {
-		return nil, fmt.Errorf("giop: reading reply request id: %w", err)
+		return fmt.Errorf("giop: reading reply request id: %w", err)
 	}
 	status, err := d.ReadULong()
 	if err != nil {
-		return nil, fmt.Errorf("giop: reading reply status: %w", err)
+		return fmt.Errorf("giop: reading reply status: %w", err)
 	}
 	h.Status = ReplyStatus(status)
+	return nil
+}
+
+// UnmarshalReplyHeader reads a ReplyHeader from d.
+func UnmarshalReplyHeader(d *cdr.Decoder) (*ReplyHeader, error) {
+	var h ReplyHeader
+	if err := h.Unmarshal(d); err != nil {
+		return nil, err
+	}
 	return &h, nil
 }
 

@@ -16,6 +16,7 @@ import (
 	"net"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"maqs/internal/cdr"
 )
@@ -38,17 +39,39 @@ type Component struct {
 	Data []byte
 }
 
-// Profile is an IIOP-style endpoint profile.
+// Profile is an IIOP-style endpoint profile. It must not be copied by
+// value once in use; Clone the reference instead.
 type Profile struct {
 	Host       string
 	Port       uint16
 	ObjectKey  []byte
 	Components []Component
+
+	// addr caches the rendering Addr built last. Host and Port stay plain
+	// exported fields that callers retarget after Clone, so the cache
+	// records what it was built from and Addr checks it on every use.
+	addr atomic.Pointer[endpoint]
 }
 
-// Addr renders the profile endpoint as host:port.
+// endpoint is one rendered host:port with the fields it was rendered from.
+type endpoint struct {
+	host string
+	port uint16
+	addr string
+}
+
+// Addr renders the profile endpoint as host:port. Every invocation asks
+// for it (connection lookup, breaker lookup, flight record), so the string
+// is built once per Host/Port value, not once per call. Concurrent callers
+// are safe; writing Host or Port needs the same exclusion from readers it
+// always did.
 func (p *Profile) Addr() string {
-	return net.JoinHostPort(p.Host, strconv.Itoa(int(p.Port)))
+	if c := p.addr.Load(); c != nil && c.port == p.Port && c.host == p.Host {
+		return c.addr
+	}
+	c := &endpoint{host: p.Host, port: p.Port, addr: net.JoinHostPort(p.Host, strconv.Itoa(int(p.Port)))}
+	p.addr.Store(c)
+	return c.addr
 }
 
 // Component returns the data of the first component with the given tag.

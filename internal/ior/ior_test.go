@@ -2,6 +2,7 @@ package ior
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -133,7 +134,7 @@ func TestUnknownProfileSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Profile.Host != "host" || got.Profile.Port != 5 || string(got.Profile.ObjectKey) != "key" {
-		t.Fatalf("profile = %+v", got.Profile)
+		t.Fatalf("profile = %+v", &got.Profile)
 	}
 }
 
@@ -216,4 +217,54 @@ func TestSetComponentReplaces(t *testing.T) {
 	if n := len(r.Profile.Components); n != 1 {
 		t.Fatalf("components = %d, want 1", n)
 	}
+}
+
+// TestAddrCache: Addr is built once per Host/Port value, follows a
+// retargeted clone, and never outlives a write to either field.
+func TestAddrCache(t *testing.T) {
+	ref := New("IDL:test/T:1.0", "alpha", 7001, []byte("k"))
+	if got := ref.Profile.Addr(); got != "alpha:7001" {
+		t.Fatalf("Addr() = %q", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = ref.Profile.Addr() }); n != 0 {
+		t.Fatalf("cached Addr() allocates %.0f objects per call", n)
+	}
+	// The retarget idiom of the load-balancing and replication mediators.
+	replica := ref.Clone()
+	replica.Profile.Host, replica.Profile.Port = "beta", 7002
+	if got := replica.Profile.Addr(); got != "beta:7002" {
+		t.Fatalf("retargeted clone Addr() = %q", got)
+	}
+	if got := ref.Profile.Addr(); got != "alpha:7001" {
+		t.Fatalf("original Addr() = %q after retargeting its clone", got)
+	}
+	// A write after the cache was filled: host alone, then port alone.
+	replica.Profile.Host = "::1"
+	if got := replica.Profile.Addr(); got != "[::1]:7002" {
+		t.Fatalf("Addr() = %q after a Host write", got)
+	}
+	replica.Profile.Port = 7003
+	if got := replica.Profile.Addr(); got != "[::1]:7003" {
+		t.Fatalf("Addr() = %q after a Port write", got)
+	}
+}
+
+// TestAddrConcurrent: one reference is shared by every goroutine invoking
+// on it, so filling the cache must be race-free (run under -race).
+func TestAddrConcurrent(t *testing.T) {
+	ref := New("IDL:test/T:1.0", "alpha", 7001, []byte("k"))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				if got := ref.Profile.Addr(); got != "alpha:7001" {
+					t.Errorf("Addr() = %q", got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -96,6 +96,35 @@ func (m *iiopModule) Send(ctx context.Context, inv *Invocation) (*Outcome, error
 type pendingReply struct {
 	ch  chan *Outcome
 	fut *Future
+	// timer bounds the synchronous wait by the default deadline.
+	timer deadlineTimer
+}
+
+// deadlineTimer is a timer that lives in a pooled rendezvous (pendingReply,
+// Future) and is re-armed per call instead of allocated per call. Ownership
+// rule: whoever returns the rendezvous to its pool disarms the timer first;
+// an abandoned rendezvous goes to the garbage collector timer and all.
+type deadlineTimer struct{ t *time.Timer }
+
+// arm starts the timer and returns its channel.
+func (dt *deadlineTimer) arm(d time.Duration) <-chan time.Time {
+	if dt.t == nil {
+		dt.t = time.NewTimer(d)
+	} else {
+		dt.t.Reset(d)
+	}
+	return dt.t.C
+}
+
+// disarm stops an armed timer and drains a tick that fired unobserved, so
+// the next arm cannot see it and fire early.
+func (dt *deadlineTimer) disarm() {
+	if !dt.t.Stop() {
+		select {
+		case <-dt.t.C:
+		default:
+		}
+	}
 }
 
 // pendingPoolGets/Misses are process-global pool telemetry (a Get that
@@ -177,15 +206,15 @@ func (c *clientConn) trackPending(delta int32) {
 }
 
 // acquireWindow blocks until a pipeline slot is free (no-op when
-// pipelining is unbounded). timeout bounds the blocking wait when ctx
-// carries no deadline — the asynchronous dispatch path stores
-// Options.RequestTimeout on the future instead of wrapping its context
-// the way ORB.Invoke does, so without this bound a full window against a
-// stalled server would block a deadline-less dispatch forever. Pass 0
-// when ctx is already bounded. The timer is armed only on the blocked
-// slow path, keeping the uncontended dispatch allocation-free. It must
-// be called without c.mu held: slots are released by the read loop, and
-// blocking under the demux lock would deadlock the connection.
+// pipelining is unbounded). timeout, when positive, bounds the blocking
+// wait beside ctx: the default deadline travels as a value (on the
+// Invocation or the Future), not in the context, so without this bound a
+// full window against a stalled server would block a deadline-less
+// dispatch forever. Pass 0 when ctx alone bounds the call. The timer is
+// armed only on the blocked slow path, keeping the uncontended dispatch
+// allocation-free. It must be called without c.mu held: slots are released
+// by the read loop, and blocking under the demux lock would deadlock the
+// connection.
 func (c *clientConn) acquireWindow(ctx context.Context, timeout time.Duration) error {
 	if c.window == nil {
 		return nil
@@ -196,7 +225,7 @@ func (c *clientConn) acquireWindow(ctx context.Context, timeout time.Duration) e
 	default:
 	}
 	var expire <-chan time.Time
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline && timeout > 0 {
+	if timeout > 0 {
 		t := time.NewTimer(timeout)
 		defer t.Stop()
 		expire = t.C
@@ -271,13 +300,15 @@ func (c *clientConn) unregister(id uint32) {
 // roundTrip sends the invocation and waits for the reply (unless oneway).
 // It reports the encoded request and reply sizes for accounting.
 func (c *clientConn) roundTrip(ctx context.Context, inv *Invocation) (out *Outcome, sent, recv int, err error) {
-	if inv.ResponseExpected {
-		// The synchronous path's context is already RequestTimeout-bounded
-		// by ORB.Invoke, so no extra window timeout applies.
-		if werr := c.acquireWindow(ctx, 0); werr != nil {
+	// wait is what remains of the default deadline (0: ctx alone bounds the
+	// call). It bounds the window wait and then the reply wait.
+	wait := inv.defaultWait(ctx, c.orb.opts.RequestTimeout)
+	if inv.ResponseExpected && c.window != nil {
+		if werr := c.acquireWindow(ctx, wait); werr != nil {
 			// No slot was taken and nothing was sent.
 			return nil, 0, 0, notSent(werr)
 		}
+		wait = inv.defaultWait(ctx, c.orb.opts.RequestTimeout) // less what a full window cost
 	}
 	id, p, err := c.register(inv.ResponseExpected, nil)
 	if err != nil {
@@ -335,18 +366,33 @@ func (c *clientConn) roundTrip(ctx context.Context, inv *Invocation) (out *Outco
 		return &Outcome{Status: giop.ReplyNoException, Order: order}, sent, 0, nil
 	}
 
+	var expire <-chan time.Time
+	if wait > 0 {
+		expire = p.timer.arm(wait)
+	}
 	select {
 	case out := <-p.ch:
+		if expire != nil {
+			p.timer.disarm()
+		}
 		pendingPool.Put(p)
 		return out, sent, len(out.Data), nil
 	case <-ctx.Done():
-		c.unregister(id)
-		c.sendCancel(id)
-		if ctx.Err() == context.DeadlineExceeded {
-			return nil, sent, 0, NewSystemException(ExcTimeout, 1, "invocation of %s timed out", inv.Operation)
-		}
-		return nil, sent, 0, ctx.Err()
+		err = ctx.Err()
+	case <-expire:
+		err = context.DeadlineExceeded
 	}
+	if err == context.DeadlineExceeded {
+		err = NewSystemException(ExcTimeout, 1, "invocation of %s timed out", inv.Operation)
+	}
+	// Giving up: p stays out of the pool (a racing reply may still land on
+	// its channel), so its timer is only stopped, not handed on.
+	if expire != nil {
+		p.timer.disarm()
+	}
+	c.unregister(id)
+	c.sendCancel(id)
+	return nil, sent, 0, err
 }
 
 // sendAsync writes the invocation's request frame and returns as soon as
@@ -529,8 +575,8 @@ func (c *clientConn) locate(ctx context.Context, objectKey []byte) (giop.LocateS
 
 // readLoop demultiplexes replies until the connection dies. The frame
 // reader reuses its body buffer across reads: reply data is copied into
-// the Outcome and header unmarshalling copies what it keeps, so nothing
-// outlives the loop iteration.
+// the Outcome, the header is a stack value and its service contexts are
+// copies, so nothing outlives the loop iteration.
 func (c *clientConn) readLoop() {
 	fr := giop.NewFrameReader(c.raw)
 	fr.ReuseBody(true)
@@ -543,8 +589,8 @@ func (c *clientConn) readLoop() {
 		switch msg.Type {
 		case giop.MsgReply:
 			d := msg.Decoder()
-			h, err := giop.UnmarshalReplyHeader(d)
-			if err != nil {
+			var h giop.ReplyHeader
+			if err := h.Unmarshal(d); err != nil {
 				c.orb.opts.Logger.Warn("orb: dropping malformed reply", "addr", c.addr, "err", err)
 				continue
 			}

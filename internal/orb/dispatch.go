@@ -1,6 +1,7 @@
 package orb
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -77,47 +78,99 @@ type classQueue struct {
 }
 
 // dispatchJob carries one parsed request from the connection read loop to
-// a class worker. Jobs are pooled; finish() returns them.
+// whatever handles it: a class worker, or a goroutine of its own when the
+// class is unbounded. Jobs are pooled; release returns them.
 type dispatchJob struct {
+	orb     *ORB
 	conn    net.Conn
+	peer    string // conn's remote address, rendered once per connection
 	writeMu *sync.Mutex
 	wg      *sync.WaitGroup // the owning connection's handler group
 	order   cdr.ByteOrder
-	h       *giop.RequestHeader
-	args    []byte
-	argsBuf *[]byte
+	h       giop.RequestHeader // ObjectKey lives in scratch
+	args    []byte             // lives in scratch
 	class   string
 	tag     EncodedQoSTag // the decode class came from, handed on to the request
 	enq     time.Time
+
+	// scratch holds what the request keeps of the frame body — object key,
+	// then arguments — because the read loop reuses the body for the next
+	// frame. It stays with the job across pool cycles.
+	scratch []byte
+	// run is serve, bound once when the pool makes the job: `go job.run()`
+	// starts the handler without allocating, where `go job.serve()` and
+	// `go func() {...}()` each allocate a closure per request.
+	run func()
 }
 
-var jobPool = sync.Pool{New: func() any { return new(dispatchJob) }}
+var jobPool sync.Pool
 
-// argsScratchPool recycles the per-request argument copies the server
-// makes when handing a request off the connection read loop (the frame
-// body is reused for the next read, so arguments must move out). Buffers
-// above the retention cap are dropped, mirroring cdr's pooling rationale.
-var argsScratchPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 1024)
-	return &b
-}}
-
-const maxPooledArgs = 64 << 10
-
-// acquireArgs copies src into a pooled scratch buffer.
-func acquireArgs(src []byte) ([]byte, *[]byte) {
-	bp := argsScratchPool.Get().(*[]byte)
-	b := append((*bp)[:0], src...)
-	*bp = b
-	return b, bp
-}
-
-// releaseArgs returns a scratch buffer to the pool.
-func releaseArgs(bp *[]byte) {
-	if cap(*bp) > maxPooledArgs {
-		return
+// acquireJob returns a scrubbed job from the pool, or a new one.
+func acquireJob() *dispatchJob {
+	if job, ok := jobPool.Get().(*dispatchJob); ok {
+		return job
 	}
-	argsScratchPool.Put(bp)
+	job := &dispatchJob{scratch: make([]byte, 0, 1024)}
+	job.run = job.serve
+	return job
+}
+
+// maxPooledArgs caps the scratch a pooled job retains, mirroring cdr's
+// pooling rationale; maxPooledOperation does the same for the operation
+// name, which a peer chooses.
+const (
+	maxPooledArgs      = 64 << 10
+	maxPooledOperation = 128
+)
+
+// decode parses a Request message into the job, moving the object key and
+// the arguments out of the reader's reused body.
+func (job *dispatchJob) decode(msg *giop.Message) error {
+	d := msg.Decoder()
+	if err := job.h.Unmarshal(d); err != nil {
+		return err
+	}
+	args, err := d.ReadOctets()
+	if err != nil {
+		return fmt.Errorf("request body: %w", err)
+	}
+	key := len(job.h.ObjectKey)
+	job.scratch = append(append(job.scratch[:0], job.h.ObjectKey...), args...)
+	job.h.ObjectKey = job.scratch[:key:key]
+	job.h.Principal = nil // unused, and it aliases the reader's body
+	job.args = job.scratch[key:]
+	job.order = msg.Order
+	return nil
+}
+
+// serve is the unbounded path: the job's own goroutine handles it.
+func (job *dispatchJob) serve() {
+	job.orb.handleRequest(job)
+	job.finish()
+}
+
+// finish releases a job after it was handled or shed.
+func (job *dispatchJob) finish() {
+	wg := job.wg
+	job.release()
+	wg.Done()
+}
+
+// release scrubs the job and returns it to the pool. Besides its scratch
+// the job keeps the operation name it carried: the next request it decodes
+// most often names the same operation, and then reuses the string
+// (RequestHeader.Unmarshal) instead of allocating it again.
+func (job *dispatchJob) release() {
+	scratch, op := job.scratch[:0], job.h.Operation
+	if cap(scratch) > maxPooledArgs {
+		scratch = make([]byte, 0, 1024)
+	}
+	if len(op) > maxPooledOperation {
+		op = ""
+	}
+	*job = dispatchJob{scratch: scratch, run: job.run}
+	job.h.Operation = op
+	jobPool.Put(job)
 }
 
 func newDispatcher(o *ORB) *dispatcher {
@@ -175,28 +228,22 @@ func (d *dispatcher) queueFor(class string) *classQueue {
 }
 
 // submit hands a request to its class lane. It reports false when the
-// class is unbounded (the caller dispatches a goroutine as before); true
+// class is unbounded (the caller gives the job a goroutine as before); true
 // means the job was either queued or shed — accounted for either way.
 // submit never blocks: a full queue sheds instead of back-pressuring the
 // connection read loop.
-func (d *dispatcher) submit(conn net.Conn, writeMu *sync.Mutex, handlers *sync.WaitGroup,
-	order cdr.ByteOrder, h *giop.RequestHeader, args []byte, argsBuf *[]byte, class string, tag *EncodedQoSTag) bool {
-	q := d.queueFor(class)
+func (d *dispatcher) submit(job *dispatchJob) bool {
+	q := d.queueFor(job.class)
 	if q.policy.Workers <= 0 {
 		return false
 	}
-	job := jobPool.Get().(*dispatchJob)
-	*job = dispatchJob{
-		conn: conn, writeMu: writeMu, wg: handlers,
-		order: order, h: h, args: args, argsBuf: argsBuf,
-		class: class, tag: *tag, enq: time.Now(),
-	}
-	handlers.Add(1)
+	job.enq = time.Now()
+	job.wg.Add(1)
 	select {
 	case q.ch <- job:
 	default:
 		d.shed(job, shedReasonQueueFull)
-		d.finish(job)
+		job.finish()
 	}
 	return true
 }
@@ -214,18 +261,10 @@ func (d *dispatcher) worker(q *classQueue) {
 				ob.admission(job.class).admitted.Inc()
 				ob.phase(job.class).queueWait.Observe(wait)
 			}
-			d.orb.handleRequest(job.conn, job.writeMu, job.order, job.h, job.args, &job.tag)
+			d.orb.handleRequest(job)
 		}
-		d.finish(job)
+		job.finish()
 	}
-}
-
-// finish releases a job's resources after it was handled or shed.
-func (d *dispatcher) finish(job *dispatchJob) {
-	job.wg.Done()
-	releaseArgs(job.argsBuf)
-	*job = dispatchJob{}
-	jobPool.Put(job)
 }
 
 // shed refuses a request: counts it, replies TRANSIENT (retryable — the
@@ -249,7 +288,7 @@ func (d *dispatcher) shed(job *dispatchJob, reason string) {
 		o.Flight().Trigger(obs.AnomalyOverloadShed, obs.FlightRecord{
 			Operation: job.h.Operation,
 			Binding:   job.class,
-			Endpoint:  job.conn.RemoteAddr().String(),
+			Endpoint:  job.peer,
 			Stripe:    -1,
 			Outcome:   "shed-" + reason,
 			Latency:   wait,

@@ -49,6 +49,9 @@ type Future struct {
 	// timeout bounds Wait when the caller's context carries no deadline,
 	// mirroring Options.RequestTimeout on the synchronous path.
 	timeout time.Duration
+	// timer enforces timeout in a blocked Wait; it stays with the pooled
+	// Future across cycles (release leaves it alone).
+	timer deadlineTimer
 
 	// encodeNs carries the marshal+write phase timing from the sending
 	// goroutine to the completing one (atomic: a reply can race the
@@ -209,21 +212,27 @@ func (f *Future) Wait(ctx context.Context) (*Outcome, error) {
 	}
 	var expire <-chan time.Time
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline && f.timeout > 0 {
-		t := time.NewTimer(f.timeout)
-		defer t.Stop()
-		expire = t.C
+		expire = f.timer.arm(f.timeout)
 	}
+	var cause error
 	select {
 	case <-f.done:
+		if expire != nil {
+			f.timer.disarm() // finish pools the future
+		}
 		return f.finish(ctx)
 	case <-ctx.Done():
-		if ctx.Err() == context.DeadlineExceeded {
-			return nil, f.abandon(NewSystemException(ExcTimeout, 1, "async invocation of %s timed out", f.operation()))
-		}
-		return nil, f.abandon(ctx.Err())
+		cause = ctx.Err()
 	case <-expire:
-		return nil, f.abandon(NewSystemException(ExcTimeout, 1, "async invocation of %s timed out", f.operation()))
+		cause = context.DeadlineExceeded
 	}
+	if cause == context.DeadlineExceeded {
+		cause = NewSystemException(ExcTimeout, 1, "async invocation of %s timed out", f.operation())
+	}
+	if expire != nil {
+		f.timer.disarm()
+	}
+	return nil, f.abandon(cause)
 }
 
 func (f *Future) operation() string {

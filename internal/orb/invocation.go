@@ -3,6 +3,7 @@ package orb
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"maqs/internal/cdr"
 	"maqs/internal/giop"
@@ -50,6 +51,13 @@ type Invocation struct {
 	// it into the flight record's phase decomposition.
 	encodeNs int64
 
+	// deadline is the ORB's default deadline for this delivery: ORB.Invoke
+	// stamps it (now + Options.RequestTimeout) when the caller's context
+	// carries none, and clears it when the context does. It travels with
+	// copies and clones, so transport modules, retries and forward hops
+	// all spend the one budget. See Invocation.budget.
+	deadline time.Time
+
 	// tag memoises the decoded SCQoS context (see QoSTag). It may be
 	// shared with other invocations of the binding, so it is replaced,
 	// never written through.
@@ -64,6 +72,33 @@ func (inv *Invocation) Clone() *Invocation {
 	cp := *inv
 	cp.Contexts = append(giop.ServiceContextList(nil), inv.Contexts...)
 	return &cp
+}
+
+// budget reports when the delivery must give up: the context's deadline
+// when it has one, the default deadline ORB.Invoke stamped otherwise. ok is
+// false for an invocation that reached the transport without passing
+// through Invoke under a deadline-less context (a module's own handshake
+// request, say); the connection layer then bounds the round trip by
+// Options.RequestTimeout itself.
+func (inv *Invocation) budget(ctx context.Context) (deadline time.Time, ok bool) {
+	if dl, has := ctx.Deadline(); has {
+		return dl, true
+	}
+	return inv.deadline, !inv.deadline.IsZero()
+}
+
+// defaultWait is how long the connection layer may wait on this delivery
+// beside what ctx enforces: the rest of the stamped default deadline (at
+// least a tick, so a spent budget times out at once), fallback for a
+// deadline-less delivery that bypassed Invoke, 0 when ctx alone bounds it.
+func (inv *Invocation) defaultWait(ctx context.Context, fallback time.Duration) time.Duration {
+	if !inv.deadline.IsZero() {
+		return max(time.Until(inv.deadline), 1)
+	}
+	if _, has := ctx.Deadline(); has {
+		return 0
+	}
+	return fallback
 }
 
 // QoSTag returns the invocation's SCQoS tag; tagged is false for plain
@@ -104,6 +139,10 @@ type Outcome struct {
 	Contexts giop.ServiceContextList
 	// Order is the byte order Data is encoded in.
 	Order cdr.ByteOrder
+
+	// dec is the decoder Decoder hands out, kept here so reading a reply
+	// does not allocate one beside it.
+	dec cdr.Decoder
 }
 
 // Err converts exceptional outcomes to errors: nil for NO_EXCEPTION, the
@@ -135,8 +174,13 @@ func (o *Outcome) Err() error {
 	}
 }
 
-// Decoder returns a CDR decoder over the outcome data.
-func (o *Outcome) Decoder() *cdr.Decoder { return cdr.NewDecoder(o.Data, o.Order) }
+// Decoder returns the outcome's CDR decoder, rewound to the start of the
+// data. An outcome has one such decoder, so one reader at a time: a second
+// call rewinds the decoder the first call returned.
+func (o *Outcome) Decoder() *cdr.Decoder {
+	o.dec.Reset(o.Data, o.Order)
+	return &o.dec
+}
 
 // OutcomeFromError wraps an error into an exceptional Outcome, encoding it
 // the way a server would.

@@ -108,12 +108,16 @@ type ORB struct {
 	// the per-request read lock-free and allows late installation.
 	obsState atomic.Pointer[orbObs]
 
+	// filters is the server-side filter list, published copy-on-write:
+	// AddIncomingFilter (rare, under mu) stores a new slice, every dispatch
+	// loads the current one without lock or copy.
+	filters atomic.Pointer[[]IncomingFilter]
+
 	mu             sync.Mutex
 	router         Router
 	conns          map[string]*connStripe
 	listeners      []net.Listener
 	serverConns    map[net.Conn]struct{}
-	filters        []IncomingFilter
 	commandHandler CommandHandler
 	endpointHost   string
 	endpointPort   uint16
@@ -350,13 +354,16 @@ func (o *ORB) SetCommandHandler(h CommandHandler) {
 func (o *ORB) AddIncomingFilter(f IncomingFilter) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.filters = append(o.filters, f)
+	old := o.currentFilters()
+	filters := append(old[:len(old):len(old)], f)
+	o.filters.Store(&filters)
 }
 
 func (o *ORB) currentFilters() []IncomingFilter {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return append([]IncomingFilter(nil), o.filters...)
+	if p := o.filters.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Invoke sends the invocation through the routing layer and waits for its
@@ -374,10 +381,14 @@ func (o *ORB) Invoke(ctx context.Context, inv *Invocation) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("orb: routing %s: %w", inv.Operation, err)
 	}
+	// The default deadline rides on the invocation as a value (the way the
+	// asynchronous path carries it on the Future) instead of in a derived
+	// context: everything below that spends the budget — the retry loop,
+	// the flight record, the connection's reply wait, each forward hop —
+	// reads it through Invocation.budget/defaultWait.
+	inv.deadline = time.Time{}
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.opts.RequestTimeout)
-		defer cancel()
+		inv.deadline = time.Now().Add(o.opts.RequestTimeout)
 	}
 	out, err := o.send(ctx, mod, inv)
 	// Follow LOCATION_FORWARD replies (bounded, to break forward loops).

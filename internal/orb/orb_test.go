@@ -433,3 +433,72 @@ func TestQoSAwareActivation(t *testing.T) {
 		t.Fatalf("echo = %q, %v", got, err)
 	}
 }
+
+// TestCloneThenRetargetDialsNewEndpoint: the mediators that fan out over
+// replicas Clone a reference and overwrite Profile.Host/Port. The cached
+// endpoint string of the reference must not follow the clone, nor survive
+// the write when the original's cache was already warm.
+func TestCloneThenRetargetDialsNewEndpoint(t *testing.T) {
+	w := newWorld(t)
+	other := New(Options{Transport: w.net.Host("other")})
+	if err := other.Listen("other:9001"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(other.Shutdown)
+	second := &echoServant{}
+	if _, err := other.Adapter().Activate("echo-1", "IDL:test/Echo:1.0", second); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := callEcho(t, w.client, w.ref, "warm"); err != nil { // fills w.ref's cache
+		t.Fatal(err)
+	}
+	replica := w.ref.Clone()
+	replica.Profile.Host, replica.Profile.Port = "other", 9001
+	note := func(ref *ior.IOR, msg string) {
+		t.Helper()
+		e := cdr.NewEncoder(w.client.Order())
+		e.WriteString(msg)
+		out, err := w.client.Invoke(context.Background(), &Invocation{
+			Target: ref, Operation: "note", Args: e.Bytes(), ResponseExpected: true, Order: w.client.Order(),
+		})
+		if err != nil || out.Err() != nil {
+			t.Fatalf("note %q: %v / %v", msg, err, out.Err())
+		}
+	}
+	seen := func(s *echoServant) string {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.lastSeen
+	}
+	note(replica, "to the replica")
+	note(w.ref, "to the original")
+	if got := seen(second); got != "to the replica" {
+		t.Fatalf("retargeted clone reached the wrong server: replica saw %q", got)
+	}
+	if got := seen(w.servant); got != "to the original" {
+		t.Fatalf("original reference reached the wrong server: it saw %q", got)
+	}
+	// Retarget in place, cache warm: the next call must follow the write.
+	replica.Profile.Host, replica.Profile.Port = "server", 9000
+	note(replica, "back again")
+	if got := seen(w.servant); got != "back again" {
+		t.Fatalf("in-place retarget kept dialing the old endpoint: original saw %q", got)
+	}
+}
+
+// TestOutcomeDecoderEmbedded: the reply decoder lives in the Outcome, so
+// reading a reply allocates nothing, and every call hands it out rewound.
+func TestOutcomeDecoderEmbedded(t *testing.T) {
+	e := cdr.NewEncoder(cdr.BigEndian)
+	e.WriteString("result")
+	out := OutcomeFromResult(e.Bytes(), cdr.BigEndian)
+	for i := 0; i < 2; i++ {
+		if got, err := out.Decoder().ReadString(); err != nil || got != "result" {
+			t.Fatalf("read %d: %q, %v", i, got, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = out.Decoder().ReadULong() }); n != 0 {
+		t.Fatalf("Outcome.Decoder allocates %.0f objects per call", n)
+	}
+}

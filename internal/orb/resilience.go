@@ -139,7 +139,7 @@ func (o *ORB) send(ctx context.Context, mod TransportModule, inv *Invocation) (*
 		rec.TraceID = sc.TraceID.String()
 		rec.SpanID = sc.SpanID.String()
 	}
-	if dl, ok := ctx.Deadline(); ok {
+	if dl, ok := inv.budget(ctx); ok {
 		rec.DeadlineBudget = time.Until(dl)
 	}
 	start := time.Now()
@@ -286,7 +286,7 @@ func (o *ORB) deliver(ctx context.Context, mod TransportModule, inv *Invocation,
 			return out, err
 		}
 		delay := s.policy.Retry.Backoff(attempt, s.rand.Float64)
-		if dl, ok := ctx.Deadline(); ok && time.Now().Add(delay).After(dl) {
+		if dl, ok := inv.budget(ctx); ok && time.Now().Add(delay).After(dl) {
 			return out, err
 		}
 

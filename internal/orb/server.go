@@ -146,12 +146,13 @@ func (o *ORB) acceptLoop(l net.Listener) {
 	}
 }
 
-// serveConn reads requests off one connection and hands each to the
-// dispatcher (bounded per-class worker pools) or, for unbounded classes,
-// its own goroutine; replies are serialised by a write mutex. The frame
-// reader reuses its body buffer across reads, so everything a request
-// retains (header fields, argument bytes) is copied out before the next
-// read — arguments into a pooled scratch buffer.
+// serveConn reads requests off one connection and hands each, as a pooled
+// job, to the dispatcher (bounded per-class worker pools) or, for unbounded
+// classes, its own goroutine; replies are serialised by a write mutex. The
+// frame reader reuses its body buffer across reads, so everything a request
+// retains is moved out before the next read: service contexts and the
+// operation name are copies, object key and arguments go into the job's
+// scratch buffer.
 func (o *ORB) serveConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -162,6 +163,9 @@ func (o *ORB) serveConn(conn net.Conn) {
 	var writeMu sync.Mutex
 	var handlers sync.WaitGroup
 	defer handlers.Wait()
+	// Every request reports its peer (diagnostics, accounting, the dispatch
+	// span); render the address once, not once per request.
+	peer := conn.RemoteAddr().String()
 
 	fr := giop.NewFrameReader(conn)
 	fr.ReuseBody(true)
@@ -172,44 +176,26 @@ func (o *ORB) serveConn(conn net.Conn) {
 		}
 		switch msg.Type {
 		case giop.MsgRequest:
-			d := msg.Decoder()
-			h, err := giop.UnmarshalRequestHeader(d)
-			if err != nil {
-				o.opts.Logger.Warn("orb: malformed request header", "err", err)
+			job := acquireJob()
+			if err := job.decode(msg); err != nil {
+				job.release()
+				o.opts.Logger.Warn("orb: malformed request", "err", err)
 				o.writeMessageError(conn, &writeMu)
 				return
 			}
-			args, err := d.ReadOctets()
-			if err != nil {
-				o.opts.Logger.Warn("orb: malformed request body", "err", err)
-				o.writeMessageError(conn, &writeMu)
-				return
-			}
-			argsCopy, argsBuf := acquireArgs(args)
+			job.orb, job.conn, job.peer, job.writeMu, job.wg = o, conn, peer, &writeMu, &handlers
 			// Admission needs the class before a worker (and with it a
-			// ServerRequest) exists: decode the tag here and hand the memo
-			// on, so dispatch never decodes it a second time. Without a
-			// dispatcher nothing is decoded here; the first reader
-			// downstream does it.
-			var memo *EncodedQoSTag
+			// ServerRequest) exists: decode the tag here, into the job, so
+			// dispatch never decodes it a second time. Without a dispatcher
+			// nothing is decoded here; the first reader downstream does it.
 			if o.dispatcher != nil {
-				var tag EncodedQoSTag
-				class := tag.class(h.Contexts)
-				if o.dispatcher.submit(conn, &writeMu, &handlers, msg.Order, h, argsCopy, argsBuf, class, &tag) {
+				job.class = job.tag.class(job.h.Contexts)
+				if o.dispatcher.submit(job) {
 					break // queued or shed; accounted for either way
 				}
-				kept := tag // unbounded class: the goroutine below keeps the decode
-				memo = &kept
 			}
-			// msg is the reader's reused message — copy what outlives
-			// this loop iteration before handing off.
-			order := msg.Order
 			handlers.Add(1)
-			go func() {
-				defer handlers.Done()
-				o.handleRequest(conn, &writeMu, order, h, argsCopy, memo)
-				releaseArgs(argsBuf)
-			}()
+			go job.run()
 		case giop.MsgLocateRequest:
 			d := msg.Decoder()
 			h, err := giop.UnmarshalLocateRequestHeader(d)
@@ -255,23 +241,22 @@ func (o *ORB) writeMessageError(conn net.Conn, writeMu *sync.Mutex) {
 var serverReqPool = sync.Pool{New: func() any { return new(ServerRequest) }}
 
 // handleRequest runs one request through filters, command handling or
-// servant dispatch, and writes the reply. tag is the request's SCQoS memo
-// when admission already resolved the class, nil otherwise (the first
+// servant dispatch, and writes the reply. The job's SCQoS memo is filled
+// when admission already resolved the class, empty otherwise (the first
 // reader decodes).
-func (o *ORB) handleRequest(conn net.Conn, writeMu *sync.Mutex, order cdr.ByteOrder, h *giop.RequestHeader, args []byte, tag *EncodedQoSTag) {
+func (o *ORB) handleRequest(job *dispatchJob) {
+	conn, writeMu, order, h := job.conn, job.writeMu, job.order, &job.h
 	req := serverReqPool.Get().(*ServerRequest)
 	*req = ServerRequest{
 		ObjectKey: h.ObjectKey,
 		Operation: h.Operation,
 		Contexts:  h.Contexts,
-		Args:      args,
+		Args:      job.args,
 		Order:     order,
 		Out:       cdr.AcquireEncoder(order),
-		Peer:      conn.RemoteAddr().String(),
+		Peer:      job.peer,
 		OneWay:    !h.ResponseExpected,
-	}
-	if tag != nil {
-		req.tag = *tag
+		tag:       job.tag,
 	}
 
 	ob := o.obsState.Load()
@@ -368,8 +353,9 @@ func (o *ORB) handleRequest(conn net.Conn, writeMu *sync.Mutex, order cdr.ByteOr
 }
 
 // releaseServerRequest scrubs and pools a finished request. The request
-// contract already forbids servants from retaining the request or its
-// argument bytes past Invoke (arguments live in a reused scratch buffer).
+// contract already forbids servants from retaining the request, its object
+// key or its argument bytes past Invoke (both live in the job's reused
+// scratch buffer).
 func releaseServerRequest(req *ServerRequest) {
 	*req = ServerRequest{}
 	serverReqPool.Put(req)
