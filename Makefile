@@ -3,7 +3,7 @@ GO ?= go
 # Benchmark trajectory file produced by `make bench`. Bump the number when a
 # PR meaningfully changes the performance story so the history accumulates
 # (BENCH_1.json, BENCH_2.json, ...): see docs/PERFORMANCE.md.
-BENCH_OUT ?= BENCH_15.json
+BENCH_OUT ?= BENCH_16.json
 
 # Trajectory file produced by `make loadgen` (the open-loop load harness's
 # full default run): see docs/LOADGEN.md.
@@ -37,7 +37,7 @@ COVER_PKGS ?= ./internal/obs ./internal/qos
 COVER_FLOOR ?= 75
 COVER_PROFILE ?= coverprofile.out
 
-.PHONY: all check vet build test race alloc-gates benchmark-module bench bench-smoke loadgen loadgen-smoke loadgen-pipeline loadgen-traced slo-smoke chaos cover clean
+.PHONY: all check vet build test race alloc-gates benchmark-module bench bench-smoke loadgen loadgen-smoke loadgen-pipeline loadgen-traced slo-smoke chaos cover loc clean
 
 all: check
 
@@ -46,8 +46,10 @@ all: check
 # injection + resilience) on its own for a readable verdict, the
 # SLO-engine smoke, the coverage floors, a one-iteration
 # bench smoke so benchmark code can't rot, and the loadgen smoke run so
-# the open-loop harness keeps driving a real server end to end.
-check: vet build race alloc-gates chaos slo-smoke cover bench-smoke loadgen-smoke
+# the open-loop harness keeps driving a real server end to end. It ends
+# by printing the size of the product (loc), the figure a simplicity PR
+# quotes before and after.
+check: vet build race alloc-gates chaos slo-smoke cover bench-smoke loadgen-smoke loc
 
 vet:
 	$(GO) vet ./...
@@ -156,6 +158,20 @@ slo-smoke:
 # see docs/ADMISSION.md) and the targeted retry/breaker tests.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestRetry|TestBreaker|TestNonIdempotent|TestFault' -v ./internal/orb ./internal/netsim ./internal/resilience
+
+# loc prints the non-test, non-generated Go lines (wc -l, comments and all)
+# of the packages where the invocation path lives and of the whole root
+# module (benchmark/ is its own module and a harness, not product), from
+# the files git tracks or would track: one number from one command for
+# ROADMAP and for "net-negative" claims. Lines moved into _test.go files
+# or deleted comments lower it without simplifying anything — read the
+# diff, too.
+LOC_FILES = git ls-files --cached --others --exclude-standard -- '*.go' | grep -v -e '_test\.go$$' -e '\.gen\.go$$' -e '^benchmark/'
+loc:
+	@for pkg in internal/orb internal/qos internal/obs; do \
+		printf 'loc %-13s %6d\n' $$pkg $$($(LOC_FILES) | grep "^$$pkg/[^/]*$$" | xargs cat | wc -l); \
+	done; \
+	printf 'loc %-13s %6d\n' total $$($(LOC_FILES) | xargs cat | wc -l)
 
 clean:
 	$(GO) clean ./...

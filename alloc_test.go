@@ -142,16 +142,16 @@ func TestServerDispatchAllocs(t *testing.T) {
 }
 
 // TestEchoAsyncAllocs gates the asynchronous fast path: CallAsync + Wait
-// for one echo must not allocate more than the synchronous call — the
-// Future and its pendingReply rendezvous are pooled, the dispatch runs on
-// the calling goroutine and the completion on the connection's read loop,
-// so the only per-call additions to the synchronous 5 are the future's
-// done channel and the stub's completion hook. Measured 7.
+// for one echo runs the synchronous call's send and waits on the same
+// pooled Future (whose completion signal is made once per Future, not once
+// per call) — the dispatch on the calling goroutine, the completion on the
+// connection's read loop — so the only per-call addition to the
+// synchronous 5 is the stub's completion hook. Measured 6.
 func TestEchoAsyncAllocs(t *testing.T) {
 	w := newAllocWorld(t, maqs.Options{}, "", nil)
 	args := encodeOctets(w.client.ORB.Order(), []byte("alloc gate payload"))
 	ctx := context.Background()
-	gateAllocs(t, "async echo round trip", 8, func() {
+	gateAllocs(t, "async echo round trip", 7, func() {
 		fut, err := w.stub.CallAsync(ctx, "echo", args)
 		if err != nil {
 			t.Fatal(err)

@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-func roundTripAny(t *testing.T, a Any) Any {
+func anyRoundTrip(t *testing.T, a Any) Any {
 	t.Helper()
 	e := NewEncoder(BigEndian)
 	if err := a.MarshalTyped(e); err != nil {
@@ -42,7 +42,7 @@ func TestAnyPrimitivesRoundTrip(t *testing.T) {
 		NewAny(TCObjRef, "IOR:00"),
 	}
 	for _, a := range cases {
-		got := roundTripAny(t, a)
+		got := anyRoundTrip(t, a)
 		if !got.Type.Equal(a.Type) {
 			t.Errorf("typecode mismatch: got %v want %v", got.Type, a.Type)
 		}
@@ -63,7 +63,7 @@ func TestAnyStructRoundTrip(t *testing.T) {
 		"value": Double(12.5),
 		"hard":  Bool(true),
 	})
-	got := roundTripAny(t, a)
+	got := anyRoundTrip(t, a)
 	m, ok := got.Value.(map[string]Any)
 	if !ok {
 		t.Fatalf("got %T", got.Value)
@@ -76,7 +76,7 @@ func TestAnyStructRoundTrip(t *testing.T) {
 func TestAnySequenceRoundTrip(t *testing.T) {
 	tc := SequenceOf(TCString)
 	a := NewAny(tc, []Any{Str("a"), Str("b"), Str("c")})
-	got := roundTripAny(t, a)
+	got := anyRoundTrip(t, a)
 	elems, ok := got.Value.([]Any)
 	if !ok || len(elems) != 3 {
 		t.Fatalf("got %#v", got.Value)
@@ -91,7 +91,7 @@ func TestAnySequenceRoundTrip(t *testing.T) {
 func TestAnyNestedAny(t *testing.T) {
 	inner := Str("nested")
 	a := NewAny(TCAny, &inner)
-	got := roundTripAny(t, a)
+	got := anyRoundTrip(t, a)
 	ptr, ok := got.Value.(*Any)
 	if !ok {
 		t.Fatalf("got %T", got.Value)
@@ -104,7 +104,7 @@ func TestAnyNestedAny(t *testing.T) {
 func TestAnyEnumRoundTrip(t *testing.T) {
 	tc := EnumOf("Direction", "IN", "OUT", "INOUT")
 	a := NewAny(tc, uint32(2))
-	got := roundTripAny(t, a)
+	got := anyRoundTrip(t, a)
 	if got.Value != uint32(2) {
 		t.Fatalf("enum = %v", got.Value)
 	}

@@ -184,9 +184,9 @@ func TestConnTeardownFailsPendingFutures(t *testing.T) {
 	}
 }
 
-// TestRegisterOnDeadConnReturnsWindowSlot exercises the register error
-// path: once the connection's sticky error is set, sendAsync must fail
-// fast, return its window slot, and leave the window empty.
+// TestRegisterOnDeadConnReturnsWindowSlot exercises the admission error
+// path: once the connection's sticky error is set, send must fail fast,
+// return its window slot, and leave the window empty.
 func TestRegisterOnDeadConnReturnsWindowSlot(t *testing.T) {
 	w := newWorld(t)
 	// A first call materialises the pooled connection.
@@ -200,12 +200,14 @@ func TestRegisterOnDeadConnReturnsWindowSlot(t *testing.T) {
 	conn.window = make(chan struct{}, 1)
 	conn.close(NewSystemException(ExcCommFailure, 99, "induced teardown"))
 
-	if _, registered, err := conn.sendAsync(context.Background(), echoInvocation(w.client, w.ref, "x", false), acquireFuture()); err == nil {
-		t.Fatal("sendAsync on a dead connection succeeded")
+	inv := echoInvocation(w.client, w.ref, "x", false)
+	fut := acquireFuture(inv)
+	if _, err := conn.send(context.Background(), inv, fut); err == nil {
+		t.Fatal("send on a dead connection succeeded")
 	} else if !isNotSent(err) {
 		t.Fatalf("want NotSentError, got %v", err)
-	} else if registered {
-		t.Fatal("a dead-connection register must report registered=false")
+	} else if fut.conn != nil {
+		t.Fatal("a dead-connection send must not register its future")
 	}
 	if got := len(conn.window); got != 0 {
 		t.Fatalf("window slot leaked: %d held after failed register", got)
@@ -218,7 +220,7 @@ func TestRegisterOnDeadConnReturnsWindowSlot(t *testing.T) {
 }
 
 // writeFailConn is a net.Conn whose writes always fail, driving the
-// registered-then-write-failed sendAsync path deterministically.
+// registered-then-write-failed send path deterministically.
 type writeFailConn struct{}
 
 func (writeFailConn) Read(p []byte) (int, error)       { return 0, io.EOF }
@@ -230,33 +232,27 @@ func (writeFailConn) SetDeadline(time.Time) error      { return nil }
 func (writeFailConn) SetReadDeadline(time.Time) error  { return nil }
 func (writeFailConn) SetWriteDeadline(time.Time) error { return nil }
 
-// TestSendAsyncWriteErrorLeavesFutureToCloser pins the registered-write-
-// error contract: when the frame write fails after the request entered
-// the pending map, sendAsync reports registered=true, the connection
-// teardown completes the future with the COMM_FAILURE cause, and the
-// failure is NOT retry-safe (the request may have partially left the
-// process). The caller must not pool the future on this path — a racing
-// closer may still hold the reference — so invokeAsync hands it back
-// instead of releasing it.
-func TestSendAsyncWriteErrorLeavesFutureToCloser(t *testing.T) {
+// TestSendWriteErrorLeavesFutureToCloser pins the registered-write-error
+// contract: when the frame write fails after the request entered the
+// pending map, the connection teardown completes the future with the
+// COMM_FAILURE cause, send itself reports nothing (the failure is the
+// future's to deliver, exactly once), and the failure is NOT retry-safe
+// (the request may have partially left the process). The sender must not
+// pool the future on this path — a racing closer may still hold the
+// reference.
+func TestSendWriteErrorLeavesFutureToCloser(t *testing.T) {
 	w := newWorld(t)
 	conn := newClientConn(w.client, "deadwrite:1", writeFailConn{}, 0)
 	conn.window = make(chan struct{}, 4)
 
-	fut := acquireFuture()
-	fut.orb = w.client
 	inv := echoInvocation(w.client, w.ref, "doomed", false)
-	fut.inv = inv
+	fut := acquireFuture(inv)
 
-	_, registered, err := conn.sendAsync(context.Background(), inv, fut)
-	if err == nil {
-		t.Fatal("write on a failing connection succeeded")
+	if _, err := conn.send(context.Background(), inv, fut); err != nil {
+		t.Fatalf("a registered request's write failure belongs to its future, send returned %v", err)
 	}
-	if !registered {
-		t.Fatal("want registered=true: the request entered the pending map before the write failed")
-	}
-	if isNotSent(err) {
-		t.Fatalf("registered write failure must not be retry-safe, got %v", err)
+	if fut.conn != conn {
+		t.Fatal("the request entered the pending map before the write failed: want it registered")
 	}
 	// Teardown owned completion: the future already resolved with the
 	// sticky cause, so no Wait can hang and the waiter sees the failure.
@@ -268,6 +264,8 @@ func TestSendAsyncWriteErrorLeavesFutureToCloser(t *testing.T) {
 	var sysErr *SystemException
 	if werr := fut.Err(); !errors.As(werr, &sysErr) || sysErr.Name != ExcCommFailure {
 		t.Fatalf("want COMM_FAILURE through the future, got %v", werr)
+	} else if isNotSent(werr) {
+		t.Fatalf("registered write failure must not be retry-safe, got %v", werr)
 	}
 	// The teardown returned the drained registration's window slot.
 	if got := len(conn.window); got != 0 {

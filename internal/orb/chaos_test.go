@@ -71,15 +71,23 @@ func echoInvocation(o *ORB, ref *ior.IOR, msg string, idempotent bool) *Invocati
 	}
 }
 
+// TestRetryRedialsAfterConnLoss: an idempotent call issued after the pooled
+// connection was severed succeeds over a fresh connection. Whether that
+// takes a retry depends on who notices the sever first: if the read loop
+// has already evicted the connection, the call redials and succeeds first
+// try (no retry to count); if the call finds the dead connection still
+// pooled, its first attempt fails and the retry redials.
 func TestRetryRedialsAfterConnLoss(t *testing.T) {
 	w, bundle := newResilientWorld(t, fastRetry())
 	ctx := context.Background()
+	counter := func(name string) uint64 { return bundle.Registry.Counter(name).Value() }
 
 	// Prime the connection pool.
 	out, err := w.client.Invoke(ctx, echoInvocation(w.client, w.ref, "warm", true))
 	if err != nil || out.Err() != nil {
 		t.Fatalf("warm-up failed: %v / %v", err, out.Err())
 	}
+	warmAttempts := counter("maqs_retry_attempts_total")
 	// Sever the pooled connection, then heal so a re-dial can succeed.
 	w.net.Partition("client", "server")
 	w.net.Heal("client", "server")
@@ -91,8 +99,15 @@ func TestRetryRedialsAfterConnLoss(t *testing.T) {
 	if e := out.Err(); e != nil {
 		t.Fatalf("retried invocation returned exception: %v", e)
 	}
-	if n := bundle.Registry.Counter("maqs_client_retries_total").Value(); n == 0 {
-		t.Fatal("connection loss recovered without a recorded retry")
+	if n := counter("maqs_stripe_evict_total"); n < 1 {
+		t.Fatal("the severed connection was never evicted from its stripe")
+	}
+	if n := counter("maqs_stripe_widen_total"); n != 2 {
+		t.Fatalf("%d connections dialed, want 2: the warm-up's and one fresh one", n)
+	}
+	attempts := counter("maqs_retry_attempts_total") - warmAttempts
+	if retries := counter("maqs_client_retries_total"); retries != attempts-1 {
+		t.Fatalf("call took %d attempts but recorded %d retries", attempts, retries)
 	}
 }
 
@@ -308,8 +323,8 @@ func TestChaosFlightRecorderAcceptance(t *testing.T) {
 		`maqs_breaker_state{endpoint="server:9000"} 1`, // Open = 1
 		"maqs_retry_attempts_total",
 		"maqs_retry_backoff_seconds_count",
-		"maqs_orb_pending_pool_hits_total",
-		"maqs_orb_pending_pool_misses_total",
+		"maqs_orb_future_pool_hits_total",
+		"maqs_orb_future_pool_misses_total",
 		"maqs_cdr_encoder_pool_hits_total",
 		"maqs_giop_frame_pool_hits_total",
 		"maqs_giop_frame_bytes_count",

@@ -51,11 +51,12 @@ type Invocation struct {
 	// it into the flight record's phase decomposition.
 	encodeNs int64
 
-	// deadline is the ORB's default deadline for this delivery: ORB.Invoke
-	// stamps it (now + Options.RequestTimeout) when the caller's context
-	// carries none, and clears it when the context does. It travels with
-	// copies and clones, so transport modules, retries and forward hops
-	// all spend the one budget. See Invocation.budget.
+	// deadline is the ORB's default deadline for this delivery: every
+	// entry point stamps it at dispatch (ORB.prepare: now +
+	// Options.RequestTimeout) when the caller's context carries none, and
+	// clears it when the context does. It travels with copies and clones,
+	// so transport modules, retries, forward hops and a Future's Wait all
+	// spend the one budget. See Invocation.budget.
 	deadline time.Time
 
 	// tag memoises the decoded SCQoS context (see QoSTag). It may be
@@ -75,11 +76,11 @@ func (inv *Invocation) Clone() *Invocation {
 }
 
 // budget reports when the delivery must give up: the context's deadline
-// when it has one, the default deadline ORB.Invoke stamped otherwise. ok is
+// when it has one, the default deadline stamped at dispatch otherwise. ok is
 // false for an invocation that reached the transport without passing
-// through Invoke under a deadline-less context (a module's own handshake
-// request, say); the connection layer then bounds the round trip by
-// Options.RequestTimeout itself.
+// through the ORB's entry points under a deadline-less context (a module's
+// own handshake request, say); the connection layer then bounds the round
+// trip by Options.RequestTimeout itself.
 func (inv *Invocation) budget(ctx context.Context) (deadline time.Time, ok bool) {
 	if dl, has := ctx.Deadline(); has {
 		return dl, true
@@ -90,7 +91,7 @@ func (inv *Invocation) budget(ctx context.Context) (deadline time.Time, ok bool)
 // defaultWait is how long the connection layer may wait on this delivery
 // beside what ctx enforces: the rest of the stamped default deadline (at
 // least a tick, so a spent budget times out at once), fallback for a
-// deadline-less delivery that bypassed Invoke, 0 when ctx alone bounds it.
+// deadline-less delivery that bypassed dispatch, 0 when ctx alone bounds it.
 func (inv *Invocation) defaultWait(ctx context.Context, fallback time.Duration) time.Duration {
 	if !inv.deadline.IsZero() {
 		return max(time.Until(inv.deadline), 1)
@@ -318,11 +319,4 @@ type IncomingFilter interface {
 	// Outbound runs after dispatch with the encoded reply body; it may
 	// transform and must return the (possibly rewritten) body.
 	Outbound(req *ServerRequest, status giop.ReplyStatus, body []byte) ([]byte, error)
-}
-
-func validateOperation(op string) error {
-	if op == "" {
-		return fmt.Errorf("orb: empty operation name")
-	}
-	return nil
 }

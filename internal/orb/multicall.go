@@ -61,43 +61,23 @@ func (o *ORB) InvokeBatch(ctx context.Context, invs []*Invocation) []MulticallRe
 	res := make([]MulticallResult, len(invs))
 	futs := make([]*Future, len(invs))
 
-	router := o.Router()
-
 	var groups map[string][]batchElem
 	for i, inv := range invs {
-		if err := validateOperation(inv.Operation); err != nil {
+		mod, err := o.prepare(ctx, inv)
+		if err != nil {
 			res[i].Err = err
 			continue
 		}
-		if inv.Target == nil {
-			res[i].Err = NewSystemException(ExcBadParam, 1, "invocation without target")
-			continue
-		}
-		mod, err := router.Route(inv)
-		if err != nil {
-			res[i].Err = NewSystemException(ExcTransient, 32, "routing %s: %v", inv.Operation, err)
-			continue
-		}
-		batchable := mod == TransportModule(o.iiop) && o.res == nil &&
+		batchable := o.directIIOP(mod) &&
 			!(o.opts.MaxFragment > 0 && len(inv.Args)+batchHeadroom > o.opts.MaxFragment)
 		if !batchable {
-			fut, err := o.invokeAsync(ctx, inv, nil)
-			if err != nil {
-				res[i].Err = err
-				continue
-			}
-			futs[i] = fut
+			futs[i], res[i].Err = o.dispatchAsync(ctx, mod, inv, nil)
 			continue
 		}
 		var f *Future
 		if inv.ResponseExpected {
-			f = acquireFuture()
-			f.orb = o
-			f.inv = inv
-			if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-				f.timeout = o.opts.RequestTimeout
-			}
-			o.armFlight(ctx, f, inv)
+			f = acquireFuture(inv)
+			f.fl.open(ctx, o, inv)
 			futs[i] = f
 		}
 		if groups == nil {
@@ -184,66 +164,21 @@ func (c *clientConn) sendBatch(ctx context.Context, elems []batchElem, res []Mul
 	}
 
 	for k, el := range elems {
-		if el.inv.ResponseExpected && c.window != nil {
-			// Respect the pipeline window without deadlocking on our own
-			// unflushed frames: if no slot is free, put the staged batch
-			// on the wire first — its replies are what free the slots.
-			acquired := false
-			select {
-			case c.window <- struct{}{}:
-				acquired = true
-			default:
-			}
-			if !acquired {
-				if err := flush(); err != nil {
-					failBatch(elems[k:], res, err)
-					return
-				}
-				// Reply-expecting batch elements carry the same stored
-				// RequestTimeout as plain async dispatches; it bounds the
-				// wait when ctx has no deadline.
-				var wt time.Duration
-				if el.fut != nil {
-					wt = el.fut.timeout
-				}
-				if err := c.acquireWindow(ctx, wt); err != nil {
-					failBatch(elems[k:], res, notSent(err))
-					return
-				}
-			}
-		}
-		id, _, err := c.register(el.inv.ResponseExpected, el.fut)
+		// Same admission as a lone send, except that a full window first
+		// puts the staged batch on the wire instead of deadlocking on our
+		// own unflushed frames: their replies are what free the slots.
+		id, err := c.admit(ctx, el.inv, el.fut, flush)
 		if err != nil {
-			// Dead connection: anything registered earlier was already
-			// failed by close; nothing staged can be delivered.
-			if el.inv.ResponseExpected {
-				c.releaseWindow(1)
-			}
+			// The flush failed, the window never freed or the connection
+			// is dead: whatever registered earlier was already failed by
+			// close, and nothing still staged can be delivered.
 			for _, idx := range stagedOneways {
-				res[idx].Err = notSent(err)
+				res[idx].Err = err
 			}
-			failBatch(elems[k:], res, notSent(err))
+			failBatch(elems[k:], res, err)
 			return
 		}
-		el.inv.Stripe = c.slot + 1
-		if el.fut != nil {
-			el.fut.conn = c
-			el.fut.id = id
-			if el.fut.fr != nil {
-				el.fut.rec.Stripe = c.slot
-			}
-		}
-
-		e := fb.Begin()
-		h := giop.RequestHeader{
-			Contexts:         el.inv.Contexts,
-			RequestID:        id,
-			ResponseExpected: el.inv.ResponseExpected,
-			ObjectKey:        el.inv.Target.Profile.ObjectKey,
-			Operation:        el.inv.Operation,
-		}
-		h.Marshal(e)
-		e.WriteOctets(el.inv.Args)
+		marshalRequest(fb.Begin(), id, el.inv)
 		if err := fb.Commit(giop.MsgRequest); err != nil {
 			c.unregister(id)
 			if el.fut != nil {

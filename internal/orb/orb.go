@@ -204,17 +204,6 @@ func (o *ORB) SetObservability(b *obs.Observability) {
 // process-global (sync.Pools are package state shared by every ORB in
 // the process), so the numbers describe the process, not this ORB.
 func registerPoolMetrics(r *obs.Registry) {
-	r.CounterFunc("maqs_orb_pending_pool_hits_total", func() uint64 {
-		gets, misses := PendingPoolStats()
-		if gets < misses {
-			return 0
-		}
-		return gets - misses
-	})
-	r.CounterFunc("maqs_orb_pending_pool_misses_total", func() uint64 {
-		_, misses := PendingPoolStats()
-		return misses
-	})
 	r.CounterFunc("maqs_orb_future_pool_hits_total", func() uint64 {
 		gets, misses := FuturePoolStats()
 		if gets < misses {
@@ -366,32 +355,48 @@ func (o *ORB) currentFilters() []IncomingFilter {
 	return nil
 }
 
-// Invoke sends the invocation through the routing layer and waits for its
-// outcome. The outcome may itself describe an exception; Invoke returns a
-// non-nil error only for local failures (routing, transport setup,
-// context cancellation).
-func (o *ORB) Invoke(ctx context.Context, inv *Invocation) (*Outcome, error) {
-	if err := validateOperation(inv.Operation); err != nil {
-		return nil, err
+// prepare is what every entry point does before a request can leave:
+// validate it, route it, and stamp the default deadline. The deadline rides
+// on the invocation as a value instead of in a derived context: everything
+// below that spends the budget — the retry loop, the flight record, the
+// pipeline window, the reply wait (a synchronous caller's or a Future's),
+// each forward hop — reads it through Invocation.budget/defaultWait, counted
+// from here.
+func (o *ORB) prepare(ctx context.Context, inv *Invocation) (TransportModule, error) {
+	if inv.Operation == "" {
+		return nil, fmt.Errorf("orb: empty operation name")
 	}
 	if inv.Target == nil {
 		return nil, NewSystemException(ExcBadParam, 1, "invocation without target")
 	}
 	mod, err := o.Router().Route(inv)
 	if err != nil {
-		return nil, fmt.Errorf("orb: routing %s: %w", inv.Operation, err)
+		return nil, NewSystemException(ExcTransient, 32, "routing %s: %v", inv.Operation, err)
 	}
-	// The default deadline rides on the invocation as a value (the way the
-	// asynchronous path carries it on the Future) instead of in a derived
-	// context: everything below that spends the budget — the retry loop,
-	// the flight record, the connection's reply wait, each forward hop —
-	// reads it through Invocation.budget/defaultWait.
 	inv.deadline = time.Time{}
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
 		inv.deadline = time.Now().Add(o.opts.RequestTimeout)
 	}
+	return mod, nil
+}
+
+// Invoke sends the invocation through the routing layer and waits for its
+// outcome. The outcome may itself describe an exception; Invoke returns a
+// non-nil error only for local failures (routing, transport setup, a lost
+// connection, context cancellation).
+func (o *ORB) Invoke(ctx context.Context, inv *Invocation) (*Outcome, error) {
+	mod, err := o.prepare(ctx, inv)
+	if err != nil {
+		return nil, err
+	}
 	out, err := o.send(ctx, mod, inv)
-	// Follow LOCATION_FORWARD replies (bounded, to break forward loops).
+	return o.follow(ctx, mod, inv, out, err)
+}
+
+// follow takes the result of inv's first hop and follows LOCATION_FORWARD
+// replies (bounded, to break forward loops). Every hop is a clone of inv,
+// so all of them spend its one deadline.
+func (o *ORB) follow(ctx context.Context, mod TransportModule, inv *Invocation, out *Outcome, err error) (*Outcome, error) {
 	for hops := 0; err == nil && out != nil && out.Status == giop.ReplyLocationForward && inv.ResponseExpected; hops++ {
 		if hops == maxForwards {
 			return nil, NewSystemException(ExcTransient, 30,

@@ -89,15 +89,12 @@ func newWorld(t *testing.T) *testWorld {
 // callEcho performs one echo invocation through the raw invocation API.
 func callEcho(t *testing.T, o *ORB, ref *ior.IOR, msg string) (string, error) {
 	t.Helper()
-	e := cdr.NewEncoder(o.Order())
-	e.WriteString(msg)
-	out, err := o.Invoke(context.Background(), &Invocation{
-		Target:           ref,
-		Operation:        "echo",
-		Args:             e.Bytes(),
-		ResponseExpected: true,
-		Order:            o.Order(),
-	})
+	return callEchoErr(o, ref, msg)
+}
+
+// callEchoErr is callEcho for use off the test goroutine.
+func callEchoErr(o *ORB, ref *ior.IOR, msg string) (string, error) {
+	out, err := o.Invoke(context.Background(), echoInvocation(o, ref, msg, false))
 	if err != nil {
 		return "", err
 	}

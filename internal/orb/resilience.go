@@ -84,7 +84,8 @@ func newResilienceState(o *ORB, p *resilience.Policy) *resilienceState {
 
 // transportFailure reports whether an attempt failed at the transport
 // level — the class of failure the breaker counts and retry may absorb.
-// Connection teardown surfaces as an exceptional Outcome (err == nil),
+// The client's own failures (teardown, timeout, dial) arrive as errors,
+// but a server can answer TRANSIENT (shed, shutting down) in an Outcome,
 // so both channels are inspected. Application-level exceptions
 // (BAD_OPERATION, user exceptions, ...) are a healthy transport.
 func transportFailure(out *Outcome, err error) bool {
@@ -115,45 +116,69 @@ func transportExc(sys *SystemException) bool {
 	return false
 }
 
-// send delivers inv through mod via the resilience machinery in deliver
-// and, when a flight recorder is installed, wraps the delivery in a
-// flight record: trace linkage, endpoint, deadline budget at admission,
-// attempt count, breaker state, outcome label and wall latency. Anomalies
-// (retry exhaustion, deadline miss) freeze a dump. Without a recorder
-// the wrapper is two nil checks — the uninstrumented fast path is
-// untouched.
-func (o *ORB) send(ctx context.Context, mod TransportModule, inv *Invocation) (*Outcome, error) {
+// flight is one invocation's flight record under assembly: opened at
+// dispatch, sealed when the outcome is known — around deliver for a call
+// with a goroutine to wait on it, in the Future for one without.
+type flight struct {
+	fr    *obs.FlightRecorder // nil: no recorder installed, nothing to seal
+	rec   obs.FlightRecord
+	start time.Time
+}
+
+// open starts the record with what is known at admission — trace linkage,
+// endpoint, deadline budget — and reports whether a recorder is installed.
+func (fl *flight) open(ctx context.Context, o *ORB, inv *Invocation) bool {
 	fr := o.Flight()
 	if fr == nil {
-		return o.deliver(ctx, mod, inv, nil)
+		return false
 	}
-	rec := obs.FlightRecord{
+	fl.fr = fr
+	fl.rec = obs.FlightRecord{
 		Operation: inv.Operation,
 		Binding:   inv.Binding,
+		Endpoint:  inv.Target.Profile.Addr(),
 		Stripe:    -1,
 	}
-	if inv.Target != nil {
-		rec.Endpoint = inv.Target.Profile.Addr()
-	}
 	if sc := obs.SpanFromContext(ctx).Context(); sc.Valid() {
-		rec.TraceID = sc.TraceID.String()
-		rec.SpanID = sc.SpanID.String()
+		fl.rec.TraceID = sc.TraceID.String()
+		fl.rec.SpanID = sc.SpanID.String()
 	}
 	if dl, ok := inv.budget(ctx); ok {
-		rec.DeadlineBudget = time.Until(dl)
+		fl.rec.DeadlineBudget = time.Until(dl)
 	}
-	start := time.Now()
-	out, err := o.deliver(ctx, mod, inv, &rec)
-	rec.Latency = time.Since(start)
+	fl.start = time.Now()
+	return true
+}
+
+// seal closes the record with the outcome label and wall latency and hands
+// it to the recorder. Anomalies (retry exhaustion, deadline miss) freeze a
+// dump.
+func (fl *flight) seal(out *Outcome, err error) {
+	rec := &fl.rec
+	rec.Latency = time.Since(fl.start)
 	rec.At = time.Now()
 	rec.Outcome = outcomeLabel(out, err)
 	if rec.Anomaly == "" && (rec.Outcome == ExcTimeout || rec.Outcome == "deadline-exceeded") {
 		rec.Anomaly = obs.AnomalyDeadlineMiss
 	}
-	fr.Record(rec)
+	fl.fr.Record(*rec)
 	if rec.Anomaly != "" {
-		fr.Trigger(rec.Anomaly, rec)
+		fl.fr.Trigger(rec.Anomaly, *rec)
 	}
+}
+
+// send delivers inv through mod via the resilience machinery in deliver
+// and, when a flight recorder is installed, wraps the delivery in a flight
+// record; deliver adds what only it can see (attempt count, breaker state,
+// stripe). Without a recorder the wrapper is one nil check — the
+// uninstrumented fast path is untouched.
+func (o *ORB) send(ctx context.Context, mod TransportModule, inv *Invocation) (*Outcome, error) {
+	var fl flight
+	if !fl.open(ctx, o, inv) {
+		return o.deliver(ctx, mod, inv, nil)
+	}
+	out, err := o.deliver(ctx, mod, inv, &fl.rec)
+	fl.seal(out, err)
 	return out, err
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"maqs/internal/obs"
 	"maqs/internal/resilience"
 )
 
@@ -130,11 +131,14 @@ func TestMonitorRuleTriggersAutomaticDegradation(t *testing.T) {
 	if got := w.stub.Binding().Contract.Number("level", -1); got != 0 {
 		t.Fatalf("auto-degraded contract level = %g, want 0", got)
 	}
-	// The automatic renegotiation is observable in the span collector.
-	records := bundle.Collector.Snapshot()
-	sp, ok := spanByName(records, "qos.degrade")
-	if !ok {
-		t.Fatal("no qos.degrade span collected after automatic degradation")
+	// The automatic renegotiation is observable in the span collector. The
+	// degrading goroutine bumps the level before it ends its span, so the
+	// span may still be on its way.
+	var sp obs.SpanRecord
+	for deadline, ok := time.Now().Add(5*time.Second), false; !ok; time.Sleep(time.Millisecond) {
+		if sp, ok = spanByName(bundle.Collector.Snapshot(), "qos.degrade"); !ok && time.Now().After(deadline) {
+			t.Fatal("no qos.degrade span collected after automatic degradation")
+		}
 	}
 	var reason string
 	for _, a := range sp.Attrs {
@@ -145,7 +149,7 @@ func TestMonitorRuleTriggersAutomaticDegradation(t *testing.T) {
 	if reason != "rule:error-rate" {
 		t.Fatalf("qos.degrade reason = %q, want rule:error-rate", reason)
 	}
-	if _, ok := spanByName(records, "qos.renegotiate"); !ok {
+	if _, ok := spanByName(bundle.Collector.Snapshot(), "qos.renegotiate"); !ok {
 		t.Fatal("automatic degradation did not renegotiate")
 	}
 	// ContractChanged reached the mediator.

@@ -168,17 +168,30 @@ func (s *Stub) clearBinding() (Mediator, *Binding) {
 	return m, b
 }
 
-// Invoke performs one operation through the QoS-aware invocation path:
-// tag the request with the binding, run the mediator's PreInvoke, deliver
-// (through the mediator if it takes over delivery), run PostInvoke, and
-// feed the observer.
-func (s *Stub) Invoke(ctx context.Context, op string, args []byte, oneway bool) (*orb.Outcome, error) {
+// call is one entry into the stub: the snapshot of the stub's state the
+// call runs under, the client span it opened, and its start time. It is
+// built once and then only read, so an asynchronous call's completion hook
+// captures it by value.
+type call struct {
+	op         string
+	target     *ior.IOR
+	binding    *Binding
+	mediator   Mediator
+	observers  []Observer
+	idempotent bool
+	span       *obs.Span
+	start      time.Time
+}
+
+// begin snapshots the stub for one call of op and opens its client span
+// (spanName: "client.call", or "client.multicall" for a batch).
+func (s *Stub) begin(ctx context.Context, spanName, op string) (context.Context, call) {
 	s.mu.RLock()
 	target, binding, mediator, observers := s.target, s.binding, s.mediator, s.observers
 	idempotent := s.idempotent[op]
 	s.mu.RUnlock()
 
-	ctx, span := s.orb.Tracer().StartSpan(ctx, "client.call")
+	ctx, span := s.orb.Tracer().StartSpan(ctx, spanName)
 	if span != nil {
 		span.SetOperation(op)
 		if binding != nil {
@@ -186,39 +199,82 @@ func (s *Stub) Invoke(ctx context.Context, op string, args []byte, oneway bool) 
 			span.SetAttr("binding", binding.ID)
 		}
 	}
-
-	inv := s.invocation(target, binding, op, args, !oneway, idempotent)
-
-	start := time.Now()
-	out, err := s.deliver(ctx, inv, mediator)
-	if span != nil {
-		if err != nil {
-			span.RecordError(err)
-		} else {
-			span.RecordError(out.Err())
-		}
-		span.End()
-	}
-	s.observe(op, binding, span, observers, start, len(args), out, err)
-	return out, err
+	return ctx, call{op: op, target: target, binding: binding, mediator: mediator,
+		observers: observers, idempotent: idempotent, span: span, start: time.Now()}
 }
 
-// invocation builds one request of the stub, tagged with the binding's
+// invocation builds one request of the call, tagged with the binding's
 // cached SCQoS payload when bound.
-func (s *Stub) invocation(target *ior.IOR, binding *Binding, op string, args []byte, responseExpected, idempotent bool) *orb.Invocation {
+func (c call) invocation(s *Stub, args []byte, responseExpected bool) *orb.Invocation {
 	inv := &orb.Invocation{
-		Target:           target,
-		Operation:        op,
+		Target:           c.target,
+		Operation:        c.op,
 		Args:             args,
 		ResponseExpected: responseExpected,
-		Idempotent:       idempotent,
+		Idempotent:       c.idempotent,
 		Order:            s.orb.Order(),
 	}
-	if binding != nil {
-		inv.Binding = binding.Characteristic
-		inv.SetQoSTag(binding.tag)
+	if c.binding != nil {
+		inv.Binding = c.binding.Characteristic
+		inv.SetQoSTag(c.binding.tag)
 	}
 	return inv
+}
+
+// endSpan closes the client span over the call's (first) failure, local or
+// remote.
+func (c call) endSpan(out *orb.Outcome, err error) {
+	if c.span == nil {
+		return
+	}
+	if err == nil && out != nil {
+		err = out.Err()
+	}
+	c.span.RecordError(err)
+	c.span.End()
+}
+
+// observe assembles and fans out one Observation to the installed probes.
+func (c call) observe(reqBytes int, out *orb.Outcome, err error) {
+	if len(c.observers) == 0 {
+		return
+	}
+	o := Observation{
+		Operation: c.op,
+		RTT:       time.Since(c.start),
+		ReqBytes:  reqBytes,
+		At:        time.Now(),
+	}
+	if c.binding != nil {
+		o.Characteristic = c.binding.Characteristic
+	}
+	if c.span != nil {
+		if sc := c.span.Context(); sc.Valid() {
+			o.TraceID = sc.TraceID.String()
+			o.SpanID = sc.SpanID.String()
+		}
+	}
+	if err != nil {
+		o.Err = err
+	} else if out != nil {
+		o.Err = out.Err()
+		o.RepBytes = len(out.Data)
+	}
+	for _, observer := range c.observers {
+		observer(o)
+	}
+}
+
+// Invoke performs one operation through the QoS-aware invocation path:
+// tag the request with the binding, run the mediator's PreInvoke, deliver
+// (through the mediator if it takes over delivery), run PostInvoke, and
+// feed the observer.
+func (s *Stub) Invoke(ctx context.Context, op string, args []byte, oneway bool) (*orb.Outcome, error) {
+	ctx, c := s.begin(ctx, "client.call", op)
+	out, err := s.deliver(ctx, c.invocation(s, args, !oneway), c.mediator)
+	c.endSpan(out, err)
+	c.observe(len(args), out, err)
+	return out, err
 }
 
 func (s *Stub) deliver(ctx context.Context, inv *orb.Invocation, mediator Mediator) (*orb.Outcome, error) {
@@ -262,38 +318,6 @@ func (s *Stub) mediate(ctx context.Context, inv *orb.Invocation, mediator Mediat
 	return mediator.PostInvoke(ctx, inv, out)
 }
 
-// observe assembles and fans out one Observation to the installed probes.
-func (s *Stub) observe(op string, binding *Binding, span *obs.Span, observers []Observer,
-	start time.Time, reqBytes int, out *orb.Outcome, err error) {
-	if len(observers) == 0 {
-		return
-	}
-	o := Observation{
-		Operation: op,
-		RTT:       time.Since(start),
-		ReqBytes:  reqBytes,
-		At:        time.Now(),
-	}
-	if binding != nil {
-		o.Characteristic = binding.Characteristic
-	}
-	if span != nil {
-		if sc := span.Context(); sc.Valid() {
-			o.TraceID = sc.TraceID.String()
-			o.SpanID = sc.SpanID.String()
-		}
-	}
-	if err != nil {
-		o.Err = err
-	} else if out != nil {
-		o.Err = out.Err()
-		o.RepBytes = len(out.Data)
-	}
-	for _, observer := range observers {
-		observer(o)
-	}
-}
-
 // InvokeAsync dispatches op without waiting for the reply and returns the
 // future resolving to its outcome. The QoS semantics match Invoke exactly:
 // the request is binding-tagged, mediators keep their delivery bracket
@@ -302,45 +326,22 @@ func (s *Stub) observe(op string, binding *Binding, span *obs.Span, observers []
 // measures dispatch-to-completion, not Wait time. Without a mediator the
 // call takes the ORB's zero-goroutine pipelining fast path.
 func (s *Stub) InvokeAsync(ctx context.Context, op string, args []byte) (*orb.Future, error) {
-	s.mu.RLock()
-	target, binding, mediator, observers := s.target, s.binding, s.mediator, s.observers
-	idempotent := s.idempotent[op]
-	s.mu.RUnlock()
-
-	ctx, span := s.orb.Tracer().StartSpan(ctx, "client.call")
-	if span != nil {
-		span.SetOperation(op)
-		span.SetAttr("async", "1")
-		if binding != nil {
-			span.SetAttr("characteristic", binding.Characteristic)
-			span.SetAttr("binding", binding.ID)
-		}
-	}
-
-	inv := s.invocation(target, binding, op, args, true, idempotent)
-
-	start := time.Now()
+	ctx, c := s.begin(ctx, "client.call", op)
+	c.span.SetAttr("async", "1")
+	inv := c.invocation(s, args, true)
 	onDone := func(out *orb.Outcome, err error) {
-		if span != nil {
-			if err != nil {
-				span.RecordError(err)
-			} else if out != nil {
-				span.RecordError(out.Err())
-			}
-			span.End()
-		}
-		s.observe(op, binding, span, observers, start, len(args), out, err)
+		c.endSpan(out, err)
+		c.observe(len(args), out, err)
 	}
 
-	if mediator != nil {
+	if c.mediator != nil {
 		// Mediated delivery needs the full bracket; run it on a delivery
 		// goroutine and complete the future from there.
-		fut := orb.GoFuture(s.orb.RequestTimeout(), func() (*orb.Outcome, error) {
-			out, err := s.deliver(ctx, inv, mediator)
+		return orb.GoFuture(s.orb.RequestTimeout(), func() (*orb.Outcome, error) {
+			out, err := s.deliver(ctx, inv, c.mediator)
 			onDone(out, err)
 			return out, err
-		})
-		return fut, nil
+		}), nil
 	}
 	fut, err := s.orb.InvokeAsyncObserved(ctx, inv, onDone)
 	if err != nil {
@@ -350,10 +351,7 @@ func (s *Stub) InvokeAsync(ctx context.Context, op string, args []byte) (*orb.Fu
 		// and the call is reported exactly once — as this error. Failures
 		// after registration complete the future instead, where onDone
 		// owns the span and the observers.
-		if span != nil {
-			span.RecordError(err)
-			span.End()
-		}
+		c.endSpan(nil, err)
 		return nil, err
 	}
 	return fut, nil
@@ -371,51 +369,39 @@ func (s *Stub) CallAsync(ctx context.Context, op string, args []byte) (*orb.Futu
 // single coalesced batch (one flush per endpoint — see orb.InvokeBatch)
 // and returns the positional per-element results. Binding tagging and
 // observer feeding match Invoke; mediated stubs fall back to sequential
-// mediated delivery, since mediators own their own fan-out.
+// mediated delivery (each element a client.call under the batch's span),
+// since mediators own their own fan-out.
 func (s *Stub) Multicall(ctx context.Context, op string, argsList [][]byte) []orb.MulticallResult {
-	s.mu.RLock()
-	target, binding, mediator, observers := s.target, s.binding, s.mediator, s.observers
-	idempotent := s.idempotent[op]
-	s.mu.RUnlock()
-
-	if mediator != nil {
+	ctx, c := s.begin(ctx, "client.multicall", op)
+	if c.mediator != nil {
 		res := make([]orb.MulticallResult, len(argsList))
 		for i, args := range argsList {
-			out, err := s.Invoke(ctx, op, args, false)
-			res[i] = orb.MulticallResult{Outcome: out, Err: err}
+			res[i].Outcome, res[i].Err = s.Invoke(ctx, op, args, false)
 		}
+		c.endSpan(nil, firstFailure(res))
 		return res
-	}
-
-	ctx, span := s.orb.Tracer().StartSpan(ctx, "client.multicall")
-	if span != nil {
-		span.SetOperation(op)
-		if binding != nil {
-			span.SetAttr("characteristic", binding.Characteristic)
-			span.SetAttr("binding", binding.ID)
-		}
 	}
 
 	invs := make([]*orb.Invocation, len(argsList))
 	for i, args := range argsList {
-		invs[i] = s.invocation(target, binding, op, args, true, idempotent)
+		invs[i] = c.invocation(s, args, true)
 	}
-
-	start := time.Now()
 	res := s.orb.InvokeBatch(ctx, invs)
-	if span != nil {
-		for _, r := range res {
-			if err := r.Failed(); err != nil {
-				span.RecordError(err)
-				break
-			}
-		}
-		span.End()
-	}
+	c.endSpan(nil, firstFailure(res))
 	for i, r := range res {
-		s.observe(op, binding, span, observers, start, len(argsList[i]), r.Outcome, r.Err)
+		c.observe(len(argsList[i]), r.Outcome, r.Err)
 	}
 	return res
+}
+
+// firstFailure is what a batch's span records: its first failed element.
+func firstFailure(res []orb.MulticallResult) error {
+	for _, r := range res {
+		if err := r.Failed(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Call is the convenience used by generated stubs: invoke, convert remote
