@@ -3,7 +3,7 @@ GO ?= go
 # Benchmark trajectory file produced by `make bench`. Bump the number when a
 # PR meaningfully changes the performance story so the history accumulates
 # (BENCH_1.json, BENCH_2.json, ...): see docs/PERFORMANCE.md.
-BENCH_OUT ?= BENCH_16.json
+BENCH_OUT ?= BENCH_17.json
 
 # Trajectory file produced by `make loadgen` (the open-loop load harness's
 # full default run): see docs/LOADGEN.md.
@@ -37,19 +37,20 @@ COVER_PKGS ?= ./internal/obs ./internal/qos
 COVER_FLOOR ?= 75
 COVER_PROFILE ?= coverprofile.out
 
-.PHONY: all check vet build test race alloc-gates benchmark-module bench bench-smoke loadgen loadgen-smoke loadgen-pipeline loadgen-traced slo-smoke chaos cover loc clean
+.PHONY: all check vet build test race alloc-gates fuzz-smoke benchmark-module bench bench-smoke loadgen loadgen-smoke loadgen-pipeline loadgen-traced slo-smoke chaos cover loc clean
 
 all: check
 
 # check is the full gate: vet, build everything, race-enabled tests, the
-# allocation gates (race-free, see alloc-gates), the chaos suite (fault
-# injection + resilience) on its own for a readable verdict, the
-# SLO-engine smoke, the coverage floors, a one-iteration
-# bench smoke so benchmark code can't rot, and the loadgen smoke run so
-# the open-loop harness keeps driving a real server end to end. It ends
+# allocation gates (race-free, see alloc-gates), a short run of every
+# fuzzer (fuzz-smoke), the chaos suite (fault injection + resilience) on
+# its own for a readable verdict, the SLO-engine smoke, the coverage
+# floors, a one-iteration bench smoke so benchmark code can't rot, and the
+# loadgen smoke run so the open-loop harness keeps driving a real server
+# end to end. It ends
 # by printing the size of the product (loc), the figure a simplicity PR
 # quotes before and after.
-check: vet build race alloc-gates chaos slo-smoke cover bench-smoke loadgen-smoke loc
+check: vet build race alloc-gates fuzz-smoke chaos slo-smoke cover bench-smoke loadgen-smoke loc
 
 vet:
 	$(GO) vet ./...
@@ -69,6 +70,18 @@ race:
 # themselves (alloc_test.go, race_on_test.go).
 alloc-gates:
 	$(GO) test -count=1 -run 'Allocs' .
+
+# fuzz-smoke gives each native fuzzer FUZZ_TIME: the parsers a peer reaches
+# (request header in place vs copying, SCQoS tag and its connection cache,
+# traceparent, the compression module's frame). `go test -fuzz` takes one
+# target in one package per run. Findings land in the package's
+# testdata/fuzz/ and then fail the plain test run too.
+FUZZ_TIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzRequestHeaderUnmarshal$$' -fuzztime=$(FUZZ_TIME) ./internal/giop
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeQoSTag$$' -fuzztime=$(FUZZ_TIME) ./internal/orb
+	$(GO) test -run='^$$' -fuzz='^FuzzParseTraceparent$$' -fuzztime=$(FUZZ_TIME) ./internal/obs
+	$(GO) test -run='^$$' -fuzz='^FuzzUnwrap$$' -fuzztime=$(FUZZ_TIME) ./internal/characteristics/compression
 
 # benchmark-module builds, vets and tests the nested benchmark/ module
 # (the repository benchmark of BENCHMARK.json; its own go.mod, so `./...`

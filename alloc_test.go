@@ -3,12 +3,15 @@ package maqs_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
 	"maqs"
 	"maqs/internal/characteristics/compression"
 	"maqs/internal/characteristics/encryption"
+	"maqs/internal/characteristics/loadbalance"
+	"maqs/internal/qos"
 )
 
 // The alloc-regression gates of the invocation hot path: one echo round
@@ -24,7 +27,8 @@ import (
 // and only a real net.Conn shows what address formatting costs.
 
 // allocWorld is one client/server pair over the in-memory network with an
-// echo object activated; impl and module, when set, make it QoS-capable.
+// echo object activated; impl, when set, makes it QoS-capable and binds the
+// stub to impl's characteristic, through module unless that is "".
 type allocWorld struct {
 	client *maqs.System
 	stub   *maqs.Stub
@@ -62,8 +66,22 @@ func newAllocWorldOn(t *testing.T, serverOpts, clientOpts maqs.Options, addr, mo
 		}
 		return &allocWorld{client: client, stub: client.Stub(ref)}
 	}
-	for _, sys := range []*maqs.System{server, client} {
-		if err := sys.LoadModule(module, nil); err != nil {
+	name := impl.Characteristic().Name
+	info := maqs.QoSInfo{Characteristics: []string{name}}
+	if module != "" {
+		info.Modules = []string{module}
+		for _, sys := range []*maqs.System{server, client} {
+			if err := sys.LoadModule(module, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, known := client.Registry.Lookup(name); !known {
+		// The pass-through characteristic of the seam gates: a mediator
+		// that does nothing, so the stub still runs its mediator bracket.
+		err := client.Registry.Register(&qos.Characteristic{Name: name},
+			func(*qos.Stub, *qos.Binding) (qos.Mediator, error) { return &qos.BaseMediator{Char: name}, nil })
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,9 +89,7 @@ func newAllocWorldOn(t *testing.T, serverOpts, clientOpts maqs.Options, addr, mo
 	if err := skel.AddQoS(impl); err != nil {
 		t.Fatal(err)
 	}
-	name := impl.Characteristic().Name
-	ref, err := server.ActivateQoS("echo", "IDL:test/Echo:1.0", skel,
-		maqs.QoSInfo{Characteristics: []string{name}, Modules: []string{module}})
+	ref, err := server.ActivateQoS("echo", "IDL:test/Echo:1.0", skel, info)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +146,55 @@ func TestEchoCallAllocsTCP(t *testing.T) {
 	gateAllocs(t, "echo round trip over TCP", 4, w.echo(t, args))
 }
 
+// TestBoundEchoAllocs gates the paper's seam: the same echo bound to a
+// characteristic that does nothing — tagged request, mediator bracket,
+// binding lookup, routing, prolog and epilog — must cost what the plain
+// call costs. Measured 5, so the budget is TestEchoCallAllocs' own: what a
+// bound request repeats lives with the binding (its encoded tag and context
+// list), with the pooled dispatch job (context array and payloads) and with
+// the connection (the decoded tag), not on the heap per call.
+func TestBoundEchoAllocs(t *testing.T) {
+	w := newAllocWorld(t, maqs.Options{}, "", nullImpl())
+	args := encodeOctets(w.client.ORB.Order(), []byte("alloc gate payload"))
+	gateAllocs(t, "bound echo round trip", 6, w.echo(t, args))
+}
+
+// TestBoundEchoAllocsTCP is the seam gate over loopback TCP: measured 3,
+// TestEchoCallAllocsTCP's figure.
+func TestBoundEchoAllocsTCP(t *testing.T) {
+	w := newAllocWorldOn(t, maqs.Options{}, maqs.Options{}, "127.0.0.1:0", "", nullImpl())
+	args := encodeOctets(w.client.ORB.Order(), []byte("alloc gate payload"))
+	gateAllocs(t, "bound echo round trip over TCP", 4, w.echo(t, args))
+}
+
+// TestReplicationAllocs gates the active fan-out: per call the stub's
+// invocation and the reply table; per replica one routed copy of the
+// invocation plus what a plain round trip costs after the first (outcome,
+// its data, two in-memory segments) — measured 7 at k=1 and 17 at k=3
+// (2 + 5k). The replica's reference, binding, encoded tag and context list
+// are built once per member (qos.Members), not per call.
+func TestReplicationAllocs(t *testing.T) {
+	for _, c := range []struct {
+		k      int
+		budget float64
+	}{{1, 8}, {3, 18}} {
+		client, stub := newReplicatedStub(t, maqs.NewNetwork(), c.k)
+		args := encodeOctets(client.ORB.Order(), []byte("alloc gate payload"))
+		gateAllocs(t, fmt.Sprintf("replicated round trip, k=%d", c.k), c.budget,
+			func() { mustCall(t, stub, "echo", args) })
+	}
+}
+
+// TestLoadBalanceAllocs gates the balancer: a plain round trip plus the
+// routed copy, plus what the characteristic itself exchanges — the worker's
+// load report encoded into a reply context and decoded again (5). Measured
+// 11.
+func TestLoadBalanceAllocs(t *testing.T) {
+	client, stub := newBalancedStub(t, loadbalance.StrategyRoundRobin)
+	args := encodeOctets(client.ORB.Order(), []byte("alloc gate payload"))
+	gateAllocs(t, "load-balanced round trip", 12, func() { mustCall(t, stub, "echo", args) })
+}
+
 // TestServerDispatchAllocs is the same gate with the server's bounded
 // dispatch pools enabled: the worker-pool path adds queue handoff, pooled
 // args scratch and a pooled ServerRequest, and must not reintroduce
@@ -164,14 +229,14 @@ func TestEchoAsyncAllocs(t *testing.T) {
 
 // TestCompressedCallAllocs gates a 4 KiB echo bound to Compression: the
 // flate writer and reader are reused per module, so the round trip costs
-// a few frame buffers, not a new 650 KB writer per direction. Measured 19
+// a few frame buffers, not a new 650 KB writer per direction. Measured 12
 // allocations and ~21 KiB per call (the commit before codec reuse: 109 and
 // 1.7 MB); the byte ceiling is 64 KiB.
 func TestCompressedCallAllocs(t *testing.T) {
 	w := newAllocWorld(t, maqs.Options{}, compression.ModuleName, compression.NewImpl(0))
 	doc := bytes.Repeat([]byte("quality of service for everyone "), 128)
 	call := w.echo(t, encodeOctets(w.client.ORB.Order(), doc))
-	gateAllocs(t, "compressed 4 KiB round trip", 20, call)
+	gateAllocs(t, "compressed 4 KiB round trip", 13, call)
 
 	const rounds, ceiling = 200, 64 << 10
 	var before, after runtime.MemStats
@@ -189,9 +254,9 @@ func TestCompressedCallAllocs(t *testing.T) {
 
 // TestEncryptedCallAllocs gates a 1 KiB echo bound to Encryption: cipher
 // and HMAC state live with the session, so a call pays for its frames and
-// CTR streams only. Measured 21 (the commit before state reuse: 105).
+// CTR streams only. Measured 14 (the commit before state reuse: 105).
 func TestEncryptedCallAllocs(t *testing.T) {
 	w := newAllocWorld(t, maqs.Options{}, encryption.ModuleName, encryption.NewImpl(0))
 	args := encodeOctets(w.client.ORB.Order(), bytes.Repeat([]byte{0x5A}, 1<<10))
-	gateAllocs(t, "encrypted 1 KiB round trip", 22, w.echo(t, args))
+	gateAllocs(t, "encrypted 1 KiB round trip", 15, w.echo(t, args))
 }

@@ -94,7 +94,7 @@ func encodeOctets(order cdr.ByteOrder, p []byte) []byte {
 	return e.Bytes()
 }
 
-func mustCall(b *testing.B, stub *maqs.Stub, op string, args []byte) {
+func mustCall(b testing.TB, stub *maqs.Stub, op string, args []byte) {
 	b.Helper()
 	if _, err := stub.Call(context.Background(), op, args); err != nil {
 		b.Fatal(err)
@@ -191,6 +191,69 @@ func BenchmarkE3ReplicationWAN(b *testing.B) {
 	benchReplication(b, 200*time.Microsecond)
 }
 
+// newClusterStub deploys n servers of one echo object on net, each with the
+// QoS implementation impl builds from the member endpoints, and returns a
+// client stub on the cluster reference (profile: the first server; alternate
+// endpoints: all of them) bound by proposal. Replication and load balancing
+// share it: both spread one binding over a group.
+func newClusterStub(tb testing.TB, net *maqs.Network, n int, impl func(endpoints []string) maqs.Impl, proposal *maqs.Proposal) (*maqs.System, *maqs.Stub) {
+	tb.Helper()
+	endpoints := make([]string, n)
+	for i := range endpoints {
+		endpoints[i] = fmt.Sprintf("member%d:1", i)
+	}
+	var cluster *maqs.IOR
+	for i, ep := range endpoints {
+		sys, err := maqs.NewSystem(maqs.Options{Transport: net.Host(fmt.Sprintf("member%d", i))})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(sys.Shutdown)
+		if err := sys.Listen(ep); err != nil {
+			tb.Fatal(err)
+		}
+		skel := maqs.NewServerSkeleton(benchEcho{})
+		if err := skel.AddQoS(impl(endpoints)); err != nil {
+			tb.Fatal(err)
+		}
+		ref, err := sys.ActivateQoS("echo", "IDL:bench/Echo:1.0", skel,
+			maqs.QoSInfo{Characteristics: []string{proposal.Characteristic}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if i == 0 {
+			cluster = ref.Clone()
+			cluster.SetAlternateEndpoints(endpoints)
+		}
+	}
+	client, err := maqs.NewSystem(maqs.Options{Transport: net.Host("client")})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(client.Shutdown)
+	stub := client.Stub(cluster)
+	if _, err := stub.Negotiate(context.Background(), proposal); err != nil {
+		tb.Fatal(err)
+	}
+	return client, stub
+}
+
+// newReplicatedStub is a stub bound to Availability over k active replicas.
+func newReplicatedStub(tb testing.TB, net *maqs.Network, k int) (*maqs.System, *maqs.Stub) {
+	return newClusterStub(tb, net, k,
+		func(endpoints []string) maqs.Impl { return replication.NewImpl(8, endpoints, nil) },
+		&maqs.Proposal{Characteristic: maqs.Availability,
+			Params: []maqs.ParamProposal{{Name: "replicas", Desired: maqs.Number(float64(k))}}})
+}
+
+// newBalancedStub is a stub bound to LoadBalancing over four workers.
+func newBalancedStub(tb testing.TB, strategy string) (*maqs.System, *maqs.Stub) {
+	return newClusterStub(tb, maqs.NewNetwork(), 4,
+		func(endpoints []string) maqs.Impl { return loadbalance.NewImpl(0, endpoints) },
+		&maqs.Proposal{Characteristic: maqs.LoadBalancing,
+			Params: []maqs.ParamProposal{{Name: "strategy", Desired: maqs.Text(strategy)}}})
+}
+
 func benchReplication(b *testing.B, latency time.Duration) {
 	for _, k := range []int{1, 3, 5} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
@@ -198,47 +261,7 @@ func benchReplication(b *testing.B, latency time.Duration) {
 			if latency > 0 {
 				n.SetDefaultLink(maqs.Link{Latency: latency})
 			}
-			endpoints := make([]string, k)
-			for i := range endpoints {
-				endpoints[i] = fmt.Sprintf("rep%d:1", i)
-			}
-			var firstRef *maqs.IOR
-			for i := 0; i < k; i++ {
-				sys, err := maqs.NewSystem(maqs.Options{Transport: n.Host(fmt.Sprintf("rep%d", i))})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer sys.Shutdown()
-				if err := sys.Listen(endpoints[i]); err != nil {
-					b.Fatal(err)
-				}
-				skel := maqs.NewServerSkeleton(benchEcho{})
-				if err := skel.AddQoS(replication.NewImpl(8, endpoints, nil)); err != nil {
-					b.Fatal(err)
-				}
-				ref, err := sys.ActivateQoS("echo", "IDL:bench/Echo:1.0", skel,
-					maqs.QoSInfo{Characteristics: []string{maqs.Availability}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					firstRef = ref
-				}
-			}
-			cluster := firstRef.Clone()
-			cluster.SetAlternateEndpoints(endpoints)
-			client, err := maqs.NewSystem(maqs.Options{Transport: n.Host("client")})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer client.Shutdown()
-			stub := client.Stub(cluster)
-			if _, err := stub.Negotiate(context.Background(), &maqs.Proposal{
-				Characteristic: maqs.Availability,
-				Params:         []maqs.ParamProposal{{Name: "replicas", Desired: maqs.Number(float64(k))}},
-			}); err != nil {
-				b.Fatal(err)
-			}
+			client, stub := newReplicatedStub(b, n, k)
 			args := encodeOctets(client.ORB.Order(), []byte("payload"))
 			mustCall(b, stub, "echo", args)
 			b.ResetTimer()
@@ -259,45 +282,7 @@ func BenchmarkE4LoadBalance(b *testing.B) {
 		loadbalance.StrategyWeighted,
 	} {
 		b.Run(strategy, func(b *testing.B) {
-			n := maqs.NewNetwork()
-			endpoints := []string{"w0:1", "w1:1", "w2:1", "w3:1"}
-			var firstRef *maqs.IOR
-			for i, ep := range endpoints {
-				sys, err := maqs.NewSystem(maqs.Options{Transport: n.Host(fmt.Sprintf("w%d", i))})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer sys.Shutdown()
-				if err := sys.Listen(ep); err != nil {
-					b.Fatal(err)
-				}
-				skel := maqs.NewServerSkeleton(benchEcho{})
-				if err := skel.AddQoS(loadbalance.NewImpl(0, endpoints)); err != nil {
-					b.Fatal(err)
-				}
-				ref, err := sys.ActivateQoS("farm", "IDL:bench/Farm:1.0", skel,
-					maqs.QoSInfo{Characteristics: []string{maqs.LoadBalancing}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					firstRef = ref
-				}
-			}
-			cluster := firstRef.Clone()
-			cluster.SetAlternateEndpoints(endpoints)
-			client, err := maqs.NewSystem(maqs.Options{Transport: n.Host("client")})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer client.Shutdown()
-			stub := client.Stub(cluster)
-			if _, err := stub.Negotiate(context.Background(), &maqs.Proposal{
-				Characteristic: maqs.LoadBalancing,
-				Params:         []maqs.ParamProposal{{Name: "strategy", Desired: maqs.Text(strategy)}},
-			}); err != nil {
-				b.Fatal(err)
-			}
+			client, stub := newBalancedStub(b, strategy)
 			args := encodeOctets(client.ORB.Order(), []byte("job"))
 			mustCall(b, stub, "echo", args)
 			b.ResetTimer()

@@ -6,14 +6,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 
 	"maqs/internal/cdr"
 	"maqs/internal/giop"
-	"maqs/internal/ior"
 	"maqs/internal/orb"
 	"maqs/internal/qos"
 )
@@ -165,14 +164,18 @@ func (i *Impl) QoSOperation(req *orb.ServerRequest, b *qos.Binding) error {
 // Mediator is the client-side balancer.
 type Mediator struct {
 	qos.BaseMediator
-	stub *qos.Stub
+	// workers holds what is fixed per worker: its reference and its
+	// binding — the one handed to the factory was negotiated with the
+	// cluster reference's profile endpoint, further workers get their own
+	// on first use. Releasing the stub's binding closes it, which releases
+	// theirs.
+	workers *qos.Members
 
 	mu       sync.Mutex
 	strategy string
-	members  []string                // endpoints
-	loads    map[string]float64      // endpoint → last reported active count
-	sent     map[string]uint64       // endpoint → requests routed there
-	bindings map[string]*qos.Binding // endpoint → per-worker binding
+	members  []string           // endpoints
+	loads    map[string]float64 // endpoint → last reported active count
+	sent     map[string]uint64  // endpoint → requests routed there
 	rr       int
 	rng      *rand.Rand
 	// weighted round-robin state (smooth WRR): static weight and
@@ -182,8 +185,9 @@ type Mediator struct {
 }
 
 var (
-	_ qos.DeliveryMediator = (*Mediator)(nil)
-	_ qos.AdaptiveMediator = (*Mediator)(nil)
+	_ qos.DeliveryMediator   = (*Mediator)(nil)
+	_ qos.AdaptiveMediator   = (*Mediator)(nil)
+	_ qos.ReleasableMediator = (*Mediator)(nil)
 )
 
 // NewMediator builds the balancing mediator: membership comes from the
@@ -198,62 +202,19 @@ func NewMediator(st *qos.Stub, b *qos.Binding) (*Mediator, error) {
 	}
 	m := &Mediator{
 		BaseMediator: qos.BaseMediator{Char: Name},
-		stub:         st,
+		workers:      qos.NewMembers(st, b),
 		members:      endpoints,
 		loads:        make(map[string]float64),
 		sent:         make(map[string]uint64),
-		bindings:     make(map[string]*qos.Binding),
 		rng:          rand.New(rand.NewSource(42)),
 	}
 	m.strategy = b.Contract.Text(ParamStrategy, StrategyRoundRobin)
 	m.setWeights(b.Contract.Text(ParamWeights, ""))
-	// The binding handed to the factory was negotiated with the cluster
-	// reference's profile endpoint; further workers get their own
-	// bindings on first use.
-	m.bindings[st.Target().Profile.Addr()] = b
 	return m, nil
 }
 
-// ensureBinding returns the per-worker binding for an endpoint,
-// negotiating one (with the already agreed contract as the proposal) on
-// first contact. A logical client/server relationship that spans several
-// servers needs one agreement per server — there is no system-wide QoS
-// state to share (paper §3, QoS adaptation).
-func (m *Mediator) ensureBinding(ctx context.Context, endpoint string, target *ior.IOR) (*qos.Binding, error) {
-	m.mu.Lock()
-	b, ok := m.bindings[endpoint]
-	contract := m.contractTemplate()
-	m.mu.Unlock()
-	if ok {
-		return b, nil
-	}
-	nb, err := qos.NegotiateRaw(ctx, m.stub.ORB(), target, qos.ProposalFromContract(contract))
-	if err != nil {
-		return nil, fmt.Errorf("loadbalance: binding worker %s: %w", endpoint, err)
-	}
-	m.mu.Lock()
-	m.bindings[endpoint] = nb
-	m.mu.Unlock()
-	return nb, nil
-}
-
-// contractTemplate returns any live contract to clone proposals from.
-// Callers hold m.mu.
-func (m *Mediator) contractTemplate() *qos.Contract {
-	for _, b := range m.bindings {
-		return b.Contract
-	}
-	return &qos.Contract{Characteristic: Name, Values: map[string]qos.Value{
-		ParamStrategy: qos.Text(m.strategy),
-	}}
-}
-
-// dropBinding forgets a worker's binding (it crashed or restarted).
-func (m *Mediator) dropBinding(endpoint string) {
-	m.mu.Lock()
-	delete(m.bindings, endpoint)
-	m.mu.Unlock()
-}
+// Close implements qos.ReleasableMediator.
+func (m *Mediator) Close() error { return m.workers.Close() }
 
 // ContractChanged implements qos.AdaptiveMediator.
 func (m *Mediator) ContractChanged(c *qos.Contract) error {
@@ -301,14 +262,17 @@ func (m *Mediator) Distribution() map[string]uint64 {
 	return out
 }
 
-// pick selects the next endpoint, excluding the given dead set.
-func (m *Mediator) pick(dead map[string]bool) (string, error) {
+// pick selects the next endpoint, excluding the given dead ones.
+func (m *Mediator) pick(dead []string) (string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	alive := make([]string, 0, len(m.members))
-	for _, ep := range m.members {
-		if !dead[ep] {
-			alive = append(alive, ep)
+	alive := m.members
+	if len(dead) > 0 {
+		alive = make([]string, 0, len(m.members))
+		for _, ep := range m.members {
+			if !slices.Contains(dead, ep) {
+				alive = append(alive, ep)
+			}
 		}
 	}
 	if len(alive) == 0 {
@@ -357,66 +321,32 @@ func (m *Mediator) pick(dead map[string]bool) (string, error) {
 	return ep, nil
 }
 
-// targetFor clones the cluster reference onto a worker endpoint.
-func (m *Mediator) targetFor(endpoint string) (*ior.IOR, error) {
-	host, portStr, err := net.SplitHostPort(endpoint)
-	if err != nil {
-		return nil, fmt.Errorf("loadbalance: bad endpoint %q: %w", endpoint, err)
-	}
-	port, err := strconv.ParseUint(portStr, 10, 16)
-	if err != nil {
-		return nil, fmt.Errorf("loadbalance: bad port in %q: %w", endpoint, err)
-	}
-	ref := m.stub.Target().Clone()
-	ref.Profile.Host = host
-	ref.Profile.Port = uint16(port)
-	return ref, nil
-}
-
 // Deliver implements qos.DeliveryMediator: route to the chosen worker,
-// fail over to the next on transport errors, and absorb load reports.
+// fail over to the next when that one is unreachable or has lost its
+// binding (the next call to it negotiates afresh), and absorb load reports.
 func (m *Mediator) Deliver(ctx context.Context, inv *orb.Invocation, next qos.Next) (*orb.Outcome, error) {
-	dead := make(map[string]bool)
-	attempts := len(m.Members())
+	// The dead of this call: a stack array for the first few, so the
+	// common call — nobody dead — allocates nothing for them.
+	var deadBuf [4]string
+	dead := deadBuf[:0]
 	var lastErr error
-	for try := 0; try < attempts; try++ {
+	for {
 		ep, err := m.pick(dead)
 		if err != nil {
-			break
+			break // every member tried
 		}
-		target, err := m.targetFor(ep)
-		if err != nil {
-			return nil, err
+		routed, err := m.workers.Route(ctx, inv, ep)
+		var out *orb.Outcome
+		if err == nil {
+			out, err = next(ctx, routed)
+			if out, err = m.workers.Settle(routed, out, err); err != nil && !qos.MemberFailure(err) {
+				return nil, err
+			}
 		}
-		binding, err := m.ensureBinding(ctx, ep, target)
 		if err != nil {
-			dead[ep] = true
+			dead = append(dead, ep)
 			lastErr = err
 			continue
-		}
-		routed := inv.Clone()
-		routed.Target = target
-		routed.Contexts = routed.Contexts.With(giop.SCQoS, qos.QoSTag{
-			Characteristic: binding.Characteristic,
-			BindingID:      binding.ID,
-			Module:         binding.Module,
-		}.Encode())
-		out, err := next(ctx, routed)
-		if err != nil {
-			if isTransportError(err) {
-				dead[ep] = true
-				m.dropBinding(ep)
-				lastErr = err
-				continue
-			}
-			if isUnknownBinding(err) {
-				// The worker restarted and lost the binding; negotiate
-				// afresh on the next attempt against the same endpoint.
-				m.dropBinding(ep)
-				lastErr = err
-				continue
-			}
-			return nil, err
 		}
 		m.noteLoad(ep, out.Contexts)
 		return out, nil
@@ -440,17 +370,4 @@ func (m *Mediator) noteLoad(endpoint string, contexts giop.ServiceContextList) {
 	m.mu.Lock()
 	m.loads[endpoint] = active
 	m.mu.Unlock()
-}
-
-func isTransportError(err error) bool {
-	var sys *orb.SystemException
-	if !errors.As(err, &sys) {
-		return false
-	}
-	return sys.Name == orb.ExcCommFailure || sys.Name == orb.ExcTransient || sys.Name == orb.ExcTimeout
-}
-
-func isUnknownBinding(err error) bool {
-	var sys *orb.SystemException
-	return errors.As(err, &sys) && sys.Name == orb.ExcBadQoS
 }

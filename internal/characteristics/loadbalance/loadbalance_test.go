@@ -46,6 +46,7 @@ func (s *workServant) count() int {
 type farm struct {
 	net      *netsim.Network
 	workers  []*workServant
+	skels    []*qos.ServerSkeleton
 	orbs     []*orb.ORB
 	cluster  *ior.IOR
 	client   *orb.ORB
@@ -89,6 +90,7 @@ func newFarm(t *testing.T, n int, delays []time.Duration) *farm {
 			firstRef = ref
 		}
 		f.workers = append(f.workers, servant)
+		f.skels = append(f.skels, skel)
 		f.orbs = append(f.orbs, o)
 	}
 	f.cluster = firstRef.Clone()
@@ -375,4 +377,40 @@ func TestWeightedSurvivesDeadWorker(t *testing.T) {
 	if f.workers[0].count()+f.workers[2].count() < 10 {
 		t.Fatal("survivors did not absorb the weighted load")
 	}
+}
+
+func wantBindings(t *testing.T, f *farm, when string, want int) {
+	t.Helper()
+	for i, skel := range f.skels {
+		if n := skel.BindingCount(Name); n != want {
+			t.Fatalf("%s: worker %d holds %d bindings, want %d", when, i, n, want)
+		}
+	}
+}
+
+// TestReleaseReleasesEveryWorker: sixteen concurrent first calls spread
+// over four workers leave each with exactly one binding — first contact is
+// single-flight — and releasing the stub's binding releases all of them.
+func TestReleaseReleasesEveryWorker(t *testing.T) {
+	f := newFarm(t, 4, nil)
+	stub := f.negotiate(t, StrategyRoundRobin)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := stub.Call(context.Background(), "work", nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	wantBindings(t, f, "after 16 concurrent first calls", 1)
+	if err := stub.Release(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	wantBindings(t, f, "after Release", 0)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 
-	"maqs/internal/giop"
 	"maqs/internal/orb"
 	"maqs/internal/qos"
 )
@@ -24,20 +23,23 @@ type DeliveryStats struct {
 // Mediator is the client-side replication aspect.
 type Mediator struct {
 	qos.BaseMediator
-	stub *qos.Stub
+	orb *orb.ORB
+	// group holds what is fixed per replica: its reference and its binding.
+	// Releasing the stub's binding closes it, which releases the replicas'.
+	group *qos.Members
 
 	mu       sync.Mutex
 	strategy string
 	voting   bool
 	replicas int
 	members  []string
-	bindings map[string]*qos.Binding
 	stats    DeliveryStats
 }
 
 var (
-	_ qos.DeliveryMediator = (*Mediator)(nil)
-	_ qos.AdaptiveMediator = (*Mediator)(nil)
+	_ qos.DeliveryMediator   = (*Mediator)(nil)
+	_ qos.AdaptiveMediator   = (*Mediator)(nil)
+	_ qos.ReleasableMediator = (*Mediator)(nil)
 )
 
 // NewMediator builds the replication mediator; group membership comes
@@ -53,14 +55,16 @@ func NewMediator(st *qos.Stub, b *qos.Binding) (*Mediator, error) {
 	}
 	m := &Mediator{
 		BaseMediator: qos.BaseMediator{Char: Name},
-		stub:         st,
+		orb:          st.ORB(),
+		group:        qos.NewMembers(st, b),
 		members:      endpoints,
-		bindings:     make(map[string]*qos.Binding),
 	}
 	m.applyContract(b.Contract)
-	m.bindings[st.Target().Profile.Addr()] = b
 	return m, nil
 }
+
+// Close implements qos.ReleasableMediator.
+func (m *Mediator) Close() error { return m.group.Close() }
 
 func (m *Mediator) applyContract(c *qos.Contract) {
 	m.mu.Lock()
@@ -101,84 +105,22 @@ func (m *Mediator) SetMembers(members []string) {
 }
 
 // engaged returns the first k members, per the contracted replica count.
+// The view is replaced, never written (SetMembers), so callers share it.
 func (m *Mediator) engaged() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k := m.replicas
-	if k > len(m.members) {
-		k = len(m.members)
-	}
-	return append([]string(nil), m.members[:k]...)
-}
-
-func (m *Mediator) binding(endpoint string) (*qos.Binding, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b, ok := m.bindings[endpoint]
-	return b, ok
-}
-
-func (m *Mediator) dropBinding(endpoint string) {
-	m.mu.Lock()
-	delete(m.bindings, endpoint)
-	m.mu.Unlock()
-}
-
-// ensureBinding negotiates a per-replica binding on first contact.
-func (m *Mediator) ensureBinding(ctx context.Context, endpoint string) (*qos.Binding, error) {
-	if b, ok := m.binding(endpoint); ok {
-		return b, nil
-	}
-	target, err := endpointTarget(m.stub.Target(), endpoint)
-	if err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	var template *qos.Contract
-	for _, b := range m.bindings {
-		template = b.Contract
-		break
-	}
-	m.mu.Unlock()
-	proposal := &qos.Proposal{Characteristic: Name}
-	if template != nil {
-		proposal = qos.ProposalFromContract(template)
-	}
-	b, err := qos.NegotiateRaw(ctx, m.stub.ORB(), target, proposal)
-	if err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	m.bindings[endpoint] = b
-	m.mu.Unlock()
-	return b, nil
+	k := min(m.replicas, len(m.members))
+	return m.members[:k:k]
 }
 
 // sendTo delivers one tagged invocation to one replica.
 func (m *Mediator) sendTo(ctx context.Context, inv *orb.Invocation, endpoint string, next qos.Next) (*orb.Outcome, error) {
-	binding, err := m.ensureBinding(ctx, endpoint)
+	routed, err := m.group.Route(ctx, inv, endpoint)
 	if err != nil {
 		return nil, err
 	}
-	target, err := endpointTarget(m.stub.Target(), endpoint)
-	if err != nil {
-		return nil, err
-	}
-	routed := inv.Clone()
-	routed.Target = target
-	routed.Contexts = routed.Contexts.With(giop.SCQoS, qos.QoSTag{
-		Characteristic: binding.Characteristic,
-		BindingID:      binding.ID,
-		Module:         binding.Module,
-	}.Encode())
 	out, err := next(ctx, routed)
-	if err != nil {
-		if isTransportError(err) || isUnknownBinding(err) {
-			m.dropBinding(endpoint)
-		}
-		return nil, err
-	}
-	return out, nil
+	return m.group.Settle(routed, out, err)
 }
 
 // Deliver implements qos.DeliveryMediator.
@@ -199,7 +141,7 @@ func (m *Mediator) deliverFailover(ctx context.Context, inv *orb.Invocation, nex
 	for _, ep := range m.engaged() {
 		out, err := m.sendTo(ctx, inv, ep, next)
 		if err != nil {
-			if isTransportError(err) || isUnknownBinding(err) {
+			if qos.MemberFailure(err) {
 				m.mu.Lock()
 				m.stats.MaskedFailures++
 				m.stats.FanOut++
@@ -220,44 +162,12 @@ func (m *Mediator) deliverFailover(ctx context.Context, inv *orb.Invocation, nex
 	return nil, orb.NewSystemException(orb.ExcTransient, 110, "no replicas engaged")
 }
 
-// replicaReply pairs a replica's outcome with its endpoint.
+// replicaReply is one replica's part in an active delivery.
 type replicaReply struct {
-	endpoint string
-	outcome  *orb.Outcome
-	err      error
-}
-
-// dispatchTo fires one tagged invocation at one replica asynchronously:
-// the request is on the wire when dispatchTo returns, and the returned
-// future resolves when that replica answers. It is sendTo split at the
-// rendezvous, so the active strategy can put every replica's request on
-// its connection back-to-back before waiting for any reply.
-//
-// The dispatch goes through ORB.InvokeAsync rather than the mediator's
-// `next` continuation. That is deliberately equivalent, not a shortcut:
-// the stub hands mediators exactly orb.Invoke as next (see
-// qos.Stub.mediate), so there is no delivery stage between mediator and
-// transport to bypass, and per-call conformance/SLO observation happens
-// in the stub bracket around Deliver — per logical call, never per
-// replica — for failover and active alike. If a stage is ever layered
-// between mediator and ORB, this dispatch must be routed through it.
-func (m *Mediator) dispatchTo(ctx context.Context, inv *orb.Invocation, endpoint string) (*orb.Future, error) {
-	binding, err := m.ensureBinding(ctx, endpoint)
-	if err != nil {
-		return nil, err
-	}
-	target, err := endpointTarget(m.stub.Target(), endpoint)
-	if err != nil {
-		return nil, err
-	}
-	routed := inv.Clone()
-	routed.Target = target
-	routed.Contexts = routed.Contexts.With(giop.SCQoS, qos.QoSTag{
-		Characteristic: binding.Characteristic,
-		BindingID:      binding.ID,
-		Module:         binding.Module,
-	}.Encode())
-	return m.stub.ORB().InvokeAsync(ctx, routed)
+	routed  *orb.Invocation
+	fut     *orb.Future
+	outcome *orb.Outcome
+	err     error
 }
 
 // deliverActive writes to all engaged replicas as parallel asynchronous
@@ -277,31 +187,29 @@ func (m *Mediator) deliverActive(ctx context.Context, inv *orb.Invocation, next 
 	// costs more than it overlaps) — and the replies are then collected
 	// concurrently through the futures: the group's latency is the
 	// slowest replica's round trip (max-of-k), not their sum.
-	futs := make([]*orb.Future, len(engaged))
+	//
+	// The dispatch goes through ORB.InvokeAsync rather than `next`. That is
+	// deliberately equivalent, not a shortcut: the stub hands mediators
+	// exactly orb.Invoke as next (see qos.Stub.mediate), so there is no
+	// delivery stage between mediator and transport to bypass, and per-call
+	// conformance/SLO observation happens in the stub bracket around
+	// Deliver — per logical call, never per replica. If a stage is ever
+	// layered between mediator and ORB, this dispatch must go through it.
 	collected := make([]replicaReply, len(engaged))
 	for i, ep := range engaged {
-		collected[i].endpoint = ep
-		fut, err := m.dispatchTo(ctx, inv, ep)
-		if err != nil {
-			if isTransportError(err) || isUnknownBinding(err) {
-				m.dropBinding(ep)
-			}
-			collected[i].err = err
-			continue
+		r := &collected[i]
+		if r.routed, r.err = m.group.Route(ctx, inv, ep); r.err == nil {
+			r.fut, r.err = m.orb.InvokeAsync(ctx, r.routed)
 		}
-		futs[i] = fut
 	}
 	for i := range collected {
-		fut := futs[i]
-		if fut == nil {
-			continue
+		r := &collected[i]
+		if r.fut != nil {
+			r.outcome, r.err = r.fut.Wait(ctx)
 		}
-		out, err := fut.Wait(ctx)
-		if err != nil && (isTransportError(err) || isUnknownBinding(err)) {
-			m.dropBinding(collected[i].endpoint)
+		if r.routed != nil {
+			r.outcome, r.err = m.group.Settle(r.routed, r.outcome, r.err)
 		}
-		collected[i].outcome = out
-		collected[i].err = err
 	}
 
 	m.mu.Lock()
@@ -309,7 +217,7 @@ func (m *Mediator) deliverActive(ctx context.Context, inv *orb.Invocation, next 
 	voting := m.voting
 	m.mu.Unlock()
 
-	var successes []replicaReply
+	successes := collected[:0] // filtered in place: the write index never passes the read index
 	var failures int
 	var lastErr error
 	for _, r := range collected {

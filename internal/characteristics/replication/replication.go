@@ -2,10 +2,7 @@ package replication
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net"
-	"strconv"
 	"sync"
 
 	"maqs/internal/cdr"
@@ -197,35 +194,6 @@ func (i *Impl) QoSOperation(req *orb.ServerRequest, b *qos.Binding) error {
 	default:
 		return orb.NewSystemException(orb.ExcBadOperation, 108, "no QoS op %q", req.Operation)
 	}
-}
-
-// endpointTarget clones ref onto another endpoint.
-func endpointTarget(ref *ior.IOR, endpoint string) (*ior.IOR, error) {
-	host, portStr, err := net.SplitHostPort(endpoint)
-	if err != nil {
-		return nil, fmt.Errorf("replication: bad endpoint %q: %w", endpoint, err)
-	}
-	port, err := strconv.ParseUint(portStr, 10, 16)
-	if err != nil {
-		return nil, fmt.Errorf("replication: bad port in %q: %w", endpoint, err)
-	}
-	out := ref.Clone()
-	out.Profile.Host = host
-	out.Profile.Port = uint16(port)
-	return out, nil
-}
-
-func isTransportError(err error) bool {
-	var sys *orb.SystemException
-	if !errors.As(err, &sys) {
-		return false
-	}
-	return sys.Name == orb.ExcCommFailure || sys.Name == orb.ExcTransient || sys.Name == orb.ExcTimeout
-}
-
-func isUnknownBinding(err error) bool {
-	var sys *orb.SystemException
-	return errors.As(err, &sys) && sys.Name == orb.ExcBadQoS
 }
 
 // Join brings a (re)started replica up to date: it negotiates a temporary

@@ -79,6 +79,7 @@ type replica struct {
 	orb      *orb.ORB
 	servant  *counterServant
 	impl     *Impl
+	skel     *qos.ServerSkeleton
 	ref      *ior.IOR
 }
 
@@ -108,7 +109,7 @@ func startReplica(t *testing.T, network *netsim.Network, idx int, endpoints []st
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &replica{host: host, endpoint: endpoints[idx], orb: o, servant: servant, impl: impl, ref: ref}
+	return &replica{host: host, endpoint: endpoints[idx], orb: o, servant: servant, impl: impl, skel: skel, ref: ref}
 }
 
 func newGroup(t *testing.T, n int) *group {
@@ -459,4 +460,115 @@ func TestStatelessServiceRejectsStateOps(t *testing.T) {
 	if !errors.As(err, &sys) || sys.Name != orb.ExcNoImplement {
 		t.Fatalf("err = %v", err)
 	}
+}
+
+// bindings reports how many Availability bindings each replica holds.
+func (g *group) bindings() []int {
+	counts := make([]int, len(g.replicas))
+	for i, r := range g.replicas {
+		counts[i] = r.skel.BindingCount(Name)
+	}
+	return counts
+}
+
+func wantBindings(t *testing.T, g *group, when string, want int) {
+	t.Helper()
+	for i, n := range g.bindings() {
+		if n != want {
+			t.Fatalf("%s: replica %d holds %d bindings, want %d (all: %v)", when, i, n, want, g.bindings())
+		}
+	}
+}
+
+// TestReleaseReleasesEveryReplica: the stub negotiated one binding, the
+// mediator one more per further replica; releasing the stub's ends them all.
+func TestReleaseReleasesEveryReplica(t *testing.T) {
+	g := newGroup(t, 3)
+	stub, _ := g.negotiate(t, qos.ParamProposal{Name: ParamReplicas, Desired: qos.Number(3)})
+	add(t, stub, 1)
+	wantBindings(t, g, "after the first call", 1)
+	if err := stub.Release(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	wantBindings(t, g, "after Release", 0)
+}
+
+// TestConcurrentFirstContactNegotiatesOnce: sixteen callers reach the two
+// replicas nobody has contacted yet at the same moment; each replica is
+// asked for exactly one binding (a second one would never be released).
+func TestConcurrentFirstContactNegotiatesOnce(t *testing.T) {
+	g := newGroup(t, 3)
+	stub, _ := g.negotiate(t, qos.ParamProposal{Name: ParamReplicas, Desired: qos.Number(3)})
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := stub.Call(context.Background(), "get", nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	wantBindings(t, g, "after 16 concurrent first calls", 1)
+	if err := stub.Release(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	wantBindings(t, g, "after Release", 0)
+}
+
+// TestLostBindingIsRenegotiated: a replica that answers "unknown binding"
+// over a live connection (it was redeployed and lost its table) is masked
+// like a crashed one, and the next call gives it a fresh binding — one,
+// however many callers noticed the loss.
+func TestLostBindingIsRenegotiated(t *testing.T) {
+	g := newGroup(t, 3)
+	stub, med := g.negotiate(t, qos.ParamProposal{Name: ParamReplicas, Desired: qos.Number(3)})
+	add(t, stub, 4)
+
+	// Redeploy rep1's object under the same key: same state, empty table.
+	r1 := g.replicas[1]
+	skel := qos.NewServerSkeleton(r1.servant)
+	if err := skel.AddQoS(NewImpl(8, []string{"rep0:9500", "rep1:9500", "rep2:9500"}, r1.servant)); err != nil {
+		t.Fatal(err)
+	}
+	r1.orb.Adapter().Deactivate("counter")
+	if _, err := r1.orb.Adapter().ActivateQoS("counter", "IDL:test/Counter:1.0", skel,
+		ior.QoSInfo{Characteristics: []string{Name}}); err != nil {
+		t.Fatal(err)
+	}
+	r1.skel = skel
+
+	masked := med.Stats().MaskedFailures
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := stub.Call(context.Background(), "get", nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if med.Stats().MaskedFailures == masked {
+		t.Fatal("the lost binding was not masked as a replica failure")
+	}
+	if got := add(t, stub, 1); got != 5 {
+		t.Fatalf("add after the loss = %d", got)
+	}
+	r1.servant.mu.Lock()
+	v := r1.servant.value
+	r1.servant.mu.Unlock()
+	if v != 5 {
+		t.Fatalf("the redeployed replica missed the update: %d", v)
+	}
+	wantBindings(t, g, "after renegotiation", 1)
+	if err := stub.Release(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	wantBindings(t, g, "after Release", 0)
 }

@@ -282,8 +282,9 @@ func TestFrameReaderOneReadPerBurst(t *testing.T) {
 }
 
 // TestRequestHeaderUnmarshalAliases pins the two decode contracts: the
-// Unmarshal method leaves ObjectKey and Principal in the decoder's buffer,
-// UnmarshalRequestHeader shares nothing with it.
+// Unmarshal method leaves ObjectKey, Principal and the context payloads in
+// the decoder's buffer and decodes the context list into the array h already
+// has, UnmarshalRequestHeader shares nothing with the buffer.
 func TestRequestHeaderUnmarshalAliases(t *testing.T) {
 	e := cdr.NewEncoder(cdr.BigEndian)
 	(&RequestHeader{
@@ -292,9 +293,13 @@ func TestRequestHeaderUnmarshalAliases(t *testing.T) {
 	}).Marshal(e)
 	wire := append([]byte(nil), e.Bytes()...)
 
-	var h RequestHeader
+	h := RequestHeader{Contexts: make(ServiceContextList, 0, 4)}
+	kept := &h.Contexts[:1][0]
 	if err := h.Unmarshal(cdr.NewDecoder(wire, cdr.BigEndian)); err != nil {
 		t.Fatal(err)
+	}
+	if len(h.Contexts) != 1 || &h.Contexts[0] != kept || string(h.Contexts[0].Data) != "ctx" {
+		t.Fatalf("Unmarshal did not decode the contexts into h's own array: %+v", h.Contexts)
 	}
 	copied, err := UnmarshalRequestHeader(cdr.NewDecoder(wire, cdr.BigEndian))
 	if err != nil {
@@ -303,11 +308,11 @@ func TestRequestHeaderUnmarshalAliases(t *testing.T) {
 	for i := range wire {
 		wire[i] = 0xFF // the read loop's next frame
 	}
-	if string(h.ObjectKey) == "key" || string(h.Principal) == "who" {
-		t.Fatal("Unmarshal copied ObjectKey/Principal; the read loop pays for that copy twice")
+	if string(h.ObjectKey) == "key" || string(h.Principal) == "who" || string(h.Contexts[0].Data) == "ctx" {
+		t.Fatal("Unmarshal copied ObjectKey/Principal/context data; the read loop pays for that copy twice")
 	}
-	if string(h.Contexts[0].Data) != "ctx" || h.Operation != "op" || h.RequestID != 9 {
-		t.Fatalf("Unmarshal must copy contexts and operation: %+v", h)
+	if h.Operation != "op" || h.RequestID != 9 {
+		t.Fatalf("Unmarshal must copy the operation: %+v", h)
 	}
 	if string(copied.ObjectKey) != "key" || string(copied.Principal) != "who" || string(copied.Contexts[0].Data) != "ctx" {
 		t.Fatalf("UnmarshalRequestHeader result shares the decoder's buffer: %+v", copied)

@@ -84,7 +84,10 @@ func (l ServiceContextList) marshal(e *cdr.Encoder) {
 	}
 }
 
-func unmarshalServiceContexts(d *cdr.Decoder) (ServiceContextList, error) {
+// readServiceContexts decodes a context list into list's backing array,
+// growing it only when the message carries more contexts than it holds.
+// Every Data aliases d's buffer.
+func readServiceContexts(d *cdr.Decoder, list ServiceContextList) (ServiceContextList, error) {
 	n, err := d.ReadULong()
 	if err != nil {
 		return nil, fmt.Errorf("giop: reading service context count: %w", err)
@@ -92,7 +95,10 @@ func unmarshalServiceContexts(d *cdr.Decoder) (ServiceContextList, error) {
 	if n > 1024 {
 		return nil, fmt.Errorf("giop: %d service contexts exceeds limit", n)
 	}
-	list := make(ServiceContextList, 0, n)
+	if list == nil || uint32(cap(list)) < n {
+		list = make(ServiceContextList, 0, n)
+	}
+	list = list[:0]
 	for i := uint32(0); i < n; i++ {
 		id, err := d.ReadULong()
 		if err != nil {
@@ -102,11 +108,16 @@ func unmarshalServiceContexts(d *cdr.Decoder) (ServiceContextList, error) {
 		if err != nil {
 			return nil, fmt.Errorf("giop: reading service context data: %w", err)
 		}
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		list = append(list, ServiceContext{ID: id, Data: cp})
+		list = append(list, ServiceContext{ID: id, Data: data})
 	}
 	return list, nil
+}
+
+// detach replaces every Data by a copy of its own.
+func (l ServiceContextList) detach() {
+	for i := range l {
+		l[i].Data = append([]byte{}, l[i].Data...)
+	}
 }
 
 // RequestHeader is the header of a Request message.
@@ -130,13 +141,15 @@ func (h *RequestHeader) Marshal(e *cdr.Encoder) {
 }
 
 // Unmarshal reads the header from d into h, overwriting every field.
-// ObjectKey and Principal alias d's buffer — the per-connection read loop
-// decodes into a reused struct and moves the key into the scratch buffer
-// that already receives the arguments; Contexts and Operation are copies,
-// except that an h which already names the operation keeps its string.
+// ObjectKey, Principal and every context's Data alias d's buffer — the
+// per-connection read loop decodes into a reused struct and moves what the
+// request keeps into the scratch buffer that already receives the
+// arguments. Of h's previous content two things are reused instead of
+// allocated again: the backing array of Contexts, and the Operation string
+// when the message names the same operation.
 func (h *RequestHeader) Unmarshal(d *cdr.Decoder) error {
 	var err error
-	if h.Contexts, err = unmarshalServiceContexts(d); err != nil {
+	if h.Contexts, err = readServiceContexts(d, h.Contexts); err != nil {
 		return err
 	}
 	if h.RequestID, err = d.ReadULong(); err != nil {
@@ -164,6 +177,7 @@ func UnmarshalRequestHeader(d *cdr.Decoder) (*RequestHeader, error) {
 	if err := h.Unmarshal(d); err != nil {
 		return nil, err
 	}
+	h.Contexts.detach()
 	h.ObjectKey = append([]byte(nil), h.ObjectKey...)
 	h.Principal = append([]byte(nil), h.Principal...)
 	return &h, nil
@@ -187,9 +201,10 @@ func (h *ReplyHeader) Marshal(e *cdr.Encoder) {
 // read loop decodes into a stack value this way.
 func (h *ReplyHeader) Unmarshal(d *cdr.Decoder) error {
 	var err error
-	if h.Contexts, err = unmarshalServiceContexts(d); err != nil {
+	if h.Contexts, err = readServiceContexts(d, nil); err != nil {
 		return err
 	}
+	h.Contexts.detach() // they outlive the read loop's body, in the Outcome
 	if h.RequestID, err = d.ReadULong(); err != nil {
 		return fmt.Errorf("giop: reading reply request id: %w", err)
 	}

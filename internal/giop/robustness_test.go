@@ -90,3 +90,80 @@ func TestServiceContextCountLimit(t *testing.T) {
 		t.Fatal("absurd context count accepted")
 	}
 }
+
+// FuzzRequestHeaderUnmarshal holds the server's in-place header decode
+// (RequestHeader.Unmarshal into a reused, dirty struct: aliases the body,
+// reuses the context array and the operation string) against the copying
+// UnmarshalRequestHeader: on every input they fail together or agree field
+// for field after consuming the same bytes, and nothing the in-place decode
+// hands out can reach past the body.
+func FuzzRequestHeaderUnmarshal(f *testing.F) {
+	for _, h := range []RequestHeader{
+		{RequestID: 7, ResponseExpected: true, ObjectKey: []byte("echo"), Operation: "echo"},
+		{Contexts: ServiceContextList{{ID: SCQoS, Data: []byte{1, 2, 3}}, {ID: SCTrace, Data: []byte("00-aa-bb-01")}},
+			RequestID: 42, ResponseExpected: true, ObjectKey: []byte("key/echo"), Operation: "echo", Principal: []byte("anon")},
+		{Contexts: ServiceContextList{{ID: SCCommand}}, Operation: "_qos_negotiate"},
+	} {
+		for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
+			e := cdr.NewEncoder(order)
+			h.Marshal(e)
+			e.WriteOctets([]byte("argument payload bytes"))
+			f.Add(e.Bytes(), order == cdr.LittleEndian)
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte, little bool) {
+		order := cdr.BigEndian
+		if little {
+			order = cdr.LittleEndian
+		}
+		dc := cdr.NewDecoder(body, order)
+		copied, errCopied := UnmarshalRequestHeader(dc)
+
+		// The in-place decode reads a copy that sits in front of a guard
+		// region and is clipped to the body's length.
+		buf := append(append([]byte(nil), body...), bytes.Repeat([]byte{0xEE}, 64)...)
+		own := buf[:len(body):len(body)]
+		h := RequestHeader{
+			Contexts:  append(make(ServiceContextList, 0, 4), ServiceContext{ID: 99, Data: []byte("stale")}),
+			Operation: "echo", ObjectKey: []byte("stale"), Principal: []byte("stale"), RequestID: 1,
+		}
+		di := cdr.NewDecoder(own, order)
+		errInPlace := h.Unmarshal(di)
+
+		if (errCopied == nil) != (errInPlace == nil) {
+			t.Fatalf("copying decode: %v; in-place decode: %v", errCopied, errInPlace)
+		}
+		if errCopied != nil {
+			return
+		}
+		if dc.Pos() != di.Pos() {
+			t.Fatalf("consumed %d bytes copying, %d in place", dc.Pos(), di.Pos())
+		}
+		if h.RequestID != copied.RequestID || h.ResponseExpected != copied.ResponseExpected ||
+			h.Operation != copied.Operation || !bytes.Equal(h.ObjectKey, copied.ObjectKey) ||
+			!bytes.Equal(h.Principal, copied.Principal) || len(h.Contexts) != len(copied.Contexts) {
+			t.Fatalf("in place %+v\ncopied   %+v", h, *copied)
+		}
+		aliases := [][]byte{h.ObjectKey, h.Principal}
+		for i, sc := range h.Contexts {
+			if sc.ID != copied.Contexts[i].ID || !bytes.Equal(sc.Data, copied.Contexts[i].Data) {
+				t.Fatalf("context %d: in place %+v, copied %+v", i, sc, copied.Contexts[i])
+			}
+			aliases = append(aliases, sc.Data)
+		}
+		for _, a := range aliases {
+			if cap(a) != len(a) {
+				t.Fatalf("a decoded field can be resliced %d bytes past its end", cap(a)-len(a))
+			}
+		}
+		// Scribbling the body scribbles every field that views it.
+		for i := range own {
+			own[i] ^= 0xFF
+		}
+		for _, a := range aliases {
+			if len(a) > 0 && !bytes.Contains(own, a) {
+				t.Fatal("an in-place field is a copy, not a view of the body")
+			}
+		}
+	})
+}

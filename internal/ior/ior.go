@@ -384,3 +384,19 @@ func (r *IOR) Clone() *IOR {
 	}
 	return cp
 }
+
+// At returns a copy of the reference retargeted at endpoint ("host:port"):
+// the same object on another server of its group.
+func (r *IOR) At(endpoint string) (*IOR, error) {
+	host, portStr, err := net.SplitHostPort(endpoint)
+	if err != nil {
+		return nil, fmt.Errorf("ior: bad endpoint %q: %w", endpoint, err)
+	}
+	port, err := strconv.ParseUint(portStr, 10, 16)
+	if err != nil {
+		return nil, fmt.Errorf("ior: bad port in endpoint %q: %w", endpoint, err)
+	}
+	cp := r.Clone()
+	cp.Profile.Host, cp.Profile.Port = host, uint16(port)
+	return cp, nil
+}

@@ -87,15 +87,16 @@ type dispatchJob struct {
 	writeMu *sync.Mutex
 	wg      *sync.WaitGroup // the owning connection's handler group
 	order   cdr.ByteOrder
-	h       giop.RequestHeader // ObjectKey lives in scratch
+	h       giop.RequestHeader // ObjectKey and context payloads live in scratch
 	args    []byte             // lives in scratch
 	class   string
-	tag     EncodedQoSTag // the decode class came from, handed on to the request
+	tag     EncodedQoSTag // the request's SCQoS tag (tagCache.fill), handed on to the request
 	enq     time.Time
 
 	// scratch holds what the request keeps of the frame body — object key,
-	// then arguments — because the read loop reuses the body for the next
-	// frame. It stays with the job across pool cycles.
+	// arguments, then the service contexts' payloads — because the read
+	// loop reuses the body for the next frame. It stays with the job across
+	// pool cycles, as does the backing array of h.Contexts.
 	scratch []byte
 	// run is serve, bound once when the pool makes the job: `go job.run()`
 	// starts the handler without allocating, where `go job.serve()` and
@@ -116,29 +117,48 @@ func acquireJob() *dispatchJob {
 }
 
 // maxPooledArgs caps the scratch a pooled job retains, mirroring cdr's
-// pooling rationale; maxPooledOperation does the same for the operation
-// name, which a peer chooses.
+// pooling rationale; maxPooledOperation and maxPooledContexts do the same
+// for the operation name and the context list, which a peer chooses.
 const (
 	maxPooledArgs      = 64 << 10
 	maxPooledOperation = 128
+	maxPooledContexts  = 8
 )
 
-// decode parses a Request message into the job, moving the object key and
-// the arguments out of the reader's reused body.
+// poisonReleased makes release overwrite the scratch it takes back: a reader
+// that outlived its request sees garbage at once, and under the race
+// detector, where this is on (race_on.go), is reported as a race.
+var poisonReleased = raceEnabled
+
+// decode parses a Request message into the job, moving what the request
+// keeps out of the reader's reused body into scratch.
 func (job *dispatchJob) decode(msg *giop.Message) error {
 	d := msg.Decoder()
-	if err := job.h.Unmarshal(d); err != nil {
+	h := &job.h
+	if err := h.Unmarshal(d); err != nil {
 		return err
 	}
 	args, err := d.ReadOctets()
 	if err != nil {
 		return fmt.Errorf("request body: %w", err)
 	}
-	key := len(job.h.ObjectKey)
-	job.scratch = append(append(job.scratch[:0], job.h.ObjectKey...), args...)
-	job.h.ObjectKey = job.scratch[:key:key]
-	job.h.Principal = nil // unused, and it aliases the reader's body
-	job.args = job.scratch[key:]
+	s := append(append(job.scratch[:0], h.ObjectKey...), args...)
+	for _, sc := range h.Contexts {
+		s = append(s, sc.Data...)
+	}
+	// Slice only now, the appends may have moved s; clip capacities, so a
+	// filter appending to one piece cannot run into the next.
+	off := len(h.ObjectKey)
+	h.ObjectKey = s[:off:off]
+	job.args = s[off : off+len(args) : off+len(args)]
+	off += len(args)
+	for i := range h.Contexts {
+		end := off + len(h.Contexts[i].Data)
+		h.Contexts[i].Data = s[off:end:end]
+		off = end
+	}
+	h.Principal = nil // unused, and it aliases the reader's body
+	job.scratch = s
 	job.order = msg.Order
 	return nil
 }
@@ -157,19 +177,28 @@ func (job *dispatchJob) finish() {
 }
 
 // release scrubs the job and returns it to the pool. Besides its scratch
-// the job keeps the operation name it carried: the next request it decodes
-// most often names the same operation, and then reuses the string
-// (RequestHeader.Unmarshal) instead of allocating it again.
+// and context array the job keeps the operation name it carried: the next
+// request it decodes most often names the same operation, and then reuses
+// the string (RequestHeader.Unmarshal) instead of allocating it again.
 func (job *dispatchJob) release() {
-	scratch, op := job.scratch[:0], job.h.Operation
+	if poisonReleased {
+		for i := range job.scratch {
+			job.scratch[i] = 0xDB
+		}
+	}
+	scratch, op, ctxs := job.scratch[:0], job.h.Operation, job.h.Contexts
 	if cap(scratch) > maxPooledArgs {
 		scratch = make([]byte, 0, 1024)
 	}
 	if len(op) > maxPooledOperation {
 		op = ""
 	}
+	if cap(ctxs) > maxPooledContexts {
+		ctxs = nil
+	}
+	clear(ctxs) // no payload pointer survives into the next cycle
 	*job = dispatchJob{scratch: scratch, run: job.run}
-	job.h.Operation = op
+	job.h.Operation, job.h.Contexts = op, ctxs[:0]
 	jobPool.Put(job)
 }
 

@@ -1,6 +1,7 @@
 package orb
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -452,4 +453,48 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("condition not reached within 2s")
+}
+
+// retainingFilter breaks the ServerRequest ownership rule on purpose: it
+// keeps the request's own slices instead of copies.
+type retainingFilter struct {
+	key, args, ctx []byte
+}
+
+func (f *retainingFilter) Inbound(req *ServerRequest) error {
+	f.key, f.args = req.ObjectKey, req.Args
+	f.ctx, _ = req.Contexts.Get(giop.SCQoS)
+	return nil
+}
+
+func (f *retainingFilter) Outbound(_ *ServerRequest, _ giop.ReplyStatus, body []byte) ([]byte, error) {
+	return body, nil
+}
+
+// TestReleasedRequestIsPoisoned: with the poison hook on (it is for every
+// test under -race, which is how the qos integration and chaos suites replay
+// against it), whatever outlives a request reads 0xDB where its object key,
+// arguments and context payloads were — so a retainer fails loudly instead
+// of reading the next request's bytes now and then.
+func TestReleasedRequestIsPoisoned(t *testing.T) {
+	defer func(was bool) { poisonReleased = was }(poisonReleased)
+	poisonReleased = true
+
+	w := newWorld(t)
+	f := &retainingFilter{}
+	w.server.AddIncomingFilter(f)
+	inv := echoInvocation(w.client, w.ref, "kept too long", false)
+	inv.SetQoSTag(QoSTag{Characteristic: "Null", BindingID: "b"}.Encoded())
+	if out, err := w.client.Invoke(context.Background(), inv); err != nil || out.Err() != nil {
+		t.Fatalf("echo: %v, %v", out, err)
+	}
+	// Shutdown returns once every connection's handlers have finished, and
+	// a handler finishes by releasing its job.
+	w.client.Shutdown()
+	w.server.Shutdown()
+	for what, kept := range map[string][]byte{"object key": f.key, "arguments": f.args, "SCQoS payload": f.ctx} {
+		if len(kept) == 0 || bytes.Count(kept, []byte{0xDB}) != len(kept) {
+			t.Errorf("retained %s reads %q after release", what, kept)
+		}
+	}
 }

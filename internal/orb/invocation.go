@@ -120,12 +120,17 @@ func (inv *Invocation) QoSTag() (tag QoSTag, tagged bool, err error) {
 	return inv.tag.get()
 }
 
-// SetQoSTag attaches the SCQoS context to the invocation. A caller that
-// tags many requests alike (the stub, once per binding) passes the same
-// EncodedQoSTag each time, so tagging encodes nothing and no later stage
-// decodes.
+// SetQoSTag attaches the SCQoS context to the invocation; t comes from
+// QoSTag.Encoded. A caller that tags many requests alike (the stub, once per binding; a fan-out mediator,
+// once per member) passes the same EncodedQoSTag each time, so tagging
+// encodes nothing, no later stage decodes, and an invocation with no other
+// context shares the tag's list.
 func (inv *Invocation) SetQoSTag(t *EncodedQoSTag) {
-	inv.Contexts = inv.Contexts.With(giop.SCQoS, t.data)
+	if l := inv.Contexts; len(l) == 0 || len(l) == 1 && l[0].ID == giop.SCQoS {
+		inv.Contexts = t.alone[:]
+	} else {
+		inv.Contexts = l.With(giop.SCQoS, t.data)
+	}
 	inv.tag = t
 }
 
@@ -247,7 +252,10 @@ type ServerRequest struct {
 	ObjectKey []byte
 	// Operation is the requested operation.
 	Operation string
-	// Contexts are the request service contexts.
+	// Contexts are the request service contexts. Like ObjectKey and Args,
+	// the list and its payloads are valid until the request is released
+	// (its reply written) and overwritten by the next request after that:
+	// whoever keeps a payload longer copies it. QoSTag's strings may be kept.
 	Contexts giop.ServiceContextList
 	// Args holds the CDR-encoded arguments.
 	Args []byte

@@ -1,6 +1,7 @@
 package orb
 
 import (
+	"bytes"
 	"fmt"
 
 	"maqs/internal/cdr"
@@ -65,11 +66,19 @@ type EncodedQoSTag struct {
 	data []byte // the payload; identity (not content) keys the memo
 	tag  QoSTag
 	err  error // why data does not decode
+
+	// alone backs the context list of a request that carries this tag and
+	// nothing else (Encoded fills it, SetQoSTag hands it out). Every such
+	// request of the binding shares it, which is safe because stages
+	// replace an invocation's list (With, Without), never write through it.
+	alone [1]giop.ServiceContext
 }
 
 // Encoded pairs the tag with its encoding.
 func (t QoSTag) Encoded() *EncodedQoSTag {
-	return &EncodedQoSTag{data: t.Encode(), tag: t}
+	m := &EncodedQoSTag{data: t.Encode(), tag: t}
+	m.alone[0] = giop.ServiceContext{ID: giop.SCQoS, Data: m.data}
+	return m
 }
 
 // holds reports whether the memo was built from exactly these payload
@@ -104,6 +113,45 @@ func (m *EncodedQoSTag) lookup(ctxs giop.ServiceContextList) (tag QoSTag, tagged
 		m.decode(data)
 	}
 	return m.get()
+}
+
+// Bounds of a connection's tag cache: a connection carries a few bindings
+// at a time, and a tag is three short names.
+const (
+	tagCacheEntries = 8
+	maxCachedTag    = 256 // payload bytes; a longer tag is decoded per request
+)
+
+// tagCache is one server connection's memory of the SCQoS payloads it has
+// decoded, keyed by content: a binding's tag is the same bytes on every
+// request, so after the first it costs a comparison, not a decoder and
+// three strings. It remembers decodes, not bindings — whether the binding
+// is still live is the skeleton's question, asked per request. Fixed size,
+// round-robin replacement, its entries own their bytes; only the
+// connection's read loop touches it.
+type tagCache struct {
+	entries [tagCacheEntries]EncodedQoSTag
+	next    int
+}
+
+// fill seeds a request's fresh memo m with the tag carried in ctxs, so that
+// every later lookup of the request hits m.
+func (c *tagCache) fill(m *EncodedQoSTag, ctxs giop.ServiceContextList) {
+	data, _ := ctxs.Get(giop.SCQoS)
+	if len(data) == 0 {
+		return // plain traffic, or an empty tag for lookup to refuse
+	}
+	for i := range c.entries {
+		if bytes.Equal(c.entries[i].data, data) {
+			m.data, m.tag = data, c.entries[i].tag
+			return
+		}
+	}
+	if m.decode(data); m.err == nil && len(data) <= maxCachedTag {
+		e := &c.entries[c.next]
+		e.data, e.tag = append(e.data[:0], data...), m.tag
+		c.next = (c.next + 1) % tagCacheEntries
+	}
 }
 
 // class names the request's QoS class for telemetry and admission: the

@@ -150,9 +150,10 @@ func (o *ORB) acceptLoop(l net.Listener) {
 // job, to the dispatcher (bounded per-class worker pools) or, for unbounded
 // classes, its own goroutine; replies are serialised by a write mutex. The
 // frame reader reuses its body buffer across reads, so everything a request
-// retains is moved out before the next read: service contexts and the
-// operation name are copies, object key and arguments go into the job's
-// scratch buffer.
+// retains is moved out before the next read: object key, arguments and
+// service context payloads go into the job's scratch buffer, the operation
+// name is a string the job keeps. The SCQoS tag is resolved here too,
+// against the connection's tag cache.
 func (o *ORB) serveConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -166,6 +167,8 @@ func (o *ORB) serveConn(conn net.Conn) {
 	// Every request reports its peer (diagnostics, accounting, the dispatch
 	// span); render the address once, not once per request.
 	peer := conn.RemoteAddr().String()
+
+	var tags tagCache
 
 	fr := giop.NewFrameReader(conn)
 	fr.ReuseBody(true)
@@ -184,10 +187,10 @@ func (o *ORB) serveConn(conn net.Conn) {
 				return
 			}
 			job.orb, job.conn, job.peer, job.writeMu, job.wg = o, conn, peer, &writeMu, &handlers
-			// Admission needs the class before a worker (and with it a
-			// ServerRequest) exists: decode the tag here, into the job, so
-			// dispatch never decodes it a second time. Without a dispatcher
-			// nothing is decoded here; the first reader downstream does it.
+			// One decode per binding and connection, none per request:
+			// every reader downstream (admission below, filters, skeleton,
+			// telemetry) hits the memo filled here.
+			tags.fill(&job.tag, job.h.Contexts)
 			if o.dispatcher != nil {
 				job.class = job.tag.class(job.h.Contexts)
 				if o.dispatcher.submit(job) {
@@ -241,9 +244,8 @@ func (o *ORB) writeMessageError(conn net.Conn, writeMu *sync.Mutex) {
 var serverReqPool = sync.Pool{New: func() any { return new(ServerRequest) }}
 
 // handleRequest runs one request through filters, command handling or
-// servant dispatch, and writes the reply. The job's SCQoS memo is filled
-// when admission already resolved the class, empty otherwise (the first
-// reader decodes).
+// servant dispatch, and writes the reply. The read loop filled the job's
+// SCQoS memo; the request inherits it.
 func (o *ORB) handleRequest(job *dispatchJob) {
 	conn, writeMu, order, h := job.conn, job.writeMu, job.order, &job.h
 	req := serverReqPool.Get().(*ServerRequest)
@@ -353,9 +355,9 @@ func (o *ORB) handleRequest(job *dispatchJob) {
 }
 
 // releaseServerRequest scrubs and pools a finished request. The request
-// contract already forbids servants from retaining the request, its object
-// key or its argument bytes past Invoke (both live in the job's reused
-// scratch buffer).
+// contract forbids servants and filters from retaining the request, its
+// object key, its argument bytes or its context payloads past the dispatch:
+// all of them live in the job's reused scratch buffer.
 func releaseServerRequest(req *ServerRequest) {
 	*req = ServerRequest{}
 	serverReqPool.Put(req)

@@ -22,9 +22,10 @@ type Binding struct {
 	// this binding (paper §4); empty means the plain GIOP/IIOP module.
 	Module string
 
-	// tag is the binding's SCQoS tag with its encoding, built once when a
-	// client stub installs the binding and attached to every request of
-	// the binding.
+	// tag is the binding's SCQoS tag with its encoding and the context list
+	// of a request carrying nothing else, built once when the client
+	// negotiates the binding (NegotiateRaw) and attached to every request
+	// of the binding.
 	tag *orb.EncodedQoSTag
 }
 

@@ -45,9 +45,10 @@ func decodeNegotiationPayload(d *cdr.Decoder) (*NegotiationError, error) {
 
 // NegotiateRaw performs the wire-level negotiation with an arbitrary
 // target: it sends the proposal over the plain path and decodes the
-// resulting binding. Mediators that spread one logical relationship over
-// several servers (load balancing, replication) use it to establish their
-// per-server bindings.
+// resulting binding, its SCQoS tag encoded once for all its requests.
+// Mediators that spread one logical relationship over several servers (load
+// balancing, replication) establish their per-server bindings with it
+// (Members).
 func NegotiateRaw(ctx context.Context, o *orb.ORB, target *ior.IOR, proposal *Proposal) (*Binding, error) {
 	e := cdr.NewEncoder(o.Order())
 	proposal.Marshal(e)
@@ -85,6 +86,7 @@ func NegotiateRaw(ctx context.Context, o *orb.ORB, target *ior.IOR, proposal *Pr
 		Characteristic: contract.Characteristic,
 		Contract:       contract,
 		Module:         module,
+		tag:            QoSTag{Characteristic: contract.Characteristic, BindingID: id, Module: module}.Encoded(),
 	}, nil
 }
 
@@ -126,7 +128,7 @@ func (s *Stub) Negotiate(ctx context.Context, proposal *Proposal) (*Binding, err
 	if err != nil {
 		// Roll the server-side binding back; the agreement cannot be
 		// honoured without its client half.
-		_ = s.releaseID(ctx, binding.ID)
+		_ = releaseBinding(ctx, s.orb, s.Target(), binding)
 		metrics.Counter("maqs_negotiation_failures_total").Inc()
 		span.RecordError(err)
 		return nil, fmt.Errorf("qos: attaching mediator: %w", err)
@@ -212,37 +214,39 @@ func (s *Stub) Release(ctx context.Context) error {
 	if binding == nil {
 		return nil
 	}
-	// A transport module may hold state for the binding (session keys):
-	// it ends with the binding, whatever the server answers below.
-	if r, ok := s.orb.Router().(bindingReleaser); ok {
-		r.ReleaseBinding(binding.Module, binding.ID)
-	}
 	ctx, span := s.orb.Tracer().StartSpan(ctx, "qos.release")
 	span.SetAttr("characteristic", binding.Characteristic)
 	span.SetAttr("binding", binding.ID)
 	defer span.End()
 	s.orb.Metrics().Counter("maqs_releases_total").Inc()
 	s.orb.Metrics().Gauge("maqs_client_bindings").Add(-1)
-	err := s.releaseID(ctx, binding.ID)
+	err := releaseBinding(ctx, s.orb, s.Target(), binding)
 	span.RecordError(err)
 	return err
 }
 
 // bindingReleaser is the part of the QoS transport (installed as the ORB's
-// router) that Release talks to; qos cannot import the transport package.
+// router) that releaseBinding talks to; qos cannot import the transport
+// package.
 type bindingReleaser interface {
 	ReleaseBinding(module, bindingID string)
 }
 
-func (s *Stub) releaseID(ctx context.Context, id string) error {
-	e := cdr.NewEncoder(s.orb.Order())
-	e.WriteString(id)
-	out, err := s.orb.Invoke(ctx, &orb.Invocation{
-		Target:           s.Target(),
+// releaseBinding ends b on this side and on the server at target.
+func releaseBinding(ctx context.Context, o *orb.ORB, target *ior.IOR, b *Binding) error {
+	// A transport module may hold state for the binding (session keys):
+	// it ends with the binding, whatever the server answers below.
+	if r, ok := o.Router().(bindingReleaser); ok {
+		r.ReleaseBinding(b.Module, b.ID)
+	}
+	e := cdr.NewEncoder(o.Order())
+	e.WriteString(b.ID)
+	out, err := o.Invoke(ctx, &orb.Invocation{
+		Target:           target,
 		Operation:        OpRelease,
 		Args:             e.Bytes(),
 		ResponseExpected: true,
-		Order:            s.orb.Order(),
+		Order:            o.Order(),
 	})
 	if err != nil {
 		return err

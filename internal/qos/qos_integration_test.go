@@ -381,6 +381,32 @@ func TestStaleBindingTagRejected(t *testing.T) {
 	}
 }
 
+// TestReleasedBindingTagRejected: the server connection has decoded and
+// cached the binding's tag by the time the binding is released; the cache
+// remembers the decode, not the binding, so the next request under that tag
+// — byte for byte one the connection has served before — is refused.
+func TestReleasedBindingTagRejected(t *testing.T) {
+	w := newQoSWorld(t, 0)
+	b, err := w.stub.Negotiate(context.Background(), &Proposal{Characteristic: "Tracing"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.inc(t)
+	w.inc(t)
+	// Release behind the stub's back, over the same connection.
+	if err := releaseBinding(context.Background(), w.client, w.stub.Target(), b); err != nil {
+		t.Fatal(err)
+	}
+	_, err = w.stub.Call(context.Background(), "inc", nil)
+	var exc *orb.SystemException
+	if !errors.As(err, &exc) || exc.Name != orb.ExcBadQoS || exc.Minor != minorUnknownBinding {
+		t.Fatalf("call under a released binding: %v", err)
+	}
+	if !unknownBinding(err) || !MemberFailure(err) {
+		t.Fatal("the refusal does not class as a lost binding")
+	}
+}
+
 func TestRenegotiateBumpsEpochAndNotifiesMediator(t *testing.T) {
 	w := newQoSWorld(t, 0)
 	if _, err := w.stub.Negotiate(context.Background(), &Proposal{

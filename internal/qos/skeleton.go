@@ -28,6 +28,10 @@ const (
 	OpOffers = "_qos_offers"
 )
 
+// minorUnknownBinding is the BAD_QOS minor code of a request tagged with a
+// binding the skeleton does not hold: released, or lost in a restart.
+const minorUnknownBinding = 42
+
 // ServerSkeleton realises the paper's server-side mapping (Fig. 2): it
 // wraps the application servant, holds one QoS implementation per
 // assigned characteristic, and per request either
@@ -163,7 +167,7 @@ func (s *ServerSkeleton) Invoke(req *orb.ServerRequest) error {
 		binding = s.bindings[tag.BindingID]
 		s.mu.RUnlock()
 		if binding == nil {
-			return orb.NewSystemException(orb.ExcBadQoS, 42, "unknown binding %q", tag.BindingID)
+			return orb.NewSystemException(orb.ExcBadQoS, minorUnknownBinding, "unknown binding %q", tag.BindingID)
 		}
 	}
 

@@ -43,6 +43,9 @@ type Observer func(Observation)
 type Stub struct {
 	orb      *orb.ORB
 	registry *Registry
+	// invoke is orb.Invoke, bound once: the continuation every delivery
+	// mediator is handed.
+	invoke Next
 
 	mu         sync.RWMutex
 	target     *ior.IOR
@@ -60,7 +63,7 @@ func NewStub(o *orb.ORB, target *ior.IOR) *Stub {
 
 // NewStubWithRegistry wraps a target using an explicit registry.
 func NewStubWithRegistry(o *orb.ORB, target *ior.IOR, r *Registry) *Stub {
-	return &Stub{orb: o, registry: r, target: target}
+	return &Stub{orb: o, registry: r, invoke: o.Invoke, target: target}
 }
 
 // ORB returns the stub's broker.
@@ -148,10 +151,8 @@ func (s *Stub) DeclareIdempotent(ops ...string) {
 	}
 }
 
-// install records a fresh binding and its mediator. What every request
-// of the binding repeats — the encoded tag — is built here, not per call.
+// install records a fresh binding and its mediator.
 func (s *Stub) install(b *Binding, m Mediator) {
-	b.tag = QoSTag{Characteristic: b.Characteristic, BindingID: b.ID, Module: b.Module}.Encoded()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.binding = b
@@ -308,7 +309,7 @@ func (s *Stub) mediate(ctx context.Context, inv *orb.Invocation, mediator Mediat
 		// through ORB.InvokeAsync directly (see replication's
 		// deliverActive); anyone inserting a delivery stage here must
 		// also thread it through those async dispatch paths.
-		out, err = dm.Deliver(ctx, inv, s.orb.Invoke)
+		out, err = dm.Deliver(ctx, inv, s.invoke)
 	} else {
 		out, err = s.orb.Invoke(ctx, inv)
 	}
