@@ -3,7 +3,7 @@ GO ?= go
 # Benchmark trajectory file produced by `make bench`. Bump the number when a
 # PR meaningfully changes the performance story so the history accumulates
 # (BENCH_1.json, BENCH_2.json, ...): see docs/PERFORMANCE.md.
-BENCH_OUT ?= BENCH_17.json
+BENCH_OUT ?= BENCH_20.json
 
 # Trajectory file produced by `make loadgen` (the open-loop load harness's
 # full default run): see docs/LOADGEN.md.
@@ -37,7 +37,7 @@ COVER_PKGS ?= ./internal/obs ./internal/qos
 COVER_FLOOR ?= 75
 COVER_PROFILE ?= coverprofile.out
 
-.PHONY: all check vet build test race alloc-gates fuzz-smoke benchmark-module bench bench-smoke loadgen loadgen-smoke loadgen-pipeline loadgen-traced slo-smoke chaos cover loc clean
+.PHONY: all check vet build test race alloc-gates fuzz-smoke benchmark-module bench bench-smoke tables-smoke loadgen loadgen-smoke loadgen-pipeline loadgen-traced slo-smoke chaos cover loc clean
 
 all: check
 
@@ -45,12 +45,13 @@ all: check
 # allocation gates (race-free, see alloc-gates), a short run of every
 # fuzzer (fuzz-smoke), the chaos suite (fault injection + resilience) on
 # its own for a readable verdict, the SLO-engine smoke, the coverage
-# floors, a one-iteration bench smoke so benchmark code can't rot, and the
-# loadgen smoke run so the open-loop harness keeps driving a real server
+# floors, a one-iteration bench smoke so benchmark code can't rot, two
+# tables from maqs-bench so its reading of the same cases can't either, and
+# the loadgen smoke run so the open-loop harness keeps driving a real server
 # end to end. It ends
 # by printing the size of the product (loc), the figure a simplicity PR
 # quotes before and after.
-check: vet build race alloc-gates fuzz-smoke chaos slo-smoke cover bench-smoke loadgen-smoke loc
+check: vet build race alloc-gates fuzz-smoke chaos slo-smoke cover bench-smoke tables-smoke loadgen-smoke loc
 
 vet:
 	$(GO) vet ./...
@@ -104,9 +105,18 @@ bench:
 	$(GO) test -bench=. -benchmem -benchtime=200ms -run='^$$' . ./internal/orb ./internal/cdr | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
 
 # bench-smoke executes each benchmark exactly once: it proves the bench
-# harness still compiles and runs without paying measurement time.
+# harness still compiles and runs without paying measurement time. The root
+# package's benchmarks are internal/experiments' cases, so this is also
+# every case maqs-bench prints.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/orb ./internal/cdr
+
+# tables-smoke is the table path's own smoke: the experiment list, and two
+# tables measured through testing.Benchmark outside `go test` (E2 and E10
+# have no run-once part; ~4 s).
+tables-smoke:
+	$(GO) run ./cmd/maqs-bench -list
+	$(GO) run ./cmd/maqs-bench E2 E10
 
 # loadgen runs the full open-loop trajectory workload (>=100k requests
 # across three QoS classes) against an in-process server and records the
@@ -177,14 +187,17 @@ chaos:
 # module (benchmark/ is its own module and a harness, not product), from
 # the files git tracks or would track: one number from one command for
 # ROADMAP and for "net-negative" claims. Lines moved into _test.go files
-# or deleted comments lower it without simplifying anything — read the
-# diff, too.
-LOC_FILES = git ls-files --cached --others --exclude-standard -- '*.go' | grep -v -e '_test\.go$$' -e '\.gen\.go$$' -e '^benchmark/'
+# lower it without simplifying anything, so a second column counts those:
+# a move between the two shows as a move. Deleted comments show in neither
+# — read the diff, too.
+LOC_FILES = git ls-files --cached --others --exclude-standard -- '*.go' | grep -v -e '\.gen\.go$$' -e '^benchmark/'
 loc:
-	@for pkg in internal/orb internal/qos internal/obs; do \
-		printf 'loc %-13s %6d\n' $$pkg $$($(LOC_FILES) | grep "^$$pkg/[^/]*$$" | xargs cat | wc -l); \
+	@count() { $(LOC_FILES) | grep "$$1" | grep $$2 '_test\.go$$' | xargs cat | wc -l; }; \
+	printf 'loc %-13s %8s %8s\n' '' non-test _test.go; \
+	for pkg in internal/orb internal/qos internal/obs; do \
+		printf 'loc %-13s %8d %8d\n' $$pkg $$(count "^$$pkg/[^/]*$$" -v) $$(count "^$$pkg/[^/]*$$" -e); \
 	done; \
-	printf 'loc %-13s %6d\n' total $$($(LOC_FILES) | xargs cat | wc -l)
+	printf 'loc %-13s %8d %8d\n' total $$(count . -v) $$(count . -e)
 
 clean:
 	$(GO) clean ./...

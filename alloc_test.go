@@ -8,9 +8,8 @@ import (
 	"testing"
 
 	"maqs"
-	"maqs/internal/characteristics/compression"
-	"maqs/internal/characteristics/encryption"
 	"maqs/internal/characteristics/loadbalance"
+	"maqs/internal/experiments"
 	"maqs/internal/qos"
 )
 
@@ -25,80 +24,12 @@ import (
 // the in-memory network's own (it copies every Write into a segment): over
 // a real socket the call makes 3, which TestEchoCallAllocsTCP gates —
 // and only a real net.Conn shows what address formatting costs.
+//
+// The worlds are internal/experiments' — the builder and configurations
+// the benchmarks and cmd/maqs-bench measure — so a gate and the BENCH row
+// of the same name count the same path.
 
-// allocWorld is one client/server pair over the in-memory network with an
-// echo object activated; impl, when set, makes it QoS-capable and binds the
-// stub to impl's characteristic, through module unless that is "".
-type allocWorld struct {
-	client *maqs.System
-	stub   *maqs.Stub
-}
-
-func newAllocWorld(t *testing.T, serverOpts maqs.Options, module string, impl maqs.Impl) *allocWorld {
-	t.Helper()
-	n := maqs.NewNetwork()
-	serverOpts.Transport = n.Host("server")
-	return newAllocWorldOn(t, serverOpts, maqs.Options{Transport: n.Host("client")}, "server:1", module, impl)
-}
-
-// newAllocWorldOn builds the pair on whatever transport the options name
-// (none: loopback TCP), the server listening on addr.
-func newAllocWorldOn(t *testing.T, serverOpts, clientOpts maqs.Options, addr, module string, impl maqs.Impl) *allocWorld {
-	t.Helper()
-	server, err := maqs.NewSystem(serverOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(server.Shutdown)
-	if err := server.Listen(addr); err != nil {
-		t.Fatal(err)
-	}
-	client, err := maqs.NewSystem(clientOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(client.Shutdown)
-
-	if impl == nil {
-		ref, err := server.Activate("echo", "IDL:test/Echo:1.0", benchEcho{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &allocWorld{client: client, stub: client.Stub(ref)}
-	}
-	name := impl.Characteristic().Name
-	info := maqs.QoSInfo{Characteristics: []string{name}}
-	if module != "" {
-		info.Modules = []string{module}
-		for _, sys := range []*maqs.System{server, client} {
-			if err := sys.LoadModule(module, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, known := client.Registry.Lookup(name); !known {
-		// The pass-through characteristic of the seam gates: a mediator
-		// that does nothing, so the stub still runs its mediator bracket.
-		err := client.Registry.Register(&qos.Characteristic{Name: name},
-			func(*qos.Stub, *qos.Binding) (qos.Mediator, error) { return &qos.BaseMediator{Char: name}, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	skel := maqs.NewServerSkeleton(benchEcho{})
-	if err := skel.AddQoS(impl); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := server.ActivateQoS("echo", "IDL:test/Echo:1.0", skel, info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stub := client.Stub(ref)
-	if _, err := stub.Negotiate(context.Background(), &maqs.Proposal{Characteristic: name}); err != nil {
-		t.Fatal(err)
-	}
-	return &allocWorld{client: client, stub: stub}
-}
+var gatePayload = []byte("alloc gate payload")
 
 // gateAllocs warms the path (connection setup, pool population, session
 // handshake), then fails when call allocates more than budget objects.
@@ -117,22 +48,17 @@ func gateAllocs(t *testing.T, what string, budget float64, call func()) {
 	t.Logf("%s: %.1f allocs/op (budget %.0f)", what, avg, budget)
 }
 
-func (w *allocWorld) echo(t *testing.T, args []byte) func() {
-	ctx := context.Background()
-	return func() {
-		if _, err := w.stub.Call(ctx, "echo", args); err != nil {
-			t.Fatal(err)
-		}
-	}
+// gateEcho gates one echo of gatePayload through the world cfg describes.
+func gateEcho(t *testing.T, what string, budget float64, cfg experiments.Config) {
+	t.Helper()
+	gateAllocs(t, what, budget, experiments.NewWorld(t, cfg).Echo(t, gatePayload))
 }
 
 // TestEchoCallAllocs gates the plain synchronous round trip: measured 5 —
 // the stub's Invocation, the Outcome and its data, and the in-memory
 // network's two segment copies. The server allocates nothing.
 func TestEchoCallAllocs(t *testing.T) {
-	w := newAllocWorld(t, maqs.Options{}, "", nil)
-	args := encodeOctets(w.client.ORB.Order(), []byte("alloc gate payload"))
-	gateAllocs(t, "echo round trip", 6, w.echo(t, args))
+	gateEcho(t, "echo round trip", 6, experiments.Config{})
 }
 
 // TestEchoCallAllocsTCP is the same gate over loopback TCP: measured 3.
@@ -141,30 +67,34 @@ func TestEchoCallAllocs(t *testing.T) {
 // RemoteAddr().String() on the way in) sat under a "measured + 1" gate
 // until the repository benchmark, which runs on sockets, counted them.
 func TestEchoCallAllocsTCP(t *testing.T) {
-	w := newAllocWorldOn(t, maqs.Options{}, maqs.Options{}, "127.0.0.1:0", "", nil)
-	args := encodeOctets(w.client.ORB.Order(), []byte("alloc gate payload"))
-	gateAllocs(t, "echo round trip over TCP", 4, w.echo(t, args))
+	gateEcho(t, "echo round trip over TCP", 4, experiments.Config{TCP: true})
 }
 
-// TestBoundEchoAllocs gates the paper's seam: the same echo bound to a
-// characteristic that does nothing — tagged request, mediator bracket,
-// binding lookup, routing, prolog and epilog — must cost what the plain
-// call costs. Measured 5, so the budget is TestEchoCallAllocs' own: what a
-// bound request repeats lives with the binding (its encoded tag and context
+// gateSeam gates the paper's seam: the same echo bound to a characteristic
+// that does nothing, behind a mediator that does nothing — tagged request,
+// mediator bracket, binding lookup, routing, prolog and epilog.
+func gateSeam(t *testing.T, what string, budget float64, tcp bool) {
+	t.Helper()
+	cfg := experiments.NullBound()
+	cfg.TCP = tcp
+	w := experiments.NewWorld(t, cfg)
+	w.Stub.SetMediator(&qos.BaseMediator{Char: cfg.Proposal.Characteristic})
+	gateAllocs(t, what, budget, w.Echo(t, gatePayload))
+}
+
+// TestBoundEchoAllocs: the seam must cost what the plain call costs.
+// Measured 5, so the budget is TestEchoCallAllocs' own: what a bound
+// request repeats lives with the binding (its encoded tag and context
 // list), with the pooled dispatch job (context array and payloads) and with
 // the connection (the decoded tag), not on the heap per call.
 func TestBoundEchoAllocs(t *testing.T) {
-	w := newAllocWorld(t, maqs.Options{}, "", nullImpl())
-	args := encodeOctets(w.client.ORB.Order(), []byte("alloc gate payload"))
-	gateAllocs(t, "bound echo round trip", 6, w.echo(t, args))
+	gateSeam(t, "bound echo round trip", 6, false)
 }
 
 // TestBoundEchoAllocsTCP is the seam gate over loopback TCP: measured 3,
 // TestEchoCallAllocsTCP's figure.
 func TestBoundEchoAllocsTCP(t *testing.T) {
-	w := newAllocWorldOn(t, maqs.Options{}, maqs.Options{}, "127.0.0.1:0", "", nullImpl())
-	args := encodeOctets(w.client.ORB.Order(), []byte("alloc gate payload"))
-	gateAllocs(t, "bound echo round trip over TCP", 4, w.echo(t, args))
+	gateSeam(t, "bound echo round trip over TCP", 4, true)
 }
 
 // TestReplicationAllocs gates the active fan-out: per call the stub's
@@ -178,21 +108,16 @@ func TestReplicationAllocs(t *testing.T) {
 		k      int
 		budget float64
 	}{{1, 8}, {3, 18}} {
-		client, stub := newReplicatedStub(t, maqs.NewNetwork(), c.k)
-		args := encodeOctets(client.ORB.Order(), []byte("alloc gate payload"))
-		gateAllocs(t, fmt.Sprintf("replicated round trip, k=%d", c.k), c.budget,
-			func() { mustCall(t, stub, "echo", args) })
+		gateEcho(t, fmt.Sprintf("replicated round trip, k=%d", c.k), c.budget, experiments.Replicated(c.k))
 	}
 }
 
 // TestLoadBalanceAllocs gates the balancer: a plain round trip plus the
 // routed copy, plus what the characteristic itself exchanges — the worker's
-// load report encoded into a reply context and decoded again (5). Measured
-// 11.
+// load report in a reply context (16 bytes and the context list) and its
+// decoding (2). Measured 10.
 func TestLoadBalanceAllocs(t *testing.T) {
-	client, stub := newBalancedStub(t, loadbalance.StrategyRoundRobin)
-	args := encodeOctets(client.ORB.Order(), []byte("alloc gate payload"))
-	gateAllocs(t, "load-balanced round trip", 12, func() { mustCall(t, stub, "echo", args) })
+	gateEcho(t, "load-balanced round trip", 11, experiments.Balanced(loadbalance.StrategyRoundRobin))
 }
 
 // TestServerDispatchAllocs is the same gate with the server's bounded
@@ -201,9 +126,8 @@ func TestLoadBalanceAllocs(t *testing.T) {
 // per-request garbage. Measured 5 — the same as goroutine-per-request,
 // because both paths run the one pooled job.
 func TestServerDispatchAllocs(t *testing.T) {
-	w := newAllocWorld(t, maqs.Options{DispatchWorkers: 4, DispatchQueueDepth: 64}, "", nil)
-	args := encodeOctets(w.client.ORB.Order(), []byte("alloc gate payload"))
-	gateAllocs(t, "bounded-dispatch round trip", 6, w.echo(t, args))
+	gateEcho(t, "bounded-dispatch round trip", 6,
+		experiments.Config{Options: maqs.Options{DispatchWorkers: 4, DispatchQueueDepth: 64}})
 }
 
 // TestEchoAsyncAllocs gates the asynchronous fast path: CallAsync + Wait
@@ -213,11 +137,10 @@ func TestServerDispatchAllocs(t *testing.T) {
 // connection's read loop — so the only per-call addition to the
 // synchronous 5 is the stub's completion hook. Measured 6.
 func TestEchoAsyncAllocs(t *testing.T) {
-	w := newAllocWorld(t, maqs.Options{}, "", nil)
-	args := encodeOctets(w.client.ORB.Order(), []byte("alloc gate payload"))
-	ctx := context.Background()
+	w := experiments.NewWorld(t, experiments.Config{})
+	args, ctx := w.Octets(gatePayload), context.Background()
 	gateAllocs(t, "async echo round trip", 7, func() {
-		fut, err := w.stub.CallAsync(ctx, "echo", args)
+		fut, err := w.Stub.CallAsync(ctx, "echo", args)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,9 +156,8 @@ func TestEchoAsyncAllocs(t *testing.T) {
 // allocations and ~21 KiB per call (the commit before codec reuse: 109 and
 // 1.7 MB); the byte ceiling is 64 KiB.
 func TestCompressedCallAllocs(t *testing.T) {
-	w := newAllocWorld(t, maqs.Options{}, compression.ModuleName, compression.NewImpl(0))
 	doc := bytes.Repeat([]byte("quality of service for everyone "), 128)
-	call := w.echo(t, encodeOctets(w.client.ORB.Order(), doc))
+	call := experiments.NewWorld(t, experiments.Compressed()).Echo(t, doc)
 	gateAllocs(t, "compressed 4 KiB round trip", 13, call)
 
 	const rounds, ceiling = 200, 64 << 10
@@ -256,7 +178,6 @@ func TestCompressedCallAllocs(t *testing.T) {
 // and HMAC state live with the session, so a call pays for its frames and
 // CTR streams only. Measured 14 (the commit before state reuse: 105).
 func TestEncryptedCallAllocs(t *testing.T) {
-	w := newAllocWorld(t, maqs.Options{}, encryption.ModuleName, encryption.NewImpl(0))
-	args := encodeOctets(w.client.ORB.Order(), bytes.Repeat([]byte{0x5A}, 1<<10))
-	gateAllocs(t, "encrypted 1 KiB round trip", 15, w.echo(t, args))
+	w := experiments.NewWorld(t, experiments.Encrypted())
+	gateAllocs(t, "encrypted 1 KiB round trip", 15, w.Echo(t, make([]byte, 1<<10)))
 }

@@ -1,6 +1,11 @@
 // Command maqs-bench regenerates the evaluation tables (E1..E10, see
 // DESIGN.md §4): each experiment operationalises one claim of the paper
-// and prints a table of measurements.
+// and prints a table of measurements. The experiments are
+// internal/experiments' — the cases `go test -bench` runs in the root
+// package, measured here through testing.Benchmark at `make bench`'s
+// 200 ms per case, so a table row and the BENCH_*.json row of the same name
+// are one measurement — plus the run-once results (availability under
+// crashes, share under skew, the bandwidth sweep).
 //
 // Usage:
 //

@@ -2,6 +2,7 @@ package loadbalance
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -132,10 +133,12 @@ func (i *Impl) Epilog(req *orb.ServerRequest, b *qos.Binding, invokeErr error) e
 	active, total := i.active, i.total
 	i.mu.Unlock()
 
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteDouble(float64(active))
-	e.WriteULongLong(total)
-	req.OutContexts = req.OutContexts.With(scLoad, e.Bytes())
+	// The report as noteLoad's decoder reads it: a big-endian CDR double
+	// and unsigned long long, written without an encoder.
+	var report [16]byte
+	binary.BigEndian.PutUint64(report[:8], math.Float64bits(float64(active)))
+	binary.BigEndian.PutUint64(report[8:], total)
+	req.OutContexts = req.OutContexts.With(scLoad, report[:])
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"maqs/internal/cdr"
 	"maqs/internal/ior"
@@ -487,6 +488,38 @@ func TestReleaseReleasesEveryReplica(t *testing.T) {
 	stub, _ := g.negotiate(t, qos.ParamProposal{Name: ParamReplicas, Desired: qos.Number(3)})
 	add(t, stub, 1)
 	wantBindings(t, g, "after the first call", 1)
+	if err := stub.Release(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	wantBindings(t, g, "after Release", 0)
+}
+
+// TestReleaseReleasesBindingForgottenOnTimeout: a replica that times out
+// once is masked and its binding forgotten, but the replica is alive and
+// still holds the entry; when it answers again it gets a second binding,
+// and Release ends both.
+func TestReleaseReleasesBindingForgottenOnTimeout(t *testing.T) {
+	g := newGroup(t, 3)
+	stub, med := g.negotiate(t, qos.ParamProposal{Name: ParamReplicas, Desired: qos.Number(3)})
+	add(t, stub, 1)
+
+	slow := g.replicas[1].servant
+	slow.mu.Lock() // rep1's servant blocks until the caller has given up
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	_, err := stub.Call(ctx, "get", nil)
+	cancel()
+	slow.mu.Unlock()
+	if err != nil {
+		t.Fatalf("timeout of one replica not masked: %v", err)
+	}
+	if masked := med.Stats().MaskedFailures; masked != 1 {
+		t.Fatalf("masked failures = %d, want 1", masked)
+	}
+
+	add(t, stub, 1)
+	if got := g.bindings(); got[1] != 2 {
+		t.Fatalf("bindings after rep1 answered again = %v, want 2 on rep1", got)
+	}
 	if err := stub.Release(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -3,147 +3,101 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
+	"testing"
 	"time"
 
+	"maqs"
 	"maqs/internal/characteristics/actuality"
-	"maqs/internal/ior"
-	"maqs/internal/netsim"
-	"maqs/internal/orb"
-	"maqs/internal/qos"
 )
 
-// clockServant serves a value stamped with its write time; clients can
-// measure staleness by comparing the stamp with their read time.
-type clockServant struct {
-	mu      sync.Mutex
-	stamp   int64 // unix nanos of the last update
-	updates int
-	reads   int
+// e7 is the actuality characteristic: what a read costs when the contract
+// forces it to the origin and when a loose contract lets the mediator
+// answer from its cache, and — the shape — how hit rate, origin load and
+// observed staleness move with the contracted max age.
+var e7 = Experiment{
+	ID: "E7", Name: "actuality contracts",
+	Title: "freshness contracts: 200 polls at ~1ms while the origin updates every 5ms",
+	Claim: "§6: 'actuality of data' as a negotiable characteristic — staleness stays below the contracted max age while origin load drops",
+	Cases: []Case{
+		{"E7Actuality/uncached", func(tb testing.TB) (func(), int64) { return e7Read(tb, 0) }},
+		{"E7Actuality/cached60s", func(tb testing.TB) (func(), int64) { return e7Read(tb, 60_000) }},
+	},
+	Shape: e7Staleness,
+	Notes: []string{"larger max-age contracts trade staleness for origin load: hits rise and origin reads fall as the contract loosens, while observed staleness stays within the agreed bound (+ update/round-trip slack)"},
 }
 
-func (s *clockServant) update() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stamp = time.Now().UnixNano()
-	s.updates++
-}
-
-func (s *clockServant) Invoke(req *orb.ServerRequest) error {
-	switch req.Operation {
-	case "get_stamp":
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.reads++
-		req.Out.WriteLongLong(s.stamp)
-		return nil
-	default:
-		return orb.NewSystemException(orb.ExcBadOperation, 1, "no op %q", req.Operation)
+// freshness is a clock object bound to Actuality with the given max age.
+func freshness(clock *clockServant, maxAgeMS float64) Config {
+	return Config{
+		Servant:  func(int) maqs.Servant { return clock },
+		Impl:     func([]string) maqs.Impl { return actuality.NewImpl(0, time.Minute) },
+		Proposal: propose(maqs.Actuality, maqs.ParamProposal{Name: actuality.ParamMaxAgeMS, Desired: maqs.Number(maxAgeMS)}),
 	}
 }
 
-// E7Actuality polls a value under different max-age contracts while the
+func e7Read(tb testing.TB, maxAgeMS float64) (func(), int64) {
+	w := NewWorld(tb, freshness(&clockServant{}, maxAgeMS))
+	return call(tb, w.Stub, "get_stamp", nil), 0
+}
+
+// e7Staleness polls a value under different max-age contracts while the
 // origin updates continuously; it reports the cache hit rate, the origin
 // load and the worst observed staleness against the contracted bound.
-func E7Actuality() (*Table, error) {
-	t := &Table{
-		ID:     "E7",
-		Title:  "freshness contracts: 200 polls at ~1ms while the origin updates every 5ms",
-		Claim:  "§6: 'actuality of data' as a negotiable characteristic — staleness stays below the contracted max age while origin load drops",
-		Header: []string{"max_age", "polls", "cache hits", "origin reads", "max staleness", "bound held"},
-	}
-	const polls = 200
+func e7Staleness(tb testing.TB) ([]string, [][]string) {
+	var rows [][]string
 	for _, maxAgeMS := range []float64{0, 20, 100, 500} {
-		n := netsim.NewNetwork()
-		server := orb.New(orb.Options{Transport: n.Host("server")})
-		if err := server.Listen("server:1"); err != nil {
-			return nil, err
-		}
-		servant := &clockServant{}
-		servant.update()
-		skel := qos.NewServerSkeleton(servant)
-		if err := skel.AddQoS(actuality.NewImpl(0, time.Minute)); err != nil {
-			return nil, err
-		}
-		ref, err := server.Adapter().ActivateQoS("clock", "IDL:x/Clock:1.0", skel,
-			ior.QoSInfo{Characteristics: []string{actuality.Name}})
-		if err != nil {
-			return nil, err
-		}
-		client := orb.New(orb.Options{Transport: n.Host("client")})
-		registry := qos.NewRegistry()
-		if err := actuality.Register(registry); err != nil {
-			return nil, err
-		}
-		stub := qos.NewStubWithRegistry(client, ref, registry)
-		if _, err := stub.Negotiate(context.Background(), &qos.Proposal{
-			Characteristic: actuality.Name,
-			Params:         []qos.ParamProposal{{Name: actuality.ParamMaxAgeMS, Desired: qos.Number(maxAgeMS)}},
-		}); err != nil {
-			return nil, err
-		}
-
-		// Origin updates continuously.
-		stopUpdates := make(chan struct{})
-		var updaterDone sync.WaitGroup
-		updaterDone.Add(1)
-		go func() {
-			defer updaterDone.Done()
-			ticker := time.NewTicker(5 * time.Millisecond)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ticker.C:
-					servant.update()
-				case <-stopUpdates:
-					return
-				}
-			}
-		}()
-
-		var maxStaleness time.Duration
-		for i := 0; i < polls; i++ {
-			d, err := stub.Call(context.Background(), "get_stamp", nil)
-			if err != nil {
-				return nil, err
-			}
-			stamp, err := d.ReadLongLong()
-			if err != nil {
-				return nil, err
-			}
-			if st := time.Since(time.Unix(0, stamp)); st > maxStaleness {
-				maxStaleness = st
-			}
-			time.Sleep(time.Millisecond)
-		}
-		close(stopUpdates)
-		updaterDone.Wait()
-
-		med := stub.Mediator().(*actuality.Mediator)
-		stats := med.Stats()
-		servant.mu.Lock()
-		reads := servant.reads
-		servant.mu.Unlock()
-
-		// The observable staleness bound is the contract plus one update
-		// interval plus the round trip; use the contract + 25ms slack.
-		bound := time.Duration(maxAgeMS)*time.Millisecond + 25*time.Millisecond
-		held := "yes"
-		if maxStaleness > bound {
-			held = "NO"
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%gms", maxAgeMS),
-			fmt.Sprintf("%d", polls),
-			fmt.Sprintf("%d", stats.Hits),
-			fmt.Sprintf("%d", reads),
-			fmtDur(maxStaleness),
-			held,
-		})
-		client.Shutdown()
-		server.Shutdown()
+		rows = append(rows, e7Poll(tb, maxAgeMS))
 	}
-	t.Notes = append(t.Notes,
-		"larger max-age contracts trade staleness for origin load: hits rise and origin reads fall as the contract loosens, while observed staleness stays within the agreed bound (+ update/round-trip slack)")
-	return t, nil
+	return []string{"max_age", "polls", "cache hits", "origin reads", "max staleness", "bound held"}, rows
+}
+
+func e7Poll(tb testing.TB, maxAgeMS float64) []string {
+	const polls = 200
+	clock := &clockServant{}
+	clock.update()
+	w := NewWorld(tb, freshness(clock, maxAgeMS))
+
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() { // the origin updates continuously
+		defer close(stopped)
+		ticker := time.NewTicker(5 * time.Millisecond)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-ticker.C:
+				clock.update()
+			case <-stop:
+				return
+			}
+		}
+	}()
+	defer func() { // also when a poll fails: tb.Fatal runs deferred calls
+		close(stop)
+		<-stopped
+	}()
+	var worst time.Duration
+	for i := 0; i < polls; i++ {
+		d, err := w.Stub.Call(context.Background(), "get_stamp", nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		stamp, err := d.ReadLongLong()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		worst = max(worst, time.Since(time.Unix(0, stamp)))
+		time.Sleep(time.Millisecond)
+	}
+
+	// The observable staleness bound is the contract plus one update
+	// interval plus the round trip; use the contract + 25ms slack.
+	held := "yes"
+	if worst > time.Duration(maxAgeMS)*time.Millisecond+25*time.Millisecond {
+		held = "NO"
+	}
+	hits := w.Stub.Mediator().(*actuality.Mediator).Stats().Hits
+	return []string{
+		fmt.Sprintf("%gms", maxAgeMS), fmt.Sprint(polls), fmt.Sprint(hits),
+		fmt.Sprint(clock.reads.Load()), fmtDur(worst), held,
+	}
 }

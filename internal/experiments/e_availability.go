@@ -3,148 +3,87 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
+	"testing"
+	"time"
 
-	"maqs/internal/cdr"
+	"maqs"
 	"maqs/internal/characteristics/replication"
-	"maqs/internal/ior"
-	"maqs/internal/netsim"
-	"maqs/internal/orb"
-	"maqs/internal/qos"
 )
 
-// counterServant is a deterministic stateful servant with state access.
-type counterServant struct {
-	mu    sync.Mutex
-	value int64
+// e3 measures availability under crash injection for replica counts
+// k=1..5, and what the active fan-out costs per call: on zero-latency links
+// that is serialised per-replica CPU, k-linear on one core by construction;
+// over links with real propagation delay (WAN) the group's latency is the
+// slowest replica's round trip, so k=5 tracks k=1.
+var e3 = Experiment{
+	ID: "E3", Name: "availability vs replica count",
+	Title: "availability under crash injection (active replication)",
+	Claim: "§3.1/§6: 'as long as there is one replica running, the service can be fulfilled' — fault-tolerance through replica groups",
+	Cases: e3Cases(),
+	Shape: e3Availability,
+	Notes: []string{"availability stays at 100% for every k because k-1 crashes never exhaust the group (k-availability); masked failures grow with the crash count"},
 }
 
-func (s *counterServant) Invoke(req *orb.ServerRequest) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch req.Operation {
-	case "add":
-		v, err := req.In().ReadLongLong()
-		if err != nil {
-			return err
+func e3Cases() []Case {
+	var cases []Case
+	for _, family := range []struct {
+		name string
+		link maqs.Link
+	}{{"E3Replication", maqs.Link{}}, {"E3ReplicationWAN", maqs.Link{Latency: 200 * time.Microsecond}}} {
+		for _, k := range []int{1, 3, 5} {
+			cases = append(cases, Case{fmt.Sprintf("%s/k=%d", family.name, k), func(tb testing.TB) (func(), int64) {
+				cfg := Replicated(k)
+				cfg.Link = family.link
+				return NewWorld(tb, cfg).Echo(tb, []byte("payload")), 0
+			}})
 		}
-		s.value += v
-		req.Out.WriteLongLong(s.value)
-		return nil
-	default:
-		return orb.NewSystemException(orb.ExcBadOperation, 1, "no op %q", req.Operation)
 	}
+	return cases
 }
 
-func (s *counterServant) GetState() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteLongLong(s.value)
-	return e.Bytes(), nil
-}
-
-func (s *counterServant) SetState(data []byte) error {
-	v, err := cdr.NewDecoder(data, cdr.BigEndian).ReadLongLong()
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.value = v
-	return nil
-}
-
-// E3Replication measures availability under crash injection for replica
-// counts k=1..5: k-1 replicas are crashed at evenly spaced points of a
-// request sequence, and the table reports how many requests succeeded.
-func E3Replication() (*Table, error) {
-	t := &Table{
-		ID:     "E3",
-		Title:  "availability under crash injection (active replication)",
-		Claim:  "§3.1/§6: 'as long as there is one replica running, the service can be fulfilled' — fault-tolerance through replica groups",
-		Header: []string{"replicas k", "crashes", "requests", "succeeded", "availability", "masked failures"},
-	}
+// e3Availability crashes k-1 replicas at evenly spaced points of a request
+// sequence and reports how many requests succeeded.
+func e3Availability(tb testing.TB) ([]string, [][]string) {
 	const requests = 200
+	var rows [][]string
 	for k := 1; k <= 5; k++ {
-		n := netsim.NewNetwork()
-		endpoints := make([]string, k)
-		for i := range endpoints {
-			endpoints[i] = fmt.Sprintf("rep%d:1", i)
-		}
-		var orbs []*orb.ORB
-		var firstRef *ior.IOR
-		for i := 0; i < k; i++ {
-			o := orb.New(orb.Options{Transport: n.Host(fmt.Sprintf("rep%d", i))})
-			if err := o.Listen(endpoints[i]); err != nil {
-				return nil, err
-			}
-			servant := &counterServant{}
-			skel := qos.NewServerSkeleton(servant)
-			if err := skel.AddQoS(replication.NewImpl(8, endpoints, servant)); err != nil {
-				return nil, err
-			}
-			ref, err := o.Adapter().ActivateQoS("counter", "IDL:x/Counter:1.0", skel,
-				ior.QoSInfo{Characteristics: []string{replication.Name}})
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				firstRef = ref
-			}
-			orbs = append(orbs, o)
-		}
-		cluster := firstRef.Clone()
-		cluster.SetAlternateEndpoints(endpoints)
-		client := orb.New(orb.Options{Transport: n.Host("client")})
-		registry := qos.NewRegistry()
-		if err := replication.Register(registry); err != nil {
-			return nil, err
-		}
-		stub := qos.NewStubWithRegistry(client, cluster, registry)
-		if _, err := stub.Negotiate(context.Background(), &qos.Proposal{
-			Characteristic: replication.Name,
-			Params:         []qos.ParamProposal{{Name: "replicas", Desired: qos.Number(float64(k))}},
-		}); err != nil {
-			return nil, err
-		}
-
-		crashes := k - 1
+		w := NewWorld(tb, Replicated(k))
 		crashAt := make(map[int]int) // request index → replica to crash
-		for c := 0; c < crashes; c++ {
-			crashAt[(c+1)*requests/(crashes+1)] = c + 1
+		for victim := 1; victim < k; victim++ {
+			crashAt[victim*requests/k] = victim
 		}
-		succeeded := 0
-		e := cdr.NewEncoder(client.Order())
-		e.WriteLongLong(1)
-		args := e.Bytes()
+		args, succeeded := w.Octets([]byte("payload")), 0
 		for i := 0; i < requests; i++ {
 			if victim, crash := crashAt[i]; crash {
-				n.Crash(fmt.Sprintf("rep%d", victim))
+				w.Net.Crash(fmt.Sprintf("member%d", victim))
 			}
-			out, err := stub.Call(context.Background(), "add", args)
-			if err == nil {
-				if _, derr := out.ReadLongLong(); derr == nil {
+			if out, err := w.Stub.Call(context.Background(), "echo", args); err == nil {
+				if _, err := out.ReadOctets(); err == nil {
 					succeeded++
 				}
 			}
 		}
-		med := stub.Mediator().(*replication.Mediator)
-		stats := med.Stats()
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", k),
-			fmt.Sprintf("%d", crashes),
-			fmt.Sprintf("%d", requests),
-			fmt.Sprintf("%d", succeeded),
-			fmtPct(float64(succeeded) / float64(requests)),
-			fmt.Sprintf("%d", stats.MaskedFailures),
+		stats := w.Stub.Mediator().(*replication.Mediator).Stats()
+		rows = append(rows, []string{
+			fmt.Sprint(k), fmt.Sprint(k - 1), fmt.Sprint(requests), fmt.Sprint(succeeded),
+			fmtPct(float64(succeeded) / requests), fmt.Sprint(stats.MaskedFailures),
 		})
-		client.Shutdown()
-		for _, o := range orbs {
-			o.Shutdown()
-		}
 	}
-	t.Notes = append(t.Notes,
-		"availability stays at 100% for every k because k-1 crashes never exhaust the group (k-availability); masked failures grow with the crash count")
-	return t, nil
+	return []string{"replicas k", "crashes", "requests", "succeeded", "availability", "masked failures"}, rows
+}
+
+// ablationVoting isolates the cost of majority voting on top of active
+// replication (k=3): the fan-out is identical, only the vote differs.
+func ablationVoting() []Case {
+	var cases []Case
+	for _, c := range []struct {
+		name   string
+		voting bool
+	}{{"novote", false}, {"vote", true}} {
+		cases = append(cases, Case{"AblationVoting/" + c.name, func(tb testing.TB) (func(), int64) {
+			cfg := Replicated(3, maqs.ParamProposal{Name: replication.ParamVoting, Desired: maqs.Flag(c.voting)})
+			return NewWorld(tb, cfg).Echo(tb, []byte("ballot")), 0
+		}})
+	}
+	return cases
 }

@@ -5,160 +5,97 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
+	"testing"
 	"time"
 
-	"maqs/internal/cdr"
+	"maqs"
 	"maqs/internal/characteristics/loadbalance"
-	"maqs/internal/ior"
-	"maqs/internal/netsim"
-	"maqs/internal/orb"
-	"maqs/internal/qos"
 )
 
-// burnServant sleeps for a per-worker service time, simulating skewed
-// worker speeds.
-type burnServant struct {
-	delay time.Duration
-	mu    sync.Mutex
-	seen  int
+// e4 compares balancing strategies: what the balancer itself costs per
+// call over four equal workers, and — the shape — what each strategy makes
+// of four workers of which one is four times slower.
+var e4 = Experiment{
+	ID: "E4", Name: "load balancing strategies",
+	Title: "load balancing strategies, 4 workers (one 4x slower), 160 jobs, concurrency 8",
+	Claim: "§6: 'performance by load-balancing' — strategies differ under skew, least-loaded avoids the slow worker",
+	Cases: e4Cases(),
+	Shape: e4Skew,
+	Notes: []string{"round-robin/random give the slow worker its even 25% share and stall on it; least-loaded (feedback) and weighted (static 3:3:3:1) shift work to the fast workers and finish sooner"},
 }
 
-func (s *burnServant) Invoke(req *orb.ServerRequest) error {
-	s.mu.Lock()
-	s.seen++
-	s.mu.Unlock()
-	if s.delay > 0 {
-		time.Sleep(s.delay)
-	}
-	req.Out.WriteBool(true)
-	return nil
+var strategies = []string{
+	loadbalance.StrategyRoundRobin,
+	loadbalance.StrategyRandom,
+	loadbalance.StrategyLeastLoaded,
+	loadbalance.StrategyWeighted,
 }
 
-// E4LoadBalance compares balancing strategies over four workers, one of
-// which is four times slower, reporting wall time, throughput, the share
-// of jobs the slow worker received, and the spread across workers.
-func E4LoadBalance() (*Table, error) {
-	t := &Table{
-		ID:     "E4",
-		Title:  "load balancing strategies, 4 workers (one 4x slower), 160 jobs, concurrency 8",
-		Claim:  "§6: 'performance by load-balancing' — strategies differ under skew, least-loaded avoids the slow worker",
-		Header: []string{"strategy", "wall time", "jobs/s", "slow-worker share", "spread (CV)"},
+func e4Cases() []Case {
+	var cases []Case
+	for _, strategy := range strategies {
+		cases = append(cases, Case{"E4LoadBalance/" + strategy, func(tb testing.TB) (func(), int64) {
+			return NewWorld(tb, Balanced(strategy)).Echo(tb, []byte("job")), 0
+		}})
 	}
-	const jobs = 160
-	const concurrency = 8
+	return cases
+}
+
+// e4Skew reports wall time, throughput, the share of jobs the slow worker
+// received, and the spread across workers.
+func e4Skew(tb testing.TB) ([]string, [][]string) {
+	const jobs, concurrency = 160, 8
 	delays := []time.Duration{4 * time.Millisecond, 4 * time.Millisecond, 4 * time.Millisecond, 16 * time.Millisecond}
-
-	for _, strategy := range []string{
-		loadbalance.StrategyRoundRobin,
-		loadbalance.StrategyRandom,
-		loadbalance.StrategyLeastLoaded,
-		loadbalance.StrategyWeighted,
-	} {
-		n := netsim.NewNetwork()
-		endpoints := make([]string, len(delays))
-		servants := make([]*burnServant, len(delays))
-		var orbs []*orb.ORB
-		var firstRef *ior.IOR
-		for i := range delays {
-			endpoints[i] = fmt.Sprintf("w%d:1", i)
-		}
-		for i, d := range delays {
-			o := orb.New(orb.Options{Transport: n.Host(fmt.Sprintf("w%d", i))})
-			if err := o.Listen(endpoints[i]); err != nil {
-				return nil, err
-			}
-			servants[i] = &burnServant{delay: d}
-			skel := qos.NewServerSkeleton(servants[i])
-			if err := skel.AddQoS(loadbalance.NewImpl(0, endpoints)); err != nil {
-				return nil, err
-			}
-			ref, err := o.Adapter().ActivateQoS("farm", "IDL:x/Farm:1.0", skel,
-				ior.QoSInfo{Characteristics: []string{loadbalance.Name}})
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				firstRef = ref
-			}
-			orbs = append(orbs, o)
-		}
-		cluster := firstRef.Clone()
-		cluster.SetAlternateEndpoints(endpoints)
-		client := orb.New(orb.Options{Transport: n.Host("client")})
-		registry := qos.NewRegistry()
-		if err := loadbalance.Register(registry); err != nil {
-			return nil, err
-		}
-		stub := qos.NewStubWithRegistry(client, cluster, registry)
-		params := []qos.ParamProposal{{Name: "strategy", Desired: qos.Text(strategy)}}
+	var rows [][]string
+	for _, strategy := range strategies {
+		var params []maqs.ParamProposal
 		if strategy == loadbalance.StrategyWeighted {
 			// Weight the fast workers 3:1 over the slow one (static
 			// knowledge standing in for the feedback least-loaded gets).
-			params = append(params, qos.ParamProposal{Name: "weights", Desired: qos.Text("3,3,3,1")})
+			params = append(params, maqs.ParamProposal{Name: loadbalance.ParamWeights, Desired: maqs.Text("3,3,3,1")})
 		}
-		if _, err := stub.Negotiate(context.Background(), &qos.Proposal{
-			Characteristic: loadbalance.Name,
-			Params:         params,
-		}); err != nil {
-			return nil, err
+		workers := make([]*burnServant, len(delays))
+		cfg := Balanced(strategy, params...)
+		cfg.Servant = func(i int) maqs.Servant {
+			workers[i] = &burnServant{delay: delays[i]}
+			return workers[i]
 		}
+		w := NewWorld(tb, cfg)
 
-		e := cdr.NewEncoder(client.Order())
-		e.WriteOctets(make([]byte, 128))
-		args := e.Bytes()
 		start := time.Now()
-		sem := make(chan struct{}, concurrency)
 		var wg sync.WaitGroup
-		var failures int
-		var mu sync.Mutex
-		for i := 0; i < jobs; i++ {
+		var taken, failures atomic.Int64
+		for c := 0; c < concurrency; c++ {
 			wg.Add(1)
-			sem <- struct{}{}
 			go func() {
 				defer wg.Done()
-				defer func() { <-sem }()
-				if _, err := stub.Call(context.Background(), "burn", args); err != nil {
-					mu.Lock()
-					failures++
-					mu.Unlock()
+				for taken.Add(1) <= jobs {
+					if _, err := w.Stub.Call(context.Background(), "burn", nil); err != nil {
+						failures.Add(1)
+					}
 				}
 			}()
 		}
 		wg.Wait()
 		wall := time.Since(start)
-		if failures > 0 {
-			return nil, fmt.Errorf("strategy %s: %d failures", strategy, failures)
+		if n := failures.Load(); n > 0 {
+			tb.Fatalf("strategy %s: %d of %d jobs failed", strategy, n, jobs)
 		}
 
-		counts := make([]float64, len(servants))
-		var total, slow float64
-		for i, s := range servants {
-			s.mu.Lock()
-			counts[i] = float64(s.seen)
-			s.mu.Unlock()
-			total += counts[i]
-		}
-		slow = counts[len(counts)-1]
-		mean := total / float64(len(counts))
 		var variance float64
-		for _, c := range counts {
-			variance += (c - mean) * (c - mean)
+		mean := float64(jobs) / float64(len(workers))
+		for _, s := range workers {
+			d := float64(s.seen.Load()) - mean
+			variance += d * d
 		}
-		cv := math.Sqrt(variance/float64(len(counts))) / mean
-
-		t.Rows = append(t.Rows, []string{
+		rows = append(rows, []string{
 			strategy,
 			fmtDur(wall),
-			fmt.Sprintf("%.0f", float64(jobs)/wall.Seconds()),
-			fmtPct(slow / total),
-			fmt.Sprintf("%.2f", cv),
+			fmt.Sprintf("%.0f", jobs/wall.Seconds()),
+			fmtPct(float64(workers[len(workers)-1].seen.Load()) / jobs),
+			fmt.Sprintf("%.2f", math.Sqrt(variance/float64(len(workers)))/mean),
 		})
-		client.Shutdown()
-		for _, o := range orbs {
-			o.Shutdown()
-		}
 	}
-	t.Notes = append(t.Notes,
-		"round-robin/random give the slow worker its even 25% share and stall on it; least-loaded (feedback) and weighted (static 3:3:3:1) shift work to the fast workers and finish sooner")
-	return t, nil
+	return []string{"strategy", "wall time", "jobs/s", "slow-worker share", "spread (CV)"}, rows
 }

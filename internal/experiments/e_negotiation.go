@@ -3,14 +3,49 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"testing"
 	"time"
 
+	"maqs"
 	"maqs/internal/contract"
-	"maqs/internal/ior"
-	"maqs/internal/netsim"
-	"maqs/internal/orb"
 	"maqs/internal/qos"
 )
+
+// e8 is the negotiation family: what an agreement and its renegotiation
+// cost per call, and — the shape — a contract hierarchy resolving past an
+// admission veto and a full monitoring-driven adaptation loop.
+var e8 = Experiment{
+	ID: "E8", Name: "negotiation and adaptation",
+	Title: "negotiation, renegotiation and adaptation",
+	Claim: "§3: per-relationship agreements, adaptation by renegotiation when resources change; outlook: preferences as contract hierarchies",
+	Cases: []Case{
+		{"E8Negotiation/negotiateRelease", func(tb testing.TB) (func(), int64) {
+			cfg := NullBound()
+			proposal, ctx := cfg.Proposal, context.Background()
+			cfg.Proposal = nil
+			stub := NewWorld(tb, cfg).Stub
+			return func() {
+				if _, err := stub.Negotiate(ctx, proposal); err != nil {
+					tb.Fatal(err)
+				}
+				if err := stub.Release(ctx); err != nil {
+					tb.Fatal(err)
+				}
+			}, 0
+		}},
+		{"E8Negotiation/renegotiate", func(tb testing.TB) (func(), int64) {
+			cfg := NullBound()
+			stub, ctx := NewWorld(tb, cfg).Stub, context.Background()
+			return func() {
+				if _, err := stub.Renegotiate(ctx, cfg.Proposal); err != nil {
+					tb.Fatal(err)
+				}
+			}, 0
+		}},
+	},
+	Shape: e8Adaptation,
+	Notes: []string{"negotiation costs one extra round trip per agreement; adaptation closes the loop from monitoring to a renegotiated contract without touching application code"},
+}
 
 // tierImpl offers a numeric "tier" parameter and vetoes tiers above its
 // admission limit, so contract hierarchies have something to fall back
@@ -21,15 +56,11 @@ type tierImpl struct {
 }
 
 func newTierImpl(offerMax, admitMax float64) *tierImpl {
-	impl := &tierImpl{admitMax: admitMax}
-	impl.Desc = &qos.Characteristic{Name: "Tiered"}
-	impl.Capability = &qos.Offer{
-		Characteristic: "Tiered",
-		Params: []qos.ParamOffer{
-			{Name: "tier", Kind: qos.KindNumber, Min: 1, Max: offerMax, Default: qos.Number(1)},
-		},
-	}
-	return impl
+	return &tierImpl{admitMax: admitMax, BaseImpl: qos.BaseImpl{
+		Desc: &qos.Characteristic{Name: "Tiered"},
+		Capability: &qos.Offer{Characteristic: "Tiered", Params: []qos.ParamOffer{
+			{Name: "tier", Kind: qos.KindNumber, Min: 1, Max: offerMax, Default: qos.Number(1)}}},
+	}}
 }
 
 func (i *tierImpl) BindingUp(b *qos.Binding) error {
@@ -39,114 +70,43 @@ func (i *tierImpl) BindingUp(b *qos.Binding) error {
 	return nil
 }
 
-// E8Negotiation measures the negotiation family latencies, the contract
-// hierarchy resolution, and a full monitoring-driven adaptation loop.
-func E8Negotiation() (*Table, error) {
-	n := netsim.NewNetwork()
-	server := orb.New(orb.Options{Transport: n.Host("server")})
-	if err := server.Listen("server:1"); err != nil {
-		return nil, err
-	}
-	defer server.Shutdown()
-	skel := qos.NewServerSkeleton(echoServant{})
-	if err := skel.AddQoS(newTierImpl(9, 3)); err != nil {
-		return nil, err
-	}
-	ref, err := server.Adapter().ActivateQoS("svc", "IDL:x/Svc:1.0", skel,
-		ior.QoSInfo{Characteristics: []string{"Tiered"}})
-	if err != nil {
-		return nil, err
-	}
-	client := orb.New(orb.Options{Transport: n.Host("client")})
-	defer client.Shutdown()
-	registry := qos.NewRegistry()
-	if err := registry.Register(&qos.Characteristic{Name: "Tiered"}, nil); err != nil {
-		return nil, err
-	}
+func tier(n float64) *maqs.Proposal {
+	return propose("Tiered", maqs.ParamProposal{Name: "tier", Desired: maqs.Number(n)})
+}
 
-	t := &Table{
-		ID:     "E8",
-		Title:  "negotiation, renegotiation and adaptation",
-		Claim:  "§3: per-relationship agreements, adaptation by renegotiation when resources change; outlook: preferences as contract hierarchies",
-		Header: []string{"operation", "result", "latency"},
-	}
-
-	// Negotiation latency.
-	const iters = 500
-	stub := qos.NewStubWithRegistry(client, ref, registry)
-	proposal := &qos.Proposal{
-		Characteristic: "Tiered",
-		Params:         []qos.ParamProposal{{Name: "tier", Desired: qos.Number(2)}},
-	}
-	negotiate, err := timeCalls(iters, func() error {
-		if _, err := stub.Negotiate(context.Background(), proposal); err != nil {
-			return err
-		}
-		return stub.Release(context.Background())
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, []string{"negotiate + release", "binding established", fmtDur(negotiate)})
-
-	if _, err := stub.Negotiate(context.Background(), proposal); err != nil {
-		return nil, err
-	}
-	renegotiate, err := timeCalls(iters, func() error {
-		_, err := stub.Renegotiate(context.Background(), proposal)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	epoch := stub.Binding().Contract.Epoch
-	t.Rows = append(t.Rows, []string{"renegotiate", fmt.Sprintf("epoch now %d", epoch), fmtDur(renegotiate)})
+func e8Adaptation(tb testing.TB) ([]string, [][]string) {
+	w := NewWorld(tb, Config{Impl: func([]string) maqs.Impl { return newTierImpl(9, 3) }})
+	ctx := context.Background()
+	w.Echo(tb, nil)() // open the connection: the first row times the hierarchy, not the dial
 
 	// Contract hierarchy: tier 9 resolves against the offer but admission
 	// rejects it; the hierarchy falls back to tier 3.
-	stub2 := qos.NewStubWithRegistry(client, ref, registry)
-	root := contract.NewFallback("tiers",
-		contract.NewLeaf("premium", 10, &qos.Proposal{
-			Characteristic: "Tiered",
-			Params:         []qos.ParamProposal{{Name: "tier", Desired: qos.Number(9)}},
-		}),
-		contract.NewLeaf("standard", 5, &qos.Proposal{
-			Characteristic: "Tiered",
-			Params:         []qos.ParamProposal{{Name: "tier", Desired: qos.Number(3)}},
-		}),
-	)
 	start := time.Now()
-	_, winner, err := contract.NegotiateBest(context.Background(), stub2, root)
+	_, winner, err := contract.NegotiateBest(ctx, w.Client.Stub(w.Ref), contract.NewFallback("tiers",
+		contract.NewLeaf("premium", 10, tier(9)),
+		contract.NewLeaf("standard", 5, tier(3)),
+	))
 	if err != nil {
-		return nil, err
+		tb.Fatal(err)
 	}
-	t.Rows = append(t.Rows, []string{
+	rows := [][]string{{
 		"hierarchy fallback",
 		fmt.Sprintf("%q admitted after %q vetoed", winner.Label, "premium"),
 		fmtDur(time.Since(start)),
-	})
+	}}
 
 	// Adaptation loop: a latency rule fires once the link degrades, and
 	// the action renegotiates down to tier 1.
-	stub3 := qos.NewStubWithRegistry(client, ref, registry)
-	if _, err := stub3.Negotiate(context.Background(), &qos.Proposal{
-		Characteristic: "Tiered",
-		Params:         []qos.ParamProposal{{Name: "tier", Desired: qos.Number(3)}},
-	}); err != nil {
-		return nil, err
+	stub := w.Stub
+	if _, err := stub.Negotiate(ctx, tier(3)); err != nil {
+		tb.Fatal(err)
 	}
 	monitor := qos.NewMonitor(16)
-	stub3.SetObserver(monitor.Observe)
-	adapted := make(chan struct{}, 1)
-	adaptor := qos.NewAdaptor(monitor, func(rule qos.Rule, s qos.Stats) {
-		if _, err := stub3.Renegotiate(context.Background(), &qos.Proposal{
-			Characteristic: "Tiered",
-			Params:         []qos.ParamProposal{{Name: "tier", Desired: qos.Number(1)}},
-		}); err == nil {
-			select {
-			case adapted <- struct{}{}:
-			default:
-			}
+	stub.SetObserver(monitor.Observe)
+	adapted := false
+	adaptor := qos.NewAdaptor(monitor, func(qos.Rule, qos.Stats) {
+		if _, err := stub.Renegotiate(ctx, tier(1)); err == nil {
+			adapted = true
 		}
 	})
 	adaptor.AddRule(qos.Rule{
@@ -154,47 +114,34 @@ func E8Negotiation() (*Table, error) {
 		Violated: func(s qos.Stats) bool { return s.Window >= 8 && s.P50 > 5*time.Millisecond },
 		Cooldown: time.Hour,
 	})
-
-	call := func() error {
-		_, err := stub3.Call(context.Background(), "echo", []byte{0, 0, 0, 0})
-		return err
-	}
+	args := w.Octets(nil)
 	for i := 0; i < 16; i++ {
-		if err := call(); err != nil {
-			return nil, err
+		if _, err := stub.Call(ctx, "echo", args); err != nil {
+			tb.Fatal(err)
 		}
 		adaptor.Evaluate()
 	}
-	preDegrade := len(adapted) > 0
+	if adapted {
+		tb.Fatal("adaptation fired before degradation")
+	}
 
-	// Degrade the link and keep calling; the rule must fire.
-	n.SetLink("client", "server", netsim.Link{Latency: 8 * time.Millisecond})
-	// New connections pick up the link; cut the old one.
-	n.Partition("client", "server")
-	n.Heal("client", "server")
+	// Degrade the link and keep calling; the rule must fire. New
+	// connections pick up the link, so cut the old one.
+	w.Net.SetLink("client", "server", maqs.Link{Latency: 8 * time.Millisecond})
+	w.Net.Partition("client", "server")
+	w.Net.Heal("client", "server")
 	start = time.Now()
-	var fired bool
-	for i := 0; i < 64 && !fired; i++ {
-		_ = call() // the first call after the partition may fail; retry
+	for i := 0; i < 64 && !adapted; i++ {
+		_, _ = stub.Call(ctx, "echo", args) // the first call after the partition may fail; retry
 		adaptor.Evaluate()
-		select {
-		case <-adapted:
-			fired = true
-		default:
-		}
 	}
-	if preDegrade {
-		return nil, fmt.Errorf("adaptation fired before degradation")
+	if !adapted {
+		tb.Fatal("adaptation never fired after degradation")
 	}
-	if !fired {
-		return nil, fmt.Errorf("adaptation never fired after degradation")
-	}
-	t.Rows = append(t.Rows, []string{
+	rows = append(rows, []string{
 		"adaptation (monitor→renegotiate)",
-		fmt.Sprintf("tier now %g after latency rule fired", stub3.Binding().Contract.Number("tier", 0)),
+		fmt.Sprintf("tier now %g after latency rule fired", stub.Binding().Contract.Number("tier", 0)),
 		fmtDur(time.Since(start)),
 	})
-	t.Notes = append(t.Notes,
-		"negotiation costs one extra round trip per agreement; adaptation closes the loop from monitoring to a renegotiated contract without touching application code")
-	return t, nil
+	return []string{"operation", "result", "latency"}, rows
 }

@@ -4,312 +4,104 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"time"
+	"testing"
 
-	"maqs/internal/cdr"
-	"maqs/internal/giop"
-	"maqs/internal/ior"
-	"maqs/internal/netsim"
-	"maqs/internal/orb"
 	"maqs/internal/qos"
 	"maqs/internal/qos/transport"
 )
 
-// echoServant mirrors its octet payload.
-type echoServant struct{}
-
-func (echoServant) Invoke(req *orb.ServerRequest) error {
-	p, err := req.In().ReadOctets()
-	if err != nil {
-		return err
-	}
-	req.Out.WriteOctets(p)
-	return nil
+// e1 measures the cost of the woven interception points: a plain
+// invocation, the QoS tag with the prolog/epilog bracket on the server
+// skeleton, and the mediator delegation on the stub on top of that.
+var e1 = Experiment{
+	ID: "E1", Name: "interception overhead",
+	Title: "interception overhead per call (in-memory link)",
+	Claim: "§3.3: the QoS seams are injected 'transparently to client and service' — their cost must be small against a remote call",
+	Cases: e1Cases(),
+	Notes: []string{"the woven seams add a fixed per-call cost; on any real network link it vanishes in propagation delay"},
 }
 
-// countingMediator is a minimal pass-through mediator.
-type countingMediator struct {
-	qos.BaseMediator
-	calls int
-}
-
-func (m *countingMediator) PreInvoke(context.Context, *orb.Invocation) error {
-	m.calls++
-	return nil
-}
-
-// echoWorld wires a QoS-capable echo pair over an in-memory network.
-type echoWorld struct {
-	net    *netsim.Network
-	server *orb.ORB
-	client *orb.ORB
-	skel   *qos.ServerSkeleton
-	ref    *ior.IOR
-}
-
-func newEchoWorld() (*echoWorld, error) {
-	n := netsim.NewNetwork()
-	server := orb.New(orb.Options{Transport: n.Host("server")})
-	if err := server.Listen("server:1"); err != nil {
-		return nil, err
-	}
-	impl := &qos.BaseImpl{
-		Desc: &qos.Characteristic{Name: "Null"},
-		Capability: &qos.Offer{
-			Characteristic: "Null",
-			Params:         []qos.ParamOffer{{Name: "x", Kind: qos.KindNumber, Min: 0, Max: 1, Default: qos.Number(0)}},
-		},
-	}
-	skel := qos.NewServerSkeleton(echoServant{})
-	if err := skel.AddQoS(impl); err != nil {
-		return nil, err
-	}
-	ref, err := server.Adapter().ActivateQoS("echo", "IDL:x/Echo:1.0", skel,
-		ior.QoSInfo{Characteristics: []string{"Null"}})
-	if err != nil {
-		return nil, err
-	}
-	client := orb.New(orb.Options{Transport: n.Host("client")})
-	return &echoWorld{net: n, server: server, client: client, skel: skel, ref: ref}, nil
-}
-
-func (w *echoWorld) close() {
-	w.client.Shutdown()
-	w.server.Shutdown()
-}
-
-// timeCalls measures the mean round trip of fn over n calls after warmup.
-func timeCalls(n int, fn func() error) (time.Duration, error) {
-	for i := 0; i < 16; i++ {
-		if err := fn(); err != nil {
-			return 0, err
-		}
-	}
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if err := fn(); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start) / time.Duration(n), nil
-}
-
-// E1Interception measures the cost of the woven interception points:
-// plain invocation, the mediator delegation on the stub, and the
-// prolog/epilog bracket on the server skeleton.
-func E1Interception() (*Table, error) {
-	w, err := newEchoWorld()
-	if err != nil {
-		return nil, err
-	}
-	defer w.close()
-	ctx := context.Background()
-
-	t := &Table{
-		ID:     "E1",
-		Title:  "interception overhead per call (in-memory link)",
-		Claim:  "§3.3: the QoS seams are injected 'transparently to client and service' — their cost must be small against a remote call",
-		Header: []string{"payload", "plain stub", "+QoS tag+prolog/epilog", "+mediator", "worst overhead"},
-	}
-	const iters = 3000
+func e1Cases() []Case {
+	var cases []Case
 	for _, size := range []int{0, 64, 1024} {
-		payload := bytes.Repeat([]byte{0xAB}, size)
-		e := cdr.NewEncoder(w.client.Order())
-		e.WriteOctets(payload)
-		args := e.Bytes()
-
-		// Plain: direct stub without binding or mediator.
-		plainStub := qos.NewStubWithRegistry(w.client, w.ref, qos.NewRegistry())
-		plain, err := timeCalls(iters, func() error {
-			_, err := plainStub.Call(ctx, "echo", args)
-			return err
-		})
-		if err != nil {
-			return nil, err
+		for _, variant := range []string{"plain", "bound", "mediated"} {
+			cases = append(cases, Case{fmt.Sprintf("E1Interception/%s/%dB", variant, size), func(tb testing.TB) (func(), int64) {
+				cfg := NullBound()
+				if variant == "plain" {
+					cfg.Proposal = nil
+				}
+				w := NewWorld(tb, cfg)
+				if variant == "mediated" {
+					w.Stub.SetMediator(&qos.BaseMediator{Char: "Null"})
+				}
+				return w.Echo(tb, bytes.Repeat([]byte{0xA5}, size)), 0
+			}})
 		}
-
-		// Bound: QoS tag on every request, prolog/epilog on the server.
-		registry := qos.NewRegistry()
-		if err := registry.Register(&qos.Characteristic{Name: "Null"}, nil); err != nil {
-			return nil, err
-		}
-		boundStub := qos.NewStubWithRegistry(w.client, w.ref, registry)
-		if _, err := boundStub.Negotiate(ctx, &qos.Proposal{Characteristic: "Null"}); err != nil {
-			return nil, err
-		}
-		bound, err := timeCalls(iters, func() error {
-			_, err := boundStub.Call(ctx, "echo", args)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-
-		// Mediator: add a pass-through mediator to the bound stub.
-		boundStub.SetMediator(&countingMediator{BaseMediator: qos.BaseMediator{Char: "Null"}})
-		mediated, err := timeCalls(iters, func() error {
-			_, err := boundStub.Call(ctx, "echo", args)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-
-		worst := float64(bound-plain) / float64(plain)
-		if m := float64(mediated-plain) / float64(plain); m > worst {
-			worst = m
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d B", size),
-			fmtDur(plain), fmtDur(bound), fmtDur(mediated), fmtPct(worst),
-		})
 	}
-	t.Notes = append(t.Notes,
-		"the woven seams add a fixed per-call cost; on any real network link it vanishes in propagation delay")
-	return t, nil
+	return cases
 }
 
-// nopModule is a pass-through transport module for the dispatch branch
-// measurement.
-type nopModule struct{}
-
-func (nopModule) Name() string { return "nop" }
-func (nopModule) Send(ctx context.Context, inv *orb.Invocation, next transport.Next) (*orb.Outcome, error) {
-	return next(ctx, inv)
+// e2 measures each branch of the paper's Fig. 3 decision tree.
+var e2 = Experiment{
+	ID: "E2", Name: "ORB dispatch branches (Fig. 3)",
+	Title: "per-branch round trip of the Fig. 3 dispatch",
+	Claim: "§4: the reflective dispatch ('With QoS?' / 'Module?' / 'Command?') must not burden the plain path",
+	Cases: e2Cases(),
+	Notes: []string{"every case checks on the transports' dispatch counters that its call took the branch it is named after"},
 }
-func (nopModule) ServerFilter() orb.IncomingFilter { return nil }
-func (nopModule) Dynamic() *orb.DynamicServant {
-	return &orb.DynamicServant{Ops: map[string]orb.DynamicOp{
-		"ping": {Result: cdr.TCVoid, Handler: func([]cdr.Any) (cdr.Any, error) { return cdr.Any{}, nil }},
-	}}
-}
-func (nopModule) Close() error { return nil }
 
-// E2Dispatch measures each branch of the paper's Fig. 3 decision tree.
-func E2Dispatch() (*Table, error) {
-	n := netsim.NewNetwork()
-	server := orb.New(orb.Options{Transport: n.Host("server")})
-	if err := server.Listen("server:1"); err != nil {
-		return nil, err
-	}
-	defer server.Shutdown()
-	st := transport.Install(server)
-	if err := st.RegisterFactory("nop", func(*transport.Transport, map[string]string) (transport.Module, error) {
-		return nopModule{}, nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := st.Load("nop", nil); err != nil {
-		return nil, err
-	}
+func e2Cases() []Case {
+	unbound := NullBound()
+	unbound.Proposal = nil
+	viaNop := Config{Impl: passThrough("Null", "nop"), Proposal: propose("Null"), Module: "nop", Register: registerNop}
+	echo := func(tb testing.TB, w *World) func() { return w.Echo(tb, []byte("x")) }
+	client := func(w *World) transport.DispatchCounts { return w.Client.Transport.Counts() }
+	server := func(w *World) transport.DispatchCounts { return w.Servers[0].Transport.Counts() }
 
-	impl := &qos.BaseImpl{
-		Desc: &qos.Characteristic{Name: "Null"},
-		Capability: &qos.Offer{Characteristic: "Null",
-			Params: []qos.ParamOffer{{Name: "x", Kind: qos.KindNumber, Min: 0, Max: 1, Default: qos.Number(0)}}},
-	}
-	skel := qos.NewServerSkeleton(echoServant{})
-	if err := skel.AddQoS(impl); err != nil {
-		return nil, err
-	}
-	ref, err := server.Adapter().ActivateQoS("echo", "IDL:x/Echo:1.0", skel,
-		ior.QoSInfo{Characteristics: []string{"Null"}, Modules: []string{"nop"}})
-	if err != nil {
-		return nil, err
-	}
-
-	client := orb.New(orb.Options{Transport: n.Host("client")})
-	defer client.Shutdown()
-	ct := transport.Install(client)
-	if err := ct.RegisterFactory("nop", func(*transport.Transport, map[string]string) (transport.Module, error) {
-		return nopModule{}, nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := ct.Load("nop", nil); err != nil {
-		return nil, err
-	}
-
-	registry := qos.NewRegistry()
-	if err := registry.Register(&qos.Characteristic{Name: "Null"}, nil); err != nil {
-		return nil, err
-	}
-	stub := qos.NewStubWithRegistry(client, ref, registry)
-	binding, err := stub.Negotiate(context.Background(), &qos.Proposal{Characteristic: "Null"})
-	if err != nil {
-		return nil, err
-	}
-	ctx := context.Background()
-	e := cdr.NewEncoder(client.Order())
-	e.WriteOctets([]byte("x"))
-	args := e.Bytes()
-
-	invokeTagged := func(module string) error {
-		inv := &orb.Invocation{
-			Target: ref, Operation: "echo", Args: args, ResponseExpected: true,
-			Order: client.Order(),
-		}
-		inv.Contexts = inv.Contexts.With(giop.SCQoS, qos.QoSTag{
-			Characteristic: "Null", BindingID: binding.ID, Module: module,
-		}.Encode())
-		out, err := client.Invoke(ctx, inv)
-		if err != nil {
-			return err
-		}
-		return out.Err()
-	}
-	ctl := transport.NewController(client, ref)
-
-	const iters = 3000
-	branches := []struct {
+	var cases []Case
+	for _, branch := range []struct {
 		name string
-		fn   func() error
+		cfg  Config
+		op   func(testing.TB, *World) func()
+		took func(*World) uint64 // the Fig. 3 counter the branch moves
 	}{
-		{"no QoS -> IIOP", func() error {
-			out, err := client.Invoke(ctx, &orb.Invocation{
-				Target: ref, Operation: "echo", Args: args, ResponseExpected: true,
-				Order: client.Order()})
-			if err != nil {
-				return err
+		{"plainIIOP", unbound, echo, func(w *World) uint64 { return client(w).PlainIIOP }},
+		{"qosFallback", NullBound(), echo, func(w *World) uint64 { return client(w).QoSFallback }},
+		{"qosModule", viaNop, echo, func(w *World) uint64 { return client(w).QoSModule }},
+		{"commandTransport", unbound, listModules, func(w *World) uint64 { return server(w).TransportCommands }},
+		{"commandModule", viaNop, pingModule, func(w *World) uint64 { return server(w).ModuleCommands }},
+	} {
+		cases = append(cases, Case{"E2Dispatch/" + branch.name, func(tb testing.TB) (func(), int64) {
+			w := NewWorld(tb, branch.cfg)
+			op := branch.op(tb, w)
+			before := branch.took(w)
+			op()
+			if branch.took(w) != before+1 {
+				tb.Fatalf("the call did not take the %s branch", branch.name)
 			}
-			return out.Err()
-		}},
-		{"QoS, no module -> IIOP fallback", func() error { return invokeTagged("") }},
-		{"QoS via module", func() error { return invokeTagged("nop") }},
-		{"command -> transport", func() error {
-			_, err := ctl.List(ctx)
-			return err
-		}},
-		{"command -> module (DII)", func() error {
-			_, err := ctl.ModuleCommand(ctx, "nop", "ping", nil)
-			return err
-		}},
+			return op, 0
+		}})
 	}
+	return cases
+}
 
-	t := &Table{
-		ID:     "E2",
-		Title:  "per-branch round trip of the Fig. 3 dispatch",
-		Claim:  "§4: the reflective dispatch ('With QoS?' / 'Module?' / 'Command?') must not burden the plain path",
-		Header: []string{"branch", "round trip", "vs plain"},
-	}
-	ct.ResetCounts()
-	st.ResetCounts()
-	var plain time.Duration
-	for i, br := range branches {
-		d, err := timeCalls(iters, br.fn)
-		if err != nil {
-			return nil, fmt.Errorf("branch %q: %w", br.name, err)
+// listModules is a command the server's transport interprets itself.
+func listModules(tb testing.TB, w *World) func() {
+	ctl, ctx := transport.NewController(w.Client.ORB, w.Ref), context.Background()
+	return func() {
+		if _, err := ctl.List(ctx); err != nil {
+			tb.Fatal(err)
 		}
-		if i == 0 {
-			plain = d
-		}
-		t.Rows = append(t.Rows, []string{br.name, fmtDur(d), fmt.Sprintf("%+.1f%%", 100*float64(d-plain)/float64(plain))})
 	}
-	counts := ct.Counts()
-	srvCounts := st.Counts()
-	t.Notes = append(t.Notes, fmt.Sprintf(
-		"client dispatch counters: plain=%d fallback=%d module=%d; server command counters: transport=%d module=%d",
-		counts.PlainIIOP, counts.QoSFallback, counts.QoSModule,
-		srvCounts.TransportCommands, srvCounts.ModuleCommands))
-	return t, nil
+}
+
+// pingModule is a command the transport hands to the nop module's dynamic
+// interface (DII on the server side).
+func pingModule(tb testing.TB, w *World) func() {
+	ctl, ctx := transport.NewController(w.Client.ORB, w.Ref), context.Background()
+	return func() {
+		if _, err := ctl.ModuleCommand(ctx, "nop", "ping", nil); err != nil {
+			tb.Fatal(err)
+		}
+	}
 }

@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"testing"
 
 	"maqs/internal/cdr"
+	"maqs/internal/characteristics/compression"
 	"maqs/internal/idl"
 	"maqs/internal/idl/gen"
-	"maqs/internal/netsim"
 	"maqs/internal/orb"
-	"maqs/internal/qos"
 	"maqs/internal/qos/transport"
 )
 
@@ -18,206 +18,109 @@ import (
 const weavingQIDL = `
 module bench {
   struct Item { string name; double value; };
-  exception Broke { double balance; };
-  qos Guard {
-    category "privacy";
-    param long strength = 2;
-    void guard_rotate(in string reason);
-  };
+  qos Guard { param long strength = 2; void guard_rotate(in string reason); };
   interface Store supports Guard {
     void put(in string key, in Item item);
-    Item get(in string key) raises (Broke);
-    sequence<Item> list(in unsigned long limit);
+    Item get(in string key);
     long add(in long a, in long b);
   };
 };
 `
 
-// storeServant answers the "add" operation of the weaving benchmark via a
-// hand-written dynamic dispatch (the static-vs-DII comparison target).
-type addServant struct{}
-
-func (addServant) Invoke(req *orb.ServerRequest) error {
-	switch req.Operation {
-	case "add":
-		d := req.In()
-		a, err := d.ReadLong()
-		if err != nil {
-			return err
-		}
-		b, err := d.ReadLong()
-		if err != nil {
-			return err
-		}
-		req.Out.WriteLong(a + b)
-		return nil
-	default:
-		return orb.NewSystemException(orb.ExcBadOperation, 1, "no op %q", req.Operation)
-	}
-}
-
-// E9Weaving reports the size of the woven mapping relative to its QIDL
-// input and compares a statically marshalled call against the dynamic
-// invocation interface.
-func E9Weaving() (*Table, error) {
+func weave(tb testing.TB) []byte {
 	spec, err := idl.Parse("bench.qidl", weavingQIDL)
 	if err != nil {
-		return nil, err
+		tb.Fatal(err)
 	}
 	code, err := gen.Generate(spec, gen.Options{Source: "bench.qidl"})
 	if err != nil {
-		return nil, err
+		tb.Fatal(err)
 	}
-	qidlLines := len(strings.Split(strings.TrimSpace(weavingQIDL), "\n"))
-	genLines := len(strings.Split(strings.TrimSpace(string(code)), "\n"))
-
-	t := &Table{
-		ID:     "E9",
-		Title:  "the QIDL compiler as aspect weaver",
-		Claim:  "§3.3: 'the QIDL compiler acts as an aspect weaver' — QoS plumbing the application programmer never writes",
-		Header: []string{"metric", "value"},
-	}
-	t.Rows = append(t.Rows,
-		[]string{"QIDL input", fmt.Sprintf("%d lines", qidlLines)},
-		[]string{"woven Go mapping", fmt.Sprintf("%d lines (%.0fx)", genLines, float64(genLines)/float64(qidlLines))},
-	)
-	counts := map[string]string{
-		"stub methods (mediator seam)":  "func (c *StoreStub)",
-		"skeleton dispatch cases":       "case \"",
-		"QoS impl skeleton ops":         "func (x *GuardImplBase)",
-		"typed parameter accessors":     "func (p GuardParams)",
-		"marshal helpers for sequences": "func marshalSeq",
-	}
-	src := string(code)
-	for label, marker := range counts {
-		t.Rows = append(t.Rows, []string{label, fmt.Sprintf("%d", strings.Count(src, marker))})
-	}
-
-	// Static stub call vs DII call.
-	n := netsim.NewNetwork()
-	server := orb.New(orb.Options{Transport: n.Host("server")})
-	if err := server.Listen("server:1"); err != nil {
-		return nil, err
-	}
-	defer server.Shutdown()
-	ref, err := server.Adapter().Activate("calc", "IDL:bench/Store:1.0", addServant{})
-	if err != nil {
-		return nil, err
-	}
-	client := orb.New(orb.Options{Transport: n.Host("client")})
-	defer client.Shutdown()
-
-	stub := qos.NewStubWithRegistry(client, ref, qos.NewRegistry())
-	const iters = 3000
-	static, err := timeCalls(iters, func() error {
-		e := cdr.NewEncoder(client.Order())
-		e.WriteLong(20)
-		e.WriteLong(22)
-		d, err := stub.Call(context.Background(), "add", e.Bytes())
-		if err != nil {
-			return err
-		}
-		_, err = d.ReadLong()
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	dii, err := timeCalls(iters, func() error {
-		return client.CreateRequest(ref, "add").
-			AddArg("a", cdr.Long(20), orb.ArgIn).
-			AddArg("b", cdr.Long(22), orb.ArgIn).
-			SetResultType(cdr.TCLong).
-			Invoke(context.Background())
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows,
-		[]string{"static (woven) call", fmtDur(static)},
-		[]string{"dynamic (DII) call", fmt.Sprintf("%s (%+.0f%%)", fmtDur(dii), 100*float64(dii-static)/float64(static))},
-	)
-	t.Notes = append(t.Notes,
-		"the weaver emits roughly an order of magnitude more Go than the QIDL it reads — the cross-cutting plumbing the paper wants out of application hands")
-	return t, nil
+	return code
 }
 
-// E10ModuleControl measures the reflective module management: load,
-// unload, list and a module-specific dynamic call, locally and through
-// remote commands.
-func E10ModuleControl() (*Table, error) {
-	n := netsim.NewNetwork()
-	server := orb.New(orb.Options{Transport: n.Host("server")})
-	if err := server.Listen("server:1"); err != nil {
-		return nil, err
-	}
-	defer server.Shutdown()
-	st := transport.Install(server)
-	factory := func(*transport.Transport, map[string]string) (transport.Module, error) {
-		return nopModule{}, nil
-	}
-	if err := st.RegisterFactory("nop", factory); err != nil {
-		return nil, err
-	}
-	ref, err := server.Adapter().Activate("anchor", "IDL:x/Anchor:1.0", echoServant{})
-	if err != nil {
-		return nil, err
-	}
-	client := orb.New(orb.Options{Transport: n.Host("client")})
-	defer client.Shutdown()
-	ctl := transport.NewController(client, ref)
-	ctx := context.Background()
+// e9 is the QIDL compiler as weaver: what one weave costs, a statically
+// marshalled call against the dynamic invocation interface, and — the shape
+// — the size of the woven mapping relative to its QIDL input.
+var e9 = Experiment{
+	ID: "E9", Name: "weaving (QIDL mapping)",
+	Title: "the QIDL compiler as aspect weaver",
+	Claim: "§3.3: 'the QIDL compiler acts as an aspect weaver' — QoS plumbing the application programmer never writes",
+	Cases: []Case{
+		{"E9StaticVsDII/static", func(tb testing.TB) (func(), int64) {
+			return NewWorld(tb, Config{}).Echo(tb, []byte("x")), 0
+		}},
+		{"E9StaticVsDII/dii", func(tb testing.TB) (func(), int64) {
+			w, ctx, octets := NewWorld(tb, Config{}), context.Background(), cdr.SequenceOf(cdr.TCOctet)
+			return func() {
+				req := w.Client.ORB.CreateRequest(w.Ref, "echo").
+					AddArg("p", cdr.Octets([]byte("x")), orb.ArgIn).
+					SetResultType(octets)
+				if err := req.Invoke(ctx); err != nil {
+					tb.Fatal(err)
+				}
+			}, 0
+		}},
+		{"E9Weave", func(tb testing.TB) (func(), int64) { return func() { weave(tb) }, 0 }},
+	},
+	Shape: e9Mapping,
+	Notes: []string{"the weaver emits over an order of magnitude more Go than the QIDL it reads — the cross-cutting plumbing the paper wants out of application hands"},
+}
 
-	t := &Table{
-		ID:     "E10",
-		Title:  "dynamic loading and control of QoS modules",
-		Claim:  "§4: 'a simple reflection mechanism allows the extension of the ORB at runtime'",
-		Header: []string{"operation", "where", "latency"},
+func e9Mapping(tb testing.TB) ([]string, [][]string) {
+	lines := func(s string) int { return len(strings.Split(strings.TrimSpace(s), "\n")) }
+	src := string(weave(tb))
+	rows := [][]string{
+		{"QIDL input", fmt.Sprintf("%d lines", lines(weavingQIDL))},
+		{"woven Go mapping", fmt.Sprintf("%d lines (%.0fx)", lines(src), float64(lines(src))/float64(lines(weavingQIDL)))},
 	}
-	const iters = 1000
-	localCycle, err := timeCalls(iters, func() error {
-		if err := st.Load("nop", nil); err != nil {
-			return err
-		}
-		return st.Unload("nop")
-	})
-	if err != nil {
-		return nil, err
+	for _, count := range [][2]string{
+		{"stub methods (mediator seam)", "func (c *StoreStub)"},
+		{"skeleton dispatch cases", "case \""},
+		{"QoS impl skeleton ops", "func (x *GuardImplBase)"},
+		{"typed parameter accessors", "func (p GuardParams)"},
+	} {
+		rows = append(rows, []string{count[0], fmt.Sprint(strings.Count(src, count[1]))})
 	}
-	t.Rows = append(t.Rows, []string{"load+unload cycle", "local (in-process)", fmtDur(localCycle)})
+	return []string{"metric", "value"}, rows
+}
 
-	remoteCycle, err := timeCalls(200, func() error {
-		if err := ctl.Load(ctx, "nop", nil); err != nil {
-			return err
-		}
-		return ctl.Unload(ctx, "nop")
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, []string{"load+unload cycle", "remote (commands)", fmtDur(remoteCycle)})
-
-	if err := ctl.Load(ctx, "nop", nil); err != nil {
-		return nil, err
-	}
-	list, err := timeCalls(iters, func() error {
-		_, err := ctl.List(ctx)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, []string{"list modules", "remote (command)", fmtDur(list)})
-
-	dyn, err := timeCalls(iters, func() error {
-		_, err := ctl.ModuleCommand(ctx, "nop", "ping", nil)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, []string{"module dynamic op (DII)", "remote (command)", fmtDur(dyn)})
-	t.Notes = append(t.Notes,
-		"module management costs one command round trip — the reflective path reuses the ordinary request machinery, exactly the dual use of the request the paper describes")
-	return t, nil
+// e10 measures the reflective module management: load and unload, locally
+// and through remote commands, list, and a module-specific dynamic call.
+var e10 = Experiment{
+	ID: "E10", Name: "dynamic module control",
+	Title: "dynamic loading and control of QoS modules",
+	Claim: "§4: 'a simple reflection mechanism allows the extension of the ORB at runtime'",
+	Cases: []Case{
+		{"E10ModuleControl/list", func(tb testing.TB) (func(), int64) {
+			return listModules(tb, NewWorld(tb, Config{})), 0
+		}},
+		{"E10ModuleControl/moduleCommand", func(tb testing.TB) (func(), int64) {
+			return pingModule(tb, NewWorld(tb, Config{Module: "nop", Register: registerNop})), 0
+		}},
+		{"E10ModuleControl/remoteLoadUnload", func(tb testing.TB) (func(), int64) {
+			w := NewWorld(tb, Config{})
+			ctl, ctx := transport.NewController(w.Client.ORB, w.Ref), context.Background()
+			return func() {
+				if err := ctl.Load(ctx, compression.ModuleName, nil); err != nil {
+					tb.Fatal(err)
+				}
+				if err := ctl.Unload(ctx, compression.ModuleName); err != nil {
+					tb.Fatal(err)
+				}
+			}, 0
+		}},
+		{"E10ModuleControl/localLoadUnload", func(tb testing.TB) (func(), int64) {
+			server := NewWorld(tb, Config{}).Servers[0]
+			return func() {
+				if err := server.LoadModule(compression.ModuleName, nil); err != nil {
+					tb.Fatal(err)
+				}
+				if err := server.Transport.Unload(compression.ModuleName); err != nil {
+					tb.Fatal(err)
+				}
+			}, 0
+		}},
+	},
+	Notes: []string{"module management costs one command round trip — the reflective path reuses the ordinary request machinery, exactly the dual use of the request the paper describes"},
 }

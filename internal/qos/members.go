@@ -32,10 +32,13 @@ type Members struct {
 
 // member is one server of the group. negotiating makes first contact
 // single-flight; Close takes it too, so no negotiation outlives the record.
+// timedOut (under Members.mu) are bindings forgotten after a timeout: the
+// server is alive and still holds them, so Close owes it their release.
 type member struct {
 	target      *ior.IOR
 	negotiating sync.Mutex
 	binding     atomic.Pointer[Binding]
+	timedOut    []*Binding
 }
 
 // NewMembers starts the record for st's target with the binding st has
@@ -98,7 +101,9 @@ func (ms *Members) Route(ctx context.Context, inv *orb.Invocation, endpoint stri
 // the member failing, not answering: its binding is forgotten — that one
 // only, so a slow loser cannot discard what a faster caller has
 // renegotiated meanwhile — and the failure comes back as an error for the
-// mediator to mask (MemberFailure). Everything else passes through.
+// mediator to mask (MemberFailure). Everything else passes through. After a
+// timeout the server has not lost the binding, only the caller's patience:
+// it is kept aside for Close.
 func (ms *Members) Settle(routed *orb.Invocation, out *orb.Outcome, err error) (*orb.Outcome, error) {
 	if err == nil && out.Status == giop.ReplySystemException {
 		if exc := out.Err(); unknownBinding(exc) {
@@ -110,8 +115,12 @@ func (ms *Members) Settle(routed *orb.Invocation, out *orb.Outcome, err error) (
 	}
 	tag, _, _ := routed.QoSTag()
 	if m, _ := ms.member(routed.Target.Profile.Addr()); m != nil {
-		if b := m.binding.Load(); b != nil && b.ID == tag.BindingID {
-			m.binding.CompareAndSwap(b, nil)
+		if b := m.binding.Load(); b != nil && b.ID == tag.BindingID && m.binding.CompareAndSwap(b, nil) {
+			if b != ms.first && timedOut(err) {
+				ms.mu.Lock()
+				m.timedOut = append(m.timedOut, b)
+				ms.mu.Unlock()
+			}
 		}
 	}
 	return nil, err
@@ -125,14 +134,20 @@ func MemberFailure(err error) bool {
 		sys.Name == orb.ExcCommFailure || sys.Name == orb.ExcTransient || sys.Name == orb.ExcTimeout)
 }
 
+func timedOut(err error) bool {
+	var sys *orb.SystemException
+	return errors.As(err, &sys) && sys.Name == orb.ExcTimeout
+}
+
 func unknownBinding(err error) bool {
 	var sys *orb.SystemException
 	return errors.As(err, &sys) && sys.Name == orb.ExcBadQoS && sys.Minor == minorUnknownBinding
 }
 
-// Close releases every binding the record negotiated, on the server that
-// holds it. Best effort: an unreachable member keeps its entry until it
-// restarts, and the others are still released.
+// Close releases every binding the record negotiated, those forgotten after
+// a timeout included, on the server that holds it. Best effort: an
+// unreachable member keeps its entry until it restarts, and the others are
+// still released.
 func (ms *Members) Close() error {
 	ms.closed.Store(true)
 	ms.mu.Lock()
@@ -145,11 +160,17 @@ func (ms *Members) Close() error {
 		m.negotiating.Lock()
 		b := m.binding.Swap(nil)
 		m.negotiating.Unlock()
-		if b == nil || b == ms.first {
-			continue
+		ms.mu.Lock()
+		held := m.timedOut
+		m.timedOut = nil
+		ms.mu.Unlock()
+		if b != nil && b != ms.first {
+			held = append(held, b)
 		}
-		if err := releaseBinding(context.TODO(), ms.orb, m.target, b); err != nil {
-			ms.orb.Logger().Warn("qos: releasing member binding failed", "member", m.target.Profile.Addr(), "binding", b.ID, "err", err)
+		for _, b := range held {
+			if err := releaseBinding(context.TODO(), ms.orb, m.target, b); err != nil {
+				ms.orb.Logger().Warn("qos: releasing member binding failed", "member", m.target.Profile.Addr(), "binding", b.ID, "err", err)
+			}
 		}
 	}
 	return nil
