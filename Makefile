@@ -183,21 +183,27 @@ chaos:
 	$(GO) test -race -run 'TestChaos|TestRetry|TestBreaker|TestNonIdempotent|TestFault' -v ./internal/orb ./internal/netsim ./internal/resilience
 
 # loc prints the non-test, non-generated Go lines (wc -l, comments and all)
-# of the packages where the invocation path lives and of the whole root
-# module (benchmark/ is its own module and a harness, not product), from
-# the files git tracks or would track: one number from one command for
-# ROADMAP and for "net-negative" claims. Lines moved into _test.go files
-# lower it without simplifying anything, so a second column counts those:
-# a move between the two shows as a move. Deleted comments show in neither
-# — read the diff, too.
+# of every package under internal/ (one row per directory, found by
+# listing, so a deleted or shrinking package shows up), of cmd/ and
+# examples/ (whole trees) and of the whole root module (benchmark/ is its
+# own module and a harness, not product), from the files git tracks or
+# would track: one number from one command for ROADMAP and for
+# "net-negative" claims. Lines moved into _test.go files lower it without
+# simplifying anything, so a second column counts those: a move between
+# the two shows as a move. Deleted comments show in neither — read the
+# diff, too.
 LOC_FILES = git ls-files --cached --others --exclude-standard -- '*.go' | grep -v -e '\.gen\.go$$' -e '^benchmark/'
 loc:
-	@count() { $(LOC_FILES) | grep "$$1" | grep $$2 '_test\.go$$' | xargs cat | wc -l; }; \
-	printf 'loc %-13s %8s %8s\n' '' non-test _test.go; \
-	for pkg in internal/orb internal/qos internal/obs; do \
-		printf 'loc %-13s %8d %8d\n' $$pkg $$(count "^$$pkg/[^/]*$$" -v) $$(count "^$$pkg/[^/]*$$" -e); \
+	@files=$$($(LOC_FILES)); \
+	count() { echo "$$files" | grep "$$1" | grep $$2 '_test\.go$$' | xargs -r cat | wc -l; }; \
+	printf 'loc %-36s %8s %8s\n' '' non-test _test.go; \
+	for dir in $$(echo "$$files" | grep '^internal/' | xargs -n1 dirname | sort -u); do \
+		printf 'loc %-36s %8d %8d\n' $$dir $$(count "^$$dir/[^/]*$$" -v) $$(count "^$$dir/[^/]*$$" -e); \
 	done; \
-	printf 'loc %-13s %8d %8d\n' total $$(count . -v) $$(count . -e)
+	for dir in cmd examples; do \
+		printf 'loc %-36s %8d %8d\n' $$dir/ $$(count "^$$dir/" -v) $$(count "^$$dir/" -e); \
+	done; \
+	printf 'loc %-36s %8d %8d\n' total $$(count . -v) $$(count . -e)
 
 clean:
 	$(GO) clean ./...

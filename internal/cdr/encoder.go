@@ -87,9 +87,6 @@ func (e *Encoder) WriteBool(v bool) {
 	}
 }
 
-// WriteChar appends a single character octet.
-func (e *Encoder) WriteChar(v byte) { e.WriteOctet(v) }
-
 // WriteUShort appends an unsigned 16-bit integer at 2-byte alignment.
 func (e *Encoder) WriteUShort(v uint16) {
 	e.align(2)
@@ -136,11 +133,6 @@ func (e *Encoder) WriteOctets(v []byte) {
 	e.WriteULong(uint32(len(v)))
 	e.buf = append(e.buf, v...)
 }
-
-// WriteRaw appends bytes without any length prefix or alignment. It is
-// intended for splicing pre-encoded material (e.g. an encapsulation whose
-// alignment has already been established).
-func (e *Encoder) WriteRaw(v []byte) { e.buf = append(e.buf, v...) }
 
 // BeginEncapsulation starts a nested encapsulation: a placeholder ULong
 // length is written, followed by the byte-order flag octet, and alignment
@@ -225,9 +217,6 @@ func (d *Decoder) ReadBool() (bool, error) {
 	}
 	return v != 0, nil
 }
-
-// ReadChar consumes a character octet.
-func (d *Decoder) ReadChar() (byte, error) { return d.ReadOctet() }
 
 // ReadUShort consumes an unsigned 16-bit integer.
 func (d *Decoder) ReadUShort() (uint16, error) {
@@ -346,17 +335,6 @@ func (d *Decoder) ReadOctets() ([]byte, error) {
 	}
 	v := d.buf[d.pos : d.pos+int(n) : d.pos+int(n)]
 	d.pos += int(n)
-	return v, nil
-}
-
-// ReadRaw consumes n raw bytes without alignment. The returned slice
-// aliases the decoder's buffer.
-func (d *Decoder) ReadRaw(n int) ([]byte, error) {
-	if err := d.need(n, "raw bytes"); err != nil {
-		return nil, err
-	}
-	v := d.buf[d.pos : d.pos+n : d.pos+n]
-	d.pos += n
 	return v, nil
 }
 

@@ -224,22 +224,6 @@ func TestNestedEncapsulation(t *testing.T) {
 	}
 }
 
-func TestDecoderReadRaw(t *testing.T) {
-	e := NewEncoder(BigEndian)
-	e.WriteRaw([]byte{1, 2, 3})
-	d := NewDecoder(e.Bytes(), BigEndian)
-	got, err := d.ReadRaw(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Fatalf("raw = %v", got)
-	}
-	if _, err := d.ReadRaw(1); err == nil {
-		t.Fatal("read past end succeeded")
-	}
-}
-
 // TestReadStringReuse: the same characters on the wire hand back the
 // caller's string without allocating; anything else decodes as ReadString.
 func TestReadStringReuse(t *testing.T) {

@@ -178,7 +178,6 @@ type Mediator struct {
 	strategy string
 	members  []string           // endpoints
 	loads    map[string]float64 // endpoint → last reported active count
-	sent     map[string]uint64  // endpoint → requests routed there
 	rr       int
 	rng      *rand.Rand
 	// weighted round-robin state (smooth WRR): static weight and
@@ -208,7 +207,6 @@ func NewMediator(st *qos.Stub, b *qos.Binding) (*Mediator, error) {
 		workers:      qos.NewMembers(st, b),
 		members:      endpoints,
 		loads:        make(map[string]float64),
-		sent:         make(map[string]uint64),
 		rng:          rand.New(rand.NewSource(42)),
 	}
 	m.strategy = b.Contract.Text(ParamStrategy, StrategyRoundRobin)
@@ -252,17 +250,6 @@ func (m *Mediator) Members() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]string(nil), m.members...)
-}
-
-// Distribution reports how many requests were routed to each endpoint.
-func (m *Mediator) Distribution() map[string]uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]uint64, len(m.sent))
-	for k, v := range m.sent {
-		out[k] = v
-	}
-	return out
 }
 
 // pick selects the next endpoint, excluding the given dead ones.
@@ -320,7 +307,6 @@ func (m *Mediator) pick(dead []string) (string, error) {
 		ep = alive[m.rr%len(alive)]
 		m.rr++
 	}
-	m.sent[ep]++
 	return ep, nil
 }
 

@@ -142,11 +142,6 @@ func TestRoundRobinSpreadsEvenly(t *testing.T) {
 			t.Errorf("worker %d saw %d requests, want 10", i, got)
 		}
 	}
-	med := stub.Mediator().(*Mediator)
-	dist := med.Distribution()
-	if len(dist) != 4 {
-		t.Fatalf("distribution = %v", dist)
-	}
 }
 
 func TestRandomHitsAllWorkers(t *testing.T) {

@@ -232,8 +232,8 @@ func ablationFragmentation() []Case {
 	return cases
 }
 
-// Ablations are the costs of optional design features: not claims of the
+// ablations are the costs of optional design features: not claims of the
 // paper, so no experiment's table prints them, but benchmarks like the rest.
-func Ablations() []Case {
+func ablations() []Case {
 	return append(append(ablationVoting(), ablationChain()...), ablationFragmentation()...)
 }

@@ -102,7 +102,7 @@ func e8Adaptation(tb testing.TB) ([]string, [][]string) {
 		tb.Fatal(err)
 	}
 	monitor := qos.NewMonitor(16)
-	stub.SetObserver(monitor.Observe)
+	stub.AddObserver(monitor.Observe)
 	adapted := false
 	adaptor := qos.NewAdaptor(monitor, func(qos.Rule, qos.Stats) {
 		if _, err := stub.Renegotiate(ctx, tier(1)); err == nil {

@@ -77,7 +77,7 @@ func Cases() []Case {
 	for _, e := range All() {
 		cases = append(cases, e.Cases...)
 	}
-	return append(cases, Ablations()...)
+	return append(cases, ablations()...)
 }
 
 // benchTime is `make bench`'s -benchtime, so that a table row and the same

@@ -15,11 +15,11 @@ const MsgFragment MsgType = 7
 // flagMoreFragments marks a frame that is continued by a Fragment.
 const flagMoreFragments = 0x02
 
-// WriteMessageFragmented frames body like WriteMessage but splits it into
+// writeMessageFragmented frames body like WriteMessage but splits it into
 // frames of at most maxFragment body octets: the first frame carries the
 // message type, subsequent frames are Fragment messages, and all but the
 // last set the more-fragments flag. maxFragment <= 0 disables splitting.
-func WriteMessageFragmented(w io.Writer, t MsgType, order cdr.ByteOrder, body []byte, maxFragment int) error {
+func writeMessageFragmented(w io.Writer, t MsgType, order cdr.ByteOrder, body []byte, maxFragment int) error {
 	if maxFragment <= 0 || len(body) <= maxFragment {
 		return WriteMessage(w, t, order, body)
 	}
@@ -77,12 +77,6 @@ func writeFrame(w io.Writer, t MsgType, order cdr.ByteOrder, body []byte, more b
 	return nil
 }
 
-// readFrame reads one frame and reports the more-fragments flag.
-func readFrame(r io.Reader) (*Message, bool, error) {
-	hdr := make([]byte, HeaderSize)
-	return readFrameInto(r, hdr)
-}
-
 // readHeaderInto reads and validates one frame header into hdr (len >=
 // HeaderSize) and decodes its fields.
 func readHeaderInto(r io.Reader, hdr []byte) (t MsgType, order cdr.ByteOrder, more bool, size uint32, err error) {
@@ -125,15 +119,15 @@ func readFrameInto(r io.Reader, hdr []byte) (*Message, bool, error) {
 	return &Message{Type: t, Order: order, Body: body}, more, nil
 }
 
-// ReadMessageReassembled reads one logical message, transparently
+// readMessageReassembled reads one logical message, transparently
 // reassembling fragmented frames. Non-fragmented streams behave exactly
 // like ReadMessage.
-func ReadMessageReassembled(r io.Reader) (*Message, error) {
+func readMessageReassembled(r io.Reader) (*Message, error) {
 	var hdr [HeaderSize]byte
 	return readReassembled(r, hdr[:])
 }
 
-// readReassembled implements ReadMessageReassembled over a caller-supplied
+// readReassembled implements readMessageReassembled over a caller-supplied
 // header scratch buffer.
 func readReassembled(r io.Reader, hdr []byte) (*Message, error) {
 	msg, more, err := readFrameInto(r, hdr)

@@ -13,10 +13,10 @@ func TestFragmentedRoundTrip(t *testing.T) {
 	body := bytes.Repeat([]byte("0123456789"), 1000) // 10 000 octets
 	for _, maxFrag := range []int{1, 7, 100, 4096, 9999, 10000, 20000} {
 		var buf bytes.Buffer
-		if err := WriteMessageFragmented(&buf, MsgRequest, cdr.BigEndian, body, maxFrag); err != nil {
+		if err := writeMessageFragmented(&buf, MsgRequest, cdr.BigEndian, body, maxFrag); err != nil {
 			t.Fatalf("maxFrag %d: %v", maxFrag, err)
 		}
-		msg, err := ReadMessageReassembled(&buf)
+		msg, err := readMessageReassembled(&buf)
 		if err != nil {
 			t.Fatalf("maxFrag %d: %v", maxFrag, err)
 		}
@@ -35,14 +35,14 @@ func TestFragmentedEquivalentToPlainWhenSmall(t *testing.T) {
 	if err := WriteMessage(&plain, MsgReply, cdr.LittleEndian, body); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteMessageFragmented(&fragged, MsgReply, cdr.LittleEndian, body, 4096); err != nil {
+	if err := writeMessageFragmented(&fragged, MsgReply, cdr.LittleEndian, body, 4096); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain.Bytes(), fragged.Bytes()) {
 		t.Fatal("small message fragmented needlessly")
 	}
 	// And the reassembling reader handles plain streams.
-	msg, err := ReadMessageReassembled(&plain)
+	msg, err := readMessageReassembled(&plain)
 	if err != nil || msg.Type != MsgReply {
 		t.Fatalf("plain stream via reassembler: %v", err)
 	}
@@ -53,7 +53,7 @@ func TestFragmentWithoutStartRejected(t *testing.T) {
 	if err := writeFrame(&buf, MsgFragment, cdr.BigEndian, []byte("x"), false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadMessageReassembled(&buf); err == nil || !strings.Contains(err.Error(), "without a preceding") {
+	if _, err := readMessageReassembled(&buf); err == nil || !strings.Contains(err.Error(), "without a preceding") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -64,7 +64,7 @@ func TestFragmentStreamErrors(t *testing.T) {
 	if err := writeFrame(&buf, MsgRequest, cdr.BigEndian, []byte("part"), true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadMessageReassembled(&buf); err == nil {
+	if _, err := readMessageReassembled(&buf); err == nil {
 		t.Fatal("dangling fragmented message accepted")
 	}
 
@@ -76,7 +76,7 @@ func TestFragmentStreamErrors(t *testing.T) {
 	if err := writeFrame(&buf, MsgReply, cdr.BigEndian, []byte("rest"), false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadMessageReassembled(&buf); err == nil || !strings.Contains(err.Error(), "expected Fragment") {
+	if _, err := readMessageReassembled(&buf); err == nil || !strings.Contains(err.Error(), "expected Fragment") {
 		t.Fatalf("err = %v", err)
 	}
 
@@ -88,7 +88,7 @@ func TestFragmentStreamErrors(t *testing.T) {
 	if err := writeFrame(&buf, MsgFragment, cdr.LittleEndian, []byte("rest"), false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadMessageReassembled(&buf); err == nil || !strings.Contains(err.Error(), "byte order") {
+	if _, err := readMessageReassembled(&buf); err == nil || !strings.Contains(err.Error(), "byte order") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -101,10 +101,10 @@ func TestFragmentRoundTripProperty(t *testing.T) {
 		}
 		frag := int(maxFrag%512) + 1
 		var buf bytes.Buffer
-		if err := WriteMessageFragmented(&buf, MsgRequest, order, body, frag); err != nil {
+		if err := writeMessageFragmented(&buf, MsgRequest, order, body, frag); err != nil {
 			return false
 		}
-		msg, err := ReadMessageReassembled(&buf)
+		msg, err := readMessageReassembled(&buf)
 		if err != nil {
 			return false
 		}

@@ -160,7 +160,7 @@ func WriteFrame(w io.Writer, t MsgType, e *cdr.Encoder, maxFragment int) error {
 	frame := e.Bytes()
 	body := frame[HeaderSize:]
 	if maxFragment > 0 && len(body) > maxFragment {
-		return WriteMessageFragmented(w, t, e.Order(), body, maxFragment)
+		return writeMessageFragmented(w, t, e.Order(), body, maxFragment)
 	}
 	if len(body) > MaxMessageSize {
 		return fmt.Errorf("giop: message body %d exceeds limit", len(body))
@@ -192,7 +192,7 @@ func ReadMessage(r io.Reader) (*Message, error) {
 // body; a body larger than the buffer is still read straight into place.
 // The reader owns the stream from construction on: bytes it read ahead are
 // lost to anyone else reading r. It is the allocation-conscious
-// counterpart of ReadMessageReassembled for long-lived connections; it
+// counterpart of readMessageReassembled for long-lived connections; it
 // must only be used from one goroutine at a time (the per-connection read
 // loop).
 type FrameReader struct {

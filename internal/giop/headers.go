@@ -28,8 +28,8 @@ const (
 	// SCTraceReturn rides reply headers in the opposite direction: the
 	// server's compact span summaries for the traced request, so the
 	// client assembles one end-to-end trace. Payload: CDR stream, see
-	// obs.EncodeTraceReturn. Size-bounded; absent when tracing is off or
-	// the summaries exceed the budget.
+	// internal/obs's span-return encoder. Size-bounded; absent when
+	// tracing is off or the summaries exceed the budget.
 	SCTraceReturn uint32 = 0x4D515305
 )
 
@@ -63,17 +63,6 @@ func (l ServiceContextList) With(id uint32, data []byte) ServiceContextList {
 		}
 	}
 	return append(out, ServiceContext{ID: id, Data: data})
-}
-
-// Without returns a copy of the list with contexts of the given id removed.
-func (l ServiceContextList) Without(id uint32) ServiceContextList {
-	out := make(ServiceContextList, 0, len(l))
-	for _, sc := range l {
-		if sc.ID != id {
-			out = append(out, sc)
-		}
-	}
-	return out
 }
 
 func (l ServiceContextList) marshal(e *cdr.Encoder) {
@@ -287,13 +276,4 @@ type CancelRequestHeader struct {
 // Marshal writes the header onto e.
 func (h *CancelRequestHeader) Marshal(e *cdr.Encoder) {
 	e.WriteULong(h.RequestID)
-}
-
-// UnmarshalCancelRequestHeader reads a CancelRequestHeader from d.
-func UnmarshalCancelRequestHeader(d *cdr.Decoder) (*CancelRequestHeader, error) {
-	id, err := d.ReadULong()
-	if err != nil {
-		return nil, fmt.Errorf("giop: reading cancel request id: %w", err)
-	}
-	return &CancelRequestHeader{RequestID: id}, nil
 }

@@ -75,10 +75,10 @@ func TestTraceContextSurvivesFragmentation(t *testing.T) {
 
 	for _, maxFrag := range []int{16, 61, 256, 1024} {
 		var buf bytes.Buffer
-		if err := WriteMessageFragmented(&buf, MsgRequest, cdr.BigEndian, e.Bytes(), maxFrag); err != nil {
+		if err := writeMessageFragmented(&buf, MsgRequest, cdr.BigEndian, e.Bytes(), maxFrag); err != nil {
 			t.Fatalf("maxFrag %d: %v", maxFrag, err)
 		}
-		msg, err := ReadMessageReassembled(&buf)
+		msg, err := readMessageReassembled(&buf)
 		if err != nil {
 			t.Fatalf("maxFrag %d: %v", maxFrag, err)
 		}

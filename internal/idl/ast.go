@@ -226,18 +226,6 @@ type Spec struct {
 	Modules []*Module
 }
 
-// Struct finds a struct declaration across all modules.
-func (s *Spec) Struct(name string) (*StructDecl, *Module) {
-	for _, m := range s.Modules {
-		for _, d := range m.Structs {
-			if d.Name == name {
-				return d, m
-			}
-		}
-	}
-	return nil, nil
-}
-
 // Enum finds an enum declaration across all modules.
 func (s *Spec) Enum(name string) (*EnumDecl, *Module) {
 	for _, m := range s.Modules {
@@ -250,20 +238,8 @@ func (s *Spec) Enum(name string) (*EnumDecl, *Module) {
 	return nil, nil
 }
 
-// Exception finds an exception declaration across all modules.
-func (s *Spec) Exception(name string) (*ExceptionDecl, *Module) {
-	for _, m := range s.Modules {
-		for _, d := range m.Exceptions {
-			if d.Name == name {
-				return d, m
-			}
-		}
-	}
-	return nil, nil
-}
-
-// QoSDecl finds a qos declaration across all modules.
-func (s *Spec) QoSDecl(name string) (*QoSDecl, *Module) {
+// qosDecl finds a qos declaration across all modules.
+func (s *Spec) qosDecl(name string) (*QoSDecl, *Module) {
 	for _, m := range s.Modules {
 		for _, d := range m.QoS {
 			if d.Name == name {

@@ -1,9 +1,6 @@
 package idl
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // Check runs semantic analysis over a parsed spec. It returns the list of
 // all errors found (empty when the spec is valid).
@@ -247,7 +244,7 @@ func (c *checker) checkInterface(d *InterfaceDecl) {
 	// Operations of supported QoS characteristics must not collide with
 	// interface operations (they share the dispatch namespace).
 	for _, q := range d.Supports {
-		if qd, _ := c.spec.QoSDecl(q); qd != nil {
+		if qd, _ := c.spec.qosDecl(q); qd != nil {
 			for _, op := range qd.Ops {
 				if seenOps[op.Name] {
 					c.errorf(d.Pos, "operation %q of QoS %q collides with an operation of interface %q",
@@ -255,12 +252,5 @@ func (c *checker) checkInterface(d *InterfaceDecl) {
 				}
 			}
 		}
-	}
-}
-
-// MustCheck panics on check errors (generator-internal convenience).
-func MustCheck(spec *Spec) {
-	if errs := Check(spec); len(errs) > 0 {
-		panic(fmt.Sprintf("idl: invalid spec: %v", errs[0]))
 	}
 }

@@ -272,8 +272,24 @@ module b { interface I { a::P get(); }; };
 	}
 }
 
+// lexAll tokenises the whole input.
+func lexAll(file, src string) ([]token, error) {
+	l := newLexer(file, src)
+	var out []token
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+		if t.Kind == tokEOF {
+			return out, nil
+		}
+	}
+}
+
 func TestLexer(t *testing.T) {
-	toks, err := LexAll("x", `module m_1 { // comment
+	toks, err := lexAll("x", `module m_1 { // comment
   /* block */ interface I {}; }; # preprocessor
   "str\n\"esc" 3.14 -7 ::`)
 	if err != nil {
@@ -301,8 +317,8 @@ func TestLexer(t *testing.T) {
 
 func TestLexerErrors(t *testing.T) {
 	for _, src := range []string{`"unterminated`, `"bad \q esc"`, "@"} {
-		if _, err := LexAll("x", src); err == nil {
-			t.Errorf("LexAll(%q) succeeded", src)
+		if _, err := lexAll("x", src); err == nil {
+			t.Errorf("lexAll(%q) succeeded", src)
 		}
 	}
 }
@@ -312,22 +328,16 @@ func TestSpecLookups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, m := spec.Struct("Entry"); d == nil || m.Name != "bank" {
-		t.Fatal("Struct lookup failed")
-	}
 	if d, _ := spec.Enum("Currency"); d == nil {
 		t.Fatal("Enum lookup failed")
 	}
-	if d, _ := spec.Exception("Overdrawn"); d == nil {
-		t.Fatal("Exception lookup failed")
-	}
-	if d, _ := spec.QoSDecl("Availability"); d == nil {
+	if d, _ := spec.qosDecl("Availability"); d == nil {
 		t.Fatal("QoSDecl lookup failed")
 	}
 	if d, _ := spec.Interface("Account"); d == nil {
 		t.Fatal("Interface lookup failed")
 	}
-	if d, _ := spec.Struct("Nope"); d != nil {
-		t.Fatal("phantom struct")
+	if d, _ := spec.Interface("Nope"); d != nil {
+		t.Fatal("phantom interface")
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"unicode"
 )
 
-// Lexer turns QIDL source into tokens. It supports //-line and /* block */
+// lexer turns QIDL source into tokens. It supports //-line and /* block */
 // comments and #-prefixed preprocessor lines (skipped, like classic IDL
 // #include handling left to the build).
-type Lexer struct {
+type lexer struct {
 	src  string
 	file string
 	pos  int
@@ -16,30 +16,30 @@ type Lexer struct {
 	col  int
 }
 
-// NewLexer builds a lexer over src, attributing positions to file.
-func NewLexer(file, src string) *Lexer {
-	return &Lexer{src: src, file: file, line: 1, col: 1}
+// newLexer builds a lexer over src, attributing positions to file.
+func newLexer(file, src string) *lexer {
+	return &lexer{src: src, file: file, line: 1, col: 1}
 }
 
-func (l *Lexer) position() Position {
+func (l *lexer) position() Position {
 	return Position{File: l.file, Line: l.line, Col: l.col}
 }
 
-func (l *Lexer) peek() byte {
+func (l *lexer) peek() byte {
 	if l.pos >= len(l.src) {
 		return 0
 	}
 	return l.src[l.pos]
 }
 
-func (l *Lexer) peek2() byte {
+func (l *lexer) peek2() byte {
 	if l.pos+1 >= len(l.src) {
 		return 0
 	}
 	return l.src[l.pos+1]
 }
 
-func (l *Lexer) advance() byte {
+func (l *lexer) advance() byte {
 	c := l.src[l.pos]
 	l.pos++
 	if c == '\n' {
@@ -52,7 +52,7 @@ func (l *Lexer) advance() byte {
 }
 
 // skipTrivia consumes whitespace, comments and preprocessor lines.
-func (l *Lexer) skipTrivia() error {
+func (l *lexer) skipTrivia() error {
 	for l.pos < len(l.src) {
 		c := l.peek()
 		switch {
@@ -99,13 +99,13 @@ func isIdentPart(c byte) bool {
 }
 
 // Next returns the next token.
-func (l *Lexer) Next() (Token, error) {
+func (l *lexer) Next() (token, error) {
 	if err := l.skipTrivia(); err != nil {
-		return Token{}, err
+		return token{}, err
 	}
 	pos := l.position()
 	if l.pos >= len(l.src) {
-		return Token{Kind: TokEOF, Pos: pos}, nil
+		return token{Kind: tokEOF, Pos: pos}, nil
 	}
 	c := l.peek()
 	switch {
@@ -115,11 +115,11 @@ func (l *Lexer) Next() (Token, error) {
 			b.WriteByte(l.advance())
 		}
 		text := b.String()
-		kind := TokIdent
+		kind := tokIdent
 		if keywords[text] {
-			kind = TokKeyword
+			kind = tokKeyword
 		}
-		return Token{Kind: kind, Text: text, Pos: pos}, nil
+		return token{Kind: kind, Text: text, Pos: pos}, nil
 	case unicode.IsDigit(rune(c)) || (c == '-' && unicode.IsDigit(rune(l.peek2()))):
 		var b strings.Builder
 		if c == '-' {
@@ -138,13 +138,13 @@ func (l *Lexer) Next() (Token, error) {
 			}
 			b.WriteByte(l.advance())
 		}
-		return Token{Kind: TokNumber, Text: b.String(), Pos: pos}, nil
+		return token{Kind: tokNumber, Text: b.String(), Pos: pos}, nil
 	case c == '"':
 		l.advance()
 		var b strings.Builder
 		for {
 			if l.pos >= len(l.src) {
-				return Token{}, errf(pos, "unterminated string literal")
+				return token{}, errf(pos, "unterminated string literal")
 			}
 			ch := l.advance()
 			if ch == '"' {
@@ -160,13 +160,13 @@ func (l *Lexer) Next() (Token, error) {
 				case '\\', '"':
 					b.WriteByte(esc)
 				default:
-					return Token{}, errf(pos, "unknown escape \\%c", esc)
+					return token{}, errf(pos, "unknown escape \\%c", esc)
 				}
 				continue
 			}
 			b.WriteByte(ch)
 		}
-		return Token{Kind: TokString, Text: b.String(), Pos: pos}, nil
+		return token{Kind: tokString, Text: b.String(), Pos: pos}, nil
 	case strings.IndexByte("{}();,<>=:", c) >= 0:
 		l.advance()
 		text := string(c)
@@ -175,24 +175,8 @@ func (l *Lexer) Next() (Token, error) {
 			l.advance()
 			text = "::"
 		}
-		return Token{Kind: TokPunct, Text: text, Pos: pos}, nil
+		return token{Kind: tokPunct, Text: text, Pos: pos}, nil
 	default:
-		return Token{}, errf(pos, "unexpected character %q", c)
-	}
-}
-
-// LexAll tokenises the whole input (testing convenience).
-func LexAll(file, src string) ([]Token, error) {
-	l := NewLexer(file, src)
-	var out []Token
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.Kind == TokEOF {
-			return out, nil
-		}
+		return token{}, errf(pos, "unexpected character %q", c)
 	}
 }

@@ -1,21 +1,21 @@
 package idl
 
-// Parser builds the AST by recursive descent.
-type Parser struct {
-	lexer *Lexer
-	tok   Token
-	ahead *Token
+// parser builds the AST by recursive descent.
+type parser struct {
+	lexer *lexer
+	tok   token
+	ahead *token
 }
 
 // Parse parses a QIDL compilation unit.
 func Parse(file, src string) (*Spec, error) {
-	p := &Parser{lexer: NewLexer(file, src)}
+	p := &parser{lexer: newLexer(file, src)}
 	if err := p.next(); err != nil {
 		return nil, err
 	}
 	spec := &Spec{File: file}
 	implicit := &Module{Name: "", Pos: p.tok.Pos}
-	for p.tok.Kind != TokEOF {
+	for p.tok.Kind != tokEOF {
 		switch {
 		case p.isKeyword("module"):
 			m, err := p.parseModule()
@@ -39,7 +39,7 @@ func Parse(file, src string) (*Spec, error) {
 	return spec, nil
 }
 
-func (p *Parser) next() error {
+func (p *parser) next() error {
 	if p.ahead != nil {
 		p.tok = *p.ahead
 		p.ahead = nil
@@ -53,30 +53,30 @@ func (p *Parser) next() error {
 	return nil
 }
 
-func (p *Parser) isKeyword(kw string) bool {
-	return p.tok.Kind == TokKeyword && p.tok.Text == kw
+func (p *parser) isKeyword(kw string) bool {
+	return p.tok.Kind == tokKeyword && p.tok.Text == kw
 }
 
-func (p *Parser) isPunct(s string) bool {
-	return p.tok.Kind == TokPunct && p.tok.Text == s
+func (p *parser) isPunct(s string) bool {
+	return p.tok.Kind == tokPunct && p.tok.Text == s
 }
 
-func (p *Parser) expectKeyword(kw string) error {
+func (p *parser) expectKeyword(kw string) error {
 	if !p.isKeyword(kw) {
 		return errf(p.tok.Pos, "expected %q, found %q", kw, p.tok.Text)
 	}
 	return p.next()
 }
 
-func (p *Parser) expectPunct(s string) error {
+func (p *parser) expectPunct(s string) error {
 	if !p.isPunct(s) {
 		return errf(p.tok.Pos, "expected %q, found %q", s, p.tok.Text)
 	}
 	return p.next()
 }
 
-func (p *Parser) expectIdent() (string, Position, error) {
-	if p.tok.Kind != TokIdent {
+func (p *parser) expectIdent() (string, Position, error) {
+	if p.tok.Kind != tokIdent {
 		return "", p.tok.Pos, errf(p.tok.Pos, "expected identifier, found %q", p.tok.Text)
 	}
 	name, pos := p.tok.Text, p.tok.Pos
@@ -87,14 +87,14 @@ func (p *Parser) expectIdent() (string, Position, error) {
 }
 
 // consumeSemi eats an optional trailing semicolon.
-func (p *Parser) consumeSemi() error {
+func (p *parser) consumeSemi() error {
 	if p.isPunct(";") {
 		return p.next()
 	}
 	return nil
 }
 
-func (p *Parser) parseModule() (*Module, error) {
+func (p *parser) parseModule() (*Module, error) {
 	pos := p.tok.Pos
 	if err := p.expectKeyword("module"); err != nil {
 		return nil, err
@@ -108,7 +108,7 @@ func (p *Parser) parseModule() (*Module, error) {
 	}
 	m := &Module{Name: name, Pos: pos}
 	for !p.isPunct("}") {
-		if p.tok.Kind == TokEOF {
+		if p.tok.Kind == tokEOF {
 			return nil, errf(pos, "unterminated module %q", name)
 		}
 		if err := p.parseDeclInto(m); err != nil {
@@ -121,7 +121,7 @@ func (p *Parser) parseModule() (*Module, error) {
 	return m, p.consumeSemi()
 }
 
-func (p *Parser) parseDeclInto(m *Module) error {
+func (p *parser) parseDeclInto(m *Module) error {
 	switch {
 	case p.isKeyword("struct"):
 		d, err := p.parseStruct()
@@ -159,10 +159,10 @@ func (p *Parser) parseDeclInto(m *Module) error {
 	return nil
 }
 
-func (p *Parser) parseFields(owner string) ([]Field, error) {
+func (p *parser) parseFields(owner string) ([]Field, error) {
 	var fields []Field
 	for !p.isPunct("}") {
-		if p.tok.Kind == TokEOF {
+		if p.tok.Kind == tokEOF {
 			return nil, errf(p.tok.Pos, "unterminated body of %q", owner)
 		}
 		t, err := p.parseType()
@@ -181,7 +181,7 @@ func (p *Parser) parseFields(owner string) ([]Field, error) {
 	return fields, p.next() // consume }
 }
 
-func (p *Parser) parseStruct() (*StructDecl, error) {
+func (p *parser) parseStruct() (*StructDecl, error) {
 	pos := p.tok.Pos
 	if err := p.next(); err != nil {
 		return nil, err
@@ -200,7 +200,7 @@ func (p *Parser) parseStruct() (*StructDecl, error) {
 	return &StructDecl{Name: name, Fields: fields, Pos: pos}, p.consumeSemi()
 }
 
-func (p *Parser) parseException() (*ExceptionDecl, error) {
+func (p *parser) parseException() (*ExceptionDecl, error) {
 	pos := p.tok.Pos
 	if err := p.next(); err != nil {
 		return nil, err
@@ -219,7 +219,7 @@ func (p *Parser) parseException() (*ExceptionDecl, error) {
 	return &ExceptionDecl{Name: name, Fields: fields, Pos: pos}, p.consumeSemi()
 }
 
-func (p *Parser) parseEnum() (*EnumDecl, error) {
+func (p *parser) parseEnum() (*EnumDecl, error) {
 	pos := p.tok.Pos
 	if err := p.next(); err != nil {
 		return nil, err
@@ -252,7 +252,7 @@ func (p *Parser) parseEnum() (*EnumDecl, error) {
 	return &EnumDecl{Name: name, Members: members, Pos: pos}, p.consumeSemi()
 }
 
-func (p *Parser) parseQoS() (*QoSDecl, error) {
+func (p *parser) parseQoS() (*QoSDecl, error) {
 	pos := p.tok.Pos
 	if err := p.next(); err != nil {
 		return nil, err
@@ -267,13 +267,13 @@ func (p *Parser) parseQoS() (*QoSDecl, error) {
 	}
 	for !p.isPunct("}") {
 		switch {
-		case p.tok.Kind == TokEOF:
+		case p.tok.Kind == tokEOF:
 			return nil, errf(pos, "unterminated qos %q", name)
 		case p.isKeyword("category"):
 			if err := p.next(); err != nil {
 				return nil, err
 			}
-			if p.tok.Kind != TokString {
+			if p.tok.Kind != tokString {
 				return nil, errf(p.tok.Pos, "category expects a string literal")
 			}
 			d.Category = p.tok.Text
@@ -303,7 +303,7 @@ func (p *Parser) parseQoS() (*QoSDecl, error) {
 	return d, p.consumeSemi()
 }
 
-func (p *Parser) parseQoSParam() (QoSParam, error) {
+func (p *parser) parseQoSParam() (QoSParam, error) {
 	pos := p.tok.Pos
 	if err := p.next(); err != nil { // consume "param"
 		return QoSParam{}, err
@@ -322,7 +322,7 @@ func (p *Parser) parseQoSParam() (QoSParam, error) {
 			return QoSParam{}, err
 		}
 		switch {
-		case p.tok.Kind == TokNumber || p.tok.Kind == TokString:
+		case p.tok.Kind == tokNumber || p.tok.Kind == tokString:
 			qp.Default, qp.HasDef = p.tok.Text, true
 		case p.isKeyword("true") || p.isKeyword("false"):
 			qp.Default, qp.HasDef = p.tok.Text, true
@@ -336,7 +336,7 @@ func (p *Parser) parseQoSParam() (QoSParam, error) {
 	return qp, p.expectPunct(";")
 }
 
-func (p *Parser) parseInterface() (*InterfaceDecl, error) {
+func (p *parser) parseInterface() (*InterfaceDecl, error) {
 	pos := p.tok.Pos
 	if err := p.next(); err != nil {
 		return nil, err
@@ -386,7 +386,7 @@ func (p *Parser) parseInterface() (*InterfaceDecl, error) {
 		return nil, err
 	}
 	for !p.isPunct("}") {
-		if p.tok.Kind == TokEOF {
+		if p.tok.Kind == tokEOF {
 			return nil, errf(pos, "unterminated interface %q", name)
 		}
 		if p.isKeyword("readonly") || p.isKeyword("attribute") {
@@ -410,7 +410,7 @@ func (p *Parser) parseInterface() (*InterfaceDecl, error) {
 }
 
 // parseAttribute parses "[readonly] attribute <type> name {, name} ;".
-func (p *Parser) parseAttribute() ([]Attribute, error) {
+func (p *parser) parseAttribute() ([]Attribute, error) {
 	pos := p.tok.Pos
 	readonly := false
 	if p.isKeyword("readonly") {
@@ -444,7 +444,7 @@ func (p *Parser) parseAttribute() ([]Attribute, error) {
 	return attrs, p.expectPunct(";")
 }
 
-func (p *Parser) parseOperation() (Operation, error) {
+func (p *parser) parseOperation() (Operation, error) {
 	var op Operation
 	op.Pos = p.tok.Pos
 	if p.isKeyword("oneway") {
@@ -511,7 +511,7 @@ func (p *Parser) parseOperation() (Operation, error) {
 	return op, p.expectPunct(";")
 }
 
-func (p *Parser) parseParam() (Param, error) {
+func (p *parser) parseParam() (Param, error) {
 	var param Param
 	param.Pos = p.tok.Pos
 	switch {
@@ -540,7 +540,7 @@ func (p *Parser) parseParam() (Param, error) {
 	return param, nil
 }
 
-func (p *Parser) parseTypeOrVoid() (*Type, error) {
+func (p *parser) parseTypeOrVoid() (*Type, error) {
 	if p.isKeyword("void") {
 		pos := p.tok.Pos
 		if err := p.next(); err != nil {
@@ -551,7 +551,7 @@ func (p *Parser) parseTypeOrVoid() (*Type, error) {
 	return p.parseType()
 }
 
-func (p *Parser) parseType() (*Type, error) {
+func (p *parser) parseType() (*Type, error) {
 	pos := p.tok.Pos
 	simple := map[string]TypeKind{
 		"boolean": TypeBoolean, "octet": TypeOctet, "char": TypeChar,
@@ -559,7 +559,7 @@ func (p *Parser) parseType() (*Type, error) {
 		"string": TypeString,
 	}
 	switch {
-	case p.tok.Kind == TokKeyword && simple[p.tok.Text] != 0:
+	case p.tok.Kind == tokKeyword && simple[p.tok.Text] != 0:
 		kind := simple[p.tok.Text]
 		if err := p.next(); err != nil {
 			return nil, err
@@ -615,7 +615,7 @@ func (p *Parser) parseType() (*Type, error) {
 			return nil, err
 		}
 		return &Type{Kind: TypeSequence, Elem: elem, Pos: pos}, nil
-	case p.tok.Kind == TokIdent:
+	case p.tok.Kind == tokIdent:
 		name := p.tok.Text
 		if err := p.next(); err != nil {
 			return nil, err

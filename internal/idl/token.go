@@ -10,32 +10,32 @@ package idl
 
 import "fmt"
 
-// TokenKind enumerates lexical token classes.
-type TokenKind int
+// tokenKind enumerates lexical token classes.
+type tokenKind int
 
-// Token kinds.
+// token kinds.
 const (
-	TokEOF TokenKind = iota
-	TokIdent
-	TokKeyword
-	TokNumber
-	TokString
-	TokPunct
+	tokEOF tokenKind = iota
+	tokIdent
+	tokKeyword
+	tokNumber
+	tokString
+	tokPunct
 )
 
 var tokenKindNames = [...]string{"EOF", "identifier", "keyword", "number", "string", "punctuation"}
 
 // String names the kind.
-func (k TokenKind) String() string {
+func (k tokenKind) String() string {
 	if int(k) < len(tokenKindNames) {
 		return tokenKindNames[k]
 	}
-	return fmt.Sprintf("TokenKind(%d)", int(k))
+	return fmt.Sprintf("tokenKind(%d)", int(k))
 }
 
-// Token is one lexical unit.
-type Token struct {
-	Kind TokenKind
+// token is one lexical unit.
+type token struct {
+	Kind tokenKind
 	Text string
 	Pos  Position
 }

@@ -41,7 +41,7 @@ func (c *Client) call(ctx context.Context, op string, args []byte) (*cdr.Decoder
 func (c *Client) Export(ctx context.Context, offer *ServiceOffer) (string, error) {
 	e := cdr.NewEncoder(c.orb.Order())
 	offer.marshal(e)
-	d, err := c.call(ctx, OpExport, e.Bytes())
+	d, err := c.call(ctx, opExport, e.Bytes())
 	if err != nil {
 		return "", err
 	}
@@ -56,7 +56,7 @@ func (c *Client) Export(ctx context.Context, offer *ServiceOffer) (string, error
 func (c *Client) Withdraw(ctx context.Context, id string) (bool, error) {
 	e := cdr.NewEncoder(c.orb.Order())
 	e.WriteString(id)
-	d, err := c.call(ctx, OpWithdraw, e.Bytes())
+	d, err := c.call(ctx, opWithdraw, e.Bytes())
 	if err != nil {
 		return false, err
 	}
@@ -68,7 +68,7 @@ func (c *Client) Query(ctx context.Context, serviceType, constraint string) ([]*
 	e := cdr.NewEncoder(c.orb.Order())
 	e.WriteString(serviceType)
 	e.WriteString(constraint)
-	d, err := c.call(ctx, OpQuery, e.Bytes())
+	d, err := c.call(ctx, opQuery, e.Bytes())
 	if err != nil {
 		return nil, err
 	}

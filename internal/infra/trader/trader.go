@@ -20,9 +20,9 @@ const RepoID = "IDL:maqs/Trader:1.0"
 
 // Trader operations.
 const (
-	OpExport   = "export"
-	OpWithdraw = "withdraw"
-	OpQuery    = "query"
+	opExport   = "export"
+	opWithdraw = "withdraw"
+	opQuery    = "query"
 )
 
 // ServiceOffer is one exported service.
@@ -145,7 +145,7 @@ func (s *Servant) Withdraw(id string) bool {
 // Query returns offers of the given service type matching the constraint,
 // sorted by ID for determinism.
 func (s *Servant) Query(serviceType, constraint string) ([]*ServiceOffer, error) {
-	expr, err := ParseConstraint(constraint)
+	expr, err := parseConstraint(constraint)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +156,7 @@ func (s *Servant) Query(serviceType, constraint string) ([]*ServiceOffer, error)
 		if serviceType != "" && o.ServiceType != serviceType {
 			continue
 		}
-		if expr.Matches(o) {
+		if expr.matches(o) {
 			out = append(out, o)
 		}
 	}
@@ -167,21 +167,21 @@ func (s *Servant) Query(serviceType, constraint string) ([]*ServiceOffer, error)
 // Invoke implements orb.Servant.
 func (s *Servant) Invoke(req *orb.ServerRequest) error {
 	switch req.Operation {
-	case OpExport:
+	case opExport:
 		offer, err := unmarshalServiceOffer(req.In())
 		if err != nil {
 			return orb.NewSystemException(orb.ExcMarshal, 120, "bad export: %v", err)
 		}
 		req.Out.WriteString(s.Export(offer))
 		return nil
-	case OpWithdraw:
+	case opWithdraw:
 		id, err := req.In().ReadString()
 		if err != nil {
 			return orb.NewSystemException(orb.ExcMarshal, 121, "bad withdraw: %v", err)
 		}
 		req.Out.WriteBool(s.Withdraw(id))
 		return nil
-	case OpQuery:
+	case opQuery:
 		d := req.In()
 		serviceType, err := d.ReadString()
 		if err != nil {
@@ -207,7 +207,7 @@ func (s *Servant) Invoke(req *orb.ServerRequest) error {
 
 // --- constraint language ----------------------------------------------
 
-// Constraint is a conjunction of comparisons over offer properties and
+// constraintExpr is a conjunction of comparisons over offer properties and
 // QoS capabilities:
 //
 //	bandwidth >= 100 && region == "eu" && qos.Availability.replicas >= 3
@@ -215,7 +215,7 @@ func (s *Servant) Invoke(req *orb.ServerRequest) error {
 // A term of the form qos.<Characteristic>.<param> tests whether the
 // offer's capability can satisfy the comparison (numeric parameters test
 // against the offered range, string parameters against the choices).
-type Constraint struct {
+type constraintExpr struct {
 	terms []term
 }
 
@@ -225,10 +225,10 @@ type term struct {
 	value string
 }
 
-// ParseConstraint parses the constraint language (the empty string
+// parseConstraint parses the constraint language (the empty string
 // matches everything).
-func ParseConstraint(src string) (*Constraint, error) {
-	c := &Constraint{}
+func parseConstraint(src string) (*constraintExpr, error) {
+	c := &constraintExpr{}
 	src = strings.TrimSpace(src)
 	if src == "" {
 		return c, nil
@@ -263,8 +263,8 @@ func parseTerm(s string) (term, error) {
 	return term{}, fmt.Errorf("trader: constraint term %q lacks a comparator", s)
 }
 
-// Matches evaluates the constraint against an offer.
-func (c *Constraint) Matches(o *ServiceOffer) bool {
+// matches evaluates the constraint against an offer.
+func (c *constraintExpr) matches(o *ServiceOffer) bool {
 	for _, tm := range c.terms {
 		if !tm.matches(o) {
 			return false

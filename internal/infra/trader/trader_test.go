@@ -104,11 +104,11 @@ func TestConstraintQoSCapabilities(t *testing.T) {
 
 func TestConstraintParseErrors(t *testing.T) {
 	for _, src := range []string{"region", "== x", "a ==", "region ~ eu"} {
-		if _, err := ParseConstraint(src); err == nil {
-			t.Errorf("ParseConstraint(%q) succeeded", src)
+		if _, err := parseConstraint(src); err == nil {
+			t.Errorf("parseConstraint(%q) succeeded", src)
 		}
 	}
-	if _, err := ParseConstraint(""); err != nil {
+	if _, err := parseConstraint(""); err != nil {
 		t.Fatal(err)
 	}
 }

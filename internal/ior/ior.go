@@ -74,8 +74,8 @@ func (p *Profile) Addr() string {
 	return c.addr
 }
 
-// Component returns the data of the first component with the given tag.
-func (p *Profile) Component(tag uint32) ([]byte, bool) {
+// component returns the data of the first component with the given tag.
+func (p *Profile) component(tag uint32) ([]byte, bool) {
 	for _, c := range p.Components {
 		if c.Tag == tag {
 			return c.Data, true
@@ -84,9 +84,9 @@ func (p *Profile) Component(tag uint32) ([]byte, bool) {
 	return nil, false
 }
 
-// SetComponent appends a component, replacing an existing one of the same
+// setComponent appends a component, replacing an existing one of the same
 // tag.
-func (p *Profile) SetComponent(tag uint32, data []byte) {
+func (p *Profile) setComponent(tag uint32, data []byte) {
 	for i, c := range p.Components {
 		if c.Tag == tag {
 			p.Components[i].Data = data
@@ -150,13 +150,13 @@ func (r *IOR) SetQoS(info QoSInfo) {
 		e.WriteString(m)
 	}
 	end()
-	r.Profile.SetComponent(TagQoS, e.Bytes())
+	r.Profile.setComponent(TagQoS, e.Bytes())
 }
 
 // QoS extracts the TagQoS component. ok is false when the reference is not
 // QoS-aware.
 func (r *IOR) QoS() (info QoSInfo, ok bool, err error) {
-	data, ok := r.Profile.Component(TagQoS)
+	data, ok := r.Profile.component(TagQoS)
 	if !ok {
 		return QoSInfo{}, false, nil
 	}
@@ -197,7 +197,7 @@ func (r *IOR) QoS() (info QoSInfo, ok bool, err error) {
 
 // QoSAware reports whether the reference carries a TagQoS component.
 func (r *IOR) QoSAware() bool {
-	_, ok := r.Profile.Component(TagQoS)
+	_, ok := r.Profile.component(TagQoS)
 	return ok
 }
 
@@ -211,12 +211,12 @@ func (r *IOR) SetAlternateEndpoints(addrs []string) {
 		e.WriteString(a)
 	}
 	end()
-	r.Profile.SetComponent(TagOrderedEndpoints, e.Bytes())
+	r.Profile.setComponent(TagOrderedEndpoints, e.Bytes())
 }
 
 // AlternateEndpoints extracts the ordered alternate endpoint list, or nil.
 func (r *IOR) AlternateEndpoints() ([]string, error) {
-	data, ok := r.Profile.Component(TagOrderedEndpoints)
+	data, ok := r.Profile.component(TagOrderedEndpoints)
 	if !ok {
 		return nil, nil
 	}

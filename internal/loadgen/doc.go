@@ -14,9 +14,8 @@
 // real independent client population would have experienced.
 //
 // Measurements land in a log-bucketed HDR-style histogram (Hist) with
-// ≈1.6% relative quantile resolution from nanoseconds to hours, a
-// closed-loop correction mode (RecordCorrected) for callers that need
-// it, and associative snapshot merging. Reports render per QoS class —
+// ≈1.6% relative quantile resolution from nanoseconds to hours and
+// associative snapshot merging. Reports render per QoS class —
 // p50/p90/p99/p99.9/max, windowed throughput, error/retry/degrade
 // counts — and export in the BENCH_*.json trajectory format through
 // internal/benchfmt, shared with cmd/benchjson.

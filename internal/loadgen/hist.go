@@ -21,10 +21,6 @@ const (
 	// clamped into it (and still dominate Max(), which is exact).
 	histOctaves = 37
 	histBuckets = (histOctaves + 1) * histSubCount
-
-	// coMaxBackfill caps the synthetic samples one coordinated-omission
-	// correction may add, so a pathological stall cannot spin forever.
-	coMaxBackfill = 1 << 16
 )
 
 // Hist is a concurrency-safe log-bucketed latency histogram. Record is a
@@ -109,30 +105,6 @@ func (h *Hist) Record(d time.Duration) {
 		if v >= old || h.min.CompareAndSwap(old, v) {
 			break
 		}
-	}
-}
-
-// RecordCorrected adds one observed duration and corrects for
-// coordinated omission in closed-loop measurement: when a single caller
-// that intended to issue a request every expectedInterval observes a
-// response time d much larger than the interval, the requests it would
-// have issued during the stall are missing from the sample — precisely
-// the ones that would have seen the queue. Following HdrHistogram, the
-// correction backfills synthetic samples d-i·expectedInterval for
-// i=1,2,… while they stay positive.
-//
-// Open-loop measurement that timestamps from the intended schedule (the
-// runner's mode, see docs/LOADGEN.md) does not need this; it exists for
-// closed-loop callers and for validating the correction itself.
-func (h *Hist) RecordCorrected(d, expectedInterval time.Duration) {
-	h.Record(d)
-	if h == nil || expectedInterval <= 0 {
-		return
-	}
-	n := 0
-	for v := d - expectedInterval; v > 0 && n < coMaxBackfill; v -= expectedInterval {
-		h.Record(v)
-		n++
 	}
 }
 

@@ -93,62 +93,6 @@ func TestQuantileMixedDistribution(t *testing.T) {
 	}
 }
 
-// TestCoordinatedOmissionCorrection plays the canonical stalled-server
-// schedule: a closed-loop client means to issue one request every 1ms
-// for 2 seconds; the server answers in 50µs except for one 1s stall in
-// the middle. Uncorrected, the sample contains a single slow response
-// and the median stays rosy; corrected, the ~1000 requests that the
-// schedule intended during the stall surface as the queueing delay each
-// would have seen, and the upper quantiles tell the truth.
-func TestCoordinatedOmissionCorrection(t *testing.T) {
-	const (
-		interval = time.Millisecond
-		fast     = 50 * time.Microsecond
-		stall    = time.Second
-		total    = 2000 // intended schedule length
-	)
-	uncorrected, corrected := NewHist(), NewHist()
-	issued := 0
-	for issued < total {
-		d := fast
-		if issued == total/2 {
-			d = stall
-		}
-		uncorrected.Record(d)
-		corrected.RecordCorrected(d, interval)
-		// A closed-loop client skips the intervals the stall swallowed.
-		skipped := int(d / interval)
-		issued += 1 + skipped
-	}
-
-	u, c := uncorrected.Snapshot(), corrected.Snapshot()
-	if u.Quantile(0.9) > 100*time.Microsecond {
-		t.Fatalf("uncorrected p90 = %v: the omission should hide the stall", u.Quantile(0.9))
-	}
-	// The corrected histogram holds ~1000 backfilled samples uniformly
-	// spread over (0, 1s]: roughly half the total samples, so p75 falls
-	// inside the stall ramp and p99 near its top.
-	if p99 := c.Quantile(0.99); p99 < stall/2 {
-		t.Fatalf("corrected p99 = %v, want ≥ %v", p99, stall/2)
-	}
-	// Half the corrected samples are backfill spread over (0, 1s], so
-	// p75 sits mid-ramp — while the uncorrected p75 never left the fast
-	// path.
-	if p75u, p75c := u.Quantile(0.75), c.Quantile(0.75); p75c < 100*time.Millisecond || p75u > 100*time.Microsecond {
-		t.Fatalf("p75 corrected %v / uncorrected %v: correction did not surface the stall", p75c, p75u)
-	}
-	if c.Count <= u.Count {
-		t.Fatalf("correction added no samples: %d vs %d", c.Count, u.Count)
-	}
-	// The backfill reconstructs roughly the intended schedule size.
-	if c.Count < total*9/10 || c.Count > total*11/10 {
-		t.Fatalf("corrected count = %d, want ≈%d (the intended schedule)", c.Count, total)
-	}
-}
-
-// TestMergeAssociativity checks that merging snapshots is associative
-// and order-independent: (a⊕b)⊕c equals a⊕(b⊕c) equals c⊕(a⊕b) on
-// counts, sum, min, max and therefore on every quantile.
 func TestMergeAssociativity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	mk := func(n int, scale time.Duration) HistSnapshot {
@@ -222,7 +166,6 @@ func TestConcurrentRecord(t *testing.T) {
 func TestNilHistIsNoop(t *testing.T) {
 	var h *Hist
 	h.Record(time.Second)
-	h.RecordCorrected(time.Second, time.Millisecond)
 	if s := h.Snapshot(); s.Count != 0 || s.Quantile(0.99) != 0 {
 		t.Fatalf("nil hist snapshot = %+v", s)
 	}

@@ -96,7 +96,7 @@ func (c *conn) Write(p []byte) (int, error) {
 	c.mu.Lock()
 	if c.severed {
 		c.mu.Unlock()
-		return 0, ErrSevered
+		return 0, errSevered
 	}
 	start := c.nextFree
 	if start.Before(now) {
@@ -125,7 +125,7 @@ func (c *conn) Write(p []byte) (int, error) {
 		switch v := f.onWrite(c.local, c.remote, data); {
 		case v.sever:
 			c.sever()
-			return 0, ErrSevered
+			return 0, errSevered
 		case v.drop:
 			// Blackholed: the writer believes the bytes went out.
 			return len(p), nil
@@ -199,13 +199,13 @@ func (c *conn) sleepOrDeadline(d time.Duration) bool {
 }
 
 // closeError distinguishes a peer shutdown (EOF on read, ErrClosed on
-// write) from a simulated partition (ErrSevered on both).
+// write) from a simulated partition (errSevered on both).
 func (c *conn) closeError(op string) error {
 	c.mu.Lock()
 	severed := c.severed
 	c.mu.Unlock()
 	if severed {
-		return ErrSevered
+		return errSevered
 	}
 	if op == "read" {
 		return io.EOF
@@ -231,7 +231,7 @@ func (c *conn) Close() error {
 }
 
 // sever cuts the connection as a partition or crash would: both ends
-// observe ErrSevered rather than a clean EOF.
+// observe errSevered rather than a clean EOF.
 func (c *conn) sever() {
 	c.mu.Lock()
 	c.severed = true

@@ -19,7 +19,7 @@ const (
 	// FaultCorrupt flips one byte of the segment in flight.
 	FaultCorrupt
 	// FaultReset severs the connection on write, as a RST would: both
-	// ends observe ErrSevered.
+	// ends observe errSevered.
 	FaultReset
 	// FaultPartition refuses new dials between the hosts and severs any
 	// connection that writes during the rule's time window. Unlike
@@ -221,9 +221,4 @@ func (n *Network) InstallFaults(p FaultPlan) *FaultInjector {
 // ClearFaults disarms fault injection.
 func (n *Network) ClearFaults() {
 	n.faults.Store(nil)
-}
-
-// Faults returns the currently installed injector, or nil.
-func (n *Network) Faults() *FaultInjector {
-	return n.faults.Load()
 }

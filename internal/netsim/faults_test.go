@@ -97,13 +97,13 @@ func TestFaultResetSeversConn(t *testing.T) {
 		{Kind: FaultReset, Src: "client", Dst: "srv"},
 	}})
 
-	if _, err := client.Write([]byte("boom")); !errors.Is(err, ErrSevered) {
-		t.Fatalf("reset write err = %v, want ErrSevered", err)
+	if _, err := client.Write([]byte("boom")); !errors.Is(err, errSevered) {
+		t.Fatalf("reset write err = %v, want errSevered", err)
 	}
 	buf := make([]byte, 8)
 	server.SetReadDeadline(time.Now().Add(time.Second))
-	if _, err := server.Read(buf); !errors.Is(err, ErrSevered) {
-		t.Fatalf("peer read err = %v, want ErrSevered", err)
+	if _, err := server.Read(buf); !errors.Is(err, errSevered) {
+		t.Fatalf("peer read err = %v, want errSevered", err)
 	}
 	if s := inj.Stats(); s.Resets != 1 {
 		t.Fatalf("Resets = %d, want 1", s.Resets)
@@ -119,12 +119,12 @@ func TestFaultPartitionWindow(t *testing.T) {
 		{Kind: FaultPartition, Src: "client", Dst: "srv", Until: 80 * time.Millisecond},
 	}})
 
-	if _, err := n.Dial("srv:1"); !errors.Is(err, ErrRefused) {
-		t.Fatalf("dial inside partition window err = %v, want ErrRefused", err)
+	if _, err := n.Dial("srv:1"); !errors.Is(err, errRefused) {
+		t.Fatalf("dial inside partition window err = %v, want errRefused", err)
 	}
 	// Partition matches both orientations of the pair.
-	if _, err := n.DialFrom("srv", "client:1"); !errors.Is(err, ErrRefused) {
-		t.Fatalf("reverse dial inside window err = %v, want ErrRefused", err)
+	if _, err := n.DialFrom("srv", "client:1"); !errors.Is(err, errRefused) {
+		t.Fatalf("reverse dial inside window err = %v, want errRefused", err)
 	}
 	if s := inj.Stats(); s.RefusedDials != 2 {
 		t.Fatalf("RefusedDials = %d, want 2", s.RefusedDials)
@@ -147,8 +147,8 @@ func TestFaultPartitionSeversActiveConn(t *testing.T) {
 	inj := n.InstallFaults(FaultPlan{Rules: []FaultRule{
 		{Kind: FaultPartition, Src: "client", Dst: "srv"},
 	}})
-	if _, err := client.Write([]byte("cut")); !errors.Is(err, ErrSevered) {
-		t.Fatalf("write during partition err = %v, want ErrSevered", err)
+	if _, err := client.Write([]byte("cut")); !errors.Is(err, errSevered) {
+		t.Fatalf("write during partition err = %v, want errSevered", err)
 	}
 	if s := inj.Stats(); s.Partitioned != 1 {
 		t.Fatalf("Partitioned = %d, want 1", s.Partitioned)
@@ -211,13 +211,7 @@ func TestClearFaults(t *testing.T) {
 	n := NewNetwork()
 	client, server := pair(t, n)
 	n.InstallFaults(FaultPlan{Rules: []FaultRule{{Kind: FaultDrop}}})
-	if n.Faults() == nil {
-		t.Fatal("Faults() nil after install")
-	}
 	n.ClearFaults()
-	if n.Faults() != nil {
-		t.Fatal("Faults() non-nil after clear")
-	}
 	if _, err := client.Write([]byte("ok")); err != nil {
 		t.Fatal(err)
 	}

@@ -46,12 +46,12 @@ func (t *TCP) Listen(addr string) (net.Listener, error) {
 
 // Errors reported by the simulated network.
 var (
-	// ErrSevered is returned from reads and writes on a connection cut by
+	// errSevered is returned from reads and writes on a connection cut by
 	// a partition or host crash.
-	ErrSevered = errors.New("netsim: connection severed")
-	// ErrRefused is returned by Dial when no listener is bound or the
+	errSevered = errors.New("netsim: connection severed")
+	// errRefused is returned by Dial when no listener is bound or the
 	// destination is partitioned away or crashed.
-	ErrRefused = errors.New("netsim: connection refused")
+	errRefused = errors.New("netsim: connection refused")
 )
 
 // Link describes the characteristics of a directed link between two hosts.
@@ -277,21 +277,21 @@ func (h *hostTransport) Listen(addr string) (net.Listener, error) {
 func (n *Network) DialFrom(src, addr string) (net.Conn, error) {
 	dst := hostOf(addr)
 	if f := n.faults.Load(); f != nil && f.refusesDial(src, dst) {
-		return nil, fmt.Errorf("netsim: dial %s from %s: fault partition: %w", addr, src, ErrRefused)
+		return nil, fmt.Errorf("netsim: dial %s from %s: fault partition: %w", addr, src, errRefused)
 	}
 	n.mu.Lock()
 	if n.crashed[src] {
 		n.mu.Unlock()
-		return nil, fmt.Errorf("netsim: dial from crashed host %s: %w", src, ErrRefused)
+		return nil, fmt.Errorf("netsim: dial from crashed host %s: %w", src, errRefused)
 	}
 	if n.crashed[dst] || n.parted[hostPair{src, dst}] {
 		n.mu.Unlock()
-		return nil, fmt.Errorf("netsim: dial %s from %s: %w", addr, src, ErrRefused)
+		return nil, fmt.Errorf("netsim: dial %s from %s: %w", addr, src, errRefused)
 	}
 	l, ok := n.listeners[addr]
 	if !ok {
 		n.mu.Unlock()
-		return nil, fmt.Errorf("netsim: dial %s: no listener: %w", addr, ErrRefused)
+		return nil, fmt.Errorf("netsim: dial %s: no listener: %w", addr, errRefused)
 	}
 	clientEnd := newConn(n, src, dst, simAddr(src+":0"), simAddr(addr), n.linkFor(src, dst))
 	serverEnd := newConn(n, dst, src, simAddr(addr), simAddr(src+":0"), n.linkFor(dst, src))
@@ -306,10 +306,10 @@ func (n *Network) DialFrom(src, addr string) (net.Conn, error) {
 		return clientEnd, nil
 	case <-l.done:
 		clientEnd.sever()
-		return nil, fmt.Errorf("netsim: dial %s: listener closed: %w", addr, ErrRefused)
+		return nil, fmt.Errorf("netsim: dial %s: listener closed: %w", addr, errRefused)
 	default:
 		clientEnd.sever()
-		return nil, fmt.Errorf("netsim: dial %s: backlog full: %w", addr, ErrRefused)
+		return nil, fmt.Errorf("netsim: dial %s: backlog full: %w", addr, errRefused)
 	}
 }
 

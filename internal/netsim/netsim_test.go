@@ -188,13 +188,13 @@ func TestPartitionSeversAndRefuses(t *testing.T) {
 
 	n.Partition("client", "srv")
 	buf := make([]byte, 1)
-	if _, err := server.Read(buf); !errors.Is(err, ErrSevered) {
+	if _, err := server.Read(buf); !errors.Is(err, errSevered) {
 		t.Fatalf("read err = %v, want severed", err)
 	}
-	if _, err := client.Write([]byte("x")); !errors.Is(err, ErrSevered) {
+	if _, err := client.Write([]byte("x")); !errors.Is(err, errSevered) {
 		t.Fatalf("write err = %v, want severed", err)
 	}
-	if _, err := n.Dial("srv:1"); !errors.Is(err, ErrRefused) {
+	if _, err := n.Dial("srv:1"); !errors.Is(err, errRefused) {
 		t.Fatalf("dial err = %v, want refused", err)
 	}
 
@@ -211,10 +211,10 @@ func TestCrashAndRestart(t *testing.T) {
 	client, _ := pair(t, n)
 
 	n.Crash("srv")
-	if _, err := client.Write([]byte("x")); !errors.Is(err, ErrSevered) {
+	if _, err := client.Write([]byte("x")); !errors.Is(err, errSevered) {
 		t.Fatalf("write to crashed host err = %v", err)
 	}
-	if _, err := n.Dial("srv:1"); !errors.Is(err, ErrRefused) {
+	if _, err := n.Dial("srv:1"); !errors.Is(err, errRefused) {
 		t.Fatalf("dial crashed err = %v", err)
 	}
 	// Rebinding while crashed fails.
@@ -245,7 +245,7 @@ func TestCrashAndRestart(t *testing.T) {
 
 func TestDialErrors(t *testing.T) {
 	n := NewNetwork()
-	if _, err := n.Dial("nowhere:9"); !errors.Is(err, ErrRefused) {
+	if _, err := n.Dial("nowhere:9"); !errors.Is(err, errRefused) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := n.Listen("not-an-addr"); err == nil {
@@ -274,7 +274,7 @@ func TestListenerClose(t *testing.T) {
 	if err := <-done; !errors.Is(err, net.ErrClosed) {
 		t.Fatalf("accept err = %v", err)
 	}
-	if _, err := n.Dial("h:1"); !errors.Is(err, ErrRefused) {
+	if _, err := n.Dial("h:1"); !errors.Is(err, errRefused) {
 		t.Fatalf("dial closed listener err = %v", err)
 	}
 	// Address can be reused after close.
@@ -332,7 +332,7 @@ func TestHostTransportEnforcesIdentity(t *testing.T) {
 	}
 	// Partitioning beta specifically must hit this conn.
 	n.Partition("alpha", "beta")
-	if _, err := c.Write([]byte("x")); !errors.Is(err, ErrSevered) {
+	if _, err := c.Write([]byte("x")); !errors.Is(err, errSevered) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -52,14 +52,14 @@ type Collector struct {
 	perOp  map[string]*OpStats
 }
 
-// DefaultSpanCapacity bounds the ring when NewCollector is given a
+// defaultSpanCapacity bounds the ring when NewCollector is given a
 // non-positive capacity.
-const DefaultSpanCapacity = 2048
+const defaultSpanCapacity = 2048
 
 // NewCollector constructs a collector retaining up to capacity spans.
 func NewCollector(capacity int) *Collector {
 	if capacity <= 0 {
-		capacity = DefaultSpanCapacity
+		capacity = defaultSpanCapacity
 	}
 	return &Collector{ring: make([]SpanRecord, capacity), perOp: make(map[string]*OpStats)}
 }

@@ -19,7 +19,7 @@ const (
 	// budget (context deadline or TIMEOUT exception).
 	AnomalyDeadlineMiss = "deadline-miss"
 	// AnomalyQoSViolation marks an observation outside the bounds the
-	// QoS contract negotiated (see qos.ConformanceObserver).
+	// QoS contract negotiated (see qos.SLOEngine's latency objective).
 	AnomalyQoSViolation = "qos-violation"
 	// AnomalyDegradeStep marks the QoS degradation ladder stepping down.
 	AnomalyDegradeStep = "qos-degrade"
@@ -123,14 +123,14 @@ type FlightSnapshot struct {
 
 // Flight recorder defaults.
 const (
-	DefaultFlightCapacity      = 512
-	DefaultFlightSnapshotDepth = 32
-	DefaultFlightMaxDumps      = 32
-	// DefaultDumpCooldown suppresses same-kind dumps following each
+	defaultFlightCapacity      = 512
+	defaultFlightSnapshotDepth = 32
+	defaultFlightMaxDumps      = 32
+	// defaultDumpCooldown suppresses same-kind dumps following each
 	// other closer than this, so an anomaly storm (every call of an
 	// outage exhausting its retries) yields a few spaced dumps instead
 	// of churning the dump ring.
-	DefaultDumpCooldown = 100 * time.Millisecond
+	defaultDumpCooldown = 100 * time.Millisecond
 )
 
 // FlightRecorder is an always-on bounded ring of per-invocation records
@@ -176,22 +176,22 @@ func (f *FlightRecorder) OnDump(hook func(dumpID, kind, traceID string)) {
 // maxDumps dumps (non-positive arguments take the defaults).
 func NewFlightRecorder(capacity, snapshotDepth, maxDumps int) *FlightRecorder {
 	if capacity <= 0 {
-		capacity = DefaultFlightCapacity
+		capacity = defaultFlightCapacity
 	}
 	if snapshotDepth <= 0 {
-		snapshotDepth = DefaultFlightSnapshotDepth
+		snapshotDepth = defaultFlightSnapshotDepth
 	}
 	if snapshotDepth > capacity {
 		snapshotDepth = capacity
 	}
 	if maxDumps <= 0 {
-		maxDumps = DefaultFlightMaxDumps
+		maxDumps = defaultFlightMaxDumps
 	}
 	return &FlightRecorder{
 		ring:      make([]FlightRecord, capacity),
 		snapDepth: snapshotDepth,
 		maxDumps:  maxDumps,
-		cooldown:  DefaultDumpCooldown,
+		cooldown:  defaultDumpCooldown,
 		lastDump:  make(map[string]time.Time),
 	}
 }

@@ -26,8 +26,7 @@ func (o *Observability) Handler() http.Handler {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		snap := o.Registry.Snapshot()
 		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			_ = snap.WriteJSON(w)
+			writeJSON(w, snap)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -76,7 +75,7 @@ func (o *Observability) Handler() http.Handler {
 			// Unbounded /flight defaults to the dump snapshot depth so
 			// the index page stays small; ?limit=-1 is not offered —
 			// dumps carry the forensic tail.
-			limit = DefaultFlightSnapshotDepth
+			limit = defaultFlightSnapshotDepth
 		}
 		writeJSON(w, fr.Snapshot(limit))
 	})

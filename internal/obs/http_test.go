@@ -105,7 +105,7 @@ func TestHandlerTraceRoutesAndLimit(t *testing.T) {
 func TestHandlerFlightRoutes(t *testing.T) {
 	o := New()
 	o.Flight.SetDumpCooldown(0)
-	for i := 0; i < DefaultFlightSnapshotDepth+10; i++ {
+	for i := 0; i < defaultFlightSnapshotDepth+10; i++ {
 		o.Flight.Record(FlightRecord{Operation: "fetch", Outcome: "ok"})
 	}
 	id := o.Flight.Trigger(AnomalyRetryExhausted, FlightRecord{
@@ -122,8 +122,8 @@ func TestHandlerFlightRoutes(t *testing.T) {
 		t.Fatalf("flight JSON: %v", err)
 	}
 	// The unbounded index defaults to the snapshot depth.
-	if len(snap.Records) != DefaultFlightSnapshotDepth {
-		t.Errorf("index records = %d, want default depth %d", len(snap.Records), DefaultFlightSnapshotDepth)
+	if len(snap.Records) != defaultFlightSnapshotDepth {
+		t.Errorf("index records = %d, want default depth %d", len(snap.Records), defaultFlightSnapshotDepth)
 	}
 	if len(snap.Dumps) != 1 || snap.Dumps[0].ID != id {
 		t.Fatalf("index dumps = %+v, want %q listed", snap.Dumps, id)

@@ -55,16 +55,16 @@ func (o *Observability) SetDebugPage(path string, fn func() any) {
 // everywhere.
 type Config struct {
 	// SpanCapacity bounds the span collector ring
-	// (DefaultSpanCapacity when non-positive).
+	// (defaultSpanCapacity when non-positive).
 	SpanCapacity int
 	// FlightCapacity bounds the flight-recorder ring
-	// (DefaultFlightCapacity when non-positive).
+	// (defaultFlightCapacity when non-positive).
 	FlightCapacity int
 	// FlightSnapshotDepth is how many trailing records each anomaly
-	// dump freezes (DefaultFlightSnapshotDepth when non-positive).
+	// dump freezes (defaultFlightSnapshotDepth when non-positive).
 	FlightSnapshotDepth int
 	// FlightMaxDumps bounds retained anomaly dumps
-	// (DefaultFlightMaxDumps when non-positive).
+	// (defaultFlightMaxDumps when non-positive).
 	FlightMaxDumps int
 	// TailSampling, when non-nil, installs a tail sampler between tracer
 	// and collector: spans buffer per trace and only kept traces reach
@@ -78,14 +78,8 @@ type Config struct {
 // New constructs an enabled bundle with default sizing.
 func New() *Observability { return NewWithConfig(Config{}) }
 
-// NewWithCapacity constructs a bundle whose collector retains up to
-// spanCapacity spans (DefaultSpanCapacity when non-positive).
-func NewWithCapacity(spanCapacity int) *Observability {
-	return NewWithConfig(Config{SpanCapacity: spanCapacity})
-}
-
 // NewWithConfig constructs a bundle sized by cfg. Go runtime telemetry
-// (RegisterRuntimeMetrics) is registered on the bundle's registry.
+// (registerRuntimeMetrics) is registered on the bundle's registry.
 func NewWithConfig(cfg Config) *Observability {
 	c := NewCollector(cfg.SpanCapacity)
 	o := &Observability{
@@ -95,17 +89,17 @@ func NewWithConfig(cfg Config) *Observability {
 		Flight:    NewFlightRecorder(cfg.FlightCapacity, cfg.FlightSnapshotDepth, cfg.FlightMaxDumps),
 	}
 	if cfg.TailSampling != nil {
-		o.Sampler = NewTailSampler(c, o.Registry, *cfg.TailSampling)
-		o.Tracer.SetSampler(o.Sampler)
+		o.Sampler = newTailSampler(c, o.Registry, *cfg.TailSampling)
+		o.Tracer.setSampler(o.Sampler)
 		// Anomalies pin their trace in the pending table so the policy
 		// keeps it even when the spans themselves look healthy.
 		o.Flight.OnDump(func(_, _, traceID string) { o.Sampler.MarkAnomaly(traceID) })
 	}
 	if cfg.Profiling != nil {
-		o.Profiler = NewProfiler(o.Registry, *cfg.Profiling)
-		o.Flight.OnDump(o.Profiler.OnAnomaly)
+		o.Profiler = newProfiler(o.Registry, *cfg.Profiling)
+		o.Flight.OnDump(o.Profiler.onAnomaly)
 	}
-	RegisterRuntimeMetrics(o.Registry)
+	registerRuntimeMetrics(o.Registry)
 	return o
 }
 

@@ -10,12 +10,12 @@ import (
 
 // Profiler defaults.
 const (
-	// DefaultProfileCPUDuration is how long an anomaly-triggered CPU
+	// defaultProfileCPUDuration is how long an anomaly-triggered CPU
 	// profile runs. Short on purpose: the interesting CPU state is the
 	// one that coincides with the anomaly, not a leisurely average.
-	DefaultProfileCPUDuration = 250 * time.Millisecond
-	// DefaultProfileMaxCaptures bounds the retained capture set.
-	DefaultProfileMaxCaptures = 8
+	defaultProfileCPUDuration = 250 * time.Millisecond
+	// defaultProfileMaxCaptures bounds the retained capture set.
+	defaultProfileMaxCaptures = 8
 )
 
 // defaultProfileKinds are the anomaly kinds that trigger a capture when
@@ -27,10 +27,10 @@ var defaultProfileKinds = []string{AnomalySLOBurn, AnomalyOverloadShed, AnomalyB
 // ProfilingConfig parameterises anomaly-triggered profiling.
 type ProfilingConfig struct {
 	// CPUDuration is the CPU profile window per capture
-	// (DefaultProfileCPUDuration when non-positive).
+	// (defaultProfileCPUDuration when non-positive).
 	CPUDuration time.Duration
 	// MaxCaptures bounds retained captures
-	// (DefaultProfileMaxCaptures when non-positive).
+	// (defaultProfileMaxCaptures when non-positive).
 	MaxCaptures int
 	// Kinds lists the anomaly kinds that trigger a capture
 	// (defaultProfileKinds when empty).
@@ -85,14 +85,14 @@ type Profiler struct {
 	triggered *Counter
 }
 
-// NewProfiler constructs a profiler publishing its capture counter into
+// newProfiler constructs a profiler publishing its capture counter into
 // reg (nil reg skips metrics).
-func NewProfiler(reg *Registry, cfg ProfilingConfig) *Profiler {
+func newProfiler(reg *Registry, cfg ProfilingConfig) *Profiler {
 	if cfg.CPUDuration <= 0 {
-		cfg.CPUDuration = DefaultProfileCPUDuration
+		cfg.CPUDuration = defaultProfileCPUDuration
 	}
 	if cfg.MaxCaptures <= 0 {
-		cfg.MaxCaptures = DefaultProfileMaxCaptures
+		cfg.MaxCaptures = defaultProfileMaxCaptures
 	}
 	kinds := cfg.Kinds
 	if len(kinds) == 0 {
@@ -110,9 +110,9 @@ func NewProfiler(reg *Registry, cfg ProfilingConfig) *Profiler {
 	return p
 }
 
-// OnAnomaly is the flight recorder dump hook: it starts a capture when
+// onAnomaly is the flight recorder dump hook: it starts a capture when
 // the anomaly kind is one the profiler watches.
-func (p *Profiler) OnAnomaly(dumpID, kind, _ string) {
+func (p *Profiler) onAnomaly(dumpID, kind, _ string) {
 	if p == nil {
 		return
 	}

@@ -10,8 +10,8 @@ import (
 
 func TestProfilerCapturesOnWatchedAnomaly(t *testing.T) {
 	reg := NewRegistry()
-	p := NewProfiler(reg, ProfilingConfig{CPUDuration: 10 * time.Millisecond})
-	p.OnAnomaly("slo-burn-1", AnomalySLOBurn, "")
+	p := newProfiler(reg, ProfilingConfig{CPUDuration: 10 * time.Millisecond})
+	p.onAnomaly("slo-burn-1", AnomalySLOBurn, "")
 	p.Flush()
 	caps := p.Captures()
 	if len(caps) != 1 {
@@ -36,9 +36,9 @@ func TestProfilerCapturesOnWatchedAnomaly(t *testing.T) {
 }
 
 func TestProfilerIgnoresUnwatchedKinds(t *testing.T) {
-	p := NewProfiler(NewRegistry(), ProfilingConfig{CPUDuration: time.Millisecond})
-	p.OnAnomaly("deadline-miss-1", AnomalyDeadlineMiss, "")
-	p.OnAnomaly("qos-violation-1", AnomalyQoSViolation, "")
+	p := newProfiler(NewRegistry(), ProfilingConfig{CPUDuration: time.Millisecond})
+	p.onAnomaly("deadline-miss-1", AnomalyDeadlineMiss, "")
+	p.onAnomaly("qos-violation-1", AnomalyQoSViolation, "")
 	p.Flush()
 	if got := len(p.Captures()); got != 0 {
 		t.Fatalf("unwatched anomalies captured %d profiles", got)
@@ -46,11 +46,11 @@ func TestProfilerIgnoresUnwatchedKinds(t *testing.T) {
 }
 
 func TestProfilerEvictionIsKindAware(t *testing.T) {
-	p := NewProfiler(NewRegistry(), ProfilingConfig{CPUDuration: time.Millisecond, MaxCaptures: 2})
-	p.OnAnomaly("breaker-open-1", AnomalyBreakerOpen, "")
+	p := newProfiler(NewRegistry(), ProfilingConfig{CPUDuration: time.Millisecond, MaxCaptures: 2})
+	p.onAnomaly("breaker-open-1", AnomalyBreakerOpen, "")
 	p.Flush()
 	for i := 0; i < 3; i++ {
-		p.OnAnomaly(fmt.Sprintf("slo-burn-%d", i+1), AnomalySLOBurn, "")
+		p.onAnomaly(fmt.Sprintf("slo-burn-%d", i+1), AnomalySLOBurn, "")
 		p.Flush()
 	}
 	caps := p.Captures()

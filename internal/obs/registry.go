@@ -71,10 +71,10 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// DefaultLatencyBuckets are the fixed histogram bounds (seconds) used for
+// defaultLatencyBuckets are the fixed histogram bounds (seconds) used for
 // round-trip and dispatch latency when no explicit bounds are given. They
 // span in-memory netsim calls (tens of microseconds) up to WAN timeouts.
-var DefaultLatencyBuckets = []float64{
+var defaultLatencyBuckets = []float64{
 	0.00005, 0.0001, 0.00025, 0.0005,
 	0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5,
@@ -271,7 +271,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns the named histogram, creating it with the given
-// bounds (DefaultLatencyBuckets when bounds is nil) on first use. Bounds
+// bounds (defaultLatencyBuckets when bounds is nil) on first use. Bounds
 // of an existing histogram are not changed.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
@@ -281,7 +281,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		return v.(*Histogram)
 	}
 	if bounds == nil {
-		bounds = DefaultLatencyBuckets
+		bounds = defaultLatencyBuckets
 	}
 	h := &Histogram{
 		name:      name,
@@ -305,9 +305,9 @@ func (r *Registry) CounterFunc(name string, fn func() uint64) {
 	r.counterFuncs.Store(name, fn)
 }
 
-// GaugeFunc registers a callback-backed gauge, evaluated at snapshot
+// gaugeFunc registers a callback-backed gauge, evaluated at snapshot
 // time like CounterFunc.
-func (r *Registry) GaugeFunc(name string, fn func() int64) {
+func (r *Registry) gaugeFunc(name string, fn func() int64) {
 	if r == nil || fn == nil {
 		return
 	}
@@ -465,11 +465,4 @@ func splitLabels(name string) (base, labels string) {
 		return name[:i], name[i+1 : len(name)-1]
 	}
 	return name, ""
-}
-
-// WriteJSON renders the snapshot as indented JSON.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

@@ -91,7 +91,7 @@ func TestCallbackInstruments(t *testing.T) {
 	hits := uint64(11)
 	depth := int64(-3)
 	r.CounterFunc("maqs_pool_hits_total", func() uint64 { return hits })
-	r.GaugeFunc("maqs_queue_depth", func() int64 { return depth })
+	r.gaugeFunc("maqs_queue_depth", func() int64 { return depth })
 	snap := r.Snapshot()
 	if snap.Counters["maqs_pool_hits_total"] != 11 {
 		t.Fatalf("counter func value = %d", snap.Counters["maqs_pool_hits_total"])
@@ -117,7 +117,7 @@ func TestCallbackInstruments(t *testing.T) {
 	// Nil-safety.
 	var nilReg *Registry
 	nilReg.CounterFunc("x", func() uint64 { return 1 })
-	nilReg.GaugeFunc("y", func() int64 { return 1 })
+	nilReg.gaugeFunc("y", func() int64 { return 1 })
 }
 
 func TestSnapshotExports(t *testing.T) {
@@ -143,12 +143,12 @@ func TestSnapshotExports(t *testing.T) {
 		}
 	}
 
-	var jsonBuf bytes.Buffer
-	if err := snap.WriteJSON(&jsonBuf); err != nil {
+	jsonBytes, err := json.Marshal(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var decoded Snapshot
-	if err := json.Unmarshal(jsonBuf.Bytes(), &decoded); err != nil {
+	if err := json.Unmarshal(jsonBytes, &decoded); err != nil {
 		t.Fatalf("JSON export does not round-trip: %v", err)
 	}
 	if decoded.Counters["maqs_requests_total"] != 3 {

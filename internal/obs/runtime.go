@@ -29,7 +29,7 @@ func readMemStats() runtime.MemStats {
 	return memStatsCache.stat
 }
 
-// RegisterRuntimeMetrics surfaces Go runtime health on the registry:
+// registerRuntimeMetrics surfaces Go runtime health on the registry:
 //
 //	maqs_go_goroutines                current goroutine count (gauge)
 //	maqs_go_heap_bytes                live heap bytes (gauge)
@@ -39,14 +39,14 @@ func readMemStats() runtime.MemStats {
 // stats are cached (memStatsTTL) so frequent scrapes stay cheap.
 // NewWithConfig registers them automatically; hand-built bundles can
 // call this themselves. No-op on a nil registry.
-func RegisterRuntimeMetrics(r *Registry) {
+func registerRuntimeMetrics(r *Registry) {
 	if r == nil {
 		return
 	}
-	r.GaugeFunc("maqs_go_goroutines", func() int64 {
+	r.gaugeFunc("maqs_go_goroutines", func() int64 {
 		return int64(runtime.NumGoroutine())
 	})
-	r.GaugeFunc("maqs_go_heap_bytes", func() int64 {
+	r.gaugeFunc("maqs_go_heap_bytes", func() int64 {
 		return int64(readMemStats().HeapAlloc)
 	})
 	r.FloatFunc("maqs_go_gc_pause_seconds_total", func() float64 {

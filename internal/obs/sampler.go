@@ -30,19 +30,19 @@ const (
 	// DropEvicted labels traces forced out of the pending table before
 	// their root ended (table overflow).
 	DropEvicted = "evicted"
-	// DropOrphan labels spans arriving for a trace the sampler has no
+	// dropOrphan labels spans arriving for a trace the sampler has no
 	// pending entry or recent decision for (e.g. a server-returned
 	// summary landing after the decision window aged out).
-	DropOrphan = "orphan"
+	dropOrphan = "orphan"
 )
 
 // Tail-sampler defaults.
 const (
-	// DefaultMaxPendingTraces bounds the pending table.
-	DefaultMaxPendingTraces = 512
-	// DefaultMaxSpansPerTrace bounds per-trace buffering; spans beyond it
+	// defaultMaxPendingTraces bounds the pending table.
+	defaultMaxPendingTraces = 512
+	// defaultMaxSpansPerTrace bounds per-trace buffering; spans beyond it
 	// are dropped (counted) so one pathological trace cannot hog memory.
-	DefaultMaxSpansPerTrace = 64
+	defaultMaxSpansPerTrace = 64
 	// recentDecisions bounds the ring of recently decided traces that
 	// routes late spans (async futures resolving after the root ended,
 	// server-returned summaries) to the verdict their trace received.
@@ -58,10 +58,10 @@ type TailSamplingConfig struct {
 	// is kept (0 drops all healthy traces, 1 keeps everything).
 	HealthyKeepFraction float64
 	// MaxPendingTraces bounds the pending table
-	// (DefaultMaxPendingTraces when non-positive).
+	// (defaultMaxPendingTraces when non-positive).
 	MaxPendingTraces int
 	// MaxSpansPerTrace bounds buffered spans per trace
-	// (DefaultMaxSpansPerTrace when non-positive).
+	// (defaultMaxSpansPerTrace when non-positive).
 	MaxSpansPerTrace int
 	// SlowThreshold is the root-latency bound classifying a trace as
 	// SLO-relevant slow when no per-class threshold has been installed
@@ -124,15 +124,15 @@ type TailSampler struct {
 	spanOverflow   *Counter
 }
 
-// NewTailSampler constructs a sampler flushing kept traces into c and
+// newTailSampler constructs a sampler flushing kept traces into c and
 // publishing its counters into reg (either may be nil: nil c discards
 // kept traces, nil reg skips metrics).
-func NewTailSampler(c *Collector, reg *Registry, cfg TailSamplingConfig) *TailSampler {
+func newTailSampler(c *Collector, reg *Registry, cfg TailSamplingConfig) *TailSampler {
 	if cfg.MaxPendingTraces <= 0 {
-		cfg.MaxPendingTraces = DefaultMaxPendingTraces
+		cfg.MaxPendingTraces = defaultMaxPendingTraces
 	}
 	if cfg.MaxSpansPerTrace <= 0 {
-		cfg.MaxSpansPerTrace = DefaultMaxSpansPerTrace
+		cfg.MaxSpansPerTrace = defaultMaxSpansPerTrace
 	}
 	s := &TailSampler{
 		collector:   c,
@@ -150,7 +150,7 @@ func NewTailSampler(c *Collector, reg *Registry, cfg TailSamplingConfig) *TailSa
 	for _, reason := range []string{KeepError, KeepRetry, KeepShed, KeepDeadline, KeepSlow, KeepAnomaly, ReasonHealthy} {
 		s.kept[reason] = reg.Counter(`maqs_trace_kept_total{reason="` + reason + `"}`)
 	}
-	for _, reason := range []string{ReasonHealthy, DropEvicted, DropOrphan} {
+	for _, reason := range []string{ReasonHealthy, DropEvicted, dropOrphan} {
 		s.droppedC[reason] = reg.Counter(`maqs_trace_dropped_total{reason="` + reason + `"}`)
 	}
 	s.pendingGauge = reg.Gauge("maqs_trace_pending")
@@ -355,7 +355,7 @@ func (s *TailSampler) lateSpan(rec SpanRecord, keep, known bool) {
 		// Dropped trace: its late spans follow silently (the drop was
 		// already counted once, at decision time).
 	default:
-		s.droppedC[DropOrphan].Inc()
+		s.droppedC[dropOrphan].Inc()
 	}
 }
 

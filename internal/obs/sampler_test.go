@@ -14,9 +14,9 @@ func sampledBundle(t *testing.T, cfg TailSamplingConfig) (*Collector, *Registry,
 	t.Helper()
 	c := NewCollector(0)
 	reg := NewRegistry()
-	s := NewTailSampler(c, reg, cfg)
+	s := newTailSampler(c, reg, cfg)
 	tr := NewTracer(c)
-	tr.SetSampler(s)
+	tr.setSampler(s)
 	return c, reg, tr, s
 }
 

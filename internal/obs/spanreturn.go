@@ -11,11 +11,11 @@ import (
 
 // SCTraceReturn payload limits. The context rides on every traced reply,
 // so it is bounded twice: at most maxReturnSpans summaries are captured,
-// and the encoding must fit DefaultTraceReturnBudget bytes — over-budget
+// and the encoding must fit defaultTraceReturnBudget bytes — over-budget
 // spans are silently trimmed from the tail.
 const (
-	// DefaultTraceReturnBudget caps the encoded SCTraceReturn payload.
-	DefaultTraceReturnBudget = 1024
+	// defaultTraceReturnBudget caps the encoded SCTraceReturn payload.
+	defaultTraceReturnBudget = 1024
 	// maxReturnSpans caps how many span summaries one reply carries.
 	maxReturnSpans = 16
 	// traceReturnVersion is the payload's leading version octet.
@@ -24,10 +24,10 @@ const (
 	returnErrBudget = 120
 )
 
-// SpanSummary is the compact span form carried on SCTraceReturn: enough
+// spanSummary is the compact span form carried on SCTraceReturn: enough
 // to graft the server's dispatch/servant/epilog spans into the client's
 // trace tree, nothing more (no attrs, no events).
-type SpanSummary struct {
+type spanSummary struct {
 	SpanID        SpanID
 	ParentID      SpanID
 	RemoteParent  bool
@@ -43,13 +43,13 @@ type SpanSummary struct {
 // children, so the mutex sees every servant/prolog/epilog span.
 type returnCapture struct {
 	mu   sync.Mutex
-	sums []SpanSummary
+	sums []spanSummary
 }
 
 // add summarises one finished span into the capture, bounded by
 // maxReturnSpans (later spans drop silently — the budget rules anyway).
 func (rc *returnCapture) add(rec SpanRecord) {
-	sum := SpanSummary{
+	sum := spanSummary{
 		RemoteParent:  rec.RemoteParent,
 		Name:          rec.Name,
 		Operation:     rec.Operation,
@@ -79,13 +79,13 @@ func (rc *returnCapture) add(rec SpanRecord) {
 // a single summary cannot fit the budget.
 func (rc *returnCapture) payload(trace TraceID) []byte {
 	rc.mu.Lock()
-	sums := make([]SpanSummary, len(rc.sums))
+	sums := make([]spanSummary, len(rc.sums))
 	copy(sums, rc.sums)
 	rc.mu.Unlock()
-	return EncodeTraceReturn(trace, sums, DefaultTraceReturnBudget)
+	return encodeTraceReturn(trace, sums, defaultTraceReturnBudget)
 }
 
-// EncodeTraceReturn renders the SCTraceReturn payload: a CDR stream of
+// encodeTraceReturn renders the SCTraceReturn payload: a CDR stream of
 //
 //	octet  version (1)
 //	octets trace id (16)
@@ -96,9 +96,9 @@ func (rc *returnCapture) payload(trace TraceID) []byte {
 //
 // Summaries past the byte budget are trimmed from the tail; nil is
 // returned when nothing fits (the reply then simply carries no context).
-func EncodeTraceReturn(trace TraceID, sums []SpanSummary, budget int) []byte {
+func encodeTraceReturn(trace TraceID, sums []spanSummary, budget int) []byte {
 	if budget <= 0 {
-		budget = DefaultTraceReturnBudget
+		budget = defaultTraceReturnBudget
 	}
 	if len(sums) > maxReturnSpans {
 		sums = sums[:maxReturnSpans]

@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-func sampleSummaries(n int) []SpanSummary {
-	sums := make([]SpanSummary, n)
+func sampleSummaries(n int) []spanSummary {
+	sums := make([]spanSummary, n)
 	for i := range sums {
-		sums[i] = SpanSummary{
+		sums[i] = spanSummary{
 			SpanID:        newSpanID(),
 			ParentID:      newSpanID(),
 			RemoteParent:  i == 0,
@@ -25,7 +25,7 @@ func TestTraceReturnRoundTrip(t *testing.T) {
 	trace := newTraceID()
 	sums := sampleSummaries(3)
 	sums[1].Err = "BAD_OPERATION"
-	payload := EncodeTraceReturn(trace, sums, 0)
+	payload := encodeTraceReturn(trace, sums, 0)
 	if payload == nil {
 		t.Fatal("encode returned nil for an in-budget set")
 	}
@@ -67,10 +67,10 @@ func TestTraceReturnRoundTrip(t *testing.T) {
 func TestTraceReturnBudgetTrimsTail(t *testing.T) {
 	trace := newTraceID()
 	sums := sampleSummaries(8)
-	full := EncodeTraceReturn(trace, sums, 4096)
-	one := EncodeTraceReturn(trace, sums[:1], 4096)
+	full := encodeTraceReturn(trace, sums, 4096)
+	one := encodeTraceReturn(trace, sums[:1], 4096)
 	// A budget that fits one span but not eight must trim, not fail.
-	payload := EncodeTraceReturn(trace, sums, len(one)+4)
+	payload := encodeTraceReturn(trace, sums, len(one)+4)
 	if payload == nil {
 		t.Fatalf("encode returned nil with budget for one span (full %d, one %d)", len(full), len(one))
 	}
@@ -83,14 +83,14 @@ func TestTraceReturnBudgetTrimsTail(t *testing.T) {
 	}
 	// A budget below any single span yields nil: the reply just carries
 	// no trace-return context.
-	if got := EncodeTraceReturn(trace, sums, 8); got != nil {
+	if got := encodeTraceReturn(trace, sums, 8); got != nil {
 		t.Fatalf("hopeless budget returned %d bytes, want nil", len(got))
 	}
 }
 
 func TestTraceReturnDecodeRejectsGarbage(t *testing.T) {
 	trace := newTraceID()
-	payload := EncodeTraceReturn(trace, sampleSummaries(2), 0)
+	payload := encodeTraceReturn(trace, sampleSummaries(2), 0)
 	cases := map[string][]byte{
 		"empty":       {},
 		"bad version": append([]byte{99}, payload[1:]...),

@@ -189,10 +189,10 @@ func (t *Tracer) Collector() *Collector {
 	return t.collector
 }
 
-// SetSampler routes finished spans through a tail sampler instead of
+// setSampler routes finished spans through a tail sampler instead of
 // recording them directly. Install before spans start; swapping samplers
 // mid-trace strands the old sampler's pending entries.
-func (t *Tracer) SetSampler(s *TailSampler) {
+func (t *Tracer) setSampler(s *TailSampler) {
 	if t == nil {
 		return
 	}
@@ -251,7 +251,7 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 	} else {
 		sp = t.newSpan(name, newTraceID(), SpanID{}, false)
 	}
-	return ContextWithSpan(ctx, sp), sp
+	return contextWithSpan(ctx, sp), sp
 }
 
 // StartRemote begins a server-side span whose parent lives in another
@@ -276,8 +276,8 @@ func (t *Tracer) StartRemote(parent SpanContext, name string) *Span {
 // ctxKey keys the active span in a context.Context.
 type ctxKey struct{}
 
-// ContextWithSpan returns ctx carrying sp.
-func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
+// contextWithSpan returns ctx carrying sp.
+func contextWithSpan(ctx context.Context, sp *Span) context.Context {
 	if sp == nil {
 		return ctx
 	}
@@ -302,5 +302,5 @@ func StartChild(ctx context.Context, name string) (context.Context, *Span) {
 		return ctx, nil
 	}
 	sp := parent.Child(name)
-	return ContextWithSpan(ctx, sp), sp
+	return contextWithSpan(ctx, sp), sp
 }

@@ -32,15 +32,15 @@ type windowCell struct {
 	v     atomic.Uint64
 }
 
-// MaxWindow is the longest span a WindowCounter retains (the default
+// maxWindow is the longest span a WindowCounter retains (the default
 // ring covers the 5m budget view plus slack for edge cells).
-const MaxWindow = 5*time.Minute + 5*time.Second
+const maxWindow = 5*time.Minute + 5*time.Second
 
 // NewWindowCounter constructs a counter retaining span worth of
-// one-second cells (non-positive or oversized spans take MaxWindow).
+// one-second cells (non-positive or oversized spans take maxWindow).
 func NewWindowCounter(span time.Duration) *WindowCounter {
-	if span <= 0 || span > MaxWindow {
-		span = MaxWindow
+	if span <= 0 || span > maxWindow {
+		span = maxWindow
 	}
 	cells := int(span/time.Second) + 1
 	return &WindowCounter{

@@ -106,8 +106,8 @@ func TestWindowCounterNilSafe(t *testing.T) {
 }
 
 func TestWindowCounterClamp(t *testing.T) {
-	w := NewWindowCounter(0) // takes MaxWindow
-	if len(w.cells) != int(MaxWindow/time.Second)+1 {
+	w := NewWindowCounter(0) // takes maxWindow
+	if len(w.cells) != int(maxWindow/time.Second)+1 {
 		t.Fatalf("default ring size = %d", len(w.cells))
 	}
 	clk := &fakeClock{}

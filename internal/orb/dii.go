@@ -69,18 +69,6 @@ func (r *Request) SetResultType(tc *cdr.TypeCode) *Request {
 	return r
 }
 
-// SetOneWay marks the request as oneway (no reply).
-func (r *Request) SetOneWay() *Request {
-	r.oneway = true
-	return r
-}
-
-// AddContext attaches a service context to the request.
-func (r *Request) AddContext(id uint32, data []byte) *Request {
-	r.contexts = r.contexts.With(id, data)
-	return r
-}
-
 // buildInvocation marshals the in/inout arguments and assembles the wire
 // invocation (shared by Invoke, Send and Multicall).
 func (r *Request) buildInvocation() (*Invocation, error) {

@@ -14,7 +14,7 @@ import (
 // decodes the reply later.
 func TestDIIDeferredSend(t *testing.T) {
 	client, server, _ := diiWorld(t)
-	ref := server.Adapter().Reference("calc")
+	ref := server.Adapter().reference("calc")
 	ctx := context.Background()
 
 	req := client.CreateRequest(ref, "add").
@@ -41,7 +41,7 @@ func TestDIIDeferredSend(t *testing.T) {
 
 func TestDIIGetResponseBeforeSend(t *testing.T) {
 	client, server, _ := diiWorld(t)
-	ref := server.Adapter().Reference("calc")
+	ref := server.Adapter().reference("calc")
 	req := client.CreateRequest(ref, "noop")
 	if err := req.GetResponse(context.Background()); err == nil ||
 		!strings.Contains(err.Error(), "before Send") {
@@ -53,7 +53,7 @@ func TestDIIGetResponseBeforeSend(t *testing.T) {
 // verifies positional results, including an element whose remote raises.
 func TestDIIMulticall(t *testing.T) {
 	client, server, _ := diiWorld(t)
-	ref := server.Adapter().Reference("calc")
+	ref := server.Adapter().reference("calc")
 	ctx := context.Background()
 
 	reqs := []*Request{

@@ -62,7 +62,7 @@ func diiWorld(t *testing.T) (*ORB, *ORB, *Request) {
 func TestDIIAdd(t *testing.T) {
 	client, server, _ := diiWorld(t)
 	_ = server
-	ref := server.Adapter().Reference("calc")
+	ref := server.Adapter().reference("calc")
 	req := client.CreateRequest(ref, "add").
 		AddArg("a", cdr.Long(20), ArgIn).
 		AddArg("b", cdr.Long(22), ArgIn).
@@ -77,7 +77,7 @@ func TestDIIAdd(t *testing.T) {
 
 func TestDIIStrings(t *testing.T) {
 	client, server, _ := diiWorld(t)
-	ref := server.Adapter().Reference("calc")
+	ref := server.Adapter().reference("calc")
 	req := client.CreateRequest(ref, "concat").
 		AddArg("a", cdr.Str("mid"), ArgIn).
 		AddArg("b", cdr.Str("dleware"), ArgIn).
@@ -92,7 +92,7 @@ func TestDIIStrings(t *testing.T) {
 
 func TestDIIRemoteException(t *testing.T) {
 	client, server, _ := diiWorld(t)
-	ref := server.Adapter().Reference("calc")
+	ref := server.Adapter().reference("calc")
 	err := client.CreateRequest(ref, "boom").Invoke(context.Background())
 	var exc *SystemException
 	if !errors.As(err, &exc) || exc.Name != ExcNoResources {
@@ -102,7 +102,7 @@ func TestDIIRemoteException(t *testing.T) {
 
 func TestDIIUnknownOp(t *testing.T) {
 	client, server, _ := diiWorld(t)
-	ref := server.Adapter().Reference("calc")
+	ref := server.Adapter().reference("calc")
 	err := client.CreateRequest(ref, "divide").Invoke(context.Background())
 	var exc *SystemException
 	if !errors.As(err, &exc) || exc.Name != ExcBadOperation {
@@ -112,7 +112,7 @@ func TestDIIUnknownOp(t *testing.T) {
 
 func TestDIIDoubleInvokeRejected(t *testing.T) {
 	client, server, _ := diiWorld(t)
-	ref := server.Adapter().Reference("calc")
+	ref := server.Adapter().reference("calc")
 	req := client.CreateRequest(ref, "noop")
 	if err := req.Invoke(context.Background()); err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestDIIDoubleInvokeRejected(t *testing.T) {
 
 func TestDIIArgLookup(t *testing.T) {
 	client, server, _ := diiWorld(t)
-	ref := server.Adapter().Reference("calc")
+	ref := server.Adapter().reference("calc")
 	req := client.CreateRequest(ref, "noop").AddArg("x", cdr.Long(1), ArgIn)
 	if _, ok := req.Arg("x"); !ok {
 		t.Fatal("Arg(x) missing")
@@ -310,21 +310,21 @@ func TestFilterFailureBecomesException(t *testing.T) {
 }
 
 func TestOutcomeHelpers(t *testing.T) {
-	ok := OutcomeFromResult([]byte{1}, cdr.BigEndian)
+	ok := &Outcome{Status: giop.ReplyNoException, Data: []byte{1}, Order: cdr.BigEndian}
 	if ok.Err() != nil {
 		t.Fatal("success outcome has error")
 	}
-	sys := OutcomeFromError(NewSystemException(ExcTimeout, 1, "late"), cdr.BigEndian)
+	sys := outcomeFromError(NewSystemException(ExcTimeout, 1, "late"), cdr.BigEndian)
 	var exc *SystemException
 	if !errors.As(sys.Err(), &exc) || exc.Name != ExcTimeout {
 		t.Fatalf("err = %v", sys.Err())
 	}
-	user := OutcomeFromError(&UserException{RepoID: "IDL:U:1.0"}, cdr.BigEndian)
+	user := outcomeFromError(&UserException{RepoID: "IDL:U:1.0"}, cdr.BigEndian)
 	var uexc *UserException
 	if !errors.As(user.Err(), &uexc) || uexc.RepoID != "IDL:U:1.0" {
 		t.Fatalf("err = %v", user.Err())
 	}
-	plain := OutcomeFromError(errors.New("arbitrary"), cdr.BigEndian)
+	plain := outcomeFromError(errors.New("arbitrary"), cdr.BigEndian)
 	if !errors.As(plain.Err(), &exc) || exc.Name != ExcInternal {
 		t.Fatalf("err = %v", plain.Err())
 	}

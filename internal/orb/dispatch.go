@@ -23,7 +23,7 @@ type ClassPolicy struct {
 	Workers int
 	// QueueDepth caps requests waiting for a worker; a request arriving
 	// at a full queue is shed immediately with a TRANSIENT exception.
-	// <= 0 takes DefaultQueueDepth.
+	// <= 0 takes defaultQueueDepth.
 	QueueDepth int
 	// Deadline is the dispatch budget measured from enqueue: a request
 	// that waited longer than this is shed at dequeue instead of
@@ -32,9 +32,9 @@ type ClassPolicy struct {
 	Deadline time.Duration
 }
 
-// DefaultQueueDepth is the per-class queue bound when a policy enables
+// defaultQueueDepth is the per-class queue bound when a policy enables
 // workers without choosing a depth.
-const DefaultQueueDepth = 256
+const defaultQueueDepth = 256
 
 // Shed reasons, used as metric labels and in the shed exception text.
 const (
@@ -227,7 +227,7 @@ func (o *ORB) resolvePolicy(class string) ClassPolicy {
 		}
 	}
 	if p.QueueDepth <= 0 {
-		p.QueueDepth = DefaultQueueDepth
+		p.QueueDepth = defaultQueueDepth
 	}
 	return p
 }
@@ -331,7 +331,7 @@ func (d *dispatcher) shed(job *dispatchJob, reason string) {
 	}
 	exc := NewSystemException(ExcTransient, 60,
 		"request shed by admission control (%s, class %s)", reason, job.class)
-	out := OutcomeFromError(exc, job.order)
+	out := outcomeFromError(exc, job.order)
 	e := giop.AcquireFrameEncoder(job.order)
 	rh := giop.ReplyHeader{RequestID: job.h.RequestID, Status: out.Status}
 	rh.Marshal(e)

@@ -66,8 +66,8 @@ func (e *SystemException) Marshal(enc *cdr.Encoder) {
 	enc.WriteString(e.Detail)
 }
 
-// UnmarshalSystemException reads a system exception reply body.
-func UnmarshalSystemException(d *cdr.Decoder) (*SystemException, error) {
+// unmarshalSystemException reads a system exception reply body.
+func unmarshalSystemException(d *cdr.Decoder) (*SystemException, error) {
 	name, err := d.ReadString()
 	if err != nil {
 		return nil, fmt.Errorf("orb: reading exception name: %w", err)
@@ -127,8 +127,8 @@ func (e *UserException) Marshal(enc *cdr.Encoder) {
 	enc.WriteOctets(e.Data)
 }
 
-// UnmarshalUserException reads a user exception reply body.
-func UnmarshalUserException(d *cdr.Decoder) (*UserException, error) {
+// unmarshalUserException reads a user exception reply body.
+func unmarshalUserException(d *cdr.Decoder) (*UserException, error) {
 	id, err := d.ReadString()
 	if err != nil {
 		return nil, fmt.Errorf("orb: reading user exception id: %w", err)

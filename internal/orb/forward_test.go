@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"maqs/internal/giop"
 	"maqs/internal/ior"
 	"maqs/internal/netsim"
 )
@@ -85,8 +86,8 @@ func TestLocationForwardLoopBounded(t *testing.T) {
 // TestForwardRequestOutcomeRoundTrip pins the wire encoding.
 func TestForwardRequestOutcomeRoundTrip(t *testing.T) {
 	ref := ior.New("IDL:test/X:1.0", "h", 7, []byte("k"))
-	out := OutcomeFromError(&ForwardRequest{To: ref}, 0)
-	target, err := out.ForwardTarget()
+	out := outcomeFromError(&ForwardRequest{To: ref}, 0)
+	target, err := out.forwardTarget()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +98,8 @@ func TestForwardRequestOutcomeRoundTrip(t *testing.T) {
 	if !errors.As(out.Err(), &fwd) || !fwd.To.Equal(ref) {
 		t.Fatalf("Err() = %v", out.Err())
 	}
-	// Non-forward outcomes reject ForwardTarget.
-	if _, err := OutcomeFromResult(nil, 0).ForwardTarget(); err == nil {
+	// Non-forward outcomes reject forwardTarget.
+	if _, err := (&Outcome{Status: giop.ReplyNoException}).forwardTarget(); err == nil {
 		t.Fatal("forward target from success outcome")
 	}
 }

@@ -108,7 +108,7 @@ func (dt *deadlineTimer) disarm() {
 }
 
 // futurePoolGets/Misses are process-global pool telemetry (a Get that fell
-// through to New is a miss). SetObservability exposes them as callback
+// through to New is a miss). setObservability exposes them as callback
 // counters.
 var (
 	futurePoolGets   atomic.Uint64
@@ -120,9 +120,9 @@ var futurePool = sync.Pool{New: func() any {
 	return &Future{sig: make(chan struct{}, 1)}
 }}
 
-// FuturePoolStats reports cumulative Future pool gets and misses
+// futurePoolStats reports cumulative Future pool gets and misses
 // (process-global, across all ORBs).
-func FuturePoolStats() (gets, misses uint64) {
+func futurePoolStats() (gets, misses uint64) {
 	return futurePoolGets.Load(), futurePoolMisses.Load()
 }
 

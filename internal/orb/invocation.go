@@ -158,19 +158,19 @@ func (o *Outcome) Err() error {
 	case giop.ReplyNoException:
 		return nil
 	case giop.ReplyUserException:
-		exc, err := UnmarshalUserException(cdr.NewDecoder(o.Data, o.Order))
+		exc, err := unmarshalUserException(cdr.NewDecoder(o.Data, o.Order))
 		if err != nil {
 			return NewSystemException(ExcMarshal, 1, "undecodable user exception: %v", err)
 		}
 		return exc
 	case giop.ReplySystemException:
-		exc, err := UnmarshalSystemException(cdr.NewDecoder(o.Data, o.Order))
+		exc, err := unmarshalSystemException(cdr.NewDecoder(o.Data, o.Order))
 		if err != nil {
 			return NewSystemException(ExcMarshal, 2, "undecodable system exception: %v", err)
 		}
 		return exc
 	case giop.ReplyLocationForward:
-		to, err := o.ForwardTarget()
+		to, err := o.forwardTarget()
 		if err != nil {
 			return NewSystemException(ExcMarshal, 4, "undecodable forward target: %v", err)
 		}
@@ -188,9 +188,9 @@ func (o *Outcome) Decoder() *cdr.Decoder {
 	return &o.dec
 }
 
-// OutcomeFromError wraps an error into an exceptional Outcome, encoding it
+// outcomeFromError wraps an error into an exceptional Outcome, encoding it
 // the way a server would.
-func OutcomeFromError(err error, order cdr.ByteOrder) *Outcome {
+func outcomeFromError(err error, order cdr.ByteOrder) *Outcome {
 	e := cdr.NewEncoder(order)
 	switch exc := err.(type) {
 	case *UserException:
@@ -209,17 +209,12 @@ func OutcomeFromError(err error, order cdr.ByteOrder) *Outcome {
 	}
 }
 
-// ForwardTarget decodes the new target of a LOCATION_FORWARD outcome.
-func (o *Outcome) ForwardTarget() (*ior.IOR, error) {
+// forwardTarget decodes the new target of a LOCATION_FORWARD outcome.
+func (o *Outcome) forwardTarget() (*ior.IOR, error) {
 	if o.Status != giop.ReplyLocationForward {
 		return nil, fmt.Errorf("orb: outcome is not a location forward")
 	}
 	return ior.Unmarshal(o.Decoder())
-}
-
-// OutcomeFromResult wraps encoded results into a successful Outcome.
-func OutcomeFromResult(data []byte, order cdr.ByteOrder) *Outcome {
-	return &Outcome{Status: giop.ReplyNoException, Data: data, Order: order}
 }
 
 // TransportModule delivers invocations to their target. The built-in
@@ -240,11 +235,11 @@ type Router interface {
 	Route(inv *Invocation) (TransportModule, error)
 }
 
-// RouterFunc adapts a function to the Router interface.
-type RouterFunc func(inv *Invocation) (TransportModule, error)
+// routerFunc adapts a function to the Router interface.
+type routerFunc func(inv *Invocation) (TransportModule, error)
 
 // Route implements Router.
-func (f RouterFunc) Route(inv *Invocation) (TransportModule, error) { return f(inv) }
+func (f routerFunc) Route(inv *Invocation) (TransportModule, error) { return f(inv) }
 
 // ServerRequest is an incoming request under dispatch on the server side.
 type ServerRequest struct {
@@ -294,13 +289,6 @@ func (r *ServerRequest) QoSTag() (tag QoSTag, tagged bool, err error) {
 
 // In returns a fresh decoder over the request arguments.
 func (r *ServerRequest) In() *cdr.Decoder { return cdr.NewDecoder(r.Args, r.Order) }
-
-// ReplaceOut swaps the accumulated reply body for data. Epilogs and other
-// server-side QoS mechanisms use it to transform a servant's result.
-func (r *ServerRequest) ReplaceOut(data []byte) {
-	r.Out = cdr.NewEncoder(r.Order)
-	r.Out.WriteRaw(data)
-}
 
 // Servant is the server-side dispatch interface: both generated skeletons
 // and hand-written dynamic servants implement it.

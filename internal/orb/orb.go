@@ -51,7 +51,7 @@ type Options struct {
 	// <= 0 (the default) keeps the unbounded goroutine-per-request path.
 	DispatchWorkers int
 	// DispatchQueueDepth caps requests queued per class ahead of the
-	// workers. <= 0 takes DefaultQueueDepth (only relevant when
+	// workers. <= 0 takes defaultQueueDepth (only relevant when
 	// dispatch is bounded).
 	DispatchQueueDepth int
 	// DispatchDeadline sheds queued requests that waited longer than
@@ -167,12 +167,12 @@ func New(opts Options) *ORB {
 	}
 	o.iiop = &iiopModule{orb: o}
 	o.adapter = &Adapter{orb: o}
-	o.router = RouterFunc(func(*Invocation) (TransportModule, error) { return o.iiop, nil })
+	o.router = routerFunc(func(*Invocation) (TransportModule, error) { return o.iiop, nil })
 	if o.opts.DispatchWorkers > 0 || o.opts.AdmissionPolicy != nil {
 		o.dispatcher = newDispatcher(o)
 	}
 	if opts.Observability != nil {
-		o.SetObservability(opts.Observability)
+		o.setObservability(opts.Observability)
 	}
 	if opts.Resilience != nil {
 		o.res = newResilienceState(o, opts.Resilience)
@@ -180,9 +180,9 @@ func New(opts Options) *ORB {
 	return o
 }
 
-// SetObservability installs (or, with nil, removes) the tracing and
+// setObservability installs (or, with nil, removes) the tracing and
 // metrics bundle. Server-path instruments are resolved here once.
-func (o *ORB) SetObservability(b *obs.Observability) {
+func (o *ORB) setObservability(b *obs.Observability) {
 	if b == nil {
 		o.obsState.Store(nil)
 		return
@@ -205,14 +205,14 @@ func (o *ORB) SetObservability(b *obs.Observability) {
 // the process), so the numbers describe the process, not this ORB.
 func registerPoolMetrics(r *obs.Registry) {
 	r.CounterFunc("maqs_orb_future_pool_hits_total", func() uint64 {
-		gets, misses := FuturePoolStats()
+		gets, misses := futurePoolStats()
 		if gets < misses {
 			return 0
 		}
 		return gets - misses
 	})
 	r.CounterFunc("maqs_orb_future_pool_misses_total", func() uint64 {
-		_, misses := FuturePoolStats()
+		_, misses := futurePoolStats()
 		return misses
 	})
 	r.CounterFunc("maqs_cdr_encoder_pool_hits_total", func() uint64 {
@@ -319,7 +319,7 @@ func (o *ORB) SetRouter(r Router) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if r == nil {
-		r = RouterFunc(func(*Invocation) (TransportModule, error) { return o.iiop, nil })
+		r = routerFunc(func(*Invocation) (TransportModule, error) { return o.iiop, nil })
 	}
 	o.router = r
 }
@@ -402,7 +402,7 @@ func (o *ORB) follow(ctx context.Context, mod TransportModule, inv *Invocation, 
 			return nil, NewSystemException(ExcTransient, 30,
 				"location forward chain exceeds %d hops for %s", maxForwards, inv.Operation)
 		}
-		target, ferr := out.ForwardTarget()
+		target, ferr := out.forwardTarget()
 		if ferr != nil {
 			return nil, NewSystemException(ExcMarshal, 31, "bad forward target: %v", ferr)
 		}

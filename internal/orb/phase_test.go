@@ -30,7 +30,7 @@ func TestPhaseDecompositionBounded(t *testing.T) {
 	})
 	_ = server
 	clientObs := obs.New()
-	client.SetObservability(clientObs)
+	client.setObservability(clientObs)
 
 	const calls = 8
 	for i := 0; i < calls; i++ {
@@ -92,7 +92,7 @@ func TestPhaseFlightRecordEncode(t *testing.T) {
 	server, client, ref := dispatchWorld(t, servant, Options{})
 	_ = server
 	bundle := obs.New()
-	client.SetObservability(bundle)
+	client.setObservability(bundle)
 
 	if err := call(client, ref, "echo", false, nil); err != nil {
 		t.Fatalf("echo: %v", err)

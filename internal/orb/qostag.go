@@ -34,8 +34,8 @@ func (t QoSTag) Encode() []byte {
 	return append([]byte(nil), e.Bytes()...) // the pooled buffer is reused
 }
 
-// DecodeQoSTag parses an SCQoS payload.
-func DecodeQoSTag(data []byte) (QoSTag, error) {
+// decodeQoSTag parses an SCQoS payload.
+func decodeQoSTag(data []byte) (QoSTag, error) {
 	d, err := cdr.NewDecoder(data, cdr.BigEndian).BeginEncapsulation()
 	if err != nil {
 		return QoSTag{}, fmt.Errorf("orb: decoding QoS tag: %w", err)
@@ -91,7 +91,7 @@ func (m *EncodedQoSTag) holds(data []byte) bool {
 
 func (m *EncodedQoSTag) decode(data []byte) {
 	m.data = data
-	m.tag, m.err = DecodeQoSTag(data)
+	m.tag, m.err = decodeQoSTag(data)
 }
 
 func (m *EncodedQoSTag) get() (QoSTag, bool, error) {

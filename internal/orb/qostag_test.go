@@ -9,14 +9,14 @@ import (
 
 func TestQoSTagRoundTrip(t *testing.T) {
 	tag := QoSTag{Characteristic: "Availability", BindingID: "abc123", Module: "group"}
-	got, err := DecodeQoSTag(tag.Encode())
+	got, err := decodeQoSTag(tag.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != tag {
 		t.Fatalf("tag = %+v", got)
 	}
-	if _, err := DecodeQoSTag([]byte{1, 2}); err == nil {
+	if _, err := decodeQoSTag([]byte{1, 2}); err == nil {
 		t.Fatal("garbage tag accepted")
 	}
 }
@@ -291,9 +291,9 @@ func FuzzDecodeQoSTag(f *testing.F) {
 	f.Add([]byte{1, 2})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tag, err := DecodeQoSTag(data)
+		tag, err := decodeQoSTag(data)
 		if err == nil {
-			if again, err := DecodeQoSTag(tag.Encode()); err != nil || again != tag {
+			if again, err := decodeQoSTag(tag.Encode()); err != nil || again != tag {
 				t.Fatalf("%+v re-encodes to %+v, %v", tag, again, err)
 			}
 		}

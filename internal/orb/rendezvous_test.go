@@ -357,11 +357,11 @@ func TestTeardownReachesSyncWaiter(t *testing.T) {
 		w.client.conns[addr] = &connStripe{slots: []*clientConn{conn}}
 		w.client.mu.Unlock()
 
-		gets, _ := FuturePoolStats()
+		gets, _ := futurePoolStats()
 		out, err := w.client.Invoke(context.Background(), echoInvocation(w.client, w.ref, "doomed", false))
 		wantCommFailure(t, out, err)
 		drained(t, conn)
-		if after, _ := FuturePoolStats(); after != gets+1 {
+		if after, _ := futurePoolStats(); after != gets+1 {
 			t.Fatalf("the call drew %d futures, want 1", after-gets)
 		}
 		// The dead connection left the stripe: the next call dials the real

@@ -55,7 +55,7 @@ func newResilienceState(o *ORB, p *resilience.Policy) *resilienceState {
 	}
 	// Fan breaker transitions into the metrics registry, the flight
 	// recorder and the log. The registry handle is re-read per
-	// transition so late SetObservability installs are picked up.
+	// transition so late setObservability installs are picked up.
 	s.breakers.Subscribe(func(tr resilience.Transition) {
 		m := o.Metrics()
 		m.Counter("maqs_breaker_transitions_total").Inc()
@@ -339,13 +339,4 @@ func (o *ORB) Breakers() *resilience.Group {
 		return nil
 	}
 	return o.res.breakers
-}
-
-// ResiliencePolicy reports the normalized policy in effect, or nil.
-func (o *ORB) ResiliencePolicy() *resilience.Policy {
-	if o.res == nil {
-		return nil
-	}
-	p := o.res.policy
-	return &p
 }

@@ -22,7 +22,7 @@ type activation struct {
 
 // Adapter is the object adapter: the registry mapping object keys to
 // servants and minting object references for them. The registry is a
-// sync.Map because Resolve sits on every dispatch while activations are
+// sync.Map because resolve sits on every dispatch while activations are
 // rare — reads stay lock-free and uncontended.
 type Adapter struct {
 	orb *ORB
@@ -72,41 +72,13 @@ func (a *Adapter) Deactivate(key string) {
 	a.servants.Delete(key)
 }
 
-// Resolve finds the servant for an object key.
-func (a *Adapter) Resolve(key string) (Servant, bool) {
+// resolve finds the servant for an object key.
+func (a *Adapter) resolve(key string) (Servant, bool) {
 	v, ok := a.servants.Load(key)
 	if !ok {
 		return nil, false
 	}
 	return v.(*activation).servant, true
-}
-
-// Reference re-mints the IOR for an active key, or nil if inactive.
-func (a *Adapter) Reference(key string) *ior.IOR {
-	v, ok := a.servants.Load(key)
-	if !ok {
-		return nil
-	}
-	act := v.(*activation)
-	host, port, bound := a.orb.Endpoint()
-	if !bound {
-		return nil
-	}
-	ref := ior.New(act.typeID, host, port, []byte(key))
-	if act.qos != nil {
-		ref.SetQoS(*act.qos)
-	}
-	return ref
-}
-
-// Keys lists the active object keys.
-func (a *Adapter) Keys() []string {
-	var keys []string
-	a.servants.Range(func(k, _ any) bool {
-		keys = append(keys, k.(string))
-		return true
-	})
-	return keys
 }
 
 // Locate asks the target's server whether the object exists there.
@@ -206,7 +178,7 @@ func (o *ORB) serveConn(conn net.Conn) {
 				continue
 			}
 			status := giop.LocateUnknownObject
-			if _, ok := o.adapter.Resolve(string(h.ObjectKey)); ok {
+			if _, ok := o.adapter.resolve(string(h.ObjectKey)); ok {
 				status = giop.LocateObjectHere
 			}
 			e := giop.AcquireFrameEncoder(o.opts.Order)
@@ -375,7 +347,7 @@ func (o *ORB) dispatch(req *ServerRequest) (giop.ReplyStatus, []byte) {
 		if handler == nil {
 			return encodeError(req, NewSystemException(ExcNoImplement, 20, "no QoS transport installed"))
 		}
-		target, err := DecodeCommandTarget(data)
+		target, err := decodeCommandTarget(data)
 		if err != nil {
 			return encodeError(req, NewSystemException(ExcMarshal, 21, "bad command target: %v", err))
 		}
@@ -405,7 +377,7 @@ func (o *ORB) dispatch(req *ServerRequest) (giop.ReplyStatus, []byte) {
 }
 
 func (o *ORB) invokeServant(req *ServerRequest) (giop.ReplyStatus, []byte) {
-	servant, ok := o.adapter.Resolve(string(req.ObjectKey))
+	servant, ok := o.adapter.resolve(string(req.ObjectKey))
 	if !ok {
 		return encodeError(req, NewSystemException(ExcObjectNotExist, 1, "no servant for key %q", req.ObjectKey))
 	}
@@ -428,7 +400,7 @@ func (o *ORB) invokeServant(req *ServerRequest) (giop.ReplyStatus, []byte) {
 
 // encodeError renders an error as an exceptional reply body.
 func encodeError(req *ServerRequest, err error) (giop.ReplyStatus, []byte) {
-	out := OutcomeFromError(err, req.Order)
+	out := outcomeFromError(err, req.Order)
 	return out.Status, out.Data
 }
 
@@ -442,8 +414,8 @@ func EncodeCommandTarget(module string) []byte {
 	return e.Bytes()
 }
 
-// DecodeCommandTarget parses an SCCommand payload.
-func DecodeCommandTarget(data []byte) (string, error) {
+// decodeCommandTarget parses an SCCommand payload.
+func decodeCommandTarget(data []byte) (string, error) {
 	d, err := cdr.NewDecoder(data, cdr.BigEndian).BeginEncapsulation()
 	if err != nil {
 		return "", fmt.Errorf("orb: decoding command target: %w", err)

@@ -56,17 +56,6 @@ func (c *Characteristic) Param(name string) (ParameterDecl, bool) {
 	return ParameterDecl{}, false
 }
 
-// HasOperation reports whether op is part of this characteristic's QoS
-// responsibility.
-func (c *Characteristic) HasOperation(op string) bool {
-	for _, o := range c.Operations {
-		if o == op {
-			return true
-		}
-	}
-	return false
-}
-
 // Registry associates characteristic names with their descriptions and
 // factories. The paper's genericity requirement — new characteristics are
 // definable without framework changes — maps to registration here.
@@ -116,9 +105,9 @@ func (r *Registry) Lookup(name string) (*Characteristic, bool) {
 	return e.desc, true
 }
 
-// MediatorFor instantiates the mediator of the bound characteristic, or
+// mediatorFor instantiates the mediator of the bound characteristic, or
 // nil when the characteristic registered no factory.
-func (r *Registry) MediatorFor(st *Stub, b *Binding) (Mediator, error) {
+func (r *Registry) mediatorFor(st *Stub, b *Binding) (Mediator, error) {
 	r.mu.RLock()
 	e, ok := r.entries[b.Characteristic]
 	r.mu.RUnlock()
@@ -143,8 +132,8 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// DefaultRegistry is the process-wide registry used when no explicit one
+// defaultRegistry is the process-wide registry used when no explicit one
 // is supplied; the standard characteristics packages register themselves
 // into it from their Register functions (not init, keeping registration
 // explicit).
-var DefaultRegistry = NewRegistry()
+var defaultRegistry = NewRegistry()

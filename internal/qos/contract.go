@@ -131,16 +131,16 @@ func (c *Contract) Clone() *Contract {
 }
 
 // NegotiationError explains why a proposal could not be satisfied. It
-// travels as the user exception ExcNegotiationFailed.
+// travels as the user exception excNegotiationFailed.
 type NegotiationError struct {
 	Characteristic string
 	Param          string
 	Reason         string
 }
 
-// ExcNegotiationFailed is the repository ID of the negotiation failure
+// excNegotiationFailed is the repository ID of the negotiation failure
 // user exception.
-const ExcNegotiationFailed = "IDL:maqs/qos/NegotiationFailed:1.0"
+const excNegotiationFailed = "IDL:maqs/qos/NegotiationFailed:1.0"
 
 // Error implements the error interface.
 func (e *NegotiationError) Error() string {
@@ -258,8 +258,8 @@ func (p *Proposal) Marshal(e *cdr.Encoder) {
 	}
 }
 
-// UnmarshalProposal reads a proposal from d.
-func UnmarshalProposal(d *cdr.Decoder) (*Proposal, error) {
+// unmarshalProposal reads a proposal from d.
+func unmarshalProposal(d *cdr.Decoder) (*Proposal, error) {
 	var p Proposal
 	var err error
 	if p.Characteristic, err = d.ReadString(); err != nil {
@@ -277,7 +277,7 @@ func UnmarshalProposal(d *cdr.Decoder) (*Proposal, error) {
 		if pp.Name, err = d.ReadString(); err != nil {
 			return nil, fmt.Errorf("qos: reading proposal param name: %w", err)
 		}
-		if pp.Desired, err = UnmarshalValue(d); err != nil {
+		if pp.Desired, err = unmarshalValue(d); err != nil {
 			return nil, err
 		}
 		if pp.Min, err = d.ReadDouble(); err != nil {
@@ -361,7 +361,7 @@ func UnmarshalOffer(d *cdr.Decoder) (*Offer, error) {
 			}
 			po.Choices = append(po.Choices, c)
 		}
-		if po.Default, err = UnmarshalValue(d); err != nil {
+		if po.Default, err = unmarshalValue(d); err != nil {
 			return nil, err
 		}
 		o.Params = append(o.Params, po)
@@ -381,8 +381,8 @@ func (c *Contract) Marshal(e *cdr.Encoder) {
 	}
 }
 
-// UnmarshalContract reads a contract from d.
-func UnmarshalContract(d *cdr.Decoder) (*Contract, error) {
+// unmarshalContract reads a contract from d.
+func unmarshalContract(d *cdr.Decoder) (*Contract, error) {
 	var c Contract
 	var err error
 	if c.Characteristic, err = d.ReadString(); err != nil {
@@ -404,7 +404,7 @@ func UnmarshalContract(d *cdr.Decoder) (*Contract, error) {
 		if err != nil {
 			return nil, fmt.Errorf("qos: reading contract value name: %w", err)
 		}
-		v, err := UnmarshalValue(d)
+		v, err := unmarshalValue(d)
 		if err != nil {
 			return nil, err
 		}

@@ -164,7 +164,7 @@ func TestProposalOfferContractWireRoundTrip(t *testing.T) {
 	}
 	e := cdr.NewEncoder(cdr.LittleEndian)
 	p.Marshal(e)
-	gotP, err := UnmarshalProposal(cdr.NewDecoder(e.Bytes(), cdr.LittleEndian))
+	gotP, err := unmarshalProposal(cdr.NewDecoder(e.Bytes(), cdr.LittleEndian))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestProposalOfferContractWireRoundTrip(t *testing.T) {
 	c.Epoch = 3
 	e = cdr.NewEncoder(cdr.BigEndian)
 	c.Marshal(e)
-	gotC, err := UnmarshalContract(cdr.NewDecoder(e.Bytes(), cdr.BigEndian))
+	gotC, err := unmarshalContract(cdr.NewDecoder(e.Bytes(), cdr.BigEndian))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestValueRoundTripProperty(t *testing.T) {
 		}
 		e := cdr.NewEncoder(cdr.BigEndian)
 		v.Marshal(e)
-		got, err := UnmarshalValue(cdr.NewDecoder(e.Bytes(), cdr.BigEndian))
+		got, err := unmarshalValue(cdr.NewDecoder(e.Bytes(), cdr.BigEndian))
 		if err != nil {
 			return false
 		}
@@ -260,12 +260,12 @@ func TestValueAccessorsAndString(t *testing.T) {
 }
 
 func TestUnmarshalValueErrors(t *testing.T) {
-	if _, err := UnmarshalValue(cdr.NewDecoder(nil, cdr.BigEndian)); err == nil {
+	if _, err := unmarshalValue(cdr.NewDecoder(nil, cdr.BigEndian)); err == nil {
 		t.Fatal("empty buffer accepted")
 	}
 	e := cdr.NewEncoder(cdr.BigEndian)
 	e.WriteOctet(99)
-	if _, err := UnmarshalValue(cdr.NewDecoder(e.Bytes(), cdr.BigEndian)); err == nil {
+	if _, err := unmarshalValue(cdr.NewDecoder(e.Bytes(), cdr.BigEndian)); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 }
@@ -281,9 +281,6 @@ func TestCharacteristicHelpers(t *testing.T) {
 	}
 	if _, ok := c.Param("q"); ok {
 		t.Fatal("Param(q) found")
-	}
-	if !c.HasOperation("op_a") || c.HasOperation("op_c") {
-		t.Fatal("HasOperation misbehaves")
 	}
 }
 
@@ -309,11 +306,11 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("Names = %v", names)
 	}
 	// Factory-less characteristic yields a nil mediator.
-	m, err := r.MediatorFor(nil, &Binding{Characteristic: "X"})
+	m, err := r.mediatorFor(nil, &Binding{Characteristic: "X"})
 	if err != nil || m != nil {
-		t.Fatalf("MediatorFor = %v, %v", m, err)
+		t.Fatalf("mediatorFor = %v, %v", m, err)
 	}
-	if _, err := r.MediatorFor(nil, &Binding{Characteristic: "Y"}); err == nil {
+	if _, err := r.mediatorFor(nil, &Binding{Characteristic: "Y"}); err == nil {
 		t.Fatal("unknown characteristic mediator created")
 	}
 }

@@ -23,9 +23,9 @@ type DegradeStep struct {
 	Proposal *Proposal
 }
 
-// ErrLadderExhausted is returned by Degrade once every rung has been
+// errLadderExhausted is returned by Degrade once every rung has been
 // taken: the contract cannot get any cheaper.
-var ErrLadderExhausted = errors.New("qos: degradation ladder exhausted")
+var errLadderExhausted = errors.New("qos: degradation ladder exhausted")
 
 // Degrader drives the paper's renegotiation machinery automatically:
 // instead of failing calls when the contract cannot be met, the binding
@@ -55,17 +55,9 @@ type Degrader struct {
 
 // NewDegrader builds a degrader over the stub's binding with the given
 // ladder. The stub must have a negotiated binding before the first step
-// is taken.
+// is taken. Automatic triggers step the ladder at most once a second.
 func NewDegrader(s *Stub, steps ...DegradeStep) *Degrader {
 	return &Degrader{stub: s, steps: steps, cooldown: time.Second}
-}
-
-// SetCooldown bounds how often automatic triggers may step the ladder
-// (default 1s). Set it before wiring WatchMonitor/WatchBreakers.
-func (d *Degrader) SetCooldown(c time.Duration) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.cooldown = c
 }
 
 // Level reports how many rungs down the ladder the binding currently is
@@ -85,12 +77,12 @@ func (d *Degrader) Degrade(ctx context.Context, reason string) (*Contract, error
 	d.mu.Lock()
 	if d.level >= len(d.steps) {
 		d.mu.Unlock()
-		return nil, ErrLadderExhausted
+		return nil, errLadderExhausted
 	}
 	step := d.steps[d.level]
 	if d.baseline == nil {
 		if b := d.stub.Binding(); b != nil {
-			d.baseline = ProposalFromContract(b.Contract)
+			d.baseline = proposalFromContract(b.Contract)
 		}
 	}
 	d.mu.Unlock()
@@ -238,7 +230,7 @@ func (d *Degrader) degradeAsync(reason string) {
 		defer d.inflight.Store(false)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		if _, err := d.Degrade(ctx, reason); err != nil && !errors.Is(err, ErrLadderExhausted) {
+		if _, err := d.Degrade(ctx, reason); err != nil && !errors.Is(err, errLadderExhausted) {
 			d.stub.orb.Logger().Warn("qos: automatic degradation failed", "reason", reason, "err", err)
 		}
 	}()

@@ -62,8 +62,8 @@ func TestDegradeStepsDownLadderAndRecovers(t *testing.T) {
 	if _, err := d.Degrade(context.Background(), "test"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Degrade(context.Background(), "test"); !errors.Is(err, ErrLadderExhausted) {
-		t.Fatalf("err = %v, want ErrLadderExhausted", err)
+	if _, err := d.Degrade(context.Background(), "test"); !errors.Is(err, errLadderExhausted) {
+		t.Fatalf("err = %v, want errLadderExhausted", err)
 	}
 
 	// Recover climbs back: step 1, then the captured baseline (level 9).
@@ -111,7 +111,7 @@ func TestMonitorRuleTriggersAutomaticDegradation(t *testing.T) {
 	negotiateLevel(t, w, 9)
 
 	d := NewDegrader(w.stub, DegradeStep{Name: "tracing-off", Proposal: levelProposal(0)})
-	d.SetCooldown(0)
+	d.cooldown = 0
 	mon := NewMonitor(8)
 	w.stub.AddObserver(mon.Observe)
 	w.stub.AddObserver(d.WatchMonitor(mon, Rule{
@@ -166,7 +166,7 @@ func TestBreakerTransitionsTriggerPendingDegradation(t *testing.T) {
 	negotiateLevel(t, w, 9)
 
 	d := NewDegrader(w.stub, DegradeStep{Name: "tracing-off", Proposal: levelProposal(0)})
-	d.SetCooldown(0)
+	d.cooldown = 0
 	g := resilience.NewGroup(resilience.BreakerPolicy{
 		FailureThreshold: 1, OpenTimeout: time.Millisecond, HalfOpenProbes: 1,
 	})

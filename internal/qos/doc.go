@@ -24,7 +24,7 @@
 //     tags every request of the relationship.
 //
 // Negotiation, renegotiation (adaptation) and release travel as ordinary
-// requests on reserved operations (OpNegotiate and friends), so they work
+// requests on reserved operations (opNegotiate and friends), so they work
 // over the plain IIOP path before any QoS module is assigned — exactly
 // the bootstrap the paper describes for its QoS transport.
 package qos

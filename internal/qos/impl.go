@@ -23,8 +23,8 @@ type Impl interface {
 	// binding.
 	Prolog(req *orb.ServerRequest, b *Binding) error
 	// Epilog runs after the servant processed the request; invokeErr is
-	// the servant's error, if any. Epilog may rewrite the reply through
-	// req.ReplaceOut.
+	// the servant's error, if any. Epilog may rewrite the reply by
+	// replacing req.Out.
 	Epilog(req *orb.ServerRequest, b *Binding, invokeErr error) error
 	// QoSOperation dispatches an operation of this characteristic's QoS
 	// responsibility (management, QoS-to-QoS, aspect integration).

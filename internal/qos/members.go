@@ -44,7 +44,7 @@ type member struct {
 // NewMembers starts the record for st's target with the binding st has
 // just negotiated at the target's profile endpoint.
 func NewMembers(st *Stub, first *Binding) *Members {
-	ms := &Members{orb: st.ORB(), ref: st.Target(), proposal: ProposalFromContract(first.Contract),
+	ms := &Members{orb: st.ORB(), ref: st.Target(), proposal: proposalFromContract(first.Contract),
 		first: first, byEndpoint: make(map[string]*member)}
 	m := &member{target: ms.ref}
 	m.binding.Store(first)

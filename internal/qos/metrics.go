@@ -7,30 +7,19 @@ import (
 	"maqs/internal/obs"
 )
 
-// Canonical client-side metric names. MetricsObserver and
-// Monitor.Publish (with its default prefix) bind to the same
-// instruments through these, so the two paths cannot register
-// overlapping, differently-named copies of the same measurement.
-const (
-	MetricClientRequests     = "maqs_client_requests_total"
-	MetricClientErrors       = "maqs_client_errors_total"
-	MetricClientRequestBytes = "maqs_client_request_bytes_total"
-	MetricClientReplyBytes   = "maqs_client_reply_bytes_total"
-	MetricClientRTT          = "maqs_client_rtt_seconds"
-)
-
 // MetricsObserver returns an Observer feeding client-side invocation
-// metrics into reg: request/error counters, payload byte counters and
-// the round-trip latency histogram. Instruments are resolved once here,
+// metrics into reg, the only writer of maqs_client_*: request/error
+// counters, payload byte counters and the round-trip latency histogram
+// (overall and per class). Instruments are resolved once here,
 // so the per-observation cost is a handful of atomic updates. Attach it
 // with Stub.AddObserver so it coexists with a qos.Monitor (maqs.System
 // attaches it automatically when observability is enabled).
 func MetricsObserver(reg *obs.Registry) Observer {
-	requests := reg.Counter(MetricClientRequests)
-	errors := reg.Counter(MetricClientErrors)
-	reqBytes := reg.Counter(MetricClientRequestBytes)
-	repBytes := reg.Counter(MetricClientReplyBytes)
-	rtt := reg.Histogram(MetricClientRTT, nil)
+	requests := reg.Counter("maqs_client_requests_total")
+	errors := reg.Counter("maqs_client_errors_total")
+	reqBytes := reg.Counter("maqs_client_request_bytes_total")
+	repBytes := reg.Counter("maqs_client_reply_bytes_total")
+	rtt := reg.Histogram("maqs_client_rtt_seconds", nil)
 	// Per-class RTT histograms, created on first observation of each
 	// characteristic ("none" for unbound calls). Cardinality is the set
 	// of negotiated characteristics — a handful by construction.
@@ -53,7 +42,7 @@ func MetricsObserver(reg *obs.Registry) Observer {
 		h, ok := classRTT.Load(class)
 		if !ok {
 			h, _ = classRTT.LoadOrStore(class,
-				reg.Histogram(fmt.Sprintf("%s{class=%q}", MetricClientRTT, class), nil))
+				reg.Histogram(fmt.Sprintf("maqs_client_rtt_seconds{class=%q}", class), nil))
 		}
 		h.(*obs.Histogram).ObserveExemplar(o.RTT, o.TraceID, o.SpanID)
 	}

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"maqs/internal/obs"
 )
 
 // Stats is a snapshot of a monitor's sliding window.
@@ -29,7 +27,7 @@ type Stats struct {
 
 // Monitor accumulates invocation observations into a sliding window; it
 // is the measuring half of the framework's monitoring infrastructure
-// service. Attach it to a stub with Stub.SetObserver(monitor.Observe).
+// service. Attach it to a stub with Stub.AddObserver(monitor.Observe).
 type Monitor struct {
 	mu         sync.Mutex
 	windowSize int
@@ -41,11 +39,6 @@ type Monitor struct {
 	errors     uint64
 	ewma       float64 // nanoseconds
 	ewmaSet    bool    // distinguishes "no observation yet" from a 0ns EWMA
-
-	// Optional metrics sinks (see Publish); nil instruments are no-ops.
-	mObservations *obs.Counter
-	mErrors       *obs.Counter
-	mRTT          *obs.Histogram
 }
 
 // NewMonitor constructs a monitor with the given sliding window size.
@@ -54,31 +47,6 @@ func NewMonitor(windowSize int) *Monitor {
 		windowSize = 64
 	}
 	return &Monitor{windowSize: windowSize, alpha: 0.2, ring: make([]Observation, windowSize)}
-}
-
-// Publish additionally feeds every observation into reg. With an empty
-// prefix it binds to the canonical client instruments
-// (maqs_client_requests_total / _errors_total / _rtt_seconds) — the very
-// same Counter and Histogram pointers MetricsObserver uses, so a stub
-// carrying both sinks double-counts visibly rather than registering a
-// parallel maqs_monitor_* family of the same measurement (attach only
-// one of the two). A non-empty prefix keeps the historical behaviour:
-// <prefix>_observations_total, <prefix>_errors_total and the
-// <prefix>_rtt_seconds histogram, for monitors that watch something
-// other than the whole client. The monitor's sliding-window statistics
-// are unaffected.
-func (m *Monitor) Publish(reg *obs.Registry, prefix string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if prefix == "" {
-		m.mObservations = reg.Counter(MetricClientRequests)
-		m.mErrors = reg.Counter(MetricClientErrors)
-		m.mRTT = reg.Histogram(MetricClientRTT, nil)
-		return
-	}
-	m.mObservations = reg.Counter(prefix + "_observations_total")
-	m.mErrors = reg.Counter(prefix + "_errors_total")
-	m.mRTT = reg.Histogram(prefix+"_rtt_seconds", nil)
 }
 
 // Observe records one invocation. It matches the Observer signature.
@@ -102,14 +70,7 @@ func (m *Monitor) Observe(o Observation) {
 	} else {
 		m.ewma = m.alpha*float64(o.RTT) + (1-m.alpha)*m.ewma
 	}
-	obsC, errC, rttH := m.mObservations, m.mErrors, m.mRTT
 	m.mu.Unlock()
-
-	obsC.Inc()
-	if o.Err != nil {
-		errC.Inc()
-	}
-	rttH.Observe(o.RTT)
 }
 
 // Snapshot summarises the current window.

@@ -12,11 +12,11 @@ import (
 	"maqs/internal/orb"
 )
 
-// DecodeNegotiationError extracts a NegotiationError from a user
+// decodeNegotiationError extracts a NegotiationError from a user
 // exception, if it is one.
-func DecodeNegotiationError(err error) (*NegotiationError, bool) {
+func decodeNegotiationError(err error) (*NegotiationError, bool) {
 	var uexc *orb.UserException
-	if !errors.As(err, &uexc) || uexc.RepoID != ExcNegotiationFailed {
+	if !errors.As(err, &uexc) || uexc.RepoID != excNegotiationFailed {
 		return nil, false
 	}
 	// The payload is always encoded big-endian (see negotiationFailure).
@@ -54,7 +54,7 @@ func NegotiateRaw(ctx context.Context, o *orb.ORB, target *ior.IOR, proposal *Pr
 	proposal.Marshal(e)
 	out, err := o.Invoke(ctx, &orb.Invocation{
 		Target:           target,
-		Operation:        OpNegotiate,
+		Operation:        opNegotiate,
 		Args:             e.Bytes(),
 		ResponseExpected: true,
 		Order:            o.Order(),
@@ -63,7 +63,7 @@ func NegotiateRaw(ctx context.Context, o *orb.ORB, target *ior.IOR, proposal *Pr
 		return nil, err
 	}
 	if err := out.Err(); err != nil {
-		if ne, ok := DecodeNegotiationError(err); ok {
+		if ne, ok := decodeNegotiationError(err); ok {
 			return nil, ne
 		}
 		return nil, err
@@ -77,7 +77,7 @@ func NegotiateRaw(ctx context.Context, o *orb.ORB, target *ior.IOR, proposal *Pr
 	if err != nil {
 		return nil, fmt.Errorf("qos: decoding binding module: %w", err)
 	}
-	contract, err := UnmarshalContract(d)
+	contract, err := unmarshalContract(d)
 	if err != nil {
 		return nil, fmt.Errorf("qos: decoding contract: %w", err)
 	}
@@ -90,10 +90,10 @@ func NegotiateRaw(ctx context.Context, o *orb.ORB, target *ior.IOR, proposal *Pr
 	}, nil
 }
 
-// ProposalFromContract rebuilds a proposal whose desired values are the
+// proposalFromContract rebuilds a proposal whose desired values are the
 // agreed values of an existing contract (used to replicate a negotiated
 // agreement onto further servers).
-func ProposalFromContract(c *Contract) *Proposal {
+func proposalFromContract(c *Contract) *Proposal {
 	p := &Proposal{Characteristic: c.Characteristic}
 	for _, name := range sortedKeys(c.Values) {
 		p.Params = append(p.Params, ParamProposal{Name: name, Desired: c.Values[name]})
@@ -124,7 +124,7 @@ func (s *Stub) Negotiate(ctx context.Context, proposal *Proposal) (*Binding, err
 		span.RecordError(err)
 		return nil, err
 	}
-	mediator, err := s.registry.MediatorFor(s, binding)
+	mediator, err := s.registry.mediatorFor(s, binding)
 	if err != nil {
 		// Roll the server-side binding back; the agreement cannot be
 		// honoured without its client half.
@@ -159,7 +159,7 @@ func (s *Stub) Renegotiate(ctx context.Context, proposal *Proposal) (*Contract, 
 	proposal.Marshal(e)
 	out, err := s.orb.Invoke(ctx, &orb.Invocation{
 		Target:           s.Target(),
-		Operation:        OpRenegotiate,
+		Operation:        opRenegotiate,
 		Args:             e.Bytes(),
 		ResponseExpected: true,
 		Order:            s.orb.Order(),
@@ -170,12 +170,12 @@ func (s *Stub) Renegotiate(ctx context.Context, proposal *Proposal) (*Contract, 
 	}
 	if err := out.Err(); err != nil {
 		span.RecordError(err)
-		if ne, ok := DecodeNegotiationError(err); ok {
+		if ne, ok := decodeNegotiationError(err); ok {
 			return nil, ne
 		}
 		return nil, err
 	}
-	contract, err := UnmarshalContract(out.Decoder())
+	contract, err := unmarshalContract(out.Decoder())
 	if err != nil {
 		span.RecordError(err)
 		return nil, fmt.Errorf("qos: decoding renegotiated contract: %w", err)
@@ -259,7 +259,7 @@ func releaseBinding(ctx context.Context, o *orb.ORB, target *ior.IOR, b *Binding
 func QueryOffers(ctx context.Context, o *orb.ORB, target *ior.IOR) ([]*Offer, error) {
 	out, err := o.Invoke(ctx, &orb.Invocation{
 		Target:           target,
-		Operation:        OpOffers,
+		Operation:        opOffers,
 		ResponseExpected: true,
 		Order:            o.Order(),
 	})

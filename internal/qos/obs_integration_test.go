@@ -175,27 +175,30 @@ func TestObservedWorldMetrics(t *testing.T) {
 }
 
 func TestStubObserverFanOut(t *testing.T) {
-	w, _ := newObservedWorld(t, 4)
-	var first, second []Observation
-	w.stub.SetObserver(func(o Observation) { first = append(first, o) })
-	w.stub.AddObserver(func(o Observation) { second = append(second, o) })
-	w.inc(t)
-	w.inc(t)
-	if len(first) != 2 || len(second) != 2 {
-		t.Fatalf("fan-out: first %d, second %d", len(first), len(second))
+	// The stack maqs.System.Stub attaches on an observable system —
+	// metrics, then the SLO engine — must keep counting after probes are
+	// stacked on top of it.
+	w, bundle := newObservedWorld(t, 4)
+	w.stub.AddObserver(MetricsObserver(bundle.Registry))
+	w.stub.AddObserver(NewSLOEngine(bundle.Registry, bundle.Flight).ObserverForStub(w.stub))
+	negotiateLevel(t, w, 3)
+
+	mon := NewMonitor(16)
+	var probed []Observation
+	w.stub.AddObserver(mon.Observe)
+	w.stub.AddObserver(func(o Observation) { probed = append(probed, o) })
+	for i := 0; i < 3; i++ {
+		w.inc(t)
 	}
-	// SetObserver replaces the whole stack.
-	var third []Observation
-	w.stub.SetObserver(func(o Observation) { third = append(third, o) })
-	w.inc(t)
-	if len(first) != 2 || len(second) != 2 || len(third) != 1 {
-		t.Fatalf("replacement: first %d, second %d, third %d", len(first), len(second), len(third))
+	if st := mon.Snapshot(); st.Count != 3 || len(probed) != 3 {
+		t.Fatalf("fan-out: monitor saw %d, probe %d, want 3 each", st.Count, len(probed))
 	}
-	// Nil detaches everything.
-	w.stub.SetObserver(nil)
-	w.inc(t)
-	if len(third) != 1 {
-		t.Fatalf("nil SetObserver left an observer attached")
+	snap := bundle.Registry.Snapshot()
+	if got := snap.Counters["maqs_client_requests_total"]; got != 3 {
+		t.Errorf("maqs_client_requests_total = %d, want 3", got)
+	}
+	if got := snap.Counters[`maqs_slo_good_total{class="Tracing",objective="errors"}`]; got != 3 {
+		t.Errorf("SLO errors good = %d, want 3 (all: %v)", got, snap.Counters)
 	}
 }
 

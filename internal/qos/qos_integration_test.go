@@ -548,7 +548,7 @@ func TestQueryOffers(t *testing.T) {
 func TestObserverAndMonitor(t *testing.T) {
 	w := newQoSWorld(t, 0)
 	mon := NewMonitor(16)
-	w.stub.SetObserver(mon.Observe)
+	w.stub.AddObserver(mon.Observe)
 	for i := 0; i < 10; i++ {
 		w.inc(t)
 	}

@@ -25,7 +25,7 @@ func TestResolveIdempotent(t *testing.T) {
 			return true // infeasible first time is fine
 		}
 		// Second round: desire exactly what was granted.
-		p2 := ProposalFromContract(c1)
+		p2 := proposalFromContract(c1)
 		c2, err := Resolve(p2, offer)
 		if err != nil {
 			return false
@@ -76,7 +76,7 @@ func TestProposalFromContractRoundTrip(t *testing.T) {
 			"voting":   Flag(true),
 		},
 	}
-	p := ProposalFromContract(c)
+	p := proposalFromContract(c)
 	if p.Characteristic != "Availability" || len(p.Params) != 3 {
 		t.Fatalf("proposal = %+v", p)
 	}

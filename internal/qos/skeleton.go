@@ -16,16 +16,16 @@ import (
 // travel over the plain path, which is what allows the initial
 // negotiation before any QoS module is assigned.
 const (
-	// OpNegotiate establishes a binding: in Proposal, out (bindingID,
+	// opNegotiate establishes a binding: in Proposal, out (bindingID,
 	// Contract).
-	OpNegotiate = "_qos_negotiate"
-	// OpRenegotiate adapts a binding: in (bindingID, Proposal), out
+	opNegotiate = "_qos_negotiate"
+	// opRenegotiate adapts a binding: in (bindingID, Proposal), out
 	// Contract with incremented epoch.
-	OpRenegotiate = "_qos_renegotiate"
+	opRenegotiate = "_qos_renegotiate"
 	// OpRelease drops a binding: in bindingID.
 	OpRelease = "_qos_release"
-	// OpOffers lists the server's offers: out sequence<Offer>.
-	OpOffers = "_qos_offers"
+	// opOffers lists the server's offers: out sequence<Offer>.
+	opOffers = "_qos_offers"
 )
 
 // minorUnknownBinding is the BAD_QOS minor code of a request tagged with a
@@ -147,13 +147,13 @@ func (s *ServerSkeleton) BindingCount(characteristic string) int {
 // Invoke implements orb.Servant with the Fig. 2 dispatch.
 func (s *ServerSkeleton) Invoke(req *orb.ServerRequest) error {
 	switch req.Operation {
-	case OpNegotiate:
+	case opNegotiate:
 		return s.negotiate(req)
-	case OpRenegotiate:
+	case opRenegotiate:
 		return s.renegotiate(req)
 	case OpRelease:
 		return s.release(req)
-	case OpOffers:
+	case opOffers:
 		return s.offers(req)
 	}
 
@@ -258,9 +258,9 @@ func annotateBinding(span *obs.Span, binding *Binding) {
 	}
 }
 
-// negotiate implements OpNegotiate.
+// negotiate implements opNegotiate.
 func (s *ServerSkeleton) negotiate(req *orb.ServerRequest) error {
-	proposal, err := UnmarshalProposal(req.In())
+	proposal, err := unmarshalProposal(req.In())
 	if err != nil {
 		return orb.NewSystemException(orb.ExcMarshal, 46, "bad proposal: %v", err)
 	}
@@ -325,7 +325,7 @@ func (s *ServerSkeleton) negotiate(req *orb.ServerRequest) error {
 	return nil
 }
 
-// renegotiate implements OpRenegotiate: adaptation of an existing binding
+// renegotiate implements opRenegotiate: adaptation of an existing binding
 // with a fresh proposal against the current offer.
 func (s *ServerSkeleton) renegotiate(req *orb.ServerRequest) error {
 	d := req.In()
@@ -333,7 +333,7 @@ func (s *ServerSkeleton) renegotiate(req *orb.ServerRequest) error {
 	if err != nil {
 		return orb.NewSystemException(orb.ExcMarshal, 47, "bad renegotiation: %v", err)
 	}
-	proposal, err := UnmarshalProposal(d)
+	proposal, err := unmarshalProposal(d)
 	if err != nil {
 		return orb.NewSystemException(orb.ExcMarshal, 47, "bad renegotiation proposal: %v", err)
 	}
@@ -438,7 +438,7 @@ func (s *ServerSkeleton) dropBinding(id string) (*Binding, bool) {
 	return binding, true
 }
 
-// offers implements OpOffers.
+// offers implements opOffers.
 func (s *ServerSkeleton) offers(req *orb.ServerRequest) error {
 	s.mu.RLock()
 	impls := make([]Impl, 0, len(s.impls))
@@ -468,5 +468,5 @@ func negotiationFailure(req *orb.ServerRequest, e *NegotiationError) error {
 	enc.WriteString(e.Characteristic)
 	enc.WriteString(e.Param)
 	enc.WriteString(e.Reason)
-	return &orb.UserException{RepoID: ExcNegotiationFailed, Data: enc.Bytes()}
+	return &orb.UserException{RepoID: excNegotiationFailed, Data: enc.Bytes()}
 }

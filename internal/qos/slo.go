@@ -10,38 +10,41 @@ import (
 	"maqs/internal/obs"
 )
 
-// Contract terms the SLO engine derives objectives from, alongside
-// ContractMaxRTTMs (conformance.go). A contract that negotiates
-// max_rtt_ms implicitly states a latency SLO; slo_target tunes what
-// fraction of requests must meet it, and max_error_rate bounds the
-// error budget independently.
+// Contract terms the SLO engine derives objectives from. A contract that
+// negotiates max_rtt_ms implicitly states a latency SLO; slo_target
+// tunes what fraction of requests must meet it, and max_error_rate
+// bounds the error budget independently.
 const (
+	// ContractMaxRTTMs is the negotiated upper bound on round-trip time,
+	// in milliseconds. Contracts without it (or with a non-positive
+	// value) get no latency objective.
+	ContractMaxRTTMs = "max_rtt_ms"
 	// ContractSLOTarget is the fraction of requests that must be good
-	// (0 < target < 1); DefaultSLOTarget applies when absent.
+	// (0 < target < 1); defaultSLOTarget applies when absent.
 	ContractSLOTarget = "slo_target"
 	// ContractMaxErrorRate is the tolerated error fraction; when absent
 	// the error budget is 1 - target.
 	ContractMaxErrorRate = "max_error_rate"
 )
 
-// DefaultSLOTarget is the good-fraction objective assumed when a
+// defaultSLOTarget is the good-fraction objective assumed when a
 // contract states a latency bound without an explicit slo_target.
-const DefaultSLOTarget = 0.99
+const defaultSLOTarget = 0.99
 
 // SLO windows and burn-rate thresholds, Google-SRE style: an alert
 // fires only when both a fast window (reacts quickly) and a slow
 // window (filters blips) burn the error budget faster than the
 // threshold.
 const (
-	SLOFastWindow   = 5 * time.Second
-	SLOSlowWindow   = time.Minute
-	SLOBudgetWindow = 5 * time.Minute
+	sloFastWindow   = 5 * time.Second
+	sloSlowWindow   = time.Minute
+	sloBudgetWindow = 5 * time.Minute
 
-	// DefaultWarnBurnRate marks budget consumption 2x faster than
-	// sustainable; DefaultCriticalBurnRate (10x) empties a 5m budget
+	// defaultWarnBurnRate marks budget consumption 2x faster than
+	// sustainable; defaultCriticalBurnRate (10x) empties a 5m budget
 	// view in 30s and is the dump/degrade trigger.
-	DefaultWarnBurnRate     = 2.0
-	DefaultCriticalBurnRate = 10.0
+	defaultWarnBurnRate     = 2.0
+	defaultCriticalBurnRate = 10.0
 
 	// sloMinSamples is the fast-window event floor below which the state
 	// machine will not escalate: a single bad request out of two must
@@ -91,7 +94,7 @@ type Objective struct {
 }
 
 // BurnEvent describes one objective state transition, delivered to
-// OnBurn hooks (and through them to the Degrader).
+// onBurn hooks (and through them to the Degrader).
 type BurnEvent struct {
 	Class     string
 	Objective string
@@ -133,8 +136,10 @@ type classSLO struct {
 // SLOEngine scores client observations against contract-derived
 // objectives per QoS class, maintains rolling multi-window good/bad
 // counters, computes fast/slow burn-rate pairs and runs the
-// ok → warning → burning alert state machine. Entering burning freezes
-// a flight dump (obs.AnomalySLOBurn) and notifies hooks — wiring the
+// ok → warning → burning alert state machine. A single observation over
+// a latency objective's bound freezes an obs.AnomalyQoSViolation dump
+// (the recorder's per-kind cooldown bounds how many); entering burning
+// freezes an obs.AnomalySLOBurn dump and notifies hooks — wiring the
 // Degrader in makes ladder descent budget-driven instead of
 // single-violation-driven. A nil *SLOEngine is disabled: every method
 // is a no-op.
@@ -168,29 +173,18 @@ func NewSLOEngine(reg *obs.Registry, fr *obs.FlightRecorder) *SLOEngine {
 		reg:       reg,
 		fr:        fr,
 		classes:   map[string]*classSLO{},
-		warn:      DefaultWarnBurnRate,
-		critical:  DefaultCriticalBurnRate,
+		warn:      defaultWarnBurnRate,
+		critical:  defaultCriticalBurnRate,
 		evalEvery: sloEvalInterval,
 		now:       time.Now,
-		newWindow: func() *obs.WindowCounter { return obs.NewWindowCounter(SLOBudgetWindow) },
+		newWindow: func() *obs.WindowCounter { return obs.NewWindowCounter(sloBudgetWindow) },
 	}
 }
 
-// SetBurnThresholds overrides the warning and critical burn-rate
-// thresholds (both must be positive; critical should exceed warn).
-func (e *SLOEngine) SetBurnThresholds(warn, critical float64) {
-	if e == nil || warn <= 0 || critical <= 0 {
-		return
-	}
-	e.mu.Lock()
-	e.warn, e.critical = warn, critical
-	e.mu.Unlock()
-}
-
-// OnBurn registers a hook receiving every objective state transition.
+// onBurn registers a hook receiving every objective state transition.
 // Hooks run synchronously on the observation path that triggered the
 // transition and must not block.
-func (e *SLOEngine) OnBurn(fn func(BurnEvent)) {
+func (e *SLOEngine) onBurn(fn func(BurnEvent)) {
 	if e == nil || fn == nil {
 		return
 	}
@@ -205,7 +199,7 @@ func (e *SLOEngine) NotifyDegrader(d *Degrader) {
 	if e == nil || d == nil {
 		return
 	}
-	e.OnBurn(func(ev BurnEvent) {
+	e.onBurn(func(ev BurnEvent) {
 		if ev.State == SLOBurning {
 			d.degradeAsync(fmt.Sprintf("slo-burn:%s/%s", ev.Class, ev.Objective))
 		}
@@ -260,7 +254,7 @@ func (e *SLOEngine) SetObjective(class string, obj Objective) {
 		return
 	}
 	if obj.Target <= 0 || obj.Target >= 1 {
-		obj.Target = DefaultSLOTarget
+		obj.Target = defaultSLOTarget
 	}
 	defer e.notifyLatencySink(class, obj)
 	cs := e.classFor(class)
@@ -279,7 +273,7 @@ func (e *SLOEngine) SetObjective(class string, obj Objective) {
 
 // SetObjectivesFromContract derives a class's objectives from
 // negotiated contract terms: max_rtt_ms > 0 yields a latency objective
-// (target from slo_target, default DefaultSLOTarget) and every
+// (target from slo_target, default defaultSLOTarget) and every
 // contract yields an errors objective whose budget comes from
 // max_error_rate (default 1 - target). Calling it again with a changed
 // contract re-derives in place, keeping the rolling windows.
@@ -287,9 +281,9 @@ func (e *SLOEngine) SetObjectivesFromContract(class string, c *Contract) {
 	if e == nil || c == nil {
 		return
 	}
-	target := c.Number(ContractSLOTarget, DefaultSLOTarget)
+	target := c.Number(ContractSLOTarget, defaultSLOTarget)
 	if target <= 0 || target >= 1 {
-		target = DefaultSLOTarget
+		target = defaultSLOTarget
 	}
 	if maxMs := c.Number(ContractMaxRTTMs, 0); maxMs > 0 {
 		e.SetObjective(class, Objective{
@@ -352,11 +346,18 @@ func (e *SLOEngine) Observe(class string, o Observation) {
 		os.mu.Lock()
 		obj := os.obj
 		os.mu.Unlock()
-		good := o.Err == nil
-		if good && obj.MaxRTT > 0 && o.RTT > obj.MaxRTT {
-			good = false
+		overBound := obj.MaxRTT > 0 && o.RTT > obj.MaxRTT
+		if overBound {
+			e.fr.Trigger(obs.AnomalyQoSViolation, obs.FlightRecord{
+				Operation: o.Operation,
+				Binding:   class,
+				Stripe:    -1,
+				Outcome:   "rtt-over-contract",
+				Latency:   o.RTT,
+				At:        o.At,
+			})
 		}
-		if good {
+		if o.Err == nil && !overBound {
 			os.good.Inc()
 			os.goodTotal.Inc()
 		} else {
@@ -397,9 +398,9 @@ func (e *SLOEngine) newObjective(class string, obj Objective) *objectiveState {
 	// Burn-rate gauges are callback-backed so /metrics always reports
 	// the current window view without an eval tick.
 	e.reg.FloatFunc(fmt.Sprintf("maqs_slo_burn_rate{class=%q,objective=%q,window=%q}", class, obj.Name, "fast"),
-		func() float64 { return os.burn(SLOFastWindow) })
+		func() float64 { return os.burn(sloFastWindow) })
 	e.reg.FloatFunc(fmt.Sprintf("maqs_slo_burn_rate{class=%q,objective=%q,window=%q}", class, obj.Name, "slow"),
-		func() float64 { return os.burn(SLOSlowWindow) })
+		func() float64 { return os.burn(sloSlowWindow) })
 	return os
 }
 
@@ -418,7 +419,7 @@ func (os *objectiveState) burn(window time.Duration) float64 {
 	budget := 1 - os.obj.Target
 	os.mu.Unlock()
 	if budget <= 0 {
-		budget = 1 - DefaultSLOTarget
+		budget = 1 - defaultSLOTarget
 	}
 	return (float64(bad) / float64(total)) / budget
 }
@@ -435,9 +436,9 @@ func (e *SLOEngine) maybeEval(class string, os *objectiveState) {
 		return // another observer is evaluating
 	}
 
-	fast := os.burn(SLOFastWindow)
-	slow := os.burn(SLOSlowWindow)
-	samples := os.good.Sum(SLOFastWindow) + os.bad.Sum(SLOFastWindow)
+	fast := os.burn(sloFastWindow)
+	slow := os.burn(sloSlowWindow)
+	samples := os.good.Sum(sloFastWindow) + os.bad.Sum(sloFastWindow)
 
 	e.mu.Lock()
 	warn, critical := e.warn, e.critical
@@ -527,14 +528,14 @@ func (e *SLOEngine) Status() SLOStatus {
 			os.mu.Lock()
 			obj := os.obj
 			os.mu.Unlock()
-			good := os.good.Sum(SLOBudgetWindow)
-			bad := os.bad.Sum(SLOBudgetWindow)
+			good := os.good.Sum(sloBudgetWindow)
+			bad := os.bad.Sum(sloBudgetWindow)
 			s := SLOObjectiveStatus{
 				Objective: obj.Name,
 				Target:    obj.Target,
 				State:     SLOState(os.state.Load()).String(),
-				FastBurn:  os.burn(SLOFastWindow),
-				SlowBurn:  os.burn(SLOSlowWindow),
+				FastBurn:  os.burn(sloFastWindow),
+				SlowBurn:  os.burn(sloSlowWindow),
 				Good:      good,
 				Bad:       bad,
 			}

@@ -2,6 +2,7 @@ package qos
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,7 +27,7 @@ func newTestSLOEngine(reg *obs.Registry, fr *obs.FlightRecorder) (*SLOEngine, *s
 	e.evalEvery = 0
 	e.now = clk.now
 	e.newWindow = func() *obs.WindowCounter {
-		w := obs.NewWindowCounter(SLOBudgetWindow)
+		w := obs.NewWindowCounter(sloBudgetWindow)
 		w.SetClock(clk.unix)
 		return w
 	}
@@ -80,7 +81,7 @@ func TestSLOEngineContractWithoutLatencyBound(t *testing.T) {
 	if len(st.Classes) != 1 || len(st.Classes[0].Objectives) != 1 {
 		t.Fatalf("Status = %+v, want exactly the errors objective", st)
 	}
-	if o := st.Classes[0].Objectives[0]; o.Objective != "errors" || o.Target != DefaultSLOTarget {
+	if o := st.Classes[0].Objectives[0]; o.Objective != "errors" || o.Target != defaultSLOTarget {
 		t.Fatalf("objective = %+v, want errors at default target", o)
 	}
 }
@@ -103,6 +104,80 @@ func TestSLOEngineLatencyObjectiveScoresRTT(t *testing.T) {
 	}
 }
 
+// boundStub fabricates a stub bound to class "compression" under a
+// contract carrying the given max_rtt_ms (0 = no bound; nil contract
+// when negative).
+func boundStub(maxRTTMs float64) *Stub {
+	s := &Stub{}
+	if maxRTTMs < 0 {
+		s.binding = &Binding{Characteristic: "compression"}
+		return s
+	}
+	values := map[string]Value{}
+	if maxRTTMs > 0 {
+		values[ContractMaxRTTMs] = Number(maxRTTMs)
+	}
+	s.binding = &Binding{
+		Characteristic: "compression",
+		Contract:       &Contract{Characteristic: "compression", Values: values},
+	}
+	return s
+}
+
+func TestSLOEngineScoresContractRTTBound(t *testing.T) {
+	reg := obs.NewRegistry()
+	fr := obs.NewFlightRecorder(16, 4, 4)
+	fr.SetDumpCooldown(0)
+	e, _ := newTestSLOEngine(reg, fr)
+	observe := e.ObserverForStub(boundStub(10)) // 10ms bound
+
+	observe(Observation{Operation: "fetch", RTT: 4 * time.Millisecond})
+	observe(Observation{Operation: "fetch", RTT: 10 * time.Millisecond}) // at the bound: good
+	observe(Observation{Operation: "fetch", RTT: 25 * time.Millisecond})
+	// A failed call inside the bound is latency-bad, but not a violation
+	// of the bound: it freezes no qos-violation dump.
+	observe(Observation{Operation: "fetch", RTT: 5 * time.Millisecond, Err: errors.New("boom")})
+
+	snap := reg.Snapshot()
+	if got := snap.Counters[`maqs_slo_good_total{class="compression",objective="latency"}`]; got != 2 {
+		t.Errorf("latency good = %d, want 2", got)
+	}
+	if got := snap.Counters[`maqs_slo_bad_total{class="compression",objective="latency"}`]; got != 2 {
+		t.Errorf("latency bad = %d, want 2 (over bound + errored)", got)
+	}
+	dumps := fr.Dumps()
+	if len(dumps) != 1 || dumps[0].Kind != obs.AnomalyQoSViolation {
+		t.Fatalf("dumps = %+v, want one qos-violation", dumps)
+	}
+	d, _ := fr.Dump(dumps[0].ID)
+	if d.Trigger.Operation != "fetch" || d.Trigger.Latency != 25*time.Millisecond || d.Trigger.Stripe != -1 {
+		t.Errorf("trigger = %+v", d.Trigger)
+	}
+	if d.Trigger.Binding != "compression" || d.Trigger.Outcome != "rtt-over-contract" {
+		t.Errorf("trigger forensic fields = %+v", d.Trigger)
+	}
+}
+
+func TestSLOEngineSkipsCallsWithoutRTTBound(t *testing.T) {
+	reg := obs.NewRegistry()
+	fr := obs.NewFlightRecorder(16, 4, 4)
+	e, _ := newTestSLOEngine(reg, fr)
+	for _, s := range []*Stub{{}, boundStub(-1), boundStub(0)} {
+		e.ObserverForStub(s)(Observation{Operation: "fetch", RTT: time.Hour})
+	}
+	for name, v := range reg.Snapshot().Counters {
+		if strings.Contains(name, `objective="latency"`) {
+			t.Errorf("%s = %d: latency scored without a bound", name, v)
+		}
+	}
+	if dumps := fr.Dumps(); len(dumps) != 0 {
+		t.Errorf("dumps = %+v, want none", dumps)
+	}
+	// A nil recorder must be fine on a violation.
+	nilFR, _ := newTestSLOEngine(reg, nil)
+	nilFR.ObserverForStub(boundStub(1))(Observation{Operation: "fetch", RTT: time.Hour})
+}
+
 func TestSLOEngineBurnStateMachine(t *testing.T) {
 	reg := obs.NewRegistry()
 	fr := obs.NewFlightRecorder(64, 8, 8)
@@ -110,7 +185,7 @@ func TestSLOEngineBurnStateMachine(t *testing.T) {
 	e.SetObjective("gold", Objective{Name: "errors", Target: 0.99})
 
 	var events []BurnEvent
-	e.OnBurn(func(ev BurnEvent) { events = append(events, ev) })
+	e.onBurn(func(ev BurnEvent) { events = append(events, ev) })
 
 	// 20 straight failures: burn = (bad/total)/budget = 1/0.01 = 100 on
 	// both windows, far over critical.
@@ -123,7 +198,7 @@ func TestSLOEngineBurnStateMachine(t *testing.T) {
 	if ev.State != SLOBurning || ev.Class != "gold" || ev.Objective != "errors" {
 		t.Fatalf("event = %+v, want gold/errors burning", ev)
 	}
-	if ev.FastBurn < DefaultCriticalBurnRate || ev.SlowBurn < DefaultCriticalBurnRate {
+	if ev.FastBurn < defaultCriticalBurnRate || ev.SlowBurn < defaultCriticalBurnRate {
 		t.Fatalf("burn rates %g/%g below critical", ev.FastBurn, ev.SlowBurn)
 	}
 	if ev.DumpID == "" {
@@ -153,7 +228,7 @@ func TestSLOEngineWarningBetweenThresholds(t *testing.T) {
 	e.SetObjective("silver", Objective{Name: "errors", Target: 0.9})
 
 	var events []BurnEvent
-	e.OnBurn(func(ev BurnEvent) { events = append(events, ev) })
+	e.onBurn(func(ev BurnEvent) { events = append(events, ev) })
 
 	// 3 bad / 10 total with a 0.1 budget: burn 3 — over warn (2), under
 	// critical (10).
@@ -170,7 +245,7 @@ func TestSLOEngineMinSamplesHoldsState(t *testing.T) {
 	e.SetObjective("gold", Objective{Name: "errors", Target: 0.99})
 
 	var events []BurnEvent
-	e.OnBurn(func(ev BurnEvent) { events = append(events, ev) })
+	e.onBurn(func(ev BurnEvent) { events = append(events, ev) })
 
 	// 5 failures is a 100x burn but under the sample floor: one flaky
 	// request out of a handful must not page.
@@ -222,7 +297,7 @@ func TestSLOEngineNotifyDegrader(t *testing.T) {
 	w, bundle := newObservedWorld(t, 0)
 	negotiateLevel(t, w, 9)
 	d := NewDegrader(w.stub, DegradeStep{Name: "tracing-off", Proposal: levelProposal(0)})
-	d.SetCooldown(0)
+	d.cooldown = 0
 
 	e, _ := newTestSLOEngine(bundle.Registry, bundle.Flight)
 	e.SetObjective("Tracing", Objective{Name: "errors", Target: 0.99})
@@ -261,9 +336,8 @@ func TestSLOEngineNilSafe(t *testing.T) {
 	e.SetObjective("gold", Objective{Name: "errors"})
 	e.SetObjectivesFromContract("gold", &Contract{})
 	e.Observe("gold", Observation{})
-	e.OnBurn(func(BurnEvent) {})
+	e.onBurn(func(BurnEvent) {})
 	e.NotifyDegrader(nil)
-	e.SetBurnThresholds(1, 2)
 	e.Observer("gold")(Observation{})
 	e.ObserverForStub(nil)(Observation{})
 	if st := e.Status(); len(st.Classes) != 0 {

@@ -58,7 +58,7 @@ type Stub struct {
 // NewStub wraps a target reference for QoS-capable invocation, using the
 // default characteristic registry.
 func NewStub(o *orb.ORB, target *ior.IOR) *Stub {
-	return NewStubWithRegistry(o, target, DefaultRegistry)
+	return NewStubWithRegistry(o, target, defaultRegistry)
 }
 
 // NewStubWithRegistry wraps a target using an explicit registry.
@@ -77,13 +77,6 @@ func (s *Stub) Target() *ior.IOR {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.target
-}
-
-// SetTarget redirects the stub (used by location-forwarding mediators).
-func (s *Stub) SetTarget(ref *ior.IOR) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.target = ref
 }
 
 // Binding returns the active binding, or nil.
@@ -106,19 +99,6 @@ func (s *Stub) SetMediator(m Mediator) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mediator = m
-}
-
-// SetObserver installs a monitoring probe invoked after every call,
-// replacing all previously installed observers (nil detaches them). Use
-// AddObserver to stack probes instead.
-func (s *Stub) SetObserver(o Observer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if o == nil {
-		s.observers = nil
-		return
-	}
-	s.observers = []Observer{o}
 }
 
 // AddObserver appends a monitoring probe; all registered observers see

@@ -12,15 +12,13 @@ import (
 
 // Commands understood by the transport's static pseudo-object interface.
 const (
-	// CmdLoad loads a module: in (string name, sequence<string,string>
+	// cmdLoad loads a module: in (string name, sequence<string,string>
 	// config), out void.
-	CmdLoad = "load"
-	// CmdUnload unloads a module: in string name.
-	CmdUnload = "unload"
-	// CmdList lists loaded modules: out sequence<string>.
-	CmdList = "list"
-	// CmdFactories lists registered factories: out sequence<string>.
-	CmdFactories = "factories"
+	cmdLoad = "load"
+	// cmdUnload unloads a module: in string name.
+	cmdUnload = "unload"
+	// cmdList lists loaded modules: out sequence<string>.
+	cmdList = "list"
 )
 
 // HandleCommand implements orb.CommandHandler: the server half of the
@@ -46,7 +44,7 @@ func (t *Transport) HandleCommand(target string, req *orb.ServerRequest) error {
 
 func (t *Transport) transportCommand(req *orb.ServerRequest) error {
 	switch req.Operation {
-	case CmdLoad:
+	case cmdLoad:
 		d := req.In()
 		name, err := d.ReadString()
 		if err != nil {
@@ -60,7 +58,7 @@ func (t *Transport) transportCommand(req *orb.ServerRequest) error {
 			return orb.NewSystemException(orb.ExcBadQoS, 63, "%v", err)
 		}
 		return nil
-	case CmdUnload:
+	case cmdUnload:
 		name, err := req.In().ReadString()
 		if err != nil {
 			return orb.NewSystemException(orb.ExcMarshal, 64, "bad unload command: %v", err)
@@ -69,21 +67,8 @@ func (t *Transport) transportCommand(req *orb.ServerRequest) error {
 			return orb.NewSystemException(orb.ExcBadQoS, 65, "%v", err)
 		}
 		return nil
-	case CmdList:
-		names := t.Loaded()
-		req.Out.WriteULong(uint32(len(names)))
-		for _, n := range names {
-			req.Out.WriteString(n)
-		}
-		return nil
-	case CmdFactories:
-		t.mu.Lock()
-		names := make([]string, 0, len(t.factories))
-		for n := range t.factories {
-			names = append(names, n)
-		}
-		t.mu.Unlock()
-		sortStrings(names)
+	case cmdList:
+		names := t.loadedNames()
 		req.Out.WriteULong(uint32(len(names)))
 		for _, n := range names {
 			req.Out.WriteString(n)
@@ -177,7 +162,7 @@ func (c *Controller) Load(ctx context.Context, name string, config map[string]st
 	defer e.Release()
 	e.WriteString(name)
 	writeConfig(e, config)
-	_, err := c.command(ctx, "", CmdLoad, e.Bytes())
+	_, err := c.command(ctx, "", cmdLoad, e.Bytes())
 	return err
 }
 
@@ -186,22 +171,13 @@ func (c *Controller) Unload(ctx context.Context, name string) error {
 	e := cdr.AcquireEncoder(c.orb.Order())
 	defer e.Release()
 	e.WriteString(name)
-	_, err := c.command(ctx, "", CmdUnload, e.Bytes())
+	_, err := c.command(ctx, "", cmdUnload, e.Bytes())
 	return err
 }
 
 // List fetches the remote transport's loaded modules.
 func (c *Controller) List(ctx context.Context) ([]string, error) {
-	out, err := c.command(ctx, "", CmdList, nil)
-	if err != nil {
-		return nil, err
-	}
-	return readStringSeq(out.Decoder())
-}
-
-// Factories fetches the remote transport's registered factories.
-func (c *Controller) Factories(ctx context.Context) ([]string, error) {
-	out, err := c.command(ctx, "", CmdFactories, nil)
+	out, err := c.command(ctx, "", cmdList, nil)
 	if err != nil {
 		return nil, err
 	}

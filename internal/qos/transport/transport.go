@@ -221,8 +221,8 @@ func (t *Transport) ReleaseBinding(module, bindingID string) {
 	}
 }
 
-// Loaded lists loaded module names, sorted.
-func (t *Transport) Loaded() []string {
+// loadedNames lists loaded module names, sorted.
+func (t *Transport) loadedNames() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	names := make([]string, 0, len(t.modules))
@@ -238,13 +238,6 @@ func (t *Transport) Counts() DispatchCounts {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.counts
-}
-
-// ResetCounts zeroes the dispatch counters (benchmark support).
-func (t *Transport) ResetCounts() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.counts = DispatchCounts{}
 }
 
 // Route implements orb.Router with the client half of Fig. 3.

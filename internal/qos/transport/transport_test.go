@@ -283,7 +283,7 @@ func TestLoadUnloadLifecycle(t *testing.T) {
 	if err := w.clientTransport.Load("xor", nil); err == nil {
 		t.Fatal("double load accepted")
 	}
-	if names := w.clientTransport.Loaded(); len(names) != 1 || names[0] != "xor" {
+	if names := w.clientTransport.loadedNames(); len(names) != 1 || names[0] != "xor" {
 		t.Fatalf("loaded = %v", names)
 	}
 	mod, ok := w.clientTransport.Module("xor")
@@ -325,14 +325,6 @@ func TestRemoteLoadViaCommand(t *testing.T) {
 	ctl := NewController(w.clientORB, w.ref)
 	ctx := context.Background()
 
-	factories, err := ctl.Factories(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(factories) != 1 || factories[0] != "xor" {
-		t.Fatalf("factories = %v", factories)
-	}
-
 	if err := ctl.Load(ctx, "xor", map[string]string{"key": "z"}); err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +358,7 @@ func TestRemoteLoadViaCommand(t *testing.T) {
 
 	// Command counters moved on the server transport.
 	c := w.serverTransport.Counts()
-	if c.TransportCommands != 5 || c.ModuleCommands != 1 {
+	if c.TransportCommands != 4 || c.ModuleCommands != 1 {
 		t.Fatalf("counts = %+v", c)
 	}
 }
@@ -408,20 +400,6 @@ func TestIORAdvertisesModules(t *testing.T) {
 	}
 	if !strings.HasPrefix(w.ref.String(), "IOR:") {
 		t.Fatal("stringification broken")
-	}
-}
-
-func TestResetCounts(t *testing.T) {
-	w := newWorld(t)
-	if _, err := w.invoke(t, "x", nil); err != nil {
-		t.Fatal(err)
-	}
-	if w.clientTransport.Counts().PlainIIOP != 1 {
-		t.Fatal("count missing")
-	}
-	w.clientTransport.ResetCounts()
-	if w.clientTransport.Counts().PlainIIOP != 0 {
-		t.Fatal("counts not reset")
 	}
 }
 

@@ -97,8 +97,8 @@ func (v Value) Marshal(e *cdr.Encoder) {
 	}
 }
 
-// UnmarshalValue reads a value from d.
-func UnmarshalValue(d *cdr.Decoder) (Value, error) {
+// unmarshalValue reads a value from d.
+func unmarshalValue(d *cdr.Decoder) (Value, error) {
 	k, err := d.ReadOctet()
 	if err != nil {
 		return Value{}, fmt.Errorf("qos: reading value kind: %w", err)

@@ -227,9 +227,6 @@ var (
 	// NewMetricsObserver builds a Stub observer feeding client metrics
 	// into a registry.
 	NewMetricsObserver = qos.MetricsObserver
-	// NewConformanceObserver builds a Stub observer scoring observations
-	// against the negotiated contract's max_rtt_ms bound.
-	NewConformanceObserver = qos.ConformanceObserver
 	// DefaultResiliencePolicy returns the stock retry + breaker policy.
 	DefaultResiliencePolicy = resilience.DefaultPolicy
 	// NewSLOEngine builds a standalone SLO engine (NewSystem wires one
@@ -475,13 +472,13 @@ func (s *System) ActivateQoS(key, typeID string, servant orb.Servant, info ior.Q
 
 // Stub wraps a reference for QoS-aware invocation against this system's
 // registry. When the system is observable, the stub is created with a
-// metrics observer, a contract-conformance observer and an SLO-engine
-// observer already attached (stack a Monitor with AddObserver).
+// metrics observer and an SLO-engine observer (which also scores the
+// contract's max_rtt_ms bound) already attached; stack a Monitor with
+// AddObserver.
 func (s *System) Stub(ref *ior.IOR) *qos.Stub {
 	stub := qos.NewStubWithRegistry(s.ORB, ref, s.Registry)
 	if s.Observability != nil {
 		stub.AddObserver(qos.MetricsObserver(s.Observability.Registry))
-		stub.AddObserver(qos.ConformanceObserver(stub, s.Observability.Registry, s.Observability.Flight))
 		stub.AddObserver(s.SLO.ObserverForStub(stub))
 	}
 	return stub

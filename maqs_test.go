@@ -169,7 +169,7 @@ func TestMonitorThroughFacade(t *testing.T) {
 	}
 	stub := client.Stub(ref)
 	mon := maqs.NewMonitor(8)
-	stub.SetObserver(mon.Observe)
+	stub.AddObserver(mon.Observe)
 	e := cdr.NewEncoder(client.ORB.Order())
 	e.WriteString("x")
 	for i := 0; i < 4; i++ {
