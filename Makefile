@@ -3,7 +3,7 @@ GO ?= go
 # Benchmark trajectory file produced by `make bench`. Bump the number when a
 # PR meaningfully changes the performance story so the history accumulates
 # (BENCH_1.json, BENCH_2.json, ...): see docs/PERFORMANCE.md.
-BENCH_OUT ?= BENCH_20.json
+BENCH_OUT ?= BENCH_24.json
 
 # Trajectory file produced by `make loadgen` (the open-loop load harness's
 # full default run): see docs/LOADGEN.md.
@@ -74,15 +74,16 @@ alloc-gates:
 
 # fuzz-smoke gives each native fuzzer FUZZ_TIME: the parsers a peer reaches
 # (request header in place vs copying, SCQoS tag and its connection cache,
-# traceparent, the compression module's frame). `go test -fuzz` takes one
-# target in one package per run. Findings land in the package's
-# testdata/fuzz/ and then fail the plain test run too.
+# traceparent, the compression module's frame, the secure module's frame).
+# `go test -fuzz` takes one target in one package per run. Findings land in
+# the package's testdata/fuzz/ and then fail the plain test run too.
 FUZZ_TIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRequestHeaderUnmarshal$$' -fuzztime=$(FUZZ_TIME) ./internal/giop
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeQoSTag$$' -fuzztime=$(FUZZ_TIME) ./internal/orb
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTraceparent$$' -fuzztime=$(FUZZ_TIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzUnwrap$$' -fuzztime=$(FUZZ_TIME) ./internal/characteristics/compression
+	$(GO) test -run='^$$' -fuzz='^FuzzOpen$$' -fuzztime=$(FUZZ_TIME) ./internal/characteristics/encryption
 
 # benchmark-module builds, vets and tests the nested benchmark/ module
 # (the repository benchmark of BENCHMARK.json; its own go.mod, so `./...`

@@ -3,8 +3,10 @@
 //
 // Like compression it spans both layers of the mechanism hierarchy: a
 // thin application-layer characteristic assigns the "secure" transport
-// module to each binding, and the module encrypts request and reply
-// payloads with AES-256-CTR plus an HMAC-SHA256 integrity tag.
+// module to each binding, and the module seals request and reply payloads
+// with AES-256-GCM: one pass encrypts and authenticates, under a nonce made
+// of the frame's direction and a per-session counter, with the binding ID
+// as additional data.
 //
 // Session keys are established per binding through the module's dynamic
 // interface: the client module performs an X25519 handshake with the

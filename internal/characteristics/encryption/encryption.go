@@ -13,19 +13,12 @@ const Name = "Encryption"
 // ModuleName is the transport module implementing the mechanism.
 const ModuleName = "secure"
 
-// Parameter names.
-const (
-	// ParamCipher selects the payload cipher.
-	ParamCipher = "cipher"
-	// ParamMAC selects the integrity algorithm.
-	ParamMAC = "mac"
-)
+// ParamCipher names the parameter selecting the payload AEAD; its tag
+// is the integrity check, so no MAC is chosen beside it.
+const ParamCipher = "cipher"
 
-// Algorithm identifiers offered.
-const (
-	CipherAES256CTR = "aes-256-ctr"
-	MACHMACSHA256   = "hmac-sha256"
-)
+// CipherAES256GCM is the one cipher offered.
+const CipherAES256GCM = "aes-256-gcm"
 
 // Describe returns the characteristic descriptor.
 func Describe() *qos.Characteristic {
@@ -33,8 +26,7 @@ func Describe() *qos.Characteristic {
 		Name:     Name,
 		Category: qos.CategoryPrivacy,
 		Params: []qos.ParameterDecl{
-			{Name: ParamCipher, Kind: qos.KindString, Default: qos.Text(CipherAES256CTR)},
-			{Name: ParamMAC, Kind: qos.KindString, Default: qos.Text(MACHMACSHA256)},
+			{Name: ParamCipher, Kind: qos.KindString, Default: qos.Text(CipherAES256GCM)},
 		},
 	}
 }
@@ -66,8 +58,7 @@ func NewImpl(capacity int) *Impl {
 		Characteristic: Name,
 		Capacity:       capacity,
 		Params: []qos.ParamOffer{
-			{Name: ParamCipher, Kind: qos.KindString, Choices: []string{CipherAES256CTR}, Default: qos.Text(CipherAES256CTR)},
-			{Name: ParamMAC, Kind: qos.KindString, Choices: []string{MACHMACSHA256}, Default: qos.Text(MACHMACSHA256)},
+			{Name: ParamCipher, Kind: qos.KindString, Choices: []string{CipherAES256GCM}, Default: qos.Text(CipherAES256GCM)},
 		},
 	}
 	return impl

@@ -3,6 +3,7 @@ package encryption
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -28,16 +29,17 @@ func testModule() *Module {
 func TestSealOpenRoundTripProperty(t *testing.T) {
 	m := testModule()
 	k := testKeys()
-	f := func(p []byte) bool {
-		sealed, err := m.seal(k, p)
-		if err != nil {
+	f := func(p []byte, reply bool) bool {
+		dir := toServer
+		if reply {
+			dir = toClient
+		}
+		sealed := m.seal(k, dir, p)
+		if len(sealed) != len(p)+overhead {
 			return false
 		}
-		opened, err := m.open(k, sealed)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(opened, p)
+		opened, err := m.open(k, dir, sealed)
+		return err == nil && bytes.Equal(opened, p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -48,50 +50,47 @@ func TestCiphertextDiffersFromPlaintext(t *testing.T) {
 	m := testModule()
 	k := testKeys()
 	p := []byte("the secret plan of attack, repeated: the secret plan of attack")
-	sealed, err := m.seal(k, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sealed := m.seal(k, toServer, p)
 	if bytes.Contains(sealed, p[:16]) {
 		t.Fatal("plaintext visible in sealed frame")
 	}
-	// Two seals of the same plaintext differ (random IV).
-	sealed2, err := m.seal(k, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(sealed, sealed2) {
+	// Two seals of the same plaintext differ: the counter in the nonce
+	// moved on.
+	if bytes.Equal(sealed, m.seal(k, toServer, p)) {
 		t.Fatal("deterministic encryption")
 	}
 }
 
+// TestTamperingDetected flips one bit in each part of a frame: the
+// direction octet, the sequence, the ciphertext and the tag.
 func TestTamperingDetected(t *testing.T) {
 	m := testModule()
 	k := testKeys()
-	sealed, err := m.seal(k, []byte("payload"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, idx := range []int{0, 20, len(sealed) - 1} {
+	sealed := m.seal(k, toServer, []byte("payload"))
+	positions := []int{0, nonceSize - 1, nonceSize, len(sealed) - 1}
+	for _, idx := range positions {
 		tampered := append([]byte(nil), sealed...)
 		tampered[idx] ^= 0x01
-		if _, err := m.open(k, tampered); err == nil {
-			t.Errorf("tampering at %d not detected", idx)
+		if _, err := m.open(k, toServer, tampered); !errors.Is(err, errIntegrity) {
+			t.Errorf("tampering at %d: err = %v, want an integrity failure", idx, err)
 		}
 	}
-	if m.Stats().AuthFailures != 3 {
-		t.Fatalf("auth failures = %d", m.Stats().AuthFailures)
+	if got := m.Stats().AuthFailures; got != uint64(len(positions)) {
+		t.Fatalf("auth failures = %d, want %d", got, len(positions))
 	}
 	// Binding mismatch is also an integrity failure: the binding ID is
 	// authenticated into the frame, whatever the keys.
 	other := testKeys()
 	other.id = []byte("other-binding")
-	if _, err := m.open(other, sealed); err == nil {
+	if _, err := m.open(other, toServer, sealed); err == nil {
 		t.Fatal("binding mix-up not detected")
 	}
-	// Truncated frames are rejected.
-	if _, err := m.open(k, sealed[:10]); err == nil {
-		t.Fatal("truncated frame accepted")
+	// A frame too short to hold a nonce and a tag is refused unread.
+	if _, err := m.open(k, toServer, sealed[:overhead-1]); err == nil || errors.Is(err, errIntegrity) {
+		t.Fatalf("%d-byte frame: err = %v, want a length error", overhead-1, err)
+	}
+	if _, err := m.open(k, toServer, sealed); err != nil {
+		t.Fatalf("untouched frame refused: %v", err)
 	}
 }
 
@@ -99,22 +98,15 @@ func TestWrongKeyFails(t *testing.T) {
 	m := testModule()
 	k1 := deriveKeys([]byte("secret one"), "b")
 	k2 := deriveKeys([]byte("secret two"), "b")
-	sealed, err := m.seal(k1, []byte("data"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.open(k2, sealed); err == nil {
+	if _, err := m.open(k2, toServer, m.seal(k1, toServer, []byte("data"))); err == nil {
 		t.Fatal("wrong key accepted")
 	}
 }
 
 func TestKeyDerivationDomainSeparation(t *testing.T) {
 	k := deriveKeys([]byte("s"), "b")
-	if k.enc == k.mac {
-		t.Fatal("enc and mac keys identical")
-	}
 	k2 := deriveKeys([]byte("s"), "b2")
-	if k.enc == k2.enc {
+	if k.key == k2.key {
 		t.Fatal("keys not bound to binding id")
 	}
 }
@@ -171,15 +163,35 @@ type world struct {
 	clientT  *transport.Transport
 }
 
-func newWorld(t *testing.T) *world {
+func newWorld(t *testing.T) *world { return newWrappedWorld(t, nil) }
+
+// newWrappedWorld builds the world with both sides' secure module passed
+// through wrap; nil loads the module as Setup does.
+func newWrappedWorld(t *testing.T, wrap func(*Module) transport.Module) *world {
 	t.Helper()
+	setup := func(tr *transport.Transport) error { return Setup(tr, nil) }
+	if wrap != nil {
+		setup = func(tr *transport.Transport) error {
+			err := tr.RegisterFactory(ModuleName, func(tr *transport.Transport, config map[string]string) (transport.Module, error) {
+				m, err := NewModule(tr, config)
+				if err != nil {
+					return nil, err
+				}
+				return wrap(m.(*Module)), nil
+			})
+			if err != nil {
+				return err
+			}
+			return tr.Load(ModuleName, nil)
+		}
+	}
 	n := netsim.NewNetwork()
 	server := orb.New(orb.Options{Transport: n.Host("server")})
 	if err := server.Listen("server:6100"); err != nil {
 		t.Fatal(err)
 	}
 	st := transport.Install(server)
-	if err := Setup(st, nil); err != nil {
+	if err := setup(st); err != nil {
 		t.Fatal(err)
 	}
 	skel := qos.NewServerSkeleton(secretServant{})
@@ -197,7 +209,7 @@ func newWorld(t *testing.T) *world {
 	recorder := newRecorder()
 	client := orb.New(orb.Options{Transport: &tapTransport{inner: n.Host("client"), rec: recorder}})
 	ct := transport.Install(client)
-	if err := Setup(ct, nil); err != nil {
+	if err := setup(ct); err != nil {
 		t.Fatal(err)
 	}
 	registry := qos.NewRegistry()
@@ -255,7 +267,7 @@ func TestEndToEndPrivacy(t *testing.T) {
 	if b.Module != ModuleName {
 		t.Fatalf("module = %q", b.Module)
 	}
-	if got := b.Contract.Text(ParamCipher, ""); got != CipherAES256CTR {
+	if got := b.Contract.Text(ParamCipher, ""); got != CipherAES256GCM {
 		t.Fatalf("cipher = %q", got)
 	}
 
@@ -367,8 +379,15 @@ func TestDescribeOffersAlgorithms(t *testing.T) {
 	impl := NewImpl(0)
 	offer := impl.Offer()
 	po, ok := offer.Param(ParamCipher)
-	if !ok || len(po.Choices) != 1 || po.Choices[0] != CipherAES256CTR {
+	if !ok || len(po.Choices) != 1 || po.Choices[0] != CipherAES256GCM {
 		t.Fatalf("cipher offer = %+v", po)
+	}
+	// The AEAD's tag is the integrity check: a proposal that still picks a
+	// MAC names a parameter nobody offers.
+	_, err := qos.Resolve(&qos.Proposal{Characteristic: Name, Params: []qos.ParamProposal{
+		{Name: "mac", Desired: qos.Text("hmac-sha256")}}}, offer)
+	if err == nil || !strings.Contains(err.Error(), "parameter not offered") {
+		t.Fatalf("proposal naming mac: err = %v", err)
 	}
 	r := qos.NewRegistry()
 	if err := Register(r); err != nil {

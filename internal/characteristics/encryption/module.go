@@ -5,12 +5,11 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/ecdh"
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
-	"crypto/subtle"
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash"
 	"sync"
 	"sync/atomic"
 
@@ -20,80 +19,59 @@ import (
 	"maqs/internal/qos/transport"
 )
 
-// sessionKeys is one binding's session: the derived key material and the
-// cipher and MAC state prepared from it once, at handshake, instead of
-// once per payload. Sessions are shared by pointer; only wipe mutates one.
+// sessionKeys is one binding's session: the derived key and the AEAD
+// prepared from it once, at handshake, instead of once per payload.
+// Sessions are shared by pointer: GCM's Seal and Open keep no per-call
+// state and the frame counter is atomic, so concurrent callers share one
+// session without a lock; only wipe mutates one.
 type sessionKeys struct {
-	id    []byte       // binding ID, authenticated into every frame
-	block cipher.Block // AES-256 under enc; safe for concurrent use
-
-	// macs holds keyed HMAC-SHA256 states. A hash is not safe for
-	// concurrent use, so every seal and open takes one for itself and
-	// puts it back; a miss keys a fresh one under mu.
-	macs sync.Pool // *macState
-
-	mu  sync.Mutex // guards enc and mac
-	enc [32]byte   // AES-256 key
-	mac [32]byte   // HMAC-SHA256 key
+	id   []byte        // binding ID, the additional data of every frame
+	aead cipher.AEAD   // AES-256-GCM under key
+	sent atomic.Uint64 // frames sealed so far: the nonce counter
+	key  [32]byte      // AES-256 key
 }
 
-// macState is one reusable keyed HMAC and the scratch its sum lands in.
-type macState struct {
-	h   hash.Hash
-	sum [sha256.Size]byte
-}
+// Frame layout: nonce || ciphertext || tag. The nonce is the direction
+// octet, three zero octets and the sealing session's frame counter
+// (big-endian), so no two frames under one key share a nonce: both sides
+// hold the key, the direction keeps their counters apart, and every
+// handshake derives a fresh key.
+const (
+	nonceSize = 12
+	tagSize   = 16
+	overhead  = nonceSize + tagSize
+)
+
+// Frame directions, the first nonce octet. A side opens only frames of
+// the other direction, so a frame reflected back to its sender fails.
+const (
+	toServer byte = 0 // requests, sealed by the client module
+	toClient byte = 1 // replies, sealed by the server filter
+)
+
+// errIntegrity is every rejected frame of the right length: wrong
+// direction, key, binding or any changed bit.
+var errIntegrity = errors.New("encryption: integrity check failed")
 
 // deriveKeys computes the session from the X25519 shared secret and the
 // binding ID (domain-separated SHA-256; both sides compute the same).
 func deriveKeys(shared []byte, bindingID string) *sessionKeys {
 	k := &sessionKeys{id: []byte(bindingID)}
-	k.enc = sha256.Sum256(append(append([]byte("maqs-enc|"), shared...), bindingID...))
-	k.mac = sha256.Sum256(append(append([]byte("maqs-mac|"), shared...), bindingID...))
-	block, err := aes.NewCipher(k.enc[:])
-	if err != nil {
-		panic(fmt.Sprintf("encryption: AES rejects a %d-byte key: %v", len(k.enc), err))
+	k.key = sha256.Sum256(append(append([]byte("maqs-enc|"), shared...), bindingID...))
+	block, err := aes.NewCipher(k.key[:])
+	if err == nil {
+		k.aead, err = cipher.NewGCM(block)
 	}
-	k.block = block
-	k.macs.Put(&macState{h: hmac.New(sha256.New, k.mac[:])})
+	if err != nil {
+		panic(fmt.Sprintf("encryption: AES-256-GCM rejects a %d-byte key: %v", len(k.key), err))
+	}
 	return k
 }
 
-// acquireMAC hands out a keyed HMAC that has absorbed the binding ID,
-// ready for the frame body. The caller owns it until it puts it back.
-func (k *sessionKeys) acquireMAC() *macState {
-	s, _ := k.macs.Get().(*macState)
-	if s == nil {
-		k.mu.Lock()
-		s = &macState{h: hmac.New(sha256.New, k.mac[:])}
-		k.mu.Unlock()
-	} else {
-		s.h.Reset()
-	}
-	s.h.Write(k.id)
-	return s
-}
-
-// wipe zeroes the key material. The prepared cipher and MAC states keep
-// serving calls already in flight and become garbage with the session;
-// the standard library offers no way to scrub them.
-func (k *sessionKeys) wipe() {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.enc = [32]byte{}
-	k.mac = [32]byte{}
-}
-
-// protect completes a frame whose IV is already in out[:aes.BlockSize]:
-// ciphertext of p behind it, then the HMAC over bindingID || iv ||
-// ciphertext. len(out) is aes.BlockSize + len(p) + sha256.Size.
-func (k *sessionKeys) protect(out, p []byte) {
-	n := aes.BlockSize + len(p)
-	cipher.NewCTR(k.block, out[:aes.BlockSize]).XORKeyStream(out[aes.BlockSize:n], p)
-	s := k.acquireMAC()
-	s.h.Write(out[:n])
-	s.h.Sum(out[:n]) // appends in place: the tail of out is the tag
-	k.macs.Put(s)
-}
+// wipe zeroes the key material. The prepared AEAD keeps serving calls
+// already in flight and becomes garbage with the session; the standard
+// library offers no way to scrub it.
+func (k *sessionKeys) wipe() { k.key = [32]byte{} }
 
 // Stats counts the module's activity.
 type Stats struct {
@@ -193,37 +171,31 @@ func (m *Module) store(bindingID string, k *sessionKeys) {
 	m.handshakes.Add(1)
 }
 
-// seal protects a payload: 16-byte CTR IV || ciphertext || 32-byte HMAC
-// over bindingID || iv || ciphertext.
-func (m *Module) seal(k *sessionKeys, p []byte) ([]byte, error) {
-	out := make([]byte, aes.BlockSize+len(p)+sha256.Size)
-	if _, err := rand.Read(out[:aes.BlockSize]); err != nil {
-		return nil, fmt.Errorf("encryption: reading IV: %w", err)
-	}
-	k.protect(out, p)
+// seal protects a payload travelling in direction dir: one buffer, the
+// nonce written at its head and the ciphertext and tag appended behind it.
+func (m *Module) seal(k *sessionKeys, dir byte, p []byte) []byte {
+	out := make([]byte, nonceSize, overhead+len(p))
+	out[0] = dir
+	binary.BigEndian.PutUint64(out[4:], k.sent.Add(1))
+	out = k.aead.Seal(out, out, p, k.id)
 	m.sealed.Add(1)
-	return out, nil
+	return out
 }
 
-// open reverses seal, verifying the HMAC first.
-func (m *Module) open(k *sessionKeys, p []byte) ([]byte, error) {
-	if len(p) < aes.BlockSize+sha256.Size {
+// open reverses seal for a frame that must have travelled in direction
+// dir, into a fresh buffer: p is the caller's and stays untouched.
+func (m *Module) open(k *sessionKeys, dir byte, p []byte) ([]byte, error) {
+	if len(p) < overhead {
 		return nil, fmt.Errorf("encryption: frame too short (%d bytes)", len(p))
 	}
-	body := p[:len(p)-sha256.Size]
-	tag := p[len(p)-sha256.Size:]
-	s := k.acquireMAC()
-	s.h.Write(body)
-	authentic := subtle.ConstantTimeCompare(tag, s.h.Sum(s.sum[:0])) == 1
-	k.macs.Put(s)
-	if !authentic {
-		m.authFailures.Add(1)
-		return nil, fmt.Errorf("encryption: integrity check failed")
+	if p[0] == dir {
+		if out, err := k.aead.Open(make([]byte, 0, len(p)-overhead), p[:nonceSize], p[nonceSize:], k.id); err == nil {
+			m.opened.Add(1)
+			return out, nil
+		}
 	}
-	out := make([]byte, len(body)-aes.BlockSize)
-	cipher.NewCTR(k.block, body[:aes.BlockSize]).XORKeyStream(out, body[aes.BlockSize:])
-	m.opened.Add(1)
-	return out, nil
+	m.authFailures.Add(1)
+	return nil, errIntegrity
 }
 
 // session returns the binding's client-side session, performing the
@@ -279,9 +251,7 @@ func (m *Module) Send(ctx context.Context, inv *orb.Invocation, next transport.N
 		return nil, err
 	}
 	wrapped := *inv // only Args change; the context list is shared
-	if wrapped.Args, err = m.seal(keys, inv.Args); err != nil {
-		return nil, err
-	}
+	wrapped.Args = m.seal(keys, toServer, inv.Args)
 	out, err := next(ctx, &wrapped)
 	if err != nil {
 		return nil, err
@@ -289,7 +259,7 @@ func (m *Module) Send(ctx context.Context, inv *orb.Invocation, next transport.N
 	if out.Status != giop.ReplyNoException {
 		return out, nil
 	}
-	if out.Data, err = m.open(keys, out.Data); err != nil {
+	if out.Data, err = m.open(keys, toClient, out.Data); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -311,7 +281,7 @@ func (f *serverFilter) Inbound(req *orb.ServerRequest) error {
 		return orb.NewSystemException(orb.ExcBadQoS, 70,
 			"no session keys for binding %q (handshake missing)", tag.BindingID)
 	}
-	args, err := m.open(keys, req.Args)
+	args, err := m.open(keys, toServer, req.Args)
 	if err != nil {
 		return err
 	}
@@ -332,7 +302,7 @@ func (f *serverFilter) Outbound(req *orb.ServerRequest, status giop.ReplyStatus,
 	if !ok {
 		return nil, fmt.Errorf("encryption: no session keys for binding %q", tag.BindingID)
 	}
-	return m.seal(keys, body)
+	return m.seal(keys, toClient, body), nil
 }
 
 // Dynamic implements transport.Module: the handshake endpoint and a

@@ -1,75 +1,191 @@
 package encryption
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"crypto/aes"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"maqs/internal/cdr"
+	"maqs/internal/giop"
+	"maqs/internal/orb"
 	"maqs/internal/qos"
 	"maqs/internal/qos/transport"
 )
 
-// TestGoldenFrames pins the wire format across the cipher/MAC-reuse
-// rewrite. The frames in testdata were sealed (random IV) by the code that
-// built aes.NewCipher and hmac.New per payload; the prepared session must
-// open them, and given the same IV must produce the same bytes — on a
-// session whose MAC state has already been used for other traffic.
+// goldenFrame is one "seal" line of testdata/golden_frames.txt.
+type goldenFrame struct {
+	dir            byte
+	seq            uint64
+	payload, frame []byte
+}
+
+// readGolden parses testdata/golden_frames.txt: the frames the current
+// format seals under testKeys, and frames of the format before it.
+func readGolden(tb testing.TB) (sealed []goldenFrame, legacy [][]byte) {
+	tb.Helper()
+	data, err := os.ReadFile("testdata/golden_frames.txt")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	unhex := func(s string) []byte {
+		if s == "-" {
+			return nil
+		}
+		b, err := hex.DecodeString(s)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return b
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		fields := strings.Fields(line)
+		switch {
+		case len(fields) == 0 || strings.HasPrefix(fields[0], "#"):
+		case fields[0] == "seal" && len(fields) == 5:
+			dir, err := strconv.ParseUint(fields[1], 10, 8)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			seq, err := strconv.ParseUint(fields[2], 10, 64)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			sealed = append(sealed, goldenFrame{byte(dir), seq, unhex(fields[3]), unhex(fields[4])})
+		case fields[0] == "legacy" && len(fields) == 2:
+			legacy = append(legacy, unhex(fields[1]))
+		default:
+			tb.Fatalf("bad golden line %q", line)
+		}
+	}
+	return sealed, legacy
+}
+
+// TestGoldenFrames pins the wire format. A fresh session per direction
+// seals the golden payloads in sequence order and must emit the golden
+// frames byte for byte; open takes each back in its own direction. Frames
+// of the format before it must fail as integrity errors — as they are, and
+// with their first octet forged to the direction, so the AEAD judges them.
 func TestGoldenFrames(t *testing.T) {
-	f, err := os.Open("testdata/golden_frames.txt")
+	sealed, legacy := readGolden(t)
+	if len(sealed) != 6 || len(legacy) != 3 {
+		t.Fatalf("read %d sealed and %d legacy golden frames, want 6 and 3", len(sealed), len(legacy))
+	}
+	m := testModule()
+	sessions := map[byte]*sessionKeys{toServer: testKeys(), toClient: testKeys()}
+	for _, g := range sealed {
+		k := sessions[g.dir]
+		if k == nil || k.sent.Load()+1 != g.seq {
+			t.Fatalf("golden frame direction %d sequence %d out of order", g.dir, g.seq)
+		}
+		if got := m.seal(k, g.dir, g.payload); !bytes.Equal(got, g.frame) {
+			t.Errorf("direction %d sequence %d: seal emits %x, want %x", g.dir, g.seq, got, g.frame)
+		}
+		if opened, err := m.open(testKeys(), g.dir, g.frame); err != nil || !bytes.Equal(opened, g.payload) {
+			t.Errorf("direction %d sequence %d: golden frame not opened: %v", g.dir, g.seq, err)
+		}
+	}
+	for i, frame := range legacy {
+		for _, dir := range []byte{toServer, toClient} {
+			forged := append([]byte{dir}, frame[1:]...)
+			for _, f := range [][]byte{frame, forged} {
+				if _, err := m.open(testKeys(), dir, f); !errors.Is(err, errIntegrity) {
+					t.Errorf("legacy frame %d as direction %d: err = %v, want an integrity failure", i, dir, err)
+				}
+			}
+		}
+	}
+	if got, want := m.Stats().AuthFailures, uint64(len(legacy)*4); got != want {
+		t.Fatalf("auth failures = %d, want %d", got, want)
+	}
+}
+
+// FuzzOpen feeds the secure module frames a hostile peer could send, under
+// the fixed session the golden frames were sealed in. Whatever the bytes:
+// no panic, and a frame opens, to its payload, only when it is byte-equal
+// to a frame that session sealed for that direction. The same bytes as a
+// payload survive seal and open.
+func FuzzOpen(f *testing.F) {
+	sealed, legacy := readGolden(f)
+	known := make(map[string]goldenFrame, len(sealed))
+	for _, g := range sealed {
+		known[string(g.frame)] = g
+		f.Add(g.frame)
+		f.Add(g.frame[:overhead-1])
+	}
+	for _, frame := range legacy {
+		f.Add(frame)
+	}
+	f.Add([]byte(nil))
+	m, k := testModule(), testKeys()
+	other := deriveKeys([]byte("fuzz round trip"), "binding-1")
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		for _, dir := range []byte{toServer, toClient} {
+			opened, err := m.open(k, dir, frame)
+			if g, ok := known[string(frame)]; ok && g.dir == dir {
+				if err != nil || !bytes.Equal(opened, g.payload) {
+					t.Fatalf("golden frame refused as direction %d: %v", dir, err)
+				}
+			} else if err == nil {
+				t.Fatalf("%d bytes no session sealed opened as direction %d", len(frame), dir)
+			}
+		}
+		back, err := m.open(other, toClient, m.seal(other, toClient, frame))
+		if err != nil || !bytes.Equal(back, frame) {
+			t.Fatalf("open(seal(x)) != x for %d bytes: %v", len(frame), err)
+		}
+	})
+}
+
+// TestReflectedFrameRejected sends each side's frame back to it: a reply
+// the server filter sealed, fed to its own Inbound, and a request the
+// client module sealed, returned to it as the reply. Both sides hold the
+// same key, so only the direction octet tells a frame from its reflection.
+func TestReflectedFrameRejected(t *testing.T) {
+	keys := deriveKeys([]byte("shared"), "b")
+	contexts := giop.ServiceContextList{}.With(giop.SCQoS,
+		qos.QoSTag{Characteristic: Name, BindingID: "b", Module: ModuleName}.Encode())
+	server, client := testModule(), testModule()
+	server.store("b", keys)
+	client.store("b", keys)
+
+	f := server.ServerFilter()
+	req := &orb.ServerRequest{Operation: "echo", Contexts: contexts}
+	reply, err := f.Outbound(req, giop.ReplyNoException, []byte("reply payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	m, k := testModule(), testKeys()
-	if _, err := m.seal(k, []byte("unrelated earlier traffic")); err != nil {
-		t.Fatal(err)
+	req.Args = reply
+	if err := f.Inbound(req); !errors.Is(err, errIntegrity) {
+		t.Fatalf("server opened its own reply: err = %v", err)
 	}
-	checked := 0
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			t.Fatalf("bad golden line %q", line)
-		}
-		var payload []byte
-		if fields[0] != "-" {
-			if payload, err = hex.DecodeString(fields[0]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := hex.DecodeString(fields[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		opened, err := m.open(k, want)
-		if err != nil || !bytes.Equal(opened, payload) {
-			t.Errorf("parent frame for %q not opened: %v", payload, err)
-		}
-		got := make([]byte, len(want))
-		copy(got, want[:aes.BlockSize]) // the parent's IV
-		k.protect(got, payload)
-		if !bytes.Equal(got, want) {
-			t.Errorf("payload %q: protect emits %x, parent emitted %x", payload, got, want)
-		}
-		checked++
+	if got := server.Stats().AuthFailures; got != 1 {
+		t.Fatalf("server auth failures = %d, want 1", got)
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+	if _, err := client.open(keys, toClient, reply); err != nil {
+		t.Fatalf("client refused the reply: %v", err)
 	}
-	if checked != 3 {
-		t.Fatalf("checked %d golden frames, want 3", checked)
+
+	var request []byte
+	inv := &orb.Invocation{Operation: "echo", Args: []byte("request payload"), Contexts: contexts}
+	_, err = client.Send(context.Background(), inv, func(_ context.Context, sealed *orb.Invocation) (*orb.Outcome, error) {
+		request = sealed.Args
+		return &orb.Outcome{Status: giop.ReplyNoException, Data: sealed.Args}, nil
+	})
+	if !errors.Is(err, errIntegrity) {
+		t.Fatalf("client opened its own request: err = %v", err)
+	}
+	if got := client.Stats().AuthFailures; got != 1 {
+		t.Fatalf("client auth failures = %d, want 1", got)
+	}
+	if _, err := server.open(keys, toServer, request); err != nil {
+		t.Fatalf("server refused the request: %v", err)
 	}
 }
 
@@ -80,11 +196,7 @@ func (m *Module) sessions() int {
 	return len(m.keys)
 }
 
-func keysZero(k *sessionKeys) bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.enc == [32]byte{} && k.mac == [32]byte{}
-}
+func keysZero(k *sessionKeys) bool { return k.key == [32]byte{} }
 
 // TestCloseWipesKeysInPlace holds on to the sessions a module stored and
 // looks at the very same memory after Close: the old code zeroed a copy.
@@ -176,14 +288,54 @@ func TestReleaseDropsSessionsOnBothSides(t *testing.T) {
 	}
 }
 
-// TestConcurrentCallersNeverShareMACState hammers one binding's session
-// from 8 goroutines, first call included (one handshake must serve them
-// all). Every reply is checked against its request: an HMAC state shared
-// by two callers fails the integrity check or returns another caller's
-// payload, and is a data race under -race.
-func TestConcurrentCallersNeverShareMACState(t *testing.T) {
+// nonceRecorder is the secure module with the nonce of every frame it
+// seals recorded: the client's requests on their way to next, the
+// server's replies as Outbound returns them.
+type nonceRecorder struct {
+	*Module
+	mu     sync.Mutex
+	nonces [][nonceSize]byte
+}
+
+func (r *nonceRecorder) record(frame []byte) {
+	r.mu.Lock()
+	r.nonces = append(r.nonces, [nonceSize]byte(frame[:nonceSize]))
+	r.mu.Unlock()
+}
+
+func (r *nonceRecorder) Send(ctx context.Context, inv *orb.Invocation, next transport.Next) (*orb.Outcome, error) {
+	return r.Module.Send(ctx, inv, func(ctx context.Context, sealed *orb.Invocation) (*orb.Outcome, error) {
+		r.record(sealed.Args)
+		return next(ctx, sealed)
+	})
+}
+
+func (r *nonceRecorder) ServerFilter() orb.IncomingFilter {
+	return recordingFilter{r.Module.ServerFilter(), r}
+}
+
+type recordingFilter struct {
+	orb.IncomingFilter
+	r *nonceRecorder
+}
+
+func (f recordingFilter) Outbound(req *orb.ServerRequest, status giop.ReplyStatus, body []byte) ([]byte, error) {
+	frame, err := f.IncomingFilter.Outbound(req, status, body)
+	if err == nil && status == giop.ReplyNoException {
+		f.r.record(frame)
+	}
+	return frame, err
+}
+
+// TestConcurrentCallersNeverReuseANonce hammers one binding's session from
+// 8 goroutines, first call included (one handshake must serve them all).
+// Every reply is checked against its request, and every nonce either side
+// sealed under the session's one key is recorded: none may repeat, across
+// callers or across the two directions. Under -race it is also the proof
+// that callers share the AEAD and the counter without a lock.
+func TestConcurrentCallersNeverReuseANonce(t *testing.T) {
 	const callers, calls = 8, 2000
-	w := newWorld(t)
+	w := newWrappedWorld(t, func(m *Module) transport.Module { return &nonceRecorder{Module: m} })
 	if _, err := w.stub.Negotiate(context.Background(), &qos.Proposal{Characteristic: Name}); err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +363,22 @@ func TestConcurrentCallersNeverShareMACState(t *testing.T) {
 	wg.Wait()
 	cm, _ := w.clientT.Module(ModuleName)
 	sm, _ := w.serverT.Module(ModuleName)
-	cs, ss := cm.(*Module).Stats(), sm.(*Module).Stats()
+	client, server := cm.(*nonceRecorder), sm.(*nonceRecorder)
+	cs, ss := client.Stats(), server.Stats()
 	if cs.Handshakes != 1 || ss.Handshakes != 1 {
 		t.Fatalf("handshakes: client %d, server %d, want one session for all callers", cs.Handshakes, ss.Handshakes)
 	}
 	if cs.Sealed != callers*calls || cs.Opened != callers*calls || ss.AuthFailures+cs.AuthFailures != 0 {
 		t.Fatalf("client %+v server %+v", cs, ss)
+	}
+	if len(client.nonces) != callers*calls || len(server.nonces) != callers*calls {
+		t.Fatalf("recorded %d client and %d server nonces, want %d each", len(client.nonces), len(server.nonces), callers*calls)
+	}
+	seen := make(map[[nonceSize]byte]bool, 2*callers*calls)
+	for _, n := range append(client.nonces, server.nonces...) {
+		if seen[n] {
+			t.Fatalf("nonce %x sealed twice under one key", n)
+		}
+		seen[n] = true
 	}
 }

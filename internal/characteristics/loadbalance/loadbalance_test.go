@@ -157,14 +157,24 @@ func TestRandomHitsAllWorkers(t *testing.T) {
 	}
 }
 
+// TestLeastLoadedAvoidsBusyWorker: worker 0 is slow, and concurrent
+// least-loaded traffic should favour the fast workers once load reports
+// arrive. A worker reports its load in each reply, after the request left
+// it, so an idle worker reports 0 and a slow one stays idle-looking for the
+// 80 ms until its first reply: about 40 requests 2 ms apart take their
+// rotation share of the slow worker first, whatever the strategy. The farm
+// is therefore primed — one call to each worker, then a stream until the
+// mediator holds a report from every worker that shows the stream's load —
+// and the assertion counts the requests sent after that.
 func TestLeastLoadedAvoidsBusyWorker(t *testing.T) {
-	// Worker 0 is slow; concurrent least-loaded traffic should favour
-	// the fast workers once load reports arrive.
 	f := newFarm(t, 3, []time.Duration{80 * time.Millisecond, 0, 0})
 	stub := f.negotiate(t, StrategyLeastLoaded)
-
+	m := stub.Mediator().(*Mediator)
+	for range f.workers {
+		work(t, stub) // the rotation visits each worker once
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < 48; i++ {
+	send := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -172,9 +182,25 @@ func TestLeastLoadedAvoidsBusyWorker(t *testing.T) {
 		}()
 		time.Sleep(2 * time.Millisecond)
 	}
+	slowLoad := func() float64 {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.loads["worker0:9000"]
+	}
+	for primed := 0; slowLoad() == 0; primed++ {
+		if primed == 500 {
+			t.Fatal("the slow worker reported no load after 500 requests")
+		}
+		send()
+	}
+	slowBefore := f.workers[0].count()
+	fastBefore := f.workers[1].count() + f.workers[2].count()
+	for i := 0; i < 24; i++ {
+		send()
+	}
 	wg.Wait()
-	slow := f.workers[0].count()
-	fast := f.workers[1].count() + f.workers[2].count()
+	slow := f.workers[0].count() - slowBefore
+	fast := f.workers[1].count() + f.workers[2].count() - fastBefore
 	if slow*3 > fast {
 		t.Fatalf("least-loaded sent %d to the slow worker vs %d to fast ones", slow, fast)
 	}

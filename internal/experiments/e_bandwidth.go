@@ -3,15 +3,12 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"crypto/ecdh"
-	"crypto/rand"
 	"fmt"
 	mathrand "math/rand"
 	"testing"
 	"time"
 
 	"maqs"
-	"maqs/internal/cdr"
 	"maqs/internal/characteristics/compression"
 	"maqs/internal/characteristics/encryption"
 	"maqs/internal/giop"
@@ -99,15 +96,14 @@ func e5Sweep(tb testing.TB) ([]string, [][]string) {
 	return []string{"bandwidth", "payload", "plain", "compressed", "speedup"}, rows
 }
 
-// e6 measures the cost of AES-256-CTR + HMAC-SHA256 payload protection
-// against plaintext, by payload size, on a fast link, and the secure codec
-// alone.
+// e6 measures the cost of AES-256-GCM payload protection against
+// plaintext, by payload size, on a fast link, and the secure module alone.
 var e6 = Experiment{
 	ID: "E6", Name: "encryption overhead",
-	Title: "echo round trip: plaintext vs AES-256-CTR+HMAC, by payload size",
-	Claim: "§6: 'privacy through encryption' as a negotiable characteristic; its cost grows with payload size",
+	Title: "echo round trip: plaintext vs AES-256-GCM, by payload size",
+	Claim: "§6: 'privacy through encryption' as a negotiable characteristic; it costs one AEAD pass per frame, so its cost grows with payload size",
 	Cases: append(e6Cases(), Case{"ModuleSeal", moduleSeal}),
-	Notes: []string{"small payloads pay a fixed seal/open cost; large payloads approach the cipher+MAC streaming rate — linear in payload size, as expected"},
+	Notes: []string{"small payloads pay a fixed per-frame cost (nonce, tag, session lookup); large payloads approach the AES-GCM streaming rate — linear in payload size, as expected"},
 }
 
 func e6Cases() []Case {
@@ -131,9 +127,10 @@ func e6Cases() []Case {
 }
 
 // serverFilterRoundTrip drives one module's server filter with no ORB and
-// no network around it: Outbound transforms body into a frame (wrap /
-// seal), Inbound turns that frame back (unwrap / open). What remains is
-// the codec cost alone — the rung E5/E6 add on top of the plain echo.
+// no network around it: Outbound transforms body into a frame, Inbound
+// turns that frame back. What remains is the codec cost alone — the rung
+// E5 adds on top of the plain echo. (A server filter cannot open its own
+// secure frame, so E6's rung runs through the client module: moduleSeal.)
 func serverFilterRoundTrip(tb testing.TB, f orb.IncomingFilter, tag qos.QoSTag, body []byte) (func(), int64) {
 	req := &orb.ServerRequest{
 		Operation: "echo",
@@ -164,26 +161,41 @@ func moduleWrap(tb testing.TB) (func(), int64) {
 		qos.QoSTag{Characteristic: maqs.Compression, BindingID: "b", Module: compression.ModuleName}, text4K)
 }
 
-// moduleSeal is the secure module's seal + open of a 1 KiB payload under
-// one established session.
+// moduleSeal is the secure module alone on a 1 KiB payload under one
+// session: the client module's Send seals the request, and its next runs
+// the server filter, which opens it and seals the reply for Send to open —
+// the four AEAD passes of an encrypted echo without the ORB and network
+// around them. The session is the world's: the first Send handshakes.
 func moduleSeal(tb testing.TB) (func(), int64) {
-	mod, err := encryption.NewModule(nil, nil)
-	if err != nil {
-		tb.Fatal(err)
+	w := NewWorld(tb, Encrypted())
+	client, _ := w.Client.Transport.Module(encryption.ModuleName)
+	server, _ := w.Servers[0].Transport.Module(encryption.ModuleName)
+	b := w.Stub.Binding()
+	tag := qos.QoSTag{Characteristic: b.Characteristic, BindingID: b.ID, Module: b.Module}
+	inv := &orb.Invocation{Target: w.Ref, Operation: "echo", Args: bytes.Repeat([]byte{0x5A}, 1<<10),
+		Contexts: giop.ServiceContextList{}.With(giop.SCQoS, tag.Encode())}
+	f := server.ServerFilter()
+	req := &orb.ServerRequest{Operation: inv.Operation, Contexts: inv.Contexts}
+	reply := &orb.Outcome{Status: giop.ReplyNoException}
+	next := func(_ context.Context, sealed *orb.Invocation) (*orb.Outcome, error) {
+		req.Args = sealed.Args
+		if err := f.Inbound(req); err != nil {
+			return nil, err
+		}
+		var err error
+		reply.Data, err = f.Outbound(req, giop.ReplyNoException, req.Args)
+		return reply, err
 	}
-	// The handshake endpoint is the module's own dynamic interface; any
-	// X25519 public key establishes a session for the binding.
-	peer, err := ecdh.X25519().GenerateKey(rand.Reader)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if _, err := mod.Dynamic().Ops["handshake"].Handler(
-		[]cdr.Any{cdr.Str("b"), cdr.Octets(peer.PublicKey().Bytes())}); err != nil {
-		tb.Fatal(err)
-	}
-	return serverFilterRoundTrip(tb, mod.ServerFilter(),
-		qos.QoSTag{Characteristic: maqs.Encryption, BindingID: "b", Module: encryption.ModuleName},
-		bytes.Repeat([]byte{0x5A}, 1<<10))
+	ctx := context.Background()
+	return func() {
+		out, err := client.Send(ctx, inv, next)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if len(out.Data) != len(inv.Args) {
+			tb.Fatalf("round trip returned %d bytes, want %d", len(out.Data), len(inv.Args))
+		}
+	}, int64(len(inv.Args))
 }
 
 // ablationChain compares a single transport module against a two-member
