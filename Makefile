@@ -92,7 +92,8 @@ fuzz-smoke:
 # Not part of `check`: it pins processes to one CPU and times them, which
 # is CI's job, not every local run's. TestSmoke is skipped — it still
 # asserts that binding Null adds at least 15 allocations per op, which
-# has been 6 since the codec-state PR and fails on any tree; the `-smoke`
+# has been 0 since the bound call's allocations came down to the plain
+# call's, and fails on any tree; the `-smoke`
 # pass is the same quick run over every workload and every check without
 # that one assertion. benchmark/ may only change in a benchmark PR.
 benchmark-module:
@@ -112,12 +113,16 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/orb ./internal/cdr
 
-# tables-smoke is the table path's own smoke: the experiment list, and two
+# tables-smoke is the table path's own smoke: the experiment list, two
 # tables measured through testing.Benchmark outside `go test` (E2 and E10
-# have no run-once part; ~4 s).
+# have no run-once part; ~4 s), and the faults demo, whose Degrader the
+# SLO engine drives: it must exit 0 and report its degradation line.
 tables-smoke:
 	$(GO) run ./cmd/maqs-bench -list
 	$(GO) run ./cmd/maqs-bench E2 E10
+	@out=$$($(GO) run ./cmd/maqs-bench -faults -fault-calls 200) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | grep -q '^  qos degradation ' || { echo "tables-smoke: the faults demo printed no qos degradation line"; exit 1; }
 
 # loadgen runs the full open-loop trajectory workload (>=100k requests
 # across three QoS classes) against an in-process server and records the
@@ -172,8 +177,9 @@ cover:
 	done
 
 # slo-smoke exercises the SLO engine's burn windows, state machine and
-# facade wiring race-enabled — a focused gate that fails fast when the
-# budget arithmetic or the degrader hookup regresses.
+# facade wiring race-enabled, and the Degrader that WatchSLO drives from
+# it (descent, retry, cooldown, no over-degradation) — a focused gate that
+# fails fast when the budget arithmetic or the degrader hookup regresses.
 slo-smoke:
 	$(GO) test -race -run 'TestSLO|TestWindowCounter|TestHealthAndReady' ./internal/qos ./internal/obs .
 

@@ -448,6 +448,62 @@ func TestObservabilityDocNamesMetrics(t *testing.T) {
 	}
 }
 
+// endpointRow matches a row of docs/OBSERVABILITY.md's endpoint table and
+// captures its path without the query string.
+var endpointRow = regexp.MustCompile("^\\| `(/[^`?]*)")
+
+// TestObservabilityDocNamesEndpoints holds docs/OBSERVABILITY.md's
+// endpoint table and the code to one set of debug paths: every path
+// literal a non-test Go file outside the benchmark harness passes to
+// HandleFunc or SetDebugPage is a row of the table, and every row names
+// such a path. A row ending in "/" other than the index itself covers the
+// paths under it, as the /debug/pprof/ handlers are.
+func TestObservabilityDocNamesEndpoints(t *testing.T) {
+	doc, err := os.ReadFile("docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, _ := strings.Cut(string(doc), "| endpoint |")
+	table, _, _ = strings.Cut(table, "\n\n")
+	rows := map[string]bool{}
+	for _, line := range strings.Split(table, "\n") {
+		if m := endpointRow.FindStringSubmatch(line); m != nil {
+			rows[m[1]] = true
+		}
+	}
+	registered := map[string]bool{}
+	for _, f := range parseTree(t) {
+		if f.test || f.dir == "benchmark" || strings.HasPrefix(f.dir, "benchmark/") {
+			continue
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && len(call.Args) > 0 {
+				sel, _ := call.Fun.(*ast.SelectorExpr)
+				lit, _ := call.Args[0].(*ast.BasicLit)
+				if sel != nil && lit != nil && (sel.Sel.Name == "HandleFunc" || sel.Sel.Name == "SetDebugPage") {
+					p, _ := strconv.Unquote(lit.Value)
+					registered[p] = true
+				}
+			}
+			return true
+		})
+	}
+	for _, p := range sortedKeys(registered) {
+		covered := rows[p]
+		for r := range rows {
+			covered = covered || len(r) > 1 && strings.HasSuffix(r, "/") && strings.HasPrefix(p, r)
+		}
+		if !covered {
+			t.Errorf("%s is a registered debug endpoint but not a row of docs/OBSERVABILITY.md's endpoint table", p)
+		}
+	}
+	for _, r := range sortedKeys(rows) {
+		if !registered[r] {
+			t.Errorf("docs/OBSERVABILITY.md's endpoint table lists %s, which nothing registers", r)
+		}
+	}
+}
+
 // seriesFamily strips the suffixes Prometheus exposes a histogram's
 // series under.
 func seriesFamily(name string) string {

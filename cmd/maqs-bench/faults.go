@@ -98,8 +98,9 @@ func runFaultsDemo(w *os.File, calls int, flight bool) error {
 		return err
 	}
 
-	// Degradation ladder: on sustained trouble step compression down to
-	// cheap (level 1), then off (level 0); Recover climbs back.
+	// Degradation ladder: while the contract's error budget burns (WatchSLO
+	// reads the state System.Stub's SLO observer produced for each call),
+	// step compression down to cheap (level 1), then off (level 0).
 	levelStep := func(name string, level float64) maqs.DegradeStep {
 		return maqs.DegradeStep{Name: name, Proposal: &maqs.Proposal{
 			Characteristic: maqs.Compression,
@@ -107,12 +108,7 @@ func runFaultsDemo(w *os.File, calls int, flight bool) error {
 		}}
 	}
 	degrader := maqs.NewDegrader(stub, levelStep("cheap-compression", 1), levelStep("compression-off", 0))
-	mon := maqs.NewMonitor(64)
-	stub.AddObserver(mon.Observe)
-	stub.AddObserver(degrader.WatchMonitor(mon, maqs.Rule{
-		Name:     "error-rate",
-		Violated: func(s maqs.Stats) bool { return s.Window >= 16 && s.ErrorRate > 0.5 },
-	}))
+	stub.AddObserver(degrader.WatchSLO(client.SLO))
 	degrader.WatchBreakers(client.ORB.Breakers())
 
 	var transMu sync.Mutex

@@ -210,12 +210,6 @@ func runMetricsDemo(w *os.File) error {
 
 	ctx := context.Background()
 	stub := client.Stub(ref)
-	// The stub already carries the canonical metrics observer (System.Stub
-	// attaches it when observability is on); the monitor is stacked for
-	// its sliding-window statistics only. Publishing it to the registry as
-	// well would double-count every call into the same instruments.
-	mon := maqs.NewMonitor(32)
-	stub.AddObserver(mon.Observe)
 
 	if _, err := stub.Negotiate(ctx, &maqs.Proposal{
 		Characteristic: maqs.Compression,

@@ -13,7 +13,8 @@ import (
 
 // e8 is the negotiation family: what an agreement and its renegotiation
 // cost per call, and — the shape — a contract hierarchy resolving past an
-// admission veto and a full monitoring-driven adaptation loop.
+// admission veto and the product's adaptation loop: the SLO engine judges
+// the contract, the Degrader renegotiates.
 var e8 = Experiment{
 	ID: "E8", Name: "negotiation and adaptation",
 	Title: "negotiation, renegotiation and adaptation",
@@ -44,12 +45,13 @@ var e8 = Experiment{
 		}},
 	},
 	Shape: e8Adaptation,
-	Notes: []string{"negotiation costs one extra round trip per agreement; adaptation closes the loop from monitoring to a renegotiated contract without touching application code"},
+	Notes: []string{"negotiation costs one extra round trip per agreement; adaptation closes the loop from the contract's SLO budget to a renegotiated contract without touching application code"},
 }
 
 // tierImpl offers a numeric "tier" parameter and vetoes tiers above its
 // admission limit, so contract hierarchies have something to fall back
-// over.
+// over. Its max_rtt_ms (default 5) puts a latency bound in every tier's
+// contract for the SLO engine to score.
 type tierImpl struct {
 	qos.BaseImpl
 	admitMax float64
@@ -59,7 +61,8 @@ func newTierImpl(offerMax, admitMax float64) *tierImpl {
 	return &tierImpl{admitMax: admitMax, BaseImpl: qos.BaseImpl{
 		Desc: &qos.Characteristic{Name: "Tiered"},
 		Capability: &qos.Offer{Characteristic: "Tiered", Params: []qos.ParamOffer{
-			{Name: "tier", Kind: qos.KindNumber, Min: 1, Max: offerMax, Default: qos.Number(1)}}},
+			{Name: "tier", Kind: qos.KindNumber, Min: 1, Max: offerMax, Default: qos.Number(1)},
+			{Name: qos.ContractMaxRTTMs, Kind: qos.KindNumber, Min: 1, Max: 1000, Default: qos.Number(5)}}},
 	}}
 }
 
@@ -95,52 +98,43 @@ func e8Adaptation(tb testing.TB) ([]string, [][]string) {
 		fmtDur(time.Since(start)),
 	}}
 
-	// Adaptation loop: a latency rule fires once the link degrades, and
-	// the action renegotiates down to tier 1.
+	// Adaptation loop: the product's own. The SLO engine scores each call
+	// against the contract's max_rtt_ms (offered default 5 ms); once the
+	// link degrades the latency budget burns and the Degrader renegotiates
+	// down its one rung, tier 3 → tier 1.
 	stub := w.Stub
 	if _, err := stub.Negotiate(ctx, tier(3)); err != nil {
 		tb.Fatal(err)
 	}
-	monitor := qos.NewMonitor(16)
-	stub.AddObserver(monitor.Observe)
-	adapted := false
-	adaptor := qos.NewAdaptor(monitor, func(qos.Rule, qos.Stats) {
-		if _, err := stub.Renegotiate(ctx, tier(1)); err == nil {
-			adapted = true
-		}
-	})
-	adaptor.AddRule(qos.Rule{
-		Name:     "latency-degraded",
-		Violated: func(s qos.Stats) bool { return s.Window >= 8 && s.P50 > 5*time.Millisecond },
-		Cooldown: time.Hour,
-	})
+	slo := qos.NewSLOEngine(nil, nil)
+	degrader := qos.NewDegrader(stub, qos.DegradeStep{Name: "tier-1", Proposal: tier(1)})
+	stub.AddObserver(slo.ObserverForStub(stub))
+	stub.AddObserver(degrader.WatchSLO(slo))
 	args := w.Octets(nil)
 	for i := 0; i < 16; i++ {
 		if _, err := stub.Call(ctx, "echo", args); err != nil {
 			tb.Fatal(err)
 		}
-		adaptor.Evaluate()
 	}
-	if adapted {
+	if degrader.Level() != 0 {
 		tb.Fatal("adaptation fired before degradation")
 	}
 
-	// Degrade the link and keep calling; the rule must fire. New
+	// Degrade the link and keep calling; the budget must burn. New
 	// connections pick up the link, so cut the old one.
 	w.Net.SetLink("client", "server", maqs.Link{Latency: 8 * time.Millisecond})
 	w.Net.Partition("client", "server")
 	w.Net.Heal("client", "server")
 	start = time.Now()
-	for i := 0; i < 64 && !adapted; i++ {
+	for i := 0; i < 128 && degrader.Level() != 1; i++ {
 		_, _ = stub.Call(ctx, "echo", args) // the first call after the partition may fail; retry
-		adaptor.Evaluate()
 	}
-	if !adapted {
+	if degrader.Level() != 1 {
 		tb.Fatal("adaptation never fired after degradation")
 	}
 	rows = append(rows, []string{
-		"adaptation (monitor→renegotiate)",
-		fmt.Sprintf("tier now %g after latency rule fired", stub.Binding().Contract.Number("tier", 0)),
+		"adaptation (SLO burn→Degrader)",
+		fmt.Sprintf("tier now %g after the latency budget burned", stub.Binding().Contract.Number("tier", 0)),
 		fmtDur(time.Since(start)),
 	})
 	return []string{"operation", "result", "latency"}, rows

@@ -200,8 +200,8 @@ func (s HistSnapshot) Quantile(q float64) time.Duration {
 	return time.Duration(s.Max)
 }
 
-// Mean returns the arithmetic mean (exact, from the running sum).
-func (s HistSnapshot) Mean() time.Duration {
+// mean returns the arithmetic mean (exact, from the running sum).
+func (s HistSnapshot) mean() time.Duration {
 	if s.Count == 0 {
 		return 0
 	}

@@ -33,7 +33,7 @@ func summarize(s HistSnapshot) LatencySummary {
 		P99Ns:  int64(s.Quantile(0.99)),
 		P999Ns: int64(s.Quantile(0.999)),
 		MaxNs:  int64(s.Quantile(1)),
-		MeanNs: int64(s.Mean()),
+		MeanNs: int64(s.mean()),
 	}
 }
 

@@ -117,6 +117,19 @@ func (w *WindowCounter) Sum(window time.Duration) uint64 {
 	return sum
 }
 
+// Reset zeroes every cell in place, without allocating a new ring. An Add
+// racing with it lands on either side of the reset.
+func (w *WindowCounter) Reset() {
+	if w == nil {
+		return
+	}
+	w.mu.Lock()
+	for i := range w.cells {
+		w.cells[i].v.Store(0)
+	}
+	w.mu.Unlock()
+}
+
 // Rate is Sum over the window expressed as events per second.
 func (w *WindowCounter) Rate(window time.Duration) float64 {
 	if w == nil || window <= 0 {

@@ -96,8 +96,25 @@ func TestWindowCounterRate(t *testing.T) {
 	}
 }
 
+func TestWindowCounterReset(t *testing.T) {
+	w := NewWindowCounter(10 * time.Second)
+	clk := &fakeClock{}
+	clk.set(7000)
+	clk.install(w)
+	w.Add(5)
+	clk.advance(1)
+	w.Add(3)
+	cells := &w.cells[0]
+	w.Reset()
+	w.Add(2) // the current second keeps counting after a reset
+	if got := w.Sum(10 * time.Second); got != 2 || &w.cells[0] != cells {
+		t.Fatalf("Sum after Reset + Add(2) = %d (new ring: %v), want 2 in the same ring", got, &w.cells[0] != cells)
+	}
+}
+
 func TestWindowCounterNilSafe(t *testing.T) {
 	var w *WindowCounter
+	w.Reset()
 	w.Add(1)
 	w.Inc()
 	if w.Sum(time.Minute) != 0 || w.Rate(time.Minute) != 0 {

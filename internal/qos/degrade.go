@@ -30,9 +30,9 @@ var errLadderExhausted = errors.New("qos: degradation ladder exhausted")
 // Degrader drives the paper's renegotiation machinery automatically:
 // instead of failing calls when the contract cannot be met, the binding
 // is renegotiated down a ladder of degraded contracts. It reacts to two
-// signals — sustained violation reported by a Monitor rule
-// (WatchMonitor) and endpoint health reported by the ORB's circuit
-// breakers (WatchBreakers) — and can be stepped manually with
+// signals — the SLO engine finding the contract's error budget burning
+// (WatchSLO) and endpoint health reported by the ORB's circuit breakers
+// (WatchBreakers) — and can be stepped manually with
 // Degrade/Recover. All reactions renegotiate asynchronously, off the
 // invocation path that triggered them.
 type Degrader struct {
@@ -173,16 +173,27 @@ func (d *Degrader) Recover(ctx context.Context) (*Contract, error) {
 	return contract, nil
 }
 
-// WatchMonitor returns an Observer (attach it with Stub.AddObserver)
-// that evaluates the given rules against the monitor after every call
-// and steps the ladder down when one is violated — the "sustained
-// contract violation" trigger.
-func (d *Degrader) WatchMonitor(m *Monitor, rules ...Rule) Observer {
-	a := NewAdaptor(m, func(r Rule, _ Stats) { d.degradeAsync("rule:" + r.Name) })
-	for _, r := range rules {
-		a.AddRule(r)
+// WatchSLO returns an Observer that steps the ladder down while an
+// objective of the observed call's class burns its error budget — the
+// "sustained contract violation" trigger; the contract's max_rtt_ms,
+// slo_target and max_error_rate are the policy. Attach it with
+// Stub.AddObserver after the engine's own observer (System.Stub attaches
+// that one first), so it reads the state the same call produced. It is
+// level-triggered: every call made while the class burns asks for a
+// step, and the cooldown and single flight bound that to one rung per
+// cooldown, so a failed step is retried by a later call.
+func (d *Degrader) WatchSLO(e *SLOEngine) Observer {
+	return func(o Observation) {
+		class := o.Characteristic
+		if class == "" {
+			class = "none"
+		}
+		if b := d.stub.Binding(); b != nil {
+			if objective, ok := e.burning(class, b.Contract); ok {
+				d.degradeAsync("slo-burn:" + class + "/" + objective)
+			}
+		}
 	}
-	return func(Observation) { a.Evaluate() }
 }
 
 // WatchBreakers reacts to the ORB's circuit breakers: a breaker opening

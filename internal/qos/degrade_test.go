@@ -24,12 +24,14 @@ func negotiateLevel(t *testing.T, w *qosWorld, level float64) {
 	}
 }
 
-// waitForLevel polls until the degrader reaches want (async renegotiation).
+// waitForLevel polls until the degrader is at want with no automatic
+// step in flight (async renegotiation): a step that has landed has also
+// ended its span and bumped its counters.
 func waitForLevel(t *testing.T, d *Degrader, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if d.Level() == want {
+		if d.Level() == want && !d.inflight.Load() {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -37,14 +39,56 @@ func waitForLevel(t *testing.T, d *Degrader, want int) {
 	t.Fatalf("degrader stuck at level %d, want %d", d.Level(), want)
 }
 
+// The rungs the Tracing ladders here are built from.
+var (
+	halfTracing = DegradeStep{Name: "half-tracing", Proposal: levelProposal(4)}
+	tracingOff  = DegradeStep{Name: "tracing-off", Proposal: levelProposal(0)}
+)
+
+// sloWorld negotiates level 9 on an observed world and stacks what
+// WatchSLO is built for on its stub: a test engine's observer, then a
+// Degrader's (cooldown 0) over steps.
+func sloWorld(t *testing.T, steps ...DegradeStep) (*qosWorld, *obs.Observability, *Degrader) {
+	w, bundle := newObservedWorld(t, 0)
+	negotiateLevel(t, w, 9)
+	e, _ := newTestSLOEngine(bundle.Registry, bundle.Flight)
+	d := NewDegrader(w.stub, steps...)
+	d.cooldown = 0
+	w.stub.AddObserver(e.ObserverForStub(w.stub))
+	w.stub.AddObserver(d.WatchSLO(e))
+	return w, bundle, d
+}
+
+// callUntil calls op until d reaches level (at most n calls), waits for
+// the step to land and returns how many calls failed.
+func callUntil(t *testing.T, w *qosWorld, d *Degrader, op string, level, n int) (failed int) {
+	t.Helper()
+	for i := 0; i < n && d.Level() < level; i++ {
+		if _, err := w.stub.Call(context.Background(), op, nil); err != nil {
+			failed++
+		}
+	}
+	waitForLevel(t, d, level)
+	return failed
+}
+
+// degradeReasons lists the reason of every qos.degrade span collected.
+func degradeReasons(bundle *obs.Observability) (reasons []string) {
+	for _, sp := range bundle.Collector.Snapshot() {
+		for _, a := range sp.Attrs {
+			if sp.Name == "qos.degrade" && a.Key == "reason" {
+				reasons = append(reasons, a.Value)
+			}
+		}
+	}
+	return reasons
+}
+
 func TestDegradeStepsDownLadderAndRecovers(t *testing.T) {
 	w, bundle := newObservedWorld(t, 0)
 	negotiateLevel(t, w, 9)
 
-	d := NewDegrader(w.stub,
-		DegradeStep{Name: "half-tracing", Proposal: levelProposal(4)},
-		DegradeStep{Name: "tracing-off", Proposal: levelProposal(0)},
-	)
+	d := NewDegrader(w.stub, halfTracing, tracingOff)
 	c, err := d.Degrade(context.Background(), "test")
 	if err != nil {
 		t.Fatal(err)
@@ -106,66 +150,81 @@ func TestDegradeStepsDownLadderAndRecovers(t *testing.T) {
 	}
 }
 
-func TestMonitorRuleTriggersAutomaticDegradation(t *testing.T) {
-	w, bundle := newObservedWorld(t, 0)
-	negotiateLevel(t, w, 9)
-
-	d := NewDegrader(w.stub, DegradeStep{Name: "tracing-off", Proposal: levelProposal(0)})
-	d.cooldown = 0
-	mon := NewMonitor(8)
-	w.stub.AddObserver(mon.Observe)
-	w.stub.AddObserver(d.WatchMonitor(mon, Rule{
-		Name:     "error-rate",
-		Violated: func(s Stats) bool { return s.Window >= 4 && s.ErrorRate > 0.5 },
-	}))
-
-	// Sustained violation: every call errors server-side.
-	for i := 0; i < 8; i++ {
-		_, err := w.stub.Call(context.Background(), "boom", nil)
-		if err == nil {
-			t.Fatal("boom should fail")
-		}
+func TestSLOBurnTriggersAutomaticDegradation(t *testing.T) {
+	w, bundle, d := sloWorld(t, tracingOff)
+	// Sustained violation: every call errors server-side, so the errors
+	// objective burns once the fast window holds its 10 samples.
+	if failed := callUntil(t, w, d, "boom", 1, 100); failed < sloMinSamples {
+		t.Fatalf("degraded after %d failed calls, want at least %d", failed, sloMinSamples)
 	}
-	waitForLevel(t, d, 1)
-
 	if got := w.stub.Binding().Contract.Number("level", -1); got != 0 {
 		t.Fatalf("auto-degraded contract level = %g, want 0", got)
 	}
-	// The automatic renegotiation is observable in the span collector. The
-	// degrading goroutine bumps the level before it ends its span, so the
-	// span may still be on its way.
-	var sp obs.SpanRecord
-	for deadline, ok := time.Now().Add(5*time.Second), false; !ok; time.Sleep(time.Millisecond) {
-		if sp, ok = spanByName(bundle.Collector.Snapshot(), "qos.degrade"); !ok && time.Now().After(deadline) {
-			t.Fatal("no qos.degrade span collected after automatic degradation")
-		}
-	}
-	var reason string
-	for _, a := range sp.Attrs {
-		if a.Key == "reason" {
-			reason = a.Value
-		}
-	}
-	if reason != "rule:error-rate" {
-		t.Fatalf("qos.degrade reason = %q, want rule:error-rate", reason)
+	if reasons := degradeReasons(bundle); len(reasons) != 1 || reasons[0] != "slo-burn:Tracing/errors" {
+		t.Fatalf("qos.degrade reasons = %q, want [slo-burn:Tracing/errors]", reasons)
 	}
 	if _, ok := spanByName(bundle.Collector.Snapshot(), "qos.renegotiate"); !ok {
 		t.Fatal("automatic degradation did not renegotiate")
 	}
-	// ContractChanged reached the mediator.
 	w.mediator.mu.Lock()
-	contracts := len(w.mediator.contracts)
-	w.mediator.mu.Unlock()
-	if contracts == 0 {
+	defer w.mediator.mu.Unlock()
+	if len(w.mediator.contracts) == 0 {
 		t.Fatal("mediator saw no ContractChanged")
 	}
+}
+
+func TestSLOBurnWalksTheLadderDown(t *testing.T) {
+	w, bundle, d := sloWorld(t, halfTracing, tracingOff)
+	// Trouble persists on every rung: each new contract starts a new
+	// budget, burns it, and the next rung follows.
+	callUntil(t, w, d, "boom", 2, 200)
+	if reasons := degradeReasons(bundle); len(reasons) != 2 || reasons[0] != "slo-burn:Tracing/errors" || reasons[1] != reasons[0] {
+		t.Fatalf("qos.degrade reasons = %q, want slo-burn:Tracing/errors twice", reasons)
+	}
+}
+
+func TestSLOBurnDoesNotOverDegrade(t *testing.T) {
+	w, _, d := sloWorld(t, tracingOff, halfTracing)
+	w.impl.mu.Lock()
+	w.impl.failFrom = 5
+	w.impl.mu.Unlock()
+	callUntil(t, w, d, "inc", 1, 100)
+	// The first rung fixed the problem. Without a new budget the old
+	// contract's failures would keep the class burning for the whole fast
+	// window and take the second rung too.
+	for i := 0; i < 40; i++ {
+		w.inc(t)
+	}
+	waitForLevel(t, d, 1)
+}
+
+func TestSLOBurnRetriesAFailedStep(t *testing.T) {
+	w, bundle, d := sloWorld(t, tracingOff)
+	w.impl.mu.Lock()
+	w.impl.vetoNext = true // the server refuses the first renegotiation
+	w.impl.mu.Unlock()
+	callUntil(t, w, d, "boom", 1, 200)
+	if n := bundle.Registry.Counter("maqs_qos_degradation_failures_total").Value(); n != 1 {
+		t.Fatalf("maqs_qos_degradation_failures_total = %d, want 1 refused step", n)
+	}
+}
+
+func TestSLOWatchStepsOncePerCooldown(t *testing.T) {
+	w, _, d := sloWorld(t, halfTracing, tracingOff)
+	d.cooldown = time.Hour
+	callUntil(t, w, d, "boom", 1, 100)
+	// The new contract burns too, but the cooldown holds the next rung.
+	for i := 0; i < 40; i++ {
+		_, _ = w.stub.Call(context.Background(), "boom", nil)
+	}
+	waitForLevel(t, d, 1)
 }
 
 func TestBreakerTransitionsTriggerPendingDegradation(t *testing.T) {
 	w, _ := newObservedWorld(t, 0)
 	negotiateLevel(t, w, 9)
 
-	d := NewDegrader(w.stub, DegradeStep{Name: "tracing-off", Proposal: levelProposal(0)})
+	d := NewDegrader(w.stub, tracingOff)
 	d.cooldown = 0
 	g := resilience.NewGroup(resilience.BreakerPolicy{
 		FailureThreshold: 1, OpenTimeout: time.Millisecond, HalfOpenProbes: 1,

@@ -12,8 +12,8 @@ import (
 // counters, payload byte counters and the round-trip latency histogram
 // (overall and per class). Instruments are resolved once here,
 // so the per-observation cost is a handful of atomic updates. Attach it
-// with Stub.AddObserver so it coexists with a qos.Monitor (maqs.System
-// attaches it automatically when observability is enabled).
+// with Stub.AddObserver so it coexists with the SLO engine's observer
+// (maqs.System attaches both automatically when observability is enabled).
 func MetricsObserver(reg *obs.Registry) Observer {
 	requests := reg.Counter("maqs_client_requests_total")
 	errors := reg.Counter("maqs_client_errors_total")

@@ -3,7 +3,6 @@ package qos
 import (
 	"context"
 	"testing"
-	"time"
 
 	"maqs/internal/netsim"
 	"maqs/internal/obs"
@@ -183,15 +182,13 @@ func TestStubObserverFanOut(t *testing.T) {
 	w.stub.AddObserver(NewSLOEngine(bundle.Registry, bundle.Flight).ObserverForStub(w.stub))
 	negotiateLevel(t, w, 3)
 
-	mon := NewMonitor(16)
 	var probed []Observation
-	w.stub.AddObserver(mon.Observe)
 	w.stub.AddObserver(func(o Observation) { probed = append(probed, o) })
 	for i := 0; i < 3; i++ {
 		w.inc(t)
 	}
-	if st := mon.Snapshot(); st.Count != 3 || len(probed) != 3 {
-		t.Fatalf("fan-out: monitor saw %d, probe %d, want 3 each", st.Count, len(probed))
+	if len(probed) != 3 {
+		t.Fatalf("fan-out: probe saw %d, want 3", len(probed))
 	}
 	snap := bundle.Registry.Snapshot()
 	if got := snap.Counters["maqs_client_requests_total"]; got != 3 {
@@ -254,24 +251,5 @@ func TestNegotiationLifecycleEvents(t *testing.T) {
 	}
 	if !foundServerEvent {
 		t.Fatal("no server-side qos lifecycle event recorded")
-	}
-}
-
-func TestMonitorEWMASeeding(t *testing.T) {
-	m := NewMonitor(8)
-	// A genuine zero RTT as the very first observation must count as the
-	// seed: the next observation is smoothed against 0, not treated as a
-	// fresh seed.
-	m.Observe(Observation{RTT: 0})
-	m.Observe(Observation{RTT: 100 * time.Millisecond})
-	if got := m.Snapshot().EWMA; got != 20*time.Millisecond {
-		t.Fatalf("EWMA after 0ns seed + 100ms = %v, want 20ms", got)
-	}
-
-	// Non-zero first observation seeds directly.
-	m2 := NewMonitor(8)
-	m2.Observe(Observation{RTT: 50 * time.Millisecond})
-	if got := m2.Snapshot().EWMA; got != 50*time.Millisecond {
-		t.Fatalf("EWMA seed = %v, want 50ms", got)
 	}
 }

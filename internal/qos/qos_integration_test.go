@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"maqs/internal/cdr"
 	"maqs/internal/giop"
@@ -52,6 +51,9 @@ type tracingImpl struct {
 	downs    int
 	lastErr  error
 	vetoNext bool
+	// failFrom, when positive, makes Prolog refuse calls under a contract
+	// whose level is at least failFrom.
+	failFrom float64
 }
 
 func newTracingImpl(capacity int) *tracingImpl {
@@ -93,6 +95,9 @@ func (i *tracingImpl) Prolog(req *orb.ServerRequest, b *Binding) error {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	i.prologs++
+	if level := b.Contract.Number("level", 0); i.failFrom > 0 && level >= i.failFrom {
+		return orb.NewSystemException(orb.ExcNoResources, 1, "level %g over capacity", level)
+	}
 	return nil
 }
 
@@ -545,70 +550,23 @@ func TestQueryOffers(t *testing.T) {
 	}
 }
 
-func TestObserverAndMonitor(t *testing.T) {
+func TestObserverSeesEveryCall(t *testing.T) {
 	w := newQoSWorld(t, 0)
-	mon := NewMonitor(16)
-	w.stub.AddObserver(mon.Observe)
+	var seen []Observation
+	w.stub.AddObserver(func(o Observation) { seen = append(seen, o) })
 	for i := 0; i < 10; i++ {
 		w.inc(t)
 	}
 	if _, err := w.stub.Call(context.Background(), "boom", nil); err == nil {
 		t.Fatal("boom succeeded")
 	}
-	st := mon.Snapshot()
-	if st.Count != 11 || st.Errors != 1 || st.Window != 11 {
-		t.Fatalf("stats = %+v", st)
+	if len(seen) != 11 {
+		t.Fatalf("observed %d calls, want 11", len(seen))
 	}
-	if st.Mean <= 0 || st.P95 < st.P50 || st.Max < st.P95 || st.EWMA <= 0 {
-		t.Fatalf("latency stats inconsistent: %+v", st)
-	}
-	if st.ErrorRate <= 0 || st.ErrorRate > 0.2 {
-		t.Fatalf("error rate = %g", st.ErrorRate)
-	}
-}
-
-func TestAdaptorFiresOncePerCooldown(t *testing.T) {
-	mon := NewMonitor(8)
-	for i := 0; i < 8; i++ {
-		mon.Observe(Observation{RTT: 100 * time.Millisecond, At: time.Now()})
-	}
-	var fired int
-	a := NewAdaptor(mon, func(Rule, Stats) { fired++ })
-	a.AddRule(Rule{
-		Name:     "latency",
-		Violated: func(s Stats) bool { return s.Mean > 10*time.Millisecond },
-		Cooldown: time.Hour,
-	})
-	a.AddRule(Rule{
-		Name:     "never",
-		Violated: func(s Stats) bool { return false },
-	})
-	if got := a.Evaluate(); len(got) != 1 || got[0] != "latency" {
-		t.Fatalf("fired = %v", got)
-	}
-	if got := a.Evaluate(); len(got) != 0 {
-		t.Fatalf("cooldown ignored: %v", got)
-	}
-	if fired != 1 {
-		t.Fatalf("actions = %d", fired)
-	}
-}
-
-func TestMonitorWindowSlides(t *testing.T) {
-	mon := NewMonitor(4)
-	for i := 0; i < 10; i++ {
-		mon.Observe(Observation{RTT: time.Duration(i+1) * time.Millisecond, At: time.Now()})
-	}
-	st := mon.Snapshot()
-	if st.Window != 4 || st.Count != 10 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// Window holds the last 4 observations: 7,8,9,10 ms.
-	if st.Max != 10*time.Millisecond {
-		t.Fatalf("max = %v", st.Max)
-	}
-	if st.Mean != (7+8+9+10)*time.Millisecond/4 {
-		t.Fatalf("mean = %v", st.Mean)
+	for i, o := range seen {
+		if o.RTT <= 0 || o.At.IsZero() || o.Characteristic != "" || (o.Err != nil) != (o.Operation == "boom") {
+			t.Fatalf("observation %d = %+v", i, o)
+		}
 	}
 }
 

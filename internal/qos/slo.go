@@ -40,11 +40,11 @@ const (
 	sloSlowWindow   = time.Minute
 	sloBudgetWindow = 5 * time.Minute
 
-	// defaultWarnBurnRate marks budget consumption 2x faster than
-	// sustainable; defaultCriticalBurnRate (10x) empties a 5m budget
-	// view in 30s and is the dump/degrade trigger.
-	defaultWarnBurnRate     = 2.0
-	defaultCriticalBurnRate = 10.0
+	// warnBurnRate marks budget consumption 2x faster than sustainable;
+	// criticalBurnRate (10x) empties a 5m budget view in 30s and is the
+	// dump/degrade trigger.
+	warnBurnRate     = 2.0
+	criticalBurnRate = 10.0
 
 	// sloMinSamples is the fast-window event floor below which the state
 	// machine will not escalate: a single bad request out of two must
@@ -56,21 +56,21 @@ const (
 	sloEvalInterval = 250 * time.Millisecond
 )
 
-// SLOState is one objective's alert state.
-type SLOState int32
+// sloState is one objective's alert state.
+type sloState int32
 
 const (
-	SLOOk SLOState = iota
-	SLOWarning
-	SLOBurning
+	sloOK sloState = iota
+	sloWarning
+	sloBurning
 )
 
 // String renders the state for JSON and logs.
-func (s SLOState) String() string {
+func (s sloState) String() string {
 	switch s {
-	case SLOWarning:
+	case sloWarning:
 		return "warning"
-	case SLOBurning:
+	case sloBurning:
 		return "burning"
 	default:
 		return "ok"
@@ -93,22 +93,11 @@ type Objective struct {
 	MaxRTT time.Duration
 }
 
-// BurnEvent describes one objective state transition, delivered to
-// onBurn hooks (and through them to the Degrader).
-type BurnEvent struct {
-	Class     string
-	Objective string
-	State     SLOState
-	FastBurn  float64
-	SlowBurn  float64
-	// DumpID is the frozen flight dump when the transition entered
-	// burning ("" when cooldown-suppressed or no recorder).
-	DumpID string
-}
-
 // objectiveState is one objective's live counters and alert state.
 type objectiveState struct {
-	mu  sync.Mutex // guards target/maxRTT updates on renegotiation
+	// mu guards obj. Writers hold the class's mu as well, so code holding
+	// either lock may read it.
+	mu  sync.Mutex
 	obj Objective
 
 	good *obs.WindowCounter
@@ -122,15 +111,41 @@ type objectiveState struct {
 	lastEval atomic.Int64 // unix nanos of the last state evaluation
 }
 
+// objective snapshots obj.
+func (os *objectiveState) objective() Objective {
+	os.mu.Lock()
+	defer os.mu.Unlock()
+	return os.obj
+}
+
+// reset starts a new budget: empty windows, state back to ok. The
+// cumulative good/bad counters keep counting.
+func (os *objectiveState) reset() {
+	os.good.Reset()
+	os.bad.Reset()
+	os.state.Store(int32(sloOK))
+	os.stateG.Set(int64(sloOK))
+}
+
 // classSLO groups one QoS class's objectives.
 type classSLO struct {
 	class string
-	// contract is the contract the objectives were last derived from,
-	// so renegotiation re-derives exactly once.
+	// contract is the contract whose budget the objectives keep: the one
+	// that last set them (SetObjectivesFromContract).
 	contract atomic.Pointer[Contract]
 
 	mu         sync.Mutex
 	objectives []*objectiveState
+}
+
+// byName finds an objective; the caller holds cs.mu.
+func (cs *classSLO) byName(name string) *objectiveState {
+	for _, os := range cs.objectives {
+		if os.obj.Name == name {
+			return os
+		}
+	}
+	return nil
 }
 
 // SLOEngine scores client observations against contract-derived
@@ -139,8 +154,8 @@ type classSLO struct {
 // ok → warning → burning alert state machine. A single observation over
 // a latency objective's bound freezes an obs.AnomalyQoSViolation dump
 // (the recorder's per-kind cooldown bounds how many); entering burning
-// freezes an obs.AnomalySLOBurn dump and notifies hooks — wiring the
-// Degrader in makes ladder descent budget-driven instead of
+// freezes an obs.AnomalySLOBurn dump. Degrader.WatchSLO acts on the
+// burning state, so ladder descent is budget-driven instead of
 // single-violation-driven. A nil *SLOEngine is disabled: every method
 // is a no-op.
 type SLOEngine struct {
@@ -149,10 +164,6 @@ type SLOEngine struct {
 
 	mu      sync.Mutex
 	classes map[string]*classSLO
-	hooks   []func(BurnEvent)
-
-	warn     float64
-	critical float64
 
 	// evalEvery throttles per-objective state evaluation; tests set 0
 	// to evaluate on every observation.
@@ -173,76 +184,28 @@ func NewSLOEngine(reg *obs.Registry, fr *obs.FlightRecorder) *SLOEngine {
 		reg:       reg,
 		fr:        fr,
 		classes:   map[string]*classSLO{},
-		warn:      defaultWarnBurnRate,
-		critical:  defaultCriticalBurnRate,
 		evalEvery: sloEvalInterval,
 		now:       time.Now,
 		newWindow: func() *obs.WindowCounter { return obs.NewWindowCounter(sloBudgetWindow) },
 	}
 }
 
-// onBurn registers a hook receiving every objective state transition.
-// Hooks run synchronously on the observation path that triggered the
-// transition and must not block.
-func (e *SLOEngine) onBurn(fn func(BurnEvent)) {
-	if e == nil || fn == nil {
-		return
-	}
-	e.mu.Lock()
-	e.hooks = append(e.hooks, fn)
-	e.mu.Unlock()
-}
-
-// NotifyDegrader steps the degradation ladder whenever an objective
-// enters burning: the budget, not a single violation, drives descent.
-func (e *SLOEngine) NotifyDegrader(d *Degrader) {
-	if e == nil || d == nil {
-		return
-	}
-	e.onBurn(func(ev BurnEvent) {
-		if ev.State == SLOBurning {
-			d.degradeAsync(fmt.Sprintf("slo-burn:%s/%s", ev.Class, ev.Objective))
-		}
-	})
-}
-
 // SetLatencySink registers a callback receiving each class's latency
-// bound as objectives install or re-derive. maqs.System wires the tail
-// sampler's slow threshold through it.
+// bound as objectives are set (0 when a new contract drops it). Bounds
+// set before the call are not replayed: maqs.System wires the tail
+// sampler's slow threshold through it as soon as it builds the engine.
 func (e *SLOEngine) SetLatencySink(fn func(class string, maxRTT time.Duration)) {
 	if e == nil || fn == nil {
 		return
 	}
 	e.latencySink.Store(&fn)
-	// Replay bounds already installed, so a sink registered after
-	// negotiation still learns them.
-	e.mu.Lock()
-	classes := make([]*classSLO, 0, len(e.classes))
-	for _, cs := range e.classes {
-		classes = append(classes, cs)
-	}
-	e.mu.Unlock()
-	for _, cs := range classes {
-		cs.mu.Lock()
-		for _, os := range cs.objectives {
-			os.mu.Lock()
-			maxRTT := os.obj.MaxRTT
-			os.mu.Unlock()
-			if maxRTT > 0 {
-				fn(cs.class, maxRTT)
-			}
-		}
-		cs.mu.Unlock()
-	}
 }
 
-// notifyLatencySink forwards an installed latency bound to the sink.
-func (e *SLOEngine) notifyLatencySink(class string, obj Objective) {
-	if obj.MaxRTT <= 0 {
-		return
-	}
+// notifyLatencySink forwards a class's latency bound to the sink (0: the
+// class no longer has one).
+func (e *SLOEngine) notifyLatencySink(class string, maxRTT time.Duration) {
 	if fn := e.latencySink.Load(); fn != nil {
-		(*fn)(class, obj.MaxRTT)
+		(*fn)(class, maxRTT)
 	}
 }
 
@@ -256,27 +219,29 @@ func (e *SLOEngine) SetObjective(class string, obj Objective) {
 	if obj.Target <= 0 || obj.Target >= 1 {
 		obj.Target = defaultSLOTarget
 	}
-	defer e.notifyLatencySink(class, obj)
+	if obj.MaxRTT > 0 {
+		defer e.notifyLatencySink(class, obj.MaxRTT)
+	}
 	cs := e.classFor(class)
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	for _, os := range cs.objectives {
-		if os.obj.Name == obj.Name {
-			os.mu.Lock()
-			os.obj = obj
-			os.mu.Unlock()
-			return
-		}
+	if os := cs.byName(obj.Name); os != nil {
+		os.mu.Lock()
+		os.obj = obj
+		os.mu.Unlock()
+		return
 	}
 	cs.objectives = append(cs.objectives, e.newObjective(class, obj))
 }
 
-// SetObjectivesFromContract derives a class's objectives from
-// negotiated contract terms: max_rtt_ms > 0 yields a latency objective
-// (target from slo_target, default defaultSLOTarget) and every
-// contract yields an errors objective whose budget comes from
-// max_error_rate (default 1 - target). Calling it again with a changed
-// contract re-derives in place, keeping the rolling windows.
+// SetObjectivesFromContract makes a class's objectives the ones the
+// negotiated contract states, and starts a new budget: max_rtt_ms > 0
+// yields a latency objective (target from slo_target, default
+// defaultSLOTarget) and every contract yields an errors objective whose
+// budget comes from max_error_rate (default 1 - target). Objectives the
+// contract does not state are dropped; the others restart with empty
+// windows in state ok, so the previous contract's bad events do not
+// judge this one. The cumulative good/bad counters keep counting.
 func (e *SLOEngine) SetObjectivesFromContract(class string, c *Contract) {
 	if e == nil || c == nil {
 		return
@@ -285,43 +250,91 @@ func (e *SLOEngine) SetObjectivesFromContract(class string, c *Contract) {
 	if target <= 0 || target >= 1 {
 		target = defaultSLOTarget
 	}
-	if maxMs := c.Number(ContractMaxRTTMs, 0); maxMs > 0 {
-		e.SetObjective(class, Objective{
-			Name:   "latency",
-			Target: target,
-			MaxRTT: time.Duration(maxMs * float64(time.Millisecond)),
-		})
-	}
 	errTarget := target
 	if rate := c.Number(ContractMaxErrorRate, 0); rate > 0 && rate < 1 {
 		errTarget = 1 - rate
 	}
-	e.SetObjective(class, Objective{Name: "errors", Target: errTarget})
+	stated := []Objective{{Name: "errors", Target: errTarget}}
+	var bound time.Duration
+	if maxMs := c.Number(ContractMaxRTTMs, 0); maxMs > 0 {
+		bound = time.Duration(maxMs * float64(time.Millisecond))
+		stated = append(stated, Objective{Name: "latency", Target: target, MaxRTT: bound})
+	}
+
+	cs := e.classFor(class)
+	cs.mu.Lock()
+	var before time.Duration // the class's latency bound until now
+	for _, os := range cs.objectives {
+		os.reset()
+		before = max(before, os.obj.MaxRTT)
+	}
+	objectives := make([]*objectiveState, 0, len(stated))
+	for _, obj := range stated {
+		os := cs.byName(obj.Name)
+		if os == nil {
+			os = e.newObjective(class, obj)
+		}
+		os.mu.Lock()
+		os.obj = obj
+		os.mu.Unlock()
+		objectives = append(objectives, os)
+	}
+	cs.objectives = objectives
+	cs.contract.Store(c)
+	cs.mu.Unlock()
+	if bound > 0 || before > 0 {
+		e.notifyLatencySink(class, bound)
+	}
 }
 
 // ObserverForStub scores every observation of s against its current
-// binding's contract, deriving (and re-deriving after renegotiation)
-// objectives on the fly. Attach with Stub.AddObserver; maqs.System
-// does it automatically.
+// binding's contract. The stub's first contract, and every renegotiated
+// one, sets the class's objectives (SetObjectivesFromContract) before
+// the call is scored: a new contract starts a new budget. Attach with
+// Stub.AddObserver; maqs.System does it automatically.
 func (e *SLOEngine) ObserverForStub(s *Stub) Observer {
 	if e == nil || s == nil {
 		return func(Observation) {}
 	}
+	// seen is the contract this stub's calls were last scored under. It
+	// is per stub, not per class, so stubs that share a class do not
+	// restart its budget on every alternation; the CompareAndSwap lets
+	// exactly one of the stub's concurrent observers restart it.
+	var seen atomic.Pointer[Contract]
 	return func(o Observation) {
 		b := s.Binding()
 		if b == nil || b.Contract == nil {
 			return
 		}
-		class := b.Characteristic
-		cs := e.classFor(class)
-		if cs.contract.Load() != b.Contract {
-			// First sight of this contract (or a renegotiated one):
-			// derive objectives before scoring.
-			cs.contract.Store(b.Contract)
-			e.SetObjectivesFromContract(class, b.Contract)
+		if prev := seen.Load(); prev != b.Contract && seen.CompareAndSwap(prev, b.Contract) {
+			e.SetObjectivesFromContract(b.Characteristic, b.Contract)
 		}
-		e.Observe(class, o)
+		e.Observe(b.Characteristic, o)
 	}
+}
+
+// burning names a burning objective of class, provided the class's
+// budget belongs to contract c. Until c's first observation restarts the
+// class, its state still judges the previous contract, so a Degrader
+// that has just stepped does not take it for a verdict on the new one.
+func (e *SLOEngine) burning(class string, c *Contract) (objective string, ok bool) {
+	if e == nil {
+		return "", false
+	}
+	e.mu.Lock()
+	cs := e.classes[class]
+	e.mu.Unlock()
+	if cs == nil || cs.contract.Load() != c {
+		return "", false
+	}
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	for _, os := range cs.objectives {
+		if sloState(os.state.Load()) == sloBurning {
+			return os.obj.Name, true
+		}
+	}
+	return "", false
 }
 
 // Observer scores observations under a fixed class label (for callers
@@ -343,9 +356,7 @@ func (e *SLOEngine) Observe(class string, o Observation) {
 	objectives := cs.objectives
 	cs.mu.Unlock()
 	for _, os := range objectives {
-		os.mu.Lock()
-		obj := os.obj
-		os.mu.Unlock()
+		obj := os.objective()
 		overBound := obj.MaxRTT > 0 && o.RTT > obj.MaxRTT
 		if overBound {
 			e.fr.Trigger(obs.AnomalyQoSViolation, obs.FlightRecord{
@@ -415,13 +426,8 @@ func (os *objectiveState) burn(window time.Duration) float64 {
 	if total == 0 {
 		return 0
 	}
-	os.mu.Lock()
-	budget := 1 - os.obj.Target
-	os.mu.Unlock()
-	if budget <= 0 {
-		budget = 1 - defaultSLOTarget
-	}
-	return (float64(bad) / float64(total)) / budget
+	// Targets are clamped into (0, 1) when set, so the budget is positive.
+	return (float64(bad) / float64(total)) / (1 - os.objective().Target)
 }
 
 // maybeEval runs the alert state machine, throttled to evalEvery per
@@ -440,41 +446,29 @@ func (e *SLOEngine) maybeEval(class string, os *objectiveState) {
 	slow := os.burn(sloSlowWindow)
 	samples := os.good.Sum(sloFastWindow) + os.bad.Sum(sloFastWindow)
 
-	e.mu.Lock()
-	warn, critical := e.warn, e.critical
-	hooks := e.hooks
-	e.mu.Unlock()
-
-	next := SLOOk
+	next := sloOK
 	switch {
 	case samples < sloMinSamples:
 		// Too few events to judge; hold the current state rather than
 		// flapping on single requests.
 		return
-	case fast >= critical && slow >= critical:
-		next = SLOBurning
-	case fast >= warn && slow >= warn:
-		next = SLOWarning
+	case fast >= criticalBurnRate && slow >= criticalBurnRate:
+		next = sloBurning
+	case fast >= warnBurnRate && slow >= warnBurnRate:
+		next = sloWarning
 	}
 
-	prev := SLOState(os.state.Swap(int32(next)))
+	prev := sloState(os.state.Swap(int32(next)))
 	os.stateG.Set(int64(next))
-	if prev == next {
-		return
-	}
-
-	ev := BurnEvent{Class: class, Objective: os.obj.Name, State: next, FastBurn: fast, SlowBurn: slow}
-	if next == SLOBurning {
-		ev.DumpID = e.fr.Trigger(obs.AnomalySLOBurn, obs.FlightRecord{
+	if next == sloBurning && prev != sloBurning {
+		obj := os.objective()
+		e.fr.Trigger(obs.AnomalySLOBurn, obs.FlightRecord{
 			Operation: "(slo)",
 			Binding:   class,
 			Stripe:    -1,
 			Outcome: fmt.Sprintf("%s burn fast=%.1f slow=%.1f target=%.3f",
-				os.obj.Name, fast, slow, os.obj.Target),
+				obj.Name, fast, slow, obj.Target),
 		})
-	}
-	for _, h := range hooks {
-		h(ev)
 	}
 }
 
@@ -521,35 +515,23 @@ func (e *SLOEngine) Status() SLOStatus {
 	for _, cs := range classes {
 		cls := SLOClassStatus{Class: cs.class, Objectives: []SLOObjectiveStatus{}}
 		cs.mu.Lock()
-		objectives := append([]*objectiveState(nil), cs.objectives...)
+		objectives := cs.objectives
 		cs.mu.Unlock()
-		sort.Slice(objectives, func(i, j int) bool { return objectives[i].obj.Name < objectives[j].obj.Name })
 		for _, os := range objectives {
-			os.mu.Lock()
-			obj := os.obj
-			os.mu.Unlock()
-			good := os.good.Sum(sloBudgetWindow)
-			bad := os.bad.Sum(sloBudgetWindow)
-			s := SLOObjectiveStatus{
-				Objective: obj.Name,
-				Target:    obj.Target,
-				State:     SLOState(os.state.Load()).String(),
-				FastBurn:  os.burn(sloFastWindow),
-				SlowBurn:  os.burn(sloSlowWindow),
-				Good:      good,
-				Bad:       bad,
-			}
-			if obj.MaxRTT > 0 {
-				s.MaxRTTMs = float64(obj.MaxRTT) / float64(time.Millisecond)
-			}
-			budget := 1 - obj.Target
-			if total := good + bad; total > 0 && budget > 0 {
-				s.BudgetRemaining = 1 - (float64(bad)/float64(total))/budget
-			} else {
-				s.BudgetRemaining = 1
-			}
-			cls.Objectives = append(cls.Objectives, s)
+			obj := os.objective()
+			cls.Objectives = append(cls.Objectives, SLOObjectiveStatus{
+				Objective:       obj.Name,
+				Target:          obj.Target,
+				MaxRTTMs:        float64(obj.MaxRTT) / float64(time.Millisecond),
+				State:           sloState(os.state.Load()).String(),
+				FastBurn:        os.burn(sloFastWindow),
+				SlowBurn:        os.burn(sloSlowWindow),
+				BudgetRemaining: 1 - os.burn(sloBudgetWindow),
+				Good:            os.good.Sum(sloBudgetWindow),
+				Bad:             os.bad.Sum(sloBudgetWindow),
+			})
 		}
+		sort.Slice(cls.Objectives, func(i, j int) bool { return cls.Objectives[i].Objective < cls.Objectives[j].Objective })
 		st.Classes = append(st.Classes, cls)
 	}
 	return st

@@ -178,48 +178,41 @@ func TestSLOEngineSkipsCallsWithoutRTTBound(t *testing.T) {
 	nilFR.ObserverForStub(boundStub(1))(Observation{Operation: "fetch", RTT: time.Hour})
 }
 
+// state reads one objective's alert state.
+func state(e *SLOEngine, class, objective string) string {
+	return sloState(e.classFor(class).byName(objective).state.Load()).String()
+}
+
 func TestSLOEngineBurnStateMachine(t *testing.T) {
 	reg := obs.NewRegistry()
 	fr := obs.NewFlightRecorder(64, 8, 8)
 	e, clk := newTestSLOEngine(reg, fr)
 	e.SetObjective("gold", Objective{Name: "errors", Target: 0.99})
 
-	var events []BurnEvent
-	e.onBurn(func(ev BurnEvent) { events = append(events, ev) })
-
 	// 20 straight failures: burn = (bad/total)/budget = 1/0.01 = 100 on
 	// both windows, far over critical.
 	observeN(e, "gold", 20, errors.New("boom"))
 
-	if len(events) != 1 {
-		t.Fatalf("events = %+v, want exactly one transition", events)
+	if got := state(e, "gold", "errors"); got != "burning" {
+		t.Fatalf("state = %s, want burning", got)
 	}
-	ev := events[0]
-	if ev.State != SLOBurning || ev.Class != "gold" || ev.Objective != "errors" {
-		t.Fatalf("event = %+v, want gold/errors burning", ev)
+	st := e.Status().Classes[0].Objectives[0]
+	if st.FastBurn < criticalBurnRate || st.SlowBurn < criticalBurnRate {
+		t.Fatalf("burn rates %g/%g below critical", st.FastBurn, st.SlowBurn)
 	}
-	if ev.FastBurn < defaultCriticalBurnRate || ev.SlowBurn < defaultCriticalBurnRate {
-		t.Fatalf("burn rates %g/%g below critical", ev.FastBurn, ev.SlowBurn)
+	// Entering burning froze exactly one slo-burn dump, not one per call.
+	if dumps := fr.Dumps(); len(dumps) != 1 || dumps[0].Kind != obs.AnomalySLOBurn {
+		t.Fatalf("dumps = %+v, want one %s", dumps, obs.AnomalySLOBurn)
 	}
-	if ev.DumpID == "" {
-		t.Fatal("burning transition froze no flight dump")
-	}
-	dump, ok := fr.Dump(ev.DumpID)
-	if !ok {
-		t.Fatalf("dump %q not retrievable", ev.DumpID)
-	}
-	if dump.Trigger.Anomaly != obs.AnomalySLOBurn {
-		t.Fatalf("dump anomaly = %q, want %q", dump.Trigger.Anomaly, obs.AnomalySLOBurn)
-	}
-	if got := reg.Snapshot().Gauges[`maqs_slo_state{class="gold",objective="errors"}`]; got != int64(SLOBurning) {
-		t.Fatalf("state gauge = %d, want %d", got, SLOBurning)
+	if got := reg.Snapshot().Gauges[`maqs_slo_state{class="gold",objective="errors"}`]; got != int64(sloBurning) {
+		t.Fatalf("state gauge = %d, want %d", got, sloBurning)
 	}
 
 	// Past both windows the bad events age out; healthy traffic recovers.
 	clk.advance(70)
 	observeN(e, "gold", 20, nil)
-	if len(events) != 2 || events[1].State != SLOOk {
-		t.Fatalf("events = %+v, want recovery to ok", events)
+	if got := state(e, "gold", "errors"); got != "ok" {
+		t.Fatalf("state after recovery = %s, want ok", got)
 	}
 }
 
@@ -227,16 +220,13 @@ func TestSLOEngineWarningBetweenThresholds(t *testing.T) {
 	e, _ := newTestSLOEngine(obs.NewRegistry(), nil)
 	e.SetObjective("silver", Objective{Name: "errors", Target: 0.9})
 
-	var events []BurnEvent
-	e.onBurn(func(ev BurnEvent) { events = append(events, ev) })
-
 	// 3 bad / 10 total with a 0.1 budget: burn 3 — over warn (2), under
 	// critical (10).
 	observeN(e, "silver", 7, nil)
 	observeN(e, "silver", 3, errors.New("boom"))
 
-	if len(events) != 1 || events[0].State != SLOWarning {
-		t.Fatalf("events = %+v, want one warning transition", events)
+	if got := state(e, "silver", "errors"); got != "warning" {
+		t.Fatalf("state = %s, want warning", got)
 	}
 }
 
@@ -244,14 +234,11 @@ func TestSLOEngineMinSamplesHoldsState(t *testing.T) {
 	e, _ := newTestSLOEngine(obs.NewRegistry(), nil)
 	e.SetObjective("gold", Objective{Name: "errors", Target: 0.99})
 
-	var events []BurnEvent
-	e.onBurn(func(ev BurnEvent) { events = append(events, ev) })
-
 	// 5 failures is a 100x burn but under the sample floor: one flaky
 	// request out of a handful must not page.
 	observeN(e, "gold", 5, errors.New("boom"))
-	if len(events) != 0 {
-		t.Fatalf("state changed on %d samples: %+v", 5, events)
+	if got := state(e, "gold", "errors"); got != "ok" {
+		t.Fatalf("state changed on 5 samples: %s", got)
 	}
 }
 
@@ -293,18 +280,31 @@ func TestSLOEngineStatusBudget(t *testing.T) {
 	}
 }
 
+// The engine tells a watching Degrader about a burning objective: the
+// watch steps the ladder only once the binding's contract is burning.
 func TestSLOEngineNotifyDegrader(t *testing.T) {
 	w, bundle := newObservedWorld(t, 0)
 	negotiateLevel(t, w, 9)
-	d := NewDegrader(w.stub, DegradeStep{Name: "tracing-off", Proposal: levelProposal(0)})
+	d := NewDegrader(w.stub, tracingOff)
 	d.cooldown = 0
 
 	e, _ := newTestSLOEngine(bundle.Registry, bundle.Flight)
-	e.SetObjective("Tracing", Objective{Name: "errors", Target: 0.99})
-	e.NotifyDegrader(d)
+	e.SetObjectivesFromContract("Tracing", w.stub.Binding().Contract)
+	watch := d.WatchSLO(e)
+	tick := Observation{Characteristic: "Tracing", Operation: "inc"}
+
+	observeN(e, "Tracing", 20, nil)
+	watch(tick)
+	if d.Level() != 0 || d.inflight.Load() {
+		t.Fatal("degrader stepped while the class was healthy")
+	}
 
 	observeN(e, "Tracing", 20, errors.New("boom"))
+	watch(tick)
 	waitForLevel(t, d, 1)
+	if reasons := degradeReasons(bundle); len(reasons) != 1 || reasons[0] != "slo-burn:Tracing/errors" {
+		t.Fatalf("qos.degrade reasons = %q, want [slo-burn:Tracing/errors]", reasons)
+	}
 }
 
 func TestSLOEngineObserverForStub(t *testing.T) {
@@ -336,11 +336,83 @@ func TestSLOEngineNilSafe(t *testing.T) {
 	e.SetObjective("gold", Objective{Name: "errors"})
 	e.SetObjectivesFromContract("gold", &Contract{})
 	e.Observe("gold", Observation{})
-	e.onBurn(func(BurnEvent) {})
-	e.NotifyDegrader(nil)
 	e.Observer("gold")(Observation{})
 	e.ObserverForStub(nil)(Observation{})
+	if _, ok := e.burning("gold", nil); ok {
+		t.Fatal("nil engine reports a burning objective")
+	}
 	if st := e.Status(); len(st.Classes) != 0 {
 		t.Fatalf("nil engine Status = %+v", st)
 	}
+}
+
+func TestSLONewContractStartsNewBudget(t *testing.T) {
+	reg := obs.NewRegistry()
+	e, _ := newTestSLOEngine(reg, nil)
+	s := boundStub(0)
+	observe := e.ObserverForStub(s)
+	for i := 0; i < 20; i++ {
+		observe(Observation{Operation: "fetch", Err: errors.New("boom")})
+	}
+	if _, ok := e.burning("compression", s.binding.Contract); !ok {
+		t.Fatal("20 failures: the errors objective is not burning")
+	}
+	// Renegotiation installs a new contract with the same terms. Until its
+	// first observation the class's state judges the old contract only.
+	s.binding = boundStub(0).binding
+	if _, ok := e.burning("compression", s.binding.Contract); ok {
+		t.Fatal("the old contract's budget judged the new contract")
+	}
+	observe(Observation{Operation: "fetch"})
+	if o := e.Status().Classes[0].Objectives[0]; o.State != "ok" || o.Good != 1 || o.Bad != 0 {
+		t.Fatalf("after renegotiation = %+v, want state ok with good/bad 1/0", o)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Gauges[`maqs_slo_state{class="compression",objective="errors"}`]; got != int64(sloOK) {
+		t.Errorf("state gauge = %d, want ok", got)
+	}
+	if got := snap.Counters[`maqs_slo_bad_total{class="compression",objective="errors"}`]; got != 20 {
+		t.Errorf("cumulative bad = %d, want 20 (totals keep counting)", got)
+	}
+}
+
+func TestSLORenegotiationDropsStaleObjectives(t *testing.T) {
+	reg := obs.NewRegistry()
+	e, _ := newTestSLOEngine(reg, nil)
+	var bounds []time.Duration
+	e.SetLatencySink(func(_ string, d time.Duration) { bounds = append(bounds, d) })
+	s := boundStub(10)
+	observe := e.ObserverForStub(s)
+	observe(Observation{Operation: "fetch", RTT: 25 * time.Millisecond})
+	s.binding = boundStub(0).binding // renegotiated: no max_rtt_ms
+	observe(Observation{Operation: "fetch", RTT: time.Hour})
+
+	if objs := e.Status().Classes[0].Objectives; len(objs) != 1 || objs[0].Objective != "errors" {
+		t.Fatalf("objectives = %+v, want only errors", objs)
+	}
+	if got := reg.Snapshot().Counters[`maqs_slo_bad_total{class="compression",objective="latency"}`]; got != 1 {
+		t.Errorf("latency bad = %d, want 1: the slow call after renegotiation must not count", got)
+	}
+	if len(bounds) != 2 || bounds[0] != 10*time.Millisecond || bounds[1] != 0 {
+		t.Errorf("latency sink got %v, want [10ms 0s]: the tail sampler must drop the stale bound", bounds)
+	}
+}
+
+func TestSLOSetObjectiveRacesObserveAndStatus(t *testing.T) {
+	e, _ := newTestSLOEngine(obs.NewRegistry(), obs.NewFlightRecorder(16, 4, 4))
+	e.SetObjective("gold", Objective{Name: "latency", Target: 0.99, MaxRTT: time.Millisecond})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		// Targets 0.99 and 0.5 burn and only warn on all-bad traffic, so
+		// state transitions keep happening.
+		for i := 0; i < 200; i++ {
+			e.SetObjective("gold", Objective{Name: "errors", Target: 0.5 + 0.49*float64(i%2)})
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		e.Observe("gold", Observation{Operation: "echo", Err: errors.New("boom")})
+		e.Status()
+	}
+	<-done
 }

@@ -102,8 +102,8 @@ func (s *Stub) SetMediator(m Mediator) {
 }
 
 // AddObserver appends a monitoring probe; all registered observers see
-// every observation, in registration order. This lets a qos.Monitor and
-// a metrics sink coexist on the same stub.
+// every observation, in registration order. This lets the metrics sink,
+// the SLO engine and a Degrader's WatchSLO coexist on the same stub.
 func (s *Stub) AddObserver(o Observer) {
 	if o == nil {
 		return

@@ -98,8 +98,6 @@ type (
 	ServerSkeleton = qos.ServerSkeleton
 	// Registry maps characteristic names to descriptors and mediators.
 	Registry = qos.Registry
-	// Monitor measures invocations.
-	Monitor = qos.Monitor
 	// Observation is one measured invocation.
 	Observation = qos.Observation
 
@@ -188,18 +186,12 @@ type (
 	SLOObjective = qos.Objective
 	// SLOStatus is the /slo endpoint's JSON body.
 	SLOStatus = qos.SLOStatus
-	// SLOBurnEvent is one objective alert-state transition.
-	SLOBurnEvent = qos.BurnEvent
 
 	// Degrader walks a QoS contract down a degradation ladder when the
 	// service degrades, and back up on recovery.
 	Degrader = qos.Degrader
 	// DegradeStep is one rung of a degradation ladder.
 	DegradeStep = qos.DegradeStep
-	// Rule declares a QoS violation over monitor statistics.
-	Rule = qos.Rule
-	// Stats is a snapshot of monitor statistics.
-	Stats = qos.Stats
 )
 
 // Value constructors for proposals and contracts.
@@ -212,8 +204,6 @@ var (
 	Flag = qos.Flag
 	// NewNetwork constructs a simulated network.
 	NewNetwork = netsim.NewNetwork
-	// NewMonitor constructs an invocation monitor.
-	NewMonitor = qos.NewMonitor
 	// NewServerSkeleton wraps an application servant for QoS weaving.
 	NewServerSkeleton = qos.NewServerSkeleton
 	// ParseIOR parses a stringified object reference.
@@ -473,8 +463,8 @@ func (s *System) ActivateQoS(key, typeID string, servant orb.Servant, info ior.Q
 // Stub wraps a reference for QoS-aware invocation against this system's
 // registry. When the system is observable, the stub is created with a
 // metrics observer and an SLO-engine observer (which also scores the
-// contract's max_rtt_ms bound) already attached; stack a Monitor with
-// AddObserver.
+// contract's max_rtt_ms bound) already attached; stack a Degrader's
+// WatchSLO(s.SLO) or a probe of your own on top with AddObserver.
 func (s *System) Stub(ref *ior.IOR) *qos.Stub {
 	stub := qos.NewStubWithRegistry(s.ORB, ref, s.Registry)
 	if s.Observability != nil {

@@ -156,7 +156,7 @@ func TestIORStringRoundTripThroughFacade(t *testing.T) {
 	}
 }
 
-func TestMonitorThroughFacade(t *testing.T) {
+func TestObserverThroughFacade(t *testing.T) {
 	server, client, _ := newPair(t)
 	if err := server.Listen("server:5002"); err != nil {
 		t.Fatal(err)
@@ -168,8 +168,8 @@ func TestMonitorThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	stub := client.Stub(ref)
-	mon := maqs.NewMonitor(8)
-	stub.AddObserver(mon.Observe)
+	var seen []maqs.Observation
+	stub.AddObserver(func(o maqs.Observation) { seen = append(seen, o) })
 	e := cdr.NewEncoder(client.ORB.Order())
 	e.WriteString("x")
 	for i := 0; i < 4; i++ {
@@ -177,7 +177,7 @@ func TestMonitorThroughFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := mon.Snapshot(); st.Count != 4 || st.Mean <= 0 {
-		t.Fatalf("stats = %+v", st)
+	if len(seen) != 4 || seen[3].Operation != "op" || seen[3].RTT <= 0 {
+		t.Fatalf("observations = %+v", seen)
 	}
 }
