@@ -68,9 +68,11 @@ race:
 # alloc-gates runs the end-to-end allocation-regression gates without the
 # race detector: they sit at the measured count plus one, and the detector
 # makes sync.Pool drop items at random, so under `race` they skip
-# themselves (alloc_test.go, race_on_test.go).
+# themselves (alloc_test.go, race_on_test.go). internal/obs adds the
+# histogram's recording gates (histogram_test.go): Observe and an untraced
+# ObserveExemplar at 0, a traced one at its one exemplar.
 alloc-gates:
-	$(GO) test -count=1 -run 'Allocs' .
+	$(GO) test -count=1 -run 'Allocs' . ./internal/obs
 
 # fuzz-smoke gives each native fuzzer FUZZ_TIME: the parsers a peer reaches
 # (request header in place vs copying, SCQoS tag and its connection cache,

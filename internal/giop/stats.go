@@ -1,11 +1,15 @@
 package giop
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"time"
+
+	"maqs/internal/obs"
+)
 
 // Frame pool and frame-size telemetry, process-global like the pool
-// itself. giop must stay free of an obs dependency (obs would be a
-// layering inversion for the wire protocol), so these are plain atomics
-// that the ORB layer re-exports as callback instruments.
+// itself. The pool counters are plain atomics the ORB layer re-exports
+// as callback instruments.
 var (
 	framePoolGets     atomic.Uint64
 	framePoolMisses   atomic.Uint64
@@ -31,58 +35,8 @@ func FramePoolStats() FramePoolStatsSnapshot {
 	}
 }
 
-// FrameSizeBounds are the upper bounds (total frame octets, header
-// included) of the frame-size histogram buckets; one overflow bucket
-// follows the last bound.
-var FrameSizeBounds = []int{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
+// FrameBytes records the total size (header included) of every frame
+// written, in octets. The ORB exposes it as maqs_giop_frame_bytes.
+var FrameBytes obs.Histogram
 
-var (
-	frameSizeBuckets [len8]atomic.Uint64
-	frameSizeCount   atomic.Uint64
-	frameSizeSum     atomic.Uint64
-)
-
-// len8 is len(FrameSizeBounds)+1, spelled as a constant so the bucket
-// array needs no init-time allocation.
-const len8 = 8
-
-// observeFrameSize records one written frame's total size.
-func observeFrameSize(n int) {
-	i := 0
-	for i < len(FrameSizeBounds) && n > FrameSizeBounds[i] {
-		i++
-	}
-	frameSizeBuckets[i].Add(1)
-	frameSizeCount.Add(1)
-	frameSizeSum.Add(uint64(n))
-}
-
-// FrameSizeSnapshot is a point-in-time copy of the frame-size histogram:
-// per-bucket counts (FrameSizeBounds plus overflow), total count and
-// total octets.
-type FrameSizeSnapshot struct {
-	Buckets [len8]uint64
-	Count   uint64
-	Sum     uint64
-}
-
-// Cumulative returns the count of frames at most FrameSizeBounds[idx]
-// octets (the Prometheus cumulative-bucket shape).
-func (s FrameSizeSnapshot) Cumulative(idx int) uint64 {
-	var cum uint64
-	for i := 0; i <= idx && i < len(s.Buckets); i++ {
-		cum += s.Buckets[i]
-	}
-	return cum
-}
-
-// FrameSizes reports the cumulative frame-size histogram.
-func FrameSizes() FrameSizeSnapshot {
-	var s FrameSizeSnapshot
-	for i := range frameSizeBuckets {
-		s.Buckets[i] = frameSizeBuckets[i].Load()
-	}
-	s.Count = frameSizeCount.Load()
-	s.Sum = frameSizeSum.Load()
-	return s
-}
+func observeFrameSize(n int) { FrameBytes.Observe(time.Duration(n)) }

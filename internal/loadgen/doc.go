@@ -13,9 +13,10 @@
 // latencies include their queueing delay, so p99/p99.9 describe what a
 // real independent client population would have experienced.
 //
-// Measurements land in a log-bucketed HDR-style histogram (Hist) with
-// ≈1.6% relative quantile resolution from nanoseconds to hours and
-// associative snapshot merging. Reports render per QoS class —
+// Measurements land in obs.Histogram, the log-bucketed HDR-style
+// histogram every latency series of the tree records into, with ≈1.6%
+// relative quantile resolution from nanoseconds to hours. Reports render
+// per QoS class —
 // p50/p90/p99/p99.9/max, windowed throughput, error/retry/degrade
 // counts — and export in the BENCH_*.json trajectory format through
 // internal/benchfmt, shared with cmd/benchjson.

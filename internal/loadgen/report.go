@@ -25,15 +25,15 @@ type LatencySummary struct {
 	MeanNs int64  `json:"mean_ns"`
 }
 
-func summarize(s HistSnapshot) LatencySummary {
+func summarize(h *obs.Histogram) LatencySummary {
 	return LatencySummary{
-		Count:  s.Count,
-		P50Ns:  int64(s.Quantile(0.5)),
-		P90Ns:  int64(s.Quantile(0.9)),
-		P99Ns:  int64(s.Quantile(0.99)),
-		P999Ns: int64(s.Quantile(0.999)),
-		MaxNs:  int64(s.Quantile(1)),
-		MeanNs: int64(s.mean()),
+		Count:  h.Count(),
+		P50Ns:  int64(h.Quantile(0.5)),
+		P90Ns:  int64(h.Quantile(0.9)),
+		P99Ns:  int64(h.Quantile(0.99)),
+		P999Ns: int64(h.Quantile(0.999)),
+		MaxNs:  int64(h.Quantile(1)),
+		MeanNs: int64(h.Mean()),
 	}
 }
 
@@ -148,8 +148,8 @@ func (c *classRun) report(elapsed time.Duration) ClassReport {
 		Errors:         c.failed.Load(),
 		Retries:        c.bundle.Registry.Counter("maqs_client_retries_total").Value(),
 		Degrades:       c.bundle.Registry.Counter("maqs_qos_degradations_total").Value(),
-		Latency:        summarize(c.corrected.Snapshot()),
-		Service:        summarize(c.service.Snapshot()),
+		Latency:        summarize(&c.corrected),
+		Service:        summarize(&c.service),
 		SLO:            c.sloObjectives(),
 	}
 	if c.bundle.Sampler != nil {
@@ -318,8 +318,8 @@ func (r *Runner) Status() any {
 			Scheduled:     c.scheduled.Load(),
 			Completed:     c.completed.Load(),
 			Errors:        c.failed.Load(),
-			Latency:       summarize(c.corrected.Snapshot()),
-			Service:       summarize(c.service.Snapshot()),
+			Latency:       summarize(&c.corrected),
+			Service:       summarize(&c.service),
 			BacklogedJobs: len(c.jobs),
 			SLO:           c.sloObjectives(),
 		}
@@ -346,7 +346,7 @@ func (r *Runner) printSummary() {
 			window = float64(done-c.lastCompleted) / dt
 		}
 		c.lastCompleted, c.lastAt = done, now
-		s := c.corrected.Snapshot()
+		s := &c.corrected
 		fmt.Fprintf(r.cfg.Summary,
 			"[%6.1fs] %-12s %8d/%d done  %8.0f req/s  p50 %-9v p99 %-9v p99.9 %-9v max %-9v errs %d\n",
 			elapsed.Seconds(), c.scn.Class, done, c.scn.Requests, window,

@@ -71,8 +71,8 @@ type classRun struct {
 	stubs  []*qos.Stub
 	jobs   chan job
 
-	corrected *Hist // completion − intended schedule time (CO-correct)
-	service   *Hist // completion − actual send time
+	corrected obs.Histogram // completion − intended schedule time (CO-correct)
+	service   obs.Histogram // completion − actual send time
 
 	scheduled atomic.Uint64
 	completed atomic.Uint64
@@ -175,13 +175,11 @@ func NewRunner(cfg Config) (*Runner, error) {
 			return nil, fmt.Errorf("loadgen: class %q: %w", scn.Class, err)
 		}
 		c := &classRun{
-			scn:       scn,
-			sys:       sys,
-			bundle:    bundle,
-			jobs:      make(chan job, 1<<15),
-			corrected: NewHist(),
-			service:   NewHist(),
-			errKinds:  map[string]uint64{},
+			scn:      scn,
+			sys:      sys,
+			bundle:   bundle,
+			jobs:     make(chan job, 1<<15),
+			errKinds: map[string]uint64{},
 		}
 		r.classes = append(r.classes, c)
 	}
@@ -406,21 +404,14 @@ func (c *classRun) work(ctx context.Context, start time.Time, id int) {
 		}
 		sent := time.Now()
 		_, err := stub.Call(ctx, c.scn.Operation, encodePayload(order, int(jb.size)))
-		now := time.Now()
-		c.service.Record(now.Sub(sent))
-		c.corrected.Record(now.Sub(intended))
-		c.completed.Add(1)
-		if err != nil {
-			c.failed.Add(1)
-			c.recordError(err)
-		}
+		c.record(intended, sent, time.Now(), nil, err)
 	}
 }
 
 // record accounts one finished request.
 func (c *classRun) record(intended, sent, now time.Time, out *orb.Outcome, err error) {
-	c.service.Record(now.Sub(sent))
-	c.corrected.Record(now.Sub(intended))
+	c.service.Observe(now.Sub(sent))
+	c.corrected.Observe(now.Sub(intended))
 	c.completed.Add(1)
 	if err == nil && out != nil {
 		err = out.Err()

@@ -22,16 +22,9 @@ type SpanRecord struct {
 	Events       []Event       `json:"events,omitempty"`
 }
 
-// aggKey names one per-operation aggregation bucket: the stage name,
-// qualified by the application operation when the span carries one.
-func (r *SpanRecord) aggKey() string {
-	if r.Operation == "" {
-		return r.Name
-	}
-	return r.Name + ":" + r.Operation
-}
-
-// OpStats aggregates the spans of one stage/operation pair.
+// OpStats aggregates the spans of one stage/operation pair, keyed on
+// /trace/ops by the stage name, qualified by ":operation" when the spans
+// carry one.
 type OpStats struct {
 	Count  uint64        `json:"count"`
 	Errors uint64        `json:"errors"`
@@ -49,7 +42,10 @@ type Collector struct {
 	next   int
 	filled bool
 	total  uint64
-	perOp  map[string]*OpStats
+	// ops holds the aggregation as registry cells: a "span" histogram per
+	// (span, op) label pair and, named by the /trace/ops key, an error
+	// counter. Its own registry, so /metrics stays the bundle's.
+	ops *Registry
 }
 
 // defaultSpanCapacity bounds the ring when NewCollector is given a
@@ -61,7 +57,7 @@ func NewCollector(capacity int) *Collector {
 	if capacity <= 0 {
 		capacity = defaultSpanCapacity
 	}
-	return &Collector{ring: make([]SpanRecord, capacity), perOp: make(map[string]*OpStats)}
+	return &Collector{ring: make([]SpanRecord, capacity), ops: NewRegistry()}
 }
 
 // record stores one finished span (called from Span.End).
@@ -74,24 +70,18 @@ func (c *Collector) record(r SpanRecord) {
 		c.filled = true
 	}
 	c.total++
-	key := r.aggKey()
-	agg, ok := c.perOp[key]
-	if !ok {
-		agg = &OpStats{Min: r.Duration, Max: r.Duration}
-		c.perOp[key] = agg
-	}
-	agg.Count++
+	c.ops.Histogram("span", nil, "span", r.Name, "op", r.Operation).Observe(r.Duration)
 	if r.Err != "" {
-		agg.Errors++
-	}
-	agg.Total += r.Duration
-	if r.Duration < agg.Min {
-		agg.Min = r.Duration
-	}
-	if r.Duration > agg.Max {
-		agg.Max = r.Duration
+		c.ops.Counter(opsKey(r.Name, r.Operation)).Inc()
 	}
 	c.mu.Unlock()
+}
+
+func opsKey(span, op string) string {
+	if op == "" {
+		return span
+	}
+	return span + ":" + op
 }
 
 // Snapshot returns the retained spans, oldest first.
@@ -122,7 +112,7 @@ func (c *Collector) Trace(traceID string) []SpanRecord {
 	return out
 }
 
-// Operations snapshots the per-operation aggregation.
+// Operations derives the per-operation aggregation from the cells.
 func (c *Collector) Operations() map[string]OpStats {
 	out := make(map[string]OpStats)
 	if c == nil {
@@ -130,9 +120,13 @@ func (c *Collector) Operations() map[string]OpStats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k, v := range c.perOp {
-		out[k] = *v
-	}
+	c.ops.histograms.Range(func(k, e any) bool {
+		key, h := opsKey(k.(histKey).labels[1], k.(histKey).labels[3]), e.(*histEntry).h
+		lo, hi := h.extremes()
+		out[key] = OpStats{Count: h.Count(), Errors: c.ops.Counter(key).Value(),
+			Total: time.Duration(h.sum.Load()), Min: time.Duration(lo), Max: time.Duration(hi)}
+		return true
+	})
 	return out
 }
 
@@ -154,11 +148,6 @@ func (c *Collector) Reset() {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.next = 0
-	c.filled = false
-	c.total = 0
-	c.perOp = make(map[string]*OpStats)
-	for i := range c.ring {
-		c.ring[i] = SpanRecord{}
-	}
+	c.next, c.filled, c.total, c.ops = 0, false, 0, NewRegistry()
+	clear(c.ring)
 }

@@ -12,13 +12,12 @@
 //
 //   - a *Tracer whose StartSpan/StartRemote calls are nil-safe, so an
 //     uninstrumented ORB pays one nil check per stage and nothing else;
-//   - *Counter/*Gauge/*Histogram instruments that are resolved once and
-//     then updated with single atomic operations.
+//   - *Counter/*Gauge instruments and the log-bucketed *Histogram, resolved
+//     once and then updated with a few atomic operations.
 //
 // Trace context travels between processes inside a dedicated GIOP
 // service context (giop.SCTrace) whose payload is the ASCII traceparent
 // rendering of the sending span — see SpanContext.Traceparent and
-// ParseTraceparent. The package depends only on the standard library so
-// every layer of the stack (giop, orb, qos, transport) can import it
-// without cycles.
+// ParseTraceparent. The package imports only cdr and the standard library,
+// so every layer above cdr (giop, orb, qos, transport) can import it.
 package obs

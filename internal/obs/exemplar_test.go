@@ -10,7 +10,7 @@ import (
 
 func TestHistogramObserveExemplar(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("maqs_ex_seconds", []float64{0.01, 0.1, 1})
+	h := r.Histogram("maqs_ex_seconds", &Bounds{Le: []float64{0.01, 0.1, 1}})
 
 	h.ObserveExemplar(5*time.Millisecond, "trace-a", "span-a")
 	h.ObserveExemplar(500*time.Millisecond, "trace-b", "span-b")
@@ -41,7 +41,7 @@ func TestHistogramObserveExemplar(t *testing.T) {
 
 func TestHistogramExemplarLatestWins(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("maqs_ex2_seconds", []float64{1})
+	h := r.Histogram("maqs_ex2_seconds", &Bounds{Le: []float64{1}})
 	h.ObserveExemplar(100*time.Millisecond, "old", "")
 	h.ObserveExemplar(200*time.Millisecond, "new", "")
 	bs := r.Snapshot().Histograms[0].Buckets
@@ -52,7 +52,7 @@ func TestHistogramExemplarLatestWins(t *testing.T) {
 
 func TestExemplarTextRendering(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram(`maqs_ex_seconds{op="echo"}`, []float64{0.1})
+	h := r.Histogram("maqs_ex_seconds", &Bounds{Le: []float64{0.1}}, "op", "echo")
 	h.ObserveExemplar(50*time.Millisecond, "0123abcd", "ff00")
 
 	var buf bytes.Buffer
@@ -72,7 +72,7 @@ func TestExemplarTextRendering(t *testing.T) {
 
 func TestHistogramSnapshotJSONInfBucket(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("maqs_inf_seconds", []float64{0.5})
+	h := r.Histogram("maqs_inf_seconds", &Bounds{Le: []float64{0.5}})
 	h.Observe(100 * time.Millisecond)
 	h.Observe(10 * time.Second) // lands in the +Inf overflow bucket
 
@@ -94,7 +94,7 @@ func TestHistogramSnapshotJSONInfBucket(t *testing.T) {
 		t.Fatalf("round trip: %v", err)
 	}
 	bs := snap.Histograms[0].Buckets
-	if len(bs) != 2 || bs[1].UpperBound != infBound || bs[1].Count != 2 {
+	if len(bs) != 2 || bs[1].Le != "+Inf" || bs[1].Count != 2 {
 		t.Fatalf("round-tripped buckets = %+v", bs)
 	}
 	// Totals are computable from JSON: cumulative overflow count equals
@@ -105,7 +105,7 @@ func TestHistogramSnapshotJSONInfBucket(t *testing.T) {
 }
 
 func TestBucketCountJSONRoundTripFinite(t *testing.T) {
-	in := BucketCount{UpperBound: 0.25, Count: 9}
+	in := BucketCount{Le: "0.25", Count: 9}
 	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,7 @@ func TestNilRegistryAndInstrumentsAreNoops(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat", []float64{0.001, 0.01, 0.1})
+	h := r.Histogram("lat", &Bounds{Le: []float64{0.001, 0.01, 0.1}})
 	h.Observe(500 * time.Microsecond) // bucket 0
 	h.Observe(5 * time.Millisecond)   // bucket 1
 	h.Observe(50 * time.Millisecond)  // bucket 2
@@ -124,7 +124,7 @@ func TestSnapshotExports(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("maqs_requests_total").Add(3)
 	r.Gauge("maqs_bindings").Set(2)
-	r.Histogram("maqs_rtt_seconds", []float64{0.01}).Observe(time.Millisecond)
+	r.Histogram("maqs_rtt_seconds", &Bounds{Le: []float64{0.01}}).Observe(time.Millisecond)
 	snap := r.Snapshot()
 
 	var text bytes.Buffer

@@ -2,9 +2,56 @@ package orb
 
 import (
 	"fmt"
+	"sync"
 
 	"maqs/internal/obs"
 )
+
+// maxLabelPairs caps the distinct (operation, QoS class) pairs an ORB keeps
+// server telemetry cells and dispatch lanes for; later pairs fold into
+// (otherLabel, otherLabel).
+const (
+	maxLabelPairs = 64
+	otherLabel    = "other"
+)
+
+// labelTable is the ORB-wide table of the (operation, class) pairs the
+// server has admitted as labels. Both come off the wire before any servant
+// is resolved — the operation name and the SCQoS tag's characteristic are
+// the peer's choice — so a peer inventing names reaches the fixed cap and
+// then lands on one "other" cell and lane, instead of growing cells, lanes
+// and worker goroutines without bound.
+type labelTable struct {
+	pairs sync.Map // [2]string{op, class} -> struct{}
+	mu    sync.Mutex
+	n     int
+}
+
+func (t *labelTable) intern(op, class string) (string, string) {
+	k := [2]string{op, class}
+	if _, ok := t.pairs.Load(k); ok {
+		return op, class
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.pairs.Load(k); ok {
+		return op, class
+	}
+	if t.n == maxLabelPairs {
+		return otherLabel, otherLabel
+	}
+	t.n++
+	t.pairs.Store(k, struct{}{})
+	return op, class
+}
+
+// labels returns the job's (operation, class) labels, interned once.
+func (job *dispatchJob) labels() (op, class string) {
+	if job.class == "" {
+		job.op, job.class = job.orb.labels.intern(job.h.Operation, job.tag.class(job.h.Contexts))
+	}
+	return job.op, job.class
+}
 
 // dispatchDims is one (operation, QoS class) cell of the server's
 // dispatch telemetry: its own request/error counters, latency histogram
@@ -18,10 +65,10 @@ type dispatchDims struct {
 }
 
 // dims returns the instrument cell for (op, class), creating and caching
-// it on first sight. The cardinality is bounded by the servants' operation
-// sets times the negotiated characteristics, both small by construction.
+// it on first sight. The labels come from the ORB's labelTable, which
+// bounds the cardinality.
 func (ob *orbObs) dims(op, class string) *dispatchDims {
-	key := op + "\x00" + class
+	key := [2]string{op, class}
 	if v, ok := ob.dimCells.Load(key); ok {
 		return v.(*dispatchDims)
 	}
@@ -29,7 +76,7 @@ func (ob *orbObs) dims(op, class string) *dispatchDims {
 	d := &dispatchDims{
 		requests: ob.bundle.Registry.Counter("maqs_server_requests_total" + labels),
 		errors:   ob.bundle.Registry.Counter("maqs_server_errors_total" + labels),
-		latency:  ob.bundle.Registry.Histogram("maqs_server_dispatch_seconds"+labels, nil),
+		latency:  ob.bundle.Registry.Histogram("maqs_server_dispatch_seconds", nil, "op", op, "class", class),
 		inflight: ob.bundle.Registry.Gauge("maqs_server_inflight" + labels),
 	}
 	v, _ := ob.dimCells.LoadOrStore(key, d)
@@ -76,8 +123,8 @@ type phaseDims struct {
 }
 
 // phase returns the phase cell for a QoS class, creating and caching it
-// on first sight (cardinality bounded by the negotiated characteristics
-// times the five fixed phases).
+// on first sight (cardinality bounded by the server's labelTable, and on
+// the client by its own bindings, times the five fixed phases).
 func (ob *orbObs) phase(class string) *phaseDims {
 	if class == "" {
 		class = "none"
@@ -86,8 +133,7 @@ func (ob *orbObs) phase(class string) *phaseDims {
 		return v.(*phaseDims)
 	}
 	hist := func(phase string) *obs.Histogram {
-		return ob.bundle.Registry.Histogram(
-			fmt.Sprintf("maqs_phase_seconds{class=%q,phase=%q}", class, phase), nil)
+		return ob.bundle.Registry.Histogram("maqs_phase_seconds", nil, "class", class, "phase", phase)
 	}
 	p := &phaseDims{
 		encode:    hist("encode"),

@@ -89,8 +89,9 @@ type dispatchJob struct {
 	order   cdr.ByteOrder
 	h       giop.RequestHeader // ObjectKey and context payloads live in scratch
 	args    []byte             // lives in scratch
-	class   string
-	tag     EncodedQoSTag // the request's SCQoS tag (tagCache.fill), handed on to the request
+	op      string             // h.Operation as a label (labels, dims.go)
+	class   string             // QoS class as a label, "" until labels runs
+	tag     EncodedQoSTag      // the request's SCQoS tag (tagCache.fill), handed on to the request
 	enq     time.Time
 
 	// scratch holds what the request keeps of the frame body — object key,

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"maqs/internal/giop"
+	"maqs/internal/obs"
 )
 
 // MulticallResult is the per-element outcome of a batched invocation.
@@ -27,9 +28,8 @@ func (r MulticallResult) Failed() error {
 	return nil
 }
 
-// multicallBatchBounds bucket the per-flush element count (the histogram
-// value is the count, carried in the registry's seconds unit).
-var multicallBatchBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
+// multicallBatchBounds bucket the per-flush element count.
+var multicallBatchBounds = obs.Bounds{Le: []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}, Unit: 1}
 
 // batchHeadroom is the conservative per-request overhead estimate (GIOP
 // header, request header, contexts) used to route elements that might
@@ -127,7 +127,7 @@ func (c *clientConn) sendBatch(ctx context.Context, elems []batchElem, res []Mul
 	order := o.opts.Order
 	fb := giop.AcquireFrameBatch(order)
 	defer fb.Release()
-	hist := o.Metrics().Histogram("maqs_multicall_batch_size", multicallBatchBounds)
+	hist := o.Metrics().Histogram("maqs_multicall_batch_size", &multicallBatchBounds)
 
 	// stagedOneways holds result slots to mark successful once their
 	// frames are actually on the wire.
@@ -153,7 +153,7 @@ func (c *clientConn) sendBatch(ctx context.Context, elems []batchElem, res []Mul
 			stagedOneways = stagedOneways[:0]
 			return cause
 		}
-		hist.Observe(time.Duration(n) * time.Second)
+		hist.Observe(time.Duration(n))
 		o.iiop.requestsSent.Add(uint64(n))
 		o.iiop.bytesSent.Add(uint64(size))
 		for _, idx := range stagedOneways {

@@ -60,8 +60,9 @@ type Options struct {
 	DispatchDeadline time.Duration
 	// AdmissionPolicy overrides the dispatch policy per QoS class (the
 	// class names match the dispatch telemetry: the negotiated
-	// characteristic, or "none" for untagged traffic). Zero fields of
-	// the returned policy fall back to the Dispatch* defaults above.
+	// characteristic, "none" for untagged traffic, "other" past the
+	// label cap of dims.go). Zero fields of the returned policy fall
+	// back to the Dispatch* defaults above.
 	// The qos layer derives these policies from negotiated contracts;
 	// a class's policy is resolved once, at its first request.
 	AdmissionPolicy func(class string) ClassPolicy
@@ -102,6 +103,9 @@ type ORB struct {
 	// dispatcher holds the per-class worker pools; nil when dispatch is
 	// unbounded (no DispatchWorkers and no AdmissionPolicy configured).
 	dispatcher *dispatcher
+	// labels bounds the (operation, class) pairs that key the server's
+	// telemetry cells and dispatch lanes (see dims.go).
+	labels labelTable
 
 	// obsState holds the installed observability bundle together with
 	// the pre-resolved server-path instruments; an atomic pointer keeps
@@ -141,7 +145,7 @@ type orbObs struct {
 	admitted *obs.Counter
 	shed     *obs.Counter
 	// dimCells caches the per-(operation, QoS class) instrument cells
-	// (see dims.go): string "op\x00class" -> *dispatchDims.
+	// (see dims.go): [2]string{op, class} -> *dispatchDims.
 	dimCells sync.Map
 	// admitCells caches the per-class admission instrument cells:
 	// class -> *admitDims.
@@ -200,9 +204,10 @@ func (o *ORB) setObservability(b *obs.Observability) {
 }
 
 // registerPoolMetrics exposes the buffer-pool telemetry of the encoding
-// layers as callback instruments. The underlying atomics are
-// process-global (sync.Pools are package state shared by every ORB in
-// the process), so the numbers describe the process, not this ORB.
+// layers as callback instruments, and giop's frame-size histogram. The
+// underlying state is process-global (sync.Pools are package state
+// shared by every ORB in the process), so the numbers describe the
+// process, not this ORB.
 func registerPoolMetrics(r *obs.Registry) {
 	r.CounterFunc("maqs_orb_future_pool_hits_total", func() uint64 {
 		gets, misses := futurePoolStats()
@@ -241,25 +246,11 @@ func registerPoolMetrics(r *obs.Registry) {
 	r.CounterFunc("maqs_giop_frame_pool_oversize_discards_total", func() uint64 {
 		return giop.FramePoolStats().Oversize
 	})
-	// The frame-size histogram is kept as plain atomics inside giop (it
-	// must not import obs); re-shape it into the text exposition's
-	// cumulative bucket/sum/count form here.
-	for i, bound := range giop.FrameSizeBounds {
-		idx := i
-		r.CounterFunc(fmt.Sprintf("maqs_giop_frame_bytes_bucket{le=%q}", strconv.Itoa(bound)), func() uint64 {
-			return giop.FrameSizes().Cumulative(idx)
-		})
-	}
-	r.CounterFunc(`maqs_giop_frame_bytes_bucket{le="+Inf"}`, func() uint64 {
-		return giop.FrameSizes().Count
-	})
-	r.CounterFunc("maqs_giop_frame_bytes_count", func() uint64 {
-		return giop.FrameSizes().Count
-	})
-	r.CounterFunc("maqs_giop_frame_bytes_sum", func() uint64 {
-		return giop.FrameSizes().Sum
-	})
+	r.Expose("maqs_giop_frame_bytes", &frameBytesBounds, &giop.FrameBytes)
 }
+
+// frameBytesBounds bucket written frame sizes, 256 B to 1 MiB.
+var frameBytesBounds = obs.Bounds{Le: []float64{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}, Unit: 1}
 
 // Observability returns the installed bundle, or nil.
 func (o *ORB) Observability() *obs.Observability {

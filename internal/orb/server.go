@@ -164,7 +164,7 @@ func (o *ORB) serveConn(conn net.Conn) {
 			// telemetry) hits the memo filled here.
 			tags.fill(&job.tag, job.h.Contexts)
 			if o.dispatcher != nil {
-				job.class = job.tag.class(job.h.Contexts)
+				job.labels()
 				if o.dispatcher.submit(job) {
 					break // queued or shed; accounted for either way
 				}
@@ -236,14 +236,14 @@ func (o *ORB) handleRequest(job *dispatchJob) {
 	ob := o.obsState.Load()
 	var start time.Time
 	var dd *dispatchDims
-	var class string
+	var op, class string
 	if ob != nil {
 		start = time.Now()
-		class = req.tag.class(h.Contexts)
+		op, class = job.labels()
 		// The per-(operation, QoS class) cell widens every dispatch
 		// instrument: requests, errors, latency and in-flight depth all
 		// exist labeled alongside the unlabeled aggregates.
-		dd = ob.dims(h.Operation, class)
+		dd = ob.dims(op, class)
 		ob.inflight.Add(1)
 		dd.inflight.Add(1)
 		var parent obs.SpanContext
@@ -257,7 +257,7 @@ func (o *ORB) handleRequest(job *dispatchJob) {
 			// before dispatch so servant/prolog/epilog children inherit it.
 			req.Span.CaptureReturn()
 		}
-		req.Span.SetOperation(h.Operation)
+		req.Span.SetOperation(op)
 		req.Span.SetAttr("peer", req.Peer)
 	}
 

@@ -1,11 +1,6 @@
 package qos
 
-import (
-	"fmt"
-	"sync"
-
-	"maqs/internal/obs"
-)
+import "maqs/internal/obs"
 
 // MetricsObserver returns an Observer feeding client-side invocation
 // metrics into reg, the only writer of maqs_client_*: request/error
@@ -20,10 +15,6 @@ func MetricsObserver(reg *obs.Registry) Observer {
 	reqBytes := reg.Counter("maqs_client_request_bytes_total")
 	repBytes := reg.Counter("maqs_client_reply_bytes_total")
 	rtt := reg.Histogram("maqs_client_rtt_seconds", nil)
-	// Per-class RTT histograms, created on first observation of each
-	// characteristic ("none" for unbound calls). Cardinality is the set
-	// of negotiated characteristics — a handful by construction.
-	var classRTT sync.Map // string -> *obs.Histogram
 	return func(o Observation) {
 		requests.Inc()
 		if o.Err != nil {
@@ -35,15 +26,14 @@ func MetricsObserver(reg *obs.Registry) Observer {
 		// in, so a tail-latency outlier on /metrics links straight to its
 		// trace and flight record.
 		rtt.ObserveExemplar(o.RTT, o.TraceID, o.SpanID)
+		// The per-class cell, created on first observation of each
+		// characteristic ("none" for unbound calls): a registry lookup that
+		// allocates nothing. Cardinality is the set of negotiated
+		// characteristics — a handful by construction.
 		class := o.Characteristic
 		if class == "" {
 			class = "none"
 		}
-		h, ok := classRTT.Load(class)
-		if !ok {
-			h, _ = classRTT.LoadOrStore(class,
-				reg.Histogram(fmt.Sprintf("maqs_client_rtt_seconds{class=%q}", class), nil))
-		}
-		h.(*obs.Histogram).ObserveExemplar(o.RTT, o.TraceID, o.SpanID)
+		reg.Histogram("maqs_client_rtt_seconds", nil, "class", class).ObserveExemplar(o.RTT, o.TraceID, o.SpanID)
 	}
 }
