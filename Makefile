@@ -130,8 +130,8 @@ tables-smoke:
 # across three QoS classes) against an in-process server and records the
 # coordinated-omission-correct percentiles (see docs/LOADGEN.md). The
 # workload deliberately exceeds one machine's capacity, so the server
-# runs with a dispatch deadline: requests that outwait 250ms in the
-# dispatch queue are shed with TRANSIENT (docs/ADMISSION.md), keeping
+# runs with a dispatch deadline: requests that outwait 250ms at their
+# class's admission gate are shed with TRANSIENT (docs/ADMISSION.md), keeping
 # the served percentiles flat and reporting the excess as shed counts.
 loadgen:
 	$(GO) run ./cmd/maqs-loadgen -self -scenario default -seed 1 -shed-deadline 250ms -o $(LOADGEN_OUT)
@@ -186,10 +186,12 @@ slo-smoke:
 	$(GO) test -race -run 'TestSLO|TestWindowCounter|TestHealthAndReady' ./internal/qos ./internal/obs .
 
 # chaos runs the fault-injection stress tests race-enabled: the seeded
-# FaultPlan chaos run, the shed-storm overload case (TestChaosShedStorm,
-# see docs/ADMISSION.md) and the targeted retry/breaker tests.
+# FaultPlan chaos run, the shed-storm overload case (TestChaosShedStorm),
+# the admission-gate suite (TestDispatch*: the gate is the server's only
+# overload mechanism, see docs/ADMISSION.md) and the targeted
+# retry/breaker tests.
 chaos:
-	$(GO) test -race -run 'TestChaos|TestRetry|TestBreaker|TestNonIdempotent|TestFault' -v ./internal/orb ./internal/netsim ./internal/resilience
+	$(GO) test -race -run 'TestChaos|TestDispatch|TestRetry|TestBreaker|TestNonIdempotent|TestFault' -v ./internal/orb ./internal/netsim ./internal/resilience
 
 # loc prints the non-test, non-generated Go lines (wc -l, comments and all)
 # of every package under internal/ (one row per directory, found by

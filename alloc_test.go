@@ -120,14 +120,15 @@ func TestLoadBalanceAllocs(t *testing.T) {
 	gateEcho(t, "load-balanced round trip", 11, experiments.Balanced(loadbalance.StrategyRoundRobin))
 }
 
-// TestServerDispatchAllocs is the same gate with the server's bounded
-// dispatch pools enabled: the worker-pool path adds queue handoff, pooled
-// args scratch and a pooled ServerRequest, and must not reintroduce
-// per-request garbage. Measured 5 — the same as goroutine-per-request,
-// because both paths run the one pooled job.
+// TestServerDispatchAllocs is the same gate with every QoS class bounded
+// through AdmissionPolicy: the request passes its class's admission gate
+// (label interning, a held count, a slot) before the handler, and must not
+// reintroduce per-request garbage. Measured 5 — the same as an unbounded
+// class, because both run the one pooled job on its own goroutine.
 func TestServerDispatchAllocs(t *testing.T) {
+	bounded := func(string) maqs.ClassPolicy { return maqs.ClassPolicy{Workers: 4, QueueDepth: 64} }
 	gateEcho(t, "bounded-dispatch round trip", 6,
-		experiments.Config{Options: maqs.Options{DispatchWorkers: 4, DispatchQueueDepth: 64}})
+		experiments.Config{Options: maqs.Options{AdmissionPolicy: bounded}})
 }
 
 // TestEchoAsyncAllocs gates the asynchronous fast path: CallAsync + Wait

@@ -111,9 +111,9 @@ func run() error {
 	debug := flag.String("debug", "", "HTTP debug address serving /metrics, /trace, /flight and the live /loadgen status (empty: disabled)")
 	out := flag.String("o", "", "write the final report as BENCH-format JSON to this file (empty: stdout summary only)")
 	report := flag.Duration("report", 2*time.Second, "interval between live progress summaries")
-	workers := flag.Int("dispatch-workers", 4*runtime.GOMAXPROCS(0), "self server: dispatch workers per QoS class (0: unbounded goroutine-per-request)")
-	queueDepth := flag.Int("queue-depth", 512, "self server: dispatch queue depth per class before shedding")
-	shedDeadline := flag.Duration("shed-deadline", 0, "self server: shed requests queued longer than this (0: queue-full shedding only)")
+	workers := flag.Int("dispatch-workers", 4*runtime.GOMAXPROCS(0), "self server: base admission policy, requests per QoS class in the handler at once (0: unbounded unless a contract says otherwise)")
+	queueDepth := flag.Int("queue-depth", 512, "self server: base admission policy, requests per class waiting at the gate before shedding")
+	shedDeadline := flag.Duration("shed-deadline", 0, "self server: base admission policy, shed requests that waited at the gate longer than this (0: queue-full shedding only)")
 	statusSnap := flag.String("status-snapshot", "", "write the final live-status JSON (the /loadgen view) to this file")
 	tailSample := flag.Float64("tail-sample", -1, "enable tail-based trace sampling, keeping anomalous traces plus this fraction of healthy ones (0..1; negative: record every span)")
 	traceSnap := flag.String("trace-snapshot", "", "write the kept trace spans (per class) as JSON to this file after the run")
@@ -365,8 +365,8 @@ func writeProfiles(p *obs.Profiler, dir string) error {
 func ns(v int64) time.Duration { return time.Duration(v).Round(time.Microsecond) }
 
 // startSelfServer brings up the in-process target: the demo servant with
-// the three standard characteristics on a loopback TCP port, bounded
-// per-class dispatch, and contract-driven admission control. Its metrics
+// the three standard characteristics on a loopback TCP port and
+// contract-driven admission control over the flags' base policy. Its metrics
 // registry is returned so the report can harvest admitted/shed counts.
 func startSelfServer(workers, queueDepth int, shedDeadline time.Duration, transport netsim.Transport, listen string) (*ior.IOR, *obs.Registry, func(), error) {
 	bundle := maqs.NewObservability()
@@ -376,12 +376,9 @@ func startSelfServer(workers, queueDepth int, shedDeadline time.Duration, transp
 		Deadline:   shedDeadline,
 	})
 	sys, err := maqs.NewSystem(maqs.Options{
-		Transport:          transport,
-		Observability:      bundle,
-		DispatchWorkers:    workers,
-		DispatchQueueDepth: queueDepth,
-		DispatchDeadline:   shedDeadline,
-		AdmissionPolicy:    admission.Policy,
+		Transport:       transport,
+		Observability:   bundle,
+		AdmissionPolicy: admission.Policy,
 	})
 	if err != nil {
 		return nil, nil, nil, err

@@ -41,7 +41,7 @@ const (
 type PhaseTimings struct {
 	// EncodeNs is client-side request marshal + frame write time.
 	EncodeNs int64 `json:"encode_ns,omitempty"`
-	// QueueWaitNs is time spent in the bounded dispatch queue.
+	// QueueWaitNs is time spent waiting at a bounded class's admission gate.
 	QueueWaitNs int64 `json:"queue_wait_ns,omitempty"`
 	// DispatchNs is server routing/filter/unmarshal overhead: dispatch
 	// wall time minus the servant's own execution.

@@ -60,12 +60,6 @@ type Config struct {
 	// FlightCapacity bounds the flight-recorder ring
 	// (defaultFlightCapacity when non-positive).
 	FlightCapacity int
-	// FlightSnapshotDepth is how many trailing records each anomaly
-	// dump freezes (defaultFlightSnapshotDepth when non-positive).
-	FlightSnapshotDepth int
-	// FlightMaxDumps bounds retained anomaly dumps
-	// (defaultFlightMaxDumps when non-positive).
-	FlightMaxDumps int
 	// TailSampling, when non-nil, installs a tail sampler between tracer
 	// and collector: spans buffer per trace and only kept traces reach
 	// the collector. Nil preserves record-every-span behaviour.
@@ -86,7 +80,7 @@ func NewWithConfig(cfg Config) *Observability {
 		Registry:  NewRegistry(),
 		Collector: c,
 		Tracer:    NewTracer(c),
-		Flight:    NewFlightRecorder(cfg.FlightCapacity, cfg.FlightSnapshotDepth, cfg.FlightMaxDumps),
+		Flight:    NewFlightRecorder(cfg.FlightCapacity, 0, 0),
 	}
 	if cfg.TailSampling != nil {
 		o.Sampler = newTailSampler(c, o.Registry, *cfg.TailSampling)

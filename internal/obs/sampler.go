@@ -36,13 +36,13 @@ const (
 	dropOrphan = "orphan"
 )
 
-// Tail-sampler defaults.
+// Tail-sampler bounds.
 const (
-	// defaultMaxPendingTraces bounds the pending table.
-	defaultMaxPendingTraces = 512
-	// defaultMaxSpansPerTrace bounds per-trace buffering; spans beyond it
-	// are dropped (counted) so one pathological trace cannot hog memory.
-	defaultMaxSpansPerTrace = 64
+	// maxPendingTraces bounds the pending table.
+	maxPendingTraces = 512
+	// maxSpansPerTrace bounds per-trace buffering; spans beyond it are
+	// dropped (counted) so one pathological trace cannot hog memory.
+	maxSpansPerTrace = 64
 	// recentDecisions bounds the ring of recently decided traces that
 	// routes late spans (async futures resolving after the root ended,
 	// server-returned summaries) to the verdict their trace received.
@@ -57,12 +57,6 @@ type TailSamplingConfig struct {
 	// HealthyKeepFraction is the probability a trace with nothing wrong
 	// is kept (0 drops all healthy traces, 1 keeps everything).
 	HealthyKeepFraction float64
-	// MaxPendingTraces bounds the pending table
-	// (defaultMaxPendingTraces when non-positive).
-	MaxPendingTraces int
-	// MaxSpansPerTrace bounds buffered spans per trace
-	// (defaultMaxSpansPerTrace when non-positive).
-	MaxSpansPerTrace int
 	// SlowThreshold is the root-latency bound classifying a trace as
 	// SLO-relevant slow when no per-class threshold has been installed
 	// (SetSlowThreshold). 0 disables the default slowness check.
@@ -81,7 +75,7 @@ type pendingTrace struct {
 	sawRoot bool
 	// anomaly marks the trace as touched by a flight-dump trigger.
 	anomaly bool
-	// dropped counts spans discarded over MaxSpansPerTrace.
+	// dropped counts spans discarded over maxSpansPerTrace.
 	dropped int
 }
 
@@ -111,8 +105,10 @@ type TailSampler struct {
 	anomaliesOrder []string
 
 	healthyKeep float64
-	maxPending  int
-	maxSpans    int
+	// maxPending and maxSpans are maxPendingTraces and maxSpansPerTrace;
+	// tests shrink them.
+	maxPending int
+	maxSpans   int
 
 	slowMu      sync.RWMutex
 	slow        map[string]time.Duration // QoS class -> slow threshold
@@ -128,20 +124,14 @@ type TailSampler struct {
 // publishing its counters into reg (either may be nil: nil c discards
 // kept traces, nil reg skips metrics).
 func newTailSampler(c *Collector, reg *Registry, cfg TailSamplingConfig) *TailSampler {
-	if cfg.MaxPendingTraces <= 0 {
-		cfg.MaxPendingTraces = defaultMaxPendingTraces
-	}
-	if cfg.MaxSpansPerTrace <= 0 {
-		cfg.MaxSpansPerTrace = defaultMaxSpansPerTrace
-	}
 	s := &TailSampler{
 		collector:   c,
 		pending:     make(map[string]*pendingTrace),
 		recent:      make(map[string]bool),
 		anomalies:   make(map[string]struct{}),
 		healthyKeep: cfg.HealthyKeepFraction,
-		maxPending:  cfg.MaxPendingTraces,
-		maxSpans:    cfg.MaxSpansPerTrace,
+		maxPending:  maxPendingTraces,
+		maxSpans:    maxSpansPerTrace,
 		slow:        make(map[string]time.Duration),
 		defaultSlow: cfg.SlowThreshold,
 		kept:        make(map[string]*Counter),

@@ -148,7 +148,8 @@ func TestTailSamplerAnomalyBeforeFirstSpan(t *testing.T) {
 }
 
 func TestTailSamplerEvictsOldestPending(t *testing.T) {
-	_, reg, tr, s := sampledBundle(t, TailSamplingConfig{MaxPendingTraces: 2})
+	_, reg, tr, s := sampledBundle(t, TailSamplingConfig{})
+	s.maxPending = 2
 	_, a := tr.StartSpan(context.Background(), "a")
 	_, b := tr.StartSpan(context.Background(), "b")
 	_, c3 := tr.StartSpan(context.Background(), "c")
@@ -222,7 +223,8 @@ func TestTailSamplerOrphanInjectCounts(t *testing.T) {
 }
 
 func TestTailSamplerSpanCapPerTrace(t *testing.T) {
-	c, reg, tr, _ := sampledBundle(t, TailSamplingConfig{HealthyKeepFraction: 1, MaxSpansPerTrace: 2})
+	c, reg, tr, s := sampledBundle(t, TailSamplingConfig{HealthyKeepFraction: 1})
+	s.maxSpans = 2
 	_, root := tr.StartSpan(context.Background(), "client.call")
 	for i := 0; i < 4; i++ {
 		root.Child("noise").End()

@@ -8,7 +8,7 @@ import (
 )
 
 // maxLabelPairs caps the distinct (operation, QoS class) pairs an ORB keeps
-// server telemetry cells and dispatch lanes for; later pairs fold into
+// server telemetry cells and admission gates for; later pairs fold into
 // (otherLabel, otherLabel).
 const (
 	maxLabelPairs = 64
@@ -19,8 +19,8 @@ const (
 // server has admitted as labels. Both come off the wire before any servant
 // is resolved — the operation name and the SCQoS tag's characteristic are
 // the peer's choice — so a peer inventing names reaches the fixed cap and
-// then lands on one "other" cell and lane, instead of growing cells, lanes
-// and worker goroutines without bound.
+// then lands on one "other" cell and gate, instead of growing cells and
+// gates without bound.
 type labelTable struct {
 	pairs sync.Map // [2]string{op, class} -> struct{}
 	mu    sync.Mutex
@@ -48,7 +48,7 @@ func (t *labelTable) intern(op, class string) (string, string) {
 // labels returns the job's (operation, class) labels, interned once.
 func (job *dispatchJob) labels() (op, class string) {
 	if job.class == "" {
-		job.op, job.class = job.orb.labels.intern(job.h.Operation, job.tag.class(job.h.Contexts))
+		job.op, job.class = job.orb.labels.intern(job.h.Operation, job.req.tag.class(job.h.Contexts))
 	}
 	return job.op, job.class
 }
@@ -85,7 +85,7 @@ func (ob *orbObs) dims(op, class string) *dispatchDims {
 
 // admitDims is one QoS class's admission-control telemetry cell:
 // admitted requests and sheds split by reason, pre-resolved so the
-// dispatch workers do atomic increments only.
+// gates do atomic increments only.
 type admitDims struct {
 	admitted      *obs.Counter
 	shedQueueFull *obs.Counter
@@ -110,8 +110,8 @@ func (ob *orbObs) admission(class string) *admitDims {
 // phaseDims is one QoS class's latency-decomposition cell: a labeled
 // histogram per pipeline phase, pre-resolved so the request path does
 // atomic updates only. Phase semantics match obs.PhaseTimings: encode
-// is client-side marshal + frame write, queueWait the bounded dispatch
-// queue, dispatch the server routing/filter overhead around the
+// is client-side marshal + frame write, queueWait the wait at a bounded
+// class's admission gate, dispatch the server routing/filter overhead around the
 // servant, servant the method itself, replyWire the reply marshal +
 // frame write.
 type phaseDims struct {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"maqs/internal/cdr"
 	"maqs/internal/giop"
 	"maqs/internal/obs"
 )
@@ -17,16 +16,16 @@ import (
 // who gets dispatched and who gets shed under overload is middleware
 // policy derived from the negotiated contract, never application code.
 type ClassPolicy struct {
-	// Workers is the number of goroutines draining this class's queue.
-	// <= 0 leaves the class on the unbounded goroutine-per-request path
-	// (the pre-admission semantics).
+	// Workers is how many of the class's requests may be inside the
+	// handler at once. <= 0 leaves the class unbounded: every request
+	// goes straight to its handler.
 	Workers int
-	// QueueDepth caps requests waiting for a worker; a request arriving
-	// at a full queue is shed immediately with a TRANSIENT exception.
-	// <= 0 takes defaultQueueDepth.
+	// QueueDepth caps requests waiting for one of those places; a request
+	// arriving when Workers+QueueDepth are already admitted is shed
+	// immediately with a TRANSIENT exception. <= 0 takes defaultQueueDepth.
 	QueueDepth int
-	// Deadline is the dispatch budget measured from enqueue: a request
-	// that waited longer than this is shed at dequeue instead of
+	// Deadline is the dispatch budget measured from admission: a request
+	// that waited longer than this for its place is shed instead of
 	// dispatched, because its reply would arrive after the client gave
 	// up anyway. 0 disables deadline shedding.
 	Deadline time.Duration
@@ -50,19 +49,13 @@ const (
 	shedStormWindow    = time.Second
 )
 
-// dispatcher owns the per-QoS-class worker pools of one ORB. Classes are
-// materialised lazily at first request, with their policy resolved once
-// from Options (per-class AdmissionPolicy overrides over the global
-// defaults) — by the time a characteristic's first tagged request
-// arrives, its contract has been negotiated, so contract-driven policies
-// are in place before the queue exists.
-type dispatcher struct {
-	orb *ORB
-
-	mu      sync.Mutex
-	classes sync.Map // class name (string) → *classQueue
-	wg      sync.WaitGroup
-	closed  sync.Once
+// gateTable holds the admission gates of one ORB, one per QoS class. A
+// class's gate is made at its first request from Options.AdmissionPolicy —
+// by the time a characteristic's first tagged request arrives, its
+// contract has been negotiated, so contract-driven policies are in place
+// before the gate exists. An unbounded class stores a nil gate.
+type gateTable struct {
+	classes sync.Map // class name (string) → *gate
 
 	// Shed-storm window, shared across classes: overload is a server
 	// condition, not a per-class one.
@@ -70,29 +63,63 @@ type dispatcher struct {
 	stormCount atomic.Uint64
 }
 
-// classQueue is one QoS class's bounded dispatch lane.
-type classQueue struct {
-	class  string
+// gate bounds one QoS class. Every request of the class still runs on a
+// goroutine of its own; the gate limits how many are admitted at all
+// (held, checked in the read loop, before a goroutine starts) and how
+// many of those are inside the handler at once (slots).
+type gate struct {
 	policy ClassPolicy
-	ch     chan *dispatchJob
+	held   atomic.Int64
+	slots  chan struct{}
+}
+
+// gateFor returns the class's gate, making it on first sight; nil means
+// the class is unbounded. Two read loops racing on a new class may both
+// ask the policy, but both get the one gate stored.
+func (t *gateTable) gateFor(class string, policy func(string) ClassPolicy) *gate {
+	if v, ok := t.classes.Load(class); ok {
+		return v.(*gate)
+	}
+	var g *gate
+	if p := policy(class); p.Workers > 0 {
+		if p.QueueDepth <= 0 {
+			p.QueueDepth = defaultQueueDepth
+		}
+		g = &gate{policy: p, slots: make(chan struct{}, p.Workers)}
+	}
+	v, _ := t.classes.LoadOrStore(class, g)
+	return v.(*gate)
+}
+
+// stormTick counts one shed into the rolling window and reports whether
+// this shed crossed the storm threshold.
+func (t *gateTable) stormTick() bool {
+	now := time.Now().UnixNano()
+	start := t.stormStart.Load()
+	if now-start > int64(shedStormWindow) {
+		if t.stormStart.CompareAndSwap(start, now) {
+			t.stormCount.Store(0)
+		}
+	}
+	return t.stormCount.Add(1) == shedStormThreshold
 }
 
 // dispatchJob carries one parsed request from the connection read loop to
-// whatever handles it: a class worker, or a goroutine of its own when the
-// class is unbounded. Jobs are pooled; release returns them.
+// the goroutine that handles it. Jobs are pooled; release returns them.
 type dispatchJob struct {
+	// req is the request handed to filters and servant. decode fills its
+	// Args and Order, the read loop its Peer and SCQoS memo, handleRequest
+	// the rest; release clears it with the job.
+	req     ServerRequest
 	orb     *ORB
 	conn    net.Conn
-	peer    string // conn's remote address, rendered once per connection
 	writeMu *sync.Mutex
-	wg      *sync.WaitGroup // the owning connection's handler group
-	order   cdr.ByteOrder
+	wg      *sync.WaitGroup    // the owning connection's handler group
 	h       giop.RequestHeader // ObjectKey and context payloads live in scratch
-	args    []byte             // lives in scratch
 	op      string             // h.Operation as a label (labels, dims.go)
 	class   string             // QoS class as a label, "" until labels runs
-	tag     EncodedQoSTag      // the request's SCQoS tag (tagCache.fill), handed on to the request
-	enq     time.Time
+	gate    *gate              // the class's gate, nil when unbounded
+	enq     time.Time          // when the gate admitted the request
 
 	// scratch holds what the request keeps of the frame body — object key,
 	// arguments, then the service contexts' payloads — because the read
@@ -151,7 +178,7 @@ func (job *dispatchJob) decode(msg *giop.Message) error {
 	// filter appending to one piece cannot run into the next.
 	off := len(h.ObjectKey)
 	h.ObjectKey = s[:off:off]
-	job.args = s[off : off+len(args) : off+len(args)]
+	job.req.Args = s[off : off+len(args) : off+len(args)]
 	off += len(args)
 	for i := range h.Contexts {
 		end := off + len(h.Contexts[i].Data)
@@ -160,21 +187,61 @@ func (job *dispatchJob) decode(msg *giop.Message) error {
 	}
 	h.Principal = nil // unused, and it aliases the reader's body
 	job.scratch = s
-	job.order = msg.Order
+	job.req.Order = msg.Order
 	return nil
 }
 
-// serve is the unbounded path: the job's own goroutine handles it.
-func (job *dispatchJob) serve() {
-	job.orb.handleRequest(job)
-	job.finish()
+// admit takes a request of a bounded class into its gate. Over the
+// class's Workers+QueueDepth it sheds the request (queue-full) and reports
+// false: the read loop releases the job and starts no goroutine for it.
+func (o *ORB) admit(job *dispatchJob) bool {
+	_, class := job.labels()
+	g := o.gates.gateFor(class, o.opts.AdmissionPolicy)
+	if g == nil {
+		return true
+	}
+	job.enq = time.Now()
+	if g.held.Add(1) > int64(g.policy.Workers+g.policy.QueueDepth) {
+		g.held.Add(-1)
+		o.shed(job, shedReasonQueueFull)
+		return false
+	}
+	job.gate = g
+	return true
 }
 
-// finish releases a job after it was handled or shed.
-func (job *dispatchJob) finish() {
+// serve runs on the job's own goroutine: it passes the class's gate, if
+// the class has one, handles the request and releases the job.
+func (job *dispatchJob) serve() {
+	g := job.gate
+	if g == nil || job.enter(g) {
+		job.orb.handleRequest(job)
+	}
+	if g != nil {
+		<-g.slots
+		g.held.Add(-1)
+	}
 	wg := job.wg
 	job.release()
 	wg.Done()
+}
+
+// enter waits for one of the gate's slots. It reports false, having shed
+// the request, when the wait outlasted the class's Deadline.
+func (job *dispatchJob) enter(g *gate) bool {
+	g.slots <- struct{}{}
+	o := job.orb
+	wait := time.Since(job.enq)
+	if g.policy.Deadline > 0 && wait > g.policy.Deadline {
+		o.shed(job, shedReasonDeadline)
+		return false
+	}
+	if ob := o.obsState.Load(); ob != nil {
+		ob.admitted.Inc()
+		ob.admission(job.class).admitted.Inc()
+		ob.phase(job.class).queueWait.Observe(wait)
+	}
+	return true
 }
 
 // release scrubs the job and returns it to the pool. Besides its scratch
@@ -203,106 +270,11 @@ func (job *dispatchJob) release() {
 	jobPool.Put(job)
 }
 
-func newDispatcher(o *ORB) *dispatcher {
-	return &dispatcher{orb: o}
-}
-
-// resolvePolicy computes the effective policy of a class: per-class
-// AdmissionPolicy overrides layered over the Options-wide defaults.
-func (o *ORB) resolvePolicy(class string) ClassPolicy {
-	p := ClassPolicy{
-		Workers:    o.opts.DispatchWorkers,
-		QueueDepth: o.opts.DispatchQueueDepth,
-		Deadline:   o.opts.DispatchDeadline,
-	}
-	if o.opts.AdmissionPolicy != nil {
-		over := o.opts.AdmissionPolicy(class)
-		if over.Workers > 0 {
-			p.Workers = over.Workers
-		}
-		if over.QueueDepth > 0 {
-			p.QueueDepth = over.QueueDepth
-		}
-		if over.Deadline > 0 {
-			p.Deadline = over.Deadline
-		}
-	}
-	if p.QueueDepth <= 0 {
-		p.QueueDepth = defaultQueueDepth
-	}
-	return p
-}
-
-// queueFor returns the class's lane, creating it (and its workers) on
-// first sight. Creation happens only from connection read loops, which
-// the ORB drains before closing the dispatcher.
-func (d *dispatcher) queueFor(class string) *classQueue {
-	if v, ok := d.classes.Load(class); ok {
-		return v.(*classQueue)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if v, ok := d.classes.Load(class); ok {
-		return v.(*classQueue)
-	}
-	q := &classQueue{class: class, policy: d.orb.resolvePolicy(class)}
-	if q.policy.Workers > 0 {
-		q.ch = make(chan *dispatchJob, q.policy.QueueDepth)
-		for i := 0; i < q.policy.Workers; i++ {
-			d.wg.Add(1)
-			go d.worker(q)
-		}
-	}
-	d.classes.Store(class, q)
-	return q
-}
-
-// submit hands a request to its class lane. It reports false when the
-// class is unbounded (the caller gives the job a goroutine as before); true
-// means the job was either queued or shed — accounted for either way.
-// submit never blocks: a full queue sheds instead of back-pressuring the
-// connection read loop.
-func (d *dispatcher) submit(job *dispatchJob) bool {
-	q := d.queueFor(job.class)
-	if q.policy.Workers <= 0 {
-		return false
-	}
-	job.enq = time.Now()
-	job.wg.Add(1)
-	select {
-	case q.ch <- job:
-	default:
-		d.shed(job, shedReasonQueueFull)
-		job.finish()
-	}
-	return true
-}
-
-// worker drains one class lane until the dispatcher closes.
-func (d *dispatcher) worker(q *classQueue) {
-	defer d.wg.Done()
-	for job := range q.ch {
-		wait := time.Since(job.enq)
-		if q.policy.Deadline > 0 && wait > q.policy.Deadline {
-			d.shed(job, shedReasonDeadline)
-		} else {
-			if ob := d.orb.obsState.Load(); ob != nil {
-				ob.admitted.Inc()
-				ob.admission(job.class).admitted.Inc()
-				ob.phase(job.class).queueWait.Observe(wait)
-			}
-			d.orb.handleRequest(job)
-		}
-		job.finish()
-	}
-}
-
 // shed refuses a request: counts it, replies TRANSIENT (retryable — the
 // client's retry, breaker and Degrader machinery all key off it) when a
 // response is expected, and freezes flight-recorder evidence when the
 // shed rate crosses the storm threshold.
-func (d *dispatcher) shed(job *dispatchJob, reason string) {
-	o := d.orb
+func (o *ORB) shed(job *dispatchJob, reason string) {
 	if ob := o.obsState.Load(); ob != nil {
 		ob.shed.Inc()
 		ad := ob.admission(job.class)
@@ -313,12 +285,12 @@ func (d *dispatcher) shed(job *dispatchJob, reason string) {
 			ad.shedDeadline.Inc()
 		}
 	}
-	if d.stormTick() {
+	if o.gates.stormTick() {
 		wait := time.Since(job.enq)
 		o.Flight().Trigger(obs.AnomalyOverloadShed, obs.FlightRecord{
 			Operation: job.h.Operation,
 			Binding:   job.class,
-			Endpoint:  job.peer,
+			Endpoint:  job.req.Peer,
 			Stripe:    -1,
 			Outcome:   "shed-" + reason,
 			Latency:   wait,
@@ -330,10 +302,11 @@ func (d *dispatcher) shed(job *dispatchJob, reason string) {
 	if !job.h.ResponseExpected {
 		return
 	}
+	order := job.req.Order
 	exc := NewSystemException(ExcTransient, 60,
 		"request shed by admission control (%s, class %s)", reason, job.class)
-	out := outcomeFromError(exc, job.order)
-	e := giop.AcquireFrameEncoder(job.order)
+	out := outcomeFromError(exc, order)
+	e := giop.AcquireFrameEncoder(order)
 	rh := giop.ReplyHeader{RequestID: job.h.RequestID, Status: out.Status}
 	rh.Marshal(e)
 	e.WriteOctets(out.Data)
@@ -344,33 +317,4 @@ func (d *dispatcher) shed(job *dispatchJob, reason string) {
 	if err != nil {
 		o.opts.Logger.Warn("orb: writing shed reply failed", "err", err)
 	}
-}
-
-// stormTick counts one shed into the rolling window and reports whether
-// this shed crossed the storm threshold.
-func (d *dispatcher) stormTick() bool {
-	now := time.Now().UnixNano()
-	start := d.stormStart.Load()
-	if now-start > int64(shedStormWindow) {
-		if d.stormStart.CompareAndSwap(start, now) {
-			d.stormCount.Store(0)
-		}
-	}
-	return d.stormCount.Add(1) == shedStormThreshold
-}
-
-// close shuts the lanes and waits for the workers. The ORB calls it
-// after every connection read loop has returned (and with it every
-// producer), so the queues drain rather than drop.
-func (d *dispatcher) close() {
-	d.closed.Do(func() {
-		d.classes.Range(func(_, v any) bool {
-			q := v.(*classQueue)
-			if q.ch != nil {
-				close(q.ch)
-			}
-			return true
-		})
-		d.wg.Wait()
-	})
 }

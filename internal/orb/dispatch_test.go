@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,19 +18,26 @@ import (
 )
 
 // gateServant blocks its "block" operation on a gate channel so tests
-// can pin dispatch workers deterministically; "echo" and oneway "note"
-// behave like echoServant.
+// can pin a class's admitted requests deterministically, counting how
+// many are blocked inside at once; "echo" and oneway "note" behave like
+// echoServant.
 type gateServant struct {
 	gate    chan struct{}
 	invoked atomic.Int64
 	notes   atomic.Int64
+	inside  atomic.Int64 // "block" calls inside the servant now
+	peak    atomic.Int64 // the most there ever were at once
 }
 
 func (s *gateServant) Invoke(req *ServerRequest) error {
 	s.invoked.Add(1)
 	switch req.Operation {
 	case "block":
+		n := s.inside.Add(1)
+		for p := s.peak.Load(); n > p && !s.peak.CompareAndSwap(p, n); p = s.peak.Load() {
+		}
 		<-s.gate
+		s.inside.Add(-1)
 		req.Out.WriteString("unblocked")
 		return nil
 	case "echo":
@@ -66,6 +74,11 @@ func dispatchWorld(t *testing.T, servant Servant, opts Options) (*ORB, *ORB, *io
 		server.Shutdown()
 	})
 	return server, client, ref
+}
+
+// every is an AdmissionPolicy giving each class the same policy.
+func every(p ClassPolicy) func(string) ClassPolicy {
+	return func(string) ClassPolicy { return p }
 }
 
 // call invokes op with a short string argument and returns the decoded
@@ -109,7 +122,7 @@ func qosTag(name string) giop.ServiceContextList {
 // with no sheds — the bound changes scheduling, not semantics.
 func TestDispatchBoundedEcho(t *testing.T) {
 	servant := &gateServant{gate: make(chan struct{})}
-	server, client, ref := dispatchWorld(t, servant, Options{DispatchWorkers: 2, DispatchQueueDepth: 64})
+	server, client, ref := dispatchWorld(t, servant, Options{AdmissionPolicy: every(ClassPolicy{Workers: 2, QueueDepth: 64})})
 	_ = server
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
@@ -139,9 +152,8 @@ func TestDispatchQueueOverflowShed(t *testing.T) {
 	servant := &gateServant{gate: make(chan struct{})}
 	bundle := obs.New()
 	server, client, ref := dispatchWorld(t, servant, Options{
-		DispatchWorkers:    1,
-		DispatchQueueDepth: 1,
-		Observability:      bundle,
+		AdmissionPolicy: every(ClassPolicy{Workers: 1, QueueDepth: 1}),
+		Observability:   bundle,
 	})
 	_ = server
 
@@ -187,10 +199,8 @@ func TestDispatchDeadlineShed(t *testing.T) {
 	servant := &gateServant{gate: make(chan struct{})}
 	bundle := obs.New()
 	server, client, ref := dispatchWorld(t, servant, Options{
-		DispatchWorkers:    1,
-		DispatchQueueDepth: 8,
-		DispatchDeadline:   30 * time.Millisecond,
-		Observability:      bundle,
+		AdmissionPolicy: every(ClassPolicy{Workers: 1, QueueDepth: 8, Deadline: 30 * time.Millisecond}),
+		Observability:   bundle,
 	})
 	_ = server
 
@@ -228,9 +238,8 @@ func TestDispatchOnewayShed(t *testing.T) {
 	servant := &gateServant{gate: make(chan struct{})}
 	bundle := obs.New()
 	server, client, ref := dispatchWorld(t, servant, Options{
-		DispatchWorkers:    1,
-		DispatchQueueDepth: 1,
-		Observability:      bundle,
+		AdmissionPolicy: every(ClassPolicy{Workers: 1, QueueDepth: 1}),
+		Observability:   bundle,
 	})
 	_ = server
 
@@ -266,8 +275,7 @@ func TestDispatchOnewayShed(t *testing.T) {
 func TestDispatchClassIsolation(t *testing.T) {
 	servant := &gateServant{gate: make(chan struct{})}
 	server, client, ref := dispatchWorld(t, servant, Options{
-		DispatchWorkers:    1,
-		DispatchQueueDepth: 4,
+		AdmissionPolicy: every(ClassPolicy{Workers: 1, QueueDepth: 4}),
 	})
 	_ = server
 
@@ -292,27 +300,25 @@ func TestDispatchClassIsolation(t *testing.T) {
 	}
 }
 
-// TestDispatchPolicyOverride: AdmissionPolicy overrides apply per class;
-// a class granted no workers stays on the unbounded path even when the
-// defaults are bounded.
+// TestDispatchPolicyOverride: the policy applies per class, and a class
+// granted no workers stays unbounded beside a bounded one — the exemption
+// of a control-plane class that docs/ADMISSION.md describes.
 func TestDispatchPolicyOverride(t *testing.T) {
 	servant := &gateServant{gate: make(chan struct{})}
 	bundle := obs.New()
 	server, client, ref := dispatchWorld(t, servant, Options{
-		DispatchWorkers:    1,
-		DispatchQueueDepth: 1,
-		Observability:      bundle,
+		Observability: bundle,
 		AdmissionPolicy: func(class string) ClassPolicy {
 			if class == "Gold" {
-				return ClassPolicy{QueueDepth: 64}
+				return ClassPolicy{Workers: 1, QueueDepth: 64}
 			}
-			return ClassPolicy{}
+			return ClassPolicy{Workers: 0} // "none": exempt
 		},
 	})
 	_ = server
 
-	// Pin Gold's single worker, then pile more Gold requests into its
-	// widened queue: none shed at depth 64.
+	// Pin Gold's single worker, then pile more Gold requests behind it:
+	// they wait at the gate, and none shed at depth 64.
 	blocked := make(chan error, 1)
 	go func() { blocked <- call(client, ref, "block", false, qosTag("Gold")) }()
 	waitFor(t, func() bool { return servant.invoked.Load() == 1 })
@@ -324,6 +330,17 @@ func TestDispatchPolicyOverride(t *testing.T) {
 	if got := bundle.Registry.Counter("maqs_server_shed_total").Value(); got != 0 {
 		t.Fatalf("gold lane shed %d requests despite queue depth 64", got)
 	}
+	if got := servant.invoked.Load(); got != 1 {
+		t.Fatalf("servant saw %d invocations with Gold's one worker pinned, want 1", got)
+	}
+
+	// Untagged traffic is exempt: 8 blocking calls are all inside at once.
+	free := make(chan error, 8)
+	for i := 0; i < 8; i++ {
+		go func() { free <- call(client, ref, "block", false, nil) }()
+	}
+	waitFor(t, func() bool { return servant.inside.Load() == 1+8 })
+
 	close(servant.gate)
 	if err := <-blocked; err != nil {
 		t.Fatalf("blocked call: %v", err)
@@ -332,6 +349,77 @@ func TestDispatchPolicyOverride(t *testing.T) {
 		if err := <-queued; err != nil {
 			t.Fatalf("queued gold call %d: %v", i, err)
 		}
+		if err := <-free; err != nil {
+			t.Fatalf("untagged call %d: %v", i, err)
+		}
+	}
+}
+
+// TestDispatchGateBounds: a gate of 2 workers and depth 4 lets at most 2
+// requests into the servant and admits 6 in all; the rest of a 64-call
+// burst is shed in the read loop, before it gets a goroutine. Once the
+// gate opens and the ORBs shut down, no goroutine is left behind.
+func TestDispatchGateBounds(t *testing.T) {
+	const workers, depth, burst = 2, 4, 64
+	idle := runtime.NumGoroutine()
+	servant := &gateServant{gate: make(chan struct{})}
+	bundle := obs.New()
+	server, client, ref := dispatchWorld(t, servant, Options{
+		AdmissionPolicy: every(ClassPolicy{Workers: workers, QueueDepth: depth}),
+		Observability:   bundle,
+	})
+	unpin := sync.OnceFunc(func() { close(servant.gate) })
+	t.Cleanup(unpin) // before the shutdown, which waits for pinned calls
+	// Warm the connection first, so its read loops are in the baseline.
+	if err := call(client, ref, "echo", false, nil); err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+
+	errs := make(chan error, burst)
+	for i := 0; i < burst; i++ {
+		go func() { errs <- call(client, ref, "block", false, nil) }()
+	}
+	// The sheds come back while the admitted calls are still pinned.
+	for i := 0; i < burst-workers-depth; i++ {
+		if err := <-errs; !isShed(err) {
+			t.Fatalf("burst call: got %v, want admission TRANSIENT", err)
+		}
+	}
+	if got := bundle.Registry.Counter(`maqs_server_shed_total{class="none",reason="queue-full"}`).Value(); got != burst-workers-depth {
+		t.Fatalf("queue-full sheds = %d, want %d", got, burst-workers-depth)
+	}
+	// Each admitted request holds one server goroutine, and its caller one
+	// client goroutine awaiting the reply; the constant 2 covers shed
+	// callers not yet exited. Without the gate, the 58 would be parked too.
+	const exiting = 2
+	settleGoroutines(t, "during the burst", base+2*(workers+depth)+exiting)
+	waitFor(t, func() bool { return servant.inside.Load() == workers })
+
+	unpin()
+	for i := 0; i < workers+depth; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("admitted call: %v", err)
+		}
+	}
+	if got := servant.peak.Load(); got > workers {
+		t.Fatalf("servant saw %d concurrent calls, want ≤ %d", got, workers)
+	}
+	client.Shutdown()
+	server.Shutdown()
+	settleGoroutines(t, "after shutdown", idle)
+}
+
+// settleGoroutines waits up to 2s for the process to run at most limit
+// goroutines.
+func settleGoroutines(t *testing.T, when string, limit int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for n := runtime.NumGoroutine(); n > limit; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines %s, want ≤ %d", n, when, limit)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -340,7 +428,7 @@ func TestDispatchPolicyOverride(t *testing.T) {
 func TestDispatchShutdownDrains(t *testing.T) {
 	servant := &gateServant{gate: make(chan struct{})}
 	n := netsim.NewNetwork()
-	server := New(Options{Transport: n.Host("server"), DispatchWorkers: 1, DispatchQueueDepth: 8})
+	server := New(Options{Transport: n.Host("server"), AdmissionPolicy: every(ClassPolicy{Workers: 1, QueueDepth: 8})})
 	if err := server.Listen("server:9000"); err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +459,7 @@ func TestDispatchShutdownDrains(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Shutdown did not drain the dispatch queues")
+		t.Fatal("Shutdown did not drain the requests waiting at the gate")
 	}
 	if got := servant.invoked.Load(); got != 5 {
 		t.Fatalf("servant saw %d invocations after drain, want 5", got)
@@ -387,9 +475,8 @@ func TestChaosShedStorm(t *testing.T) {
 	bundle := obs.New()
 	bundle.Flight.SetDumpCooldown(0)
 	server, client, ref := dispatchWorld(t, servant, Options{
-		DispatchWorkers:    1,
-		DispatchQueueDepth: 1,
-		Observability:      bundle,
+		AdmissionPolicy: every(ClassPolicy{Workers: 1, QueueDepth: 1}),
+		Observability:   bundle,
 	})
 	_ = server
 

@@ -274,8 +274,8 @@ type ServerRequest struct {
 	// phase), stamped by invokeServant when observability is installed.
 	servantNs int64
 
-	// tag memoises the decoded SCQoS context (see QoSTag). Requests are
-	// pooled: releaseServerRequest clears it with the rest of the struct.
+	// tag memoises the decoded SCQoS context (see QoSTag). Requests live
+	// in pooled dispatch jobs, whose release clears it with the rest.
 	tag EncodedQoSTag
 }
 

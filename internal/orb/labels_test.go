@@ -13,12 +13,12 @@ import (
 
 // TestPeerChosenLabelsAreBounded: operation names and QoS classes come off
 // the wire, so a peer inventing 10 000 of each on one connection must
-// leave at most maxLabelPairs+1 telemetry cells of every kind and dispatch
-// lanes (each lane with its own workers), not 10 000.
+// leave at most maxLabelPairs+1 telemetry cells of every kind and admission
+// gates, not 10 000.
 func TestPeerChosenLabelsAreBounded(t *testing.T) {
 	bundle := obs.New()
 	server, client, ref := dispatchWorld(t, &gateServant{gate: make(chan struct{})},
-		Options{DispatchWorkers: 1, Observability: bundle})
+		Options{AdmissionPolicy: every(ClassPolicy{Workers: 1}), Observability: bundle})
 	const n = 10000
 	for i := 0; i < n; i++ {
 		s := strconv.Itoa(i)
@@ -38,7 +38,7 @@ func TestPeerChosenLabelsAreBounded(t *testing.T) {
 	}
 	ob := server.obsState.Load()
 	for what, got := range map[string]int{
-		"dispatch lanes":             count(&server.dispatcher.classes),
+		"admission gates":            count(&server.gates.classes),
 		"dispatch cells":             count(&ob.dimCells),
 		"admission cells":            count(&ob.admitCells),
 		"phase cells":                count(&ob.phaseCells),

@@ -44,27 +44,12 @@ type Options struct {
 	// 0 (the default) leaves the window unbounded. Orthogonal to
 	// ConnsPerEndpoint: the cap is per stripe member.
 	PipelineDepth int
-	// DispatchWorkers bounds concurrent server-side request handlers per
-	// QoS class: each class gets its own queue drained by this many
-	// worker goroutines, and requests arriving at a full queue are shed
-	// with a TRANSIENT exception instead of spawning without limit.
-	// <= 0 (the default) keeps the unbounded goroutine-per-request path.
-	DispatchWorkers int
-	// DispatchQueueDepth caps requests queued per class ahead of the
-	// workers. <= 0 takes defaultQueueDepth (only relevant when
-	// dispatch is bounded).
-	DispatchQueueDepth int
-	// DispatchDeadline sheds queued requests that waited longer than
-	// this before reaching a worker — their reply would miss the
-	// client's deadline anyway. 0 disables deadline shedding.
-	DispatchDeadline time.Duration
-	// AdmissionPolicy overrides the dispatch policy per QoS class (the
-	// class names match the dispatch telemetry: the negotiated
-	// characteristic, "none" for untagged traffic, "other" past the
-	// label cap of dims.go). Zero fields of the returned policy fall
-	// back to the Dispatch* defaults above.
-	// The qos layer derives these policies from negotiated contracts;
-	// a class's policy is resolved once, at its first request.
+	// AdmissionPolicy bounds server dispatch per QoS class (the class
+	// names match the dispatch telemetry: the negotiated characteristic,
+	// "none" for untagged traffic, "other" past the label cap of dims.go).
+	// A class's policy is resolved once, at its first request; nil, or a
+	// policy with Workers <= 0, leaves the class unbounded. The qos layer
+	// derives these policies from negotiated contracts.
 	AdmissionPolicy func(class string) ClassPolicy
 	// Logger receives diagnostics. Defaults to a discarding logger.
 	Logger *slog.Logger
@@ -100,11 +85,10 @@ type ORB struct {
 	iiop    *iiopModule
 	adapter *Adapter
 	res     *resilienceState // nil when no resilience policy is installed
-	// dispatcher holds the per-class worker pools; nil when dispatch is
-	// unbounded (no DispatchWorkers and no AdmissionPolicy configured).
-	dispatcher *dispatcher
+	// gates holds the admission gates of the bounded QoS classes.
+	gates gateTable
 	// labels bounds the (operation, class) pairs that key the server's
-	// telemetry cells and dispatch lanes (see dims.go).
+	// telemetry cells and admission gates (see dims.go).
 	labels labelTable
 
 	// obsState holds the installed observability bundle together with
@@ -172,9 +156,6 @@ func New(opts Options) *ORB {
 	o.iiop = &iiopModule{orb: o}
 	o.adapter = &Adapter{orb: o}
 	o.router = routerFunc(func(*Invocation) (TransportModule, error) { return o.iiop, nil })
-	if o.opts.DispatchWorkers > 0 || o.opts.AdmissionPolicy != nil {
-		o.dispatcher = newDispatcher(o)
-	}
 	if opts.Observability != nil {
 		o.setObservability(opts.Observability)
 	}
@@ -459,7 +440,6 @@ func (o *ORB) Shutdown() {
 	if o.shutdown {
 		o.mu.Unlock()
 		o.wg.Wait()
-		o.closeDispatcher()
 		return
 	}
 	o.shutdown = true
@@ -485,17 +465,9 @@ func (o *ORB) Shutdown() {
 	for _, c := range server {
 		c.Close()
 	}
-	// Connection read loops (the only dispatch producers) are on o.wg and
-	// wait for their own queued requests before returning, so once the
-	// wait clears the class queues are empty and the workers can go.
+	// Connection read loops are on o.wg and wait for their own requests'
+	// goroutines — those waiting at a gate included — before returning.
 	o.wg.Wait()
-	o.closeDispatcher()
-}
-
-func (o *ORB) closeDispatcher() {
-	if o.dispatcher != nil {
-		o.dispatcher.close()
-	}
 }
 
 // getConn returns a live client connection to addr from the endpoint's

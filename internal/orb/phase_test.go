@@ -19,14 +19,14 @@ func phaseHist(snap obs.Snapshot, class, phase string) (obs.HistogramSnapshot, b
 }
 
 // TestPhaseDecompositionBounded drives tagged calls through a bounded
-// dispatch pool with observability on both sides and asserts every
+// class's admission gate with observability on both sides and asserts every
 // pipeline phase produced a labeled histogram: encode on the client,
 // queue_wait / dispatch / servant / reply_wire on the server.
 func TestPhaseDecompositionBounded(t *testing.T) {
 	servant := &gateServant{gate: make(chan struct{})}
 	serverObs := obs.New()
 	server, client, ref := dispatchWorld(t, servant, Options{
-		DispatchWorkers: 2, DispatchQueueDepth: 64, Observability: serverObs,
+		AdmissionPolicy: every(ClassPolicy{Workers: 2, QueueDepth: 64}), Observability: serverObs,
 	})
 	_ = server
 	clientObs := obs.New()

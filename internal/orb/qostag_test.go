@@ -47,21 +47,24 @@ func TestServerRequestTagDecodedOnce(t *testing.T) {
 }
 
 // A pooled ServerRequest that served a tagged request must report the next,
-// untagged one as untagged — both through release (the struct is cleared)
-// and, were a field ever to survive, through the payload-identity key.
+// untagged one as untagged — both through release (the dispatch job that
+// holds it is cleared) and, were a field ever to survive, through the
+// payload-identity key.
 func TestPooledServerRequestForgetsTag(t *testing.T) {
 	tag := QoSTag{Characteristic: "Encryption", BindingID: "b2", Module: "secure"}
-	req := serverReqPool.Get().(*ServerRequest)
+	job := acquireJob()
+	req := &job.req
 	*req = ServerRequest{Contexts: giop.ServiceContextList{}.With(giop.SCQoS, tag.Encode())}
 	if _, tagged, err := req.QoSTag(); err != nil || !tagged {
 		t.Fatalf("tagged request: %v, %v", tagged, err)
 	}
-	releaseServerRequest(req)
+	job.release()
 	if req.tag.data != nil || req.tag.tag != (QoSTag{}) {
 		t.Fatalf("release left the memo behind: %+v", req.tag)
 	}
 
-	// Worst case: the same struct, memo deliberately left in place.
+	// Worst case: a request whose memo was deliberately left in place.
+	req = &ServerRequest{}
 	req.tag = EncodedQoSTag{data: tag.Encode(), tag: tag}
 	req.Contexts = giop.ServiceContextList{}.With(giop.SCTrace, []byte("00-aa-bb-01"))
 	if got, tagged, err := req.QoSTag(); err != nil || tagged {

@@ -119,9 +119,9 @@ func (o *ORB) acceptLoop(l net.Listener) {
 }
 
 // serveConn reads requests off one connection and hands each, as a pooled
-// job, to the dispatcher (bounded per-class worker pools) or, for unbounded
-// classes, its own goroutine; replies are serialised by a write mutex. The
-// frame reader reuses its body buffer across reads, so everything a request
+// job, to a goroutine of its own, once the admission gate of a bounded QoS
+// class has let it in; replies are serialised by a write mutex. The frame
+// reader reuses its body buffer across reads, so everything a request
 // retains is moved out before the next read: object key, arguments and
 // service context payloads go into the job's scratch buffer, the operation
 // name is a string the job keeps. The SCQoS tag is resolved here too,
@@ -158,16 +158,14 @@ func (o *ORB) serveConn(conn net.Conn) {
 				o.writeMessageError(conn, &writeMu)
 				return
 			}
-			job.orb, job.conn, job.peer, job.writeMu, job.wg = o, conn, peer, &writeMu, &handlers
+			job.orb, job.conn, job.req.Peer, job.writeMu, job.wg = o, conn, peer, &writeMu, &handlers
 			// One decode per binding and connection, none per request:
 			// every reader downstream (admission below, filters, skeleton,
 			// telemetry) hits the memo filled here.
-			tags.fill(&job.tag, job.h.Contexts)
-			if o.dispatcher != nil {
-				job.labels()
-				if o.dispatcher.submit(job) {
-					break // queued or shed; accounted for either way
-				}
+			tags.fill(&job.req.tag, job.h.Contexts)
+			if o.opts.AdmissionPolicy != nil && !o.admit(job) {
+				job.release() // shed
+				break
 			}
 			handlers.Add(1)
 			go job.run()
@@ -210,28 +208,17 @@ func (o *ORB) writeMessageError(conn net.Conn, writeMu *sync.Mutex) {
 	writeMu.Unlock()
 }
 
-// serverReqPool recycles ServerRequest structs across dispatches; the
-// request is dead once its reply is written, so handleRequest returns it
-// on every exit path.
-var serverReqPool = sync.Pool{New: func() any { return new(ServerRequest) }}
-
 // handleRequest runs one request through filters, command handling or
-// servant dispatch, and writes the reply. The read loop filled the job's
-// SCQoS memo; the request inherits it.
+// servant dispatch, and writes the reply. The request is the job's own and
+// is scrubbed with it once the reply is written, so servants and filters
+// must not retain the request, its object key, its argument bytes or its
+// context payloads past the dispatch: all of them live in the job's scratch.
 func (o *ORB) handleRequest(job *dispatchJob) {
-	conn, writeMu, order, h := job.conn, job.writeMu, job.order, &job.h
-	req := serverReqPool.Get().(*ServerRequest)
-	*req = ServerRequest{
-		ObjectKey: h.ObjectKey,
-		Operation: h.Operation,
-		Contexts:  h.Contexts,
-		Args:      job.args,
-		Order:     order,
-		Out:       cdr.AcquireEncoder(order),
-		Peer:      job.peer,
-		OneWay:    !h.ResponseExpected,
-		tag:       job.tag,
-	}
+	h, req := &job.h, &job.req
+	order := req.Order
+	req.ObjectKey, req.Operation, req.Contexts = h.ObjectKey, h.Operation, h.Contexts
+	req.Out = cdr.AcquireEncoder(order)
+	req.OneWay = !h.ResponseExpected
 
 	ob := o.obsState.Load()
 	var start time.Time
@@ -299,7 +286,6 @@ func (o *ORB) handleRequest(job *dispatchJob) {
 
 	if !h.ResponseExpected {
 		req.Out.Release()
-		releaseServerRequest(req)
 		return
 	}
 	var wireStart time.Time
@@ -310,9 +296,9 @@ func (o *ORB) handleRequest(job *dispatchJob) {
 	rh := giop.ReplyHeader{Contexts: req.OutContexts, RequestID: h.RequestID, Status: status}
 	rh.Marshal(e)
 	e.WriteOctets(body)
-	writeMu.Lock()
-	err := giop.WriteFrame(conn, giop.MsgReply, e, o.opts.MaxFragment)
-	writeMu.Unlock()
+	job.writeMu.Lock()
+	err := giop.WriteFrame(job.conn, giop.MsgReply, e, o.opts.MaxFragment)
+	job.writeMu.Unlock()
 	e.Release()
 	if pd != nil {
 		pd.replyWire.Observe(time.Since(wireStart))
@@ -320,19 +306,9 @@ func (o *ORB) handleRequest(job *dispatchJob) {
 	// body may alias req.Out's buffer; it has been copied into the reply
 	// frame above, so the dispatch encoder can go back to the pool now.
 	req.Out.Release()
-	releaseServerRequest(req)
 	if err != nil {
 		o.opts.Logger.Warn("orb: writing reply failed", "err", err)
 	}
-}
-
-// releaseServerRequest scrubs and pools a finished request. The request
-// contract forbids servants and filters from retaining the request, its
-// object key, its argument bytes or its context payloads past the dispatch:
-// all of them live in the job's reused scratch buffer.
-func releaseServerRequest(req *ServerRequest) {
-	*req = ServerRequest{}
-	serverReqPool.Put(req)
 }
 
 // dispatch implements the server half of the request path: commands go to

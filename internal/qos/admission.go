@@ -11,10 +11,11 @@ import (
 // ContractMaxRTTMs (conformance.go). Both are optional: characteristics
 // that do not negotiate them keep the base policy's bounds.
 const (
-	// ContractDispatchWorkers is the negotiated worker-pool width for
-	// the characteristic's dispatch class.
+	// ContractDispatchWorkers is the negotiated number of the
+	// characteristic's requests the server handles at once.
 	ContractDispatchWorkers = "dispatch_workers"
-	// ContractQueueDepth is the negotiated dispatch queue bound.
+	// ContractQueueDepth is the negotiated bound on requests waiting at
+	// the class's admission gate.
 	ContractQueueDepth = "queue_depth"
 )
 
@@ -28,7 +29,7 @@ const (
 //     waited longer than the round-trip time the contract promises
 //     cannot meet it and is shed instead of dispatched.
 //   - dispatch_workers / queue_depth, when negotiated, size the class's
-//     worker pool and queue.
+//     admission gate.
 func PolicyFromContract(base orb.ClassPolicy, c *Contract) orb.ClassPolicy {
 	p := base
 	if w := c.Number(ContractDispatchWorkers, 0); w > 0 {

@@ -42,6 +42,6 @@ func newBindingID() string {
 
 // QoSTag is the payload of the SCQoS service context: it marks a request
 // as QoS-aware and names its binding. The type belongs to orb, whose
-// router and dispatcher read it; requests and invocations hand out the
+// router and server dispatch read it; requests and invocations hand out the
 // decoded tag through their QoSTag methods (one decode per request).
 type QoSTag = orb.QoSTag

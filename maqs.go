@@ -313,19 +313,11 @@ type Options struct {
 	// clients exert backpressure instead of queueing unboundedly. 0
 	// leaves the in-flight window unbounded (see docs/PERFORMANCE.md).
 	PipelineDepth int
-	// DispatchWorkers bounds concurrent server-side request handlers
-	// per QoS class; requests beyond DispatchQueueDepth are shed with a
-	// TRANSIENT exception. <= 0 keeps the unbounded
-	// goroutine-per-request dispatch (see docs/ADMISSION.md).
-	DispatchWorkers int
-	// DispatchQueueDepth caps queued requests per class (0: default).
-	DispatchQueueDepth int
-	// DispatchDeadline sheds requests that queued longer than this
-	// before reaching a worker (0: no deadline shedding).
-	DispatchDeadline time.Duration
-	// AdmissionPolicy overrides the dispatch policy per QoS class —
+	// AdmissionPolicy bounds server-side dispatch per QoS class —
 	// typically an AdmissionController's Policy method, which derives
-	// policies from negotiated contracts.
+	// policies from negotiated contracts. A class whose policy has
+	// Workers <= 0 is unbounded, as is every class when this is nil (see
+	// docs/ADMISSION.md).
 	AdmissionPolicy func(class string) ClassPolicy
 	// Logger receives diagnostics (default: discard).
 	Logger *slog.Logger
@@ -370,17 +362,14 @@ type System struct {
 // standard characteristics unless disabled.
 func NewSystem(opts Options) (*System, error) {
 	o := orb.New(orb.Options{
-		Transport:          opts.Transport,
-		RequestTimeout:     opts.RequestTimeout,
-		ConnsPerEndpoint:   opts.ConnsPerEndpoint,
-		PipelineDepth:      opts.PipelineDepth,
-		DispatchWorkers:    opts.DispatchWorkers,
-		DispatchQueueDepth: opts.DispatchQueueDepth,
-		DispatchDeadline:   opts.DispatchDeadline,
-		AdmissionPolicy:    opts.AdmissionPolicy,
-		Logger:             opts.Logger,
-		Observability:      opts.Observability,
-		Resilience:         opts.Resilience,
+		Transport:        opts.Transport,
+		RequestTimeout:   opts.RequestTimeout,
+		ConnsPerEndpoint: opts.ConnsPerEndpoint,
+		PipelineDepth:    opts.PipelineDepth,
+		AdmissionPolicy:  opts.AdmissionPolicy,
+		Logger:           opts.Logger,
+		Observability:    opts.Observability,
+		Resilience:       opts.Resilience,
 	})
 	t := transport.Install(o)
 	registry := qos.NewRegistry()
