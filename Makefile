@@ -179,11 +179,13 @@ cover:
 	done
 
 # slo-smoke exercises the SLO engine's burn windows, state machine and
-# facade wiring race-enabled, and the Degrader that WatchSLO drives from
-# it (descent, retry, cooldown, no over-degradation) — a focused gate that
-# fails fast when the budget arithmetic or the degrader hookup regresses.
+# facade wiring race-enabled, the Degrader that WatchSLO drives from it
+# (descent, retry, cooldown, no over-degradation), the contract-hierarchy
+# plan that is its ladder (NegotiatePlan, the ladder property test) and
+# the renegotiation it steps with — a focused gate that fails fast when
+# the budget arithmetic, the ladder or the degrader hookup regresses.
 slo-smoke:
-	$(GO) test -race -run 'TestSLO|TestWindowCounter|TestHealthAndReady' ./internal/qos ./internal/obs .
+	$(GO) test -race -run 'TestSLO|TestWindowCounter|TestHealthAndReady|TestDegrade|TestBreakerTransitions|TestNegotiatePlan|TestPlanLadder|TestRenegotiate' ./internal/qos ./internal/obs .
 
 # chaos runs the fault-injection stress tests race-enabled: the seeded
 # FaultPlan chaos run, the shed-storm overload case (TestChaosShedStorm),

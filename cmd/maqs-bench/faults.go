@@ -91,23 +91,23 @@ func runFaultsDemo(w *os.File, calls int, flight bool) error {
 	ctx := context.Background()
 	stub := client.Stub(ref)
 	stub.DeclareIdempotent("fetch")
-	if _, err := stub.Negotiate(ctx, &maqs.Proposal{
-		Characteristic: maqs.Compression,
-		Params:         []maqs.ParamProposal{{Name: "level", Desired: maqs.Number(6)}},
-	}); err != nil {
+	// Preferences: compression level 6, else cheap compression (level 1,
+	// the offer's floor). The plan binds level 6; while the contract's
+	// error budget burns (WatchSLO reads the state System.Stub's SLO
+	// observer produced for each call), the Degrader steps down to level 1.
+	level := func(n float64) *maqs.Proposal {
+		return &maqs.Proposal{
+			Characteristic: maqs.Compression,
+			Params:         []maqs.ParamProposal{{Name: "level", Desired: maqs.Number(n)}},
+		}
+	}
+	degrader, err := stub.NegotiatePlan(ctx, maqs.NewFallback("compression",
+		maqs.NewLeaf("compression", 2, level(6)),
+		maqs.NewLeaf("cheap-compression", 1, level(1)),
+	))
+	if err != nil {
 		return err
 	}
-
-	// Degradation ladder: while the contract's error budget burns (WatchSLO
-	// reads the state System.Stub's SLO observer produced for each call),
-	// step compression down to cheap (level 1), then off (level 0).
-	levelStep := func(name string, level float64) maqs.DegradeStep {
-		return maqs.DegradeStep{Name: name, Proposal: &maqs.Proposal{
-			Characteristic: maqs.Compression,
-			Params:         []maqs.ParamProposal{{Name: "level", Desired: maqs.Number(level)}},
-		}}
-	}
-	degrader := maqs.NewDegrader(stub, levelStep("cheap-compression", 1), levelStep("compression-off", 0))
 	stub.AddObserver(degrader.WatchSLO(client.SLO))
 	degrader.WatchBreakers(client.ORB.Breakers())
 

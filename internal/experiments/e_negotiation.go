@@ -7,14 +7,13 @@ import (
 	"time"
 
 	"maqs"
-	"maqs/internal/contract"
 	"maqs/internal/qos"
 )
 
 // e8 is the negotiation family: what an agreement and its renegotiation
-// cost per call, and — the shape — a contract hierarchy resolving past an
-// admission veto and the product's adaptation loop: the SLO engine judges
-// the contract, the Degrader renegotiates.
+// cost per call, and — the shape — one adaptation loop over a contract
+// hierarchy: its plan binds past an admission veto, the SLO engine judges
+// the contract, the Degrader steps down the plan and climbs back.
 var e8 = Experiment{
 	ID: "E8", Name: "negotiation and adaptation",
 	Title: "negotiation, renegotiation and adaptation",
@@ -79,38 +78,34 @@ func tier(n float64) *maqs.Proposal {
 
 func e8Adaptation(tb testing.TB) ([]string, [][]string) {
 	w := NewWorld(tb, Config{Impl: func([]string) maqs.Impl { return newTierImpl(9, 3) }})
-	ctx := context.Background()
-	w.Echo(tb, nil)() // open the connection: the first row times the hierarchy, not the dial
+	ctx, stub, args := context.Background(), w.Stub, w.Octets(nil)
+	w.Echo(tb, nil)() // open the connection: the first row times the plan, not the dial
+	var rows [][]string
+	row := func(op, result string, start time.Time) {
+		result += fmt.Sprintf(", tier %g", stub.Binding().Contract.Number("tier", 0))
+		rows = append(rows, []string{op, result, fmtDur(time.Since(start))})
+	}
 
-	// Contract hierarchy: tier 9 resolves against the offer but admission
-	// rejects it; the hierarchy falls back to tier 3.
+	// The client's preferences: tier 9 resolves against the offer but
+	// admission vetoes it, so the plan binds tier 3; tier 1 is the rung
+	// below.
 	start := time.Now()
-	_, winner, err := contract.NegotiateBest(ctx, w.Client.Stub(w.Ref), contract.NewFallback("tiers",
-		contract.NewLeaf("premium", 10, tier(9)),
-		contract.NewLeaf("standard", 5, tier(3)),
+	degrader, err := stub.NegotiatePlan(ctx, maqs.NewFallback("tiers",
+		maqs.NewLeaf("premium", 10, tier(9)),
+		maqs.NewLeaf("standard", 5, tier(3)),
+		maqs.NewLeaf("basic", 1, tier(1)),
 	))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rows := [][]string{{
-		"hierarchy fallback",
-		fmt.Sprintf("%q admitted after %q vetoed", winner.Label, "premium"),
-		fmtDur(time.Since(start)),
-	}}
+	row("plan (premium vetoed)", degrader.Rung()+" bound", start)
 
-	// Adaptation loop: the product's own. The SLO engine scores each call
-	// against the contract's max_rtt_ms (offered default 5 ms); once the
-	// link degrades the latency budget burns and the Degrader renegotiates
-	// down its one rung, tier 3 → tier 1.
-	stub := w.Stub
-	if _, err := stub.Negotiate(ctx, tier(3)); err != nil {
-		tb.Fatal(err)
-	}
+	// The SLO engine scores each call against the contract's max_rtt_ms
+	// (offered default 5 ms); once the link degrades the latency budget
+	// burns and the Degrader steps down the plan.
 	slo := qos.NewSLOEngine(nil, nil)
-	degrader := qos.NewDegrader(stub, qos.DegradeStep{Name: "tier-1", Proposal: tier(1)})
 	stub.AddObserver(slo.ObserverForStub(stub))
 	stub.AddObserver(degrader.WatchSLO(slo))
-	args := w.Octets(nil)
 	for i := 0; i < 16; i++ {
 		if _, err := stub.Call(ctx, "echo", args); err != nil {
 			tb.Fatal(err)
@@ -121,21 +116,31 @@ func e8Adaptation(tb testing.TB) ([]string, [][]string) {
 	}
 
 	// Degrade the link and keep calling; the budget must burn. New
-	// connections pick up the link, so cut the old one.
-	w.Net.SetLink("client", "server", maqs.Link{Latency: 8 * time.Millisecond})
-	w.Net.Partition("client", "server")
-	w.Net.Heal("client", "server")
+	// connections pick up the link, so cut the old one; the first call
+	// after the cut may fail.
+	relink := func(l maqs.Link) {
+		w.Net.SetLink("client", "server", l)
+		w.Net.Partition("client", "server")
+		w.Net.Heal("client", "server")
+		_, _ = stub.Call(ctx, "echo", args)
+	}
+	relink(maqs.Link{Latency: 8 * time.Millisecond})
 	start = time.Now()
 	for i := 0; i < 128 && degrader.Level() != 1; i++ {
-		_, _ = stub.Call(ctx, "echo", args) // the first call after the partition may fail; retry
+		_, _ = stub.Call(ctx, "echo", args)
 	}
 	if degrader.Level() != 1 {
 		tb.Fatal("adaptation never fired after degradation")
 	}
-	rows = append(rows, []string{
-		"adaptation (SLO burn→Degrader)",
-		fmt.Sprintf("tier now %g after the latency budget burned", stub.Binding().Contract.Number("tier", 0)),
-		fmtDur(time.Since(start)),
-	})
+	row("adaptation (SLO burn→Degrader)", degrader.Rung()+" after the latency budget burned", start)
+
+	// Heal the link and climb back: Recover stops at the candidate the
+	// plan bound, never the vetoed premium.
+	relink(maqs.Link{})
+	start = time.Now()
+	if _, err := degrader.Recover(ctx); err != nil {
+		tb.Fatal(err)
+	}
+	row("recovery (link healed→Recover)", degrader.Rung()+" again", start)
 	return []string{"operation", "result", "latency"}, rows
 }

@@ -21,8 +21,8 @@ const (
 	// AnomalyQoSViolation marks an observation outside the bounds the
 	// QoS contract negotiated (see qos.SLOEngine's latency objective).
 	AnomalyQoSViolation = "qos-violation"
-	// AnomalyDegradeStep marks the QoS degradation ladder stepping down.
-	AnomalyDegradeStep = "qos-degrade"
+	// AnomalyDegrade marks the QoS degradation ladder stepping down.
+	AnomalyDegrade = "qos-degrade"
 	// AnomalyOverloadShed marks sustained server-side admission shedding:
 	// a dispatch class dropping requests faster than the shed-storm
 	// threshold (see orb's admission control).

@@ -1,6 +1,7 @@
 package qos
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -105,6 +106,10 @@ func (r *Registry) Lookup(name string) (*Characteristic, bool) {
 	return e.desc, true
 }
 
+// errUnregistered is mediatorFor's answer for a characteristic the
+// client's registry does not know: no mediator can carry its binding.
+var errUnregistered = errors.New("not registered")
+
 // mediatorFor instantiates the mediator of the bound characteristic, or
 // nil when the characteristic registered no factory.
 func (r *Registry) mediatorFor(st *Stub, b *Binding) (Mediator, error) {
@@ -112,7 +117,7 @@ func (r *Registry) mediatorFor(st *Stub, b *Binding) (Mediator, error) {
 	e, ok := r.entries[b.Characteristic]
 	r.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("qos: characteristic %q not registered", b.Characteristic)
+		return nil, fmt.Errorf("qos: characteristic %q %w", b.Characteristic, errUnregistered)
 	}
 	if e.mediatorFactory == nil {
 		return nil, nil

@@ -150,11 +150,11 @@ func (e *NegotiationError) Error() string {
 	return fmt.Sprintf("qos: negotiating %s parameter %q: %s", e.Characteristic, e.Param, e.Reason)
 }
 
-// Resolve computes the contract an offer grants a proposal, the heart of
+// resolve computes the contract an offer grants a proposal, the heart of
 // the negotiation: per parameter the desired value is admitted if the
 // offer covers it, clamped into the feasible region when possible, and
 // rejected when proposal and offer are disjoint.
-func Resolve(p *Proposal, o *Offer) (*Contract, error) {
+func resolve(p *Proposal, o *Offer) (*Contract, error) {
 	if p.Characteristic != o.Characteristic {
 		return nil, &NegotiationError{
 			Characteristic: p.Characteristic,

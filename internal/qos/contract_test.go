@@ -29,7 +29,7 @@ func TestResolveDesiredWithinRange(t *testing.T) {
 			{Name: "voting", Desired: Flag(true)},
 		},
 	}
-	c, err := Resolve(p, testOffer())
+	c, err := resolve(p, testOffer())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestResolveClampsToOffer(t *testing.T) {
 		Characteristic: "Availability",
 		Params:         []ParamProposal{{Name: "replicas", Desired: Number(9)}},
 	}
-	c, err := Resolve(p, testOffer())
+	c, err := resolve(p, testOffer())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestResolveClampsToOffer(t *testing.T) {
 
 func TestResolveDefaultsApply(t *testing.T) {
 	p := &Proposal{Characteristic: "Availability"}
-	c, err := Resolve(p, testOffer())
+	c, err := resolve(p, testOffer())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestResolveDisjointRangesFail(t *testing.T) {
 		Characteristic: "Availability",
 		Params:         []ParamProposal{{Name: "replicas", Desired: Number(8), Min: 7, Max: 9}},
 	}
-	_, err := Resolve(p, testOffer())
+	_, err := resolve(p, testOffer())
 	if err == nil {
 		t.Fatal("disjoint ranges resolved")
 	}
@@ -89,7 +89,7 @@ func TestResolveProposalRangeIntersects(t *testing.T) {
 		Characteristic: "Availability",
 		Params:         []ParamProposal{{Name: "replicas", Desired: Number(10), Min: 3, Max: 10}},
 	}
-	c, err := Resolve(p, testOffer())
+	c, err := resolve(p, testOffer())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestResolveUnknownChoiceFails(t *testing.T) {
 		Characteristic: "Availability",
 		Params:         []ParamProposal{{Name: "strategy", Desired: Text("quantum")}},
 	}
-	if _, err := Resolve(p, testOffer()); err == nil {
+	if _, err := resolve(p, testOffer()); err == nil {
 		t.Fatal("unknown choice resolved")
 	}
 }
@@ -113,7 +113,7 @@ func TestResolveUnknownParamFails(t *testing.T) {
 		Characteristic: "Availability",
 		Params:         []ParamProposal{{Name: "colour", Desired: Text("red")}},
 	}
-	if _, err := Resolve(p, testOffer()); err == nil {
+	if _, err := resolve(p, testOffer()); err == nil {
 		t.Fatal("unknown parameter resolved")
 	}
 }
@@ -123,14 +123,14 @@ func TestResolveKindMismatchFails(t *testing.T) {
 		Characteristic: "Availability",
 		Params:         []ParamProposal{{Name: "replicas", Desired: Text("three")}},
 	}
-	if _, err := Resolve(p, testOffer()); err == nil {
+	if _, err := resolve(p, testOffer()); err == nil {
 		t.Fatal("kind mismatch resolved")
 	}
 }
 
 func TestResolveWrongCharacteristicFails(t *testing.T) {
 	p := &Proposal{Characteristic: "Compression"}
-	if _, err := Resolve(p, testOffer()); err == nil {
+	if _, err := resolve(p, testOffer()); err == nil {
 		t.Fatal("wrong characteristic resolved")
 	}
 }
@@ -142,7 +142,7 @@ func TestResolveContractWithinOfferProperty(t *testing.T) {
 			Characteristic: "Availability",
 			Params:         []ParamProposal{{Name: "replicas", Desired: Number(desired), Min: lo, Max: hi}},
 		}
-		c, err := Resolve(p, o)
+		c, err := resolve(p, o)
 		if err != nil {
 			return true // rejections are fine; admitted contracts must be in range
 		}
@@ -189,7 +189,7 @@ func TestProposalOfferContractWireRoundTrip(t *testing.T) {
 		t.Fatalf("param offer = %+v", po)
 	}
 
-	c, err := Resolve(p, o)
+	c, err := resolve(p, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestResolveUnconstrainedString(t *testing.T) {
 		},
 	}
 	// Any desired value is admitted when no choices constrain it.
-	c, err := Resolve(&Proposal{
+	c, err := resolve(&Proposal{
 		Characteristic: "X",
 		Params:         []ParamProposal{{Name: "free", Desired: Text("anything at all")}},
 	}, offer)
@@ -334,7 +334,7 @@ func TestResolveUnconstrainedString(t *testing.T) {
 		t.Fatalf("free = %q", c.Text("free", ""))
 	}
 	// Omitted parameter takes the default.
-	c, err = Resolve(&Proposal{Characteristic: "X"}, offer)
+	c, err = resolve(&Proposal{Characteristic: "X"}, offer)
 	if err != nil {
 		t.Fatal(err)
 	}

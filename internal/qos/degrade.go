@@ -3,6 +3,7 @@ package qos
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -12,162 +13,185 @@ import (
 	"maqs/internal/resilience"
 )
 
-// DegradeStep is one rung of a degradation ladder: the proposal the
-// binding is renegotiated to when the Degrader steps down to this rung.
-// Steps are ordered from the mildest concession to the cheapest contract
-// (e.g. compression off → on, replication quorum shrink).
-type DegradeStep struct {
-	// Name labels the rung in spans, metrics and logs.
-	Name string
-	// Proposal is renegotiated when this rung is entered.
-	Proposal *Proposal
-}
-
-// errLadderExhausted is returned by Degrade once every rung has been
-// taken: the contract cannot get any cheaper.
+// errLadderExhausted is returned by Degrade once the binding is on the
+// plan's last candidate: the contract cannot get any cheaper.
 var errLadderExhausted = errors.New("qos: degradation ladder exhausted")
 
 // Degrader drives the paper's renegotiation machinery automatically:
 // instead of failing calls when the contract cannot be met, the binding
-// is renegotiated down a ladder of degraded contracts. It reacts to two
+// steps down the client's contract hierarchy. Its rungs are the plan
+// Stub.NegotiatePlan bound: the candidate the server admitted first,
+// then the rest of the plan in preference order. It reacts to two
 // signals — the SLO engine finding the contract's error budget burning
 // (WatchSLO) and endpoint health reported by the ORB's circuit breakers
-// (WatchBreakers) — and can be stepped manually with
-// Degrade/Recover. All reactions renegotiate asynchronously, off the
-// invocation path that triggered them.
+// (WatchBreakers) — and can be stepped manually with Degrade/Recover.
+// All reactions renegotiate asynchronously, off the invocation path that
+// triggered them.
 type Degrader struct {
 	stub     *Stub
-	steps    []DegradeStep
+	rungs    []candidate
 	cooldown time.Duration
 
-	// opMu serialises renegotiations so concurrent triggers cannot
-	// double-step the ladder.
+	// opMu serialises steps so concurrent triggers cannot double-step
+	// the ladder.
 	opMu sync.Mutex
 
 	mu             sync.Mutex
-	level          int       // 0 = original contract, i = steps[i-1] applied
-	baseline       *Proposal // captured before the first step, for Recover
+	level          int // index of the rung the binding is on
 	lastChange     time.Time
 	pendingBreaker bool // a breaker opened; degrade when it closes again
 
-	inflight atomic.Bool // an async renegotiation is running
+	inflight atomic.Bool // an async step is running
 }
 
-// NewDegrader builds a degrader over the stub's binding with the given
-// ladder. The stub must have a negotiated binding before the first step
-// is taken. Automatic triggers step the ladder at most once a second.
-func NewDegrader(s *Stub, steps ...DegradeStep) *Degrader {
-	return &Degrader{stub: s, steps: steps, cooldown: time.Second}
+// NegotiatePlan plans the hierarchy against the offers of the stub's
+// target and binds the first candidate the server admits. A candidate
+// the server refuses, or whose characteristic has no client-side
+// mediator, passes to the next one; any other failure ends the
+// negotiation. The returned Degrader's ladder is the rest of the plan.
+// Automatic triggers step it at most once a second.
+func (s *Stub) NegotiatePlan(ctx context.Context, root *Node) (*Degrader, error) {
+	offers, err := s.queryOffers(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("qos: querying offers: %w", err)
+	}
+	plan := root.plan(offers)
+	if len(plan) == 0 {
+		return nil, fmt.Errorf("qos: no feasible contract in hierarchy %q", root.label)
+	}
+	for i, cand := range plan {
+		if _, err = s.Negotiate(ctx, cand.proposal); err == nil {
+			return &Degrader{stub: s, rungs: plan[i:], cooldown: time.Second}, nil
+		}
+		if !refused(err) {
+			return nil, err
+		}
+	}
+	return nil, fmt.Errorf("qos: every candidate of hierarchy %q refused, last: %w", root.label, err)
 }
 
-// Level reports how many rungs down the ladder the binding currently is
-// (0 = original contract).
+// refused reports whether a failed negotiation is one a plan moves past:
+// the server declining the proposal, or the client having no mediator
+// for its characteristic.
+func refused(err error) bool {
+	var ne *NegotiationError
+	return errors.As(err, &ne) || errors.Is(err, errUnregistered)
+}
+
+// Level reports how many rungs below the first bound candidate the
+// binding is (0 = that candidate).
 func (d *Degrader) Level() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.level
 }
 
-// Degrade renegotiates the binding one rung down the ladder and returns
-// the degraded contract. reason is recorded on the qos.degrade span.
+// Rung reports the label of the candidate the binding is on.
+func (d *Degrader) Rung() string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.rungs[d.level].label
+}
+
+// move binds the first rung the server admits of from, from+dir, ...,
+// passing over refused ones, and returns its index and contract. A
+// fresh negotiation releases the binding first, so a move that binds
+// nothing puts the stub back on the rung it left.
+func (d *Degrader) move(ctx context.Context, from, dir int) (int, *Contract, error) {
+	var err error
+	for i := from; i >= 0 && i < len(d.rungs); i += dir {
+		var c *Contract
+		if c, err = d.bind(ctx, d.rungs[i].proposal); err == nil {
+			d.mu.Lock()
+			d.level = i
+			d.lastChange = time.Now()
+			d.mu.Unlock()
+			return i, c, nil
+		}
+		if !refused(err) {
+			break
+		}
+	}
+	if d.stub.Binding() == nil {
+		_, _ = d.bind(ctx, d.rungs[d.Level()].proposal)
+	}
+	return 0, nil, err
+}
+
+// bind puts the stub on p: a renegotiation of the current binding when
+// it has p's characteristic, a fresh negotiation otherwise.
+func (d *Degrader) bind(ctx context.Context, p *Proposal) (*Contract, error) {
+	if b := d.stub.Binding(); b != nil && b.Characteristic == p.Characteristic {
+		return d.stub.Renegotiate(ctx, p)
+	}
+	b, err := d.stub.Negotiate(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	return b.Contract, nil
+}
+
+// Degrade moves the binding to the next rung down the ladder the server
+// admits and returns the degraded contract. reason is recorded on the
+// qos.degrade span.
 func (d *Degrader) Degrade(ctx context.Context, reason string) (*Contract, error) {
 	d.opMu.Lock()
 	defer d.opMu.Unlock()
-
-	d.mu.Lock()
-	if d.level >= len(d.steps) {
-		d.mu.Unlock()
+	from := d.Level() + 1
+	if from >= len(d.rungs) {
 		return nil, errLadderExhausted
 	}
-	step := d.steps[d.level]
-	if d.baseline == nil {
-		if b := d.stub.Binding(); b != nil {
-			d.baseline = proposalFromContract(b.Contract)
-		}
-	}
-	d.mu.Unlock()
 
 	ctx, span := d.stub.orb.Tracer().StartSpan(ctx, "qos.degrade")
-	span.SetAttr("step", step.Name)
 	span.SetAttr("reason", reason)
 	defer span.End()
-
-	contract, err := d.stub.Renegotiate(ctx, step.Proposal)
+	level, contract, err := d.move(ctx, from, 1)
 	if err != nil {
 		d.stub.orb.Metrics().Counter("maqs_qos_degradation_failures_total").Inc()
 		span.RecordError(err)
 		return nil, err
 	}
-
-	d.mu.Lock()
-	d.level++
-	level := d.level
-	d.lastChange = time.Now()
-	d.mu.Unlock()
-
+	step := d.rungs[level].label
+	span.SetAttr("step", step)
 	span.AddEvent("qos.degrade",
-		obs.Attr{Key: "step", Value: step.Name},
+		obs.Attr{Key: "step", Value: step},
 		obs.Attr{Key: "reason", Value: reason},
 		obs.Attr{Key: "level", Value: strconv.Itoa(level)})
 	d.stub.orb.Metrics().Counter("maqs_qos_degradations_total").Inc()
 	// A ladder step is an anomaly worth forensics: freeze the calls that
 	// led up to the renegotiation.
-	binding := ""
-	if b := d.stub.Binding(); b != nil {
-		binding = b.Characteristic
-	}
-	d.stub.orb.Flight().Trigger(obs.AnomalyDegradeStep, obs.FlightRecord{
+	d.stub.orb.Flight().Trigger(obs.AnomalyDegrade, obs.FlightRecord{
 		Operation: "(qos)",
-		Binding:   binding,
+		Binding:   contract.Characteristic,
 		Stripe:    -1,
-		Outcome:   "degraded:" + step.Name + " reason:" + reason,
+		Outcome:   "degraded:" + step + " reason:" + reason,
 	})
 	d.stub.orb.Logger().Info("qos: degraded contract",
-		"step", step.Name, "reason", reason, "level", level)
+		"step", step, "reason", reason, "level", level)
 	return contract, nil
 }
 
-// Recover renegotiates the binding one rung back up the ladder (to the
-// previous step, or to the baseline contract captured before the first
-// degradation).
+// Recover moves the binding to the next rung up the ladder the server
+// admits, never above the candidate NegotiatePlan bound.
 func (d *Degrader) Recover(ctx context.Context) (*Contract, error) {
 	d.opMu.Lock()
 	defer d.opMu.Unlock()
-
-	d.mu.Lock()
-	if d.level == 0 {
-		d.mu.Unlock()
+	from := d.Level() - 1
+	if from < 0 {
 		return nil, errors.New("qos: binding is not degraded")
-	}
-	var target *Proposal
-	var name string
-	if d.level >= 2 {
-		target, name = d.steps[d.level-2].Proposal, d.steps[d.level-2].Name
-	} else {
-		target, name = d.baseline, "baseline"
-	}
-	d.mu.Unlock()
-	if target == nil {
-		return nil, errors.New("qos: no baseline proposal to recover to")
 	}
 
 	ctx, span := d.stub.orb.Tracer().StartSpan(ctx, "qos.recover")
-	span.SetAttr("step", name)
 	defer span.End()
-	contract, err := d.stub.Renegotiate(ctx, target)
+	level, contract, err := d.move(ctx, from, -1)
 	if err != nil {
 		span.RecordError(err)
 		return nil, err
 	}
-
-	d.mu.Lock()
-	d.level--
-	level := d.level
-	d.lastChange = time.Now()
-	d.mu.Unlock()
-
+	step := d.rungs[level].label
+	span.SetAttr("step", step)
 	span.AddEvent("qos.recover",
-		obs.Attr{Key: "step", Value: name},
+		obs.Attr{Key: "step", Value: step},
 		obs.Attr{Key: "level", Value: strconv.Itoa(level)})
 	d.stub.orb.Metrics().Counter("maqs_qos_recoveries_total").Inc()
 	return contract, nil
@@ -229,7 +253,7 @@ func (d *Degrader) WatchBreakers(g *resilience.Group) {
 func (d *Degrader) degradeAsync(reason string) {
 	d.mu.Lock()
 	tooSoon := !d.lastChange.IsZero() && time.Since(d.lastChange) < d.cooldown
-	exhausted := d.level >= len(d.steps)
+	exhausted := d.level+1 >= len(d.rungs)
 	d.mu.Unlock()
 	if tooSoon || exhausted {
 		return

@@ -3,6 +3,7 @@ package qos
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -39,31 +40,49 @@ func waitForLevel(t *testing.T, d *Degrader, want int) {
 	t.Fatalf("degrader stuck at level %d, want %d", d.Level(), want)
 }
 
-// The rungs the Tracing ladders here are built from.
-var (
-	halfTracing = DegradeStep{Name: "half-tracing", Proposal: levelProposal(4)}
-	tracingOff  = DegradeStep{Name: "tracing-off", Proposal: levelProposal(0)}
-)
+// tracingPlan is a Fallback over one Tracing leaf per level, in order.
+func tracingPlan(levels ...float64) *Node {
+	leaves := make([]*Node, len(levels))
+	for i, level := range levels {
+		leaves[i] = NewLeaf(fmt.Sprintf("level-%g", level), float64(len(levels)-i), levelProposal(level))
+	}
+	return NewFallback("tracing", leaves...)
+}
 
-// sloWorld negotiates level 9 on an observed world and stacks what
-// WatchSLO is built for on its stub: a test engine's observer, then a
-// Degrader's (cooldown 0) over steps.
-func sloWorld(t *testing.T, steps ...DegradeStep) (*qosWorld, *obs.Observability, *Degrader) {
-	w, bundle := newObservedWorld(t, 0)
-	negotiateLevel(t, w, 9)
-	e, _ := newTestSLOEngine(bundle.Registry, bundle.Flight)
-	d := NewDegrader(w.stub, steps...)
+// negotiatePlan binds the plan over levels on w's stub and returns its
+// Degrader with the cooldown off.
+func negotiatePlan(t *testing.T, w *qosWorld, levels ...float64) *Degrader {
+	t.Helper()
+	d, err := w.stub.NegotiatePlan(context.Background(), tracingPlan(levels...))
+	if err != nil {
+		t.Fatal(err)
+	}
 	d.cooldown = 0
+	return d
+}
+
+// sloWorld binds the plan over levels on an observed world and stacks
+// what WatchSLO is built for on its stub: a test engine's observer, then
+// the plan's Degrader's.
+func sloWorld(t *testing.T, levels ...float64) (*qosWorld, *obs.Observability, *Degrader) {
+	w, bundle := newObservedWorld(t, 0)
+	d := negotiatePlan(t, w, levels...)
+	e, _ := newTestSLOEngine(bundle.Registry, bundle.Flight)
 	w.stub.AddObserver(e.ObserverForStub(w.stub))
 	w.stub.AddObserver(d.WatchSLO(e))
 	return w, bundle, d
 }
 
 // callUntil calls op until d reaches level (at most n calls), waits for
-// the step to land and returns how many calls failed.
+// the step to land and returns how many calls failed. A call waits out a
+// step in flight, so the calls are not spent before a refused step can be
+// retried.
 func callUntil(t *testing.T, w *qosWorld, d *Degrader, op string, level, n int) (failed int) {
 	t.Helper()
 	for i := 0; i < n && d.Level() < level; i++ {
+		for d.inflight.Load() {
+			time.Sleep(100 * time.Microsecond)
+		}
 		if _, err := w.stub.Call(context.Background(), op, nil); err != nil {
 			failed++
 		}
@@ -86,9 +105,7 @@ func degradeReasons(bundle *obs.Observability) (reasons []string) {
 
 func TestDegradeStepsDownLadderAndRecovers(t *testing.T) {
 	w, bundle := newObservedWorld(t, 0)
-	negotiateLevel(t, w, 9)
-
-	d := NewDegrader(w.stub, halfTracing, tracingOff)
+	d := negotiatePlan(t, w, 9, 4, 0)
 	c, err := d.Degrade(context.Background(), "test")
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +113,8 @@ func TestDegradeStepsDownLadderAndRecovers(t *testing.T) {
 	if got := c.Number("level", -1); got != 4 {
 		t.Fatalf("degraded level = %g, want 4", got)
 	}
-	if d.Level() != 1 {
-		t.Fatalf("Level() = %d, want 1", d.Level())
+	if d.Level() != 1 || d.Rung() != "level-4" {
+		t.Fatalf("Level(), Rung() = %d, %q, want 1, level-4", d.Level(), d.Rung())
 	}
 	if got := w.stub.Binding().Contract.Number("level", -1); got != 4 {
 		t.Fatalf("binding contract level = %g, want 4", got)
@@ -110,7 +127,12 @@ func TestDegradeStepsDownLadderAndRecovers(t *testing.T) {
 		t.Fatalf("err = %v, want errLadderExhausted", err)
 	}
 
-	// Recover climbs back: step 1, then the captured baseline (level 9).
+	// A manual renegotiation in between does not move the top of the
+	// ladder: Recover climbs back to level 4, then to the plan's first
+	// candidate (level 9), and no further.
+	if _, err := w.stub.Renegotiate(context.Background(), levelProposal(7)); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := d.Recover(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +141,13 @@ func TestDegradeStepsDownLadderAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := c.Number("level", -1); got != 9 {
-		t.Fatalf("recovered level = %g, want baseline 9", got)
+		t.Fatalf("recovered level = %g, want the first candidate's 9", got)
 	}
 	if d.Level() != 0 {
 		t.Fatalf("Level() after full recovery = %d, want 0", d.Level())
+	}
+	if _, err := d.Recover(context.Background()); err == nil {
+		t.Fatal("Recover above the first bound candidate succeeded")
 	}
 
 	records := bundle.Collector.Snapshot()
@@ -151,7 +176,7 @@ func TestDegradeStepsDownLadderAndRecovers(t *testing.T) {
 }
 
 func TestSLOBurnTriggersAutomaticDegradation(t *testing.T) {
-	w, bundle, d := sloWorld(t, tracingOff)
+	w, bundle, d := sloWorld(t, 9, 0)
 	// Sustained violation: every call errors server-side, so the errors
 	// objective burns once the fast window holds its 10 samples.
 	if failed := callUntil(t, w, d, "boom", 1, 100); failed < sloMinSamples {
@@ -174,7 +199,7 @@ func TestSLOBurnTriggersAutomaticDegradation(t *testing.T) {
 }
 
 func TestSLOBurnWalksTheLadderDown(t *testing.T) {
-	w, bundle, d := sloWorld(t, halfTracing, tracingOff)
+	w, bundle, d := sloWorld(t, 9, 4, 0)
 	// Trouble persists on every rung: each new contract starts a new
 	// budget, burns it, and the next rung follows.
 	callUntil(t, w, d, "boom", 2, 200)
@@ -184,7 +209,7 @@ func TestSLOBurnWalksTheLadderDown(t *testing.T) {
 }
 
 func TestSLOBurnDoesNotOverDegrade(t *testing.T) {
-	w, _, d := sloWorld(t, tracingOff, halfTracing)
+	w, _, d := sloWorld(t, 9, 0, 4)
 	w.impl.mu.Lock()
 	w.impl.failFrom = 5
 	w.impl.mu.Unlock()
@@ -199,7 +224,7 @@ func TestSLOBurnDoesNotOverDegrade(t *testing.T) {
 }
 
 func TestSLOBurnRetriesAFailedStep(t *testing.T) {
-	w, bundle, d := sloWorld(t, tracingOff)
+	w, bundle, d := sloWorld(t, 9, 0)
 	w.impl.mu.Lock()
 	w.impl.vetoNext = true // the server refuses the first renegotiation
 	w.impl.mu.Unlock()
@@ -210,7 +235,7 @@ func TestSLOBurnRetriesAFailedStep(t *testing.T) {
 }
 
 func TestSLOWatchStepsOncePerCooldown(t *testing.T) {
-	w, _, d := sloWorld(t, halfTracing, tracingOff)
+	w, _, d := sloWorld(t, 9, 4, 0)
 	d.cooldown = time.Hour
 	callUntil(t, w, d, "boom", 1, 100)
 	// The new contract burns too, but the cooldown holds the next rung.
@@ -222,10 +247,7 @@ func TestSLOWatchStepsOncePerCooldown(t *testing.T) {
 
 func TestBreakerTransitionsTriggerPendingDegradation(t *testing.T) {
 	w, _ := newObservedWorld(t, 0)
-	negotiateLevel(t, w, 9)
-
-	d := NewDegrader(w.stub, tracingOff)
-	d.cooldown = 0
+	d := negotiatePlan(t, w, 9, 0)
 	g := resilience.NewGroup(resilience.BreakerPolicy{
 		FailureThreshold: 1, OpenTimeout: time.Millisecond, HalfOpenProbes: 1,
 	})

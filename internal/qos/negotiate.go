@@ -183,15 +183,22 @@ func (s *Stub) Renegotiate(ctx context.Context, proposal *Proposal) (*Contract, 
 
 	// Swap in a copy rather than mutating the shared binding: concurrent
 	// invocations hold the old snapshot and must not observe a contract
-	// changing under them.
+	// changing under them. A binding released or replaced meanwhile does
+	// not take the contract, and its successor's mediator is not told.
 	s.mu.Lock()
-	if s.binding != nil {
+	current := s.binding != nil && s.binding.ID == binding.ID
+	if current {
 		fresh := *s.binding
 		fresh.Contract = contract
 		s.binding = &fresh
 	}
 	mediator := s.mediator
 	s.mu.Unlock()
+	if !current {
+		err := fmt.Errorf("qos: binding %q released during renegotiation", binding.ID)
+		span.RecordError(err)
+		return nil, err
+	}
 	if am, ok := mediator.(AdaptiveMediator); ok {
 		if err := am.ContractChanged(contract); err != nil {
 			span.RecordError(err)
@@ -254,14 +261,15 @@ func releaseBinding(ctx context.Context, o *orb.ORB, target *ior.IOR, b *Binding
 	return out.Err()
 }
 
-// QueryOffers asks a server object which QoS characteristics it offers
-// and at which parameter ranges (used by clients and the trader).
-func QueryOffers(ctx context.Context, o *orb.ORB, target *ior.IOR) ([]*Offer, error) {
-	out, err := o.Invoke(ctx, &orb.Invocation{
-		Target:           target,
+// queryOffers asks the stub's target which QoS characteristics it offers
+// and at which parameter ranges, by characteristic: what NegotiatePlan
+// plans against.
+func (s *Stub) queryOffers(ctx context.Context) (map[string]*Offer, error) {
+	out, err := s.orb.Invoke(ctx, &orb.Invocation{
+		Target:           s.Target(),
 		Operation:        opOffers,
 		ResponseExpected: true,
-		Order:            o.Order(),
+		Order:            s.orb.Order(),
 	})
 	if err != nil {
 		return nil, err
@@ -277,13 +285,13 @@ func QueryOffers(ctx context.Context, o *orb.ORB, target *ior.IOR) ([]*Offer, er
 	if n > 256 {
 		return nil, fmt.Errorf("qos: offer count %d exceeds limit", n)
 	}
-	offers := make([]*Offer, 0, n)
+	offers := make(map[string]*Offer, n)
 	for i := uint32(0); i < n; i++ {
 		offer, err := UnmarshalOffer(d)
 		if err != nil {
 			return nil, err
 		}
-		offers = append(offers, offer)
+		offers[offer.Characteristic] = offer
 	}
 	return offers, nil
 }

@@ -54,6 +54,10 @@ type tracingImpl struct {
 	// failFrom, when positive, makes Prolog refuse calls under a contract
 	// whose level is at least failFrom.
 	failFrom float64
+	// vetoes are the levels admission refuses.
+	vetoes map[float64]bool
+	// onOffer, when set, runs (unlocked) before each Offer answers.
+	onOffer func()
 }
 
 func newTracingImpl(capacity int) *tracingImpl {
@@ -74,12 +78,25 @@ func newTracingImpl(capacity int) *tracingImpl {
 	return impl
 }
 
+func (i *tracingImpl) Offer() *Offer {
+	i.mu.Lock()
+	hook := i.onOffer
+	i.mu.Unlock()
+	if hook != nil {
+		hook()
+	}
+	return i.Capability
+}
+
 func (i *tracingImpl) BindingUp(b *Binding) error {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	if i.vetoNext {
 		i.vetoNext = false
 		return errors.New("resources exhausted")
+	}
+	if level := b.Contract.Number("level", -1); i.vetoes[level] {
+		return fmt.Errorf("level %g vetoed", level)
 	}
 	i.ups++
 	return nil
@@ -447,6 +464,48 @@ func TestRenegotiateWithoutBinding(t *testing.T) {
 	}
 }
 
+// A renegotiation reads the offer unlocked; a release landing meanwhile
+// must keep the binding released on both sides.
+func TestRenegotiateRacingReleaseStaysReleased(t *testing.T) {
+	w := newQoSWorld(t, 0)
+	ctx := context.Background()
+	b, err := w.stub.Negotiate(ctx, levelProposal(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The next Offer is the renegotiation's: hold it until the release
+	// has landed.
+	blocked, unblock := make(chan struct{}), make(chan struct{})
+	w.impl.mu.Lock()
+	w.impl.onOffer = func() {
+		close(blocked)
+		<-unblock
+	}
+	w.impl.mu.Unlock()
+	renegotiated := make(chan error, 1)
+	go func() {
+		_, err := w.stub.Renegotiate(ctx, levelProposal(2))
+		renegotiated <- err
+	}()
+	<-blocked
+	if err := w.stub.Release(ctx); err != nil {
+		t.Fatal(err)
+	}
+	close(unblock)
+	if err := <-renegotiated; err == nil {
+		t.Fatal("renegotiation of a released binding succeeded")
+	}
+	if n := w.skel.BindingCount("Tracing"); n != 0 {
+		t.Fatalf("BindingCount = %d, want 0", n)
+	}
+	if _, ok := w.skel.Binding(b.ID); ok {
+		t.Fatal("the released binding is back on the server")
+	}
+	if w.stub.Binding() != nil {
+		t.Fatal("the released binding is back on the stub")
+	}
+}
+
 func TestReleaseDropsBindingBothSides(t *testing.T) {
 	w := newQoSWorld(t, 0)
 	b, err := w.stub.Negotiate(context.Background(), &Proposal{Characteristic: "Tracing"})
@@ -532,20 +591,14 @@ func TestNegotiateInfeasibleProposal(t *testing.T) {
 
 func TestQueryOffers(t *testing.T) {
 	w := newQoSWorld(t, 3)
-	offers, err := QueryOffers(context.Background(), w.client, w.stub.Target())
+	offers, err := w.stub.queryOffers(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(offers) != 2 {
 		t.Fatalf("offers = %d", len(offers))
 	}
-	var tracing *Offer
-	for _, o := range offers {
-		if o.Characteristic == "Tracing" {
-			tracing = o
-		}
-	}
-	if tracing == nil || tracing.Capacity != 3 {
+	if tracing := offers["Tracing"]; tracing == nil || tracing.Capacity != 3 {
 		t.Fatalf("tracing offer = %+v", tracing)
 	}
 }

@@ -280,7 +280,7 @@ func (s *ServerSkeleton) negotiate(req *orb.ServerRequest) error {
 			Reason:         "no current offer",
 		})
 	}
-	contract, err := Resolve(proposal, offer)
+	contract, err := resolve(proposal, offer)
 	if err != nil {
 		var negErr *NegotiationError
 		if errors.As(err, &negErr) {
@@ -359,7 +359,7 @@ func (s *ServerSkeleton) renegotiate(req *orb.ServerRequest) error {
 			Reason:         "no current offer",
 		})
 	}
-	contract, err := Resolve(proposal, offer)
+	contract, err := resolve(proposal, offer)
 	if err != nil {
 		var negErr *NegotiationError
 		if errors.As(err, &negErr) {
@@ -371,7 +371,15 @@ func (s *ServerSkeleton) renegotiate(req *orb.ServerRequest) error {
 	// Swap in a fresh binding object instead of mutating the shared one:
 	// requests already dispatched keep their consistent snapshot (old
 	// contract, old epoch) while new requests resolve the adapted binding.
+	// The offer was read unlocked, so the binding may have been released
+	// or renegotiated meanwhile: only the binding resolved above is
+	// replaced, which keeps a released one gone and lets only one of two
+	// concurrent renegotiations mint the next epoch.
 	s.mu.Lock()
+	if s.bindings[id] != binding {
+		s.mu.Unlock()
+		return orb.NewSystemException(orb.ExcBadQoS, 48, "binding %q changed during renegotiation", id)
+	}
 	contract.Epoch = binding.Contract.Epoch + 1
 	fresh := &Binding{
 		ID:             binding.ID,

@@ -284,9 +284,7 @@ func TestSLOEngineStatusBudget(t *testing.T) {
 // watch steps the ladder only once the binding's contract is burning.
 func TestSLOEngineNotifyDegrader(t *testing.T) {
 	w, bundle := newObservedWorld(t, 0)
-	negotiateLevel(t, w, 9)
-	d := NewDegrader(w.stub, tracingOff)
-	d.cooldown = 0
+	d := negotiatePlan(t, w, 9, 0)
 
 	e, _ := newTestSLOEngine(bundle.Registry, bundle.Flight)
 	e.SetObjectivesFromContract("Tracing", w.stub.Binding().Contract)

@@ -187,11 +187,10 @@ type (
 	// SLOStatus is the /slo endpoint's JSON body.
 	SLOStatus = qos.SLOStatus
 
-	// Degrader walks a QoS contract down a degradation ladder when the
-	// service degrades, and back up on recovery.
+	// Degrader walks a binding down its contract hierarchy's plan when
+	// the service degrades, and back up on recovery; Stub.NegotiatePlan
+	// returns one.
 	Degrader = qos.Degrader
-	// DegradeStep is one rung of a degradation ladder.
-	DegradeStep = qos.DegradeStep
 )
 
 // Value constructors for proposals and contracts.
@@ -222,8 +221,12 @@ var (
 	// NewSLOEngine builds a standalone SLO engine (NewSystem wires one
 	// automatically when observability is enabled).
 	NewSLOEngine = qos.NewSLOEngine
-	// NewDegrader builds a QoS degradation ladder over a stub.
-	NewDegrader = qos.NewDegrader
+	// NewLeaf, NewBest and NewFallback build the contract hierarchy
+	// Stub.NegotiatePlan binds: a proposal with its utility, alternatives
+	// ranked by achieved utility, alternatives in the order given.
+	NewLeaf     = qos.NewLeaf
+	NewBest     = qos.NewBest
+	NewFallback = qos.NewFallback
 	// NewAdmissionController builds a contract-driven dispatch policy
 	// source for Options.AdmissionPolicy.
 	NewAdmissionController = qos.NewAdmissionController
