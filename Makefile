@@ -5,30 +5,6 @@ GO ?= go
 # (BENCH_1.json, BENCH_2.json, ...): see docs/PERFORMANCE.md.
 BENCH_OUT ?= BENCH_24.json
 
-# Trajectory file produced by `make loadgen` (the open-loop load harness's
-# full default run): see docs/LOADGEN.md.
-LOADGEN_OUT ?= BENCH_8.json
-
-# Trajectory file produced by `make loadgen-pipeline` (the sequential vs
-# pipelined vs batched per-connection comparison): see docs/PERFORMANCE.md.
-PIPELINE_OUT ?= BENCH_9.json
-
-# Trajectory file produced by `make loadgen-traced` (the pipelined
-# comparison re-run with tail-based trace sampling on, recording the
-# kept/dropped tallies next to the latency results): docs/OBSERVABILITY.md.
-TRACED_OUT ?= BENCH_10.json
-
-# Final live-status snapshot written by the loadgen smoke run (the /loadgen
-# debug view, including the self-server's admission counters); CI archives
-# it next to the BENCH_*.json trajectory.
-LOADGEN_STATUS ?= loadgen-status.json
-
-# Artifacts from the loadgen smoke run's observability surface: the kept
-# trace spans (tail sampling at a 10% healthy keep) and any
-# anomaly-triggered profile captures; CI uploads both.
-TRACE_SNAPSHOT ?= loadgen-traces.json
-PROFILE_DIR ?= loadgen-profiles
-
 # Coverage floor (percent) enforced by `make cover` on the observability
 # and QoS packages: the flight recorder, debug endpoints and the SLO/burn
 # engine are the forensics layer, so they stay thoroughly tested. The
@@ -37,7 +13,7 @@ COVER_PKGS ?= ./internal/obs ./internal/qos
 COVER_FLOOR ?= 75
 COVER_PROFILE ?= coverprofile.out
 
-.PHONY: all check vet build test race alloc-gates fuzz-smoke benchmark-module bench bench-smoke tables-smoke loadgen loadgen-smoke loadgen-pipeline loadgen-traced slo-smoke chaos cover loc clean
+.PHONY: all check vet build test race alloc-gates fuzz-smoke benchmark-module bench bench-smoke tables-smoke slo-smoke chaos cover loc clean
 
 all: check
 
@@ -45,13 +21,12 @@ all: check
 # allocation gates (race-free, see alloc-gates), a short run of every
 # fuzzer (fuzz-smoke), the chaos suite (fault injection + resilience) on
 # its own for a readable verdict, the SLO-engine smoke, the coverage
-# floors, a one-iteration bench smoke so benchmark code can't rot, two
-# tables from maqs-bench so its reading of the same cases can't either, and
-# the loadgen smoke run so the open-loop harness keeps driving a real server
-# end to end. It ends
-# by printing the size of the product (loc), the figure a simplicity PR
-# quotes before and after.
-check: vet build race alloc-gates fuzz-smoke chaos slo-smoke cover bench-smoke tables-smoke loadgen-smoke loc
+# floors, a one-iteration bench smoke so benchmark code can't rot, and
+# three tables from maqs-bench so its reading of the same cases can't
+# either — E11 among them, an open-loop overload run against a server
+# whose contracts size its admission gates. It ends by printing the size
+# of the product (loc), the figure a simplicity PR quotes before and after.
+check: vet build race alloc-gates fuzz-smoke chaos slo-smoke cover bench-smoke tables-smoke loc
 
 vet:
 	$(GO) vet ./...
@@ -115,54 +90,17 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/orb ./internal/cdr
 
-# tables-smoke is the table path's own smoke: the experiment list, two
+# tables-smoke is the table path's own smoke: the experiment list, three
 # tables measured through testing.Benchmark outside `go test` (E2 and E10
-# have no run-once part; ~4 s), and the faults demo, whose Degrader the
-# SLO engine drives: it must exit 0 and report its degradation line.
+# have no run-once part; E11's is the overload run, ~0.6 s; ~6 s in all),
+# and the faults demo, whose Degrader the SLO engine drives: it must exit
+# 0 and report its degradation line.
 tables-smoke:
 	$(GO) run ./cmd/maqs-bench -list
-	$(GO) run ./cmd/maqs-bench E2 E10
+	$(GO) run ./cmd/maqs-bench E2 E10 E11
 	@out=$$($(GO) run ./cmd/maqs-bench -faults -fault-calls 200) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | grep -q '^  qos degradation ' || { echo "tables-smoke: the faults demo printed no qos degradation line"; exit 1; }
-
-# loadgen runs the full open-loop trajectory workload (>=100k requests
-# across three QoS classes) against an in-process server and records the
-# coordinated-omission-correct percentiles (see docs/LOADGEN.md). The
-# workload deliberately exceeds one machine's capacity, so the server
-# runs with a dispatch deadline: requests that outwait 250ms at their
-# class's admission gate are shed with TRANSIENT (docs/ADMISSION.md), keeping
-# the served percentiles flat and reporting the excess as shed counts.
-loadgen:
-	$(GO) run ./cmd/maqs-loadgen -self -scenario default -seed 1 -shed-deadline 250ms -o $(LOADGEN_OUT)
-
-# loadgen-pipeline runs the per-connection throughput comparison behind
-# BENCH_9.json: sequential, pipelined (CallAsync, depth 64) and batched
-# (Multicall, batch 32) echo classes, each one identity on one connection
-# over a simulated 200us link, under the same saturating schedule. The
-# pipelined class's requests/sec per connection must multiply the
-# sequential baseline's (see docs/PERFORMANCE.md).
-loadgen-pipeline:
-	$(GO) run ./cmd/maqs-loadgen -self -scenario pipeline -seed 1 -netsim-latency 200us -o $(PIPELINE_OUT)
-
-# loadgen-traced re-runs the pipelined comparison with tail-based trace
-# sampling enabled (anomalous traces always kept, 10% of healthy ones):
-# BENCH_10.json records the per-class kept/dropped/evicted tallies next
-# to the latency percentiles, proving the sampler holds up under a
-# saturating pipelined workload (see docs/OBSERVABILITY.md).
-loadgen-traced:
-	$(GO) run ./cmd/maqs-loadgen -self -scenario pipeline -seed 1 -netsim-latency 200us -tail-sample 0.1 -o $(TRACED_OUT)
-
-# loadgen-smoke drives the ~1.2k-request smoke preset over loopback TCP:
-# a fast end-to-end proof that the harness schedules, negotiates and
-# reports. Fails on any request error, and leaves the final live-status
-# view in $(LOADGEN_STATUS), the tail-sampled trace spans in
-# $(TRACE_SNAPSHOT) and any anomaly-triggered profiles in $(PROFILE_DIR)
-# for CI to archive.
-loadgen-smoke:
-	@out=$$($(GO) run ./cmd/maqs-loadgen -self -scenario smoke -seed 1 -report 10s -status-snapshot $(LOADGEN_STATUS) -tail-sample 0.1 -trace-snapshot $(TRACE_SNAPSHOT) -profile-dir $(PROFILE_DIR)) || { echo "$$out"; exit 1; }; \
-	echo "$$out"; \
-	echo "$$out" | grep -q ', errors 0' || { echo "loadgen-smoke: request errors reported"; exit 1; }
 
 # cover enforces the coverage floor on every package in COVER_PKGS and
 # writes the merged statement-coverage profile to COVER_PROFILE. It fails

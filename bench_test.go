@@ -48,6 +48,7 @@ func BenchmarkE8Negotiation(b *testing.B)         { family(b) }
 func BenchmarkE9Weave(b *testing.B)               { family(b) }
 func BenchmarkE9StaticVsDII(b *testing.B)         { family(b) }
 func BenchmarkE10ModuleControl(b *testing.B)      { family(b) }
+func BenchmarkE11Admission(b *testing.B)          { family(b) }
 func BenchmarkAblationVoting(b *testing.B)        { family(b) }
 func BenchmarkAblationChain(b *testing.B)         { family(b) }
 func BenchmarkAblationFragmentation(b *testing.B) { family(b) }

@@ -1,4 +1,4 @@
-package benchfmt
+package main
 
 import (
 	"encoding/json"
@@ -10,46 +10,33 @@ import (
 	"time"
 )
 
-// Result is one measurement of a trajectory point. For parsed benchmark
-// lines, Iterations/NsPerOp/BytesPerOp/AllocsPerOp mirror the `go test
-// -bench` columns. Load-report entries reuse NsPerOp for latency
-// percentiles (it is literally nanoseconds per operation at that
-// quantile) and carry non-latency measurements in Value with an explicit
-// Unit, so a BENCH_*.json stays self-describing.
-type Result struct {
+// result is one measurement of a trajectory point: the `go test -bench`
+// columns of one benchmark line.
+type result struct {
 	Name        string  `json:"name"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op,omitempty"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-	// Value and Unit carry measurements that are not a per-op duration
-	// (throughput in req/s, error counts). Absent on benchmark lines.
-	Value float64 `json:"value,omitempty"`
-	Unit  string  `json:"unit,omitempty"`
 }
 
-// Doc is one BENCH_*.json trajectory point: a context block describing
+// point is one BENCH_*.json trajectory point: a context block describing
 // the machine and moment, and the measurements.
-type Doc struct {
+type point struct {
 	Context map[string]string `json:"context"`
-	Results []Result          `json:"results"`
+	Results []result          `json:"results"`
 }
 
-// NewDoc returns an empty Doc with a stamped context (see Stamp).
-func NewDoc() *Doc {
-	d := &Doc{Context: map[string]string{}}
-	Stamp(d.Context)
-	return d
-}
-
-// Stamp records provenance into a context block: the git commit the tree
-// was at ("git_commit", suffixed "+dirty" when the working tree had
-// modifications) and the generation moment ("generated_at", ISO-8601
-// UTC). Keys that cannot be determined are set to "unknown" rather than
-// omitted, so their absence is never ambiguous.
-func Stamp(ctx map[string]string) {
-	ctx["generated_at"] = time.Now().UTC().Format(time.RFC3339)
-	ctx["git_commit"] = gitCommit()
+// newPoint returns an empty point whose context records provenance: the git
+// commit the tree was at ("git_commit", suffixed "+dirty" when the working
+// tree had modifications) and the generation moment ("generated_at",
+// ISO-8601 UTC). A commit that cannot be determined is "unknown" rather
+// than omitted, so its absence is never ambiguous.
+func newPoint() *point {
+	return &point{Context: map[string]string{
+		"generated_at": time.Now().UTC().Format(time.RFC3339),
+		"git_commit":   gitCommit(),
+	}}
 }
 
 // gitCommit resolves the current commit hash, preferring the repository
@@ -85,9 +72,9 @@ func gitCommit() string {
 	return "unknown"
 }
 
-// WriteFile renders the document as indented JSON (with a trailing
+// writeFile renders the point as indented JSON (with a trailing
 // newline, as the committed trajectory files carry) into path.
-func (d *Doc) WriteFile(path string) error {
+func (d *point) writeFile(path string) error {
 	data, err := json.MarshalIndent(d, "", "  ")
 	if err != nil {
 		return err
@@ -95,23 +82,23 @@ func (d *Doc) WriteFile(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ParseLine parses a `go test -bench` result line such as
+// parseLine parses a `go test -bench` result line such as
 //
 //	BenchmarkE1Interception/plain/0B-8   163844   7534 ns/op   1680 B/op   42 allocs/op
 //
 // returning ok=false for anything that is not a benchmark result. The
 // trailing -N GOMAXPROCS marker is stripped from the name so
 // trajectories compare across machines with different core counts.
-func ParseLine(line string) (Result, bool) {
+func parseLine(line string) (result, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return Result{}, false
+		return result{}, false
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return Result{}, false
+		return result{}, false
 	}
-	r := Result{Name: trimProcSuffix(fields[0]), Iterations: iters}
+	r := result{Name: trimProcSuffix(fields[0]), Iterations: iters}
 	seen := false
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)
@@ -131,11 +118,11 @@ func ParseLine(line string) (Result, bool) {
 	return r, seen
 }
 
-// ParseContextLine captures a benchmark context line ("goos: linux") into
+// parseContextLine captures a benchmark context line ("goos: linux") into
 // ctx, reporting whether the line was one. pkg lines are deliberately
 // not captured: one bench run spans several packages and a single
 // context value would be misleading.
-func ParseContextLine(ctx map[string]string, line string) bool {
+func parseContextLine(ctx map[string]string, line string) bool {
 	k, v, ok := strings.Cut(line, ": ")
 	if !ok {
 		return false

@@ -1,4 +1,4 @@
-package benchfmt
+package main
 
 import (
 	"encoding/json"
@@ -9,7 +9,7 @@ import (
 )
 
 func TestParseLine(t *testing.T) {
-	r, ok := ParseLine("BenchmarkE1Interception/plain/0B-8   163844   7534 ns/op   1680 B/op   42 allocs/op")
+	r, ok := parseLine("BenchmarkE1Interception/plain/0B-8   163844   7534 ns/op   1680 B/op   42 allocs/op")
 	if !ok {
 		t.Fatal("bench line not recognised")
 	}
@@ -29,14 +29,14 @@ func TestParseLineRejectsNonBench(t *testing.T) {
 		"BenchmarkBroken notanumber 5 ns/op",
 		"",
 	} {
-		if _, ok := ParseLine(line); ok {
+		if _, ok := parseLine(line); ok {
 			t.Errorf("line %q parsed as benchmark", line)
 		}
 	}
 }
 
 func TestParseLineWithoutBenchmem(t *testing.T) {
-	r, ok := ParseLine("BenchmarkEcho-4   100   250.5 ns/op")
+	r, ok := parseLine("BenchmarkEcho-4   100   250.5 ns/op")
 	if !ok || r.NsPerOp != 250.5 || r.BytesPerOp != 0 {
 		t.Fatalf("parsed = %+v ok=%v", r, ok)
 	}
@@ -45,7 +45,7 @@ func TestParseLineWithoutBenchmem(t *testing.T) {
 func TestParseContextLine(t *testing.T) {
 	ctx := map[string]string{}
 	for _, line := range []string{"goos: linux", "goarch: amd64", "cpu: Xeon", "pkg: maqs", "random text"} {
-		ParseContextLine(ctx, line)
+		parseContextLine(ctx, line)
 	}
 	if ctx["goos"] != "linux" || ctx["goarch"] != "amd64" || ctx["cpu"] != "Xeon" {
 		t.Fatalf("context = %v", ctx)
@@ -56,8 +56,7 @@ func TestParseContextLine(t *testing.T) {
 }
 
 func TestStamp(t *testing.T) {
-	ctx := map[string]string{}
-	Stamp(ctx)
+	ctx := newPoint().Context
 	if ctx["git_commit"] == "" {
 		t.Fatal("git_commit missing")
 	}
@@ -71,14 +70,14 @@ func TestStamp(t *testing.T) {
 }
 
 func TestWriteFileRoundTrip(t *testing.T) {
-	doc := NewDoc()
+	doc := newPoint()
 	doc.Context["goos"] = "linux"
 	doc.Results = append(doc.Results,
-		Result{Name: "BenchmarkEcho", Iterations: 10, NsPerOp: 123},
-		Result{Name: "Loadgen/gold/throughput", Iterations: 1000, Value: 512.5, Unit: "req/s"},
+		result{Name: "BenchmarkEcho", Iterations: 10, NsPerOp: 123},
+		result{Name: "BenchmarkEcho/64B", Iterations: 1000, NsPerOp: 512.5, AllocsPerOp: 3},
 	)
 	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	if err := doc.WriteFile(path); err != nil {
+	if err := doc.writeFile(path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -88,11 +87,11 @@ func TestWriteFileRoundTrip(t *testing.T) {
 	if data[len(data)-1] != '\n' {
 		t.Fatal("trajectory files end in a newline")
 	}
-	var back Doc
+	var back point
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Results) != 2 || back.Results[1].Unit != "req/s" {
+	if len(back.Results) != 2 || back.Results[1].AllocsPerOp != 3 {
 		t.Fatalf("round trip = %+v", back)
 	}
 	if back.Context["git_commit"] == "" || back.Context["generated_at"] == "" {

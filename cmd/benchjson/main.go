@@ -12,8 +12,7 @@
 // B/op and allocs/op. Context lines (goos/goarch/cpu) are captured into
 // the file header, and the git commit hash plus an ISO-8601 timestamp are
 // stamped alongside them, so a BENCH_*.json is attributable to the exact
-// tree and moment that produced it. The parsing and writing live in
-// internal/benchfmt, shared with the loadgen report writer.
+// tree and moment that produced it.
 package main
 
 import (
@@ -21,8 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-
-	"maqs/internal/benchfmt"
 )
 
 func main() {
@@ -41,25 +38,25 @@ func run(args []string, in *os.File, out, errw *os.File) int {
 		return 2
 	}
 
-	doc := benchfmt.NewDoc()
+	doc := newPoint()
 
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Fprintln(out, line)
-		if r, ok := benchfmt.ParseLine(line); ok {
+		if r, ok := parseLine(line); ok {
 			doc.Results = append(doc.Results, r)
 			continue
 		}
-		benchfmt.ParseContextLine(doc.Context, line)
+		parseContextLine(doc.Context, line)
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintf(errw, "benchjson: reading input: %v\n", err)
 		return 1
 	}
 
-	if err := doc.WriteFile(*outPath); err != nil {
+	if err := doc.writeFile(*outPath); err != nil {
 		fmt.Fprintf(errw, "benchjson: %v\n", err)
 		return 1
 	}

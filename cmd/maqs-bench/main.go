@@ -1,4 +1,4 @@
-// Command maqs-bench regenerates the evaluation tables (E1..E10, see
+// Command maqs-bench regenerates the evaluation tables (E1..E11, see
 // DESIGN.md §4): each experiment operationalises one claim of the paper
 // and prints a table of measurements. The experiments are
 // internal/experiments' — the cases `go test -bench` runs in the root

@@ -52,7 +52,7 @@ func (c Case) bench(b *testing.B, tb testing.TB) {
 
 // Experiment is one entry of the experiment index.
 type Experiment struct {
-	// ID is E1..E10; Name the short name `maqs-bench -list` prints.
+	// ID is E1..E11; Name the short name `maqs-bench -list` prints.
 	ID, Name string
 	// Title heads the experiment's table.
 	Title string
@@ -68,7 +68,7 @@ type Experiment struct {
 
 // All lists the experiments in order.
 func All() []Experiment {
-	return []Experiment{e1, e2, e3, e4, e5, e6, e7, e8, e9, e10}
+	return []Experiment{e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11}
 }
 
 // Cases lists every case: the experiments' and the ablations'.
@@ -150,7 +150,7 @@ func (r *recorder) Fatalf(format string, args ...any) {
 
 // Table is one experiment's result as maqs-bench prints it.
 type Table struct {
-	// ID is the experiment identifier (E1..E10).
+	// ID is the experiment identifier (E1..E11).
 	ID string
 	// Title describes the experiment.
 	Title string

@@ -12,7 +12,7 @@ import (
 
 func TestAllListsTenExperiments(t *testing.T) {
 	all := All()
-	if len(all) != 10 {
+	if len(all) != 11 {
 		t.Fatalf("experiments = %d", len(all))
 	}
 	for i, e := range all {
@@ -82,7 +82,7 @@ func TestEveryCaseRunsOnce(t *testing.T) {
 // rows must say is asserted where the mechanism lives (TestKAvailability,
 // TestLeastLoadedAvoidsBusyWorker, TestStalenessBoundedByContract).
 func TestEveryShapeRuns(t *testing.T) {
-	columns := map[string]int{"E3": 6, "E4": 5, "E5": 5, "E7": 6, "E8": 3, "E9": 2}
+	columns := map[string]int{"E3": 6, "E4": 5, "E5": 5, "E7": 6, "E8": 3, "E9": 2, "E11": 9}
 	for _, e := range All() {
 		want, documented := columns[e.ID]
 		if documented != (e.Shape != nil) {

@@ -99,8 +99,8 @@ func (c *Collector) Snapshot() []SpanRecord {
 	return append(out, c.ring[:c.next]...)
 }
 
-// Trace returns the retained spans of one trace, ordered by start time.
-func (c *Collector) Trace(traceID string) []SpanRecord {
+// spansOf returns the retained spans of one trace, ordered by start time.
+func (c *Collector) spansOf(traceID string) []SpanRecord {
 	spans := c.Snapshot()
 	out := spans[:0]
 	for _, s := range spans {
@@ -123,7 +123,7 @@ func (c *Collector) Operations() map[string]OpStats {
 	c.ops.histograms.Range(func(k, e any) bool {
 		key, h := opsKey(k.(histKey).labels[1], k.(histKey).labels[3]), e.(*histEntry).h
 		lo, hi := h.extremes()
-		out[key] = OpStats{Count: h.Count(), Errors: c.ops.Counter(key).Value(),
+		out[key] = OpStats{Count: h.observations(), Errors: c.ops.Counter(key).Value(),
 			Total: time.Duration(h.sum.Load()), Min: time.Duration(lo), Max: time.Duration(hi)}
 		return true
 	})

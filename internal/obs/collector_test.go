@@ -45,11 +45,11 @@ func TestCollectorTraceOrdersByStart(t *testing.T) {
 	c.record(spanAt("late", "abc", base.Add(2*time.Second), time.Millisecond))
 	c.record(spanAt("early", "abc", base, time.Millisecond))
 	c.record(spanAt("other", "zzz", base.Add(time.Second), time.Millisecond))
-	got := c.Trace("abc")
+	got := c.spansOf("abc")
 	if len(got) != 2 || got[0].Name != "early" || got[1].Name != "late" {
 		t.Fatalf("Trace = %+v", got)
 	}
-	if len(c.Trace("missing")) != 0 {
+	if len(c.spansOf("missing")) != 0 {
 		t.Error("unknown trace returned spans")
 	}
 }

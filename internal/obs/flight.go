@@ -158,11 +158,11 @@ type FlightRecorder struct {
 	hooks  []func(dumpID, kind, traceID string)
 }
 
-// OnDump registers a hook invoked (outside the recorder's lock, on the
+// onDump registers a hook invoked (outside the recorder's lock, on the
 // triggering goroutine) each time an anomaly freezes a new dump. The
 // tail sampler uses it to pin the triggering trace; the profiler uses it
 // to start an anomaly-triggered capture.
-func (f *FlightRecorder) OnDump(hook func(dumpID, kind, traceID string)) {
+func (f *FlightRecorder) onDump(hook func(dumpID, kind, traceID string)) {
 	if f == nil || hook == nil {
 		return
 	}

@@ -113,17 +113,17 @@ func storeMax(a *atomic.Int64, v int64) {
 	}
 }
 
-// Count reads the number of observations.
-func (h *Histogram) Count() uint64 {
+// observations reads how many values were recorded.
+func (h *Histogram) observations() uint64 {
 	if h == nil {
 		return 0
 	}
 	return h.count.Load()
 }
 
-// Mean returns the exact arithmetic mean (0 when empty).
-func (h *Histogram) Mean() time.Duration {
-	if n := h.Count(); n > 0 {
+// mean returns the exact arithmetic mean (0 when empty).
+func (h *Histogram) mean() time.Duration {
+	if n := h.observations(); n > 0 {
 		return time.Duration(h.sum.Load() / int64(n))
 	}
 	return 0
@@ -131,7 +131,7 @@ func (h *Histogram) Mean() time.Duration {
 
 // extremes returns the exact minimum and maximum (0, 0 when empty).
 func (h *Histogram) extremes() (lo, hi int64) {
-	if h.Count() == 0 {
+	if h.observations() == 0 {
 		return 0, 0
 	}
 	return math.MaxInt64 - h.minInv.Load(), h.max.Load()
@@ -142,7 +142,7 @@ func (h *Histogram) extremes() (lo, hi int64) {
 // resolution of the true value; Quantile(1) is the maximum, and an empty
 // histogram returns 0. Buckets are read without a global lock.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	n := h.Count()
+	n := h.observations()
 	lo, hi := h.extremes()
 	if n == 0 || q >= 1 {
 		return time.Duration(hi)
@@ -208,7 +208,7 @@ func (e *histEntry) snapshot() HistogramSnapshot {
 	scale := func(v int64) float64 { return float64(v/u) + float64(v%u)/float64(u) }
 	q := func(q float64) float64 { return scale(int64(h.Quantile(q))) }
 	s := HistogramSnapshot{Name: e.fullName, family: e.name, labels: e.labels,
-		Count: h.Count(), Sum: scale(h.sum.Load()), P50: q(0.5), P99: q(0.99), P999: q(0.999)}
+		Count: h.observations(), Sum: scale(h.sum.Load()), P50: q(0.5), P99: q(0.99), P999: q(0.999)}
 	var cum uint64
 	next, lo := 0, int64(-1)
 	for j := 0; j <= len(e.bounds.Le); j++ {

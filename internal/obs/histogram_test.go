@@ -66,8 +66,8 @@ func TestQuantileExactRecovery(t *testing.T) {
 		if lo, hi := h.extremes(); lo != int64(v) || hi != int64(v) {
 			t.Errorf("value %v: min/max = %d/%d (extremes must be exact)", v, lo, hi)
 		}
-		if h.Mean() != v {
-			t.Errorf("value %v: mean = %v", v, h.Mean())
+		if h.mean() != v {
+			t.Errorf("value %v: mean = %v", v, h.mean())
 		}
 	}
 }
@@ -110,8 +110,8 @@ func TestConcurrentRecord(t *testing.T) {
 		}(uint64(w + 1))
 	}
 	wg.Wait()
-	if lo, hi := h.extremes(); h.Count() != workers*per || lo > hi {
-		t.Fatalf("count = %d, want %d (min %d, max %d)", h.Count(), workers*per, lo, hi)
+	if lo, hi := h.extremes(); h.observations() != workers*per || lo > hi {
+		t.Fatalf("count = %d, want %d (min %d, max %d)", h.observations(), workers*per, lo, hi)
 	}
 }
 
@@ -119,7 +119,7 @@ func TestNilHistIsNoop(t *testing.T) {
 	var h *Histogram
 	h.Observe(time.Second)
 	h.ObserveExemplar(time.Second, "t", "s")
-	if h.Count() != 0 || h.Quantile(0.99) != 0 || h.Mean() != 0 {
+	if h.observations() != 0 || h.Quantile(0.99) != 0 || h.mean() != 0 {
 		t.Fatal("nil histogram recorded")
 	}
 }

@@ -39,7 +39,7 @@ func (o *Observability) Handler() http.Handler {
 			id = r.URL.Query().Get("trace_id")
 		}
 		if id != "" {
-			spans = o.Collector.Trace(id)
+			spans = o.Collector.spansOf(id)
 		} else {
 			spans = o.Collector.Snapshot()
 		}
@@ -86,14 +86,14 @@ func (o *Observability) Handler() http.Handler {
 		}
 		id := r.URL.Query().Get("id")
 		if id == "" {
-			caps := p.Captures()
+			caps := p.summaries()
 			if caps == nil {
 				caps = []ProfileCaptureSummary{}
 			}
 			writeJSON(w, map[string]any{"enabled": p != nil, "captures": caps})
 			return
 		}
-		c, ok := p.Capture(id)
+		c, ok := p.lookup(id)
 		if !ok {
 			http.Error(w, "unknown capture id", http.StatusNotFound)
 			return
@@ -135,7 +135,7 @@ func (o *Observability) Handler() http.Handler {
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			// Dynamically mounted debug pages (SetDebugPage) serve any
-			// path the built-ins don't own — e.g. /loadgen.
+			// path the built-ins don't own — e.g. /slo.
 			if o != nil {
 				if fn, ok := o.pages.Load(r.URL.Path); ok {
 					writeJSON(w, fn.(func() any)())

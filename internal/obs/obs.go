@@ -36,7 +36,7 @@ type Observability struct {
 }
 
 // SetDebugPage mounts fn's JSON-rendered return value at path on the
-// debug Handler ("/loadgen", "/poolstats", ...). The callback runs per
+// debug Handler ("/slo", "/poolstats", ...). The callback runs per
 // request; registering a path again replaces the page, a nil fn removes
 // it. Paths already owned by the handler (/metrics, /trace, ...) are
 // shadowed by the built-ins. No-op on a nil bundle.
@@ -87,11 +87,11 @@ func NewWithConfig(cfg Config) *Observability {
 		o.Tracer.setSampler(o.Sampler)
 		// Anomalies pin their trace in the pending table so the policy
 		// keeps it even when the spans themselves look healthy.
-		o.Flight.OnDump(func(_, _, traceID string) { o.Sampler.MarkAnomaly(traceID) })
+		o.Flight.onDump(func(_, _, traceID string) { o.Sampler.markAnomaly(traceID) })
 	}
 	if cfg.Profiling != nil {
 		o.Profiler = newProfiler(o.Registry, *cfg.Profiling)
-		o.Flight.OnDump(o.Profiler.onAnomaly)
+		o.Flight.onDump(o.Profiler.onAnomaly)
 	}
 	registerRuntimeMetrics(o.Registry)
 	return o

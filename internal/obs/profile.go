@@ -203,8 +203,8 @@ func (p *Profiler) Flush() {
 	p.wg.Wait()
 }
 
-// Captures summarises the retained captures, oldest first.
-func (p *Profiler) Captures() []ProfileCaptureSummary {
+// summaries summarises the retained captures, oldest first.
+func (p *Profiler) summaries() []ProfileCaptureSummary {
 	if p == nil {
 		return nil
 	}
@@ -226,8 +226,8 @@ func (p *Profiler) Captures() []ProfileCaptureSummary {
 	return out
 }
 
-// Capture retrieves one retained capture by ID (payload included).
-func (p *Profiler) Capture(id string) (ProfileCapture, bool) {
+// lookup retrieves one retained capture by ID (payload included).
+func (p *Profiler) lookup(id string) (ProfileCapture, bool) {
 	if p == nil {
 		return ProfileCapture{}, false
 	}

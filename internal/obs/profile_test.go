@@ -13,7 +13,7 @@ func TestProfilerCapturesOnWatchedAnomaly(t *testing.T) {
 	p := newProfiler(reg, ProfilingConfig{CPUDuration: 10 * time.Millisecond})
 	p.onAnomaly("slo-burn-1", AnomalySLOBurn, "")
 	p.Flush()
-	caps := p.Captures()
+	caps := p.summaries()
 	if len(caps) != 1 {
 		t.Fatalf("captures = %d, want 1", len(caps))
 	}
@@ -40,7 +40,7 @@ func TestProfilerIgnoresUnwatchedKinds(t *testing.T) {
 	p.onAnomaly("deadline-miss-1", AnomalyDeadlineMiss, "")
 	p.onAnomaly("qos-violation-1", AnomalyQoSViolation, "")
 	p.Flush()
-	if got := len(p.Captures()); got != 0 {
+	if got := len(p.summaries()); got != 0 {
 		t.Fatalf("unwatched anomalies captured %d profiles", got)
 	}
 }
@@ -53,7 +53,7 @@ func TestProfilerEvictionIsKindAware(t *testing.T) {
 		p.onAnomaly(fmt.Sprintf("slo-burn-%d", i+1), AnomalySLOBurn, "")
 		p.Flush()
 	}
-	caps := p.Captures()
+	caps := p.summaries()
 	if len(caps) != 2 {
 		t.Fatalf("captures = %d, want 2", len(caps))
 	}

@@ -81,7 +81,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	if got := r.Counter("c").Value(); got != 8000 {
 		t.Fatalf("counter = %d, want 8000", got)
 	}
-	if got := r.Histogram("h", nil).Count(); got != 8000 {
+	if got := r.Histogram("h", nil).observations(); got != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", got)
 	}
 }

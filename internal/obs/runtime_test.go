@@ -58,18 +58,18 @@ func TestFloatFuncSnapshotAndText(t *testing.T) {
 
 func TestSetDebugPage(t *testing.T) {
 	o := New()
-	o.SetDebugPage("/loadgen", func() any {
+	o.SetDebugPage("/status", func() any {
 		return map[string]any{"running": true, "classes": []string{"gold"}}
 	})
 	h := o.Handler()
 
-	body := get(t, h, "/loadgen").Body.String()
+	body := get(t, h, "/status").Body.String()
 	if !strings.Contains(body, `"running": true`) || !strings.Contains(body, "gold") {
-		t.Fatalf("/loadgen body = %s", body)
+		t.Fatalf("/status body = %s", body)
 	}
 	// The index lists the page.
-	if idx := get(t, h, "/").Body.String(); !strings.Contains(idx, "/loadgen") {
-		t.Fatalf("index missing /loadgen:\n%s", idx)
+	if idx := get(t, h, "/").Body.String(); !strings.Contains(idx, "/status") {
+		t.Fatalf("index missing /status:\n%s", idx)
 	}
 	// Registration after Handler() still serves (consulted per request).
 	o.SetDebugPage("/late", func() any { return "late" })

@@ -22,7 +22,7 @@ const (
 	// class's SLO-derived slow threshold.
 	KeepSlow = "slow"
 	// KeepAnomaly marks a trace kept because a flight-dump anomaly
-	// touched it (MarkAnomaly, fed by the flight recorder's triggers).
+	// touched it (markAnomaly, fed by the flight recorder's triggers).
 	KeepAnomaly = "anomaly"
 	// ReasonHealthy labels the probabilistic verdict on traces with
 	// nothing wrong: kept with HealthyKeepFraction, dropped otherwise.
@@ -173,10 +173,10 @@ func (s *TailSampler) slowFor(class string) time.Duration {
 	return d
 }
 
-// MarkAnomaly flags a trace as touched by a flight-dump anomaly: it will
+// markAnomaly flags a trace as touched by a flight-dump anomaly: it will
 // be kept regardless of its spans' contents. Traces without a pending
 // entry yet are remembered in a bounded set. No-op on empty IDs.
-func (s *TailSampler) MarkAnomaly(traceID string) {
+func (s *TailSampler) markAnomaly(traceID string) {
 	if s == nil || traceID == "" {
 		return
 	}
@@ -432,36 +432,4 @@ func (s *TailSampler) PendingCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.pending)
-}
-
-// TailSamplerStats is the sampler's aggregate view (the loadgen report
-// and /loadgen status embed it).
-type TailSamplerStats struct {
-	Pending int               `json:"pending"`
-	Evicted uint64            `json:"evicted"`
-	Kept    map[string]uint64 `json:"kept,omitempty"`
-	Dropped map[string]uint64 `json:"dropped,omitempty"`
-}
-
-// Stats snapshots the sampler's counters.
-func (s *TailSampler) Stats() TailSamplerStats {
-	st := TailSamplerStats{}
-	if s == nil {
-		return st
-	}
-	st.Pending = s.PendingCount()
-	st.Evicted = s.evictions.Value()
-	st.Kept = make(map[string]uint64, len(s.kept))
-	for reason, c := range s.kept {
-		if v := c.Value(); v > 0 {
-			st.Kept[reason] = v
-		}
-	}
-	st.Dropped = make(map[string]uint64, len(s.droppedC))
-	for reason, c := range s.droppedC {
-		if v := c.Value(); v > 0 {
-			st.Dropped[reason] = v
-		}
-	}
-	return st
 }

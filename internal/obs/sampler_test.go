@@ -121,7 +121,7 @@ func TestTailSamplerDefaultSlowThreshold(t *testing.T) {
 func TestTailSamplerAnomalyPinsTrace(t *testing.T) {
 	c, reg, tr, s := sampledBundle(t, TailSamplingConfig{})
 	_, root := tr.StartSpan(context.Background(), "client.call")
-	s.MarkAnomaly(root.Context().TraceID.String())
+	s.markAnomaly(root.Context().TraceID.String())
 	root.End()
 	if got := counterValue(reg, `maqs_trace_kept_total{reason="anomaly"}`); got != 1 {
 		t.Fatalf("kept{anomaly} = %d, want 1", got)
@@ -134,7 +134,7 @@ func TestTailSamplerAnomalyPinsTrace(t *testing.T) {
 func TestTailSamplerAnomalyBeforeFirstSpan(t *testing.T) {
 	_, reg, tr, s := sampledBundle(t, TailSamplingConfig{})
 	trace := newTraceID()
-	s.MarkAnomaly(trace.String())
+	s.markAnomaly(trace.String())
 	root := tr.StartRemote(SpanContext{}, "server.dispatch")
 	// The fresh trace the remote start mints is unrelated; mark the real
 	// one by constructing a span in that trace via StartRemote's parent.
@@ -239,21 +239,20 @@ func TestTailSamplerSpanCapPerTrace(t *testing.T) {
 }
 
 func TestTailSamplerStats(t *testing.T) {
-	_, _, tr, s := sampledBundle(t, TailSamplingConfig{})
+	_, reg, tr, s := sampledBundle(t, TailSamplingConfig{})
 	_, root := tr.StartSpan(context.Background(), "client.call")
 	root.RecordError(errors.New("boom"))
 	root.End()
-	st := s.Stats()
-	if st.Kept[KeepError] != 1 {
-		t.Fatalf("stats kept[error] = %d, want 1", st.Kept[KeepError])
+	if got := reg.Counter(`maqs_trace_kept_total{reason="` + KeepError + `"}`).Value(); got != 1 {
+		t.Fatalf("kept[error] = %d, want 1", got)
 	}
-	if st.Pending != 0 {
-		t.Fatalf("stats pending = %d, want 0", st.Pending)
+	if got := s.PendingCount(); got != 0 {
+		t.Fatalf("pending = %d, want 0", got)
 	}
-	// Nil sampler stats are empty, not a panic.
+	// A nil sampler holds nothing, and reading it does not panic.
 	var nilS *TailSampler
-	if got := nilS.Stats(); got.Pending != 0 || len(got.Kept) != 0 {
-		t.Fatalf("nil sampler stats = %+v", got)
+	if got := nilS.PendingCount(); got != 0 {
+		t.Fatalf("nil sampler pending = %d", got)
 	}
 }
 

@@ -181,14 +181,6 @@ type Tracer struct {
 // NewTracer constructs a tracer recording into c.
 func NewTracer(c *Collector) *Tracer { return &Tracer{collector: c} }
 
-// Collector returns the tracer's span sink (nil on a nil tracer).
-func (t *Tracer) Collector() *Collector {
-	if t == nil {
-		return nil
-	}
-	return t.collector
-}
-
 // setSampler routes finished spans through a tail sampler instead of
 // recording them directly. Install before spans start; swapping samplers
 // mid-trace strands the old sampler's pending entries.

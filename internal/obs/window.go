@@ -130,8 +130,8 @@ func (w *WindowCounter) Reset() {
 	w.mu.Unlock()
 }
 
-// Rate is Sum over the window expressed as events per second.
-func (w *WindowCounter) Rate(window time.Duration) float64 {
+// rate is Sum over the window expressed as events per second.
+func (w *WindowCounter) rate(window time.Duration) float64 {
 	if w == nil || window <= 0 {
 		return 0
 	}

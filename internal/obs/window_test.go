@@ -91,7 +91,7 @@ func TestWindowCounterRate(t *testing.T) {
 		}
 		w.Add(10)
 	}
-	if got := w.Rate(5 * time.Second); got != 10 {
+	if got := w.rate(5 * time.Second); got != 10 {
 		t.Fatalf("Rate(5s) = %g, want 10", got)
 	}
 }
@@ -117,7 +117,7 @@ func TestWindowCounterNilSafe(t *testing.T) {
 	w.Reset()
 	w.Add(1)
 	w.Inc()
-	if w.Sum(time.Minute) != 0 || w.Rate(time.Minute) != 0 {
+	if w.Sum(time.Minute) != 0 || w.rate(time.Minute) != 0 {
 		t.Fatal("nil WindowCounter must read zero")
 	}
 }

@@ -82,8 +82,7 @@ func (s sloState) String() string {
 // within MaxRTT, errors count as bad) or errors (no error).
 type Objective struct {
 	// Name identifies the objective within its class: "latency" or
-	// "errors" for derived objectives; custom names are allowed via
-	// SetObjective.
+	// "errors", derived from the contract.
 	Name string
 	// Target is the required good fraction (0 < Target < 1). The error
 	// budget is 1 - Target.
@@ -131,7 +130,7 @@ func (os *objectiveState) reset() {
 type classSLO struct {
 	class string
 	// contract is the contract whose budget the objectives keep: the one
-	// that last set them (SetObjectivesFromContract).
+	// that last set them (setObjectivesFromContract).
 	contract atomic.Pointer[Contract]
 
 	mu         sync.Mutex
@@ -209,10 +208,9 @@ func (e *SLOEngine) notifyLatencySink(class string, maxRTT time.Duration) {
 	}
 }
 
-// SetObjective installs (or replaces, by name) one objective for a
-// class, independent of any contract — loadgen uses this for scenario
-// classes without negotiated terms.
-func (e *SLOEngine) SetObjective(class string, obj Objective) {
+// setObjective installs (or replaces, by name) one objective for a
+// class, independent of any contract: the tests pin one objective with it.
+func (e *SLOEngine) setObjective(class string, obj Objective) {
 	if e == nil || obj.Name == "" {
 		return
 	}
@@ -234,7 +232,7 @@ func (e *SLOEngine) SetObjective(class string, obj Objective) {
 	cs.objectives = append(cs.objectives, e.newObjective(class, obj))
 }
 
-// SetObjectivesFromContract makes a class's objectives the ones the
+// setObjectivesFromContract makes a class's objectives the ones the
 // negotiated contract states, and starts a new budget: max_rtt_ms > 0
 // yields a latency objective (target from slo_target, default
 // defaultSLOTarget) and every contract yields an errors objective whose
@@ -242,7 +240,7 @@ func (e *SLOEngine) SetObjective(class string, obj Objective) {
 // contract does not state are dropped; the others restart with empty
 // windows in state ok, so the previous contract's bad events do not
 // judge this one. The cumulative good/bad counters keep counting.
-func (e *SLOEngine) SetObjectivesFromContract(class string, c *Contract) {
+func (e *SLOEngine) setObjectivesFromContract(class string, c *Contract) {
 	if e == nil || c == nil {
 		return
 	}
@@ -289,7 +287,7 @@ func (e *SLOEngine) SetObjectivesFromContract(class string, c *Contract) {
 
 // ObserverForStub scores every observation of s against its current
 // binding's contract. The stub's first contract, and every renegotiated
-// one, sets the class's objectives (SetObjectivesFromContract) before
+// one, sets the class's objectives (setObjectivesFromContract) before
 // the call is scored: a new contract starts a new budget. Attach with
 // Stub.AddObserver; maqs.System does it automatically.
 func (e *SLOEngine) ObserverForStub(s *Stub) Observer {
@@ -307,7 +305,7 @@ func (e *SLOEngine) ObserverForStub(s *Stub) Observer {
 			return
 		}
 		if prev := seen.Load(); prev != b.Contract && seen.CompareAndSwap(prev, b.Contract) {
-			e.SetObjectivesFromContract(b.Characteristic, b.Contract)
+			e.setObjectivesFromContract(b.Characteristic, b.Contract)
 		}
 		e.Observe(b.Characteristic, o)
 	}
@@ -335,15 +333,6 @@ func (e *SLOEngine) burning(class string, c *Contract) (objective string, ok boo
 		}
 	}
 	return "", false
-}
-
-// Observer scores observations under a fixed class label (for callers
-// that configured objectives with SetObjective).
-func (e *SLOEngine) Observer(class string) Observer {
-	if e == nil {
-		return func(Observation) {}
-	}
-	return func(o Observation) { e.Observe(class, o) }
 }
 
 // Observe scores one observation against every objective of class.

@@ -48,7 +48,7 @@ func TestSLOEngineDerivesObjectivesFromContract(t *testing.T) {
 		ContractSLOTarget:    Number(0.95),
 		ContractMaxErrorRate: Number(0.02),
 	}}
-	e.SetObjectivesFromContract("gold", c)
+	e.setObjectivesFromContract("gold", c)
 
 	st := e.Status()
 	if len(st.Classes) != 1 || st.Classes[0].Class != "gold" {
@@ -76,7 +76,7 @@ func TestSLOEngineDerivesObjectivesFromContract(t *testing.T) {
 
 func TestSLOEngineContractWithoutLatencyBound(t *testing.T) {
 	e, _ := newTestSLOEngine(obs.NewRegistry(), nil)
-	e.SetObjectivesFromContract("bronze", &Contract{Characteristic: "bronze", Values: map[string]Value{}})
+	e.setObjectivesFromContract("bronze", &Contract{Characteristic: "bronze", Values: map[string]Value{}})
 	st := e.Status()
 	if len(st.Classes) != 1 || len(st.Classes[0].Objectives) != 1 {
 		t.Fatalf("Status = %+v, want exactly the errors objective", st)
@@ -89,7 +89,7 @@ func TestSLOEngineContractWithoutLatencyBound(t *testing.T) {
 func TestSLOEngineLatencyObjectiveScoresRTT(t *testing.T) {
 	reg := obs.NewRegistry()
 	e, _ := newTestSLOEngine(reg, nil)
-	e.SetObjective("gold", Objective{Name: "latency", Target: 0.99, MaxRTT: 100 * time.Millisecond})
+	e.setObjective("gold", Objective{Name: "latency", Target: 0.99, MaxRTT: 100 * time.Millisecond})
 
 	e.Observe("gold", Observation{RTT: 20 * time.Millisecond})
 	e.Observe("gold", Observation{RTT: 250 * time.Millisecond}) // over bound
@@ -187,7 +187,7 @@ func TestSLOEngineBurnStateMachine(t *testing.T) {
 	reg := obs.NewRegistry()
 	fr := obs.NewFlightRecorder(64, 8, 8)
 	e, clk := newTestSLOEngine(reg, fr)
-	e.SetObjective("gold", Objective{Name: "errors", Target: 0.99})
+	e.setObjective("gold", Objective{Name: "errors", Target: 0.99})
 
 	// 20 straight failures: burn = (bad/total)/budget = 1/0.01 = 100 on
 	// both windows, far over critical.
@@ -218,7 +218,7 @@ func TestSLOEngineBurnStateMachine(t *testing.T) {
 
 func TestSLOEngineWarningBetweenThresholds(t *testing.T) {
 	e, _ := newTestSLOEngine(obs.NewRegistry(), nil)
-	e.SetObjective("silver", Objective{Name: "errors", Target: 0.9})
+	e.setObjective("silver", Objective{Name: "errors", Target: 0.9})
 
 	// 3 bad / 10 total with a 0.1 budget: burn 3 — over warn (2), under
 	// critical (10).
@@ -232,7 +232,7 @@ func TestSLOEngineWarningBetweenThresholds(t *testing.T) {
 
 func TestSLOEngineMinSamplesHoldsState(t *testing.T) {
 	e, _ := newTestSLOEngine(obs.NewRegistry(), nil)
-	e.SetObjective("gold", Objective{Name: "errors", Target: 0.99})
+	e.setObjective("gold", Objective{Name: "errors", Target: 0.99})
 
 	// 5 failures is a 100x burn but under the sample floor: one flaky
 	// request out of a handful must not page.
@@ -245,7 +245,7 @@ func TestSLOEngineMinSamplesHoldsState(t *testing.T) {
 func TestSLOEngineBurnRateGauges(t *testing.T) {
 	reg := obs.NewRegistry()
 	e, _ := newTestSLOEngine(reg, nil)
-	e.SetObjective("gold", Objective{Name: "errors", Target: 0.99})
+	e.setObjective("gold", Objective{Name: "errors", Target: 0.99})
 	observeN(e, "gold", 10, nil)
 	observeN(e, "gold", 10, errors.New("boom"))
 
@@ -265,7 +265,7 @@ func TestSLOEngineBurnRateGauges(t *testing.T) {
 
 func TestSLOEngineStatusBudget(t *testing.T) {
 	e, _ := newTestSLOEngine(obs.NewRegistry(), nil)
-	e.SetObjective("gold", Objective{Name: "errors", Target: 0.9})
+	e.setObjective("gold", Objective{Name: "errors", Target: 0.9})
 	// 5 bad / 100 total: half the 0.1 budget consumed.
 	observeN(e, "gold", 95, nil)
 	observeN(e, "gold", 5, errors.New("boom"))
@@ -287,7 +287,7 @@ func TestSLOEngineNotifyDegrader(t *testing.T) {
 	d := negotiatePlan(t, w, 9, 0)
 
 	e, _ := newTestSLOEngine(bundle.Registry, bundle.Flight)
-	e.SetObjectivesFromContract("Tracing", w.stub.Binding().Contract)
+	e.setObjectivesFromContract("Tracing", w.stub.Binding().Contract)
 	watch := d.WatchSLO(e)
 	tick := Observation{Characteristic: "Tracing", Operation: "inc"}
 
@@ -331,10 +331,9 @@ func TestSLOEngineObserverForStub(t *testing.T) {
 
 func TestSLOEngineNilSafe(t *testing.T) {
 	var e *SLOEngine
-	e.SetObjective("gold", Objective{Name: "errors"})
-	e.SetObjectivesFromContract("gold", &Contract{})
+	e.setObjective("gold", Objective{Name: "errors"})
+	e.setObjectivesFromContract("gold", &Contract{})
 	e.Observe("gold", Observation{})
-	e.Observer("gold")(Observation{})
 	e.ObserverForStub(nil)(Observation{})
 	if _, ok := e.burning("gold", nil); ok {
 		t.Fatal("nil engine reports a burning objective")
@@ -398,14 +397,14 @@ func TestSLORenegotiationDropsStaleObjectives(t *testing.T) {
 
 func TestSLOSetObjectiveRacesObserveAndStatus(t *testing.T) {
 	e, _ := newTestSLOEngine(obs.NewRegistry(), obs.NewFlightRecorder(16, 4, 4))
-	e.SetObjective("gold", Objective{Name: "latency", Target: 0.99, MaxRTT: time.Millisecond})
+	e.setObjective("gold", Objective{Name: "latency", Target: 0.99, MaxRTT: time.Millisecond})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		// Targets 0.99 and 0.5 burn and only warn on all-bad traffic, so
 		// state transitions keep happening.
 		for i := 0; i < 200; i++ {
-			e.SetObjective("gold", Objective{Name: "errors", Target: 0.5 + 0.49*float64(i%2)})
+			e.setObjective("gold", Objective{Name: "errors", Target: 0.5 + 0.49*float64(i%2)})
 		}
 	}()
 	for i := 0; i < 200; i++ {

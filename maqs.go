@@ -139,8 +139,6 @@ type (
 	ProfilingConfig = obs.ProfilingConfig
 	// ProfileCaptureSummary lists one retained capture on /profile.
 	ProfileCaptureSummary = obs.ProfileCaptureSummary
-	// TailSamplerStats aggregates a sampler's kept/dropped/pending view.
-	TailSamplerStats = obs.TailSamplerStats
 
 	// Network is the simulated network used for testing and experiments.
 	Network = netsim.Network

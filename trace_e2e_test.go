@@ -230,9 +230,11 @@ func TestAsyncSpanLifecycleAfterTeardown(t *testing.T) {
 	if got := bundle.Sampler.PendingCount(); got != 0 {
 		t.Fatalf("pending table leaked %d entries after teardown", got)
 	}
-	st := bundle.Sampler.Stats()
-	if st.Kept[maqs.TraceKeepError]+st.Kept[maqs.TraceKeepDeadline] == 0 {
-		t.Fatalf("teardown trace not kept: %+v", st)
+	kept := func(reason string) uint64 {
+		return bundle.Registry.Counter(`maqs_trace_kept_total{reason="` + reason + `"}`).Value()
+	}
+	if kept(maqs.TraceKeepError)+kept(maqs.TraceKeepDeadline) == 0 {
+		t.Fatal("teardown trace not kept for an error or a deadline")
 	}
 	found := false
 	for _, rec := range bundle.Collector.Snapshot() {
@@ -339,10 +341,6 @@ func TestChaosAnomalyTriggersProfile(t *testing.T) {
 		}
 	}
 	bundle.Profiler.Flush()
-	caps := bundle.Profiler.Captures()
-	if len(caps) == 0 {
-		t.Fatal("chaos produced no anomaly-triggered profile captures")
-	}
 
 	srv := httptest.NewServer(bundle.Handler())
 	defer srv.Close()
@@ -359,7 +357,7 @@ func TestChaosAnomalyTriggersProfile(t *testing.T) {
 	}
 	resp.Body.Close()
 	if !index.Enabled || len(index.Captures) == 0 {
-		t.Fatalf("/profile index: %+v", index)
+		t.Fatalf("chaos produced no anomaly-triggered profile captures: /profile index %+v", index)
 	}
 	for _, kind := range []string{"cpu", "heap"} {
 		resp, err := http.Get(srv.URL + "/profile?id=" + index.Captures[0].ID + "&kind=" + kind)
