@@ -51,14 +51,17 @@ alloc-gates:
 
 # fuzz-smoke gives each native fuzzer FUZZ_TIME: the parsers a peer reaches
 # (request header in place vs copying, SCQoS tag and its connection cache,
-# traceparent, the compression module's frame, the secure module's frame).
+# SCCommand target, traceparent, SCTraceReturn span summaries, the
+# compression module's frame, the secure module's frame).
 # `go test -fuzz` takes one target in one package per run. Findings land in
 # the package's testdata/fuzz/ and then fail the plain test run too.
 FUZZ_TIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRequestHeaderUnmarshal$$' -fuzztime=$(FUZZ_TIME) ./internal/giop
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeQoSTag$$' -fuzztime=$(FUZZ_TIME) ./internal/orb
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeCommandTarget$$' -fuzztime=$(FUZZ_TIME) ./internal/orb
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTraceparent$$' -fuzztime=$(FUZZ_TIME) ./internal/obs
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeTraceReturn$$' -fuzztime=$(FUZZ_TIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzUnwrap$$' -fuzztime=$(FUZZ_TIME) ./internal/characteristics/compression
 	$(GO) test -run='^$$' -fuzz='^FuzzOpen$$' -fuzztime=$(FUZZ_TIME) ./internal/characteristics/encryption
 

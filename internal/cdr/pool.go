@@ -81,20 +81,6 @@ func (e *Encoder) Release() {
 	encoderPool.Put(e)
 }
 
-// Truncate discards everything encoded past offset n (a position obtained
-// from Len). The alignment base moves back with the cut when it would
-// otherwise point past the end. It lets a multi-message builder roll back
-// a partially encoded message.
-func (e *Encoder) Truncate(n int) {
-	if n < 0 || n > len(e.buf) {
-		return
-	}
-	e.buf = e.buf[:n]
-	if e.base > n {
-		e.base = n
-	}
-}
-
 // zeros feeds Skip without a per-call allocation for typical headroom sizes.
 var zeros [64]byte
 

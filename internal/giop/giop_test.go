@@ -90,11 +90,18 @@ func TestLocateRoundTrip(t *testing.T) {
 		t.Fatalf("locate request = %+v, %v", lr, err)
 	}
 
+	// Only servers send LocateReplies, so the package decodes none: the
+	// body is the request id and the status, two ulongs.
 	e = cdr.NewEncoder(cdr.BigEndian)
 	(&LocateReplyHeader{RequestID: 3, Status: LocateObjectHere}).Marshal(e)
-	lp, err := UnmarshalLocateReplyHeader(cdr.NewDecoder(e.Bytes(), cdr.BigEndian))
-	if err != nil || lp.RequestID != 3 || lp.Status != LocateObjectHere {
-		t.Fatalf("locate reply = %+v, %v", lp, err)
+	d := cdr.NewDecoder(e.Bytes(), cdr.BigEndian)
+	id, err := d.ReadULong()
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, err := d.ReadULong()
+	if err != nil || id != 3 || LocateStatus(status) != LocateObjectHere {
+		t.Fatalf("locate reply = id %d status %d, %v", id, status, err)
 	}
 }
 

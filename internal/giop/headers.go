@@ -253,21 +253,6 @@ func (h *LocateReplyHeader) Marshal(e *cdr.Encoder) {
 	e.WriteULong(uint32(h.Status))
 }
 
-// UnmarshalLocateReplyHeader reads a LocateReplyHeader from d.
-func UnmarshalLocateReplyHeader(d *cdr.Decoder) (*LocateReplyHeader, error) {
-	var h LocateReplyHeader
-	var err error
-	if h.RequestID, err = d.ReadULong(); err != nil {
-		return nil, fmt.Errorf("giop: reading locate reply request id: %w", err)
-	}
-	status, err := d.ReadULong()
-	if err != nil {
-		return nil, fmt.Errorf("giop: reading locate reply status: %w", err)
-	}
-	h.Status = LocateStatus(status)
-	return &h, nil
-}
-
 // CancelRequestHeader is the header (and entire body) of a CancelRequest.
 type CancelRequestHeader struct {
 	RequestID uint32

@@ -137,3 +137,22 @@ func TestSpanCaptureReturnPayload(t *testing.T) {
 		t.Fatal("unarmed span produced a payload")
 	}
 }
+
+// FuzzDecodeTraceReturn: whatever a server puts in a reply's SCTraceReturn
+// context either fails to decode or yields at most maxReturnSpans records.
+func FuzzDecodeTraceReturn(f *testing.F) {
+	trace := newTraceID()
+	sums := sampleSummaries(3)
+	sums[1].Err = "BAD_OPERATION"
+	f.Add(encodeTraceReturn(trace, sums, 0))
+	f.Add(encodeTraceReturn(trace, sums[:1], 0))
+	f.Add(encodeTraceReturn(trace, sampleSummaries(maxReturnSpans), 4096))
+	f.Add([]byte{traceReturnVersion})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := DecodeTraceReturn(data)
+		if err == nil && len(recs) > maxReturnSpans {
+			t.Fatalf("decoded %d spans, cap is %d", len(recs), maxReturnSpans)
+		}
+	})
+}

@@ -6,12 +6,13 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"maqs/internal/cdr"
+	"maqs/internal/ior"
 	"maqs/internal/netsim"
+	"maqs/internal/obs"
 )
 
 func TestInvokeAsyncEcho(t *testing.T) {
@@ -34,30 +35,6 @@ func TestInvokeAsyncEcho(t *testing.T) {
 	if got != "hello" {
 		t.Fatalf("echo = %q", got)
 	}
-}
-
-func TestInvokeAsyncDonePollProtocol(t *testing.T) {
-	w := newWorld(t)
-	fut, err := w.client.InvokeAsync(context.Background(), echoInvocation(w.client, w.ref, "poll", false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-fut.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("future never completed")
-	}
-	if err := fut.Err(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fut.Outcome().Decoder().ReadString()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != "poll" {
-		t.Fatalf("echo = %q", got)
-	}
-	fut.Release()
 }
 
 // jitterEcho echoes its string argument after a payload-derived delay, so
@@ -255,14 +232,12 @@ func TestSendWriteErrorLeavesFutureToCloser(t *testing.T) {
 		t.Fatal("the request entered the pending map before the write failed: want it registered")
 	}
 	// Teardown owned completion: the future already resolved with the
-	// sticky cause, so no Wait can hang and the waiter sees the failure.
-	select {
-	case <-fut.Done():
-	default:
+	// sticky cause, so Wait cannot hang and the waiter sees the failure.
+	if fut.state.Load() != futSettled {
 		t.Fatal("future not completed by connection teardown")
 	}
 	var sysErr *SystemException
-	if werr := fut.Err(); !errors.As(werr, &sysErr) || sysErr.Name != ExcCommFailure {
+	if _, werr := fut.Wait(context.Background()); !errors.As(werr, &sysErr) || sysErr.Name != ExcCommFailure {
 		t.Fatalf("want COMM_FAILURE through the future, got %v", werr)
 	} else if isNotSent(werr) {
 		t.Fatalf("registered write failure must not be retry-safe, got %v", werr)
@@ -270,6 +245,32 @@ func TestSendWriteErrorLeavesFutureToCloser(t *testing.T) {
 	// The teardown returned the drained registration's window slot.
 	if got := len(conn.window); got != 0 {
 		t.Fatalf("window slot leaked: %d held after teardown", got)
+	}
+}
+
+// TestInvokeAsyncDispatchFailureFlightRecorded: a direct asynchronous call
+// that fails before it registers — its endpoint refuses the connection —
+// leaves one flight record of the failure, as the synchronous call does.
+func TestInvokeAsyncDispatchFailureFlightRecorded(t *testing.T) {
+	bundle := obs.New()
+	client := New(Options{Transport: netsim.NewNetwork().Host("client"), Observability: bundle})
+	t.Cleanup(client.Shutdown)
+	ref := ior.New("IDL:test/Echo:1.0", "nobody", 1, []byte("echo"))
+	ctx := context.Background()
+	if _, err := client.Invoke(ctx, echoInvocation(client, ref, "sync", false)); err == nil {
+		t.Fatal("Invoke on a refused endpoint succeeded")
+	}
+	if fut, err := client.InvokeAsync(ctx, echoInvocation(client, ref, "async", false)); err == nil {
+		fut.Wait(ctx)
+		t.Fatal("InvokeAsync on a refused endpoint registered")
+	}
+	recs := bundle.Flight.Records(0)
+	if len(recs) != 2 {
+		t.Fatalf("%d flight records for a failed Invoke and a failed InvokeAsync, want 2: %+v", len(recs), recs)
+	}
+	if sync, async := recs[0], recs[1]; sync.Outcome == "ok" ||
+		async.Outcome != sync.Outcome || async.Attempts != sync.Attempts || async.Endpoint != sync.Endpoint {
+		t.Fatalf("async dispatch failure recorded as %+v, want it like the synchronous %+v", async, sync)
 	}
 }
 
@@ -320,51 +321,6 @@ func TestInvokeAsyncAfterCrashContract(t *testing.T) {
 		if !errors.As(werr, &sysErr) {
 			t.Fatalf("dispatch %d: want a system exception through the future, got %v", i, werr)
 		}
-	}
-}
-
-// TestFutureErrOutcomePollRace polls Err/Outcome from a second goroutine
-// while the call completes on the read loop; the race detector verifies
-// that completion publishes the result fields before the accessors can
-// observe them.
-func TestFutureErrOutcomePollRace(t *testing.T) {
-	w := newWorld(t)
-	ctx := context.Background()
-	for i := 0; i < 64; i++ {
-		fut, err := w.client.InvokeAsync(ctx, echoInvocation(w.client, w.ref, "poll-race", false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					if fut.Outcome() != nil || fut.Err() != nil {
-						return
-					}
-				}
-			}
-		}()
-		select {
-		case <-fut.Done():
-		case <-time.After(5 * time.Second):
-			t.Fatal("future never completed")
-		}
-		close(stop)
-		wg.Wait()
-		if err := fut.Err(); err != nil {
-			t.Fatal(err)
-		}
-		if fut.Outcome() == nil {
-			t.Fatal("completed future lost its outcome")
-		}
-		fut.Release()
 	}
 }
 

@@ -363,7 +363,7 @@ func TestChaosSeededFaultPlan(t *testing.T) {
 		Transport: n.Host("client"),
 		// Stripe the endpoint over several connections: the chaos gate
 		// must hold with pooling and striping enabled, and a dropped
-		// segment then only fails one stripe member's in-flight batch.
+		// segment then only fails one stripe member's in-flight requests.
 		ConnsPerEndpoint: 4,
 		Observability:    bundle,
 		Resilience: &resilience.Policy{

@@ -20,7 +20,7 @@ type iiopModule struct {
 	orb *ORB
 
 	// Per-request counters, atomic because they sit on the hot path of
-	// every invocation: the request writers count what they put on the
+	// every invocation: the request writer counts what it puts on the
 	// wire, the read loop what it takes off.
 	requestsSent atomic.Uint64
 	bytesSent    atomic.Uint64
@@ -73,9 +73,10 @@ func (m *iiopModule) send(ctx context.Context, inv *Invocation, async *Future) (
 // returns once the frame is written; without one it awaits the reply
 // itself — that, who waits, is all that separates the two. An error means
 // the request never registered with the connection (or, for a oneway, that
-// its write failed): the future has been released and, unless the oneway's
-// frame may have left, the failure is a retry-safe NotSentError. Every
-// later failure resolves through the future.
+// its write failed): a future exchange acquired itself has been released,
+// a supplied one is back with its caller, and unless the oneway's frame may
+// have left, the failure is a retry-safe NotSentError. Every later failure
+// resolves through the future.
 func (m *iiopModule) exchange(ctx context.Context, inv *Invocation, fut *Future) (out *Outcome, sent int, err error) {
 	async := fut != nil
 	if !async && inv.ResponseExpected {
@@ -88,7 +89,7 @@ func (m *iiopModule) exchange(ctx context.Context, inv *Invocation, fut *Future)
 		sent, err = conn.send(ctx, inv, fut)
 	}
 	if err != nil {
-		if fut != nil {
+		if fut != nil && !async {
 			fut.release() // never registered: nobody else holds it
 		}
 		return nil, 0, err
@@ -131,11 +132,10 @@ type clientConn struct {
 	// connection died). Capacity is Options.PipelineDepth.
 	window chan struct{}
 
-	mu            sync.Mutex
-	nextID        uint32
-	pending       map[uint32]*Future
-	pendingLocate map[uint32]chan giop.LocateStatus
-	err           error // sticky failure
+	mu      sync.Mutex
+	nextID  uint32
+	pending map[uint32]*Future
+	err     error // sticky failure
 }
 
 func newClientConn(o *ORB, addr string, raw net.Conn, slot int) *clientConn {
@@ -147,7 +147,6 @@ func newClientConn(o *ORB, addr string, raw net.Conn, slot int) *clientConn {
 		pendingGauge:  o.Metrics().Gauge(`maqs_stripe_pending{endpoint="` + addr + `"}`),
 		inflightGauge: o.Metrics().Gauge(`maqs_pipeline_inflight{endpoint="` + addr + `",stripe="` + strconv.Itoa(slot) + `"}`),
 		pending:       make(map[uint32]*Future),
-		pendingLocate: make(map[uint32]chan giop.LocateStatus),
 	}
 	if d := o.opts.PipelineDepth; d > 0 {
 		c.window = make(chan struct{}, d)
@@ -169,12 +168,10 @@ func (c *clientConn) trackPending(delta int32) {
 // the context, so without this bound a full window against a stalled server
 // would block a deadline-less dispatch forever. The timer is armed only on
 // the blocked slow path, keeping the uncontended dispatch allocation-free.
-// beforeBlock, when set, runs first on that path (the batch writer flushes
-// its staged frames: their replies are what free slots); its error is
-// returned as is, a window failure as a retry-safe NotSentError. Must be
-// called without c.mu held: slots are released by the read loop, and
-// blocking under the demux lock would deadlock the connection.
-func (c *clientConn) acquireWindow(ctx context.Context, inv *Invocation, beforeBlock func() error) error {
+// Its failure is a retry-safe NotSentError. Must be called without c.mu
+// held: slots are released by the read loop, and blocking under the demux
+// lock would deadlock the connection.
+func (c *clientConn) acquireWindow(ctx context.Context, inv *Invocation) error {
 	if c.window == nil {
 		return nil
 	}
@@ -182,11 +179,6 @@ func (c *clientConn) acquireWindow(ctx context.Context, inv *Invocation, beforeB
 	case c.window <- struct{}{}:
 		return nil
 	default:
-	}
-	if beforeBlock != nil {
-		if err := beforeBlock(); err != nil {
-			return err
-		}
 	}
 	var expire <-chan time.Time
 	if wait := inv.defaultWait(ctx, c.orb.opts.RequestTimeout); wait > 0 {
@@ -220,10 +212,10 @@ func (c *clientConn) releaseWindow(n int) {
 // fut in the pending map under a fresh request id (a oneway, fut nil, needs
 // neither and only draws an id). It fails fast on a dead connection, with
 // the slot returned; its failures are retry-safe NotSentErrors, nothing
-// having been written (see acquireWindow for beforeBlock's).
-func (c *clientConn) admit(ctx context.Context, inv *Invocation, fut *Future, beforeBlock func() error) (uint32, error) {
+// having been written.
+func (c *clientConn) admit(ctx context.Context, inv *Invocation, fut *Future) (uint32, error) {
 	if fut != nil {
-		if err := c.acquireWindow(ctx, inv, beforeBlock); err != nil {
+		if err := c.acquireWindow(ctx, inv); err != nil {
 			return 0, err
 		}
 	}
@@ -294,7 +286,7 @@ func marshalRequest(e *cdr.Encoder, id uint32, inv *Invocation) {
 // send reports success, the failure being the future's to deliver. So a
 // registered future is never pooled by its sender.
 func (c *clientConn) send(ctx context.Context, inv *Invocation, fut *Future) (sent int, err error) {
-	id, err := c.admit(ctx, inv, fut, nil)
+	id, err := c.admit(ctx, inv, fut)
 	if err != nil {
 		return 0, err
 	}
@@ -376,58 +368,6 @@ func (c *clientConn) sendCancel(id uint32) {
 	e.Release()
 }
 
-// locate issues a LocateRequest and waits for the LocateReply, bounded by
-// Options.RequestTimeout when ctx carries no deadline. A connection that
-// dies meanwhile fails the locate with its sticky cause.
-func (c *clientConn) locate(ctx context.Context, objectKey []byte) (giop.LocateStatus, error) {
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return 0, err
-	}
-	c.nextID++
-	id := c.nextID
-	ch := make(chan giop.LocateStatus, 1)
-	c.pendingLocate[id] = ch
-	c.mu.Unlock()
-
-	e := giop.AcquireFrameEncoder(c.orb.opts.Order)
-	(&giop.LocateRequestHeader{RequestID: id, ObjectKey: objectKey}).Marshal(e)
-	c.writeMu.Lock()
-	err := giop.WriteFrame(c.raw, giop.MsgLocateRequest, e, 0)
-	c.writeMu.Unlock()
-	e.Release()
-	if err != nil {
-		cause := NewSystemException(ExcCommFailure, 3, "writing locate request: %v", err)
-		c.close(cause)
-		return 0, cause
-	}
-	if _, has := ctx.Deadline(); !has {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.orb.opts.RequestTimeout)
-		defer cancel()
-	}
-	select {
-	case st, ok := <-ch:
-		if !ok {
-			// close drained the map and closed the channel.
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return 0, c.err
-		}
-		return st, nil
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pendingLocate, id)
-		c.mu.Unlock()
-		if ctx.Err() == context.DeadlineExceeded {
-			return 0, NewSystemException(ExcTimeout, 8, "locate request to %s timed out", c.addr)
-		}
-		return 0, ctx.Err()
-	}
-}
-
 // readLoop demultiplexes replies until the connection dies. The frame
 // reader reuses its body buffer across reads: reply data is copied into
 // the Outcome, the header is a stack value and its service contexts are
@@ -472,19 +412,6 @@ func (c *clientConn) readLoop() {
 			// Resolving the future here is the hot half of out-of-order
 			// reply matching.
 			fut.complete(out, nil)
-		case giop.MsgLocateReply:
-			d := msg.Decoder()
-			h, err := giop.UnmarshalLocateReplyHeader(d)
-			if err != nil {
-				continue
-			}
-			c.mu.Lock()
-			ch, ok := c.pendingLocate[h.RequestID]
-			delete(c.pendingLocate, h.RequestID)
-			c.mu.Unlock()
-			if ok {
-				ch <- h.Status
-			}
 		case giop.MsgCloseConnection:
 			c.close(NewSystemException(ExcTransient, 5, "server %s closed the connection", c.addr))
 			return
@@ -510,8 +437,6 @@ func (c *clientConn) close(cause *SystemException) {
 	pending := c.pending
 	c.pending = make(map[uint32]*Future)
 	c.trackPending(int32(-len(pending)))
-	locates := c.pendingLocate
-	c.pendingLocate = make(map[uint32]chan giop.LocateStatus)
 	c.mu.Unlock()
 
 	c.raw.Close()
@@ -523,7 +448,4 @@ func (c *clientConn) close(cause *SystemException) {
 		fut.complete(nil, cause)
 	}
 	c.releaseWindow(len(pending))
-	for _, ch := range locates {
-		close(ch)
-	}
 }

@@ -70,7 +70,7 @@ func (r *Request) SetResultType(tc *cdr.TypeCode) *Request {
 }
 
 // buildInvocation marshals the in/inout arguments and assembles the wire
-// invocation (shared by Invoke, Send and Multicall).
+// invocation (shared by Invoke and Send).
 func (r *Request) buildInvocation() (*Invocation, error) {
 	if r.invoked {
 		return nil, fmt.Errorf("orb: dynamic request %q invoked twice", r.operation)
@@ -113,7 +113,7 @@ func (r *Request) Invoke(ctx context.Context) error {
 
 // Send dispatches the request asynchronously (the DII's deferred
 // invocation): it returns once the request is handed to the transport.
-// Collect the result with GetResponse (or poll Future).
+// Collect the result with GetResponse.
 func (r *Request) Send(ctx context.Context) error {
 	inv, err := r.buildInvocation()
 	if err != nil {
@@ -126,11 +126,6 @@ func (r *Request) Send(ctx context.Context) error {
 	r.fut = fut
 	return nil
 }
-
-// Future exposes the in-flight rendezvous of a deferred request (nil
-// before Send). The future is consumed by GetResponse; use one or the
-// other.
-func (r *Request) Future() *Future { return r.fut }
 
 // GetResponse waits for a deferred request's reply and decodes it,
 // exactly as a synchronous Invoke would have.
@@ -176,47 +171,6 @@ func (r *Request) decodeReply(out *Outcome) error {
 		r.args[i].Value = v
 	}
 	return nil
-}
-
-// Multicall delivers several dynamic requests as one batched frame
-// sequence per endpoint (single flush — see InvokeBatch) and decodes
-// every reply. The returned slice is positional: element i is the error
-// of reqs[i], nil on success. Failures are independent; one element's
-// dead endpoint or remote exception leaves the others untouched.
-func (o *ORB) Multicall(ctx context.Context, reqs ...*Request) []error {
-	errs := make([]error, len(reqs))
-	invs := make([]*Invocation, len(reqs))
-	for i, r := range reqs {
-		inv, err := r.buildInvocation()
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		invs[i] = inv
-	}
-	// Build the dense batch (skipping elements that failed to marshal)
-	// while keeping result positions stable.
-	dense := make([]*Invocation, 0, len(invs))
-	back := make([]int, 0, len(invs))
-	for i, inv := range invs {
-		if inv == nil {
-			continue
-		}
-		dense = append(dense, inv)
-		back = append(back, i)
-	}
-	if len(dense) == 0 {
-		return errs
-	}
-	for j, res := range o.InvokeBatch(ctx, dense) {
-		i := back[j]
-		if res.Err != nil {
-			errs[i] = res.Err
-			continue
-		}
-		errs[i] = reqs[i].decodeReply(res.Outcome)
-	}
-	return errs
 }
 
 // Result returns the decoded return value (zero Any for void).

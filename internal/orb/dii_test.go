@@ -213,6 +213,25 @@ func TestCommandWithoutHandler(t *testing.T) {
 	}
 }
 
+// FuzzDecodeCommandTarget: whatever a peer puts in an SCCommand context
+// either fails to decode or decodes to a module name that encodes and
+// decodes to itself.
+func FuzzDecodeCommandTarget(f *testing.F) {
+	f.Add(EncodeCommandTarget("flate"))
+	f.Add(EncodeCommandTarget(""))
+	f.Add([]byte{0, 0, 0})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		target, err := decodeCommandTarget(data)
+		if err != nil {
+			return
+		}
+		if again, err := decodeCommandTarget(EncodeCommandTarget(target)); err != nil || again != target {
+			t.Fatalf("%q re-encodes to %q, %v", target, again, err)
+		}
+	})
+}
+
 // tagFilter is an IncomingFilter that records traffic and rewrites bodies.
 type tagFilter struct {
 	name    string

@@ -12,10 +12,10 @@ import (
 
 // Future is the reply rendezvous of one request — the only one the client
 // has: a synchronous call waits on its future right after sending, an
-// asynchronous or batched call hands the future to its caller. The promise
-// half lives with whoever learns the result (the connection read loop,
-// connection teardown, a delivery goroutine, an abandoning waiter), the
-// future half with the one waiter.
+// asynchronous call hands the future to its caller. The promise half lives
+// with whoever learns the result (the connection read loop, connection
+// teardown, a delivery goroutine, an abandoning waiter), the future half
+// with the one waiter.
 //
 // Futures are pooled under one ownership rule: the waiter that consumes a
 // result returns the future to the pool, and only once its completer has
@@ -25,8 +25,8 @@ import (
 // pooling an object with a live completer would hand its result to an
 // unrelated call.
 //
-// A Future supports exactly one waiter. Use either Wait (which consumes
-// the future) or the Done/Err/Outcome triple followed by Release.
+// A Future supports exactly one waiter, and Wait, called once, is the one
+// way to its result.
 type Future struct {
 	// sig carries the completion signal: one token per pool cycle. It is
 	// made once and survives the cycle, so a call allocates no channel;
@@ -61,9 +61,13 @@ type Future struct {
 	encodeNs atomic.Int64
 
 	// fl is the flight record of a call with no delivery goroutine to wrap
-	// it (asynchronous fast path, batch): opened at dispatch, sealed by
-	// complete.
+	// it (the asynchronous fast path): opened at dispatch, sealed by
+	// complete — or by dispatchAsync when the request never registers.
 	fl flight
+
+	// released marks a future back in the pool, so that a second release
+	// panics; only race-enabled builds set it.
+	released bool
 
 	// onDone, when set, runs on the completing goroutine before the result
 	// is published (the qos layer hangs its conformance/SLO observation
@@ -76,7 +80,7 @@ type Future struct {
 const (
 	futPending uint32 = iota // in flight
 	futClaimed               // a completer won the claim and is writing the result
-	futDone                  // result published: Err/Outcome may read it
+	futDone                  // result published: the waiter may read it
 	futSettled               // signal sent: the completer will not touch the future again
 )
 
@@ -131,6 +135,7 @@ func futurePoolStats() (gets, misses uint64) {
 func acquireFuture(inv *Invocation) *Future {
 	futurePoolGets.Add(1)
 	f := futurePool.Get().(*Future)
+	f.released = false
 	f.state.Store(futPending)
 	f.encodeNs.Store(0)
 	if inv != nil {
@@ -142,8 +147,16 @@ func acquireFuture(inv *Invocation) *Future {
 
 // release scrubs the future and returns it to the pool. Only the owner of
 // a settled future — or of one that never registered with a connection —
-// may call it.
+// may call it, and only once: under the race detector a second release
+// panics instead of pooling one future twice, which would hand it to two
+// calls at once.
 func (f *Future) release() {
+	if raceEnabled {
+		if f.released {
+			panic("orb: future released twice")
+		}
+		f.released = true
+	}
 	f.out = nil
 	f.err = nil
 	f.conn = nil
@@ -195,42 +208,6 @@ func (f *Future) settled() bool {
 	default:
 	}
 	return true
-}
-
-// Done returns a channel that delivers one signal when the invocation
-// completes. It composes with select; after receiving from it read the
-// result with Err/Outcome and then Release, or call Wait (which also
-// consumes the future).
-func (f *Future) Done() <-chan struct{} { return f.sig }
-
-// Err returns the delivery error once the future is done: nil when an
-// Outcome arrived (the outcome itself may still carry a remote exception —
-// see Outcome.Err), the local failure otherwise. Before completion it
-// returns nil.
-func (f *Future) Err() error {
-	if f.state.Load() < futDone {
-		return nil
-	}
-	return f.err
-}
-
-// Outcome returns the delivered outcome once the future is done (nil on
-// local failure or before completion).
-func (f *Future) Outcome() *Outcome {
-	if f.state.Load() < futDone {
-		return nil
-	}
-	return f.out
-}
-
-// Release returns a completed future to the pool for callers using the
-// Done/Err/Outcome protocol instead of Wait. Releasing an incomplete
-// future is a no-op (it stays with the garbage collector); the future
-// must not be used after Release.
-func (f *Future) Release() {
-	if f.settled() {
-		f.release()
-	}
 }
 
 // Wait blocks until the invocation completes or ctx expires, whichever is
@@ -363,21 +340,15 @@ func (o *ORB) InvokeAsyncObserved(ctx context.Context, inv *Invocation, onDone f
 	return o.dispatchAsync(ctx, mod, inv, onDone)
 }
 
-// directIIOP reports whether a request routed to mod can be written
-// straight to a connection from the calling goroutine: plain IIOP route and
-// no resilience policy to run around the attempt.
-func (o *ORB) directIIOP(mod TransportModule) bool {
-	return mod == TransportModule(o.iiop) && o.res == nil
-}
-
 // dispatchAsync sends a prepared invocation without waiting for its reply.
 func (o *ORB) dispatchAsync(ctx context.Context, mod TransportModule, inv *Invocation, onDone func(*Outcome, error)) (*Future, error) {
 	f := acquireFuture(inv)
 	f.onDone = onDone
-	if !o.directIIOP(mod) || !inv.ResponseExpected {
-		// No direct write, or no reply to rendezvous on: a delivery
-		// goroutine runs the full synchronous stack (flight recording
-		// included), so the future's own recorder stays off.
+	if mod != TransportModule(o.iiop) || o.res != nil || !inv.ResponseExpected {
+		// Not the plain IIOP route, a resilience policy to run around the
+		// attempt, or no reply to rendezvous on: a delivery goroutine runs
+		// the full synchronous stack (flight recording included), so the
+		// future's own recorder stays off.
 		return f.run(func() (*Outcome, error) {
 			out, err := o.send(ctx, mod, inv)
 			return o.follow(ctx, mod, inv, out, err)
@@ -385,8 +356,14 @@ func (o *ORB) dispatchAsync(ctx context.Context, mod TransportModule, inv *Invoc
 	}
 	f.fl.open(ctx, o, inv)
 	if _, err := o.iiop.send(ctx, inv, f); err != nil {
-		// Never registered (send has released the future): the retry-safe
-		// dispatch failure is the caller's to see.
+		// Never registered, so nobody else holds f and complete never
+		// runs: the flight record is sealed here, as the synchronous path
+		// seals it, and the retry-safe dispatch failure is the caller's.
+		if f.fl.fr != nil {
+			f.fl.rec.Attempts = 1
+			f.fl.seal(nil, err)
+		}
+		f.release()
 		return nil, err
 	}
 	// Registered: whatever happens now — a failed frame write included —

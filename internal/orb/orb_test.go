@@ -320,23 +320,105 @@ func TestInvocationTimeout(t *testing.T) {
 	}
 }
 
+// TestLocate is the server half of GIOP Locate, driven with raw frames: a
+// LocateRequest for an active key is answered LocateObjectHere, one for an
+// unknown key LocateUnknownObject, on one connection.
 func TestLocate(t *testing.T) {
 	w := newWorld(t)
-	here, err := w.client.Locate(context.Background(), w.ref)
+	conn, err := w.net.DialFrom("locator", "server:9000")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !here {
-		t.Fatal("object not located")
+	defer conn.Close()
+	for i, tc := range []struct {
+		key  string
+		want giop.LocateStatus
+	}{
+		{"echo-1", giop.LocateObjectHere},
+		{"ghost", giop.LocateUnknownObject},
+	} {
+		id := uint32(40 + i)
+		e := cdr.NewEncoder(cdr.BigEndian)
+		(&giop.LocateRequestHeader{RequestID: id, ObjectKey: []byte(tc.key)}).Marshal(e)
+		if err := giop.WriteMessage(conn, giop.MsgLocateRequest, cdr.BigEndian, e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := giop.ReadMessage(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg.Type != giop.MsgLocateReply {
+			t.Fatalf("%s: reply type = %v", tc.key, msg.Type)
+		}
+		// The LocateReply body is the request id and the status, two ulongs.
+		d := msg.Decoder()
+		gotID, err := d.ReadULong()
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, err := d.ReadULong()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotID != id || giop.LocateStatus(status) != tc.want {
+			t.Fatalf("%s: locate reply = id %d status %d, want id %d status %d", tc.key, gotID, status, id, tc.want)
+		}
 	}
-	bogus := w.ref.Clone()
-	bogus.Profile.ObjectKey = []byte("ghost")
-	here, err = w.client.Locate(context.Background(), bogus)
+}
+
+// TestStrayLocateReplySkipped: the client sends no LocateRequest, so a
+// LocateReply on its connection — even one carrying a pending request's id —
+// is skipped, and the reply that follows still completes that request.
+func TestStrayLocateReplySkipped(t *testing.T) {
+	n := netsim.NewNetwork()
+	l, err := n.Host("raw").Listen("raw:1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if here {
-		t.Fatal("ghost object located")
+	t.Cleanup(func() { l.Close() })
+	served, hold := make(chan error, 1), make(chan struct{})
+	t.Cleanup(func() { close(hold) })
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		defer conn.Close()
+		served <- func() error {
+			msg, err := giop.ReadMessage(conn)
+			if err != nil {
+				return err
+			}
+			d := msg.Decoder()
+			var h giop.RequestHeader
+			if err := h.Unmarshal(d); err != nil {
+				return err
+			}
+			args, err := d.ReadOctets()
+			if err != nil {
+				return err
+			}
+			e := cdr.NewEncoder(msg.Order)
+			(&giop.LocateReplyHeader{RequestID: h.RequestID, Status: giop.LocateObjectHere}).Marshal(e)
+			if err := giop.WriteMessage(conn, giop.MsgLocateReply, msg.Order, e.Bytes()); err != nil {
+				return err
+			}
+			e = cdr.NewEncoder(msg.Order)
+			(&giop.ReplyHeader{RequestID: h.RequestID, Status: giop.ReplyNoException}).Marshal(e)
+			e.WriteOctets(args)
+			return giop.WriteMessage(conn, giop.MsgReply, msg.Order, e.Bytes())
+		}()
+		<-hold // keep the connection up until the test ends
+	}()
+	client := New(Options{Transport: n.Host("client")})
+	t.Cleanup(client.Shutdown)
+	ref := ior.New("IDL:test/Echo:1.0", "raw", 1, []byte("echo"))
+	if got, err := callEcho(t, client, ref, "after the stray"); err != nil || got != "after the stray" {
+		t.Fatalf("echo after a stray LocateReply = %q, %v", got, err)
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -5,12 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"testing"
 	"time"
 
-	"maqs/internal/ior"
 	"maqs/internal/netsim"
 )
 
@@ -97,83 +95,21 @@ func TestAsyncDefaultDeadlineCountsFromDispatch(t *testing.T) {
 	})
 }
 
-// muteServer accepts connections and never answers on them.
-type muteServer struct {
-	mu    sync.Mutex
-	conns []net.Conn
-}
-
-func newMuteServer(t *testing.T, n *netsim.Network) (*muteServer, *ior.IOR) {
-	t.Helper()
-	l, err := n.Host("mute").Listen("mute:1")
-	if err != nil {
-		t.Fatal(err)
+// TestFutureReleasedTwicePanics: under the race detector a second release
+// of one future panics instead of pooling it twice, which would hand it to
+// two calls at once.
+func TestFutureReleasedTwicePanics(t *testing.T) {
+	if !raceEnabled {
+		t.Skip("the double-release guard is compiled in under -race only")
 	}
-	s := &muteServer{}
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			s.mu.Lock()
-			s.conns = append(s.conns, c)
-			s.mu.Unlock()
+	f := acquireFuture(nil)
+	f.release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second release of one future did not panic")
 		}
 	}()
-	t.Cleanup(func() {
-		l.Close()
-		s.hangUp()
-	})
-	return s, ior.New("IDL:test/Echo:1.0", "mute", 1, []byte("nobody"))
-}
-
-// hangUp closes every accepted connection.
-func (s *muteServer) hangUp() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.conns {
-		c.Close()
-	}
-	s.conns = nil
-}
-
-// TestLocateDefaultDeadline: a LocateRequest nobody answers fails with
-// TIMEOUT after Options.RequestTimeout when the context has no deadline.
-func TestLocateDefaultDeadline(t *testing.T) {
-	const timeout = 80 * time.Millisecond
-	n := netsim.NewNetwork()
-	_, ref := newMuteServer(t, n)
-	client := New(Options{Transport: n.Host("client"), RequestTimeout: timeout})
-	t.Cleanup(client.Shutdown)
-
-	start := time.Now()
-	here, err := client.Locate(context.Background(), ref)
-	elapsed := time.Since(start)
-	wantTimeout(t, err, 8)
-	if here {
-		t.Fatal("a locate nobody answered reported the object here")
-	}
-	if elapsed < timeout || elapsed > 10*timeout {
-		t.Fatalf("locate gave up after %v, want about %v", elapsed, timeout)
-	}
-}
-
-// TestLocateFailsWithTeardownCause: a connection that dies under a pending
-// locate fails it with the COMM_FAILURE that killed the connection — not
-// with "object not here".
-func TestLocateFailsWithTeardownCause(t *testing.T) {
-	n := netsim.NewNetwork()
-	server, ref := newMuteServer(t, n)
-	client := New(Options{Transport: n.Host("client"), RequestTimeout: time.Minute})
-	t.Cleanup(client.Shutdown)
-
-	time.AfterFunc(30*time.Millisecond, server.hangUp)
-	here, err := client.Locate(context.Background(), ref)
-	var sys *SystemException
-	if !errors.As(err, &sys) || sys.Name != ExcCommFailure {
-		t.Fatalf("locate over a dying connection: here=%v err=%v, want COMM_FAILURE", here, err)
-	}
+	f.release()
 }
 
 // raceServant echoes after a delay jittered around the client's

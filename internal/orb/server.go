@@ -1,7 +1,6 @@
 package orb
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -79,19 +78,6 @@ func (a *Adapter) resolve(key string) (Servant, bool) {
 		return nil, false
 	}
 	return v.(*activation).servant, true
-}
-
-// Locate asks the target's server whether the object exists there.
-func (o *ORB) Locate(ctx context.Context, ref *ior.IOR) (bool, error) {
-	conn, err := o.getConn(ref.Profile.Addr())
-	if err != nil {
-		return false, err
-	}
-	st, err := conn.locate(ctx, ref.Profile.ObjectKey)
-	if err != nil {
-		return false, err
-	}
-	return st == giop.LocateObjectHere, nil
 }
 
 // acceptLoop runs per listener.

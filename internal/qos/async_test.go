@@ -5,6 +5,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"maqs/internal/ior"
+	"maqs/internal/netsim"
+	"maqs/internal/orb"
 )
 
 // TestCallAsyncFeedsObservers verifies the asynchronous stub path keeps
@@ -37,7 +41,7 @@ func TestCallAsyncFeedsObservers(t *testing.T) {
 	}
 
 	// The observer runs on the completing goroutine before the future's
-	// Done channel closes, so it has fired by the time Wait returns.
+	// result is published, so it has fired by the time Wait returns.
 	mu.Lock()
 	defer mu.Unlock()
 	if len(seen) != 1 {
@@ -46,6 +50,33 @@ func TestCallAsyncFeedsObservers(t *testing.T) {
 	o := seen[0]
 	if o.Operation != "inc" || o.Err != nil || o.RTT <= 0 {
 		t.Fatalf("observation = %+v", o)
+	}
+}
+
+// TestCallAsyncDispatchFailureObserved: a pipelined call that fails before
+// it registers — its endpoint refuses the connection — reaches the
+// observers once, as Call's failure does, and not only as CallAsync's error.
+func TestCallAsyncDispatchFailureObserved(t *testing.T) {
+	client := orb.New(orb.Options{Transport: netsim.NewNetwork().Host("client")})
+	t.Cleanup(client.Shutdown)
+	stub := NewStub(client, ior.New("IDL:test/Counter:1.0", "nobody", 1, []byte("counter")))
+	var seen []Observation
+	stub.AddObserver(func(o Observation) { seen = append(seen, o) })
+	ctx := context.Background()
+	if _, err := stub.Call(ctx, "inc", nil); err == nil {
+		t.Fatal("Call on a refused endpoint succeeded")
+	}
+	if fut, err := stub.CallAsync(ctx, "inc", nil); err == nil {
+		fut.Wait(ctx)
+		t.Fatal("CallAsync on a refused endpoint registered")
+	}
+	if len(seen) != 2 {
+		t.Fatalf("observers saw %d observations of a failed Call and a failed CallAsync, want 2", len(seen))
+	}
+	for i, o := range seen {
+		if o.Operation != "inc" || o.Err == nil {
+			t.Fatalf("observation %d = %+v, want a failed inc", i, o)
+		}
 	}
 }
 
@@ -88,61 +119,6 @@ func TestCallAsyncMediated(t *testing.T) {
 	defer mu.Unlock()
 	if len(seen) != 1 || seen[0].Characteristic != "Tracing" {
 		t.Fatalf("observations = %+v", seen)
-	}
-}
-
-// TestStubMulticall batches N calls through the stub in one flush and
-// checks positional outcomes and the server-side effect count.
-func TestStubMulticall(t *testing.T) {
-	w := newQoSWorld(t, 0)
-	const calls = 6
-	argsList := make([][]byte, calls)
-	res := w.stub.Multicall(context.Background(), "inc", argsList)
-	if len(res) != calls {
-		t.Fatalf("got %d results for %d elements", len(res), calls)
-	}
-	values := make(map[int32]bool)
-	for i, r := range res {
-		if err := r.Failed(); err != nil {
-			t.Fatalf("elem %d: %v", i, err)
-		}
-		v, err := r.Outcome.Decoder().ReadLong()
-		if err != nil {
-			t.Fatalf("elem %d decode: %v", i, err)
-		}
-		if values[v] {
-			t.Fatalf("counter value %d delivered twice", v)
-		}
-		values[v] = true
-	}
-	for v := int32(1); v <= calls; v++ {
-		if !values[v] {
-			t.Fatalf("counter value %d missing from replies: %v", v, values)
-		}
-	}
-}
-
-// TestStubMulticallMediatedFallsBack: with a mediator installed the batch
-// path would bypass the Pre/PostInvoke bracket, so Multicall degrades to
-// per-element mediated delivery — semantics over syscall count.
-func TestStubMulticallMediatedFallsBack(t *testing.T) {
-	w := newQoSWorld(t, 0)
-	ctx := context.Background()
-	if _, err := w.stub.Negotiate(ctx, &Proposal{Characteristic: "Tracing"}); err != nil {
-		t.Fatal(err)
-	}
-	const calls = 3
-	res := w.stub.Multicall(ctx, "inc", make([][]byte, calls))
-	for i, r := range res {
-		if err := r.Failed(); err != nil {
-			t.Fatalf("elem %d: %v", i, err)
-		}
-	}
-	w.mediator.mu.Lock()
-	pres := w.mediator.pres
-	w.mediator.mu.Unlock()
-	if pres != calls {
-		t.Fatalf("mediator saw %d PreInvokes, want %d", pres, calls)
 	}
 }
 

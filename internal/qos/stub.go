@@ -164,15 +164,14 @@ type call struct {
 	start      time.Time
 }
 
-// begin snapshots the stub for one call of op and opens its client span
-// (spanName: "client.call", or "client.multicall" for a batch).
-func (s *Stub) begin(ctx context.Context, spanName, op string) (context.Context, call) {
+// begin snapshots the stub for one call of op and opens its client span.
+func (s *Stub) begin(ctx context.Context, op string) (context.Context, call) {
 	s.mu.RLock()
 	target, binding, mediator, observers := s.target, s.binding, s.mediator, s.observers
 	idempotent := s.idempotent[op]
 	s.mu.RUnlock()
 
-	ctx, span := s.orb.Tracer().StartSpan(ctx, spanName)
+	ctx, span := s.orb.Tracer().StartSpan(ctx, "client.call")
 	if span != nil {
 		span.SetOperation(op)
 		if binding != nil {
@@ -202,8 +201,7 @@ func (c call) invocation(s *Stub, args []byte, responseExpected bool) *orb.Invoc
 	return inv
 }
 
-// endSpan closes the client span over the call's (first) failure, local or
-// remote.
+// endSpan closes the client span over the call's failure, local or remote.
 func (c call) endSpan(out *orb.Outcome, err error) {
 	if c.span == nil {
 		return
@@ -251,7 +249,7 @@ func (c call) observe(reqBytes int, out *orb.Outcome, err error) {
 // (through the mediator if it takes over delivery), run PostInvoke, and
 // feed the observer.
 func (s *Stub) Invoke(ctx context.Context, op string, args []byte, oneway bool) (*orb.Outcome, error) {
-	ctx, c := s.begin(ctx, "client.call", op)
+	ctx, c := s.begin(ctx, op)
 	out, err := s.deliver(ctx, c.invocation(s, args, !oneway), c.mediator)
 	c.endSpan(out, err)
 	c.observe(len(args), out, err)
@@ -307,7 +305,7 @@ func (s *Stub) mediate(ctx context.Context, inv *orb.Invocation, mediator Mediat
 // measures dispatch-to-completion, not Wait time. Without a mediator the
 // call takes the ORB's zero-goroutine pipelining fast path.
 func (s *Stub) InvokeAsync(ctx context.Context, op string, args []byte) (*orb.Future, error) {
-	ctx, c := s.begin(ctx, "client.call", op)
+	ctx, c := s.begin(ctx, op)
 	c.span.SetAttr("async", "1")
 	inv := c.invocation(s, args, true)
 	onDone := func(out *orb.Outcome, err error) {
@@ -328,11 +326,12 @@ func (s *Stub) InvokeAsync(ctx context.Context, op string, args []byte) (*orb.Fu
 	if err != nil {
 		// Per the InvokeAsync error contract, a returned error means the
 		// request never registered with a connection, so onDone never ran
-		// (and never will): ending the span here cannot double-end it,
-		// and the call is reported exactly once — as this error. Failures
-		// after registration complete the future instead, where onDone
-		// owns the span and the observers.
+		// (and never will): ending the span and feeding the observers here
+		// cannot report the call twice. Failures after registration
+		// complete the future instead, where onDone owns the span and the
+		// observers.
 		c.endSpan(nil, err)
+		c.observe(len(args), nil, err)
 		return nil, err
 	}
 	return fut, nil
@@ -344,45 +343,6 @@ func (s *Stub) InvokeAsync(ctx context.Context, op string, args []byte) (*orb.Fu
 // then Outcome.Err, exactly as Call would have).
 func (s *Stub) CallAsync(ctx context.Context, op string, args []byte) (*orb.Future, error) {
 	return s.InvokeAsync(ctx, op, args)
-}
-
-// Multicall delivers one invocation of op per element of argsList as a
-// single coalesced batch (one flush per endpoint — see orb.InvokeBatch)
-// and returns the positional per-element results. Binding tagging and
-// observer feeding match Invoke; mediated stubs fall back to sequential
-// mediated delivery (each element a client.call under the batch's span),
-// since mediators own their own fan-out.
-func (s *Stub) Multicall(ctx context.Context, op string, argsList [][]byte) []orb.MulticallResult {
-	ctx, c := s.begin(ctx, "client.multicall", op)
-	if c.mediator != nil {
-		res := make([]orb.MulticallResult, len(argsList))
-		for i, args := range argsList {
-			res[i].Outcome, res[i].Err = s.Invoke(ctx, op, args, false)
-		}
-		c.endSpan(nil, firstFailure(res))
-		return res
-	}
-
-	invs := make([]*orb.Invocation, len(argsList))
-	for i, args := range argsList {
-		invs[i] = c.invocation(s, args, true)
-	}
-	res := s.orb.InvokeBatch(ctx, invs)
-	c.endSpan(nil, firstFailure(res))
-	for i, r := range res {
-		c.observe(len(argsList[i]), r.Outcome, r.Err)
-	}
-	return res
-}
-
-// firstFailure is what a batch's span records: its first failed element.
-func firstFailure(res []orb.MulticallResult) error {
-	for _, r := range res {
-		if err := r.Failed(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Call is the convenience used by generated stubs: invoke, convert remote

@@ -63,10 +63,9 @@ type (
 	// Outcome is the result of an invocation.
 	Outcome = orb.Outcome
 	// Future is the rendezvous of an asynchronous invocation
-	// (Stub.CallAsync, ORB.InvokeAsync, DII deferred Send).
+	// (Stub.CallAsync, ORB.InvokeAsync); Wait, called once, collects the
+	// reply.
 	Future = orb.Future
-	// MulticallResult is the per-element outcome of a batched Multicall.
-	MulticallResult = orb.MulticallResult
 	// SystemException is a broker-level failure.
 	SystemException = orb.SystemException
 	// UserException is an application-declared exception.
