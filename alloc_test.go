@@ -73,10 +73,10 @@ func TestEchoCallAllocsTCP(t *testing.T) {
 // gateSeam gates the paper's seam: the same echo bound to a characteristic
 // that does nothing, behind a mediator that does nothing — tagged request,
 // mediator bracket, binding lookup, routing, prolog and epilog.
-func gateSeam(t *testing.T, what string, budget float64, tcp bool) {
+func gateSeam(t *testing.T, what string, budget float64, tcp bool, opts maqs.Options) {
 	t.Helper()
 	cfg := experiments.NullBound()
-	cfg.TCP = tcp
+	cfg.TCP, cfg.Options = tcp, opts
 	w := experiments.NewWorld(t, cfg)
 	w.Stub.SetMediator(&qos.BaseMediator{Char: cfg.Proposal.Characteristic})
 	gateAllocs(t, what, budget, w.Echo(t, gatePayload))
@@ -88,13 +88,36 @@ func gateSeam(t *testing.T, what string, budget float64, tcp bool) {
 // list), with the pooled dispatch job (context array and payloads) and with
 // the connection (the decoded tag), not on the heap per call.
 func TestBoundEchoAllocs(t *testing.T) {
-	gateSeam(t, "bound echo round trip", 6, false)
+	gateSeam(t, "bound echo round trip", 6, false, maqs.Options{})
 }
 
 // TestBoundEchoAllocsTCP is the seam gate over loopback TCP: measured 3,
 // TestEchoCallAllocsTCP's figure.
 func TestBoundEchoAllocsTCP(t *testing.T) {
-	gateSeam(t, "bound echo round trip over TCP", 4, true)
+	gateSeam(t, "bound echo round trip over TCP", 4, true, maqs.Options{})
+}
+
+// TestObservedEchoAllocs gates the echo with observability on: one bundle
+// shared by client and server, so a call makes the client's call, mediator
+// and wire spans, the server's dispatch, prolog, servant and epilog spans,
+// their SCTraceReturn summaries, a flight record, an exemplar and the
+// metrics. It runs once with TailSampling unset (every trace kept) and once
+// at a healthy keep of 0.1.
+func TestObservedEchoAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		sampling     *maqs.TailSamplingConfig
+		plain, bound float64
+	}{
+		{"every trace kept", nil, 38, 61},
+		{"healthy keep 0.1", &maqs.TailSamplingConfig{HealthyKeepFraction: 0.1}, 38, 61},
+	} {
+		observed := func() maqs.Options {
+			return maqs.Options{Observability: maqs.NewObservabilityWithConfig(maqs.ObservabilityConfig{TailSampling: c.sampling})}
+		}
+		gateEcho(t, "observed echo round trip, "+c.name, c.plain, experiments.Config{Options: observed()})
+		gateSeam(t, "observed bound echo round trip, "+c.name, c.bound, false, observed())
+	}
 }
 
 // TestReplicationAllocs gates the active fan-out: per call the stub's

@@ -1,6 +1,7 @@
 package maqs_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -27,6 +28,7 @@ type sourceFile struct {
 	dir  string // slash-separated, relative to the repository root
 	test bool
 	ast  *ast.File
+	fset *token.FileSet
 }
 
 // importPath maps a repository directory to its import path; the nested
@@ -58,7 +60,7 @@ func parseTree(t *testing.T) []sourceFile {
 		if !strings.HasSuffix(name, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution|parser.ParseComments)
 		if err != nil {
 			return err
 		}
@@ -66,6 +68,7 @@ func parseTree(t *testing.T) []sourceFile {
 			dir:  filepath.ToSlash(filepath.Dir(p)),
 			test: strings.HasSuffix(name, "_test.go"),
 			ast:  f,
+			fset: fset,
 		})
 		return nil
 	})
@@ -500,6 +503,143 @@ func TestObservabilityDocNamesEndpoints(t *testing.T) {
 	for _, r := range sortedKeys(rows) {
 		if !registered[r] {
 			t.Errorf("docs/OBSERVABILITY.md's endpoint table lists %s, which nothing registers", r)
+		}
+	}
+}
+
+// qualifiedName matches a Go name of obs, qos, orb or the maqs facade in
+// prose — pkg.Name, optionally .Member — and captures a comparison that
+// follows it: the trader's constraint language writes a characteristic's
+// parameter as qos.<Characteristic>.<param> in a comparison
+// (`qos.Availability.replicas >= 3`), which names no Go declaration.
+var qualifiedName = regexp.MustCompile(`\b(obs|qos|orb|maqs)\.([A-Z]\w*)(?:\.(\w+))?(\s*(?:[<>!=]=|[<>]))?`)
+
+// typeDecl is what a package declares under a type name.
+type typeDecl struct {
+	members map[string]bool // fields and methods
+	// open marks a type whose members the census cannot list (it embeds
+	// a type or is defined from another one): its members go unchecked.
+	open bool
+	// alias is "pkg.Name" for an alias of one of the four packages' types.
+	alias string
+}
+
+// TestNoStaleIdentifiers: every obs., qos., orb. or maqs. name that a Go
+// comment or a docs/*.md line mentions is declared — and so is the field
+// or method it selects, where the type's members can be listed — so prose
+// cannot go on naming what a change deleted or renamed.
+func TestNoStaleIdentifiers(t *testing.T) {
+	dirs := map[string]string{"obs": "internal/obs", "qos": "internal/qos", "orb": "internal/orb", "maqs": "."}
+	decls := map[string]map[string]*typeDecl{} // package → top-level name → type (nil: not a type)
+	files := parseTree(t)
+	for _, f := range files {
+		pkg := ""
+		for p, dir := range dirs {
+			if f.dir == dir && !f.test {
+				pkg = p
+			}
+		}
+		if pkg == "" {
+			continue
+		}
+		if decls[pkg] == nil {
+			decls[pkg] = map[string]*typeDecl{}
+		}
+		names := decls[pkg]
+		typ := func(name string) *typeDecl {
+			if names[name] == nil {
+				names[name] = &typeDecl{members: map[string]bool{}}
+			}
+			return names[name]
+		}
+		for _, decl := range f.ast.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names[d.Name.Name] = nil
+				} else {
+					typ(receiverType(d.Recv.List[0].Type)).members[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							names[n.Name] = nil
+						}
+					case *ast.TypeSpec:
+						td := typ(s.Name.Name)
+						var fields *ast.FieldList
+						switch x := s.Type.(type) {
+						case *ast.StructType:
+							fields = x.Fields
+						case *ast.InterfaceType:
+							fields = x.Methods
+						case *ast.SelectorExpr:
+							if _, ours := dirs[x.X.(*ast.Ident).Name]; ours && s.Assign.IsValid() {
+								td.alias = x.X.(*ast.Ident).Name + "." + x.Sel.Name
+							} else {
+								td.open = true
+							}
+						case *ast.Ident, *ast.IndexExpr, *ast.IndexListExpr:
+							td.open = true
+						}
+						if fields != nil {
+							for _, fl := range fields.List {
+								td.open = td.open || len(fl.Names) == 0
+								for _, n := range fl.Names {
+									td.members[n.Name] = true
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	lookup := func(pkg, name string) (*typeDecl, bool) {
+		td, ok := decls[pkg][name]
+		for ok && td != nil && td.alias != "" {
+			pkg, name, _ = strings.Cut(td.alias, ".")
+			td, ok = decls[pkg][name]
+		}
+		return td, ok
+	}
+	check := func(where, text string) {
+		for _, m := range qualifiedName.FindAllStringSubmatch(text, -1) {
+			if m[4] != "" {
+				continue // a trader constraint, not a Go name
+			}
+			td, ok := lookup(m[1], m[2])
+			switch {
+			case !ok:
+				t.Errorf("%s names %s.%s, which is not declared", where, m[1], m[2])
+			case m[3] != "" && td != nil && !td.open && !td.members[m[3]]:
+				t.Errorf("%s names %s.%s.%s, which is not declared", where, m[1], m[2], m[3])
+			}
+		}
+	}
+	for _, f := range files {
+		for _, group := range f.ast.Comments {
+			for _, c := range group.List {
+				pos := f.fset.Position(c.Slash)
+				for i, line := range strings.Split(c.Text, "\n") {
+					check(fmt.Sprintf("%s:%d", filepath.ToSlash(pos.Filename), pos.Line+i), line)
+				}
+			}
+		}
+	}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range docs {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			check(fmt.Sprintf("%s:%d", doc, i+1), line)
 		}
 	}
 }

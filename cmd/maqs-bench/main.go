@@ -155,7 +155,7 @@ func run(args []string) int {
 // runMetricsDemo exercises the full instrumented invocation path on a
 // simulated network — negotiation, QoS-module calls, renegotiation,
 // release — with client and server sharing one observability bundle, so
-// the collector holds complete client→server traces. The bundle's JSON
+// the bundle keeps complete client→server traces. The bundle's JSON
 // snapshot goes to w.
 func runMetricsDemo(w *os.File) error {
 	bundle := maqs.NewObservability()

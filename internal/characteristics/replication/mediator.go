@@ -190,7 +190,7 @@ func (m *Mediator) deliverActive(ctx context.Context, inv *orb.Invocation, next 
 	//
 	// The dispatch goes through ORB.InvokeAsync rather than `next`. That is
 	// deliberately equivalent, not a shortcut: the stub hands mediators
-	// exactly orb.Invoke as next (see qos.Stub.mediate), so there is no
+	// exactly ORB.Invoke as next (see qos.Stub.mediate), so there is no
 	// delivery stage between mediator and transport to bypass, and per-call
 	// conformance/SLO observation happens in the stub bracket around
 	// Deliver — per logical call, never per replica. If a stage is ever

@@ -23,7 +23,7 @@ func traceRequestHeader(sc obs.SpanContext) *RequestHeader {
 
 func testSpanContext(t *testing.T) obs.SpanContext {
 	t.Helper()
-	tracer := obs.NewTracer(obs.NewCollector(16))
+	tracer := obs.New().Tracer
 	_, span := tracer.StartSpan(context.Background(), "wire.send")
 	sc := span.Context()
 	span.End()

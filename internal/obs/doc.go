@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the MAQS reproduction: a
 // lock-cheap metrics registry, distributed trace propagation in the W3C
-// traceparent style, and an in-process span collector with bounded ring
-// storage.
+// traceparent style, and a tail sampler that decides which traces to keep
+// and keeps their spans in a bounded ring.
 //
 // Observability is itself a cross-cutting concern in the paper's sense
 // (§3): it must see every stage of the invocation path — stub dispatch,

@@ -12,19 +12,20 @@ func TestHistogramObserveExemplar(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("maqs_ex_seconds", &Bounds{Le: []float64{0.01, 0.1, 1}})
 
-	h.ObserveExemplar(5*time.Millisecond, "trace-a", "span-a")
-	h.ObserveExemplar(500*time.Millisecond, "trace-b", "span-b")
-	h.ObserveExemplar(50*time.Millisecond, "", "") // untraced: plain observe
+	traceA, traceB, spanB := TraceID{0xa}, TraceID{0xb}, SpanID{0xb}
+	h.ObserveExemplar(5*time.Millisecond, traceA, SpanID{0xa})
+	h.ObserveExemplar(500*time.Millisecond, traceB, spanB)
+	h.ObserveExemplar(50*time.Millisecond, TraceID{}, SpanID{}) // untraced: plain observe
 
 	snap := r.Snapshot()
 	if len(snap.Histograms) != 1 {
 		t.Fatalf("histograms = %d", len(snap.Histograms))
 	}
 	bs := snap.Histograms[0].Buckets
-	if bs[0].Exemplar == nil || bs[0].Exemplar.TraceID != "trace-a" {
+	if bs[0].Exemplar == nil || bs[0].Exemplar.TraceID != traceA {
 		t.Fatalf("bucket 0 exemplar = %+v", bs[0].Exemplar)
 	}
-	if bs[2].Exemplar == nil || bs[2].Exemplar.TraceID != "trace-b" || bs[2].Exemplar.SpanID != "span-b" {
+	if bs[2].Exemplar == nil || bs[2].Exemplar.TraceID != traceB || bs[2].Exemplar.SpanID != spanB {
 		t.Fatalf("bucket 2 exemplar = %+v", bs[2].Exemplar)
 	}
 	if v := bs[2].Exemplar.Value; v != 0.5 {
@@ -42,10 +43,10 @@ func TestHistogramObserveExemplar(t *testing.T) {
 func TestHistogramExemplarLatestWins(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("maqs_ex2_seconds", &Bounds{Le: []float64{1}})
-	h.ObserveExemplar(100*time.Millisecond, "old", "")
-	h.ObserveExemplar(200*time.Millisecond, "new", "")
+	h.ObserveExemplar(100*time.Millisecond, TraceID{0x01}, SpanID{})
+	h.ObserveExemplar(200*time.Millisecond, TraceID{0x02}, SpanID{})
 	bs := r.Snapshot().Histograms[0].Buckets
-	if bs[0].Exemplar.TraceID != "new" {
+	if bs[0].Exemplar.TraceID != (TraceID{0x02}) {
 		t.Fatalf("exemplar = %+v, want latest", bs[0].Exemplar)
 	}
 }
@@ -53,14 +54,14 @@ func TestHistogramExemplarLatestWins(t *testing.T) {
 func TestExemplarTextRendering(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("maqs_ex_seconds", &Bounds{Le: []float64{0.1}}, "op", "echo")
-	h.ObserveExemplar(50*time.Millisecond, "0123abcd", "ff00")
+	h.ObserveExemplar(50*time.Millisecond, TraceID{0x01, 0x23, 0xab, 0xcd}, SpanID{0xff})
 
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	want := `maqs_ex_seconds_bucket{op="echo",le="0.1"} 1 # {trace_id="0123abcd",span_id="ff00"} 0.05`
+	want := `maqs_ex_seconds_bucket{op="echo",le="0.1"} 1 # {trace_id="0123abcd000000000000000000000000",span_id="ff00000000000000"} 0.05`
 	if !strings.Contains(out, want) {
 		t.Fatalf("text exposition missing exemplar trailer:\n%s", out)
 	}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -58,10 +59,10 @@ type PhaseTimings struct {
 type FlightRecord struct {
 	// Seq is the recorder-wide sequence number (monotonic, 1-based).
 	Seq uint64 `json:"seq,omitempty"`
-	// TraceID and SpanID link the record to the span collector when
-	// tracing is on.
-	TraceID string `json:"trace_id,omitempty"`
-	SpanID  string `json:"span_id,omitempty"`
+	// TraceID and SpanID link the record to its span when tracing is on
+	// (zero, and omitted from JSON, otherwise).
+	TraceID TraceID `json:"trace_id"`
+	SpanID  SpanID  `json:"span_id"`
 	// Operation is the invoked operation ("(breaker)" and "(qos)" mark
 	// synthetic records from resilience events rather than calls).
 	Operation string `json:"operation"`
@@ -91,6 +92,17 @@ type FlightRecord struct {
 	Phases *PhaseTimings `json:"phases,omitempty"`
 	// At is when the record was finalised.
 	At time.Time `json:"at"`
+}
+
+// MarshalJSON writes the record with zero IDs left out.
+func (r FlightRecord) MarshalJSON() ([]byte, error) {
+	type fields FlightRecord
+	return json.Marshal(struct {
+		Seq     uint64   `json:"seq,omitempty"`
+		TraceID *TraceID `json:"trace_id,omitempty"`
+		SpanID  *SpanID  `json:"span_id,omitempty"`
+		fields
+	}{r.Seq, orNil(r.TraceID), orNil(r.SpanID), fields(r)})
 }
 
 // FlightDump is one frozen anomaly snapshot: the triggering record plus
@@ -155,14 +167,14 @@ type FlightRecorder struct {
 	// hookMu guards hooks separately from mu: hooks run after Trigger
 	// releases mu, so a hook may call back into the recorder.
 	hookMu sync.Mutex
-	hooks  []func(dumpID, kind, traceID string)
+	hooks  []func(dumpID, kind string, trace TraceID)
 }
 
 // onDump registers a hook invoked (outside the recorder's lock, on the
 // triggering goroutine) each time an anomaly freezes a new dump. The
 // tail sampler uses it to pin the triggering trace; the profiler uses it
 // to start an anomaly-triggered capture.
-func (f *FlightRecorder) onDump(hook func(dumpID, kind, traceID string)) {
+func (f *FlightRecorder) onDump(hook func(dumpID, kind string, trace TraceID)) {
 	if f == nil || hook == nil {
 		return
 	}

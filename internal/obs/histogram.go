@@ -2,6 +2,7 @@ package obs
 
 import (
 	"cmp"
+	"encoding/json"
 	"math"
 	"math/bits"
 	"strconv"
@@ -43,12 +44,22 @@ type Histogram struct {
 // Exemplar links one observation to the trace that produced it, so a p99
 // outlier on /metrics resolves to a span and a flight record.
 type Exemplar struct {
-	TraceID string `json:"trace_id"`
-	SpanID  string `json:"span_id,omitempty"`
+	TraceID TraceID `json:"trace_id"`
+	SpanID  SpanID  `json:"span_id"` // omitted from JSON when zero
 	// Value is the observation in the family's unit (seconds for latency).
 	Value float64   `json:"value"`
 	At    time.Time `json:"at"`
 	raw   int64
+}
+
+// MarshalJSON writes the exemplar with a zero span ID left out.
+func (x Exemplar) MarshalJSON() ([]byte, error) {
+	type fields Exemplar
+	return json.Marshal(struct {
+		TraceID TraceID `json:"trace_id"`
+		SpanID  *SpanID `json:"span_id,omitempty"`
+		fields
+	}{x.TraceID, orNil(x.SpanID), fields(x)})
 }
 
 // bucketIndex maps a value to its bucket: values below histSubCount are
@@ -85,16 +96,16 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// ObserveExemplar records one duration and, when traceID is non-empty,
-// keeps {traceID, spanID, value} as its octave's exemplar.
-func (h *Histogram) ObserveExemplar(d time.Duration, traceID, spanID string) {
+// ObserveExemplar records one duration and, when trace is non-zero,
+// keeps {trace, span, value} as its octave's exemplar.
+func (h *Histogram) ObserveExemplar(d time.Duration, trace TraceID, span SpanID) {
 	if h == nil {
 		return
 	}
 	v := max(int64(d), 0)
 	i := h.observe(v)
-	if traceID != "" {
-		h.exemplars[i/histSubCount].Store(&Exemplar{TraceID: traceID, SpanID: spanID, At: time.Now(), raw: v})
+	if !trace.IsZero() {
+		h.exemplars[i/histSubCount].Store(&Exemplar{TraceID: trace, SpanID: span, At: time.Now(), raw: v})
 	}
 }
 

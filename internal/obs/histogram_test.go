@@ -118,7 +118,7 @@ func TestConcurrentRecord(t *testing.T) {
 func TestNilHistIsNoop(t *testing.T) {
 	var h *Histogram
 	h.Observe(time.Second)
-	h.ObserveExemplar(time.Second, "t", "s")
+	h.ObserveExemplar(time.Second, TraceID{1}, SpanID{1})
 	if h.observations() != 0 || h.Quantile(0.99) != 0 || h.mean() != 0 {
 		t.Fatal("nil histogram recorded")
 	}
@@ -136,8 +136,8 @@ func TestHistogramObserveAllocs(t *testing.T) {
 		max  float64
 	}{
 		{"Observe", func() { h.Observe(time.Millisecond) }, 0},
-		{"ObserveExemplar without ids", func() { h.ObserveExemplar(time.Millisecond, "", "") }, 0},
-		{"ObserveExemplar with ids", func() { h.ObserveExemplar(time.Millisecond, "trace", "span") }, 1},
+		{"ObserveExemplar without ids", func() { h.ObserveExemplar(time.Millisecond, TraceID{}, SpanID{}) }, 0},
+		{"ObserveExemplar with ids", func() { h.ObserveExemplar(time.Millisecond, TraceID{1}, SpanID{1}) }, 1},
 	} {
 		if got := testing.AllocsPerRun(1000, c.f); got > c.max {
 			t.Errorf("%s allocates %.1f, want ≤ %.0f", c.what, got, c.max)
@@ -145,13 +145,13 @@ func TestHistogramObserveAllocs(t *testing.T) {
 	}
 }
 
-// TestCollectorRecordAllocs pins that aggregating a span into its
-// (span, operation) cell allocates nothing once the cell exists.
-func TestCollectorRecordAllocs(t *testing.T) {
-	c := NewCollector(4)
+// TestKeepSpanAllocs pins that keeping a span — its ring slot and its
+// (span, operation) cell — allocates nothing once the cell exists.
+func TestKeepSpanAllocs(t *testing.T) {
+	s := newTailSampler(4, nil, TailSamplingConfig{HealthyKeepFraction: 1})
 	rec := SpanRecord{Name: "server.dispatch", Operation: "echo", Duration: time.Millisecond}
-	c.record(rec)
-	if got := testing.AllocsPerRun(1000, func() { c.record(rec) }); got != 0 {
-		t.Fatalf("record allocates %.1f, want 0", got)
+	s.keep(rec)
+	if got := testing.AllocsPerRun(1000, func() { s.keep(rec) }); got != 0 {
+		t.Fatalf("keep allocates %.1f, want 0", got)
 	}
 }

@@ -39,9 +39,9 @@ func (o *Observability) Handler() http.Handler {
 			id = r.URL.Query().Get("trace_id")
 		}
 		if id != "" {
-			spans = o.Collector.spansOf(id)
+			spans = o.Sampler.spansOf(id)
 		} else {
-			spans = o.Collector.Snapshot()
+			spans = o.Sampler.spans()
 		}
 		if limit, ok := limitParam(w, r); !ok {
 			return
@@ -51,7 +51,7 @@ func (o *Observability) Handler() http.Handler {
 		writeJSON(w, spans)
 	})
 	mux.HandleFunc("/trace/ops", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, o.Collector.Operations())
+		writeJSON(w, o.Sampler.operations())
 	})
 	mux.HandleFunc("/flight", func(w http.ResponseWriter, r *http.Request) {
 		var fr *FlightRecorder

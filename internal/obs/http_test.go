@@ -79,7 +79,7 @@ func TestHandlerTraceRoutesAndLimit(t *testing.T) {
 
 	// Filter by trace id.
 	id := spans[0].TraceID
-	rec = get(t, h, "/trace?trace="+id)
+	rec = get(t, h, "/trace?trace="+id.String())
 	spans = nil
 	_ = json.Unmarshal(rec.Body.Bytes(), &spans)
 	if len(spans) != 1 || spans[0].TraceID != id {

@@ -5,21 +5,18 @@ import (
 	"sync"
 )
 
-// Observability bundles the cooperating pieces — metrics registry, span
-// collector, tracer and flight recorder — that an ORB (or a whole
+// Observability bundles the cooperating pieces — metrics registry,
+// tracer, tail sampler and flight recorder — that an ORB (or a whole
 // System) shares. A nil *Observability disables everything at zero cost.
 type Observability struct {
 	// Registry holds the process's metric instruments.
 	Registry *Registry
-	// Collector retains finished spans.
-	Collector *Collector
-	// Tracer mints spans into Collector.
+	// Tracer mints spans; their records go to Sampler.
 	Tracer *Tracer
 	// Flight is the always-on invocation flight recorder (may be nil on
 	// hand-built bundles; all recorder methods tolerate that).
 	Flight *FlightRecorder
-	// Sampler is the tail sampler gating Collector, nil when spans record
-	// unconditionally (Config.TailSampling unset).
+	// Sampler decides which traces are kept and keeps their spans.
 	Sampler *TailSampler
 	// Profiler retains anomaly-triggered CPU/heap captures, nil when
 	// profiling is off (Config.Profiling unset).
@@ -54,15 +51,11 @@ func (o *Observability) SetDebugPage(path string, fn func() any) {
 // Config sizes an Observability bundle. The zero value means defaults
 // everywhere.
 type Config struct {
-	// SpanCapacity bounds the span collector ring
+	// SpanCapacity bounds the ring of kept spans
 	// (defaultSpanCapacity when non-positive).
 	SpanCapacity int
-	// FlightCapacity bounds the flight-recorder ring
-	// (defaultFlightCapacity when non-positive).
-	FlightCapacity int
-	// TailSampling, when non-nil, installs a tail sampler between tracer
-	// and collector: spans buffer per trace and only kept traces reach
-	// the collector. Nil preserves record-every-span behaviour.
+	// TailSampling sets the sampler's policy; nil keeps every trace
+	// (HealthyKeepFraction 1).
 	TailSampling *TailSamplingConfig
 	// Profiling, when non-nil, enables anomaly-triggered CPU/heap
 	// profiling keyed to flight dumps.
@@ -75,20 +68,21 @@ func New() *Observability { return NewWithConfig(Config{}) }
 // NewWithConfig constructs a bundle sized by cfg. Go runtime telemetry
 // (registerRuntimeMetrics) is registered on the bundle's registry.
 func NewWithConfig(cfg Config) *Observability {
-	c := NewCollector(cfg.SpanCapacity)
-	o := &Observability{
-		Registry:  NewRegistry(),
-		Collector: c,
-		Tracer:    NewTracer(c),
-		Flight:    NewFlightRecorder(cfg.FlightCapacity, 0, 0),
-	}
+	policy := TailSamplingConfig{HealthyKeepFraction: 1}
 	if cfg.TailSampling != nil {
-		o.Sampler = newTailSampler(c, o.Registry, *cfg.TailSampling)
-		o.Tracer.setSampler(o.Sampler)
-		// Anomalies pin their trace in the pending table so the policy
-		// keeps it even when the spans themselves look healthy.
-		o.Flight.onDump(func(_, _, traceID string) { o.Sampler.markAnomaly(traceID) })
+		policy = *cfg.TailSampling
 	}
+	reg := NewRegistry()
+	s := newTailSampler(cfg.SpanCapacity, reg, policy)
+	o := &Observability{
+		Registry: reg,
+		Tracer:   &Tracer{sampler: s},
+		Flight:   NewFlightRecorder(0, 0, 0),
+		Sampler:  s,
+	}
+	// Anomalies pin their trace in the pending table so the policy keeps
+	// it even when the spans themselves look healthy.
+	o.Flight.onDump(func(_, _ string, trace TraceID) { s.markAnomaly(trace) })
 	if cfg.Profiling != nil {
 		o.Profiler = newProfiler(o.Registry, *cfg.Profiling)
 		o.Flight.onDump(o.Profiler.onAnomaly)
@@ -106,7 +100,7 @@ type BundleSnapshot struct {
 	Flight     *FlightSnapshot    `json:"flight,omitempty"`
 }
 
-// Snapshot captures registry, collector and flight-recorder state
+// Snapshot captures registry, kept-span and flight-recorder state
 // together.
 func (o *Observability) Snapshot() BundleSnapshot {
 	var b BundleSnapshot
@@ -115,8 +109,8 @@ func (o *Observability) Snapshot() BundleSnapshot {
 		return b
 	}
 	b.Metrics = o.Registry.Snapshot()
-	b.Operations = o.Collector.Operations()
-	b.Spans = o.Collector.Snapshot()
+	b.Operations = o.Sampler.operations()
+	b.Spans = o.Sampler.spans()
 	if o.Flight != nil {
 		fs := o.Flight.Snapshot(0)
 		b.Flight = &fs

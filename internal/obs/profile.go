@@ -112,7 +112,7 @@ func newProfiler(reg *Registry, cfg ProfilingConfig) *Profiler {
 
 // onAnomaly is the flight recorder dump hook: it starts a capture when
 // the anomaly kind is one the profiler watches.
-func (p *Profiler) onAnomaly(dumpID, kind, _ string) {
+func (p *Profiler) onAnomaly(dumpID, kind string, _ TraceID) {
 	if p == nil {
 		return
 	}

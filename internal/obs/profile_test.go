@@ -11,7 +11,7 @@ import (
 func TestProfilerCapturesOnWatchedAnomaly(t *testing.T) {
 	reg := NewRegistry()
 	p := newProfiler(reg, ProfilingConfig{CPUDuration: 10 * time.Millisecond})
-	p.onAnomaly("slo-burn-1", AnomalySLOBurn, "")
+	p.onAnomaly("slo-burn-1", AnomalySLOBurn, TraceID{})
 	p.Flush()
 	caps := p.summaries()
 	if len(caps) != 1 {
@@ -37,8 +37,8 @@ func TestProfilerCapturesOnWatchedAnomaly(t *testing.T) {
 
 func TestProfilerIgnoresUnwatchedKinds(t *testing.T) {
 	p := newProfiler(NewRegistry(), ProfilingConfig{CPUDuration: time.Millisecond})
-	p.onAnomaly("deadline-miss-1", AnomalyDeadlineMiss, "")
-	p.onAnomaly("qos-violation-1", AnomalyQoSViolation, "")
+	p.onAnomaly("deadline-miss-1", AnomalyDeadlineMiss, TraceID{})
+	p.onAnomaly("qos-violation-1", AnomalyQoSViolation, TraceID{})
 	p.Flush()
 	if got := len(p.summaries()); got != 0 {
 		t.Fatalf("unwatched anomalies captured %d profiles", got)
@@ -47,10 +47,10 @@ func TestProfilerIgnoresUnwatchedKinds(t *testing.T) {
 
 func TestProfilerEvictionIsKindAware(t *testing.T) {
 	p := newProfiler(NewRegistry(), ProfilingConfig{CPUDuration: time.Millisecond, MaxCaptures: 2})
-	p.onAnomaly("breaker-open-1", AnomalyBreakerOpen, "")
+	p.onAnomaly("breaker-open-1", AnomalyBreakerOpen, TraceID{})
 	p.Flush()
 	for i := 0; i < 3; i++ {
-		p.onAnomaly(fmt.Sprintf("slo-burn-%d", i+1), AnomalySLOBurn, "")
+		p.onAnomaly(fmt.Sprintf("slo-burn-%d", i+1), AnomalySLOBurn, TraceID{})
 		p.Flush()
 	}
 	caps := p.summaries()

@@ -270,10 +270,13 @@ func (s Snapshot) WriteText(w io.Writer) error {
 			// `# {trace_id="...",span_id="..."} <value> <unix>` — the
 			// forensic link from a tail bucket to its flight record.
 			ex := ""
-			if b.Exemplar != nil {
+			if x := b.Exemplar; x != nil {
+				span := ""
+				if !x.SpanID.IsZero() {
+					span = x.SpanID.String()
+				}
 				ex = fmt.Sprintf(" # {trace_id=%q,span_id=%q} %g %.3f",
-					b.Exemplar.TraceID, b.Exemplar.SpanID, b.Exemplar.Value,
-					float64(b.Exemplar.At.UnixMilli())/1000)
+					x.TraceID.String(), span, x.Value, float64(x.At.UnixMilli())/1000)
 			}
 			if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d%s\n", h.family, h.labels, sep, b.Le, b.Count, ex); err != nil {
 				return err

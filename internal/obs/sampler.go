@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
 	"math/rand/v2"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -28,16 +30,20 @@ const (
 	// nothing wrong: kept with HealthyKeepFraction, dropped otherwise.
 	ReasonHealthy = "healthy"
 	// DropEvicted labels traces forced out of the pending table before
-	// their root ended (table overflow).
+	// their root ended (table overflow), unless every trace is kept.
 	DropEvicted = "evicted"
 	// dropOrphan labels spans arriving for a trace the sampler has no
 	// pending entry or recent decision for (e.g. a server-returned
-	// summary landing after the decision window aged out).
+	// summary landing after the decision window aged out), unless every
+	// trace is kept.
 	dropOrphan = "orphan"
 )
 
 // Tail-sampler bounds.
 const (
+	// defaultSpanCapacity bounds the kept-span ring when Config gives a
+	// non-positive SpanCapacity.
+	defaultSpanCapacity = 2048
 	// maxPendingTraces bounds the pending table.
 	maxPendingTraces = 512
 	// maxSpansPerTrace bounds per-trace buffering; spans beyond it are
@@ -57,10 +63,44 @@ type TailSamplingConfig struct {
 	// HealthyKeepFraction is the probability a trace with nothing wrong
 	// is kept (0 drops all healthy traces, 1 keeps everything).
 	HealthyKeepFraction float64
-	// SlowThreshold is the root-latency bound classifying a trace as
-	// SLO-relevant slow when no per-class threshold has been installed
-	// (SetSlowThreshold). 0 disables the default slowness check.
-	SlowThreshold time.Duration
+}
+
+// SpanRecord is one finished span as the sampler buffers and keeps it
+// and the /trace endpoint renders it.
+type SpanRecord struct {
+	TraceID      TraceID       `json:"trace_id"`
+	SpanID       SpanID        `json:"span_id"`
+	ParentID     SpanID        `json:"parent_id"` // zero for a local root; omitted from JSON then
+	RemoteParent bool          `json:"remote_parent,omitempty"`
+	Name         string        `json:"name"`
+	Operation    string        `json:"operation,omitempty"`
+	Start        time.Time     `json:"start"`
+	Duration     time.Duration `json:"duration_ns"`
+	Err          string        `json:"error,omitempty"`
+	Attrs        []Attr        `json:"attrs,omitempty"`
+	Events       []Event       `json:"events,omitempty"`
+}
+
+// MarshalJSON writes the record with a root's zero parent left out.
+func (r SpanRecord) MarshalJSON() ([]byte, error) {
+	type fields SpanRecord
+	return json.Marshal(struct {
+		TraceID  TraceID `json:"trace_id"`
+		SpanID   SpanID  `json:"span_id"`
+		ParentID *SpanID `json:"parent_id,omitempty"`
+		fields
+	}{r.TraceID, r.SpanID, orNil(r.ParentID), fields(r)})
+}
+
+// OpStats aggregates the spans of one stage/operation pair, keyed on
+// /trace/ops by the stage name, qualified by ":operation" when the spans
+// carry one.
+type OpStats struct {
+	Count  uint64        `json:"count"`
+	Errors uint64        `json:"errors"`
+	Total  time.Duration `json:"total_ns"`
+	Min    time.Duration `json:"min_ns"`
+	Max    time.Duration `json:"max_ns"`
 }
 
 // pendingTrace buffers one trace's finished spans until its root ends.
@@ -75,67 +115,81 @@ type pendingTrace struct {
 	sawRoot bool
 	// anomaly marks the trace as touched by a flight-dump trigger.
 	anomaly bool
-	// dropped counts spans discarded over maxSpansPerTrace.
-	dropped int
 }
 
-// TailSampler buffers finished spans per trace until the trace's root
-// span ends, then applies the keep/drop policy: traces with errors,
-// retries, sheds, deadline misses, SLO-relevant slowness or a marked
-// anomaly are always kept; healthy traces are kept with a configurable
-// probability. Kept traces flush to the Collector; dropped traces never
-// reach it — which is what keeps the bounded span ring useful at load
-// (the interesting traces no longer evict first). A nil *TailSampler is
-// disabled; every method no-ops.
+// TailSampler is the one way from a finished span to /trace. It buffers
+// finished spans per trace until the trace's root span ends, then applies
+// the keep/drop policy: traces with errors, retries, sheds, deadline
+// misses, SLO-relevant slowness or a marked anomaly are always kept;
+// healthy traces are kept with a configurable probability. Kept traces go
+// to a bounded ring (oldest spans are overwritten) and to a per-operation
+// aggregation that survives its wrap-around; dropped traces never reach
+// either — which is what keeps the ring useful at load (the interesting
+// traces no longer evict first). Keeping every healthy trace is the
+// record-everything policy: then evicted traces, spans over the per-trace
+// cap and orphan spans are kept as well.
 type TailSampler struct {
-	collector *Collector
-
 	mu      sync.Mutex
-	pending map[string]*pendingTrace
+	pending map[TraceID]*pendingTrace
 	// evictQueue holds trace IDs in insertion order; eviction pops from
 	// the front, skipping IDs already decided, and the queue compacts
 	// lazily so it stays proportional to the pending table.
-	evictQueue []string
+	evictQueue []TraceID
 	// recent maps recently decided trace IDs to their verdict so late
 	// spans follow it; recentOrder ages the map FIFO.
-	recent      map[string]bool
-	recentOrder []string
+	recent      map[TraceID]bool
+	recentOrder []TraceID
 	// anomalies holds anomaly-marked trace IDs with no pending entry yet.
-	anomalies      map[string]struct{}
-	anomaliesOrder []string
+	anomalies      map[TraceID]struct{}
+	anomaliesOrder []TraceID
 
 	healthyKeep float64
+	// keepAll is healthyKeep ≥ 1: no trace is ever dropped.
+	keepAll bool
 	// maxPending and maxSpans are maxPendingTraces and maxSpansPerTrace;
 	// tests shrink them.
 	maxPending int
 	maxSpans   int
 
-	slowMu      sync.RWMutex
-	slow        map[string]time.Duration // QoS class -> slow threshold
-	defaultSlow time.Duration
+	slowMu sync.RWMutex
+	slow   map[string]time.Duration // QoS class -> slow threshold
 
 	kept, droppedC map[string]*Counter
 	pendingGauge   *Gauge
 	evictions      *Counter
 	spanOverflow   *Counter
+
+	// ringMu guards the kept spans: ring, next, filled and ops.
+	ringMu sync.Mutex
+	ring   []SpanRecord
+	next   int
+	filled bool
+	// ops holds the aggregation as registry cells: a "span" histogram per
+	// (span, op) label pair and, named by the /trace/ops key, an error
+	// counter. Its own registry, so /metrics stays the bundle's.
+	ops *Registry
 }
 
-// newTailSampler constructs a sampler flushing kept traces into c and
-// publishing its counters into reg (either may be nil: nil c discards
-// kept traces, nil reg skips metrics).
-func newTailSampler(c *Collector, reg *Registry, cfg TailSamplingConfig) *TailSampler {
+// newTailSampler constructs a sampler keeping up to capacity spans
+// (defaultSpanCapacity when non-positive) and publishing its counters
+// into reg (nil reg skips metrics).
+func newTailSampler(capacity int, reg *Registry, cfg TailSamplingConfig) *TailSampler {
+	if capacity <= 0 {
+		capacity = defaultSpanCapacity
+	}
 	s := &TailSampler{
-		collector:   c,
-		pending:     make(map[string]*pendingTrace),
-		recent:      make(map[string]bool),
-		anomalies:   make(map[string]struct{}),
+		pending:     make(map[TraceID]*pendingTrace),
+		recent:      make(map[TraceID]bool),
+		anomalies:   make(map[TraceID]struct{}),
 		healthyKeep: cfg.HealthyKeepFraction,
+		keepAll:     cfg.HealthyKeepFraction >= 1,
 		maxPending:  maxPendingTraces,
 		maxSpans:    maxSpansPerTrace,
 		slow:        make(map[string]time.Duration),
-		defaultSlow: cfg.SlowThreshold,
 		kept:        make(map[string]*Counter),
 		droppedC:    make(map[string]*Counter),
+		ring:        make([]SpanRecord, capacity),
+		ops:         NewRegistry(),
 	}
 	for _, reason := range []string{KeepError, KeepRetry, KeepShed, KeepDeadline, KeepSlow, KeepAnomaly, ReasonHealthy} {
 		s.kept[reason] = reg.Counter(`maqs_trace_kept_total{reason="` + reason + `"}`)
@@ -161,23 +215,19 @@ func (s *TailSampler) SetSlowThreshold(class string, d time.Duration) {
 	s.slowMu.Unlock()
 }
 
-// slowFor resolves the slow bound for a class ("" falls back to the
-// configured default; 0 disables the check).
+// slowFor resolves the slow bound for a class (0, the check disabled,
+// for a class without one).
 func (s *TailSampler) slowFor(class string) time.Duration {
 	s.slowMu.RLock()
-	d, ok := s.slow[class]
-	s.slowMu.RUnlock()
-	if !ok {
-		return s.defaultSlow
-	}
-	return d
+	defer s.slowMu.RUnlock()
+	return s.slow[class]
 }
 
 // markAnomaly flags a trace as touched by a flight-dump anomaly: it will
 // be kept regardless of its spans' contents. Traces without a pending
-// entry yet are remembered in a bounded set. No-op on empty IDs.
-func (s *TailSampler) markAnomaly(traceID string) {
-	if s == nil || traceID == "" {
+// entry yet are remembered in a bounded set. No-op on a zero ID.
+func (s *TailSampler) markAnomaly(traceID TraceID) {
+	if traceID.IsZero() {
 		return
 	}
 	s.mu.Lock()
@@ -200,10 +250,7 @@ func (s *TailSampler) markAnomaly(traceID string) {
 // spanStarted registers a live span with its trace's pending entry
 // (creating it, evicting the oldest entry when the table is full).
 // Called from Tracer.newSpan.
-func (s *TailSampler) spanStarted(traceID string) {
-	if s == nil {
-		return
-	}
+func (s *TailSampler) spanStarted(traceID TraceID) {
 	s.mu.Lock()
 	e, ok := s.pending[traceID]
 	if !ok {
@@ -226,20 +273,26 @@ func (s *TailSampler) spanStarted(traceID string) {
 	s.mu.Unlock()
 }
 
-// evictOneLocked drops the oldest pending trace, flushing nothing and
-// counting it as dropped{reason="evicted"}. Reports false when no
-// pending entry could be found to evict.
+// evictOneLocked forces the oldest pending trace out of the table. It
+// is dropped and counted as dropped{reason="evicted"}, unless every trace
+// is kept: then its buffered spans are kept now and its later spans
+// follow. Reports false when no pending entry could be found to evict.
 func (s *TailSampler) evictOneLocked() bool {
 	for len(s.evictQueue) > 0 {
 		id := s.evictQueue[0]
 		s.evictQueue = s.evictQueue[1:]
-		if _, ok := s.pending[id]; !ok {
+		e, ok := s.pending[id]
+		if !ok {
 			continue
 		}
 		delete(s.pending, id)
-		s.rememberLocked(id, false)
+		s.rememberLocked(id, s.keepAll)
 		s.evictions.Inc()
-		s.droppedC[DropEvicted].Inc()
+		if s.keepAll {
+			s.keep(e.spans...)
+		} else {
+			s.droppedC[DropEvicted].Inc()
+		}
 		s.pendingGauge.Set(int64(len(s.pending)))
 		return true
 	}
@@ -262,7 +315,7 @@ func (s *TailSampler) compactQueueLocked() {
 }
 
 // rememberLocked records a trace's verdict for late spans.
-func (s *TailSampler) rememberLocked(traceID string, keep bool) {
+func (s *TailSampler) rememberLocked(traceID TraceID, keep bool) {
 	if _, ok := s.recent[traceID]; !ok {
 		s.recentOrder = append(s.recentOrder, traceID)
 		if len(s.recentOrder) > recentDecisions {
@@ -277,9 +330,6 @@ func (s *TailSampler) rememberLocked(traceID string, keep bool) {
 // decision-point span: a local trace root, or a remote-parented server
 // root whose end closes this process's part of the trace.
 func (s *TailSampler) offer(rec SpanRecord, root bool) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	e, ok := s.pending[rec.TraceID]
 	if !ok {
@@ -296,12 +346,11 @@ func (s *TailSampler) offer(rec SpanRecord, root bool) {
 	}
 	if e.open--; e.open <= 0 && e.sawRoot {
 		delete(s.pending, rec.TraceID)
-		spans, anomaly, overflow := e.spans, e.anomaly, e.dropped
-		reason, keep := s.classify(spans, anomaly)
+		reason, keep := s.classify(e.spans, e.anomaly)
 		s.rememberLocked(rec.TraceID, keep)
 		s.pendingGauge.Set(int64(len(s.pending)))
 		s.mu.Unlock()
-		s.verdict(spans, reason, keep, overflow)
+		s.verdict(e.spans, reason, keep)
 		return
 	}
 	s.mu.Unlock()
@@ -312,9 +361,6 @@ func (s *TailSampler) offer(rec SpanRecord, root bool) {
 // touching the open-span count, or follows the trace's remembered
 // verdict when the decision already happened.
 func (s *TailSampler) inject(rec SpanRecord) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	if e, ok := s.pending[rec.TraceID]; ok {
 		s.bufferLocked(e, rec)
@@ -326,21 +372,25 @@ func (s *TailSampler) inject(rec SpanRecord) {
 	s.lateSpan(rec, keep, known)
 }
 
-// bufferLocked appends one span under the per-trace cap.
+// bufferLocked appends one span under the per-trace cap. A span over
+// the cap is counted and dropped, or kept at once when every trace is.
 func (s *TailSampler) bufferLocked(e *pendingTrace, rec SpanRecord) {
-	if len(e.spans) >= s.maxSpans {
-		e.dropped++
-		s.spanOverflow.Inc()
+	if len(e.spans) < s.maxSpans {
+		e.spans = append(e.spans, rec)
 		return
 	}
-	e.spans = append(e.spans, rec)
+	if s.keepAll {
+		s.keep(rec)
+		return
+	}
+	s.spanOverflow.Inc()
 }
 
 // lateSpan routes a span whose trace already has (or lost) its verdict.
 func (s *TailSampler) lateSpan(rec SpanRecord, keep, known bool) {
 	switch {
-	case known && keep:
-		s.collector.record(rec)
+	case known && keep, !known && s.keepAll:
+		s.keep(rec)
 	case known:
 		// Dropped trace: its late spans follow silently (the drop was
 		// already counted once, at decision time).
@@ -349,13 +399,11 @@ func (s *TailSampler) lateSpan(rec SpanRecord, keep, known bool) {
 	}
 }
 
-// verdict publishes one decided trace: flush to the collector when kept,
-// count either way.
-func (s *TailSampler) verdict(spans []SpanRecord, reason string, keep bool, overflow int) {
+// verdict publishes one decided trace: kept spans go to the ring, and
+// the verdict is counted either way.
+func (s *TailSampler) verdict(spans []SpanRecord, reason string, keep bool) {
 	if keep {
-		for _, rec := range spans {
-			s.collector.record(rec)
-		}
+		s.keep(spans...)
 		if c, ok := s.kept[reason]; ok {
 			c.Inc()
 		}
@@ -364,7 +412,73 @@ func (s *TailSampler) verdict(spans []SpanRecord, reason string, keep bool, over
 	if c, ok := s.droppedC[reason]; ok {
 		c.Inc()
 	}
-	_ = overflow
+}
+
+// keep stores kept spans in the ring and aggregates them per operation.
+func (s *TailSampler) keep(spans ...SpanRecord) {
+	s.ringMu.Lock()
+	defer s.ringMu.Unlock()
+	for _, r := range spans {
+		s.ring[s.next] = r
+		if s.next++; s.next == len(s.ring) {
+			s.next, s.filled = 0, true
+		}
+		s.ops.Histogram("span", nil, "span", r.Name, "op", r.Operation).Observe(r.Duration)
+		if r.Err != "" {
+			s.ops.Counter(opsKey(r.Name, r.Operation)).Inc()
+		}
+	}
+}
+
+func opsKey(span, op string) string {
+	if op == "" {
+		return span
+	}
+	return span + ":" + op
+}
+
+// spans returns the kept spans, oldest first.
+func (s *TailSampler) spans() []SpanRecord {
+	s.ringMu.Lock()
+	defer s.ringMu.Unlock()
+	if !s.filled {
+		return append([]SpanRecord(nil), s.ring[:s.next]...)
+	}
+	out := make([]SpanRecord, 0, len(s.ring))
+	out = append(out, s.ring[s.next:]...)
+	return append(out, s.ring[:s.next]...)
+}
+
+// spansOf returns the kept spans of the trace whose ID hexID renders,
+// ordered by start time; an ID that is not 32 lowercase hex digits
+// matches nothing.
+func (s *TailSampler) spansOf(hexID string) []SpanRecord {
+	var id TraceID
+	ok := id.UnmarshalText([]byte(hexID)) == nil
+	spans := s.spans()
+	out := spans[:0]
+	for _, r := range spans {
+		if ok && r.TraceID == id {
+			out = append(out, r)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
+	return out
+}
+
+// operations derives the per-operation aggregation from the cells.
+func (s *TailSampler) operations() map[string]OpStats {
+	out := make(map[string]OpStats)
+	s.ringMu.Lock()
+	defer s.ringMu.Unlock()
+	s.ops.histograms.Range(func(k, e any) bool {
+		key, h := opsKey(k.(histKey).labels[1], k.(histKey).labels[3]), e.(*histEntry).h
+		lo, hi := h.extremes()
+		out[key] = OpStats{Count: h.observations(), Errors: s.ops.Counter(key).Value(),
+			Total: time.Duration(h.sum.Load()), Min: time.Duration(lo), Max: time.Duration(hi)}
+		return true
+	})
+	return out
 }
 
 // classify scans a quiesced trace's spans and names the keep reason, or
@@ -399,7 +513,7 @@ func (s *TailSampler) classify(spans []SpanRecord, anomaly bool) (reason string,
 				}
 			}
 		}
-		if (rec.ParentID == "" || rec.RemoteParent) && rec.Duration > rootDur {
+		if (rec.ParentID.IsZero() || rec.RemoteParent) && rec.Duration > rootDur {
 			rootDur = rec.Duration
 		}
 	}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/hex"
 	"fmt"
 	"sync"
 	"time"
@@ -50,6 +49,8 @@ type returnCapture struct {
 // maxReturnSpans (later spans drop silently — the budget rules anyway).
 func (rc *returnCapture) add(rec SpanRecord) {
 	sum := spanSummary{
+		SpanID:        rec.SpanID,
+		ParentID:      rec.ParentID,
 		RemoteParent:  rec.RemoteParent,
 		Name:          rec.Name,
 		Operation:     rec.Operation,
@@ -59,14 +60,6 @@ func (rc *returnCapture) add(rec SpanRecord) {
 	}
 	if len(sum.Err) > returnErrBudget {
 		sum.Err = sum.Err[:returnErrBudget]
-	}
-	if _, err := hex.Decode(sum.SpanID[:], []byte(rec.SpanID)); err != nil {
-		return
-	}
-	if rec.ParentID != "" {
-		if _, err := hex.Decode(sum.ParentID[:], []byte(rec.ParentID)); err != nil {
-			return
-		}
 	}
 	rc.mu.Lock()
 	if len(rc.sums) < maxReturnSpans {
@@ -127,7 +120,7 @@ func encodeTraceReturn(trace TraceID, sums []spanSummary, budget int) []byte {
 }
 
 // DecodeTraceReturn parses an SCTraceReturn payload back into span
-// records ready for Tracer.Inject (hex ids, absolute start times).
+// records ready for Tracer.Inject (absolute start times).
 func DecodeTraceReturn(data []byte) ([]SpanRecord, error) {
 	d := cdr.NewDecoder(data, cdr.BigEndian)
 	version, err := d.ReadOctet()
@@ -137,15 +130,10 @@ func DecodeTraceReturn(data []byte) ([]SpanRecord, error) {
 	if version != traceReturnVersion {
 		return nil, fmt.Errorf("trace return: unsupported version %d", version)
 	}
-	traceRaw, err := d.ReadOctets()
-	if err != nil {
+	var trace TraceID
+	if err := readID(d, trace[:], "trace"); err != nil {
 		return nil, err
 	}
-	var trace TraceID
-	if len(traceRaw) != len(trace) {
-		return nil, fmt.Errorf("trace return: trace id is %d bytes, want %d", len(traceRaw), len(trace))
-	}
-	copy(trace[:], traceRaw)
 	count, err := d.ReadULong()
 	if err != nil {
 		return nil, err
@@ -153,34 +141,23 @@ func DecodeTraceReturn(data []byte) ([]SpanRecord, error) {
 	if count > maxReturnSpans {
 		return nil, fmt.Errorf("trace return: %d spans exceeds cap %d", count, maxReturnSpans)
 	}
-	recs := make([]SpanRecord, 0, count)
-	for i := uint32(0); i < count; i++ {
-		var span, parent SpanID
-		raw, err := d.ReadOctets()
-		if err != nil {
+	recs := make([]SpanRecord, count)
+	for i := range recs {
+		rec := &recs[i]
+		rec.TraceID = trace
+		if err := readID(d, rec.SpanID[:], "span"); err != nil {
 			return nil, err
 		}
-		if len(raw) != len(span) {
-			return nil, fmt.Errorf("trace return: span id is %d bytes, want %d", len(raw), len(span))
-		}
-		copy(span[:], raw)
-		if raw, err = d.ReadOctets(); err != nil {
+		if err := readID(d, rec.ParentID[:], "parent"); err != nil {
 			return nil, err
 		}
-		if len(raw) != len(parent) {
-			return nil, fmt.Errorf("trace return: parent id is %d bytes, want %d", len(raw), len(parent))
-		}
-		copy(parent[:], raw)
-		remote, err := d.ReadBool()
-		if err != nil {
+		if rec.RemoteParent, err = d.ReadBool(); err != nil {
 			return nil, err
 		}
-		name, err := d.ReadString()
-		if err != nil {
+		if rec.Name, err = d.ReadString(); err != nil {
 			return nil, err
 		}
-		op, err := d.ReadString()
-		if err != nil {
+		if rec.Operation, err = d.ReadString(); err != nil {
 			return nil, err
 		}
 		startNs, err := d.ReadLongLong()
@@ -191,24 +168,23 @@ func DecodeTraceReturn(data []byte) ([]SpanRecord, error) {
 		if err != nil {
 			return nil, err
 		}
-		errMsg, err := d.ReadString()
-		if err != nil {
+		if rec.Err, err = d.ReadString(); err != nil {
 			return nil, err
 		}
-		rec := SpanRecord{
-			TraceID:      trace.String(),
-			SpanID:       span.String(),
-			RemoteParent: remote,
-			Name:         name,
-			Operation:    op,
-			Start:        time.Unix(0, startNs),
-			Duration:     time.Duration(durNs),
-			Err:          errMsg,
-		}
-		if !parent.IsZero() {
-			rec.ParentID = parent.String()
-		}
-		recs = append(recs, rec)
+		rec.Start, rec.Duration = time.Unix(0, startNs), time.Duration(durNs)
 	}
 	return recs, nil
+}
+
+// readID reads one octet sequence that must fill id exactly.
+func readID(d *cdr.Decoder, id []byte, what string) error {
+	raw, err := d.ReadOctets()
+	if err != nil {
+		return err
+	}
+	if len(raw) != len(id) {
+		return fmt.Errorf("trace return: %s id is %d bytes, want %d", what, len(raw), len(id))
+	}
+	copy(id, raw)
+	return nil
 }

@@ -1,8 +1,12 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
+
+	"maqs/internal/cdr"
 )
 
 func sampleSummaries(n int) []spanSummary {
@@ -37,13 +41,13 @@ func TestTraceReturnRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d spans, want 3", len(recs))
 	}
 	for i, rec := range recs {
-		if rec.TraceID != trace.String() {
+		if rec.TraceID != trace {
 			t.Fatalf("span %d trace %s, want %s", i, rec.TraceID, trace)
 		}
-		if rec.SpanID != sums[i].SpanID.String() {
+		if rec.SpanID != sums[i].SpanID {
 			t.Fatalf("span %d id %s, want %s", i, rec.SpanID, sums[i].SpanID)
 		}
-		if rec.ParentID != sums[i].ParentID.String() {
+		if rec.ParentID != sums[i].ParentID {
 			t.Fatalf("span %d parent %s, want %s", i, rec.ParentID, sums[i].ParentID)
 		}
 		if rec.Name != "server.dispatch" || rec.Operation != "echo" {
@@ -104,7 +108,7 @@ func TestTraceReturnDecodeRejectsGarbage(t *testing.T) {
 }
 
 func TestSpanCaptureReturnPayload(t *testing.T) {
-	tr := NewTracer(NewCollector(0))
+	_, tr, _ := sampledBundle(t, keepEvery, 0)
 	parent := SpanContext{TraceID: newTraceID(), SpanID: newSpanID(), Sampled: true}
 	root := tr.StartRemote(parent, "server.dispatch")
 	root.CaptureReturn()
@@ -126,7 +130,7 @@ func TestSpanCaptureReturnPayload(t *testing.T) {
 		t.Fatalf("captured %d spans, want 2 (servant + dispatch)", len(recs))
 	}
 	for _, rec := range recs {
-		if rec.TraceID != parent.TraceID.String() {
+		if rec.TraceID != parent.TraceID {
 			t.Fatalf("captured span in trace %s, want %s", rec.TraceID, parent.TraceID)
 		}
 	}
@@ -138,12 +142,53 @@ func TestSpanCaptureReturnPayload(t *testing.T) {
 	}
 }
 
+// encodedIDs walks an SCTraceReturn payload that DecodeTraceReturn
+// accepted and returns the raw trace ID and each span's raw span and
+// parent IDs, as the encoder wrote them.
+func encodedIDs(t *testing.T, data []byte) (trace []byte, spans, parents [][]byte) {
+	d := cdr.NewDecoder(data, cdr.BigEndian)
+	must := func(err error) {
+		if err != nil {
+			t.Fatalf("re-reading an accepted payload: %v", err)
+		}
+	}
+	_, err := d.ReadOctet()
+	must(err)
+	trace, err = d.ReadOctets()
+	must(err)
+	count, err := d.ReadULong()
+	must(err)
+	for i := uint32(0); i < count; i++ {
+		span, err := d.ReadOctets()
+		must(err)
+		parent, err := d.ReadOctets()
+		must(err)
+		spans, parents = append(spans, span), append(parents, parent)
+		_, err = d.ReadBool()
+		must(err)
+		for j := 0; j < 2; j++ {
+			_, err = d.ReadString()
+			must(err)
+		}
+		for j := 0; j < 2; j++ {
+			_, err = d.ReadLongLong()
+			must(err)
+		}
+		_, err = d.ReadString()
+		must(err)
+	}
+	return trace, spans, parents
+}
+
 // FuzzDecodeTraceReturn: whatever a server puts in a reply's SCTraceReturn
-// context either fails to decode or yields at most maxReturnSpans records.
+// context either fails to decode or yields at most maxReturnSpans records
+// whose IDs are the bytes on the wire, and a record whose parent is zero
+// (a local root) renders no parent_id.
 func FuzzDecodeTraceReturn(f *testing.F) {
 	trace := newTraceID()
 	sums := sampleSummaries(3)
 	sums[1].Err = "BAD_OPERATION"
+	sums[2].ParentID = SpanID{}
 	f.Add(encodeTraceReturn(trace, sums, 0))
 	f.Add(encodeTraceReturn(trace, sums[:1], 0))
 	f.Add(encodeTraceReturn(trace, sampleSummaries(maxReturnSpans), 4096))
@@ -151,8 +196,29 @@ func FuzzDecodeTraceReturn(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := DecodeTraceReturn(data)
-		if err == nil && len(recs) > maxReturnSpans {
+		if err != nil {
+			return
+		}
+		if len(recs) > maxReturnSpans {
 			t.Fatalf("decoded %d spans, cap is %d", len(recs), maxReturnSpans)
+		}
+		traceRaw, spans, parents := encodedIDs(t, data)
+		for i, rec := range recs {
+			if !bytes.Equal(rec.TraceID[:], traceRaw) || !bytes.Equal(rec.SpanID[:], spans[i]) || !bytes.Equal(rec.ParentID[:], parents[i]) {
+				t.Fatalf("span %d decoded as %s/%s/%s, encoded %x/%x/%x",
+					i, rec.TraceID, rec.SpanID, rec.ParentID, traceRaw, spans[i], parents[i])
+			}
+			js, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fields map[string]any
+			if err := json.Unmarshal(js, &fields); err != nil {
+				t.Fatal(err)
+			}
+			if _, has := fields["parent_id"]; has == rec.ParentID.IsZero() {
+				t.Fatalf("span %d with parent %s renders parent_id: %v", i, rec.ParentID, has)
+			}
 		}
 	})
 }

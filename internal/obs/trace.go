@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/hex"
+	"errors"
 	"math/rand/v2"
 )
 
@@ -11,8 +12,15 @@ type TraceID [16]byte
 // IsZero reports the invalid all-zero trace ID.
 func (t TraceID) IsZero() bool { return t == TraceID{} }
 
-// String renders the ID as 32 lowercase hex digits.
-func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
+// String renders the ID as MarshalText does.
+func (t TraceID) String() string { b, _ := t.MarshalText(); return string(b) }
+
+// MarshalText renders the ID as 32 lowercase hex digits: IDs stay
+// binary until JSON is written.
+func (t TraceID) MarshalText() ([]byte, error) { return hex.AppendEncode(nil, t[:]), nil }
+
+// UnmarshalText reads the 32 lowercase hex digits MarshalText writes.
+func (t *TraceID) UnmarshalText(b []byte) error { return unhex(t[:], b) }
 
 // SpanID identifies one stage within a trace.
 type SpanID [8]byte
@@ -20,8 +28,36 @@ type SpanID [8]byte
 // IsZero reports the invalid all-zero span ID.
 func (s SpanID) IsZero() bool { return s == SpanID{} }
 
-// String renders the ID as 16 lowercase hex digits.
-func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
+// String renders the ID as MarshalText does.
+func (s SpanID) String() string { b, _ := s.MarshalText(); return string(b) }
+
+// MarshalText renders the ID as 16 lowercase hex digits.
+func (s SpanID) MarshalText() ([]byte, error) { return hex.AppendEncode(nil, s[:]), nil }
+
+// UnmarshalText reads the 16 lowercase hex digits MarshalText writes.
+func (s *SpanID) UnmarshalText(b []byte) error { return unhex(s[:], b) }
+
+// errNotHex rejects text that is not an ID's lowercase hex digits.
+var errNotHex = errors.New("obs: not an ID's lowercase hex digits")
+
+// unhex fills dst from exactly 2·len(dst) lowercase hex digits.
+func unhex(dst, src []byte) error {
+	if len(src) != 2*len(dst) || !isLowerHex(src) {
+		return errNotHex
+	}
+	_, err := hex.Decode(dst, src)
+	return err
+}
+
+// orNil returns nil for a zero ID and the ID otherwise: JSON's omitempty
+// never omits an array, so an optional ID field marshals through a pointer.
+func orNil[ID TraceID | SpanID](id ID) *ID {
+	var zero ID
+	if id == zero {
+		return nil
+	}
+	return &id
+}
 
 // SpanContext is the propagated part of a span: what travels inside the
 // GIOP service context from caller to callee.
@@ -75,19 +111,10 @@ func ParseTraceparent(data []byte) (SpanContext, bool) {
 	}
 	// The W3C grammar is lowercase hex throughout, version included
 	// (hex.Decode alone would admit uppercase and skip the version).
-	if !isLowerHex(data[0:2]) || !isLowerHex(data[3:35]) ||
-		!isLowerHex(data[36:52]) || !isLowerHex(data[53:55]) {
-		return SpanContext{}, false
-	}
 	var sc SpanContext
-	if _, err := hex.Decode(sc.TraceID[:], data[3:35]); err != nil {
-		return SpanContext{}, false
-	}
-	if _, err := hex.Decode(sc.SpanID[:], data[36:52]); err != nil {
-		return SpanContext{}, false
-	}
 	var flags [1]byte
-	if _, err := hex.Decode(flags[:], data[53:55]); err != nil {
+	if !isLowerHex(data[0:2]) || unhex(sc.TraceID[:], data[3:35]) != nil ||
+		unhex(sc.SpanID[:], data[36:52]) != nil || unhex(flags[:], data[53:55]) != nil {
 		return SpanContext{}, false
 	}
 	sc.Sampled = flags[0]&0x01 != 0

@@ -51,8 +51,7 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 }
 
 func TestSpanParentChildLinkage(t *testing.T) {
-	col := NewCollector(16)
-	tr := NewTracer(col)
+	_, tr, s := sampledBundle(t, keepEvery, 16)
 
 	ctx, root := tr.StartSpan(context.Background(), "client.call")
 	root.SetOperation("echo")
@@ -63,7 +62,7 @@ func TestSpanParentChildLinkage(t *testing.T) {
 	mid.End()
 	root.End()
 
-	spans := col.Snapshot()
+	spans := s.spans()
 	if len(spans) != 3 {
 		t.Fatalf("recorded %d spans, want 3", len(spans))
 	}
@@ -72,8 +71,8 @@ func TestSpanParentChildLinkage(t *testing.T) {
 		byName[s.Name] = s
 	}
 	rootRec, midRec, leafRec := byName["client.call"], byName["client.mediator"], byName["wire.send"]
-	if rootRec.ParentID != "" {
-		t.Fatalf("root has parent %q", rootRec.ParentID)
+	if !rootRec.ParentID.IsZero() {
+		t.Fatalf("root has parent %s", rootRec.ParentID)
 	}
 	if midRec.ParentID != rootRec.SpanID || leafRec.ParentID != midRec.SpanID {
 		t.Fatalf("broken linkage: %+v / %+v / %+v", rootRec, midRec, leafRec)
@@ -90,10 +89,8 @@ func TestSpanParentChildLinkage(t *testing.T) {
 }
 
 func TestStartRemoteLinksAcrossProcesses(t *testing.T) {
-	clientCol := NewCollector(4)
-	serverCol := NewCollector(4)
-	clientTr := NewTracer(clientCol)
-	serverTr := NewTracer(serverCol)
+	_, clientTr, _ := sampledBundle(t, keepEvery, 4)
+	_, serverTr, server := sampledBundle(t, keepEvery, 4)
 
 	_, wire := clientTr.StartSpan(context.Background(), "wire.send")
 	carried, ok := ParseTraceparent(wire.Context().Traceparent())
@@ -104,12 +101,12 @@ func TestStartRemoteLinksAcrossProcesses(t *testing.T) {
 	srv.End()
 	wire.End()
 
-	srvRec := serverCol.Snapshot()[0]
-	if srvRec.TraceID != wire.Context().TraceID.String() {
+	srvRec := server.spans()[0]
+	if srvRec.TraceID != wire.Context().TraceID {
 		t.Fatal("server span lost the trace ID")
 	}
-	if srvRec.ParentID != wire.Context().SpanID.String() || !srvRec.RemoteParent {
-		t.Fatalf("server span parent = %q remote=%v", srvRec.ParentID, srvRec.RemoteParent)
+	if srvRec.ParentID != wire.Context().SpanID || !srvRec.RemoteParent {
+		t.Fatalf("server span parent = %s remote=%v", srvRec.ParentID, srvRec.RemoteParent)
 	}
 
 	// An invalid carried context still yields a fresh server-side trace.
@@ -142,50 +139,14 @@ func TestNilTracerAndSpanFastPath(t *testing.T) {
 	}
 }
 
-func TestCollectorRingAndAggregation(t *testing.T) {
-	col := NewCollector(4)
-	tr := NewTracer(col)
-	for i := 0; i < 10; i++ {
-		_, sp := tr.StartSpan(context.Background(), "stage")
-		sp.SetOperation("echo")
-		if i%2 == 0 {
-			sp.RecordError(errors.New("fail"))
-		}
-		sp.End()
-	}
-	spans := col.Snapshot()
-	if len(spans) != 4 {
-		t.Fatalf("ring retained %d spans, want 4", len(spans))
-	}
-	if got := col.TotalRecorded(); got != 10 {
-		t.Fatalf("total recorded = %d, want 10", got)
-	}
-	ops := col.Operations()
-	agg, ok := ops["stage:echo"]
-	if !ok {
-		t.Fatalf("missing aggregation key, have %v", ops)
-	}
-	if agg.Count != 10 || agg.Errors != 5 {
-		t.Fatalf("agg = %+v, want count 10 errors 5", agg)
-	}
-	if agg.Min > agg.Max || agg.Total < agg.Max {
-		t.Fatalf("inconsistent agg durations: %+v", agg)
-	}
-	col.Reset()
-	if len(col.Snapshot()) != 0 || col.TotalRecorded() != 0 {
-		t.Fatal("Reset left state behind")
-	}
-}
-
 func TestSpanEventsAndDoubleEnd(t *testing.T) {
-	col := NewCollector(4)
-	tr := NewTracer(col)
+	_, tr, s := sampledBundle(t, keepEvery, 4)
 	_, sp := tr.StartSpan(context.Background(), "qos.negotiate")
 	sp.AddEvent("contract.established", Attr{Key: "epoch", Value: "0"})
 	time.Sleep(time.Millisecond)
 	sp.End()
 	sp.End() // second End must not double-record
-	spans := col.Snapshot()
+	spans := s.spans()
 	if len(spans) != 1 {
 		t.Fatalf("recorded %d spans, want 1", len(spans))
 	}

@@ -95,7 +95,7 @@ func (s *Span) RecordError(err error) {
 // Child starts a sub-span sharing the trace ID. On a nil receiver it
 // returns nil, keeping the disabled path free.
 func (s *Span) Child(name string) *Span {
-	if s == nil || s.tracer == nil {
+	if s == nil {
 		return nil
 	}
 	sp := s.tracer.newSpan(name, s.sc.TraceID, s.sc.SpanID, false)
@@ -123,7 +123,7 @@ func (s *Span) ReturnPayload() []byte {
 	return s.ret.payload(s.sc.TraceID)
 }
 
-// End closes the span and hands it to the collector. Ending twice
+// End closes the span and hands it to the tail sampler. Ending twice
 // records once.
 func (s *Span) End() {
 	if s == nil {
@@ -136,8 +136,9 @@ func (s *Span) End() {
 	}
 	s.ended = true
 	rec := SpanRecord{
-		TraceID:      s.sc.TraceID.String(),
-		SpanID:       s.sc.SpanID.String(),
+		TraceID:      s.sc.TraceID,
+		SpanID:       s.sc.SpanID,
+		ParentID:     s.parent,
 		Name:         s.name,
 		Operation:    s.op,
 		Start:        s.start,
@@ -148,55 +149,20 @@ func (s *Span) End() {
 		RemoteParent: s.remoteParent,
 	}
 	s.mu.Unlock()
-	if !s.parent.IsZero() {
-		rec.ParentID = s.parent.String()
-	}
 	if s.ret != nil {
 		s.ret.add(rec)
 	}
-	if s.tracer == nil {
-		return
-	}
-	if s.tracer.sampler != nil {
-		// A trace quiesces — and gets its keep/drop verdict — once its
-		// decision-point span ends: the local root, or the remote-parented
-		// server root that closes this process's part of the trace.
-		s.tracer.sampler.offer(rec, s.parent.IsZero() || s.remoteParent)
-		return
-	}
-	if s.tracer.collector != nil {
-		s.tracer.collector.record(rec)
-	}
+	// A trace quiesces — and gets its keep/drop verdict — once its
+	// decision-point span ends: the local root, or the remote-parented
+	// server root that closes this process's part of the trace.
+	s.tracer.sampler.offer(rec, s.parent.IsZero() || s.remoteParent)
 }
 
-// Tracer mints spans into a collector. A nil *Tracer is the disabled
-// tracer: StartSpan returns the context unchanged and a nil span.
+// Tracer mints spans whose finished records go to its tail sampler. A
+// nil *Tracer is the disabled tracer: StartSpan returns the context
+// unchanged and a nil span.
 type Tracer struct {
-	collector *Collector
-	// sampler, when non-nil, intercepts finished spans for tail-based
-	// keep/drop; only kept traces reach the collector.
 	sampler *TailSampler
-}
-
-// NewTracer constructs a tracer recording into c.
-func NewTracer(c *Collector) *Tracer { return &Tracer{collector: c} }
-
-// setSampler routes finished spans through a tail sampler instead of
-// recording them directly. Install before spans start; swapping samplers
-// mid-trace strands the old sampler's pending entries.
-func (t *Tracer) setSampler(s *TailSampler) {
-	if t == nil {
-		return
-	}
-	t.sampler = s
-}
-
-// Sampler returns the installed tail sampler, nil when sampling is off.
-func (t *Tracer) Sampler() *TailSampler {
-	if t == nil {
-		return nil
-	}
-	return t.sampler
 }
 
 // Inject records a span that finished in another process (a summary
@@ -206,13 +172,7 @@ func (t *Tracer) Inject(rec SpanRecord) {
 	if t == nil {
 		return
 	}
-	if t.sampler != nil {
-		t.sampler.inject(rec)
-		return
-	}
-	if t.collector != nil {
-		t.collector.record(rec)
-	}
+	t.sampler.inject(rec)
 }
 
 func (t *Tracer) newSpan(name string, trace TraceID, parent SpanID, remote bool) *Span {
@@ -224,9 +184,7 @@ func (t *Tracer) newSpan(name string, trace TraceID, parent SpanID, remote bool)
 		name:         name,
 		start:        time.Now(),
 	}
-	if t.sampler != nil {
-		t.sampler.spanStarted(sp.sc.TraceID.String())
-	}
+	t.sampler.spanStarted(trace)
 	return sp
 }
 

@@ -31,7 +31,7 @@ func TestTracingOffPathAllocFree(t *testing.T) {
 }
 
 func TestUnsampledInboundAllocFree(t *testing.T) {
-	tr := NewTracer(NewCollector(0))
+	_, tr, _ := sampledBundle(t, keepEvery, 0)
 	parent := SpanContext{TraceID: newTraceID(), SpanID: newSpanID(), Sampled: false}
 	if avg := testing.AllocsPerRun(200, func() {
 		sp := tr.StartRemote(parent, "server.dispatch")
@@ -56,7 +56,7 @@ func BenchmarkStartChildTracingOff(b *testing.B) {
 }
 
 func BenchmarkStartRemoteUnsampled(b *testing.B) {
-	tr := NewTracer(NewCollector(0))
+	tr := &Tracer{sampler: newTailSampler(0, nil, keepEvery)}
 	parent := SpanContext{TraceID: newTraceID(), SpanID: newSpanID(), Sampled: false}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

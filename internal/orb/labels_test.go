@@ -43,7 +43,7 @@ func TestPeerChosenLabelsAreBounded(t *testing.T) {
 		"admission cells":            count(&ob.admitCells),
 		"phase cells":                count(&ob.phaseCells),
 		"dispatch histograms":        dispatchHists,
-		"/trace/ops span aggregates": len(bundle.Collector.Operations()),
+		"/trace/ops span aggregates": len(bundle.Snapshot().Operations),
 	} {
 		if got > maxLabelPairs+1 {
 			t.Errorf("%d distinct peer labels left %d %s, want ≤ %d", n, got, what, maxLabelPairs+1)
@@ -115,8 +115,8 @@ maqs_phase_seconds_sum{class="gold",phase="servant"} 10.0494`, "\n")
 func TestExemplarInsideItsBucket(t *testing.T) {
 	r := obs.NewRegistry()
 	h := r.Histogram("maqs_client_rtt_seconds", nil)
-	for _, d := range []time.Duration{40 * time.Microsecond, 950 * time.Microsecond, 1000100 * time.Nanosecond, 3 * time.Millisecond, 6 * time.Second} {
-		h.ObserveExemplar(d, "trace-"+d.String(), "span")
+	for i, d := range []time.Duration{40 * time.Microsecond, 950 * time.Microsecond, 1000100 * time.Nanosecond, 3 * time.Millisecond, 6 * time.Second} {
+		h.ObserveExemplar(d, obs.TraceID{byte(i + 1)}, obs.SpanID{1})
 	}
 	prev := -1.0
 	shown := 0

@@ -140,8 +140,7 @@ func (fl *flight) open(ctx context.Context, o *ORB, inv *Invocation) bool {
 		Stripe:    -1,
 	}
 	if sc := obs.SpanFromContext(ctx).Context(); sc.Valid() {
-		fl.rec.TraceID = sc.TraceID.String()
-		fl.rec.SpanID = sc.SpanID.String()
+		fl.rec.TraceID, fl.rec.SpanID = sc.TraceID, sc.SpanID
 	}
 	if dl, ok := inv.budget(ctx); ok {
 		fl.rec.DeadlineBudget = time.Until(dl)

@@ -93,7 +93,7 @@ func callUntil(t *testing.T, w *qosWorld, d *Degrader, op string, level, n int) 
 
 // degradeReasons lists the reason of every qos.degrade span collected.
 func degradeReasons(bundle *obs.Observability) (reasons []string) {
-	for _, sp := range bundle.Collector.Snapshot() {
+	for _, sp := range bundle.Snapshot().Spans {
 		for _, a := range sp.Attrs {
 			if sp.Name == "qos.degrade" && a.Key == "reason" {
 				reasons = append(reasons, a.Value)
@@ -150,7 +150,7 @@ func TestDegradeStepsDownLadderAndRecovers(t *testing.T) {
 		t.Fatal("Recover above the first bound candidate succeeded")
 	}
 
-	records := bundle.Collector.Snapshot()
+	records := bundle.Snapshot().Spans
 	sp, ok := spanByName(records, "qos.degrade")
 	if !ok {
 		t.Fatal("no qos.degrade span collected")
@@ -188,7 +188,7 @@ func TestSLOBurnTriggersAutomaticDegradation(t *testing.T) {
 	if reasons := degradeReasons(bundle); len(reasons) != 1 || reasons[0] != "slo-burn:Tracing/errors" {
 		t.Fatalf("qos.degrade reasons = %q, want [slo-burn:Tracing/errors]", reasons)
 	}
-	if _, ok := spanByName(bundle.Collector.Snapshot(), "qos.renegotiate"); !ok {
+	if _, ok := spanByName(bundle.Snapshot().Spans, "qos.renegotiate"); !ok {
 		t.Fatal("automatic degradation did not renegotiate")
 	}
 	w.mediator.mu.Lock()

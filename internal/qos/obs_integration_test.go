@@ -10,7 +10,7 @@ import (
 )
 
 // newObservedWorld is newQoSWorld with one observability bundle shared by
-// client and server ORB, so the collector records complete traces of a
+// client and server ORB, so the bundle keeps complete traces of a
 // client→server invocation.
 func newObservedWorld(t *testing.T, capacity int) (*qosWorld, *obs.Observability) {
 	t.Helper()
@@ -67,10 +67,10 @@ func TestInvocationProducesLinkedTrace(t *testing.T) {
 	if _, err := w.stub.Negotiate(context.Background(), &Proposal{Characteristic: "Tracing"}); err != nil {
 		t.Fatal(err)
 	}
-	bundle.Collector.Reset()
+	before := len(bundle.Snapshot().Spans)
 	w.inc(t)
 
-	spans := bundle.Collector.Snapshot()
+	spans := bundle.Snapshot().Spans[before:]
 	if len(spans) < 5 {
 		t.Fatalf("only %d spans recorded: %+v", len(spans), spans)
 	}
@@ -78,8 +78,8 @@ func TestInvocationProducesLinkedTrace(t *testing.T) {
 	if !ok {
 		t.Fatalf("no client.call span in %+v", spans)
 	}
-	if root.ParentID != "" {
-		t.Fatalf("client.call is not a root: parent %q", root.ParentID)
+	if !root.ParentID.IsZero() {
+		t.Fatalf("client.call is not a root: parent %s", root.ParentID)
 	}
 	if root.Operation != "inc" {
 		t.Fatalf("client.call operation = %q", root.Operation)
@@ -106,21 +106,21 @@ func TestInvocationProducesLinkedTrace(t *testing.T) {
 	// Parent/child linkage: call → mediator → wire.send, and the server
 	// dispatch hangs off wire.send through the propagated SCTrace context.
 	if got := stages["client.mediator"].ParentID; got != root.SpanID {
-		t.Fatalf("client.mediator parent = %q, want %q", got, root.SpanID)
+		t.Fatalf("client.mediator parent = %s, want %s", got, root.SpanID)
 	}
 	if got := stages["wire.send"].ParentID; got != stages["client.mediator"].SpanID {
-		t.Fatalf("wire.send parent = %q, want %q", got, stages["client.mediator"].SpanID)
+		t.Fatalf("wire.send parent = %s, want %s", got, stages["client.mediator"].SpanID)
 	}
 	dispatch := stages["server.dispatch"]
 	if !dispatch.RemoteParent {
 		t.Fatal("server.dispatch should mark its parent as remote")
 	}
 	if dispatch.ParentID != stages["wire.send"].SpanID {
-		t.Fatalf("server.dispatch parent = %q, want wire.send %q", dispatch.ParentID, stages["wire.send"].SpanID)
+		t.Fatalf("server.dispatch parent = %s, want wire.send %s", dispatch.ParentID, stages["wire.send"].SpanID)
 	}
 	for _, stage := range []string{"server.prolog", "server.servant", "server.epilog"} {
 		if got := stages[stage].ParentID; got != dispatch.SpanID {
-			t.Fatalf("%s parent = %q, want server.dispatch %q", stage, got, dispatch.SpanID)
+			t.Fatalf("%s parent = %s, want server.dispatch %s", stage, got, dispatch.SpanID)
 		}
 	}
 }
@@ -217,7 +217,7 @@ func TestNegotiationLifecycleEvents(t *testing.T) {
 	if err := w.stub.Release(ctx); err != nil {
 		t.Fatal(err)
 	}
-	spans := bundle.Collector.Snapshot()
+	spans := bundle.Snapshot().Spans
 	for spanName, eventName := range map[string]string{
 		"qos.negotiate":   "contract.established",
 		"qos.renegotiate": "contract.renegotiated",

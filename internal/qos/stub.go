@@ -27,8 +27,9 @@ type Observation struct {
 	// TraceID and SpanID link the observation to its client.call span
 	// (and through it the flight record), so a histogram exemplar built
 	// from this observation resolves back to the full invocation story.
-	// Empty when tracing is off.
-	TraceID, SpanID string
+	// Zero when tracing is off.
+	TraceID obs.TraceID
+	SpanID  obs.SpanID
 	// At is the completion time.
 	At time.Time
 }
@@ -43,7 +44,7 @@ type Observer func(Observation)
 type Stub struct {
 	orb      *orb.ORB
 	registry *Registry
-	// invoke is orb.Invoke, bound once: the continuation every delivery
+	// invoke is ORB.Invoke, bound once: the continuation every delivery
 	// mediator is handed.
 	invoke Next
 
@@ -229,8 +230,7 @@ func (c call) observe(reqBytes int, out *orb.Outcome, err error) {
 	}
 	if c.span != nil {
 		if sc := c.span.Context(); sc.Valid() {
-			o.TraceID = sc.TraceID.String()
-			o.SpanID = sc.SpanID.String()
+			o.TraceID, o.SpanID = sc.TraceID, sc.SpanID
 		}
 	}
 	if err != nil {
@@ -282,7 +282,7 @@ func (s *Stub) mediate(ctx context.Context, inv *orb.Invocation, mediator Mediat
 	var err error
 	if dm, takesOver := mediator.(DeliveryMediator); takesOver {
 		// The continuation handed to delivery mediators is exactly
-		// orb.Invoke — the stub layers nothing between mediator and
+		// ORB.Invoke — the stub layers nothing between mediator and
 		// transport. Mediators rely on this to dispatch per-replica sends
 		// through ORB.InvokeAsync directly (see replication's
 		// deliverActive); anyone inserting a delivery stage here must

@@ -105,16 +105,16 @@ type (
 	// Module is a transport-layer QoS module.
 	Module = transport.Module
 
-	// Observability bundles the metrics registry, span collector,
-	// tracer and flight recorder threaded through the invocation path
-	// (see internal/obs).
+	// Observability bundles the metrics registry, tracer, tail sampler
+	// and flight recorder threaded through the invocation path (see
+	// internal/obs).
 	Observability = obs.Observability
-	// ObservabilityConfig sizes an Observability bundle (span collector
-	// and flight recorder) for NewObservabilityWithConfig.
+	// ObservabilityConfig sizes an Observability bundle (the kept-span
+	// ring) and sets its sampling policy for NewObservabilityWithConfig.
 	ObservabilityConfig = obs.Config
 	// MetricsRegistry is the lock-cheap metrics registry.
 	MetricsRegistry = obs.Registry
-	// SpanRecord is one finished span as stored by the collector.
+	// SpanRecord is one finished span as the tail sampler keeps it.
 	SpanRecord = obs.SpanRecord
 	// FlightRecorder is the always-on bounded ring of per-invocation
 	// records with anomaly-triggered dumps (see docs/OBSERVABILITY.md).
@@ -123,11 +123,11 @@ type (
 	FlightRecord = obs.FlightRecord
 	// FlightDump is one frozen anomaly snapshot.
 	FlightDump = obs.FlightDump
-	// TailSampler buffers spans per trace and keeps only interesting
-	// traces (errors, retries, sheds, deadline misses, SLO-slow,
-	// anomalies) plus a configurable fraction of healthy ones.
+	// TailSampler buffers spans per trace and keeps interesting traces
+	// (errors, retries, sheds, deadline misses, SLO-slow, anomalies) plus
+	// a configurable fraction of healthy ones — all of them by default.
 	TailSampler = obs.TailSampler
-	// TailSamplingConfig enables tail sampling via
+	// TailSamplingConfig sets the sampling policy via
 	// ObservabilityConfig.TailSampling.
 	TailSamplingConfig = obs.TailSamplingConfig
 	// Profiler retains anomaly-triggered CPU/heap captures served on the
@@ -207,8 +207,8 @@ var (
 	// NewObservability constructs a metrics + tracing + flight-recorder
 	// bundle for Options.Observability.
 	NewObservability = obs.New
-	// NewObservabilityWithConfig constructs an explicitly sized bundle
-	// (span-collector and flight-recorder capacities).
+	// NewObservabilityWithConfig constructs a bundle with an explicit
+	// span-ring size, sampling policy or profiling.
 	NewObservabilityWithConfig = obs.NewWithConfig
 	// NewMetricsObserver builds a Stub observer feeding client metrics
 	// into a registry.
@@ -330,8 +330,8 @@ type Options struct {
 	// Observability, when set, threads a metrics registry and tracer
 	// through the system's invocation path: every server dispatch and
 	// every Stub call is counted, timed and traced. Share one bundle
-	// between client and server Systems of a process to collect complete
-	// traces in one collector. Nil keeps the fast uninstrumented path.
+	// between client and server Systems of a process to keep complete
+	// traces in one place. Nil keeps the fast uninstrumented path.
 	Observability *obs.Observability
 	// Resilience, when set, installs client-side fault handling on the
 	// ORB: per-invocation retry with exponential backoff and a circuit
@@ -401,12 +401,10 @@ func NewSystem(opts Options) (*System, error) {
 		})
 		sys.SLO = qos.NewSLOEngine(b.Registry, b.Flight)
 		b.SetDebugPage("/slo", func() any { return sys.SLO.Status() })
-		if b.Sampler != nil {
-			// Contract-derived latency objectives double as the tail
-			// sampler's per-class slow-trace thresholds, so "slow" means
-			// "in SLO jeopardy", not an arbitrary constant.
-			sys.SLO.SetLatencySink(b.Sampler.SetSlowThreshold)
-		}
+		// Contract-derived latency objectives double as the tail sampler's
+		// per-class slow-trace thresholds, so "slow" means "in SLO
+		// jeopardy", not an arbitrary constant.
+		sys.SLO.SetLatencySink(b.Sampler.SetSlowThreshold)
 	}
 	if !opts.SkipStandardModules {
 		if err := compression.RegisterModule(t); err != nil {

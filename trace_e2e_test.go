@@ -67,7 +67,7 @@ func TestTraceEndToEndAcrossLoopback(t *testing.T) {
 	ctx := context.Background()
 
 	// Healthy call: with HealthyKeepFraction 0 the whole trace must
-	// evaporate — nothing in the collector, one healthy drop counted.
+	// evaporate — nothing kept, one healthy drop counted.
 	if _, err := stub.Call(ctx, "echo", nil); err != nil {
 		t.Fatalf("echo: %v", err)
 	}
@@ -75,8 +75,8 @@ func TestTraceEndToEndAcrossLoopback(t *testing.T) {
 	if got := dropped.Value(); got != 1 {
 		t.Fatalf("dropped{healthy} = %d, want 1", got)
 	}
-	if got := clientBundle.Collector.TotalRecorded(); got != 0 {
-		t.Fatalf("healthy trace leaked %d spans into the collector", got)
+	if got := len(clientBundle.Snapshot().Spans); got != 0 {
+		t.Fatalf("healthy trace leaked %d spans into /trace", got)
 	}
 
 	// Errored call: always kept, and the reply's SCTraceReturn grafts the
@@ -89,20 +89,21 @@ func TestTraceEndToEndAcrossLoopback(t *testing.T) {
 		t.Fatalf("kept{error} = %d, want 1", got)
 	}
 
-	var traceID string
-	for _, rec := range clientBundle.Collector.Snapshot() {
+	var root maqs.SpanRecord
+	for _, rec := range clientBundle.Snapshot().Spans {
 		if rec.Name == "client.call" {
-			traceID = rec.TraceID
+			root = rec
 			break
 		}
 	}
-	if traceID == "" {
+	traceID := root.TraceID
+	if traceID.IsZero() {
 		t.Fatal("kept trace has no client.call span")
 	}
 
 	srv := httptest.NewServer(clientBundle.Handler())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/trace?trace_id=" + traceID)
+	resp, err := http.Get(srv.URL + "/trace?trace_id=" + traceID.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,13 +237,13 @@ func TestAsyncSpanLifecycleAfterTeardown(t *testing.T) {
 		t.Fatal("teardown trace not kept for an error or a deadline")
 	}
 	found := false
-	for _, rec := range bundle.Collector.Snapshot() {
+	for _, rec := range bundle.Snapshot().Spans {
 		if rec.Name == "client.call" && rec.Err != "" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatal("client.call span with teardown error never reached the collector")
+		t.Fatal("client.call span with teardown error never reached /trace")
 	}
 }
 
