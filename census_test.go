@@ -508,11 +508,8 @@ func TestObservabilityDocNamesEndpoints(t *testing.T) {
 }
 
 // qualifiedName matches a Go name of obs, qos, orb or the maqs facade in
-// prose — pkg.Name, optionally .Member — and captures a comparison that
-// follows it: the trader's constraint language writes a characteristic's
-// parameter as qos.<Characteristic>.<param> in a comparison
-// (`qos.Availability.replicas >= 3`), which names no Go declaration.
-var qualifiedName = regexp.MustCompile(`\b(obs|qos|orb|maqs)\.([A-Z]\w*)(?:\.(\w+))?(\s*(?:[<>!=]=|[<>]))?`)
+// prose — pkg.Name, optionally .Member.
+var qualifiedName = regexp.MustCompile(`\b(obs|qos|orb|maqs)\.([A-Z]\w*)(?:\.(\w+))?`)
 
 // typeDecl is what a package declares under a type name.
 type typeDecl struct {
@@ -607,9 +604,6 @@ func TestNoStaleIdentifiers(t *testing.T) {
 	}
 	check := func(where, text string) {
 		for _, m := range qualifiedName.FindAllStringSubmatch(text, -1) {
-			if m[4] != "" {
-				continue // a trader constraint, not a Go name
-			}
 			td, ok := lookup(m[1], m[2])
 			switch {
 			case !ok:

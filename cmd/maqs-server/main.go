@@ -1,8 +1,7 @@
 // Command maqs-server runs a standalone QoS-enabled demo server over TCP:
 // an echo/document service supporting the Compression, Encryption and
-// Actuality characteristics, plus a trading service where the offer is
-// exported. It prints the stringified IORs so any client process (on this
-// or another machine) can negotiate against it.
+// Actuality characteristics. It prints the stringified IOR so any client
+// process (on this or another machine) can negotiate against it.
 //
 // Usage:
 //
@@ -13,9 +12,10 @@
 // /trace/ops (per-operation aggregates), /flight (the invocation flight
 // recorder's record ring and anomaly dumps, ?dump=<id> for one frozen
 // dump), /health (liveness) and /ready (readiness checks) for the
-// instrumented invocation path.
+// instrumented invocation path, plus the net/http/pprof handlers under
+// /debug/pprof/.
 //
-// Inspect the printed references with ior-dump; stop with ctrl-C.
+// Inspect the printed reference with ior-dump; stop with ctrl-C.
 package main
 
 import (
@@ -24,7 +24,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	httppprof "net/http/pprof"
+	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux
 	"os"
 	"os/signal"
 	"sync"
@@ -35,8 +35,6 @@ import (
 	"maqs/internal/characteristics/actuality"
 	"maqs/internal/characteristics/compression"
 	"maqs/internal/characteristics/encryption"
-	"maqs/internal/infra/accounting"
-	"maqs/internal/infra/trader"
 	"maqs/internal/orb"
 )
 
@@ -89,16 +87,11 @@ func run() error {
 	debug := flag.String("debug", "", "HTTP debug address serving /metrics, /trace, /flight, /health and /ready (empty: disabled)")
 	flag.Parse()
 
-	// Outgoing invocations from this process (trader lookups, replica
-	// fan-out) get the stock retry + circuit-breaker policy.
+	// Outgoing invocations from this process get the stock retry +
+	// circuit-breaker policy.
 	opts := maqs.Options{Resilience: maqs.DefaultResiliencePolicy()}
 	if *debug != "" {
-		// Anomaly-triggered profiling rides on the flight recorder: a
-		// frozen dump (SLO burn, shed storm, breaker trip) also captures
-		// a short CPU profile and heap snapshot, served on /profile.
-		opts.Observability = maqs.NewObservabilityWithConfig(maqs.ObservabilityConfig{
-			Profiling: &maqs.ProfilingConfig{},
-		})
+		opts.Observability = maqs.NewObservability()
 	}
 	sys, err := maqs.NewSystem(opts)
 	if err != nil {
@@ -114,11 +107,6 @@ func run() error {
 	if err := sys.LoadModule(encryption.ModuleName, nil); err != nil {
 		return err
 	}
-	meter := accounting.NewMeter()
-	meter.SetTariff(maqs.Compression, accounting.Tariff{PerRequest: 0.001, PerKiB: 0.0001})
-	meter.SetTariff(maqs.Encryption, accounting.Tariff{PerRequest: 0.002, PerKiB: 0.0002})
-	meter.SetTariff(maqs.Actuality, accounting.Tariff{PerRequest: 0.0005})
-	sys.ORB.AddIncomingFilter(meter)
 
 	servant := &demoServant{doc: []byte("hello from maqs-server")}
 	skel := maqs.NewServerSkeleton(servant)
@@ -141,17 +129,6 @@ func run() error {
 		return err
 	}
 
-	traderServant := trader.NewServant()
-	traderRef, err := sys.Activate(trader.ObjectKey, trader.RepoID, traderServant)
-	if err != nil {
-		return err
-	}
-	traderServant.Export(&trader.ServiceOffer{
-		ServiceType: "IDL:maqs/Demo:1.0",
-		Ref:         ref.String(),
-		Properties:  map[string]string{"host": *addr, "demo": "true"},
-	})
-
 	var debugSrv *http.Server
 	if *debug != "" {
 		ln, err := net.Listen("tcp", *debug)
@@ -160,20 +137,15 @@ func run() error {
 		}
 		mux := http.NewServeMux()
 		mux.Handle("/", sys.Observability.Handler())
-		mux.HandleFunc("/debug/pprof/", httppprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
+		mux.HandleFunc("/debug/pprof/", http.DefaultServeMux.ServeHTTP)
 		debugSrv = &http.Server{Handler: mux}
 		go func() { _ = debugSrv.Serve(ln) }()
-		fmt.Printf("debug endpoint on http://%s/ (/metrics, /trace, /trace/ops, /flight, /profile, /health, /ready, /debug/pprof/)\n\n", ln.Addr())
+		fmt.Printf("debug endpoint on http://%s/ (/metrics, /trace, /trace/ops, /flight, /health, /ready, /debug/pprof/)\n\n", ln.Addr())
 	}
 
 	fmt.Printf("maqs-server listening on %s\n\n", *addr)
 	fmt.Printf("demo object (Compression, Encryption, Actuality):\n%s\n\n", ref)
-	fmt.Printf("trader:\n%s\n\n", traderRef)
-	fmt.Println("press ctrl-C to stop; accounting statements print on shutdown")
+	fmt.Println("press ctrl-C to stop")
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -183,13 +155,6 @@ func run() error {
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		_ = debugSrv.Shutdown(shutdownCtx)
 		cancel()
-	}
-
-	fmt.Println("\naccounting statements:")
-	for _, s := range meter.Statements() {
-		fmt.Printf("  binding %s (%s): %d requests, %d B in, %d B out -> %.4f credits\n",
-			s.BindingID[:8], s.Usage.Characteristic, s.Usage.Requests,
-			s.Usage.BytesIn, s.Usage.BytesOut, s.Cost)
 	}
 	return nil
 }

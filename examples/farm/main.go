@@ -1,13 +1,9 @@
-// Farm: a compute farm with QoS-managed load balancing, discovered
-// through the trading service and billed through the accounting service —
-// the "infrastructure services" the paper lists as integral parts of a
-// QoS framework (§2.2), around the LoadBalancing characteristic of its
-// evaluation.
+// Farm: a compute farm with QoS-managed load balancing, the
+// LoadBalancing characteristic of the paper's evaluation (§6).
 //
 // Four workers (one deliberately slow) serve a hashing service. The
-// client finds the farm via the trader with a QoS-capability constraint,
-// negotiates least-loaded balancing, runs a burst of jobs, and finally
-// pulls the bill for its binding.
+// client binds the farm's reference, negotiates least-loaded balancing
+// and runs a burst of jobs; the slow worker ends up with the fewest.
 //
 // Run with:
 //
@@ -19,15 +15,12 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"log"
-	"sort"
 	"sync"
 	"time"
 
 	"maqs"
 	"maqs/internal/cdr"
 	"maqs/internal/characteristics/loadbalance"
-	"maqs/internal/infra/accounting"
-	"maqs/internal/infra/trader"
 	"maqs/internal/orb"
 )
 
@@ -75,7 +68,6 @@ func run() error {
 	endpoints := []string{"w0:7000", "w1:7000", "w2:7000", "w3:7000"}
 	delays := []time.Duration{0, 0, 0, 40 * time.Millisecond} // w3 is slow
 	workers := make([]*hashWorker, 4)
-	meters := make([]*accounting.Meter, 4)
 	var clusterRef *maqs.IOR
 	for i, ep := range endpoints {
 		host := fmt.Sprintf("w%d", i)
@@ -87,10 +79,6 @@ func run() error {
 		if err := sys.Listen(ep); err != nil {
 			return err
 		}
-		meters[i] = accounting.NewMeter()
-		meters[i].SetTariff(maqs.LoadBalancing, accounting.Tariff{PerRequest: 0.01, PerKiB: 0.001})
-		sys.ORB.AddIncomingFilter(meters[i])
-
 		workers[i] = &hashWorker{name: host, delay: delays[i]}
 		skel := maqs.NewServerSkeleton(workers[i])
 		if err := skel.AddQoS(loadbalance.NewImpl(0, endpoints)); err != nil {
@@ -108,60 +96,14 @@ func run() error {
 	clusterRef.SetAlternateEndpoints(endpoints)
 	fmt.Println("farm up:", endpoints, "(w3 is slow)")
 
-	// --- trading service -------------------------------------------------
-	traderSys, err := maqs.NewSystem(maqs.Options{Transport: n.Host("trader")})
-	if err != nil {
-		return err
-	}
-	defer traderSys.Shutdown()
-	if err := traderSys.Listen("trader:7100"); err != nil {
-		return err
-	}
-	traderRef, err := traderSys.Activate(trader.ObjectKey, trader.RepoID, trader.NewServant())
-	if err != nil {
-		return err
-	}
-
 	client, err := maqs.NewSystem(maqs.Options{Transport: n.Host("client")})
 	if err != nil {
 		return err
 	}
 	defer client.Shutdown()
 
-	tc := trader.NewClient(client.ORB, traderRef)
-	if _, err := tc.Export(ctx, &trader.ServiceOffer{
-		ServiceType: "IDL:farm/Hasher:1.0",
-		Ref:         clusterRef.String(),
-		Properties:  map[string]string{"region": "eu", "workers": "4"},
-		QoS: []*maqs.Offer{{
-			Characteristic: maqs.LoadBalancing,
-			Params: []maqs.ParamOffer{{
-				Name: "strategy", Kind: maqs.KindString,
-				Choices: []string{"round-robin", "random", "least-loaded"},
-				Default: maqs.Text("round-robin"),
-			}},
-		}},
-	}); err != nil {
-		return err
-	}
-
-	// The client discovers a farm that can do least-loaded balancing.
-	found, err := tc.Query(ctx, "IDL:farm/Hasher:1.0",
-		`region == "eu" && qos.LoadBalancing.strategy == "least-loaded"`)
-	if err != nil {
-		return err
-	}
-	if len(found) == 0 {
-		return fmt.Errorf("trader found no matching farm")
-	}
-	fmt.Printf("trader matched offer %s (region=%s)\n", found[0].ID, found[0].Properties["region"])
-	farmRef, err := maqs.ParseIOR(found[0].Ref)
-	if err != nil {
-		return err
-	}
-
 	// --- negotiate and run the burst -------------------------------------
-	stub := client.Stub(farmRef)
+	stub := client.Stub(clusterRef)
 	binding, err := stub.Negotiate(ctx, &maqs.Proposal{
 		Characteristic: maqs.LoadBalancing,
 		Params:         []maqs.ParamProposal{{Name: "strategy", Desired: maqs.Text("least-loaded")}},
@@ -194,20 +136,5 @@ func run() error {
 		fmt.Printf("  %s: %3d jobs%s\n", w.name, w.jobs, map[bool]string{true: "  (slow)"}[delays[i] > 0])
 		w.mu.Unlock()
 	}
-
-	// --- accounting -------------------------------------------------------
-	fmt.Println("\naccounting statements across the farm:")
-	var total float64
-	var lines []accounting.Statement
-	for _, m := range meters {
-		lines = append(lines, m.Statements()...)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i].BindingID < lines[j].BindingID })
-	for _, s := range lines {
-		fmt.Printf("  binding %s: %3d requests, %5d B in, %5d B out -> %.4f credits\n",
-			s.BindingID[:8], s.Usage.Requests, s.Usage.BytesIn, s.Usage.BytesOut, s.Cost)
-		total += s.Cost
-	}
-	fmt.Printf("total bill: %.4f credits\n", total)
 	return nil
 }

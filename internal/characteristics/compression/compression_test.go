@@ -3,6 +3,7 @@ package compression
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -302,7 +303,7 @@ func TestDescribeAndRegister(t *testing.T) {
 	if desc.Name != Name || desc.Category != qos.CategoryBandwidth {
 		t.Fatalf("descriptor = %+v", desc)
 	}
-	if _, ok := desc.Param(ParamLevel); !ok {
+	if !slices.ContainsFunc(desc.Params, func(p qos.ParameterDecl) bool { return p.Name == ParamLevel }) {
 		t.Fatal("level param missing")
 	}
 	r := qos.NewRegistry()

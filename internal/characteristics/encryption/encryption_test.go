@@ -377,14 +377,17 @@ func TestServerRejectsWithoutHandshake(t *testing.T) {
 
 func TestDescribeOffersAlgorithms(t *testing.T) {
 	impl := NewImpl(0)
-	offer := impl.Offer()
-	po, ok := offer.Param(ParamCipher)
+	offered := map[string]qos.ParamOffer{}
+	for _, po := range impl.Offer().Params {
+		offered[po.Name] = po
+	}
+	po, ok := offered[ParamCipher]
 	if !ok || len(po.Choices) != 1 || po.Choices[0] != CipherAES256GCM {
 		t.Fatalf("cipher offer = %+v", po)
 	}
 	// The AEAD's tag is the integrity check: a proposal that still picks a
 	// MAC names a parameter nobody offers.
-	if po, ok := offer.Param("mac"); ok {
+	if po, ok := offered["mac"]; ok {
 		t.Fatalf("mac offered: %+v", po)
 	}
 	r := qos.NewRegistry()

@@ -164,23 +164,10 @@ type FlightRecorder struct {
 	cooldown  time.Duration
 	lastDump  map[string]time.Time // per anomaly kind
 
-	// hookMu guards hooks separately from mu: hooks run after Trigger
-	// releases mu, so a hook may call back into the recorder.
-	hookMu sync.Mutex
-	hooks  []func(dumpID, kind string, trace TraceID)
-}
-
-// onDump registers a hook invoked (outside the recorder's lock, on the
-// triggering goroutine) each time an anomaly freezes a new dump. The
-// tail sampler uses it to pin the triggering trace; the profiler uses it
-// to start an anomaly-triggered capture.
-func (f *FlightRecorder) onDump(hook func(dumpID, kind string, trace TraceID)) {
-	if f == nil || hook == nil {
-		return
-	}
-	f.hookMu.Lock()
-	f.hooks = append(f.hooks, hook)
-	f.hookMu.Unlock()
+	// sampler, when set, has each new dump's trace pinned (markAnomaly).
+	// NewWithConfig sets it before the recorder is shared, so Trigger
+	// reads it without a lock.
+	sampler *TailSampler
 }
 
 // NewFlightRecorder constructs a recorder retaining up to capacity
@@ -239,7 +226,8 @@ func (f *FlightRecorder) Record(r FlightRecord) {
 // Trigger freezes the last records plus the triggering record into a
 // named dump and returns the dump id ("" when suppressed by the
 // per-kind cooldown). The trigger record is stamped with the anomaly
-// kind; it need not have been Recorded separately.
+// kind; it need not have been Recorded separately. A new dump pins the
+// trigger's trace in the bundle's tail sampler.
 func (f *FlightRecorder) Trigger(kind string, trigger FlightRecord) string {
 	if f == nil {
 		return ""
@@ -270,11 +258,8 @@ func (f *FlightRecorder) Trigger(kind string, trigger FlightRecord) string {
 		f.evictLocked()
 	}
 	f.mu.Unlock()
-	f.hookMu.Lock()
-	hooks := f.hooks
-	f.hookMu.Unlock()
-	for _, hook := range hooks {
-		hook(d.ID, kind, trigger.TraceID)
+	if f.sampler != nil {
+		f.sampler.markAnomaly(trigger.TraceID)
 	}
 	return d.ID
 }

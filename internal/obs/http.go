@@ -79,44 +79,6 @@ func (o *Observability) Handler() http.Handler {
 		}
 		writeJSON(w, fr.Snapshot(limit))
 	})
-	mux.HandleFunc("/profile", func(w http.ResponseWriter, r *http.Request) {
-		var p *Profiler
-		if o != nil {
-			p = o.Profiler
-		}
-		id := r.URL.Query().Get("id")
-		if id == "" {
-			caps := p.summaries()
-			if caps == nil {
-				caps = []ProfileCaptureSummary{}
-			}
-			writeJSON(w, map[string]any{"enabled": p != nil, "captures": caps})
-			return
-		}
-		c, ok := p.lookup(id)
-		if !ok {
-			http.Error(w, "unknown capture id", http.StatusNotFound)
-			return
-		}
-		var body []byte
-		switch kind := r.URL.Query().Get("kind"); kind {
-		case "", "cpu":
-			body = c.CPU
-		case "heap":
-			body = c.Heap
-		default:
-			http.Error(w, "kind must be cpu or heap", http.StatusBadRequest)
-			return
-		}
-		if len(body) == 0 {
-			http.Error(w, "profile not (yet) available for this capture", http.StatusNotFound)
-			return
-		}
-		// pprof payloads are binary protobuf (possibly gzip-compressed);
-		// serve them raw for `go tool pprof`.
-		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(body)
-	})
 	mux.HandleFunc("/health", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]string{"status": "ok"})
 	})
@@ -147,8 +109,7 @@ func (o *Observability) Handler() http.Handler {
 		}
 		paths := []string{
 			"/metrics", "/metrics?format=json", "/trace", "/trace?trace_id=<id>",
-			"/trace/ops", "/flight", "/flight?dump=<id>",
-			"/profile", "/profile?id=<id>&kind=cpu|heap", "/health", "/ready",
+			"/trace/ops", "/flight", "/flight?dump=<id>", "/health", "/ready",
 		}
 		if o != nil {
 			o.pages.Range(func(k, _ any) bool {

@@ -18,9 +18,6 @@ type Observability struct {
 	Flight *FlightRecorder
 	// Sampler decides which traces are kept and keeps their spans.
 	Sampler *TailSampler
-	// Profiler retains anomaly-triggered CPU/heap captures, nil when
-	// profiling is off (Config.Profiling unset).
-	Profiler *Profiler
 
 	// health carries liveness/readiness state; created lazily so
 	// literal-constructed bundles still work (see health.go).
@@ -57,9 +54,6 @@ type Config struct {
 	// TailSampling sets the sampler's policy; nil keeps every trace
 	// (HealthyKeepFraction 1).
 	TailSampling *TailSamplingConfig
-	// Profiling, when non-nil, enables anomaly-triggered CPU/heap
-	// profiling keyed to flight dumps.
-	Profiling *ProfilingConfig
 }
 
 // New constructs an enabled bundle with default sizing.
@@ -82,11 +76,7 @@ func NewWithConfig(cfg Config) *Observability {
 	}
 	// Anomalies pin their trace in the pending table so the policy keeps
 	// it even when the spans themselves look healthy.
-	o.Flight.onDump(func(_, _ string, trace TraceID) { s.markAnomaly(trace) })
-	if cfg.Profiling != nil {
-		o.Profiler = newProfiler(o.Registry, *cfg.Profiling)
-		o.Flight.onDump(o.Profiler.onAnomaly)
-	}
+	o.Flight.sampler = s
 	registerRuntimeMetrics(o.Registry)
 	return o
 }

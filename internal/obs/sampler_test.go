@@ -155,6 +155,27 @@ func TestTailSamplerAnomalyBeforeFirstSpan(t *testing.T) {
 	}
 }
 
+// TestFlightDumpPinsTrace drives the bundle's own wiring: a dump frozen by
+// the flight recorder keeps its healthy-looking trace at a 0 keep
+// fraction, and a trace no dump names is dropped.
+func TestFlightDumpPinsTrace(t *testing.T) {
+	o := NewWithConfig(Config{TailSampling: &TailSamplingConfig{HealthyKeepFraction: 0}})
+	_, pinned := o.Tracer.StartSpan(context.Background(), "client.call")
+	_, other := o.Tracer.StartSpan(context.Background(), "client.call")
+	if id := o.Flight.Trigger(AnomalyBreakerOpen, FlightRecord{TraceID: pinned.Context().TraceID}); id == "" {
+		t.Fatal("first dump suppressed")
+	}
+	pinned.End()
+	other.End()
+	if got := counterValue(o.Registry, `maqs_trace_kept_total{reason="anomaly"}`); got != 1 {
+		t.Fatalf("kept{anomaly} = %d, want 1", got)
+	}
+	spans := o.Sampler.spans()
+	if len(spans) != 1 || spans[0].TraceID != pinned.Context().TraceID {
+		t.Fatalf("kept spans %+v, want only the dumped trace's", spans)
+	}
+}
+
 func TestTailSamplerEvictsOldestPending(t *testing.T) {
 	reg, tr, s := sampledBundle(t, TailSamplingConfig{}, 0)
 	s.maxPending = 2

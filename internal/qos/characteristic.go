@@ -47,16 +47,6 @@ type Characteristic struct {
 	Operations []string
 }
 
-// Param finds a parameter declaration by name.
-func (c *Characteristic) Param(name string) (ParameterDecl, bool) {
-	for _, p := range c.Params {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return ParameterDecl{}, false
-}
-
 // Registry associates characteristic names with their descriptions and
 // factories. The paper's genericity requirement — new characteristics are
 // definable without framework changes — maps to registration here.

@@ -30,8 +30,8 @@ type Proposal struct {
 	Params []ParamProposal
 }
 
-// Param finds a parameter proposal by name.
-func (p *Proposal) Param(name string) (ParamProposal, bool) {
+// param finds a parameter proposal by name.
+func (p *Proposal) param(name string) (ParamProposal, bool) {
 	for _, pp := range p.Params {
 		if pp.Name == name {
 			return pp, true
@@ -64,8 +64,8 @@ type Offer struct {
 	Capacity int
 }
 
-// Param finds a parameter offer by name.
-func (o *Offer) Param(name string) (ParamOffer, bool) {
+// param finds a parameter offer by name.
+func (o *Offer) param(name string) (ParamOffer, bool) {
 	for _, po := range o.Params {
 		if po.Name == name {
 			return po, true
@@ -163,7 +163,7 @@ func resolve(p *Proposal, o *Offer) (*Contract, error) {
 	}
 	values := make(map[string]Value, len(o.Params))
 	for _, po := range o.Params {
-		pp, requested := p.Param(po.Name)
+		pp, requested := p.param(po.Name)
 		if !requested {
 			if po.Default.IsZero() {
 				return nil, &NegotiationError{p.Characteristic, po.Name, "no request and no default"}
@@ -180,7 +180,7 @@ func resolve(p *Proposal, o *Offer) (*Contract, error) {
 	// A proposal naming unknown parameters is a client bug worth
 	// surfacing instead of silently ignoring.
 	for _, pp := range p.Params {
-		if _, known := o.Param(pp.Name); !known {
+		if _, known := o.param(pp.Name); !known {
 			return nil, &NegotiationError{p.Characteristic, pp.Name, "parameter not offered"}
 		}
 	}
@@ -312,8 +312,8 @@ func (o *Offer) Marshal(e *cdr.Encoder) {
 	}
 }
 
-// UnmarshalOffer reads an offer from d.
-func UnmarshalOffer(d *cdr.Decoder) (*Offer, error) {
+// unmarshalOffer reads an offer from d.
+func unmarshalOffer(d *cdr.Decoder) (*Offer, error) {
 	var o Offer
 	var err error
 	if o.Characteristic, err = d.ReadString(); err != nil {

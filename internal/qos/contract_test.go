@@ -171,21 +171,21 @@ func TestProposalOfferContractWireRoundTrip(t *testing.T) {
 	if gotP.Characteristic != p.Characteristic || len(gotP.Params) != 2 {
 		t.Fatalf("proposal = %+v", gotP)
 	}
-	if pp, _ := gotP.Param("replicas"); pp.Weight != 0.7 || !pp.Desired.Equal(Number(3)) {
+	if pp, _ := gotP.param("replicas"); pp.Weight != 0.7 || !pp.Desired.Equal(Number(3)) {
 		t.Fatalf("param = %+v", pp)
 	}
 
 	o := testOffer()
 	e = cdr.NewEncoder(cdr.BigEndian)
 	o.Marshal(e)
-	gotO, err := UnmarshalOffer(cdr.NewDecoder(e.Bytes(), cdr.BigEndian))
+	gotO, err := unmarshalOffer(cdr.NewDecoder(e.Bytes(), cdr.BigEndian))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotO.Capacity != 4 || len(gotO.Params) != 3 {
 		t.Fatalf("offer = %+v", gotO)
 	}
-	if po, _ := gotO.Param("strategy"); len(po.Choices) != 2 || !po.Default.Equal(Text("active")) {
+	if po, _ := gotO.param("strategy"); len(po.Choices) != 2 || !po.Default.Equal(Text("active")) {
 		t.Fatalf("param offer = %+v", po)
 	}
 
@@ -267,20 +267,6 @@ func TestUnmarshalValueErrors(t *testing.T) {
 	e.WriteOctet(99)
 	if _, err := unmarshalValue(cdr.NewDecoder(e.Bytes(), cdr.BigEndian)); err == nil {
 		t.Fatal("unknown kind accepted")
-	}
-}
-
-func TestCharacteristicHelpers(t *testing.T) {
-	c := &Characteristic{
-		Name:       "X",
-		Params:     []ParameterDecl{{Name: "p", Kind: KindNumber}},
-		Operations: []string{"op_a", "op_b"},
-	}
-	if _, ok := c.Param("p"); !ok {
-		t.Fatal("Param(p) missing")
-	}
-	if _, ok := c.Param("q"); ok {
-		t.Fatal("Param(q) found")
 	}
 }
 

@@ -111,7 +111,7 @@ func satisfaction(p *Proposal, c *Contract, o *Offer) float64 {
 			}
 			continue
 		}
-		po, ok := o.Param(pp.Name)
+		po, ok := o.param(pp.Name)
 		span := po.Max - po.Min
 		if !ok || span <= 0 {
 			if granted.Num == pp.Desired.Num {

@@ -287,7 +287,7 @@ func (s *Stub) queryOffers(ctx context.Context) (map[string]*Offer, error) {
 	}
 	offers := make(map[string]*Offer, n)
 	for i := uint32(0); i < n; i++ {
-		offer, err := UnmarshalOffer(d)
+		offer, err := unmarshalOffer(d)
 		if err != nil {
 			return nil, err
 		}

@@ -49,7 +49,7 @@ func TestResolveIdempotent(t *testing.T) {
 // and proposal ranges.
 func TestResolveMonotoneClamp(t *testing.T) {
 	offer := testOffer()
-	po, _ := offer.Param("replicas")
+	po, _ := offer.param("replicas")
 	f := func(desired, lo, hi float64) bool {
 		p := &Proposal{
 			Characteristic: "Availability",

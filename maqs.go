@@ -130,14 +130,6 @@ type (
 	// TailSamplingConfig sets the sampling policy via
 	// ObservabilityConfig.TailSampling.
 	TailSamplingConfig = obs.TailSamplingConfig
-	// Profiler retains anomaly-triggered CPU/heap captures served on the
-	// debug handler's /profile endpoint.
-	Profiler = obs.Profiler
-	// ProfilingConfig enables anomaly-triggered profiling via
-	// ObservabilityConfig.Profiling.
-	ProfilingConfig = obs.ProfilingConfig
-	// ProfileCaptureSummary lists one retained capture on /profile.
-	ProfileCaptureSummary = obs.ProfileCaptureSummary
 
 	// Network is the simulated network used for testing and experiments.
 	Network = netsim.Network
@@ -208,7 +200,7 @@ var (
 	// bundle for Options.Observability.
 	NewObservability = obs.New
 	// NewObservabilityWithConfig constructs a bundle with an explicit
-	// span-ring size, sampling policy or profiling.
+	// span-ring size or sampling policy.
 	NewObservabilityWithConfig = obs.NewWithConfig
 	// NewMetricsObserver builds a Stub observer feeding client metrics
 	// into a registry.

@@ -11,7 +11,6 @@ import (
 
 	"maqs"
 	"maqs/internal/orb"
-	"maqs/internal/resilience"
 )
 
 // traceServant echoes on "echo" and fails on "boom".
@@ -244,91 +243,5 @@ func TestAsyncSpanLifecycleAfterTeardown(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("client.call span with teardown error never reached /trace")
-	}
-}
-
-// TestChaosAnomalyTriggersProfile is the profiling acceptance run: a
-// seeded partition chaos burst must freeze at least one anomaly-
-// triggered CPU/heap capture retrievable via /profile.
-func TestChaosAnomalyTriggersProfile(t *testing.T) {
-	bundle := maqs.NewObservabilityWithConfig(maqs.ObservabilityConfig{
-		Profiling: &maqs.ProfilingConfig{CPUDuration: 10 * time.Millisecond},
-	})
-	bundle.Flight.SetDumpCooldown(0)
-	n := maqs.NewNetwork()
-	n.Seed(7)
-	server, err := maqs.NewSystem(maqs.Options{Transport: n.Host("server")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Shutdown()
-	pol := &maqs.ResiliencePolicy{
-		Retry: maqs.RetryPolicy{
-			MaxAttempts: 2,
-			BaseDelay:   time.Millisecond,
-			MaxDelay:    2 * time.Millisecond,
-			Jitter:      resilience.NoJitter,
-		},
-		Breaker: resilience.BreakerPolicy{FailureThreshold: 3, OpenTimeout: time.Minute},
-		Seed:    1,
-	}
-	client, err := maqs.NewSystem(maqs.Options{
-		Transport:     n.Host("client"),
-		Observability: bundle,
-		Resilience:    pol,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Shutdown()
-	if err := server.Listen("server:7002"); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := server.Activate("svc", "IDL:test/Trace:1.0", traceServant{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stub := client.Stub(ref)
-	ctx := context.Background()
-	if _, err := stub.Call(ctx, "echo", nil); err != nil {
-		t.Fatalf("warm call: %v", err)
-	}
-	// Seeded chaos: partition the pair, exhaust retries until the breaker
-	// opens — a watched anomaly kind that must trigger a capture.
-	n.Partition("client", "server")
-	for i := 0; i < 6; i++ {
-		if _, err := stub.Call(ctx, "echo", nil); err == nil {
-			t.Fatal("call through partition succeeded")
-		}
-	}
-	bundle.Profiler.Flush()
-
-	srv := httptest.NewServer(bundle.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/profile")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var index struct {
-		Enabled  bool                         `json:"enabled"`
-		Captures []maqs.ProfileCaptureSummary `json:"captures"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&index); err != nil {
-		t.Fatalf("/profile JSON: %v", err)
-	}
-	resp.Body.Close()
-	if !index.Enabled || len(index.Captures) == 0 {
-		t.Fatalf("chaos produced no anomaly-triggered profile captures: /profile index %+v", index)
-	}
-	for _, kind := range []string{"cpu", "heap"} {
-		resp, err := http.Get(srv.URL + "/profile?id=" + index.Captures[0].ID + "&kind=" + kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || len(body) == 0 {
-			t.Fatalf("/profile %s download: %d (%d bytes)", kind, resp.StatusCode, len(body))
-		}
 	}
 }
