@@ -23,7 +23,9 @@ import (
 // decode stopped copying, 5 since (docs/PERFORMANCE.md). Two of the 5 are
 // the in-memory network's own (it copies every Write into a segment): over
 // a real socket the call makes 3, which TestEchoCallAllocsTCP gates —
-// and only a real net.Conn shows what address formatting costs.
+// and only a real net.Conn shows what address formatting costs. Of a
+// negotiate+release cycle: 37 until its encoders were pooled, contracts
+// became name-sorted terms and decoding took names from the schema, 20 since.
 //
 // The worlds are internal/experiments' — the builder and configurations
 // the benchmarks and cmd/maqs-bench measure — so a gate and the BENCH row
@@ -215,4 +217,39 @@ func TestEncryptedCallAllocs(t *testing.T) {
 	call := experiments.NewWorld(t, experiments.Encrypted()).Echo(t, make([]byte, 1<<10))
 	gateAllocs(t, "encrypted 1 KiB round trip", 11, call)
 	gateBytes(t, "encrypted 1 KiB round trip", 10<<10, call)
+}
+
+// gateCase gates an internal/experiments case by name: the world and the
+// operation its BENCH row and maqs-bench table measure.
+func gateCase(t *testing.T, name string, budget float64) {
+	t.Helper()
+	for _, c := range experiments.Cases() {
+		if c.Name == name {
+			op, _ := c.Setup(t)
+			gateAllocs(t, name, budget, op)
+			return
+		}
+	}
+	t.Fatalf("no experiments case %s", name)
+}
+
+// TestNegotiateReleaseAllocs gates E8's agreement cycle, negotiate then
+// release: two plain round trips (two Invocations, two Outcomes, the
+// negotiate reply's data, four in-memory segments) plus the agreement
+// itself — the server's Proposal, Binding, Contract, terms and minted ID,
+// the client's Binding, Contract, terms, ID and encoded tag (two).
+// Measured 20; 37 while encoders were unpooled, span events allocated
+// their attributes with tracing off, contracts were maps and names were
+// copied off the wire.
+func TestNegotiateReleaseAllocs(t *testing.T) {
+	gateCase(t, "E8Negotiation/negotiateRelease", 21)
+}
+
+// TestRenegotiateAllocs gates E8's renegotiation of a live binding: one
+// plain round trip (five), the server's Proposal, Contract, terms and
+// fresh Binding, the client's Contract, terms and fresh Binding. Measured
+// 12 at every epoch; 24 or 25 while the epoch was formatted for spans that
+// do not record (FormatUint allocates from 100 on).
+func TestRenegotiateAllocs(t *testing.T) {
+	gateCase(t, "E8Negotiation/renegotiate", 13)
 }

@@ -27,6 +27,7 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux
 	"os"
 	"os/signal"
+	"strconv"
 	"sync"
 	"syscall"
 	"time"
@@ -143,7 +144,9 @@ func run() error {
 		fmt.Printf("debug endpoint on http://%s/ (/metrics, /trace, /trace/ops, /flight, /health, /ready, /debug/pprof/)\n\n", ln.Addr())
 	}
 
-	fmt.Printf("maqs-server listening on %s\n\n", *addr)
+	// The bound endpoint, not the flag: -addr with port 0 binds a free port.
+	host, port, _ := sys.ORB.Endpoint()
+	fmt.Printf("maqs-server listening on %s\n\n", net.JoinHostPort(host, strconv.Itoa(int(port))))
 	fmt.Printf("demo object (Compression, Encryption, Actuality):\n%s\n\n", ref)
 	fmt.Println("press ctrl-C to stop")
 

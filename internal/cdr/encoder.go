@@ -283,24 +283,16 @@ func (d *Decoder) ReadDouble() (float64, error) {
 
 // ReadString consumes a CDR string.
 func (d *Decoder) ReadString() (string, error) {
-	b, err := d.readStringBytes()
+	b, err := d.ReadStringView()
 	return string(b), err
 }
 
-// ReadStringReuse consumes a CDR string like ReadString, but returns prev
-// itself when that is what the buffer holds: a decoder that sees the same
-// name request after request (an operation name, say) allocates it once.
-func (d *Decoder) ReadStringReuse(prev string) (string, error) {
-	b, err := d.readStringBytes()
-	if err == nil && string(b) == prev {
-		return prev, nil
-	}
-	return string(b), err
-}
-
-// readStringBytes consumes a CDR string and returns its characters, which
-// alias the decoder's buffer.
-func (d *Decoder) readStringBytes() ([]byte, error) {
+// ReadStringView consumes a CDR string and returns its characters without
+// copying them: the slice aliases the decoder's buffer, so it is valid only
+// as long as that buffer is. A decoder of names the reader already holds
+// (a characteristic, a parameter, a map key) compares or looks them up
+// through the view and allocates nothing.
+func (d *Decoder) ReadStringView() ([]byte, error) {
 	n, err := d.ReadULong()
 	if err != nil {
 		return nil, fmt.Errorf("cdr: reading string length: %w", err)
@@ -315,7 +307,7 @@ func (d *Decoder) readStringBytes() ([]byte, error) {
 	if err := d.need(int(n), "string body"); err != nil {
 		return nil, err
 	}
-	v := d.buf[d.pos : d.pos+int(n)-1]
+	v := d.buf[d.pos : d.pos+int(n)-1 : d.pos+int(n)-1]
 	d.pos += int(n)
 	return v, nil
 }
@@ -340,17 +332,15 @@ func (d *Decoder) ReadOctets() ([]byte, error) {
 
 // BeginEncapsulation consumes a nested encapsulation header (ULong length
 // plus byte-order flag) and returns a Decoder scoped to the encapsulated
-// bytes. The outer decoder is advanced past the encapsulation.
-func (d *Decoder) BeginEncapsulation() (*Decoder, error) {
+// bytes. The outer decoder is advanced past the encapsulation. The inner
+// decoder is a value, so decoding an encapsulation allocates nothing.
+func (d *Decoder) BeginEncapsulation() (Decoder, error) {
 	body, err := d.ReadOctets()
 	if err != nil {
-		return nil, fmt.Errorf("cdr: reading encapsulation: %w", err)
+		return Decoder{}, fmt.Errorf("cdr: reading encapsulation: %w", err)
 	}
 	if len(body) < 1 {
-		return nil, errTruncated("encapsulation flag")
+		return Decoder{}, errTruncated("encapsulation flag")
 	}
-	inner := NewDecoder(body, ByteOrder(body[0]&1))
-	inner.pos = 1
-	inner.base = 0
-	return inner, nil
+	return Decoder{buf: body, pos: 1, order: ByteOrder(body[0] & 1)}, nil
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"unsafe"
 )
 
 func TestAlignmentPadding(t *testing.T) {
@@ -224,31 +223,30 @@ func TestNestedEncapsulation(t *testing.T) {
 	}
 }
 
-// TestReadStringReuse: the same characters on the wire hand back the
-// caller's string without allocating; anything else decodes as ReadString.
-func TestReadStringReuse(t *testing.T) {
+// TestReadStringView: the view spells the string ReadString would return,
+// aliases the decoder's buffer (no copy, no allocation) and cannot be
+// appended into the bytes after it.
+func TestReadStringView(t *testing.T) {
 	e := NewEncoder(BigEndian)
 	e.WriteString("echo")
-	e.WriteString("other")
 	e.WriteString("")
 	buf := e.Bytes()
 
-	prev := "echo"
 	d := NewDecoder(buf, BigEndian)
-	got, err := d.ReadStringReuse(prev)
-	if err != nil || got != "echo" || unsafe.StringData(got) != unsafe.StringData(prev) {
-		t.Fatalf("matching name: %q, %v (reused: %v)", got, err, unsafe.StringData(got) == unsafe.StringData(prev))
+	got, err := d.ReadStringView()
+	if err != nil || string(got) != "echo" || &got[0] != &buf[4] {
+		t.Fatalf("view = %q, %v (aliases buffer: %v)", got, err, len(got) > 0 && &got[0] == &buf[4])
 	}
-	if got, err = d.ReadStringReuse(prev); err != nil || got != "other" {
-		t.Fatalf("different name: %q, %v", got, err)
+	if cap(got) != len(got) {
+		t.Fatalf("view capacity %d reaches past the string's %d bytes", cap(got), len(got))
 	}
-	if got, err = d.ReadStringReuse(prev); err != nil || got != "" {
-		t.Fatalf("empty name: %q, %v", got, err)
+	if got, err = d.ReadStringView(); err != nil || len(got) != 0 {
+		t.Fatalf("empty string: %q, %v", got, err)
 	}
-	if n := testing.AllocsPerRun(100, func() { _, _ = NewDecoder(buf, BigEndian).ReadStringReuse(prev) }); n != 0 {
-		t.Fatalf("reusing read allocates %.0f objects", n)
+	if n := testing.AllocsPerRun(100, func() { _, _ = NewDecoder(buf, BigEndian).ReadStringView() }); n != 0 {
+		t.Fatalf("viewing a string allocates %.0f objects", n)
 	}
-	if _, err := NewDecoder(buf[:6], BigEndian).ReadStringReuse(prev); err == nil {
+	if _, err := NewDecoder(buf[:6], BigEndian).ReadStringView(); err == nil {
 		t.Fatal("truncated string decoded")
 	}
 }

@@ -286,9 +286,9 @@ func TestQoSOperationVersion(t *testing.T) {
 func TestScopeReadsOnlyCachesReadOps(t *testing.T) {
 	m := NewMediator(&qos.Contract{
 		Characteristic: Name,
-		Values: map[string]qos.Value{
-			ParamMaxAgeMS: qos.Number(1000),
-			ParamScope:    qos.Text(ScopeReads),
+		Values: []qos.Term{
+			{Name: ParamMaxAgeMS, Value: qos.Number(1000)},
+			{Name: ParamScope, Value: qos.Text(ScopeReads)},
 		},
 	})
 	for op, want := range map[string]bool{
@@ -307,7 +307,7 @@ func TestScopeReadsOnlyCachesReadOps(t *testing.T) {
 	}
 	if err := m.ContractChanged(&qos.Contract{
 		Characteristic: Name,
-		Values:         map[string]qos.Value{ParamScope: qos.Text(ScopeAll), ParamMaxAgeMS: qos.Number(1)},
+		Values:         []qos.Term{{Name: ParamMaxAgeMS, Value: qos.Number(1)}, {Name: ParamScope, Value: qos.Text(ScopeAll)}},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"maqs/internal/cdr"
 )
@@ -288,7 +289,7 @@ func TestRequestHeaderUnmarshalAliases(t *testing.T) {
 
 	h := RequestHeader{Contexts: make(ServiceContextList, 0, 4)}
 	kept := &h.Contexts[:1][0]
-	if err := h.Unmarshal(cdr.NewDecoder(wire, cdr.BigEndian)); err != nil {
+	if err := h.Unmarshal(cdr.NewDecoder(wire, cdr.BigEndian), nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(h.Contexts) != 1 || &h.Contexts[0] != kept || string(h.Contexts[0].Data) != "ctx" {
@@ -309,5 +310,50 @@ func TestRequestHeaderUnmarshalAliases(t *testing.T) {
 	}
 	if string(copied.ObjectKey) != "key" || string(copied.Principal) != "who" || string(copied.Contexts[0].Data) != "ctx" {
 		t.Fatalf("UnmarshalRequestHeader result shares the decoder's buffer: %+v", copied)
+	}
+}
+
+// TestOperationNamesReuse: a connection that cycles a few operations
+// allocates each name once; the table replaces round robin, and a name
+// over maxOperationName is never kept.
+func TestOperationNamesReuse(t *testing.T) {
+	var ops OperationNames
+	cycle := [][]byte{[]byte("_qos_negotiate"), []byte("echo"), []byte("_qos_release")}
+	first := make([]string, len(cycle))
+	for i, b := range cycle {
+		first[i] = ops.intern(b)
+	}
+	for i, b := range cycle {
+		if got := ops.intern(b); got != string(b) || unsafe.StringData(got) != unsafe.StringData(first[i]) {
+			t.Fatalf("second %q was not the table's string", b)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, b := range cycle {
+			ops.intern(b)
+		}
+	}); n != 0 {
+		t.Fatalf("a cycle of known names allocates %.0f objects", n)
+	}
+	long := bytes.Repeat([]byte("x"), maxOperationName+1)
+	if got := ops.intern(long); got != string(long) {
+		t.Fatalf("long name decoded as %q", got)
+	}
+	for _, name := range ops.names {
+		if len(name) > maxOperationName {
+			t.Fatal("the table kept a name over maxOperationName")
+		}
+	}
+	for i := 0; i < operationNamesEntries; i++ {
+		ops.intern([]byte{'a' + byte(i)})
+	}
+	for _, name := range ops.names {
+		if name == "echo" {
+			t.Fatal("a full round of new names left an old one in the table")
+		}
+	}
+	var none *OperationNames
+	if got := none.intern([]byte("echo")); got != "echo" {
+		t.Fatalf("nil table decoded %q", got)
 	}
 }

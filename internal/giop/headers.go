@@ -133,10 +133,10 @@ func (h *RequestHeader) Marshal(e *cdr.Encoder) {
 // ObjectKey, Principal and every context's Data alias d's buffer — the
 // per-connection read loop decodes into a reused struct and moves what the
 // request keeps into the scratch buffer that already receives the
-// arguments. Of h's previous content two things are reused instead of
-// allocated again: the backing array of Contexts, and the Operation string
-// when the message names the same operation.
-func (h *RequestHeader) Unmarshal(d *cdr.Decoder) error {
+// arguments. The backing array of h's previous Contexts is reused instead
+// of allocated again, and the operation name comes from ops when it holds
+// it (nil ops: every name is a new string).
+func (h *RequestHeader) Unmarshal(d *cdr.Decoder, ops *OperationNames) error {
 	var err error
 	if h.Contexts, err = readServiceContexts(d, h.Contexts); err != nil {
 		return err
@@ -150,9 +150,11 @@ func (h *RequestHeader) Unmarshal(d *cdr.Decoder) error {
 	if h.ObjectKey, err = d.ReadOctets(); err != nil {
 		return fmt.Errorf("giop: reading object key: %w", err)
 	}
-	if h.Operation, err = d.ReadStringReuse(h.Operation); err != nil {
+	op, err := d.ReadStringView()
+	if err != nil {
 		return fmt.Errorf("giop: reading operation: %w", err)
 	}
+	h.Operation = ops.intern(op)
 	if h.Principal, err = d.ReadOctets(); err != nil {
 		return fmt.Errorf("giop: reading principal: %w", err)
 	}
@@ -163,13 +165,48 @@ func (h *RequestHeader) Unmarshal(d *cdr.Decoder) error {
 // nothing with d's buffer.
 func UnmarshalRequestHeader(d *cdr.Decoder) (*RequestHeader, error) {
 	var h RequestHeader
-	if err := h.Unmarshal(d); err != nil {
+	if err := h.Unmarshal(d, nil); err != nil {
 		return nil, err
 	}
 	h.Contexts.detach()
 	h.ObjectKey = append([]byte(nil), h.ObjectKey...)
 	h.Principal = append([]byte(nil), h.Principal...)
 	return &h, nil
+}
+
+// Bounds of an OperationNames table: a connection cycles a few operations
+// (a call, negotiate, release), and an operation name is short.
+const (
+	operationNamesEntries = 8
+	maxOperationName      = 128 // longer names are allocated per request
+)
+
+// OperationNames remembers the operation names one connection's requests
+// carried, so that decoding a name it has seen costs a comparison, not a
+// string. Fixed size, round-robin replacement; it is the read loop's alone
+// and not safe for concurrent use. The zero value is ready.
+type OperationNames struct {
+	names [operationNamesEntries]string
+	next  int
+}
+
+// intern returns the string the view spells, the table's own when it
+// holds those characters. A nil table allocates every name.
+func (t *OperationNames) intern(b []byte) string {
+	if t == nil {
+		return string(b)
+	}
+	for _, name := range t.names {
+		if name == string(b) {
+			return name
+		}
+	}
+	name := string(b)
+	if len(name) <= maxOperationName {
+		t.names[t.next] = name
+		t.next = (t.next + 1) % operationNamesEntries
+	}
+	return name
 }
 
 // ReplyHeader is the header of a Reply message.

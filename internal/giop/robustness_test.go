@@ -93,7 +93,8 @@ func TestServiceContextCountLimit(t *testing.T) {
 
 // FuzzRequestHeaderUnmarshal holds the server's in-place header decode
 // (RequestHeader.Unmarshal into a reused, dirty struct: aliases the body,
-// reuses the context array and the operation string) against the copying
+// reuses the context array, takes the operation name from a table that
+// already holds names) against the copying
 // UnmarshalRequestHeader: on every input they fail together or agree field
 // for field after consuming the same bytes, and nothing the in-place decode
 // hands out can reach past the body.
@@ -127,8 +128,10 @@ func FuzzRequestHeaderUnmarshal(f *testing.F) {
 			Contexts:  append(make(ServiceContextList, 0, 4), ServiceContext{ID: 99, Data: []byte("stale")}),
 			Operation: "echo", ObjectKey: []byte("stale"), Principal: []byte("stale"), RequestID: 1,
 		}
+		var ops OperationNames
+		ops.intern([]byte("echo"))
 		di := cdr.NewDecoder(own, order)
-		errInPlace := h.Unmarshal(di)
+		errInPlace := h.Unmarshal(di, &ops)
 
 		if (errCopied == nil) != (errInPlace == nil) {
 			t.Fatalf("copying decode: %v; in-place decode: %v", errCopied, errInPlace)

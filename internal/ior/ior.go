@@ -349,7 +349,7 @@ func Parse(s string) (*IOR, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ior: decoding envelope: %w", err)
 	}
-	return Unmarshal(d)
+	return Unmarshal(&d)
 }
 
 func truncate(s string) string {

@@ -71,13 +71,16 @@ func (s *Span) SetAttr(key, value string) {
 	s.mu.Unlock()
 }
 
-// AddEvent records a point-in-time event on the span.
+// AddEvent records a point-in-time event on the span. The event keeps a
+// copy of attrs, made only when the span records, so the caller's slice
+// does not escape and a call on a nil span allocates nothing.
 func (s *Span) AddEvent(name string, attrs ...Attr) {
 	if s == nil {
 		return
 	}
+	ev := Event{Name: name, At: time.Now(), Attrs: append([]Attr(nil), attrs...)}
 	s.mu.Lock()
-	s.events = append(s.events, Event{Name: name, At: time.Now(), Attrs: attrs})
+	s.events = append(s.events, ev)
 	s.mu.Unlock()
 }
 

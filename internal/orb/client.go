@@ -18,25 +18,12 @@ import (
 // module the QoS transport uses for unassigned bindings.
 type iiopModule struct {
 	orb *ORB
-
-	// Per-request counters, atomic because they sit on the hot path of
-	// every invocation: the request writer counts what it puts on the
-	// wire, the read loop what it takes off.
-	requestsSent atomic.Uint64
-	bytesSent    atomic.Uint64
-	bytesRecv    atomic.Uint64
 }
 
 var _ TransportModule = (*iiopModule)(nil)
 
 // Name implements TransportModule.
 func (m *iiopModule) Name() string { return "iiop" }
-
-// Stats reports cumulative request and byte counters (used by the
-// accounting service and the benchmarks).
-func (m *iiopModule) Stats() (requests, bytesSent, bytesRecv uint64) {
-	return m.requestsSent.Load(), m.bytesSent.Load(), m.bytesRecv.Load()
-}
 
 // Send implements TransportModule: put the request on the wire and wait
 // for its reply.
@@ -317,8 +304,6 @@ func (c *clientConn) send(ctx context.Context, inv *Invocation, fut *Future) (se
 		}
 		return 0, cause
 	}
-	c.orb.iiop.requestsSent.Add(1)
-	c.orb.iiop.bytesSent.Add(uint64(sent))
 	if ob != nil {
 		enc := time.Since(encStart)
 		inv.encodeNs = int64(enc)
@@ -404,7 +389,6 @@ func (c *clientConn) readLoop() {
 				Contexts: h.Contexts,
 				Order:    msg.Order,
 			}
-			c.orb.iiop.bytesRecv.Add(uint64(len(out.Data)))
 			// Graft returned server spans before completion: the waiter
 			// (or the future's onDone) ends the client-side spans, and the
 			// sampler must see the server's spans first.

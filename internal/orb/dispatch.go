@@ -145,12 +145,11 @@ func acquireJob() *dispatchJob {
 }
 
 // maxPooledArgs caps the scratch a pooled job retains, mirroring cdr's
-// pooling rationale; maxPooledOperation and maxPooledContexts do the same
-// for the operation name and the context list, which a peer chooses.
+// pooling rationale; maxPooledContexts does the same for the context list,
+// which a peer chooses.
 const (
-	maxPooledArgs      = 64 << 10
-	maxPooledOperation = 128
-	maxPooledContexts  = 8
+	maxPooledArgs     = 64 << 10
+	maxPooledContexts = 8
 )
 
 // poisonReleased makes release overwrite the scratch it takes back: a reader
@@ -159,11 +158,12 @@ const (
 var poisonReleased = raceEnabled
 
 // decode parses a Request message into the job, moving what the request
-// keeps out of the reader's reused body into scratch.
-func (job *dispatchJob) decode(msg *giop.Message) error {
+// keeps out of the reader's reused body into scratch. The operation name
+// comes from the connection's table ops.
+func (job *dispatchJob) decode(msg *giop.Message, ops *giop.OperationNames) error {
 	d := msg.Decoder()
 	h := &job.h
-	if err := h.Unmarshal(d); err != nil {
+	if err := h.Unmarshal(d, ops); err != nil {
 		return err
 	}
 	args, err := d.ReadOctets()
@@ -244,29 +244,25 @@ func (job *dispatchJob) enter(g *gate) bool {
 	return true
 }
 
-// release scrubs the job and returns it to the pool. Besides its scratch
-// and context array the job keeps the operation name it carried: the next
-// request it decodes most often names the same operation, and then reuses
-// the string (RequestHeader.Unmarshal) instead of allocating it again.
+// release scrubs the job and returns it to the pool, keeping its scratch
+// and context array. The operation name is not the job's to keep: it
+// belongs to the connection's name table (serveConn).
 func (job *dispatchJob) release() {
 	if poisonReleased {
 		for i := range job.scratch {
 			job.scratch[i] = 0xDB
 		}
 	}
-	scratch, op, ctxs := job.scratch[:0], job.h.Operation, job.h.Contexts
+	scratch, ctxs := job.scratch[:0], job.h.Contexts
 	if cap(scratch) > maxPooledArgs {
 		scratch = make([]byte, 0, 1024)
-	}
-	if len(op) > maxPooledOperation {
-		op = ""
 	}
 	if cap(ctxs) > maxPooledContexts {
 		ctxs = nil
 	}
 	clear(ctxs) // no payload pointer survives into the next cycle
 	*job = dispatchJob{scratch: scratch, run: job.run}
-	job.h.Operation, job.h.Contexts = op, ctxs[:0]
+	job.h.Contexts = ctxs[:0]
 	jobPool.Put(job)
 }
 

@@ -392,7 +392,7 @@ func TestStrayLocateReplySkipped(t *testing.T) {
 			}
 			d := msg.Decoder()
 			var h giop.RequestHeader
-			if err := h.Unmarshal(d); err != nil {
+			if err := h.Unmarshal(d, nil); err != nil {
 				return err
 			}
 			args, err := d.ReadOctets()

@@ -2,6 +2,7 @@ package orb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"maqs/internal/cdr"
@@ -22,16 +23,23 @@ type QoSTag struct {
 	Module string
 }
 
-// Encode renders the tag as a service context payload.
+// Encode renders the tag as a service context payload: a big-endian CDR
+// encapsulation of the three names. The body is encoded in a pooled
+// encoder with alignment counted from its byte-order flag, as inside an
+// encapsulation, and copied once behind its length into a buffer of
+// exactly the payload's size.
 func (t QoSTag) Encode() []byte {
 	e := cdr.AcquireEncoder(cdr.BigEndian)
 	defer e.Release()
-	end := e.BeginEncapsulation()
+	e.WriteOctet(byte(cdr.BigEndian)) // the encapsulation's byte-order flag
 	e.WriteString(t.Characteristic)
 	e.WriteString(t.BindingID)
 	e.WriteString(t.Module)
-	end()
-	return append([]byte(nil), e.Bytes()...) // the pooled buffer is reused
+	body := e.Bytes()
+	data := make([]byte, 4+len(body))
+	binary.BigEndian.PutUint32(data, uint32(len(body)))
+	copy(data[4:], body)
+	return data
 }
 
 // decodeQoSTag parses an SCQoS payload.

@@ -110,8 +110,8 @@ func (o *ORB) acceptLoop(l net.Listener) {
 // reader reuses its body buffer across reads, so everything a request
 // retains is moved out before the next read: object key, arguments and
 // service context payloads go into the job's scratch buffer, the operation
-// name is a string the job keeps. The SCQoS tag is resolved here too,
-// against the connection's tag cache.
+// name comes from the connection's name table. The SCQoS tag is resolved
+// here too, against the connection's tag cache.
 func (o *ORB) serveConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -126,7 +126,9 @@ func (o *ORB) serveConn(conn net.Conn) {
 	// span); render the address once, not once per request.
 	peer := conn.RemoteAddr().String()
 
+	// Only this loop touches the tag cache and the name table.
 	var tags tagCache
+	var ops giop.OperationNames
 
 	fr := giop.NewFrameReader(conn)
 	fr.ReuseBody(true)
@@ -138,7 +140,7 @@ func (o *ORB) serveConn(conn net.Conn) {
 		switch msg.Type {
 		case giop.MsgRequest:
 			job := acquireJob()
-			if err := job.decode(msg); err != nil {
+			if err := job.decode(msg, &ops); err != nil {
 				job.release()
 				o.opts.Logger.Warn("orb: malformed request", "err", err)
 				o.writeMessageError(conn, &writeMu)

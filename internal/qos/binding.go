@@ -37,7 +37,9 @@ func newBindingID() string {
 		// would hide real entropy problems, so panic loudly.
 		panic(fmt.Sprintf("qos: reading random bytes: %v", err))
 	}
-	return hex.EncodeToString(b[:])
+	var id [2 * len(b)]byte
+	hex.Encode(id[:], b[:])
+	return string(id[:])
 }
 
 // QoSTag is the payload of the SCQoS service context: it marks a request

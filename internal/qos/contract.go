@@ -1,8 +1,10 @@
 package qos
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"maqs/internal/cdr"
 )
@@ -74,6 +76,12 @@ func (o *Offer) param(name string) (ParamOffer, bool) {
 	return ParamOffer{}, false
 }
 
+// Term is one agreed parameter of a contract.
+type Term struct {
+	Name  string
+	Value Value
+}
+
 // Contract is a negotiated QoS agreement: the resolved value of every
 // offered parameter.
 type Contract struct {
@@ -81,8 +89,10 @@ type Contract struct {
 	Characteristic string
 	// Epoch counts renegotiations of this contract.
 	Epoch uint32
-	// Values holds the agreed parameter values.
-	Values map[string]Value
+	// Values holds the agreed parameter values, one term per name, sorted
+	// by name: the order Marshal writes them in. Read them through Value,
+	// Number, Text and Flag.
+	Values []Term
 }
 
 // Value returns the agreed value of a parameter (zero Value if absent).
@@ -90,7 +100,12 @@ func (c *Contract) Value(name string) Value {
 	if c == nil {
 		return Value{}
 	}
-	return c.Values[name]
+	for _, t := range c.Values {
+		if t.Name == name {
+			return t.Value
+		}
+	}
+	return Value{}
 }
 
 // Number returns the agreed numeric value, or fallback when absent or of
@@ -123,11 +138,7 @@ func (c *Contract) Flag(name string, fallback bool) bool {
 
 // Clone copies the contract.
 func (c *Contract) Clone() *Contract {
-	cp := &Contract{Characteristic: c.Characteristic, Epoch: c.Epoch, Values: make(map[string]Value, len(c.Values))}
-	for k, v := range c.Values {
-		cp.Values[k] = v
-	}
-	return cp
+	return &Contract{Characteristic: c.Characteristic, Epoch: c.Epoch, Values: slices.Clone(c.Values)}
 }
 
 // NegotiationError explains why a proposal could not be satisfied. It
@@ -161,21 +172,21 @@ func resolve(p *Proposal, o *Offer) (*Contract, error) {
 			Reason:         fmt.Sprintf("offer is for %q", o.Characteristic),
 		}
 	}
-	values := make(map[string]Value, len(o.Params))
+	values := make([]Term, 0, len(o.Params))
 	for _, po := range o.Params {
 		pp, requested := p.param(po.Name)
 		if !requested {
 			if po.Default.IsZero() {
 				return nil, &NegotiationError{p.Characteristic, po.Name, "no request and no default"}
 			}
-			values[po.Name] = po.Default
+			values = append(values, Term{po.Name, po.Default})
 			continue
 		}
 		v, err := resolveParam(p.Characteristic, pp, po)
 		if err != nil {
 			return nil, err
 		}
-		values[po.Name] = v
+		values = append(values, Term{po.Name, v})
 	}
 	// A proposal naming unknown parameters is a client bug worth
 	// surfacing instead of silently ignoring.
@@ -184,6 +195,9 @@ func resolve(p *Proposal, o *Offer) (*Contract, error) {
 			return nil, &NegotiationError{p.Characteristic, pp.Name, "parameter not offered"}
 		}
 	}
+	// Offers list their parameters in declaration order; a contract keeps
+	// name order.
+	slices.SortFunc(values, func(a, b Term) int { return cmp.Compare(a.Name, b.Name) })
 	return &Contract{Characteristic: p.Characteristic, Values: values}, nil
 }
 
@@ -258,40 +272,73 @@ func (p *Proposal) Marshal(e *cdr.Encoder) {
 	}
 }
 
-// unmarshalProposal reads a proposal from d.
-func unmarshalProposal(d *cdr.Decoder) (*Proposal, error) {
+// unmarshalProposal reads a proposal from d. offerFor, given the
+// characteristic's name as the wire spells it, returns the offer the
+// proposal will be resolved against, or nil (nil offerFor: no offer).
+// unmarshalProposal hands that offer back and takes the names the offer
+// holds from it rather than copying them off the wire: the server
+// already knows the schema the client proposes against.
+func unmarshalProposal(d *cdr.Decoder, offerFor func(characteristic []byte) *Offer) (*Proposal, *Offer, error) {
 	var p Proposal
-	var err error
-	if p.Characteristic, err = d.ReadString(); err != nil {
-		return nil, fmt.Errorf("qos: reading proposal characteristic: %w", err)
+	char, err := d.ReadStringView()
+	if err != nil {
+		return nil, nil, fmt.Errorf("qos: reading proposal characteristic: %w", err)
+	}
+	var o *Offer
+	if offerFor != nil {
+		o = offerFor(char)
+	}
+	if o != nil && o.Characteristic == string(char) {
+		p.Characteristic = o.Characteristic
+	} else {
+		p.Characteristic = string(char)
 	}
 	n, err := d.ReadULong()
 	if err != nil {
-		return nil, fmt.Errorf("qos: reading proposal arity: %w", err)
+		return nil, nil, fmt.Errorf("qos: reading proposal arity: %w", err)
 	}
 	if n > 256 {
-		return nil, fmt.Errorf("qos: proposal arity %d exceeds limit", n)
+		return nil, nil, fmt.Errorf("qos: proposal arity %d exceeds limit", n)
+	}
+	if n > 0 {
+		p.Params = make([]ParamProposal, 0, min(n, maxEntries(d)))
 	}
 	for i := uint32(0); i < n; i++ {
 		var pp ParamProposal
-		if pp.Name, err = d.ReadString(); err != nil {
-			return nil, fmt.Errorf("qos: reading proposal param name: %w", err)
+		name, err := d.ReadStringView()
+		if err != nil {
+			return nil, nil, fmt.Errorf("qos: reading proposal param name: %w", err)
 		}
+		pp.Name = o.paramName(name)
 		if pp.Desired, err = unmarshalValue(d); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if pp.Min, err = d.ReadDouble(); err != nil {
-			return nil, fmt.Errorf("qos: reading proposal min: %w", err)
+			return nil, nil, fmt.Errorf("qos: reading proposal min: %w", err)
 		}
 		if pp.Max, err = d.ReadDouble(); err != nil {
-			return nil, fmt.Errorf("qos: reading proposal max: %w", err)
+			return nil, nil, fmt.Errorf("qos: reading proposal max: %w", err)
 		}
 		if pp.Weight, err = d.ReadDouble(); err != nil {
-			return nil, fmt.Errorf("qos: reading proposal weight: %w", err)
+			return nil, nil, fmt.Errorf("qos: reading proposal weight: %w", err)
 		}
 		p.Params = append(p.Params, pp)
 	}
-	return &p, nil
+	return &p, o, nil
+}
+
+// paramName returns the offer's own name for the parameter the wire
+// spells, or a copy of it when the offer (possibly nil) has no such
+// parameter.
+func (o *Offer) paramName(wire []byte) string {
+	if o != nil {
+		for _, po := range o.Params {
+			if po.Name == string(wire) {
+				return po.Name
+			}
+		}
+	}
+	return string(wire)
 }
 
 // Marshal writes the offer onto e.
@@ -369,24 +416,36 @@ func unmarshalOffer(d *cdr.Decoder) (*Offer, error) {
 	return &o, nil
 }
 
-// Marshal writes the contract onto e.
+// Marshal writes the contract onto e, its terms in name order.
 func (c *Contract) Marshal(e *cdr.Encoder) {
 	e.WriteString(c.Characteristic)
 	e.WriteULong(c.Epoch)
 	e.WriteULong(uint32(len(c.Values)))
-	// Deterministic order for reproducible wire images.
-	for _, name := range sortedKeys(c.Values) {
-		e.WriteString(name)
-		c.Values[name].Marshal(e)
+	for _, t := range c.Values {
+		e.WriteString(t.Name)
+		t.Value.Marshal(e)
 	}
 }
 
-// unmarshalContract reads a contract from d.
-func unmarshalContract(d *cdr.Decoder) (*Contract, error) {
+// maxEntries bounds the proposal parameters or contract terms d's unread
+// bytes can hold: each takes at least a name's length and a value's kind.
+// Sizing by it, an arity a peer inflates reserves no more room than the
+// bytes that carry it.
+func maxEntries(d *cdr.Decoder) uint32 { return uint32(d.Remaining() / 5) }
+
+// unmarshalContract reads a contract from d. The contract answers p, the
+// proposal the client just sent (nil: none), so the names p holds are taken
+// from it rather than copied off the wire.
+func unmarshalContract(d *cdr.Decoder, p *Proposal) (*Contract, error) {
 	var c Contract
-	var err error
-	if c.Characteristic, err = d.ReadString(); err != nil {
+	char, err := d.ReadStringView()
+	if err != nil {
 		return nil, fmt.Errorf("qos: reading contract characteristic: %w", err)
+	}
+	if p != nil && p.Characteristic == string(char) {
+		c.Characteristic = p.Characteristic
+	} else {
+		c.Characteristic = string(char)
 	}
 	if c.Epoch, err = d.ReadULong(); err != nil {
 		return nil, fmt.Errorf("qos: reading contract epoch: %w", err)
@@ -398,30 +457,33 @@ func unmarshalContract(d *cdr.Decoder) (*Contract, error) {
 	if n > 256 {
 		return nil, fmt.Errorf("qos: contract arity %d exceeds limit", n)
 	}
-	c.Values = make(map[string]Value, n)
+	if n > 0 {
+		c.Values = make([]Term, 0, min(n, maxEntries(d)))
+	}
 	for i := uint32(0); i < n; i++ {
-		name, err := d.ReadString()
+		name, err := d.ReadStringView()
 		if err != nil {
 			return nil, fmt.Errorf("qos: reading contract value name: %w", err)
 		}
-		v, err := unmarshalValue(d)
-		if err != nil {
+		t := Term{Name: p.paramName(name)}
+		if t.Value, err = unmarshalValue(d); err != nil {
 			return nil, err
 		}
-		c.Values[name] = v
+		c.Values = append(c.Values, t)
 	}
 	return &c, nil
 }
 
-func sortedKeys(m map[string]Value) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
+// paramName returns the proposal's own name for the parameter the wire
+// spells, or a copy of it when the proposal (possibly nil) has no such
+// parameter.
+func (p *Proposal) paramName(wire []byte) string {
+	if p != nil {
+		for _, pp := range p.Params {
+			if pp.Name == string(wire) {
+				return pp.Name
+			}
 		}
 	}
-	return keys
+	return string(wire)
 }

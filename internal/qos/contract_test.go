@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"maqs/internal/cdr"
 )
@@ -164,7 +165,7 @@ func TestProposalOfferContractWireRoundTrip(t *testing.T) {
 	}
 	e := cdr.NewEncoder(cdr.LittleEndian)
 	p.Marshal(e)
-	gotP, err := unmarshalProposal(cdr.NewDecoder(e.Bytes(), cdr.LittleEndian))
+	gotP, _, err := unmarshalProposal(cdr.NewDecoder(e.Bytes(), cdr.LittleEndian), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,17 +197,67 @@ func TestProposalOfferContractWireRoundTrip(t *testing.T) {
 	c.Epoch = 3
 	e = cdr.NewEncoder(cdr.BigEndian)
 	c.Marshal(e)
-	gotC, err := unmarshalContract(cdr.NewDecoder(e.Bytes(), cdr.BigEndian))
+	gotC, err := unmarshalContract(cdr.NewDecoder(e.Bytes(), cdr.BigEndian), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotC.Epoch != 3 || gotC.Characteristic != "Availability" {
+	if gotC.Epoch != 3 || gotC.Characteristic != "Availability" || len(gotC.Values) != len(c.Values) {
 		t.Fatalf("contract = %+v", gotC)
 	}
-	for name, v := range c.Values {
-		if !gotC.Values[name].Equal(v) {
-			t.Fatalf("value %q = %v, want %v", name, gotC.Values[name], v)
+	for i, want := range c.Values {
+		if got := gotC.Values[i]; got.Name != want.Name || !got.Value.Equal(want.Value) {
+			t.Fatalf("term %d = %+v, want %+v", i, got, want)
 		}
+	}
+}
+
+// TestDecodedNamesComeFromTheSchema: a proposal decoded against the offer
+// takes its characteristic and parameter names from the offer, a contract
+// decoded against the proposal from the proposal; a name the schema does
+// not hold is decoded as usual.
+func TestDecodedNamesComeFromTheSchema(t *testing.T) {
+	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+	o, p := testOffer(), &Proposal{
+		Characteristic: "Availability",
+		Params: []ParamProposal{
+			{Name: "replicas", Desired: Number(3)},
+			{Name: "unknown", Desired: Number(1)},
+		},
+	}
+	e := cdr.NewEncoder(cdr.BigEndian)
+	p.Marshal(e)
+	var asked string
+	gotP, gotO, err := unmarshalProposal(cdr.NewDecoder(e.Bytes(), cdr.BigEndian), func(char []byte) *Offer {
+		asked = string(char)
+		return o
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if asked != "Availability" || gotO != o {
+		t.Fatalf("offer asked for %q, handed back %p (want %p)", asked, gotO, o)
+	}
+	if !same(gotP.Characteristic, o.Characteristic) || !same(gotP.Params[0].Name, o.Params[0].Name) {
+		t.Fatalf("proposal names were copied off the wire: %+v", gotP)
+	}
+	if gotP.Params[1].Name != "unknown" {
+		t.Fatalf("unknown parameter decoded as %q", gotP.Params[1].Name)
+	}
+
+	c := &Contract{Characteristic: "Availability", Epoch: 1, Values: []Term{
+		{"replicas", Number(3)}, {"strategy", Text("active")},
+	}}
+	e = cdr.NewEncoder(cdr.LittleEndian)
+	c.Marshal(e)
+	gotC, err := unmarshalContract(cdr.NewDecoder(e.Bytes(), cdr.LittleEndian), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !same(gotC.Characteristic, p.Characteristic) || !same(gotC.Values[0].Name, p.Params[0].Name) {
+		t.Fatalf("contract names were copied off the wire: %+v", gotC)
+	}
+	if gotC.Text("strategy", "") != "active" {
+		t.Fatalf("term outside the proposal decoded as %+v", gotC.Values[1])
 	}
 }
 
@@ -244,7 +295,7 @@ func TestValueAccessorsAndString(t *testing.T) {
 	if Number(1).Equal(Text("1")) {
 		t.Fatal("cross-kind equality")
 	}
-	c := &Contract{Values: map[string]Value{"n": Number(2), "s": Text("a"), "b": Flag(true)}}
+	c := &Contract{Values: []Term{{"b", Flag(true)}, {"n", Number(2)}, {"s", Text("a")}}}
 	if c.Number("s", 9) != 9 || c.Text("n", "f") != "f" || c.Flag("n", true) != true {
 		t.Fatal("fallbacks not applied on kind mismatch")
 	}
@@ -253,9 +304,9 @@ func TestValueAccessorsAndString(t *testing.T) {
 		t.Fatal("nil contract value not zero")
 	}
 	cp := c.Clone()
-	cp.Values["n"] = Number(99)
+	cp.Values[1].Value = Number(99)
 	if c.Number("n", 0) != 2 {
-		t.Fatal("Clone shares map")
+		t.Fatal("Clone shares its terms")
 	}
 }
 

@@ -50,7 +50,7 @@ func decodeNegotiationPayload(d *cdr.Decoder) (*NegotiationError, error) {
 // balancing, replication) establish their per-server bindings with it
 // (Members).
 func NegotiateRaw(ctx context.Context, o *orb.ORB, target *ior.IOR, proposal *Proposal) (*Binding, error) {
-	e := cdr.NewEncoder(o.Order())
+	e := cdr.AcquireEncoder(o.Order())
 	proposal.Marshal(e)
 	out, err := o.Invoke(ctx, &orb.Invocation{
 		Target:           target,
@@ -59,6 +59,7 @@ func NegotiateRaw(ctx context.Context, o *orb.ORB, target *ior.IOR, proposal *Pr
 		ResponseExpected: true,
 		Order:            o.Order(),
 	})
+	e.Release()
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +78,7 @@ func NegotiateRaw(ctx context.Context, o *orb.ORB, target *ior.IOR, proposal *Pr
 	if err != nil {
 		return nil, fmt.Errorf("qos: decoding binding module: %w", err)
 	}
-	contract, err := unmarshalContract(d)
+	contract, err := unmarshalContract(d, proposal)
 	if err != nil {
 		return nil, fmt.Errorf("qos: decoding contract: %w", err)
 	}
@@ -90,13 +91,23 @@ func NegotiateRaw(ctx context.Context, o *orb.ORB, target *ior.IOR, proposal *Pr
 	}, nil
 }
 
+// epochAttr renders a contract epoch as a span attribute. It formats the
+// epoch only for a span that records: on a nil span the event is dropped
+// anyway.
+func epochAttr(span *obs.Span, epoch uint32) obs.Attr {
+	if span == nil {
+		return obs.Attr{}
+	}
+	return obs.Attr{Key: "epoch", Value: strconv.FormatUint(uint64(epoch), 10)}
+}
+
 // proposalFromContract rebuilds a proposal whose desired values are the
 // agreed values of an existing contract (used to replicate a negotiated
 // agreement onto further servers).
 func proposalFromContract(c *Contract) *Proposal {
 	p := &Proposal{Characteristic: c.Characteristic}
-	for _, name := range sortedKeys(c.Values) {
-		p.Params = append(p.Params, ParamProposal{Name: name, Desired: c.Values[name]})
+	for _, t := range c.Values {
+		p.Params = append(p.Params, ParamProposal{Name: t.Name, Desired: t.Value})
 	}
 	return p
 }
@@ -137,7 +148,7 @@ func (s *Stub) Negotiate(ctx context.Context, proposal *Proposal) (*Binding, err
 	span.AddEvent("contract.established",
 		obs.Attr{Key: "binding", Value: binding.ID},
 		obs.Attr{Key: "module", Value: binding.Module},
-		obs.Attr{Key: "epoch", Value: strconv.FormatUint(uint64(binding.Contract.Epoch), 10)})
+		epochAttr(span, binding.Contract.Epoch))
 	metrics.Gauge("maqs_client_bindings").Add(1)
 	return binding, nil
 }
@@ -154,7 +165,7 @@ func (s *Stub) Renegotiate(ctx context.Context, proposal *Proposal) (*Contract, 
 	span.SetAttr("binding", binding.ID)
 	defer span.End()
 	s.orb.Metrics().Counter("maqs_renegotiations_total").Inc()
-	e := cdr.NewEncoder(s.orb.Order())
+	e := cdr.AcquireEncoder(s.orb.Order())
 	e.WriteString(binding.ID)
 	proposal.Marshal(e)
 	out, err := s.orb.Invoke(ctx, &orb.Invocation{
@@ -164,6 +175,7 @@ func (s *Stub) Renegotiate(ctx context.Context, proposal *Proposal) (*Contract, 
 		ResponseExpected: true,
 		Order:            s.orb.Order(),
 	})
+	e.Release()
 	if err != nil {
 		span.RecordError(err)
 		return nil, err
@@ -175,7 +187,7 @@ func (s *Stub) Renegotiate(ctx context.Context, proposal *Proposal) (*Contract, 
 		}
 		return nil, err
 	}
-	contract, err := unmarshalContract(out.Decoder())
+	contract, err := unmarshalContract(out.Decoder(), proposal)
 	if err != nil {
 		span.RecordError(err)
 		return nil, fmt.Errorf("qos: decoding renegotiated contract: %w", err)
@@ -205,8 +217,7 @@ func (s *Stub) Renegotiate(ctx context.Context, proposal *Proposal) (*Contract, 
 			return nil, fmt.Errorf("qos: mediator rejecting new contract: %w", err)
 		}
 	}
-	span.AddEvent("contract.renegotiated",
-		obs.Attr{Key: "epoch", Value: strconv.FormatUint(uint64(contract.Epoch), 10)})
+	span.AddEvent("contract.renegotiated", epochAttr(span, contract.Epoch))
 	return contract, nil
 }
 
@@ -246,7 +257,7 @@ func releaseBinding(ctx context.Context, o *orb.ORB, target *ior.IOR, b *Binding
 	if r, ok := o.Router().(bindingReleaser); ok {
 		r.ReleaseBinding(b.Module, b.ID)
 	}
-	e := cdr.NewEncoder(o.Order())
+	e := cdr.AcquireEncoder(o.Order())
 	e.WriteString(b.ID)
 	out, err := o.Invoke(ctx, &orb.Invocation{
 		Target:           target,
@@ -255,6 +266,7 @@ func releaseBinding(ctx context.Context, o *orb.ORB, target *ior.IOR, b *Binding
 		ResponseExpected: true,
 		Order:            o.Order(),
 	})
+	e.Release()
 	if err != nil {
 		return err
 	}

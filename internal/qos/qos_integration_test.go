@@ -133,7 +133,11 @@ func (i *tracingImpl) QoSOperation(req *orb.ServerRequest, b *Binding) error {
 		if err != nil {
 			return err
 		}
-		b.Contract.Values["level"] = Number(lvl)
+		for i := range b.Contract.Values {
+			if b.Contract.Values[i].Name == "level" {
+				b.Contract.Values[i].Value = Number(lvl)
+			}
+		}
 		return nil
 	case "trace_probe":
 		req.Out.WriteString(fmt.Sprintf("level=%g", b.Contract.Number("level", -1)))

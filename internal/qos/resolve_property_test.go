@@ -32,8 +32,8 @@ func TestResolveIdempotent(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for name, v := range c1.Values {
-			if !c2.Values[name].Equal(v) {
+		for _, t := range c1.Values {
+			if !c2.Value(t.Name).Equal(t.Value) {
 				return false
 			}
 		}
@@ -72,10 +72,10 @@ func TestResolveMonotoneClamp(t *testing.T) {
 func TestProposalFromContractRoundTrip(t *testing.T) {
 	c := &Contract{
 		Characteristic: "Availability",
-		Values: map[string]Value{
-			"replicas": Number(3),
-			"strategy": Text("active"),
-			"voting":   Flag(true),
+		Values: []Term{
+			{"replicas", Number(3)},
+			{"strategy", Text("active")},
+			{"voting", Flag(true)},
 		},
 	}
 	p := proposalFromContract(c)
@@ -86,9 +86,9 @@ func TestProposalFromContractRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, v := range c.Values {
-		if !c2.Values[name].Equal(v) {
-			t.Fatalf("value %q = %v, want %v", name, c2.Values[name], v)
+	for _, term := range c.Values {
+		if got := c2.Value(term.Name); !got.Equal(term.Value) {
+			t.Fatalf("value %q = %v, want %v", term.Name, got, term.Value)
 		}
 	}
 }
@@ -177,8 +177,8 @@ func sameTerms(a, b *Contract) bool {
 	if a.Characteristic != b.Characteristic || len(a.Values) != len(b.Values) {
 		return false
 	}
-	for name, v := range a.Values {
-		if !b.Values[name].Equal(v) {
+	for _, t := range a.Values {
+		if !b.Value(t.Name).Equal(t.Value) {
 			return false
 		}
 	}

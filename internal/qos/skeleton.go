@@ -1,6 +1,7 @@
 package qos
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -258,9 +259,21 @@ func annotateBinding(span *obs.Span, binding *Binding) {
 	}
 }
 
+// offerFor returns the current offer of the characteristic a proposal
+// names on the wire: nil when it is not assigned here or offers nothing.
+func (s *ServerSkeleton) offerFor(characteristic []byte) *Offer {
+	s.mu.RLock()
+	impl := s.impls[string(characteristic)]
+	s.mu.RUnlock()
+	if impl == nil {
+		return nil
+	}
+	return impl.Offer()
+}
+
 // negotiate implements opNegotiate.
 func (s *ServerSkeleton) negotiate(req *orb.ServerRequest) error {
-	proposal, err := unmarshalProposal(req.In())
+	proposal, offer, err := unmarshalProposal(req.In(), s.offerFor)
 	if err != nil {
 		return orb.NewSystemException(orb.ExcMarshal, 46, "bad proposal: %v", err)
 	}
@@ -273,7 +286,6 @@ func (s *ServerSkeleton) negotiate(req *orb.ServerRequest) error {
 			Reason:         "characteristic not supported by this object",
 		})
 	}
-	offer := impl.Offer()
 	if offer == nil {
 		return negotiationFailure(req, &NegotiationError{
 			Characteristic: proposal.Characteristic,
@@ -307,7 +319,9 @@ func (s *ServerSkeleton) negotiate(req *orb.ServerRequest) error {
 	s.mu.Unlock()
 
 	if err := impl.BindingUp(binding); err != nil {
-		s.dropBinding(binding.ID)
+		s.mu.Lock()
+		s.dropLocked(binding)
+		s.mu.Unlock()
 		return negotiationFailure(req, &NegotiationError{
 			Characteristic: proposal.Characteristic,
 			Reason:         fmt.Sprintf("admission refused: %v", err),
@@ -318,7 +332,7 @@ func (s *ServerSkeleton) negotiate(req *orb.ServerRequest) error {
 	req.Span.AddEvent("qos.negotiate",
 		obs.Attr{Key: "characteristic", Value: binding.Characteristic},
 		obs.Attr{Key: "binding", Value: binding.ID},
-		obs.Attr{Key: "epoch", Value: strconv.FormatUint(uint64(contract.Epoch), 10)})
+		epochAttr(req.Span, contract.Epoch))
 	req.Out.WriteString(binding.ID)
 	req.Out.WriteString(binding.Module)
 	contract.Marshal(req.Out)
@@ -329,16 +343,16 @@ func (s *ServerSkeleton) negotiate(req *orb.ServerRequest) error {
 // with a fresh proposal against the current offer.
 func (s *ServerSkeleton) renegotiate(req *orb.ServerRequest) error {
 	d := req.In()
-	id, err := d.ReadString()
+	id, err := d.ReadStringView()
 	if err != nil {
 		return orb.NewSystemException(orb.ExcMarshal, 47, "bad renegotiation: %v", err)
 	}
-	proposal, err := unmarshalProposal(d)
+	proposal, offer, err := unmarshalProposal(d, s.offerFor)
 	if err != nil {
 		return orb.NewSystemException(orb.ExcMarshal, 47, "bad renegotiation proposal: %v", err)
 	}
 	s.mu.RLock()
-	binding, ok := s.bindings[id]
+	binding, ok := s.bindings[string(id)]
 	s.mu.RUnlock()
 	if !ok {
 		return orb.NewSystemException(orb.ExcBadQoS, 48, "renegotiation of unknown binding %q", id)
@@ -352,7 +366,6 @@ func (s *ServerSkeleton) renegotiate(req *orb.ServerRequest) error {
 	s.mu.RLock()
 	impl := s.impls[binding.Characteristic]
 	s.mu.RUnlock()
-	offer := impl.Offer()
 	if offer == nil {
 		return negotiationFailure(req, &NegotiationError{
 			Characteristic: proposal.Characteristic,
@@ -376,9 +389,9 @@ func (s *ServerSkeleton) renegotiate(req *orb.ServerRequest) error {
 	// replaced, which keeps a released one gone and lets only one of two
 	// concurrent renegotiations mint the next epoch.
 	s.mu.Lock()
-	if s.bindings[id] != binding {
+	if s.bindings[binding.ID] != binding {
 		s.mu.Unlock()
-		return orb.NewSystemException(orb.ExcBadQoS, 48, "binding %q changed during renegotiation", id)
+		return orb.NewSystemException(orb.ExcBadQoS, 48, "binding %q changed during renegotiation", binding.ID)
 	}
 	contract.Epoch = binding.Contract.Epoch + 1
 	fresh := &Binding{
@@ -405,18 +418,23 @@ func (s *ServerSkeleton) renegotiate(req *orb.ServerRequest) error {
 	req.Span.AddEvent("qos.renegotiate",
 		obs.Attr{Key: "characteristic", Value: binding.Characteristic},
 		obs.Attr{Key: "binding", Value: binding.ID},
-		obs.Attr{Key: "epoch", Value: strconv.FormatUint(uint64(contract.Epoch), 10)})
+		epochAttr(req.Span, contract.Epoch))
 	contract.Marshal(req.Out)
 	return nil
 }
 
 // release implements OpRelease.
 func (s *ServerSkeleton) release(req *orb.ServerRequest) error {
-	id, err := req.In().ReadString()
+	id, err := req.In().ReadStringView()
 	if err != nil {
 		return orb.NewSystemException(orb.ExcMarshal, 49, "bad release: %v", err)
 	}
-	binding, ok := s.dropBinding(id)
+	s.mu.Lock()
+	binding, ok := s.bindings[string(id)]
+	if ok {
+		s.dropLocked(binding)
+	}
+	s.mu.Unlock()
 	if !ok {
 		return orb.NewSystemException(orb.ExcBadQoS, 50, "release of unknown binding %q", id)
 	}
@@ -432,18 +450,12 @@ func (s *ServerSkeleton) release(req *orb.ServerRequest) error {
 	return nil
 }
 
-func (s *ServerSkeleton) dropBinding(id string) (*Binding, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	binding, ok := s.bindings[id]
-	if !ok {
-		return nil, false
+// dropLocked forgets a live binding; s.mu is held.
+func (s *ServerSkeleton) dropLocked(b *Binding) {
+	delete(s.bindings, b.ID)
+	if s.admitted[b.Characteristic] > 0 {
+		s.admitted[b.Characteristic]--
 	}
-	delete(s.bindings, id)
-	if s.admitted[binding.Characteristic] > 0 {
-		s.admitted[binding.Characteristic]--
-	}
-	return binding, true
 }
 
 // offers implements opOffers.
@@ -472,9 +484,10 @@ func (s *ServerSkeleton) offers(req *orb.ServerRequest) error {
 // user exception data carries no byte-order marker of its own.
 func negotiationFailure(req *orb.ServerRequest, e *NegotiationError) error {
 	_ = req
-	enc := cdr.NewEncoder(cdr.BigEndian)
+	enc := cdr.AcquireEncoder(cdr.BigEndian)
+	defer enc.Release()
 	enc.WriteString(e.Characteristic)
 	enc.WriteString(e.Param)
 	enc.WriteString(e.Reason)
-	return &orb.UserException{RepoID: excNegotiationFailed, Data: enc.Bytes()}
+	return &orb.UserException{RepoID: excNegotiationFailed, Data: bytes.Clone(enc.Bytes())}
 }

@@ -43,10 +43,10 @@ func observeN(e *SLOEngine, class string, n int, err error) {
 
 func TestSLOEngineDerivesObjectivesFromContract(t *testing.T) {
 	e, _ := newTestSLOEngine(obs.NewRegistry(), nil)
-	c := &Contract{Characteristic: "gold", Values: map[string]Value{
-		ContractMaxRTTMs:     Number(150),
-		ContractSLOTarget:    Number(0.95),
-		ContractMaxErrorRate: Number(0.02),
+	c := &Contract{Characteristic: "gold", Values: []Term{
+		{ContractMaxErrorRate, Number(0.02)},
+		{ContractMaxRTTMs, Number(150)},
+		{ContractSLOTarget, Number(0.95)},
 	}}
 	e.setObjectivesFromContract("gold", c)
 
@@ -76,7 +76,7 @@ func TestSLOEngineDerivesObjectivesFromContract(t *testing.T) {
 
 func TestSLOEngineContractWithoutLatencyBound(t *testing.T) {
 	e, _ := newTestSLOEngine(obs.NewRegistry(), nil)
-	e.setObjectivesFromContract("bronze", &Contract{Characteristic: "bronze", Values: map[string]Value{}})
+	e.setObjectivesFromContract("bronze", &Contract{Characteristic: "bronze"})
 	st := e.Status()
 	if len(st.Classes) != 1 || len(st.Classes[0].Objectives) != 1 {
 		t.Fatalf("Status = %+v, want exactly the errors objective", st)
@@ -113,9 +113,9 @@ func boundStub(maxRTTMs float64) *Stub {
 		s.binding = &Binding{Characteristic: "compression"}
 		return s
 	}
-	values := map[string]Value{}
+	var values []Term
 	if maxRTTMs > 0 {
-		values[ContractMaxRTTMs] = Number(maxRTTMs)
+		values = []Term{{ContractMaxRTTMs, Number(maxRTTMs)}}
 	}
 	s.binding = &Binding{
 		Characteristic: "compression",

@@ -77,6 +77,8 @@ type (
 	Binding = qos.Binding
 	// Contract holds negotiated parameter values.
 	Contract = qos.Contract
+	// Term is one agreed parameter of a contract.
+	Term = qos.Term
 	// Proposal is a client's negotiation request.
 	Proposal = qos.Proposal
 	// ParamProposal is one requested parameter.
