@@ -1,10 +1,13 @@
 package maqs_test
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -21,7 +24,8 @@ import (
 // file of the repository counts as a user, the nested benchmark/ module
 // included (it imports maqs/internal/...); _test.go files do not, because
 // an export that only its own tests call is dead weight that the tests keep
-// alive.
+// alive. The facade, package maqs itself, is held to the same rule with
+// go/types: see unusedFacadeNames.
 
 // sourceFile is one parsed Go file of the repository.
 type sourceFile struct {
@@ -287,6 +291,14 @@ func collectUsage(files []sourceFile) usage {
 	return u
 }
 
+// selected records that a file in dir selects name.
+func (u usage) selected(name, dir string) {
+	if u.selectors[name] == nil {
+		u.selectors[name] = map[string]bool{}
+	}
+	u.selectors[name][dir] = true
+}
+
 // interfaceMethod reports whether name ("pkgpath.Type.Method") is a
 // method some interface may call: never flagged, but no evidence either
 // that its type is used (every type with a String method would be).
@@ -376,7 +388,7 @@ func TestNoUnusedExports(t *testing.T) {
 		work = append(work, decls[name].refs...)
 	}
 
-	unused := map[string]bool{}
+	unused := unusedFacadeNames(files, u)
 	for name := range decls {
 		if !reached[name] && !u.interfaceMethod(name) {
 			unused[name] = true
@@ -384,7 +396,7 @@ func TestNoUnusedExports(t *testing.T) {
 	}
 	for _, name := range sortedKeys(unused) {
 		if !allowed[name] {
-			t.Errorf("%s: exported, but no non-test file outside its package names it (delete it, unexport it, or list it in %s with a reason)",
+			t.Errorf("%s: exported, but no non-test file outside its package names it and no used name exposes it (delete it, unexport it, or list it in %s with a reason)",
 				name, unusedExportsAllowList)
 		}
 	}
@@ -394,6 +406,166 @@ func TestNoUnusedExports(t *testing.T) {
 		}
 	}
 }
+
+// unusedFacadeNames is the census of package maqs: its exported names
+// ("maqs.<name>"), the exported methods and fields of the types it defines
+// ("maqs.System.Listen", "maqs.Options.Resilience"), and which of them no
+// non-test file outside the root package reaches. A name is reached when
+// such a file names it, or when a used name exposes its target: through
+// an exported field, a parameter or result, an interface method or a
+// method of a reached type, to any depth (maqs.NewSystem returns a
+// *System whose ORB field is an *orb.ORB, so the alias maqs.ORB is
+// reached). A method or field is reached only by being named.
+func unusedFacadeNames(files []sourceFile, u usage) map[string]bool {
+	facade := typeCheck(files, "maqs")
+	var used []types.Object
+	var members []string
+	for _, name := range facade.Scope().Names() {
+		obj := facade.Scope().Lookup(name)
+		if !obj.Exported() {
+			continue
+		}
+		if u.qualified["maqs."+name] {
+			used = append(used, obj)
+		}
+		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+			named := tn.Type().(*types.Named)
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); m.Exported() {
+					members = append(members, "maqs."+name+"."+m.Name())
+				}
+			}
+			if st, ok := named.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						members = append(members, "maqs."+name+"."+f.Name())
+					}
+				}
+			}
+		}
+	}
+	reached := reachedTypes(used)
+	unused := map[string]bool{}
+	for _, name := range facade.Scope().Names() {
+		// A type is reached with its target, a constant with its type: a
+		// used type reaches its enumeration (maqs.BreakerOpen is a
+		// resilience.State).
+		obj := facade.Scope().Lookup(name)
+		var target *types.TypeName
+		switch obj.(type) {
+		case *types.TypeName, *types.Const:
+			if named, ok := types.Unalias(obj.Type()).(*types.Named); ok {
+				target = named.Obj()
+			}
+		}
+		if obj.Exported() && !u.qualified["maqs."+name] && !reached[target] {
+			unused["maqs."+name] = true
+		}
+	}
+	for _, name := range members {
+		if !u.used(".", name) && !u.interfaceMethod(name) {
+			unused[name] = true
+		}
+	}
+	return unused
+}
+
+// reachedTypes returns the module's named types that a holder of the
+// given objects can get at: each object's type, then the exported fields,
+// parameters, results, interface methods and exported methods of every
+// named type found, to a fixed point. Types of other modules are leaves.
+func reachedTypes(objs []types.Object) map[*types.TypeName]bool {
+	reached := map[*types.TypeName]bool{}
+	var walk func(types.Type)
+	tuple := func(t *types.Tuple) {
+		for i := 0; i < t.Len(); i++ {
+			walk(t.At(i).Type())
+		}
+	}
+	walk = func(t types.Type) {
+		switch t := types.Unalias(t).(type) {
+		case *types.Named:
+			obj := t.Obj()
+			if obj.Pkg() == nil || !inModule(obj.Pkg().Path()) || reached[obj] {
+				return
+			}
+			reached[obj] = true
+			for i := 0; i < t.NumMethods(); i++ {
+				if m := t.Method(i); m.Exported() {
+					walk(m.Type())
+				}
+			}
+			walk(t.Underlying())
+		case *types.Pointer:
+			walk(t.Elem())
+		case *types.Slice:
+			walk(t.Elem())
+		case *types.Array:
+			walk(t.Elem())
+		case *types.Chan:
+			walk(t.Elem())
+		case *types.Map:
+			walk(t.Key())
+			walk(t.Elem())
+		case *types.Signature:
+			tuple(t.Params())
+			tuple(t.Results())
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				if f := t.Field(i); f.Exported() || f.Embedded() {
+					walk(f.Type())
+				}
+			}
+		case *types.Interface:
+			for i := 0; i < t.NumMethods(); i++ {
+				if m := t.Method(i); m.Exported() {
+					walk(m.Type())
+				}
+			}
+		}
+	}
+	for _, obj := range objs {
+		walk(obj.Type())
+	}
+	return reached
+}
+
+func inModule(path string) bool { return path == "maqs" || strings.HasPrefix(path, "maqs/") }
+
+// typeCheck type-checks the package at path, and the module's packages it
+// imports, from the non-test files the build selects. Packages of other
+// modules (the standard library) are not loaded: their names stay
+// unresolved and type errors are ignored, which leaves the module's own
+// declarations, all the census walks, fully typed.
+func typeCheck(files []sourceFile, path string) *types.Package {
+	byPath := map[string][]*ast.File{}
+	var fset *token.FileSet
+	for _, f := range files {
+		fset = f.fset
+		name := filepath.Base(f.fset.Position(f.ast.Package).Filename)
+		if ok, _ := build.Default.MatchFile(f.dir, name); ok && !f.test {
+			byPath[importPath(f.dir)] = append(byPath[importPath(f.dir)], f.ast)
+		}
+	}
+	pkgs := map[string]*types.Package{}
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		if !inModule(path) {
+			return nil, errors.New("outside the module")
+		}
+		if pkgs[path] == nil {
+			conf := types.Config{Importer: imp, Error: func(error) {}}
+			pkgs[path], _ = conf.Check(path, fset, byPath[path], nil)
+		}
+		return pkgs[path], nil
+	}
+	pkg, _ := imp(path)
+	return pkg
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // metricName matches a metric name (or a name prefix ending in "_") in
 // Go string literals and in docs/OBSERVABILITY.md.

@@ -88,9 +88,7 @@ func run() error {
 	debug := flag.String("debug", "", "HTTP debug address serving /metrics, /trace, /flight, /health and /ready (empty: disabled)")
 	flag.Parse()
 
-	// Outgoing invocations from this process get the stock retry +
-	// circuit-breaker policy.
-	opts := maqs.Options{Resilience: maqs.DefaultResiliencePolicy()}
+	opts := maqs.Options{}
 	if *debug != "" {
 		opts.Observability = maqs.NewObservability()
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"maqs"
+	"maqs/internal/resilience"
 )
 
 // readyBody is the /ready JSON shape (mirrors obs.readyResponse).
@@ -34,7 +35,7 @@ func getStatus(t *testing.T, sys *maqs.System, path string) (int, string) {
 // while readiness flips 503 and back.
 func TestHealthAndReadyUnderOpenBreaker(t *testing.T) {
 	n := maqs.NewNetwork()
-	policy := maqs.DefaultResiliencePolicy()
+	policy := &resilience.Policy{}
 	policy.Breaker.FailureThreshold = 3
 	policy.Breaker.OpenTimeout = 20 * time.Millisecond
 	sys, err := maqs.NewSystem(maqs.Options{

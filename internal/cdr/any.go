@@ -18,8 +18,6 @@ import (
 //	sequence<octet>     []byte
 //	sequence<T>         []Any (element TypeCodes must equal T)
 //	struct              map[string]Any keyed by field name
-//	enum                uint32 (ordinal)
-//	any                 *Any
 //	Object              string (stringified object reference)
 type Any struct {
 	Type  *TypeCode
@@ -59,29 +57,6 @@ func (a Any) String() string { return fmt.Sprintf("%v: %v", a.Type, a.Value) }
 // the layout dictated by the TypeCode.
 func (a Any) Marshal(e *Encoder) error {
 	return marshalValue(e, a.Type, a.Value)
-}
-
-// MarshalTyped writes TypeCode and value, so the peer can decode without
-// prior knowledge.
-func (a Any) MarshalTyped(e *Encoder) error {
-	if a.Type == nil {
-		return fmt.Errorf("cdr: any without typecode")
-	}
-	a.Type.Marshal(e)
-	return a.Marshal(e)
-}
-
-// UnmarshalTypedAny reads a TypeCode-prefixed Any written by MarshalTyped.
-func UnmarshalTypedAny(d *Decoder) (Any, error) {
-	tc, err := UnmarshalTypeCode(d)
-	if err != nil {
-		return Any{}, err
-	}
-	v, err := unmarshalValue(d, tc)
-	if err != nil {
-		return Any{}, err
-	}
-	return Any{Type: tc, Value: v}, nil
 }
 
 // UnmarshalAny reads a bare value of the given TypeCode.
@@ -170,15 +145,6 @@ func marshalValue(e *Encoder, tc *TypeCode, v any) error {
 			return typeMismatch(tc, v)
 		}
 		e.WriteString(s)
-	case KindEnum:
-		x, ok := v.(uint32)
-		if !ok {
-			return typeMismatch(tc, v)
-		}
-		if int(x) >= len(tc.Members()) {
-			return fmt.Errorf("cdr: enum %s ordinal %d out of range", tc.Name(), x)
-		}
-		e.WriteULong(x)
 	case KindSequence:
 		if tc.Elem().Kind() == KindOctet {
 			b, ok := v.([]byte)
@@ -212,12 +178,6 @@ func marshalValue(e *Encoder, tc *TypeCode, v any) error {
 				return fmt.Errorf("cdr: struct %s field %q: %w", tc.Name(), f.Name, err)
 			}
 		}
-	case KindAny:
-		inner, ok := v.(*Any)
-		if !ok {
-			return typeMismatch(tc, v)
-		}
-		return inner.MarshalTyped(e)
 	default:
 		return fmt.Errorf("cdr: cannot marshal kind %v", tc.Kind())
 	}
@@ -250,15 +210,6 @@ func unmarshalValue(d *Decoder, tc *TypeCode) (any, error) {
 		return d.ReadDouble()
 	case KindString, KindObjRef:
 		return d.ReadString()
-	case KindEnum:
-		x, err := d.ReadULong()
-		if err != nil {
-			return nil, err
-		}
-		if int(x) >= len(tc.Members()) {
-			return nil, fmt.Errorf("cdr: enum %s ordinal %d out of range", tc.Name(), x)
-		}
-		return x, nil
 	case KindSequence:
 		if tc.Elem().Kind() == KindOctet {
 			b, err := d.ReadOctets()
@@ -296,12 +247,6 @@ func unmarshalValue(d *Decoder, tc *TypeCode) (any, error) {
 			m[f.Name] = Any{Type: f.Type, Value: v}
 		}
 		return m, nil
-	case KindAny:
-		inner, err := UnmarshalTypedAny(d)
-		if err != nil {
-			return nil, err
-		}
-		return &inner, nil
 	default:
 		return nil, fmt.Errorf("cdr: cannot unmarshal kind %v", tc.Kind())
 	}

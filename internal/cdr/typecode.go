@@ -6,8 +6,7 @@ import (
 )
 
 // Kind enumerates the CDR type constructors understood by the dynamic
-// layer. The numeric values are stable and appear on the wire inside
-// marshalled TypeCodes and Anys.
+// layer.
 type Kind uint32
 
 // Type kinds.
@@ -27,8 +26,6 @@ const (
 	KindString
 	KindSequence
 	KindStruct
-	KindEnum
-	KindAny
 	KindObjRef
 )
 
@@ -48,8 +45,6 @@ var kindNames = map[Kind]string{
 	KindString:    "string",
 	KindSequence:  "sequence",
 	KindStruct:    "struct",
-	KindEnum:      "enum",
-	KindAny:       "any",
 	KindObjRef:    "Object",
 }
 
@@ -72,45 +67,31 @@ type Field struct {
 // singletons for primitive kinds.
 type TypeCode struct {
 	kind Kind
-	// name holds the repository-local name for struct, enum and objref
-	// kinds; empty otherwise.
+	// name holds the repository-local name for struct and objref kinds;
+	// empty otherwise.
 	name string
 	// elem is the element type for sequences.
 	elem *TypeCode
 	// fields are the members of a struct.
 	fields []Field
-	// members are the labels of an enum.
-	members []string
-}
-
-var primitives = map[Kind]*TypeCode{}
-
-func primitive(k Kind) *TypeCode {
-	if tc, ok := primitives[k]; ok {
-		return tc
-	}
-	tc := &TypeCode{kind: k}
-	primitives[k] = tc
-	return tc
 }
 
 // Primitive TypeCode singletons.
 var (
-	TCVoid      = primitive(KindVoid)
-	TCOctet     = primitive(KindOctet)
-	TCBoolean   = primitive(KindBoolean)
-	TCChar      = primitive(KindChar)
-	TCShort     = primitive(KindShort)
-	TCUShort    = primitive(KindUShort)
-	TCLong      = primitive(KindLong)
-	TCULong     = primitive(KindULong)
-	TCLongLong  = primitive(KindLongLong)
-	TCULongLong = primitive(KindULongLong)
-	TCFloat     = primitive(KindFloat)
-	TCDouble    = primitive(KindDouble)
-	TCString    = primitive(KindString)
-	TCAny       = primitive(KindAny)
-	TCObjRef    = primitive(KindObjRef)
+	TCVoid      = &TypeCode{kind: KindVoid}
+	TCOctet     = &TypeCode{kind: KindOctet}
+	TCBoolean   = &TypeCode{kind: KindBoolean}
+	TCChar      = &TypeCode{kind: KindChar}
+	TCShort     = &TypeCode{kind: KindShort}
+	TCUShort    = &TypeCode{kind: KindUShort}
+	TCLong      = &TypeCode{kind: KindLong}
+	TCULong     = &TypeCode{kind: KindULong}
+	TCLongLong  = &TypeCode{kind: KindLongLong}
+	TCULongLong = &TypeCode{kind: KindULongLong}
+	TCFloat     = &TypeCode{kind: KindFloat}
+	TCDouble    = &TypeCode{kind: KindDouble}
+	TCString    = &TypeCode{kind: KindString}
+	TCObjRef    = &TypeCode{kind: KindObjRef}
 )
 
 // SequenceOf returns the TypeCode of an unbounded sequence of elem.
@@ -123,15 +104,10 @@ func StructOf(name string, fields ...Field) *TypeCode {
 	return &TypeCode{kind: KindStruct, name: name, fields: fields}
 }
 
-// EnumOf returns the TypeCode of an enum with the given name and labels.
-func EnumOf(name string, members ...string) *TypeCode {
-	return &TypeCode{kind: KindEnum, name: name, members: members}
-}
-
 // Kind reports the type constructor.
 func (tc *TypeCode) Kind() Kind { return tc.kind }
 
-// Name reports the declared name for struct, enum and objref kinds.
+// Name reports the declared name for struct and objref kinds.
 func (tc *TypeCode) Name() string { return tc.name }
 
 // Elem reports the element type of a sequence, or nil.
@@ -140,9 +116,6 @@ func (tc *TypeCode) Elem() *TypeCode { return tc.elem }
 // Fields reports the struct members. The returned slice must not be
 // mutated.
 func (tc *TypeCode) Fields() []Field { return tc.fields }
-
-// Members reports the enum labels. The returned slice must not be mutated.
-func (tc *TypeCode) Members() []string { return tc.members }
 
 // Equal reports structural equality of two TypeCodes.
 func (tc *TypeCode) Equal(other *TypeCode) bool {
@@ -161,16 +134,6 @@ func (tc *TypeCode) Equal(other *TypeCode) bool {
 		}
 		for i, f := range tc.fields {
 			if f.Name != other.fields[i].Name || !f.Type.Equal(other.fields[i].Type) {
-				return false
-			}
-		}
-		return true
-	case KindEnum:
-		if len(tc.members) != len(other.members) {
-			return false
-		}
-		for i, m := range tc.members {
-			if m != other.members[i] {
 				return false
 			}
 		}
@@ -199,111 +162,7 @@ func (tc *TypeCode) String() string {
 		}
 		b.WriteString("}")
 		return b.String()
-	case KindEnum:
-		return fmt.Sprintf("enum %s {%s}", tc.name, strings.Join(tc.members, ", "))
 	default:
 		return tc.kind.String()
-	}
-}
-
-// Marshal writes the TypeCode itself onto the encoder so a peer can
-// reconstruct it (used by Any).
-func (tc *TypeCode) Marshal(e *Encoder) {
-	e.WriteULong(uint32(tc.kind))
-	switch tc.kind {
-	case KindSequence:
-		tc.elem.Marshal(e)
-	case KindStruct:
-		e.WriteString(tc.name)
-		e.WriteULong(uint32(len(tc.fields)))
-		for _, f := range tc.fields {
-			e.WriteString(f.Name)
-			f.Type.Marshal(e)
-		}
-	case KindEnum:
-		e.WriteString(tc.name)
-		e.WriteULong(uint32(len(tc.members)))
-		for _, m := range tc.members {
-			e.WriteString(m)
-		}
-	}
-}
-
-// maxTypeCodeDepth bounds recursion while unmarshalling TypeCodes so a
-// malicious buffer cannot overflow the stack.
-const maxTypeCodeDepth = 32
-
-// UnmarshalTypeCode reads a TypeCode previously written by Marshal.
-func UnmarshalTypeCode(d *Decoder) (*TypeCode, error) {
-	return unmarshalTypeCode(d, 0)
-}
-
-func unmarshalTypeCode(d *Decoder, depth int) (*TypeCode, error) {
-	if depth > maxTypeCodeDepth {
-		return nil, fmt.Errorf("cdr: typecode nesting exceeds %d", maxTypeCodeDepth)
-	}
-	raw, err := d.ReadULong()
-	if err != nil {
-		return nil, fmt.Errorf("cdr: reading typecode kind: %w", err)
-	}
-	kind := Kind(raw)
-	if tc, ok := primitives[kind]; ok {
-		return tc, nil
-	}
-	switch kind {
-	case KindSequence:
-		elem, err := unmarshalTypeCode(d, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		return SequenceOf(elem), nil
-	case KindStruct:
-		name, err := d.ReadString()
-		if err != nil {
-			return nil, fmt.Errorf("cdr: reading struct typecode name: %w", err)
-		}
-		n, err := d.ReadULong()
-		if err != nil {
-			return nil, fmt.Errorf("cdr: reading struct typecode arity: %w", err)
-		}
-		if n > 4096 {
-			return nil, fmt.Errorf("cdr: struct typecode arity %d exceeds limit", n)
-		}
-		fields := make([]Field, 0, n)
-		for i := uint32(0); i < n; i++ {
-			fname, err := d.ReadString()
-			if err != nil {
-				return nil, fmt.Errorf("cdr: reading struct field name: %w", err)
-			}
-			ftc, err := unmarshalTypeCode(d, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			fields = append(fields, Field{Name: fname, Type: ftc})
-		}
-		return StructOf(name, fields...), nil
-	case KindEnum:
-		name, err := d.ReadString()
-		if err != nil {
-			return nil, fmt.Errorf("cdr: reading enum typecode name: %w", err)
-		}
-		n, err := d.ReadULong()
-		if err != nil {
-			return nil, fmt.Errorf("cdr: reading enum typecode arity: %w", err)
-		}
-		if n > 4096 {
-			return nil, fmt.Errorf("cdr: enum typecode arity %d exceeds limit", n)
-		}
-		members := make([]string, 0, n)
-		for i := uint32(0); i < n; i++ {
-			m, err := d.ReadString()
-			if err != nil {
-				return nil, fmt.Errorf("cdr: reading enum member: %w", err)
-			}
-			members = append(members, m)
-		}
-		return EnumOf(name, members...), nil
-	default:
-		return nil, fmt.Errorf("cdr: unknown typecode kind %d", raw)
 	}
 }

@@ -20,8 +20,8 @@ const (
 	// ParamMinSize is the minimum payload size worth compressing.
 	ParamMinSize = "min_size"
 	// ParamMaxRTTMs is the negotiated round-trip bound in milliseconds
-	// (0 = unbounded). The characteristic itself does not enforce it:
-	// PolicyFromContract turns it into a dispatch deadline, and the SLO
+	// (0 = unbounded). The characteristic itself does not enforce it: the
+	// admission controller turns it into a dispatch deadline, and the SLO
 	// engine derives the latency objective from it and scores against it.
 	ParamMaxRTTMs = qos.ContractMaxRTTMs
 )

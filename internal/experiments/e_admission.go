@@ -239,7 +239,7 @@ func admissionWorld(tb testing.TB, servant maqs.Servant, classes []class) (*maqs
 }
 
 // classImpl is a characteristic that does nothing per request and offers
-// the contract terms PolicyFromContract maps onto a dispatch policy.
+// the contract terms the admission controller maps onto a dispatch policy.
 func classImpl(name string) maqs.Impl {
 	term := func(name string, max float64) qos.ParamOffer {
 		return qos.ParamOffer{Name: name, Kind: qos.KindNumber, Min: 0, Max: max, Default: qos.Number(0)}

@@ -14,24 +14,24 @@ import (
 const (
 	// KeepError marks a trace kept because a span recorded an error.
 	KeepError = "error"
-	// KeepRetry marks a trace kept because a span retried delivery.
-	KeepRetry = "retry"
-	// KeepShed marks a trace kept because admission control shed it.
-	KeepShed = "shed"
+	// keepRetry marks a trace kept because a span retried delivery.
+	keepRetry = "retry"
+	// keepShed marks a trace kept because admission control shed it.
+	keepShed = "shed"
 	// KeepDeadline marks a trace kept because it blew a deadline budget.
 	KeepDeadline = "deadline"
-	// KeepSlow marks a trace kept because its root latency exceeded the
+	// keepSlow marks a trace kept because its root latency exceeded the
 	// class's SLO-derived slow threshold.
-	KeepSlow = "slow"
-	// KeepAnomaly marks a trace kept because a flight-dump anomaly
+	keepSlow = "slow"
+	// keepAnomaly marks a trace kept because a flight-dump anomaly
 	// touched it (markAnomaly, fed by the flight recorder's triggers).
-	KeepAnomaly = "anomaly"
-	// ReasonHealthy labels the probabilistic verdict on traces with
+	keepAnomaly = "anomaly"
+	// reasonHealthy labels the probabilistic verdict on traces with
 	// nothing wrong: kept with HealthyKeepFraction, dropped otherwise.
-	ReasonHealthy = "healthy"
-	// DropEvicted labels traces forced out of the pending table before
+	reasonHealthy = "healthy"
+	// dropEvicted labels traces forced out of the pending table before
 	// their root ended (table overflow), unless every trace is kept.
-	DropEvicted = "evicted"
+	dropEvicted = "evicted"
 	// dropOrphan labels spans arriving for a trace the sampler has no
 	// pending entry or recent decision for (e.g. a server-returned
 	// summary landing after the decision window aged out), unless every
@@ -191,10 +191,10 @@ func newTailSampler(capacity int, reg *Registry, cfg TailSamplingConfig) *TailSa
 		ring:        make([]SpanRecord, capacity),
 		ops:         NewRegistry(),
 	}
-	for _, reason := range []string{KeepError, KeepRetry, KeepShed, KeepDeadline, KeepSlow, KeepAnomaly, ReasonHealthy} {
+	for _, reason := range []string{KeepError, keepRetry, keepShed, KeepDeadline, keepSlow, keepAnomaly, reasonHealthy} {
 		s.kept[reason] = reg.Counter(`maqs_trace_kept_total{reason="` + reason + `"}`)
 	}
-	for _, reason := range []string{ReasonHealthy, DropEvicted, dropOrphan} {
+	for _, reason := range []string{reasonHealthy, dropEvicted, dropOrphan} {
 		s.droppedC[reason] = reg.Counter(`maqs_trace_dropped_total{reason="` + reason + `"}`)
 	}
 	s.pendingGauge = reg.Gauge("maqs_trace_pending")
@@ -291,7 +291,7 @@ func (s *TailSampler) evictOneLocked() bool {
 		if s.keepAll {
 			s.keep(e.spans...)
 		} else {
-			s.droppedC[DropEvicted].Inc()
+			s.droppedC[dropEvicted].Inc()
 		}
 		s.pendingGauge.Set(int64(len(s.pending)))
 		return true
@@ -492,7 +492,7 @@ func (s *TailSampler) classify(spans []SpanRecord, anomaly bool) (reason string,
 		if rec.Err != "" {
 			switch {
 			case strings.Contains(rec.Err, "shed by admission control"):
-				return KeepShed, true
+				return keepShed, true
 			case strings.Contains(rec.Err, "timed out") || strings.Contains(rec.Err, "deadline"):
 				return KeepDeadline, true
 			}
@@ -521,21 +521,21 @@ func (s *TailSampler) classify(spans []SpanRecord, anomaly bool) (reason string,
 		return KeepError, true
 	}
 	if retried {
-		return KeepRetry, true
+		return keepRetry, true
 	}
 	if anomaly {
-		return KeepAnomaly, true
+		return keepAnomaly, true
 	}
 	if bound := s.slowFor(class); bound > 0 && rootDur > bound {
 		slow = true
 	}
 	if slow {
-		return KeepSlow, true
+		return keepSlow, true
 	}
 	if s.healthyKeep > 0 && rand.Float64() < s.healthyKeep {
-		return ReasonHealthy, true
+		return reasonHealthy, true
 	}
-	return ReasonHealthy, false
+	return reasonHealthy, false
 }
 
 // PendingCount reports the pending table's occupancy.

@@ -65,9 +65,9 @@ func TestTailSamplerClassification(t *testing.T) {
 		reason string
 	}{
 		{"error", errors.New("BAD_OPERATION"), "", KeepError},
-		{"shed", errors.New("request shed by admission control (queue full, class bulk)"), "", KeepShed},
+		{"shed", errors.New("request shed by admission control (queue full, class bulk)"), "", keepShed},
 		{"deadline", errors.New("invocation of echo timed out"), "", KeepDeadline},
-		{"retry", nil, "retry.attempt", KeepRetry},
+		{"retry", nil, "retry.attempt", keepRetry},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

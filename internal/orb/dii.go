@@ -44,7 +44,6 @@ type Request struct {
 	contexts   giop.ServiceContextList
 	oneway     bool
 	invoked    bool
-	fut        *Future // set by Send (deferred invocation)
 }
 
 // CreateRequest starts assembling a dynamic request against target.
@@ -69,11 +68,12 @@ func (r *Request) SetResultType(tc *cdr.TypeCode) *Request {
 	return r
 }
 
-// buildInvocation marshals the in/inout arguments and assembles the wire
-// invocation (shared by Invoke and Send).
-func (r *Request) buildInvocation() (*Invocation, error) {
+// Invoke marshals the in/inout arguments, sends the request and decodes
+// the reply. Remote exceptions are returned as *UserException /
+// *SystemException errors.
+func (r *Request) Invoke(ctx context.Context) error {
 	if r.invoked {
-		return nil, fmt.Errorf("orb: dynamic request %q invoked twice", r.operation)
+		return fmt.Errorf("orb: dynamic request %q invoked twice", r.operation)
 	}
 	r.invoked = true
 
@@ -84,58 +84,17 @@ func (r *Request) buildInvocation() (*Invocation, error) {
 			continue
 		}
 		if err := a.Value.Marshal(e); err != nil {
-			return nil, NewSystemException(ExcMarshal, 30, "marshalling argument %q of %s: %v", a.Name, r.operation, err)
+			return NewSystemException(ExcMarshal, 30, "marshalling argument %q of %s: %v", a.Name, r.operation, err)
 		}
 	}
-	return &Invocation{
+	out, err := r.orb.Invoke(ctx, &Invocation{
 		Target:           r.target,
 		Operation:        r.operation,
 		Args:             e.Bytes(),
 		Contexts:         r.contexts,
 		ResponseExpected: !r.oneway,
 		Order:            order,
-	}, nil
-}
-
-// Invoke sends the request and decodes the reply. Remote exceptions are
-// returned as *UserException / *SystemException errors.
-func (r *Request) Invoke(ctx context.Context) error {
-	inv, err := r.buildInvocation()
-	if err != nil {
-		return err
-	}
-	out, err := r.orb.Invoke(ctx, inv)
-	if err != nil {
-		return err
-	}
-	return r.decodeReply(out)
-}
-
-// Send dispatches the request asynchronously (the DII's deferred
-// invocation): it returns once the request is handed to the transport.
-// Collect the result with GetResponse.
-func (r *Request) Send(ctx context.Context) error {
-	inv, err := r.buildInvocation()
-	if err != nil {
-		return err
-	}
-	fut, err := r.orb.InvokeAsync(ctx, inv)
-	if err != nil {
-		return err
-	}
-	r.fut = fut
-	return nil
-}
-
-// GetResponse waits for a deferred request's reply and decodes it,
-// exactly as a synchronous Invoke would have.
-func (r *Request) GetResponse(ctx context.Context) error {
-	fut := r.fut
-	if fut == nil {
-		return fmt.Errorf("orb: GetResponse on %q before Send", r.operation)
-	}
-	r.fut = nil
-	out, err := fut.Wait(ctx)
+	})
 	if err != nil {
 		return err
 	}

@@ -19,7 +19,7 @@ const (
 	ContractQueueDepth = "queue_depth"
 )
 
-// PolicyFromContract derives the dispatch admission policy of a QoS
+// policyFromContract derives the dispatch admission policy of a QoS
 // class from its negotiated contract, layered over base. This is the
 // paper's separation made operational on the server's front door: the
 // contract the client negotiated — not application code — decides how
@@ -30,7 +30,7 @@ const (
 //     cannot meet it and is shed instead of dispatched.
 //   - dispatch_workers / queue_depth, when negotiated, size the class's
 //     admission gate.
-func PolicyFromContract(base orb.ClassPolicy, c *Contract) orb.ClassPolicy {
+func policyFromContract(base orb.ClassPolicy, c *Contract) orb.ClassPolicy {
 	p := base
 	if w := c.Number(ContractDispatchWorkers, 0); w > 0 {
 		p.Workers = int(w)
@@ -85,7 +85,7 @@ func (a *AdmissionController) Observe(c *Contract) {
 	if c == nil || c.Characteristic == "" {
 		return
 	}
-	p := PolicyFromContract(a.base, c)
+	p := policyFromContract(a.base, c)
 	a.mu.Lock()
 	a.byClass[c.Characteristic] = p
 	a.mu.Unlock()

@@ -61,13 +61,6 @@ type Policy struct {
 	Seed int64
 }
 
-// DefaultPolicy returns a Policy with every field at its default.
-func DefaultPolicy() *Policy {
-	p := &Policy{}
-	p.normalize()
-	return p
-}
-
 // normalize fills zero fields with defaults, in place.
 func (p *Policy) normalize() {
 	if p.Retry.MaxAttempts < 1 {

@@ -172,9 +172,6 @@ type (
 	// and runs burn-rate alerting over rolling windows (see
 	// docs/OBSERVABILITY.md).
 	SLOEngine = qos.SLOEngine
-	// SLOObjective is one service-level objective (target good fraction,
-	// optional latency bound).
-	SLOObjective = qos.Objective
 	// SLOStatus is the /slo endpoint's JSON body.
 	SLOStatus = qos.SLOStatus
 
@@ -204,14 +201,6 @@ var (
 	// NewObservabilityWithConfig constructs a bundle with an explicit
 	// span-ring size or sampling policy.
 	NewObservabilityWithConfig = obs.NewWithConfig
-	// NewMetricsObserver builds a Stub observer feeding client metrics
-	// into a registry.
-	NewMetricsObserver = qos.MetricsObserver
-	// DefaultResiliencePolicy returns the stock retry + breaker policy.
-	DefaultResiliencePolicy = resilience.DefaultPolicy
-	// NewSLOEngine builds a standalone SLO engine (NewSystem wires one
-	// automatically when observability is enabled).
-	NewSLOEngine = qos.NewSLOEngine
 	// NewLeaf, NewBest and NewFallback build the contract hierarchy
 	// Stub.NegotiatePlan binds: a proposal with its utility, alternatives
 	// ranked by achieved utility, alternatives in the order given.
@@ -221,22 +210,6 @@ var (
 	// NewAdmissionController builds a contract-driven dispatch policy
 	// source for Options.AdmissionPolicy.
 	NewAdmissionController = qos.NewAdmissionController
-	// PolicyFromContract derives one class's dispatch policy from its
-	// negotiated contract.
-	PolicyFromContract = qos.PolicyFromContract
-)
-
-// Tail-sampling keep/drop reasons (the {reason} label on
-// maqs_trace_kept_total / maqs_trace_dropped_total).
-const (
-	TraceKeepError     = obs.KeepError
-	TraceKeepRetry     = obs.KeepRetry
-	TraceKeepShed      = obs.KeepShed
-	TraceKeepDeadline  = obs.KeepDeadline
-	TraceKeepSlow      = obs.KeepSlow
-	TraceKeepAnomaly   = obs.KeepAnomaly
-	TraceReasonHealthy = obs.ReasonHealthy
-	TraceDropEvicted   = obs.DropEvicted
 )
 
 // Circuit breaker states.
@@ -315,9 +288,6 @@ type Options struct {
 	AdmissionPolicy func(class string) ClassPolicy
 	// Logger receives diagnostics (default: discard).
 	Logger *slog.Logger
-	// SkipStandardCharacteristics leaves the registry empty; register
-	// characteristics explicitly afterwards.
-	SkipStandardCharacteristics bool
 	// SkipStandardModules leaves the QoS transport without the standard
 	// module factories (flate, secure).
 	SkipStandardModules bool
@@ -353,7 +323,7 @@ type System struct {
 
 // NewSystem builds a System: ORB, QoS transport (router + command
 // handler + filters installed), and a registry preloaded with the
-// standard characteristics unless disabled.
+// standard characteristics.
 func NewSystem(opts Options) (*System, error) {
 	o := orb.New(orb.Options{
 		Transport:        opts.Transport,
@@ -408,17 +378,15 @@ func NewSystem(opts Options) (*System, error) {
 			return nil, fmt.Errorf("maqs: %w", err)
 		}
 	}
-	if !opts.SkipStandardCharacteristics {
-		for _, register := range []func(*qos.Registry) error{
-			replication.Register,
-			loadbalance.Register,
-			compression.Register,
-			encryption.Register,
-			actuality.Register,
-		} {
-			if err := register(registry); err != nil {
-				return nil, fmt.Errorf("maqs: %w", err)
-			}
+	for _, register := range []func(*qos.Registry) error{
+		replication.Register,
+		loadbalance.Register,
+		compression.Register,
+		encryption.Register,
+		actuality.Register,
+	} {
+		if err := register(registry); err != nil {
+			return nil, fmt.Errorf("maqs: %w", err)
 		}
 	}
 	return sys, nil
@@ -459,16 +427,4 @@ func (s *System) Stub(ref *ior.IOR) *qos.Stub {
 // module-backed characteristic must load it).
 func (s *System) LoadModule(name string, config map[string]string) error {
 	return s.Transport.Load(name, config)
-}
-
-// StandardModules maps characteristic names to the transport module each
-// one needs (empty for purely application-layer characteristics).
-func StandardModules() map[string]string {
-	return map[string]string{
-		Availability:  "",
-		LoadBalancing: "",
-		Compression:   compression.ModuleName,
-		Encryption:    encryption.ModuleName,
-		Actuality:     "",
-	}
 }

@@ -48,10 +48,10 @@ func TestSystemEndToEndCompression(t *testing.T) {
 	if err := server.Listen("server:5000"); err != nil {
 		t.Fatal(err)
 	}
-	if err := server.LoadModule(maqs.StandardModules()[maqs.Compression], nil); err != nil {
+	if err := server.LoadModule(compression.ModuleName, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.LoadModule(maqs.StandardModules()[maqs.Compression], nil); err != nil {
+	if err := client.LoadModule(compression.ModuleName, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -114,17 +114,13 @@ func TestSystemStandardRegistryComplete(t *testing.T) {
 
 func TestSystemSkipOptions(t *testing.T) {
 	sys, err := maqs.NewSystem(maqs.Options{
-		Transport:                   maqs.NewNetwork(),
-		SkipStandardCharacteristics: true,
-		SkipStandardModules:         true,
+		Transport:           maqs.NewNetwork(),
+		SkipStandardModules: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Shutdown()
-	if n := len(sys.Registry.Names()); n != 0 {
-		t.Fatalf("registry has %d entries", n)
-	}
 	if err := sys.LoadModule(compression.ModuleName, nil); err == nil {
 		t.Fatal("module factory present despite skip")
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"maqs"
+	"maqs/internal/obs"
 	"maqs/internal/orb"
 )
 
@@ -232,7 +233,7 @@ func TestAsyncSpanLifecycleAfterTeardown(t *testing.T) {
 	kept := func(reason string) uint64 {
 		return bundle.Registry.Counter(`maqs_trace_kept_total{reason="` + reason + `"}`).Value()
 	}
-	if kept(maqs.TraceKeepError)+kept(maqs.TraceKeepDeadline) == 0 {
+	if kept(obs.KeepError)+kept(obs.KeepDeadline) == 0 {
 		t.Fatal("teardown trace not kept for an error or a deadline")
 	}
 	found := false
